@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -270,6 +271,20 @@ func BenchmarkXACMLCodec(b *testing.B) {
 			}
 		}
 	})
+	// What the daemon pays per request: decoding the cold workload
+	// request the BenchmarkServe* envelopes carry.
+	b.Run("request-xml-decode", func(b *testing.B) {
+		data, err := xacml.MarshalRequestXML(policy.NewAccessRequest(workload.UserID(1000), workload.ResourceID(100), "read"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := xacml.UnmarshalRequestXML(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("request-json", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			data, err := xacml.MarshalRequestJSON(req)
@@ -281,6 +296,89 @@ func BenchmarkXACMLCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// permitAll is a decision provider that does no work, so the BenchmarkServe*
+// benchmarks time the message codecs alone.
+type permitAll struct{}
+
+func (permitAll) Decide(context.Context, *policy.Request) policy.Result {
+	return policy.Result{Decision: policy.DecisionPermit, By: "res-policy-7/permit-owner"}
+}
+
+func (p permitAll) DecideBatch(ctx context.Context, reqs []*policy.Request) []policy.Result {
+	out := make([]policy.Result, len(reqs))
+	for i := range out {
+		out[i] = p.Decide(ctx, reqs[i])
+	}
+	return out
+}
+
+// serveEnvelope encodes the request envelope a PEP would post for n cold
+// workload requests: one context for /decide, a batch frame otherwise.
+func serveEnvelope(b *testing.B, n int) []byte {
+	b.Helper()
+	docs := make([][]byte, n)
+	for i := range docs {
+		var err error
+		docs[i], err = xacml.MarshalRequestXML(policy.NewAccessRequest(
+			workload.UserID(1000+i), workload.ResourceID(100+i), "read"))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	env := &wire.Envelope{
+		MessageID: "bench-1", From: "pep", To: "pdpd", Action: "pdp:decide",
+		Timestamp: time.Unix(1700000000, 0).UTC(), Body: docs[0],
+	}
+	if n > 1 {
+		frame, err := wire.EncodeBodies(docs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env.Action, env.Body = "pdp:decide-batch", frame
+	}
+	data, err := env.EncodeXML()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return data
+}
+
+// benchServe is the daemon's share of the codecs for one exchange: decode
+// the posted envelope, run the handler over a provider that does nothing,
+// encode the reply envelope. No HTTP, no engine.
+func benchServe(b *testing.B, h wire.Handler, posted []byte) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(posted)))
+	b.ReportMetric(float64(runtime.NumCPU()), "nproc")
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		env, err := wire.DecodeXML(posted)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reply, err := h(ctx, &wire.Call{}, env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reply.From, reply.To, reply.MessageID = env.To, env.From, env.MessageID+"-reply"
+		if _, err := reply.EncodeXML(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeDecide is the server-side codec pass of one /decide.
+func BenchmarkServeDecide(b *testing.B) {
+	benchServe(b, pdp.Handler(permitAll{}), serveEnvelope(b, 1))
+}
+
+// BenchmarkServeDecideBatch is the server-side codec pass of one
+// 64-request /decide-batch envelope, the bench's batch.closed unit.
+func BenchmarkServeDecideBatch(b *testing.B) {
+	benchServe(b, pdp.BatchHandler(permitAll{}), serveEnvelope(b, 64))
 }
 
 type zeroReader struct{}

@@ -94,6 +94,7 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	for _, want := range []string{
 		`repro_pdp_decisions_total{outcome="permit"} 1`,
 		"repro_pdp_evaluations_total 1",
+		"repro_pdp_fallback_evaluations_total 0",
 		"repro_pip_cache_misses_total 1",
 		"repro_trace_started_total 1",
 		`repro_trace_kept_total{cause="sampled"} 1`,

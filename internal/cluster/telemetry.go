@@ -89,6 +89,9 @@ func (r *Router) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("repro_pdp_cache_entries",
 		"Live decision-cache occupancy summed across shard engines.",
 		func() int64 { return r.EngineStats().CacheEntries })
+	reg.CounterFunc("repro_pdp_fallback_evaluations_total",
+		"Compiled evaluations that ran at least one root child in the interpreter, summed across shard engines.",
+		func() int64 { return r.EngineStats().FallbackEvaluations })
 	reg.Register("repro_cluster_shard_failovers_total",
 		"Failover reroutes per shard group.",
 		telemetry.KindCounter, func() []telemetry.Sample {

@@ -193,6 +193,7 @@ func (r *Router) EngineStats() pdp.Stats {
 			sum.CacheEntries += st.CacheEntries
 			sum.CompiledEvaluations += st.CompiledEvaluations
 			sum.InterpretedEvaluations += st.InterpretedEvaluations
+			sum.FallbackEvaluations += st.FallbackEvaluations
 			sum.Compiles += st.Compiles
 			sum.CompileNanos += st.CompileNanos
 			sum.CompiledChildren += st.CompiledChildren

@@ -537,19 +537,20 @@ type progScratch struct {
 
 var progScratchPool = sync.Pool{New: func() any { return new(progScratch) }}
 
-// evaluate runs the program against the request, returning the result and
-// the candidate-set size considered (for selectivity stats).
-func (p *program) evaluate(ec *policy.Context, req *policy.Request) (policy.Result, int) {
+// evaluate runs the program against the request, returning the result,
+// the candidate-set size considered (for selectivity stats) and whether
+// any child it evaluated was an interpretive fallback.
+func (p *program) evaluate(ec *policy.Context, req *policy.Request) (res policy.Result, candidates int, fallback bool) {
 	match, err := p.target.eval(ec)
 	if match == policy.MatchIndeterminate {
-		return policy.Result{Decision: policy.DecisionIndeterminate, By: p.rootID, Err: err}, 0
+		return policy.Result{Decision: policy.DecisionIndeterminate, By: p.rootID, Err: err}, 0, false
 	}
 	if match == policy.MatchNo {
-		return policy.Result{Decision: policy.DecisionNotApplicable}, 0
+		return policy.Result{Decision: policy.DecisionNotApplicable}, 0, false
 	}
 	sc := progScratchPool.Get().(*progScratch)
 	cand, usedBuf := p.candidates(req, sc.cand[:0])
-	res := p.combineChildren(ec, cand)
+	res = p.combineChildren(ec, cand, &fallback)
 	n := len(cand)
 	if usedBuf {
 		// Never stash the shared universe slice: the pool only recycles
@@ -557,7 +558,7 @@ func (p *program) evaluate(ec *policy.Context, req *policy.Request) (policy.Resu
 		sc.cand = cand
 	}
 	progScratchPool.Put(sc)
-	return res, n
+	return res, n, fallback
 }
 
 // candidates assembles the ascending child positions that could apply to
@@ -664,35 +665,35 @@ func dedupSorted(s []int32) []int32 {
 // combineChildren runs the root combining algorithm over the candidate
 // positions, mirroring policy.combine plus the root's decorate step
 // (By-prefixing only: compiled roots carry no obligations).
-func (p *program) combineChildren(ec *policy.Context, cand []int32) policy.Result {
+func (p *program) combineChildren(ec *policy.Context, cand []int32, fallback *bool) policy.Result {
 	switch p.combining {
 	case policy.DenyOverrides:
-		return p.combineRootOverrides(ec, cand, policy.DecisionDeny, policy.DecisionPermit)
+		return p.combineRootOverrides(ec, cand, fallback, policy.DecisionDeny, policy.DecisionPermit)
 	case policy.PermitOverrides:
-		return p.combineRootOverrides(ec, cand, policy.DecisionPermit, policy.DecisionDeny)
+		return p.combineRootOverrides(ec, cand, fallback, policy.DecisionPermit, policy.DecisionDeny)
 	case policy.FirstApplicable:
 		for _, pos := range cand {
-			if res := p.evalChild(ec, pos); res.Decision != policy.DecisionNotApplicable {
+			if res := p.evalChild(ec, pos, fallback); res.Decision != policy.DecisionNotApplicable {
 				return res
 			}
 		}
 		return policy.Result{Decision: policy.DecisionNotApplicable}
 	case policy.OnlyOneApplicable:
-		return p.combineRootOnlyOne(ec, cand)
+		return p.combineRootOnlyOne(ec, cand, fallback)
 	case policy.DenyUnlessPermit:
-		return p.combineRootDefaulting(ec, cand, policy.DecisionPermit, policy.DecisionDeny)
+		return p.combineRootDefaulting(ec, cand, fallback, policy.DecisionPermit, policy.DecisionDeny)
 	default: // PermitUnlessDeny — compileProgram admits nothing else
-		return p.combineRootDefaulting(ec, cand, policy.DecisionDeny, policy.DecisionPermit)
+		return p.combineRootDefaulting(ec, cand, fallback, policy.DecisionDeny, policy.DecisionPermit)
 	}
 }
 
-func (p *program) combineRootOverrides(ec *policy.Context, cand []int32, override, merged policy.Decision) policy.Result {
+func (p *program) combineRootOverrides(ec *policy.Context, cand []int32, fallback *bool, override, merged policy.Decision) policy.Result {
 	var (
 		sawMerged, sawIndeterminate bool
 		mergedRes, indetRes         policy.Result
 	)
 	for _, pos := range cand {
-		res := p.evalChild(ec, pos)
+		res := p.evalChild(ec, pos, fallback)
 		switch res.Decision {
 		case override:
 			return res
@@ -719,9 +720,9 @@ func (p *program) combineRootOverrides(ec *policy.Context, cand []int32, overrid
 	return policy.Result{Decision: policy.DecisionNotApplicable}
 }
 
-func (p *program) combineRootDefaulting(ec *policy.Context, cand []int32, override, def policy.Decision) policy.Result {
+func (p *program) combineRootDefaulting(ec *policy.Context, cand []int32, fallback *bool, override, def policy.Decision) policy.Result {
 	for _, pos := range cand {
-		if res := p.evalChild(ec, pos); res.Decision == override {
+		if res := p.evalChild(ec, pos, fallback); res.Decision == override {
 			return res
 		}
 	}
@@ -730,7 +731,7 @@ func (p *program) combineRootDefaulting(ec *policy.Context, cand []int32, overri
 	return policy.Result{Decision: def, By: p.rootID}
 }
 
-func (p *program) combineRootOnlyOne(ec *policy.Context, cand []int32) policy.Result {
+func (p *program) combineRootOnlyOne(ec *policy.Context, cand []int32, fallback *bool) policy.Result {
 	selected := int32(-1)
 	for _, pos := range cand {
 		match, err := p.childTargetMatch(ec, pos)
@@ -753,7 +754,7 @@ func (p *program) combineRootOnlyOne(ec *policy.Context, cand []int32) policy.Re
 	if selected < 0 {
 		return policy.Result{Decision: policy.DecisionNotApplicable}
 	}
-	return p.evalChild(ec, selected)
+	return p.evalChild(ec, selected, fallback)
 }
 
 func (p *program) childTargetMatch(ec *policy.Context, pos int32) (policy.MatchResult, error) {
@@ -768,11 +769,12 @@ func (p *program) childTargetMatch(ec *policy.Context, pos int32) (policy.MatchR
 // children come back complete; interpretive fallbacks get the root's
 // By-prefix applied here (the interpreter's decorate, minus obligations —
 // compiled roots have none).
-func (p *program) evalChild(ec *policy.Context, pos int32) policy.Result {
+func (p *program) evalChild(ec *policy.Context, pos int32, fallback *bool) policy.Result {
 	ch := &p.children[pos]
 	if ch.pol != nil {
 		return ch.pol.eval(ec)
 	}
+	*fallback = true
 	res := ch.src.Evaluate(ec)
 	if res.Decision == policy.DecisionPermit || res.Decision == policy.DecisionDeny {
 		if res.By == "" {

@@ -517,3 +517,45 @@ func FuzzCompile(f *testing.F) {
 		}
 	})
 }
+
+// TestFallbackEvaluationsCountsMissesNotChildren: a miss that evaluates
+// interpretive-fallback children adds one to FallbackEvaluations however
+// many of them it walks; a miss that reaches none adds nothing; and
+// InterpretedEvaluations (no compiled program at all) stays untouched.
+func TestFallbackEvaluationsCountsMissesNotChildren(t *testing.T) {
+	root := policy.NewPolicySet("root").Combining(policy.DenyOverrides)
+	root.Add(policy.NewPolicy("rec-1").When(policy.MatchResourceID("rec-1")).
+		Rule(policy.Permit("all").Build()).Build())
+	// Two conditional policies on rec-2 only: conditions keep them off the
+	// compiled path.
+	for _, id := range []string{"veto-a", "veto-b"} {
+		root.Add(policy.NewPolicy(id).When(policy.MatchResourceID("rec-2")).
+			Rule(policy.Deny("low").If(policy.Call(policy.FnLessThan,
+				policy.SubjectAttr(policy.AttrClearance), policy.Lit(policy.Integer(1)))).Build()).Build())
+	}
+	engine := New("fallback")
+	if err := engine.SetRoot(root.Build()); err != nil {
+		t.Fatal(err)
+	}
+	if st := engine.Stats(); st.RootChildren != 3 || st.CompiledChildren != 1 {
+		t.Fatalf("program has %d of %d children compiled, want 1 of 3", st.CompiledChildren, st.RootChildren)
+	}
+	ctx := context.Background()
+	engine.Decide(ctx, policy.NewAccessRequest("alice", "rec-1", "read"))
+	if st := engine.Stats(); st.FallbackEvaluations != 0 {
+		t.Errorf("compiled-only miss counted %d fallback evaluations", st.FallbackEvaluations)
+	}
+	reqs := []*policy.Request{
+		policy.NewAccessRequest("bob", "rec-2", "read").Add(policy.CategorySubject, policy.AttrClearance, policy.Integer(5)),
+		policy.NewAccessRequest("carol", "rec-2", "read").Add(policy.CategorySubject, policy.AttrClearance, policy.Integer(5)),
+	}
+	engine.Decide(ctx, reqs[0])
+	engine.DecideBatch(ctx, reqs[1:])
+	st := engine.Stats()
+	if st.FallbackEvaluations != 2 {
+		t.Errorf("FallbackEvaluations = %d after two misses walking two fallback children each, want 2", st.FallbackEvaluations)
+	}
+	if st.InterpretedEvaluations != 0 || st.CompiledEvaluations != 3 {
+		t.Errorf("compiled/interpreted = %d/%d, want 3/0", st.CompiledEvaluations, st.InterpretedEvaluations)
+	}
+}

@@ -135,6 +135,10 @@ type Stats struct {
 	// compilation disabled, or the root was uncompilable).
 	CompiledEvaluations    int64
 	InterpretedEvaluations int64
+	// FallbackEvaluations counts the compiled evaluations in which at
+	// least one root child ran in the interpreter because the compiler
+	// could not lower it (once per evaluation, however many children).
+	FallbackEvaluations int64
 	// MaxCandidates is the largest candidate set a single evaluation
 	// considered, complementing the IndexedCandidates sum for selectivity
 	// monitoring.
@@ -382,9 +386,9 @@ func (e *Engine) DecideAtWith(ctx context.Context, req *policy.Request, at time.
 	if sp := trace.FromContext(ctx); sp != nil {
 		ctx, ev = trace.StartSpan(ctx, "pdp.eval")
 	}
-	res, candidates, compiled := e.evaluate(ctx, snap, req, at, resolver)
-	e.stats.stripe(policy.HashString(req.ResourceID())).recordEvaluation(res, candidates, compiled)
-	e.traceDecision(ev, snap.epoch, res, "bypass", candidates)
+	res, path := e.evaluate(ctx, snap, req, at, resolver)
+	e.stats.stripe(policy.HashString(req.ResourceID())).recordEvaluation(res, path)
+	e.traceDecision(ev, snap.epoch, res, "bypass", path.candidates)
 	ev.End()
 	return res
 }
@@ -393,7 +397,7 @@ func (e *Engine) DecideAtWith(ctx context.Context, req *policy.Request, at time.
 // evaluation context carrying the request ctx. resolver nil falls back to
 // the engine's configured resolver. The Result never aliases the
 // evaluation context, so it is released before return.
-func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Request, at time.Time, resolver policy.Resolver) (policy.Result, int, bool) {
+func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Request, at time.Time, resolver policy.Resolver) (policy.Result, evalPath) {
 	ec := policy.AcquireContext(ctx, req, at)
 	if resolver == nil {
 		resolver = e.resolver
@@ -402,19 +406,18 @@ func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Reque
 		ec.WithResolver(resolver)
 	}
 	var res policy.Result
-	candidates := 0
-	compiled := false
+	var path evalPath
 	switch {
 	case snap.prog != nil:
-		res, candidates = snap.prog.evaluate(ec, req)
-		compiled = true
+		res, path.candidates, path.fallback = snap.prog.evaluate(ec, req)
+		path.compiled = true
 	case snap.index != nil:
-		res, candidates = snap.index.evaluate(ec, req)
+		res, path.candidates = snap.index.evaluate(ec, req)
 	default:
 		res = snap.root.Evaluate(ec)
 	}
 	policy.ReleaseContext(ec)
-	return res, candidates, compiled
+	return res, path
 }
 
 // DecideAt evaluates the request at an explicit time, bounded by ctx: a
@@ -440,9 +443,9 @@ func (e *Engine) DecideAt(ctx context.Context, req *policy.Request, at time.Time
 		if sp != nil {
 			ctx, ev = trace.StartSpan(ctx, "pdp.eval")
 		}
-		res, candidates, compiled := e.evaluate(ctx, snap, req, at, nil)
-		e.stats.stripe(policy.HashString(req.ResourceID())).recordEvaluation(res, candidates, compiled)
-		e.traceDecision(ev, snap.epoch, res, "off", candidates)
+		res, path := e.evaluate(ctx, snap, req, at, nil)
+		e.stats.stripe(policy.HashString(req.ResourceID())).recordEvaluation(res, path)
+		e.traceDecision(ev, snap.epoch, res, "off", path.candidates)
 		ev.End()
 		return res
 	}
@@ -461,19 +464,19 @@ func (e *Engine) DecideAt(ctx context.Context, req *policy.Request, at time.Time
 	if sp != nil {
 		ctx, ev = trace.StartSpan(ctx, "pdp.eval")
 	}
-	res, candidates, compiled := e.evaluate(ctx, snap, req, at, nil)
-	st.recordEvaluation(res, candidates, compiled)
+	res, path := e.evaluate(ctx, snap, req, at, nil)
+	st.recordEvaluation(res, path)
 	if stale, ok := e.serveStale(ctx, key, hash, at, res); ok {
 		ev.SetAttr("pdp.degraded", "true")
 		ev.Keep()
-		e.traceDecision(ev, snap.epoch, stale, "stale", candidates)
+		e.traceDecision(ev, snap.epoch, stale, "stale", path.candidates)
 		ev.End()
 		return stale
 	}
 	if e.cacheable(ctx, res) {
 		e.fill(snap, key, hash, req.ResourceID(), res, at)
 	}
-	e.traceDecision(ev, snap.epoch, res, "miss", candidates)
+	e.traceDecision(ev, snap.epoch, res, "miss", path.candidates)
 	ev.End()
 	return res
 }
@@ -677,12 +680,11 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		if e.resolver != nil {
 			ec.WithResolver(e.resolver)
 		}
-		candidates := 0
-		compiled := false
+		var path evalPath
 		switch {
 		case snap.prog != nil:
-			out[p], candidates = snap.prog.evaluate(ec, req)
-			compiled = true
+			out[p], path.candidates, path.fallback = snap.prog.evaluate(ec, req)
+			path.compiled = true
 		case snap.index != nil:
 			var sub indexSubset
 			if key, single := resourceMemoKey(req); single {
@@ -697,7 +699,7 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 				sub = snap.index.subsetForRequest(req)
 			}
 			out[p] = sub.set.Evaluate(ec)
-			candidates = sub.candidates
+			path.candidates = sub.candidates
 		default:
 			out[p] = snap.root.Evaluate(ec)
 		}
@@ -709,7 +711,7 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		} else {
 			hash = policy.HashString(req.ResourceID())
 		}
-		e.stats.stripe(hash).recordEvaluation(out[p], candidates, compiled)
+		e.stats.stripe(hash).recordEvaluation(out[p], path)
 		if e.cache == nil {
 			continue
 		}

@@ -1,7 +1,9 @@
 package pdp
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -211,11 +213,15 @@ func BatchHandler(p BatchProvider) wire.Handler {
 			}
 		}
 		results := p.DecideBatch(ctx, reqs)
+		// Every reply is encoded into one growing buffer. A reply sliced
+		// off before the buffer moves keeps the old array, which holds
+		// its bytes unchanged.
+		var docs []byte
 		replies := make([][]byte, len(results))
 		for i, res := range results {
-			if replies[i], err = xacml.MarshalResponseXML(res); err != nil {
-				return nil, err
-			}
+			start := len(docs)
+			docs = xacml.AppendResponseXML(docs, res)
+			replies[i] = docs[start:]
 		}
 		body, err := wire.EncodeBodies(replies)
 		if err != nil {
@@ -225,13 +231,14 @@ func BatchHandler(p BatchProvider) wire.Handler {
 	}
 }
 
+// decodeRequestContext decodes a request context in the codec its first
+// byte announces: '<' opens an XML document, '{' a JSON one.
 func decodeRequestContext(body []byte) (*policy.Request, error) {
-	req, err := xacml.UnmarshalRequestXML(body)
-	if err != nil {
-		req, err = xacml.UnmarshalRequestJSON(body)
-		if err != nil {
-			return nil, fmt.Errorf("pdp: undecodable request context: %w", err)
-		}
+	switch trimmed := bytes.TrimLeft(body, " \t\r\n"); {
+	case len(trimmed) > 0 && trimmed[0] == '<':
+		return xacml.UnmarshalRequestXML(body)
+	case len(trimmed) > 0 && trimmed[0] == '{':
+		return xacml.UnmarshalRequestJSON(body)
 	}
-	return req, nil
+	return nil, errors.New("pdp: undecodable request context: neither an XML nor a JSON document")
 }

@@ -22,20 +22,33 @@ type decisionCounters struct {
 	indeterminates    atomic.Int64
 	indexedCandidates atomic.Int64
 	compiledEvals     atomic.Int64
+	fallbackEvals     atomic.Int64
 	maxCandidates     atomic.Int64
-	_                 [56]byte
+	_                 [48]byte
+}
+
+// evalPath says how one computed decision was reached: the candidate-set
+// size considered, whether the compiled program answered it, and whether
+// that program ran any child in the interpreter.
+type evalPath struct {
+	candidates int
+	compiled   bool
+	fallback   bool
 }
 
 // recordEvaluation counts one computed (non-cached) decision: the
 // evaluation itself, the candidates it considered (and the running
-// maximum), whether the compiled program answered it, and the outcome.
-func (c *decisionCounters) recordEvaluation(res policy.Result, candidates int, compiled bool) {
+// maximum), the path that answered it, and the outcome.
+func (c *decisionCounters) recordEvaluation(res policy.Result, path evalPath) {
 	c.evaluations.Add(1)
-	c.indexedCandidates.Add(int64(candidates))
-	if compiled {
+	c.indexedCandidates.Add(int64(path.candidates))
+	if path.compiled {
 		c.compiledEvals.Add(1)
 	}
-	if n := int64(candidates); n > c.maxCandidates.Load() {
+	if path.fallback {
+		c.fallbackEvals.Add(1)
+	}
+	if n := int64(path.candidates); n > c.maxCandidates.Load() {
 		for {
 			cur := c.maxCandidates.Load()
 			if n <= cur || c.maxCandidates.CompareAndSwap(cur, n) {
@@ -84,6 +97,7 @@ func (s *engineStats) snapshot() Stats {
 		out.Indeterminates += c.indeterminates.Load()
 		out.IndexedCandidates += c.indexedCandidates.Load()
 		out.CompiledEvaluations += c.compiledEvals.Load()
+		out.FallbackEvaluations += c.fallbackEvals.Load()
 		if m := c.maxCandidates.Load(); m > out.MaxCandidates {
 			out.MaxCandidates = m
 		}

@@ -47,6 +47,9 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("repro_pdp_interpreted_evaluations_total",
 		"Evaluations answered by the interpretive paths (no compiled program).",
 		func() int64 { return e.Stats().InterpretedEvaluations })
+	reg.CounterFunc("repro_pdp_fallback_evaluations_total",
+		"Compiled evaluations that ran at least one root child in the interpreter.",
+		func() int64 { return e.Stats().FallbackEvaluations })
 	reg.GaugeFunc("repro_pdp_max_candidates",
 		"Largest candidate set a single evaluation considered.",
 		func() int64 { return e.Stats().MaxCandidates })

@@ -90,7 +90,9 @@ type cacheKey struct {
 // wants to do what (action) to which resource, in which environment. It is
 // the in-memory form of an XACML request context.
 type Request struct {
-	attrs map[Category]map[string]Bag
+	// attrs is one flat map: a request carries a handful of attributes,
+	// and a map per category would cost two allocations each.
+	attrs map[attrKey]Bag
 	// key memoises CacheKey and CacheKeyHash: decision caches at the PEP,
 	// the PDP and the cluster batch sweep all key on them, and rendering
 	// dominates the cache-hit path. Stored atomically so concurrent
@@ -101,7 +103,7 @@ type Request struct {
 
 // NewRequest returns an empty request.
 func NewRequest() *Request {
-	return &Request{attrs: make(map[Category]map[string]Bag, 4)}
+	return &Request{attrs: make(map[attrKey]Bag)}
 }
 
 // NewAccessRequest builds the common subject/resource/action triple request.
@@ -116,35 +118,22 @@ func NewAccessRequest(subject, resource, action string) *Request {
 // Add appends values to the named attribute, creating it if necessary.
 // It returns the request to allow chaining during construction.
 func (r *Request) Add(cat Category, name string, vals ...Value) *Request {
-	byName, ok := r.attrs[cat]
-	if !ok {
-		byName = make(map[string]Bag)
-		r.attrs[cat] = byName
-	}
-	byName[name] = append(byName[name], vals...)
+	key := attrKey{cat: cat, name: name}
+	r.attrs[key] = append(r.attrs[key], vals...)
 	r.key.Store(nil)
 	return r
 }
 
 // Set replaces the named attribute's bag.
 func (r *Request) Set(cat Category, name string, bag Bag) *Request {
-	byName, ok := r.attrs[cat]
-	if !ok {
-		byName = make(map[string]Bag)
-		r.attrs[cat] = byName
-	}
-	byName[name] = bag.Clone()
+	r.attrs[attrKey{cat: cat, name: name}] = bag.Clone()
 	r.key.Store(nil)
 	return r
 }
 
 // Get returns the named attribute's bag and whether it is present.
 func (r *Request) Get(cat Category, name string) (Bag, bool) {
-	byName, ok := r.attrs[cat]
-	if !ok {
-		return nil, false
-	}
-	bag, ok := byName[name]
+	bag, ok := r.attrs[attrKey{cat: cat, name: name}]
 	return bag, ok
 }
 
@@ -167,10 +156,11 @@ func (r *Request) first(cat Category, name string) string {
 
 // Names returns the attribute names present in a category, sorted.
 func (r *Request) Names(cat Category) []string {
-	byName := r.attrs[cat]
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
+	var names []string
+	for key := range r.attrs {
+		if key.cat == cat {
+			names = append(names, key.name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -179,12 +169,8 @@ func (r *Request) Names(cat Category) []string {
 // Clone returns a deep copy of the request.
 func (r *Request) Clone() *Request {
 	out := NewRequest()
-	for cat, byName := range r.attrs {
-		dst := make(map[string]Bag, len(byName))
-		for n, bag := range byName {
-			dst[n] = bag.Clone()
-		}
-		out.attrs[cat] = dst
+	for key, bag := range r.attrs {
+		out.attrs[key] = bag.Clone()
 	}
 	return out
 }

@@ -25,12 +25,15 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/xml"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/pki"
+	"repro/internal/xmlscan"
 )
 
 // Security and transport errors, matched with errors.Is.
@@ -149,122 +152,207 @@ func (e *Envelope) Canonical() []byte {
 	return buf.Bytes()
 }
 
-type xmlSecurity struct {
-	Signer    string `xml:"Signer,omitempty"`
-	Signature string `xml:"Signature,omitempty"`
-	Encrypted bool   `xml:"Encrypted,attr,omitempty"`
-	Nonce     string `xml:"Nonce,omitempty"`
-}
-
-type xmlEnvelope struct {
-	XMLName   xml.Name `xml:"Envelope"`
-	MessageID string   `xml:"Header>MessageID"`
-	From      string   `xml:"Header>From"`
-	To        string   `xml:"Header>To"`
-	Action    string   `xml:"Header>Action"`
-	Timestamp string   `xml:"Header>Timestamp"`
-	// DeadlineNs is the remaining deadline budget in nanoseconds; absent
-	// or zero means unbounded.
-	DeadlineNs int64 `xml:"Header>Deadline,omitempty"`
-	// TraceID/TraceParent continue the caller's trace; TraceSpans carries
-	// the serving hop's exported spans back (base64, unsigned).
-	TraceID     string       `xml:"Header>TraceID,omitempty"`
-	TraceParent string       `xml:"Header>TraceParent,omitempty"`
-	TraceSpans  string       `xml:"Header>TraceSpans,omitempty"`
-	Security    *xmlSecurity `xml:"Header>Security,omitempty"`
-	Body        string       `xml:"Body"`
-}
-
 // EncodeXML renders the envelope in its SOAP-style XML form. The body and
 // binary security material are base64-encoded.
 func (e *Envelope) EncodeXML() ([]byte, error) {
-	out := xmlEnvelope{
-		MessageID:   e.MessageID,
-		From:        e.From,
-		To:          e.To,
-		Action:      e.Action,
-		Timestamp:   e.Timestamp.Format(time.RFC3339Nano),
-		DeadlineNs:  int64(e.Deadline),
-		TraceID:     e.TraceID,
-		TraceParent: e.TraceParent,
-		Body:        base64.StdEncoding.EncodeToString(e.Body),
+	// Room for every tag plus the values, exact unless a header needs
+	// escaping.
+	n := 320 + len(e.MessageID) + len(e.From) + len(e.To) + len(e.Action) + len(e.TraceID) + len(e.TraceParent) +
+		base64.StdEncoding.EncodedLen(len(e.Body)) + base64.StdEncoding.EncodedLen(len(e.TraceSpans))
+	if sec := e.Security; sec != nil {
+		n += 96 + len(sec.Signer) + base64.StdEncoding.EncodedLen(len(sec.Signature)+len(sec.Nonce)+2)
 	}
-	if len(e.TraceSpans) > 0 {
-		out.TraceSpans = base64.StdEncoding.EncodeToString(e.TraceSpans)
-	}
-	if e.Security != nil {
-		out.Security = &xmlSecurity{
-			Signer:    e.Security.Signer,
-			Signature: base64.StdEncoding.EncodeToString(e.Security.Signature),
-			Encrypted: e.Security.Encrypted,
-			Nonce:     base64.StdEncoding.EncodeToString(e.Security.Nonce),
-		}
-	}
-	data, err := xml.Marshal(&out)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	return data, nil
+	return e.appendXML(make([]byte, 0, n)), nil
 }
 
-// DecodeXML parses an envelope from its XML form.
+// appendXML appends the XML form. Empty optional headers are left out;
+// Deadline is the remaining budget in nanoseconds.
+func (e *Envelope) appendXML(dst []byte) []byte {
+	dst = append(dst, "<Envelope><Header>"...)
+	dst = appendElement(dst, "MessageID", e.MessageID)
+	dst = appendElement(dst, "From", e.From)
+	dst = appendElement(dst, "To", e.To)
+	dst = appendElement(dst, "Action", e.Action)
+	dst = append(e.Timestamp.AppendFormat(append(dst, "<Timestamp>"...), time.RFC3339Nano), "</Timestamp>"...)
+	if e.Deadline != 0 {
+		dst = append(strconv.AppendInt(append(dst, "<Deadline>"...), int64(e.Deadline), 10), "</Deadline>"...)
+	}
+	if e.TraceID != "" {
+		dst = appendElement(dst, "TraceID", e.TraceID)
+	}
+	if e.TraceParent != "" {
+		dst = appendElement(dst, "TraceParent", e.TraceParent)
+	}
+	if len(e.TraceSpans) > 0 {
+		dst = appendBase64Element(dst, "TraceSpans", e.TraceSpans)
+	}
+	if sec := e.Security; sec != nil {
+		dst = append(dst, "<Security"...)
+		if sec.Encrypted {
+			dst = append(dst, ` Encrypted="true"`...)
+		}
+		dst = append(dst, '>')
+		if sec.Signer != "" {
+			dst = appendElement(dst, "Signer", sec.Signer)
+		}
+		if len(sec.Signature) > 0 {
+			dst = appendBase64Element(dst, "Signature", sec.Signature)
+		}
+		if len(sec.Nonce) > 0 {
+			dst = appendBase64Element(dst, "Nonce", sec.Nonce)
+		}
+		dst = append(dst, "</Security>"...)
+	}
+	dst = append(dst, "</Header>"...)
+	dst = appendBase64Element(dst, "Body", e.Body)
+	return append(dst, "</Envelope>"...)
+}
+
+func appendElement(dst []byte, name, text string) []byte {
+	dst = append(append(append(dst, '<'), name...), '>')
+	dst = xmlscan.AppendEscaped(dst, text)
+	return append(append(append(dst, "</"...), name...), '>')
+}
+
+func appendBase64Element(dst []byte, name string, data []byte) []byte {
+	dst = appendBase64(append(append(append(dst, '<'), name...), '>'), data)
+	return append(append(append(dst, "</"...), name...), '>')
+}
+
+// appendBase64 appends the standard base64 encoding of data.
+func appendBase64(dst, data []byte) []byte {
+	start, n := len(dst), base64.StdEncoding.EncodedLen(len(data))
+	dst = slices.Grow(dst, n)[:start+n]
+	base64.StdEncoding.Encode(dst[start:], data)
+	return dst
+}
+
+// decodeBase64 decodes the standard base64 text of an element.
+func decodeBase64(text []byte) ([]byte, error) {
+	out := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
+	n, err := base64.StdEncoding.Decode(out, text)
+	return out[:n], err
+}
+
+// DecodeXML parses an envelope from its XML form. Elements may come in
+// any layout and with namespace prefixes; unknown ones are skipped, and
+// of a repeated header the last wins.
 func DecodeXML(data []byte) (*Envelope, error) {
-	var in xmlEnvelope
-	if err := xml.Unmarshal(data, &in); err != nil {
+	e, err := decodeEnvelope(data)
+	if err != nil {
 		return nil, fmt.Errorf("wire: decode: %v: %w", err, ErrBadEnvelope)
-	}
-	ts, err := time.Parse(time.RFC3339Nano, in.Timestamp)
-	if err != nil {
-		return nil, fmt.Errorf("wire: timestamp: %v: %w", err, ErrBadEnvelope)
-	}
-	body, err := base64.StdEncoding.DecodeString(in.Body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: body: %v: %w", err, ErrBadEnvelope)
-	}
-	e := &Envelope{
-		MessageID:   in.MessageID,
-		From:        in.From,
-		To:          in.To,
-		Action:      in.Action,
-		Timestamp:   ts,
-		Deadline:    time.Duration(in.DeadlineNs),
-		TraceID:     in.TraceID,
-		TraceParent: in.TraceParent,
-		Body:        body,
-	}
-	if in.TraceSpans != "" {
-		spans, err := base64.StdEncoding.DecodeString(in.TraceSpans)
-		if err != nil {
-			return nil, fmt.Errorf("wire: trace spans: %v: %w", err, ErrBadEnvelope)
-		}
-		e.TraceSpans = spans
-	}
-	if in.Security != nil {
-		sig, err := base64.StdEncoding.DecodeString(in.Security.Signature)
-		if err != nil {
-			return nil, fmt.Errorf("wire: signature: %v: %w", err, ErrBadEnvelope)
-		}
-		nonce, err := base64.StdEncoding.DecodeString(in.Security.Nonce)
-		if err != nil {
-			return nil, fmt.Errorf("wire: nonce: %v: %w", err, ErrBadEnvelope)
-		}
-		e.Security = &SecurityHeader{
-			Signer:    in.Security.Signer,
-			Signature: sig,
-			Encrypted: in.Security.Encrypted,
-			Nonce:     nonce,
-		}
 	}
 	return e, nil
 }
 
-// WireSize reports the encoded size in bytes, the unit of experiment E8.
-func (e *Envelope) WireSize() int {
-	data, err := e.EncodeXML()
-	if err != nil {
-		return 0
+func decodeEnvelope(data []byte) (*Envelope, error) {
+	s := xmlscan.New(data)
+	if err := s.Root("Envelope"); err != nil {
+		return nil, err
 	}
-	return len(data)
+	e := &Envelope{Body: []byte{}}
+	var timestamp []byte
+	text := func(dst *string) error {
+		b, err := s.Text()
+		*dst = string(b)
+		return err
+	}
+	binary := func(dst *[]byte) error {
+		b, err := s.Text()
+		if err == nil {
+			*dst, err = decodeBase64(b)
+		}
+		return err
+	}
+	security := func(name []byte) error {
+		switch string(name) {
+		case "Signer":
+			return text(&e.Security.Signer)
+		case "Signature":
+			return binary(&e.Security.Signature)
+		case "Nonce":
+			return binary(&e.Security.Nonce)
+		}
+		return s.Skip()
+	}
+	header := func(name []byte) (err error) {
+		switch string(name) {
+		case "MessageID":
+			return text(&e.MessageID)
+		case "From":
+			return text(&e.From)
+		case "To":
+			return text(&e.To)
+		case "Action":
+			return text(&e.Action)
+		case "Timestamp":
+			timestamp, err = s.Text()
+			return err
+		case "Deadline":
+			b, err := s.Text()
+			if err != nil {
+				return err
+			}
+			ns, err := xmlscan.ParseInt(b)
+			e.Deadline = time.Duration(ns)
+			return err
+		case "TraceID":
+			return text(&e.TraceID)
+		case "TraceParent":
+			return text(&e.TraceParent)
+		case "TraceSpans":
+			b, err := s.Text()
+			if e.TraceSpans = nil; err == nil && len(b) > 0 {
+				e.TraceSpans, err = decodeBase64(b)
+			}
+			return err
+		case "Security":
+			if e.Security == nil {
+				e.Security = &SecurityHeader{}
+			}
+			if v, ok := s.Attr("Encrypted"); ok {
+				if e.Security.Encrypted, err = xmlscan.ParseBool(v); err != nil {
+					return err
+				}
+			}
+			return s.Children(security)
+		}
+		return s.Skip()
+	}
+	err := s.Children(func(name []byte) (err error) {
+		switch string(name) {
+		case "Header":
+			err = s.Children(header)
+		case "Body":
+			err = binary(&e.Body)
+		default:
+			err = s.Skip()
+		}
+		if err != nil {
+			err = fmt.Errorf("%s: %w", name, err)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if e.Timestamp, err = time.Parse(time.RFC3339Nano, string(timestamp)); err != nil {
+		return nil, fmt.Errorf("timestamp: %w", err)
+	}
+	return e, nil
+}
+
+// sizeScratch holds the buffers WireSize encodes into.
+var sizeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// WireSize reports the encoded size in bytes, the unit of experiment E8:
+// exactly len(EncodeXML()), without keeping the encoding.
+func (e *Envelope) WireSize() int {
+	buf := sizeScratch.Get().(*[]byte)
+	*buf = e.appendXML((*buf)[:0])
+	n := len(*buf)
+	sizeScratch.Put(buf)
+	return n
 }
 
 // Security provides message-level protection for one node: its signing

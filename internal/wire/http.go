@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,24 @@ import (
 // intermediaries that never decode the envelope (load balancers, access
 // logs) can still observe and enforce the budget.
 const DeadlineHeader = "X-Deadline-Budget-Ms"
+
+// maxBodyBytes bounds an envelope on the HTTP binding, in either
+// direction.
+const maxBodyBytes = 10 << 20
+
+// readBody reads a message body whole: into a buffer of the declared
+// length when there is one (r is already limited to maxBodyBytes or just
+// over), otherwise until EOF.
+func readBody(r io.Reader, contentLength int64) ([]byte, error) {
+	if contentLength < 0 || contentLength > maxBodyBytes {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, contentLength)
+	if _, err := io.ReadFull(r, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
 
 // HTTPOption configures the HTTP binding.
 type HTTPOption func(*httpConfig)
@@ -58,9 +77,13 @@ func HTTPHandler(h Handler, opts ...HTTPOption) http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, 10<<20))
+		data, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			status := http.StatusBadRequest
+			if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		env, err := DecodeXML(data)
@@ -179,9 +202,13 @@ func (c *HTTPClient) Send(ctx context.Context, env *Envelope) (*Envelope, error)
 		return nil, fmt.Errorf("wire: post %s: %w", c.Endpoint, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 10<<20))
+	// One byte past the limit tells an oversize reply from a full one.
+	body, err := readBody(io.LimitReader(resp.Body, maxBodyBytes+1), resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("wire: read reply: %w", err)
+	}
+	if len(body) > maxBodyBytes {
+		return nil, fmt.Errorf("wire: %s: reply too large (over %d bytes)", c.Endpoint, maxBodyBytes)
 	}
 	if resp.StatusCode == http.StatusNoContent {
 		return nil, nil

@@ -14,4 +14,9 @@
 //
 // Both encodings round-trip: Decode(Encode(p)) yields a policy that
 // evaluates identically to p.
+//
+// Policy documents (xml.go) go through encoding/xml: they travel on the
+// admin plane. The request and response contexts (context.go) are on the
+// path of every remote decision, so they are appended to a buffer and
+// read with internal/xmlscan instead; the format is the same.
 package xacml

@@ -2,6 +2,7 @@ package xacml
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -290,6 +291,33 @@ func (g *gen) genRequest() *policy.Request {
 	return req
 }
 
+// genResult draws a decision result as an engine could produce it.
+func (g *gen) genResult() policy.Result {
+	decisions := []policy.Decision{policy.DecisionPermit, policy.DecisionDeny, policy.DecisionNotApplicable, policy.DecisionIndeterminate}
+	res := policy.Result{Decision: decisions[g.pick(len(decisions))]}
+	if g.chance(0.7) {
+		res.By = g.id("policy") + "/" + g.genText()
+	}
+	if res.Decision == policy.DecisionIndeterminate {
+		res.Err = errors.New("eval: " + g.genText())
+	}
+	if g.chance(0.2) {
+		res.Degraded = true
+		res.StaleFor = time.Duration(g.pick(5000)) * time.Millisecond
+	}
+	for i := g.pick(3); i > 0; i-- {
+		ob := policy.FulfilledObligation{ID: g.id("ob")}
+		for j := g.pick(4); j > 0; j-- {
+			if ob.Attributes == nil {
+				ob.Attributes = make(map[string]policy.Value)
+			}
+			ob.Attributes[genAttrNames[g.pick(len(genAttrNames))]+g.genText()] = g.genValue()
+		}
+		res.Obligations = append(res.Obligations, ob)
+	}
+	return res
+}
+
 // resultsEquivalent compares two results for semantic equality, tolerating
 // different error texts behind an Indeterminate (errors do not round-trip
 // verbatim; the decision and decider must).
@@ -432,6 +460,9 @@ func TestPropertyRequestRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: XML request diverges:\n got %q\nwant %q\ndoc:\n%s",
 				seed, fromXML.CacheKey(), req.CacheKey(), xmlData)
 		}
+		// Both encoder generations, each checked against encoding/xml.
+		checkRequestDocument(t, xmlData)
+		checkRequestDocument(t, oracleMarshalRequest(req, true))
 		jsonData, err := MarshalRequestJSON(req)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -442,6 +473,32 @@ func TestPropertyRequestRoundTrip(t *testing.T) {
 		}
 		if fromJSON.CacheKey() != req.CacheKey() {
 			t.Fatalf("seed %d: JSON request diverges", seed)
+		}
+	}
+}
+
+func TestPropertyResponseRoundTrip(t *testing.T) {
+	for seed := int64(400); seed < 460; seed++ {
+		res := newGen(seed).genResult()
+		compact, err := MarshalResponseXML(res)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, doc := range [][]byte{compact, oracleMarshalResponse(res, true)} {
+			got, err := UnmarshalResponseXML(doc)
+			if err != nil {
+				t.Fatalf("seed %d: %v\n%s", seed, err, doc)
+			}
+			if diff := resultsEquivalent(res, got); diff != "" {
+				t.Fatalf("seed %d: %s\n%s", seed, diff, doc)
+			}
+			if got.Degraded != res.Degraded || (res.Degraded && got.StaleFor != res.StaleFor) {
+				t.Fatalf("seed %d: degraded marker diverges: %+v vs %+v", seed, got, res)
+			}
+			if (got.Err == nil) != (res.Err == nil) || (res.Err != nil && got.Err.Error() != res.Err.Error()) {
+				t.Fatalf("seed %d: status message diverges: %v vs %v", seed, got.Err, res.Err)
+			}
+			checkResponseDocument(t, doc)
 		}
 	}
 }
