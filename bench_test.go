@@ -22,11 +22,11 @@ import (
 	"repro/internal/xacml"
 )
 
-// --- experiment benchmarks: one per table/figure of EXPERIMENTS.md ---
+// --- experiment benchmarks: one per table cmd/experiments prints ---
 //
 // Each benchmark runs the full deterministic experiment per iteration, so
-// `go test -bench=E<k>` regenerates exactly the table recorded in
-// EXPERIMENTS.md (printed once under -v via b.Log).
+// `go test -bench=E<k>` regenerates exactly the table
+// `go run ./cmd/experiments E<k>` prints (printed once under -v via b.Log).
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()

@@ -1,7 +1,7 @@
 // Command experiments runs the full reproduction harness: every experiment
-// of DESIGN.md §3 (one per paper figure plus one per quantified challenge
-// claim) and prints its table. EXPERIMENTS.md records a run of this
-// command.
+// experiments.All lists (one per paper figure plus one per quantified
+// challenge claim) and prints its table. The harness is deterministic, so
+// its output is the record of a run; none is committed.
 //
 // Usage:
 //

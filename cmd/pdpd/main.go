@@ -196,8 +196,8 @@ func main() {
 	if adm.engine != nil {
 		adm.engine.RegisterMetrics(reg)
 		adm.gate.RegisterMetrics(reg)
-		if rep := adm.engine.Report(); !rep.Clean() {
-			log.Printf("pdpd: policy lint (%s): %s", lintMode, rep.Summary())
+		if sum := adm.engine.Summary(); sum != "clean" {
+			log.Printf("pdpd: policy lint (%s): %s", lintMode, sum)
 		}
 	}
 	if router != nil && resPolicy != nil {
@@ -601,8 +601,9 @@ func (a *admin) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		// The current whole-base report, cheap to serve: the engine
-		// maintains it incrementally across admin writes.
+		// The current whole-base report. The engine keeps the finding
+		// set current across admin writes, but serving it renders and
+		// sorts every standing finding: O(findings log findings).
 		if a.engine == nil {
 			http.Error(w, "policy lint is off", http.StatusNotFound)
 			return

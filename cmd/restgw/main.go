@@ -127,8 +127,8 @@ func run(upstream, policyPath, pdpEndpoint, addr string, routes routeFlags, obs 
 		lintEngine := analysis.NewEngine(analysis.Config{})
 		lintEngine.Install(localRoot)
 		lintEngine.RegisterMetrics(reg)
-		if rep := lintEngine.Report(); !rep.Clean() {
-			log.Printf("restgw: policy lint: %s", rep.Summary())
+		if sum := lintEngine.Summary(); sum != "clean" {
+			log.Printf("restgw: policy lint: %s", sum)
 		}
 	}
 	tracer := trace.NewTracer(trace.Options{

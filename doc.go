@@ -2,10 +2,11 @@
 // Control Systems for Multi-Domain Computing Environments" (Machulak,
 // Parkin, van Moorsel; DSN 2008 / Newcastle CS-TR-1156).
 //
-// The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); runnable examples under examples/; command-line tools under
-// cmd/. The root package holds the benchmark harness (bench_test.go) that
-// regenerates every experiment table recorded in EXPERIMENTS.md.
+// The implementation lives under internal/ (the README's package map is
+// the system inventory); runnable examples under examples/; command-line
+// tools under cmd/. The root package holds the benchmark harness
+// (bench_test.go) that regenerates every experiment table cmd/experiments
+// prints.
 //
 // Decision-making is layered to meet the paper's Section 3 scalability
 // challenge at three scales: internal/pdp is the single evaluation engine

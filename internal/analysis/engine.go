@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -40,9 +40,9 @@ type ownerState struct {
 	// claims constrain; a wildcard owner can overlap anything.
 	keys     []string
 	wildcard bool
-	// findingKeys reverse-indexes the findings touching this owner, so
+	// findings reverse-indexes the findings touching this owner, so
 	// removing the owner removes exactly its findings.
-	findingKeys map[string]struct{}
+	findings map[*Finding]struct{}
 }
 
 // Stats is a snapshot of engine counters.
@@ -51,8 +51,10 @@ type Stats struct {
 	IncrementalRuns, FullRuns int64
 	// Policies and Claims size the current base.
 	Policies, Claims int
-	// Findings tallies the current finding set by kind.
-	Findings map[Kind]int
+	// Findings tallies the current finding set by kind, Severities by
+	// severity.
+	Findings   map[Kind]int
+	Severities map[Severity]int
 }
 
 // Engine is the incremental analyser: it keeps the policy base's claims
@@ -71,7 +73,15 @@ type Engine struct {
 	owners   map[string]*ownerState
 	byKey    map[string]map[string]struct{} // resource id -> owners constraining it
 	wildcard map[string]struct{}            // owners with a resource-wildcard claim
-	findings map[string]Finding
+	// findings holds each standing finding under its key. Pairwise
+	// findings stand without Detail (see Finding.rendered).
+	findings map[string]*Finding
+	// claims, byKind and bySev are kept current on every add and remove
+	// (the maps hold non-zero counts only), so Stats and Summary never
+	// walk the finding set.
+	claims int
+	byKind map[Kind]int
+	bySev  map[Severity]int
 
 	incRuns, fullRuns int64
 	lat               telemetry.Histogram
@@ -88,7 +98,10 @@ func (e *Engine) resetLocked() {
 	e.owners = make(map[string]*ownerState)
 	e.byKey = make(map[string]map[string]struct{})
 	e.wildcard = make(map[string]struct{})
-	e.findings = make(map[string]Finding)
+	e.findings = make(map[string]*Finding)
+	e.claims = 0
+	e.byKind = make(map[Kind]int)
+	e.bySev = make(map[Severity]int)
 }
 
 // Install replaces the analysed base with the given root children in one
@@ -125,11 +138,10 @@ func (e *Engine) applyLocked(id string, ev policy.Evaluable) {
 	if ev == nil {
 		return
 	}
-	st := &ownerState{claims: normalizeClaims(id, ev), findingKeys: make(map[string]struct{})}
+	st := &ownerState{claims: normalizeClaims(id, ev), findings: make(map[*Finding]struct{})}
 	st.keys, st.wildcard = resourceKeys(st.claims)
-	fs := e.findingsForLocked(id, ev, st)
-
 	e.owners[id] = st
+	e.claims += len(st.claims)
 	for _, k := range st.keys {
 		set, ok := e.byKey[k]
 		if !ok {
@@ -141,30 +153,27 @@ func (e *Engine) applyLocked(id string, ev policy.Evaluable) {
 	if st.wildcard {
 		e.wildcard[id] = struct{}{}
 	}
-	for _, f := range fs {
-		e.addFindingLocked(f)
-	}
+	e.findingsForLocked(id, ev, st, e.addFindingLocked)
 }
 
-// findingsForLocked computes every finding involving the (unregistered)
-// candidate state of owner id: its single-owner findings, its intra-owner
-// claim pairs, and its pairs against each indexed owner that can overlap
+// findingsForLocked passes to emit every finding involving the candidate
+// state of owner id: its single-owner findings, its intra-owner claim
+// pairs, and its pairs against each other indexed owner that can overlap
 // it. It does not mutate the engine, which is what lets Preview share it.
-func (e *Engine) findingsForLocked(id string, ev policy.Evaluable, st *ownerState) []Finding {
-	fs := deadAttributes(id, ev, e.cfg.Vocabulary)
+func (e *Engine) findingsForLocked(id string, ev policy.Evaluable, st *ownerState, emit func(Finding)) {
+	deadAttributes(id, ev, e.cfg.Vocabulary, emit)
 	for i := range st.claims {
 		for j := i + 1; j < len(st.claims); j++ {
-			fs = append(fs, pairFindings(st.claims[i], st.claims[j], e.cfg.RootCombining)...)
+			pairFindings(st.claims[i], st.claims[j], e.cfg.RootCombining, emit)
 		}
 	}
 	for other := range e.candidateOwnersLocked(st, id) {
 		for _, ca := range st.claims {
 			for _, cb := range e.owners[other].claims {
-				fs = append(fs, pairFindings(ca, cb, e.cfg.RootCombining)...)
+				pairFindings(ca, cb, e.cfg.RootCombining, emit)
 			}
 		}
 	}
-	return fs
 }
 
 // candidateOwnersLocked returns the owners whose claims can overlap the
@@ -203,21 +212,24 @@ func (e *Engine) removeOwnerLocked(id string) {
 	if !ok {
 		return
 	}
-	for key := range st.findingKeys {
-		f, ok := e.findings[key]
-		if !ok {
-			continue
+	for f := range st.findings {
+		delete(e.findings, f.Key())
+		if e.byKind[f.Kind]--; e.byKind[f.Kind] == 0 {
+			delete(e.byKind, f.Kind)
 		}
-		delete(e.findings, key)
-		for _, ow := range []string{f.Subject.Owner, f.Other.Owner} {
+		if e.bySev[f.Severity]--; e.bySev[f.Severity] == 0 {
+			delete(e.bySev, f.Severity)
+		}
+		for _, ow := range [2]string{f.Subject.Owner, f.Other.Owner} {
 			if ow == "" || ow == id {
 				continue
 			}
 			if ost, ok := e.owners[ow]; ok {
-				delete(ost.findingKeys, key)
+				delete(ost.findings, f)
 			}
 		}
 	}
+	e.claims -= len(st.claims)
 	for _, k := range st.keys {
 		if set, ok := e.byKey[k]; ok {
 			delete(set, id)
@@ -235,27 +247,48 @@ func (e *Engine) addFindingLocked(f Finding) {
 	if _, dup := e.findings[key]; dup {
 		return
 	}
-	e.findings[key] = f
-	for _, ow := range []string{f.Subject.Owner, f.Other.Owner} {
+	stored := new(Finding)
+	*stored = f
+	e.findings[key] = stored
+	e.byKind[f.Kind]++
+	e.bySev[f.Severity]++
+	for _, ow := range [2]string{f.Subject.Owner, f.Other.Owner} {
 		if ow == "" {
 			continue
 		}
 		if st, ok := e.owners[ow]; ok {
-			st.findingKeys[key] = struct{}{}
+			st.findings[stored] = struct{}{}
 		}
 	}
 }
 
-// Report snapshots the current finding set, sorted and deduplicated.
+// Report snapshots the current finding set, sorted and deduplicated. The
+// findings are rendered and sorted after the lock is released.
 func (e *Engine) Report() Report {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	fs := make([]Finding, 0, len(e.findings))
-	for _, f := range e.findings {
-		fs = append(fs, f)
+	keys := make([]string, 0, len(e.findings))
+	for key, f := range e.findings {
+		fs = append(fs, *f)
+		keys = append(keys, key)
 	}
-	sortFindings(fs)
+	e.mu.Unlock()
+	for i := range fs {
+		fs[i] = fs[i].rendered()
+	}
+	sortFindings(fs, keys)
 	return Report{Findings: fs}
+}
+
+// Summary returns Report().Summary() from the standing counts, without
+// building the report.
+func (e *Engine) Summary() string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.findings) == 0 {
+		return "clean"
+	}
+	return summarize(e.bySev, e.byKind)
 }
 
 // Preview analyses a hypothetical write without applying it: the findings
@@ -271,26 +304,23 @@ func (e *Engine) Preview(id string, ev policy.Evaluable) Report {
 	}
 	st := &ownerState{claims: normalizeClaims(id, ev)}
 	st.keys, st.wildcard = resourceKeys(st.claims)
-	return Merge(Report{Findings: e.findingsForLocked(id, ev, st)})
+	var fs []Finding
+	e.findingsForLocked(id, ev, st, func(f Finding) { fs = append(fs, f.rendered()) })
+	return Merge(Report{Findings: fs})
 }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := Stats{
+	return Stats{
 		IncrementalRuns: e.incRuns,
 		FullRuns:        e.fullRuns,
 		Policies:        len(e.owners),
-		Findings:        make(map[Kind]int),
+		Claims:          e.claims,
+		Findings:        maps.Clone(e.byKind),
+		Severities:      maps.Clone(e.bySev),
 	}
-	for _, o := range e.owners {
-		st.Claims += len(o.claims)
-	}
-	for _, f := range e.findings {
-		st.Findings[f.Kind]++
-	}
-	return st
 }
 
 // RegisterMetrics exposes the engine's counters on the registry,
@@ -342,20 +372,20 @@ func precedes(a, b claim) bool {
 	return a.Seq < b.Seq
 }
 
-// pairFindings computes every finding a pair of distinct, satisfiable
-// claims produces. It is symmetric in its first two arguments and pure,
-// which is what makes incremental re-analysis equivalent to from-scratch
-// analysis.
-func pairFindings(x, y claim, root policy.Algorithm) []Finding {
+// pairFindings passes to emit every finding a pair of distinct,
+// satisfiable claims produces, without Detail. It is symmetric in its
+// claim arguments and pure, which is what makes incremental re-analysis
+// equivalent to from-scratch analysis.
+func pairFindings(x, y claim, root policy.Algorithm, emit func(Finding)) {
 	if x.Owner == y.Owner && x.Seq == y.Seq {
-		return nil
+		return
 	}
 	a, b := x, y
 	if !precedes(a, b) {
 		a, b = b, a
 	}
 	if !conflict.Overlap(a.Claim, b.Claim) {
-		return nil
+		return
 	}
 	cross := a.Owner != b.Owner
 	var alg policy.Algorithm
@@ -368,7 +398,6 @@ func pairFindings(x, y claim, root policy.Algorithm) []Finding {
 		alg = a.GroupAlg
 	}
 
-	var out []Finding
 	if a.Effect != b.Effect {
 		p, d := a, b
 		if p.Effect != policy.EffectPermit {
@@ -379,14 +408,9 @@ func pairFindings(x, y claim, root policy.Algorithm) []Finding {
 		if actual && cross {
 			sev = SeverityError
 		}
-		word := "potential"
-		if actual {
-			word = "actual"
-		}
-		out = append(out, Finding{
+		emit(Finding{
 			Kind: KindConflict, Severity: sev,
 			Subject: p.ref(), Other: d.ref(), Actual: actual,
-			Detail: fmt.Sprintf("%s modality conflict: %s permits and %s denies an overlapping tuple", word, p.ref(), d.ref()),
 		})
 	}
 
@@ -397,10 +421,9 @@ func pairFindings(x, y claim, root policy.Algorithm) []Finding {
 		if cross {
 			sev = SeverityError
 		}
-		out = append(out, Finding{
+		emit(Finding{
 			Kind: KindShadow, Severity: sev,
 			Subject: b.ref(), Other: a.ref(),
-			Detail: fmt.Sprintf("%s is unreachable: %s precedes it under first-applicable and covers every tuple it matches", b.ref(), a.ref()),
 		})
 	}
 
@@ -412,10 +435,9 @@ func pairFindings(x, y claim, root policy.Algorithm) []Finding {
 		for _, pair := range [2][2]claim{{a, b}, {b, a}} {
 			w, l := pair[0], pair[1]
 			if w.Effect == win && l.Effect != win && !w.Conditional && w.Claim.Covers(l.Claim) {
-				out = append(out, Finding{
+				emit(Finding{
 					Kind: KindDeadZone, Severity: SeverityWarning,
-					Subject: l.ref(), Other: w.ref(),
-					Detail: fmt.Sprintf("%s can never decide: %s covers it and always wins under %s", l.ref(), w.ref(), alg),
+					Subject: l.ref(), Other: w.ref(), alg: alg,
 				})
 			}
 		}
@@ -424,18 +446,16 @@ func pairFindings(x, y claim, root policy.Algorithm) []Finding {
 	if a.Effect == b.Effect && !shadowed {
 		switch {
 		case !a.Conditional && a.Claim.Covers(b.Claim):
-			out = append(out, redundancyFinding(b, a))
+			emit(redundancyFinding(b, a))
 		case !b.Conditional && b.Claim.Covers(a.Claim):
-			out = append(out, redundancyFinding(a, b))
+			emit(redundancyFinding(a, b))
 		}
 	}
-	return out
 }
 
 func redundancyFinding(covered, covering claim) Finding {
 	return Finding{
 		Kind: KindRedundancy, Severity: SeverityWarning,
 		Subject: covered.ref(), Other: covering.ref(),
-		Detail: fmt.Sprintf("%s is redundant: %s asserts the same effect for every tuple it covers", covered.ref(), covering.ref()),
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/policy"
 )
 
 // Kind classifies a finding; see the package documentation for the
@@ -79,14 +81,18 @@ type Ref struct {
 
 // String renders owner/policy/rule, collapsing the owner when redundant.
 func (r Ref) String() string {
-	s := r.PolicyID
+	return string(r.appendTo(make([]byte, 0, 64)))
+}
+
+func (r Ref) appendTo(b []byte) []byte {
 	if r.Owner != "" && r.Owner != r.PolicyID {
-		s = r.Owner + ":" + s
+		b = append(append(b, r.Owner...), ':')
 	}
+	b = append(b, r.PolicyID...)
 	if r.RuleID != "" {
-		s += "/" + r.RuleID
+		b = append(append(b, '/'), r.RuleID...)
 	}
-	return s
+	return b
 }
 
 // Finding is one static-analysis result.
@@ -108,6 +114,10 @@ type Finding struct {
 	Attribute string `json:"attribute,omitempty"`
 	// Detail is the human-readable explanation.
 	Detail string `json:"detail"`
+	// alg is the combining algorithm a dead zone's Detail names. Pairwise
+	// findings stand in the engine without Detail; rendered writes it
+	// when they leave, and clears alg.
+	alg policy.Algorithm
 }
 
 // MarshalJSON renders Kind and Severity by name and omits the zero Other
@@ -128,9 +138,37 @@ func (f Finding) MarshalJSON() ([]byte, error) {
 }
 
 // Key returns the finding's identity for deduplication: two analyses that
-// discover the same defect produce the same key.
+// discover the same defect produce the same key. It is also the sort
+// tiebreak of every report, so its bytes are fixed:
+// kind|subject|other|attribute.
 func (f Finding) Key() string {
-	return fmt.Sprintf("%s|%s|%s|%s", f.Kind, f.Subject, f.Other, f.Attribute)
+	b := make([]byte, 0, 128)
+	b = append(append(b, f.Kind.String()...), '|')
+	b = append(f.Subject.appendTo(b), '|')
+	b = append(f.Other.appendTo(b), '|')
+	return string(append(b, f.Attribute...))
+}
+
+// rendered returns f with its Detail written out and alg cleared.
+func (f Finding) rendered() Finding {
+	if f.Detail == "" {
+		switch f.Kind {
+		case KindConflict:
+			word := "potential"
+			if f.Actual {
+				word = "actual"
+			}
+			f.Detail = fmt.Sprintf("%s modality conflict: %s permits and %s denies an overlapping tuple", word, f.Subject, f.Other)
+		case KindShadow:
+			f.Detail = fmt.Sprintf("%s is unreachable: %s precedes it under first-applicable and covers every tuple it matches", f.Subject, f.Other)
+		case KindDeadZone:
+			f.Detail = fmt.Sprintf("%s can never decide: %s covers it and always wins under %s", f.Subject, f.Other, f.alg)
+		case KindRedundancy:
+			f.Detail = fmt.Sprintf("%s is redundant: %s asserts the same effect for every tuple it covers", f.Subject, f.Other)
+		}
+	}
+	f.alg = 0
+	return f
 }
 
 // String renders the finding as one report line.
@@ -144,17 +182,33 @@ type Report struct {
 }
 
 // sortFindings orders findings by severity (errors first), kind, then key,
-// so reports are deterministic and the worst news leads.
-func sortFindings(fs []Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].Severity != fs[j].Severity {
-			return fs[i].Severity > fs[j].Severity
-		}
-		if fs[i].Kind != fs[j].Kind {
-			return fs[i].Kind < fs[j].Kind
-		}
-		return fs[i].Key() < fs[j].Key()
-	})
+// so reports are deterministic and the worst news leads. keys[i] must be
+// fs[i].Key(); it is permuted alongside, so no key is formatted during the
+// sort.
+func sortFindings(fs []Finding, keys []string) {
+	sort.Sort(byRank{fs, keys})
+}
+
+type byRank struct {
+	fs   []Finding
+	keys []string
+}
+
+func (r byRank) Len() int { return len(r.fs) }
+
+func (r byRank) Less(i, j int) bool {
+	if r.fs[i].Severity != r.fs[j].Severity {
+		return r.fs[i].Severity > r.fs[j].Severity
+	}
+	if r.fs[i].Kind != r.fs[j].Kind {
+		return r.fs[i].Kind < r.fs[j].Kind
+	}
+	return r.keys[i] < r.keys[j]
+}
+
+func (r byRank) Swap(i, j int) {
+	r.fs[i], r.fs[j] = r.fs[j], r.fs[i]
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
 }
 
 // Counts tallies findings by kind.
@@ -191,16 +245,21 @@ func (r Report) Summary() string {
 	for _, f := range r.Findings {
 		bySev[f.Severity]++
 	}
+	return summarize(bySev, r.Counts())
+}
+
+// summarize renders the tally of a non-empty finding set from its
+// per-severity and per-kind counts.
+func summarize(bySev map[Severity]int, byKind map[Kind]int) string {
 	var parts []string
 	for _, sev := range []Severity{SeverityError, SeverityWarning, SeverityInfo} {
 		if n := bySev[sev]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s(s)", n, sev))
 		}
 	}
-	counts := r.Counts()
 	var kinds []string
 	for _, k := range Kinds() {
-		if n := counts[k]; n > 0 {
+		if n := byKind[k]; n > 0 {
 			kinds = append(kinds, fmt.Sprintf("%d %s", n, k))
 		}
 	}
@@ -226,15 +285,18 @@ func (r Report) Text() string {
 func Merge(reports ...Report) Report {
 	seen := make(map[string]struct{})
 	var out []Finding
+	var keys []string
 	for _, r := range reports {
 		for _, f := range r.Findings {
-			if _, dup := seen[f.Key()]; dup {
+			key := f.Key()
+			if _, dup := seen[key]; dup {
 				continue
 			}
-			seen[f.Key()] = struct{}{}
+			seen[key] = struct{}{}
 			out = append(out, f)
+			keys = append(keys, key)
 		}
 	}
-	sortFindings(out)
+	sortFindings(out, keys)
 	return Report{Findings: out}
 }

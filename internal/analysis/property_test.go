@@ -42,6 +42,9 @@ func genPolicy(rng *rand.Rand, id string) policy.Evaluable {
 					policy.LitBag(policy.String("hospital"))))
 			}
 			rules = append(rules, b.Build())
+			if rng.Intn(8) == 0 { // a verbatim duplicate: same-key findings
+				rules = append(rules, rules[len(rules)-1])
+			}
 		}
 		return rules
 	}
@@ -95,6 +98,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 						t.Fatalf("step %d (%d owners): incremental report diverged\nincremental (%d):\n%sfull (%d):\n%s",
 							step, len(base), len(got.Findings), got.Text(), len(want.Findings), want.Text())
 					}
+					checkStanding(t, fmt.Sprintf("step %d", step), eng, want)
 				}
 				if st := eng.Stats(); st.IncrementalRuns != 50 {
 					t.Fatalf("incremental runs = %d, want 50", st.IncrementalRuns)
@@ -123,5 +127,25 @@ func TestInstallMatchesDeltaReplay(t *testing.T) {
 	if !reflect.DeepEqual(full.Report().Findings, replay.Report().Findings) {
 		t.Fatalf("delta replay diverged from install:\nfull:\n%sreplay:\n%s",
 			full.Report().Text(), replay.Report().Text())
+	}
+	want := Analyze(Config{}, children...)
+	checkStanding(t, "install", full, want)
+	checkStanding(t, "replay", replay, want)
+}
+
+// checkStanding asserts the engine's running counters — Stats by kind and
+// severity, and Summary — agree with a from-scratch report of its base.
+func checkStanding(t *testing.T, at string, eng *Engine, want Report) {
+	t.Helper()
+	bySev := make(map[Severity]int)
+	for _, f := range want.Findings {
+		bySev[f.Severity]++
+	}
+	st := eng.Stats()
+	if !reflect.DeepEqual(st.Findings, want.Counts()) || !reflect.DeepEqual(st.Severities, bySev) {
+		t.Fatalf("%s: Stats counts %v / %v, want %v / %v", at, st.Findings, st.Severities, want.Counts(), bySev)
+	}
+	if got := eng.Summary(); got != want.Summary() {
+		t.Fatalf("%s: Summary() = %q, want %q", at, got, want.Summary())
 	}
 }

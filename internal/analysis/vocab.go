@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/pip"
 	"repro/internal/policy"
@@ -89,31 +88,25 @@ func (v *Vocabulary) Knows(cat policy.Category, name string) bool {
 }
 
 // deadAttributes walks every target match and condition designator of the
-// evaluable and reports the references outside the vocabulary. Findings
-// are deduplicated per (policy, rule, attribute).
-func deadAttributes(owner string, ev policy.Evaluable, vocab *Vocabulary) []Finding {
+// evaluable and passes to emit the references outside the vocabulary. A
+// repeated reference repeats its finding; the engine and Merge keep the
+// first per (policy, rule, attribute).
+func deadAttributes(owner string, ev policy.Evaluable, vocab *Vocabulary, emit func(Finding)) {
 	if vocab == nil || vocab.open {
-		return nil
+		return
 	}
-	seen := make(map[string]struct{})
-	var out []Finding
 	report := func(ref Ref, cat policy.Category, name, where string) {
 		if vocab.Knows(cat, name) {
 			return
 		}
-		f := Finding{
+		emit(Finding{
 			Kind:      KindDeadAttribute,
 			Severity:  SeverityWarning,
 			Subject:   ref,
 			Attribute: vocabKey(cat, name),
 			Detail: fmt.Sprintf("%s references attribute %s in its %s, which no registered information source or request bag can supply: the reference always resolves empty",
 				ref, vocabKey(cat, name), where),
-		}
-		if _, dup := seen[f.Key()]; dup {
-			return
-		}
-		seen[f.Key()] = struct{}{}
-		out = append(out, f)
+		})
 	}
 	policy.Walk(ev, func(e policy.Evaluable) bool {
 		switch v := e.(type) {
@@ -139,6 +132,4 @@ func deadAttributes(owner string, ev policy.Evaluable, vocab *Vocabulary) []Find
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
 }

@@ -1,8 +1,8 @@
 // Package experiments is the reproduction harness: one experiment per
 // figure of the paper plus one per quantified claim of its challenge
-// analysis (see DESIGN.md §3 for the full index). Each experiment is
-// deterministic — all randomness is seeded and network latency is virtual
-// — so EXPERIMENTS.md numbers regenerate exactly.
+// analysis (All is the full index). Each experiment is deterministic — all
+// randomness is seeded and network latency is virtual — so the tables
+// cmd/experiments prints regenerate exactly.
 package experiments
 
 import (

@@ -218,7 +218,7 @@ func RunE8SecurityOverhead() (*metrics.Table, error) {
 
 // RunE13Scalability measures PDP throughput against policy-base size, with
 // and without the resource-id target index — the §3 scalability claim and
-// the DESIGN.md index ablation.
+// its target-index ablation.
 func RunE13Scalability() (*metrics.Table, error) {
 	table := metrics.NewTable(
 		"E13 — §3 PDP throughput vs. policy-base size (target-index ablation)",

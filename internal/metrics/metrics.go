@@ -157,7 +157,7 @@ func Imbalance(loads []int64) float64 {
 }
 
 // Table renders experiment results as an aligned text table, the output
-// format of cmd/experiments and EXPERIMENTS.md.
+// format of cmd/experiments.
 type Table struct {
 	// Title heads the table.
 	Title string
