@@ -60,7 +60,6 @@ func BenchmarkE9_DependablePDP(b *testing.B)       { benchExperiment(b, "E9") }
 func BenchmarkE10_ConflictResolution(b *testing.B) { benchExperiment(b, "E10") }
 func BenchmarkE11_TrustNegotiation(b *testing.B)   { benchExperiment(b, "E11") }
 func BenchmarkE12_Delegation(b *testing.B)         { benchExperiment(b, "E12") }
-func BenchmarkE13_Scalability(b *testing.B)        { benchExperiment(b, "E13") }
 func BenchmarkE14_ChineseWall(b *testing.B)        { benchExperiment(b, "E14") }
 func BenchmarkE15_Heterogeneity(b *testing.B)      { benchExperiment(b, "E15") }
 func BenchmarkE16_Discovery(b *testing.B)          { benchExperiment(b, "E16") }
@@ -68,15 +67,10 @@ func BenchmarkE17_Cluster(b *testing.B)            { benchExperiment(b, "E17") }
 
 // --- micro-benchmarks of the hot paths behind the experiments ---
 
-func scalabilityFixture(b *testing.B, n int, index bool) (*pdp.Engine, []*policy.Request) {
+func scalabilityFixture(b *testing.B, n int) (*pdp.Engine, []*policy.Request) {
 	b.Helper()
 	gen := workload.NewGenerator(workload.Config{Users: 100, Resources: n, Roles: 10, Seed: 1})
-	var opts []pdp.Option
-	opts = append(opts, pdp.WithResolver(gen.Directory("idp")))
-	if index {
-		opts = append(opts, pdp.WithTargetIndex())
-	}
-	engine := pdp.New("bench", opts...)
+	engine := pdp.New("bench", pdp.WithResolver(gen.Directory("idp")))
 	if err := engine.SetRoot(gen.PolicyBase("base")); err != nil {
 		b.Fatal(err)
 	}
@@ -90,16 +84,13 @@ func scalabilityFixture(b *testing.B, n int, index bool) (*pdp.Engine, []*policy
 func BenchmarkPDPDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for _, n := range []int{10, 100, 1000} {
-		for _, index := range []bool{false, true} {
-			name := fmt.Sprintf("policies=%d/index=%v", n, index)
-			b.Run(name, func(b *testing.B) {
-				engine, reqs := scalabilityFixture(b, n, index)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					engine.DecideAt(context.Background(), reqs[i%len(reqs)], at)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("policies=%d", n), func(b *testing.B) {
+			engine, reqs := scalabilityFixture(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				engine.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+			}
+		})
 	}
 }
 
@@ -124,16 +115,15 @@ func clusterFixture(b *testing.B, shards int, extra ...pdp.Option) (*cluster.Rou
 }
 
 // fullConfig is the production engine configuration cmd/pdpd serves with
-// -index -cache: target-indexed evaluation plus a TTL decision cache.
+// -cache: compiled evaluation plus a TTL decision cache.
 func fullConfig() []pdp.Option {
-	return []pdp.Option{pdp.WithTargetIndex(), pdp.WithDecisionCache(time.Hour, 0)}
+	return []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}
 }
 
 // BenchmarkClusterDecide routes one decision at a time through clusters of
-// growing shard counts. config=scan runs bare engines (linear evaluation):
-// per-op time shrinks with shard count because each shard scans only its
-// slice of the policy base — the horizontal-scaling story. config=full
-// runs the production engine configuration (target index + decision
+// growing shard counts. config=scan runs uncached engines, so every op is
+// a compiled miss against the shard's slice of the policy base. config=full
+// runs the production engine configuration (compiled program + decision
 // cache), the baseline BenchmarkClusterDecideBatch compares against.
 func BenchmarkClusterDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -145,7 +135,7 @@ func BenchmarkClusterDecide(b *testing.B) {
 			b.Run(fmt.Sprintf("config=%s/shards=%d", cfg.name, shards), func(b *testing.B) {
 				router, reqs := clusterFixture(b, shards, cfg.opts...)
 				for _, req := range reqs {
-					router.DecideAt(context.Background(), req, at) // warm caches and indexes
+					router.DecideAt(context.Background(), req, at) // warm the decision caches
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -159,17 +149,16 @@ func BenchmarkClusterDecide(b *testing.B) {
 
 // BenchmarkClusterDecideBatch evaluates the same workload in 256-request
 // batches on the production configuration: requests group by owning shard
-// and each group runs in one engine pass, sweeping the decision cache and
-// sharing index candidate sets under one critical section instead of two
-// per request. Per-decision time should beat the config=full rows of
-// BenchmarkClusterDecide.
+// and each group runs in one engine pass, sweeping the decision cache
+// under one critical section instead of two per request. Per-decision
+// time should beat the config=full rows of BenchmarkClusterDecide.
 func BenchmarkClusterDecideBatch(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	const batch = 256
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("config=full/shards=%d", shards), func(b *testing.B) {
 			router, reqs := clusterFixture(b, shards, fullConfig()...)
-			router.DecideBatchAt(context.Background(), reqs, at) // warm caches and indexes
+			router.DecideBatchAt(context.Background(), reqs, at) // warm the decision caches
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				off := (i * batch) % (len(reqs) - batch + 1)
@@ -204,7 +193,7 @@ func BenchmarkPolicyChurn(b *testing.B) {
 			router, reqs := clusterFixture(b, 4, fullConfig()...)
 			base := router.Root().(*policy.PolicySet)
 			for _, req := range reqs {
-				router.DecideAt(context.Background(), req, at) // warm caches and indexes
+				router.DecideAt(context.Background(), req, at) // warm the decision caches
 			}
 			before := router.EngineStats()
 			writes := 0
@@ -245,7 +234,7 @@ func BenchmarkPolicyChurn(b *testing.B) {
 
 func BenchmarkPEPEnforceCached(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	engine, reqs := scalabilityFixture(b, 100, true)
+	engine, reqs := scalabilityFixture(b, 100)
 	enf := pep.NewEnforcer("bench", engine,
 		pep.WithDecisionCache(time.Hour, 0),
 		pep.WithClock(func() time.Time { return at }))
@@ -538,24 +527,19 @@ var parallelSeed atomic.Int64
 
 // BenchmarkParallelDecide measures the lock-free decision hot path under
 // b.RunParallel (run with -cpu 1,4,16). hit is the production
-// configuration (target index + warmed decision cache): one snapshot load,
-// one cache-shard lock, zero allocations per op, so throughput should
-// scale with procs instead of serializing on an engine-wide mutex. miss
-// ablates the cache, so every op runs the compiled decision program —
-// the uncached evaluation path, also free of engine-wide locks.
-// miss-interp additionally ablates compilation (index-only interpretation),
-// the same-run baseline the compiled path is judged against.
+// configuration (warmed decision cache): one snapshot load, one
+// cache-shard lock, zero allocations per op, so throughput should scale
+// with procs instead of serializing on an engine-wide mutex. miss ablates
+// the cache, so every op runs the compiled decision program — the uncached
+// evaluation path, also free of engine-wide locks.
 func BenchmarkParallelDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	fixture := func(b *testing.B, mode string) (*pdp.Engine, []*policy.Request) {
 		b.Helper()
 		gen := workload.NewGenerator(workload.Config{Users: 100, Resources: 1000, Roles: 10, Seed: 7})
-		opts := []pdp.Option{pdp.WithResolver(gen.Directory("idp")), pdp.WithTargetIndex()}
-		switch mode {
-		case "hit":
+		opts := []pdp.Option{pdp.WithResolver(gen.Directory("idp"))}
+		if mode == "hit" {
 			opts = append(opts, pdp.WithDecisionCache(time.Hour, 1<<16))
-		case "miss-interp":
-			opts = append(opts, pdp.WithoutCompilation())
 		}
 		engine := pdp.New("parallel", opts...)
 		if err := engine.SetRoot(gen.PolicyBase("base")); err != nil {
@@ -563,11 +547,11 @@ func BenchmarkParallelDecide(b *testing.B) {
 		}
 		return engine, gen.Requests(1024)
 	}
-	for _, mode := range []string{"hit", "miss", "miss-interp"} {
+	for _, mode := range []string{"hit", "miss"} {
 		b.Run(mode, func(b *testing.B) {
 			engine, reqs := fixture(b, mode)
 			for _, req := range reqs {
-				engine.DecideAt(context.Background(), req, at) // warm cache, index and key memos
+				engine.DecideAt(context.Background(), req, at) // warm cache and key memos
 			}
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -582,14 +566,16 @@ func BenchmarkParallelDecide(b *testing.B) {
 	}
 }
 
-// missScaleFixtures caches the BenchmarkParallelMissScale engines per
+// missScaleFixtures caches the BenchmarkParallelMissScale fixtures per
 // policy count: generating and compiling a 100k-policy base dwarfs the
 // measurement, and -cpu variants re-enter the sub-benchmark body.
 var missScaleFixtures sync.Map
 
 type missScaleFixture struct {
-	engines map[string]*pdp.Engine
-	reqs    []*policy.Request
+	root     policy.Evaluable
+	resolver policy.Resolver
+	engine   *pdp.Engine
+	reqs     []*policy.Request
 }
 
 func missScaleFor(b *testing.B, n int) *missScaleFixture {
@@ -598,42 +584,40 @@ func missScaleFor(b *testing.B, n int) *missScaleFixture {
 		return v.(*missScaleFixture)
 	}
 	gen := workload.NewGenerator(workload.Config{Users: 100, Resources: n, Roles: 10, Seed: 7})
-	root := gen.PolicyBase("base")
-	resolver := pdp.WithResolver(gen.Directory("idp"))
-	engines := map[string]*pdp.Engine{
-		"compiled": pdp.New("miss-compiled", resolver),
-		"indexed":  pdp.New("miss-indexed", resolver, pdp.WithoutCompilation(), pdp.WithTargetIndex()),
-		"scan":     pdp.New("miss-scan", resolver, pdp.WithoutCompilation()),
+	f := &missScaleFixture{root: gen.PolicyBase("base"), resolver: gen.Directory("idp"), reqs: gen.Requests(1024)}
+	f.engine = pdp.New("miss-compiled", pdp.WithResolver(f.resolver))
+	if err := f.engine.SetRoot(f.root); err != nil {
+		b.Fatal(err)
 	}
-	for _, engine := range engines {
-		if err := engine.SetRoot(root); err != nil {
-			b.Fatal(err)
-		}
-	}
-	f := &missScaleFixture{engines: engines, reqs: gen.Requests(1024)}
 	missScaleFixtures.Store(n, f)
 	return f
 }
 
 // BenchmarkParallelMissScale measures the uncached decision path against
 // policy-base size, one sub-benchmark per evaluation path: the compiled
-// decision program (production default), the PR 2 resource-id target index
-// with the tree-walking interpreter, and the bare linear scan. The
-// compiled-vs-indexed ratio at a given size is the payoff of compilation
-// on the miss path; scan shows what both optimisations buy over naive
-// evaluation.
+// decision program (production default) and the plain tree-walking
+// interpreter scanning every child. The compiled-vs-scan ratio at a given
+// size is the payoff of compilation on the miss path.
 func BenchmarkParallelMissScale(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	ctx := context.Background()
 	for _, n := range []int{1000, 10000, 100000} {
-		for _, path := range []string{"compiled", "indexed", "scan"} {
+		for _, path := range []string{"compiled", "scan"} {
 			b.Run(fmt.Sprintf("policies=%d/path=%s", n, path), func(b *testing.B) {
 				f := missScaleFor(b, n)
-				engine, reqs := f.engines[path], f.reqs
+				decide := func(req *policy.Request) { f.engine.DecideAt(ctx, req, at) }
+				if path == "scan" {
+					decide = func(req *policy.Request) {
+						ec := policy.AcquireContext(ctx, req, at).WithResolver(f.resolver)
+						f.root.Evaluate(ec)
+						policy.ReleaseContext(ec)
+					}
+				}
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
 					i := int(parallelSeed.Add(7919))
 					for pb.Next() {
-						engine.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+						decide(f.reqs[i%len(f.reqs)])
 						i++
 					}
 				})
@@ -651,7 +635,7 @@ func BenchmarkParallelClusterDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	router, reqs := clusterFixture(b, 4, fullConfig()...)
 	for _, req := range reqs {
-		router.DecideAt(context.Background(), req, at) // warm caches and indexes
+		router.DecideAt(context.Background(), req, at) // warm the decision caches
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

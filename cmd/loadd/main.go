@@ -286,7 +286,6 @@ func spawnDaemon(ctx context.Context, cfg spawnConfig) (*daemon, error) {
 		"-data-dir", cfg.dataDir,
 		"-shards", fmt.Sprint(cfg.shards),
 		"-replicas", fmt.Sprint(cfg.replicas),
-		"-index",
 		"-cache", "30s",
 	}
 	if cfg.chaos {

@@ -16,7 +16,7 @@ import (
 // /admin/chaos handler over it.
 func chaosFixture(t *testing.T) (*chaosAdmin, decisionPoint) {
 	t.Helper()
-	point, _, router, err := buildDecisionPoint(false, 0, 2, 2, "failover", nil, nil, nil)
+	point, _, router, err := buildDecisionPoint(0, 2, 2, "failover", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

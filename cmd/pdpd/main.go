@@ -47,7 +47,7 @@
 //
 // Usage:
 //
-//	pdpd -policy policy.xml [-addr :8080] [-index] [-cache 30s]
+//	pdpd -policy policy.xml [-addr :8080] [-cache 30s]
 //	     [-shards N] [-replicas M] [-strategy failover|quorum]
 //	     [-policy-lint off|warn|strict]
 //	     [-breaker] [-breaker-threshold 5] [-breaker-cooldown 1s]
@@ -102,7 +102,6 @@ type decisionPoint interface {
 func main() {
 	policyPath := flag.String("policy", "", "policy file (XML or JSON)")
 	addr := flag.String("addr", ":8080", "listen address")
-	useIndex := flag.Bool("index", false, "enable the resource-id target index")
 	cacheTTL := flag.Duration("cache", 0, "decision cache TTL (0 disables)")
 	shards := flag.Int("shards", 1, "shard count; > 1 serves a consistent-hash cluster")
 	replicas := flag.Int("replicas", 1, "replicas per shard group (cluster mode)")
@@ -181,7 +180,7 @@ func main() {
 		resolver = cache
 		log.Printf("pdpd: %d subjects loaded from %s", dir.Len(), *subjectsPath)
 	}
-	point, stats, router, err := buildDecisionPoint(*useIndex, *cacheTTL, *shards, *replicas, *strategy, resolver, resPolicy, reg)
+	point, stats, router, err := buildDecisionPoint(*cacheTTL, *shards, *replicas, *strategy, resolver, resPolicy, reg)
 	if err != nil {
 		log.Fatalf("pdpd: %v", err)
 	}
@@ -262,8 +261,8 @@ func main() {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	log.Printf("pdpd: serving %s on %s (index=%v cache=%v shards=%d replicas=%d strategy=%s data-dir=%q trace-sample=%g)",
-		*policyPath, *addr, *useIndex, *cacheTTL, *shards, *replicas, *strategy, *dataDir, *traceSample)
+	log.Printf("pdpd: serving %s on %s (cache=%v shards=%d replicas=%d strategy=%s data-dir=%q trace-sample=%g)",
+		*policyPath, *addr, *cacheTTL, *shards, *replicas, *strategy, *dataDir, *traceSample)
 	if resPolicy != nil {
 		log.Printf("pdpd: resilience armed (breaker threshold=%d cooldown=%v stale-grace=%v hedge-after=%v)",
 			*breakerThreshold, *breakerCooldown, *staleGrace, *hedgeAfter)
@@ -341,11 +340,8 @@ func admissionPriority(r *http.Request) resilience.Priority {
 // handles /admin/chaos injects faults through. A non-nil res arms the
 // resilience layer: per-shard breakers, serve-stale and hedging in cluster
 // mode, engine-level serve-stale (PIP outages) in single-engine mode.
-func buildDecisionPoint(useIndex bool, cacheTTL time.Duration, shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (decisionPoint, func() any, *cluster.Router, error) {
+func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (decisionPoint, func() any, *cluster.Router, error) {
 	var opts []pdp.Option
-	if useIndex {
-		opts = append(opts, pdp.WithTargetIndex())
-	}
 	if cacheTTL > 0 {
 		opts = append(opts, pdp.WithDecisionCache(cacheTTL, 0))
 	}

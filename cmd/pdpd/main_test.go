@@ -47,7 +47,7 @@ func testBase(resources int) *policy.PolicySet {
 // obligations) must keep gating applicability after the store reassembles
 // the root, and across live updates.
 func TestAdminPreservesRootTarget(t *testing.T) {
-	point, _, _, err := buildDecisionPoint(false, 0, 1, 1, "failover", nil, nil, nil)
+	point, _, _, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestAdminPolicyLintGate(t *testing.T) {
 	}
 
 	t.Run("strict-rejects", func(t *testing.T) {
-		point, _, _, err := buildDecisionPoint(false, 0, 1, 1, "failover", nil, nil, nil)
+		point, _, _, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestAdminPolicyLintGate(t *testing.T) {
 	})
 
 	t.Run("warn-reports", func(t *testing.T) {
-		point, _, _, err := buildDecisionPoint(false, 0, 1, 1, "failover", nil, nil, nil)
+		point, _, _, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestAdminLiveUpdates(t *testing.T) {
 		{"4-shard-cluster", 4, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			point, _, _, err := buildDecisionPoint(true, time.Hour, tc.shards, tc.replicas, "failover", nil, nil, nil)
+			point, _, _, err := buildDecisionPoint(time.Hour, tc.shards, tc.replicas, "failover", nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,7 +58,7 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cache := pip.NewCachedChain("pdpd-pip", time.Minute, dir)
 	cache.RegisterMetrics(reg)
-	point, _, _, err := buildDecisionPoint(false, time.Minute, 1, 1, "failover", cache, nil, reg)
+	point, _, _, err := buildDecisionPoint(time.Minute, 1, 1, "failover", cache, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

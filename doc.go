@@ -10,13 +10,13 @@
 //
 // Decision-making is layered to meet the paper's Section 3 scalability
 // challenge at three scales: internal/pdp is the single evaluation engine
-// (target index, decision cache, batch/scatter paths); internal/ha
-// replicates an engine for dependability (failover and quorum ensembles);
-// internal/cluster shards the policy base across many replicated engines
-// behind one consistent-hash router, turning the decision point into a
-// horizontally scalable fleet without changing the enforcement-point
-// contract. Within one engine the decision hot path is lock-free: the
-// root/index/epoch triple is an immutable RCU snapshot behind an atomic
+// (compiled decision program, decision cache, batch/scatter paths);
+// internal/ha replicates an engine for dependability (failover and quorum
+// ensembles); internal/cluster shards the policy base across many
+// replicated engines behind one consistent-hash router, turning the
+// decision point into a horizontally scalable fleet without changing the
+// enforcement-point contract. Within one engine the decision hot path is lock-free: the
+// root/program/epoch triple is an immutable RCU snapshot behind an atomic
 // pointer, the decision cache is striped into per-mutex shards keyed by
 // the request's memoised key hash (a hit is one shard lock and zero
 // allocations), and stats are padded atomic stripes aggregated on read —

@@ -32,16 +32,14 @@ func main() {
 	if err := single.SetRoot(base); err != nil {
 		log.Fatal(err)
 	}
-	// The production engine configuration: target-indexed evaluation plus
-	// a TTL decision cache on every replica (what cmd/pdpd -index -cache
-	// serves).
+	// The production engine configuration: compiled evaluation plus a TTL
+	// decision cache on every replica (what cmd/pdpd -cache serves).
 	router, err := cluster.New("fleet", cluster.Config{
 		Shards:   4,
 		Replicas: 3,
 		Strategy: ha.Failover,
 		EngineOptions: []pdp.Option{
 			pdp.WithResolver(dir),
-			pdp.WithTargetIndex(),
 			pdp.WithDecisionCache(time.Hour, 0),
 		},
 	})

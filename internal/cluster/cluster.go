@@ -16,9 +16,9 @@
 //
 // DecideBatch groups requests by owning shard and evaluates each group in
 // one engine pass through the zero-copy scatter path (one shared result
-// buffer from router to engine), amortising lock, cache-sweep and index
-// overhead; groups evaluate concurrently across shards when the runtime
-// has spare parallelism. AddShard and RemoveShard rebalance live:
+// buffer from router to engine), amortising lock, cache-sweep and
+// snapshot-load overhead; groups evaluate concurrently across shards when
+// the runtime has spare parallelism. AddShard and RemoveShard rebalance live:
 // consistent hashing moves only ~1/N of the key space, and only shards
 // whose ownership changed have their policy base reinstalled (which also
 // invalidates their decision caches — stale entries cannot outlive a
@@ -63,8 +63,8 @@ type Config struct {
 	Strategy ha.Strategy
 	// VirtualNodes sets ring balance; DefaultVirtualNodes when zero.
 	VirtualNodes int
-	// EngineOptions configure every replica engine (resolver, target
-	// index, decision cache, clock).
+	// EngineOptions configure every replica engine (resolver, decision
+	// cache, clock).
 	EngineOptions []pdp.Option
 	// Clock drives Decide and DecideBatch; time.Now when nil.
 	Clock func() time.Time
@@ -591,8 +591,8 @@ func (r *Router) DecideBatch(ctx context.Context, reqs []*policy.Request) []poli
 
 // DecideBatchAt implements the batch contract: requests are grouped by
 // owning shard and each group is evaluated in one pass on its shard group,
-// amortising lock, cache-sweep and index overhead in the engines. Result i
-// answers request i.
+// amortising lock, cache-sweep and snapshot-load overhead in the engines.
+// Result i answers request i.
 //
 // ctx bounds the whole scatter: once it is done the router stops fanning
 // out — undispatched shard groups are never started, in-flight groups see

@@ -53,7 +53,6 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 		{"16-shard", Config{Shards: 16}},
 		{"4-shard-3-replica-failover", Config{Shards: 4, Replicas: 3, Strategy: ha.Failover}},
 		{"4-shard-3-replica-quorum", Config{Shards: 4, Replicas: 3, Strategy: ha.Quorum}},
-		{"4-shard-indexed", Config{Shards: 4, EngineOptions: []pdp.Option{pdp.WithTargetIndex()}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			single, router, gen := fixture(t, tc.cfg, 200)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/pdp"
 	"repro/internal/policy"
@@ -158,13 +159,26 @@ func (r *Router) ownersLocked(ch policy.Evaluable) map[*shard]struct{} {
 	return owners
 }
 
-// remapPositions rewrites one shard's recorded child positions after the
-// root child at pos changed, via the shared policy rule; pos is re-added
-// when the shard owns the new child.
+// remapPositions rewrites one shard's ascending child positions after the
+// root child at pos was replaced (delta 0), inserted (delta +1) or removed
+// (delta -1), matching policy.PolicySet.PatchChild: positions at or above
+// pos shift by delta, pos itself is dropped on replace or delete, and pos
+// is re-added when the shard owns the new child. The result is freshly
+// allocated, never sharing the input's backing array.
 func remapPositions(positions []int, pos, delta int, owns bool) []int {
-	next := policy.RemapPositions(positions, pos, delta)
-	if owns {
-		next = policy.InsertPosition(next, pos)
+	next := make([]int, 0, len(positions)+1)
+	for _, p := range positions {
+		switch {
+		case delta <= 0 && p == pos:
+			// replaced or removed: dropped, re-added below if owned
+		case p >= pos:
+			next = append(next, p+delta)
+		default:
+			next = append(next, p)
+		}
+	}
+	if i, found := slices.BinarySearch(next, pos); owns && !found {
+		next = slices.Insert(next, i, pos)
 	}
 	return next
 }

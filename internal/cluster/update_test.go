@@ -88,8 +88,7 @@ func TestRouterApplyUpdateEquivalence(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"4-shard-indexed-cached", Config{Shards: 4, EngineOptions: []pdp.Option{
-			pdp.WithTargetIndex(), pdp.WithDecisionCache(time.Hour, 0)}}},
+		{"4-shard-cached", Config{Shards: 4, EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}}},
 		{"3-shard-2-replica", Config{Shards: 3, Replicas: 2, Strategy: ha.Failover}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,8 +159,7 @@ func TestRouterApplyUpdateEquivalence(t *testing.T) {
 // only recomputes the changed resource.
 func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 	const resources = 50
-	router, err := New("c", Config{Shards: 4, EngineOptions: []pdp.Option{
-		pdp.WithTargetIndex(), pdp.WithDecisionCache(time.Hour, 0)}})
+	router, err := New("c", Config{Shards: 4, EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +230,7 @@ func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 // insert could otherwise land at inconsistent positions — and the cluster
 // must keep deciding exactly like a single engine over the router's root.
 func TestRouterApplyUpdateUnsortedInsertFallsBack(t *testing.T) {
-	router, err := New("c", Config{Shards: 2, EngineOptions: []pdp.Option{
-		pdp.WithTargetIndex(), pdp.WithDecisionCache(time.Hour, 0)}})
+	router, err := New("c", Config{Shards: 2, EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,7 @@ func RunE18Churn() (*metrics.Table, error) {
 	base := gen.PolicyBase("base")
 	reqs := gen.Requests(nRequests)
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	opts := []pdp.Option{pdp.WithResolver(dir), pdp.WithTargetIndex(),
-		pdp.WithDecisionCache(time.Hour, 1<<15)}
+	opts := []pdp.Option{pdp.WithResolver(dir), pdp.WithDecisionCache(time.Hour, 1<<15)}
 
 	// churnChild rebuilds the administered policy of one resource, the
 	// write unit — workload.ResourcePolicy, so the rewritten child is
@@ -68,7 +67,7 @@ func RunE18Churn() (*metrics.Table, error) {
 
 	run := func(p point, incremental bool, stats func() pdp.Stats) (decRate, hitRate float64, writes int, err error) {
 		ctx := context.Background()
-		p.DecideBatchAt(ctx, reqs, at) // warm caches and indexes
+		p.DecideBatchAt(ctx, reqs, at) // warm the decision caches
 		before := stats()
 		start := time.Now()
 		for pass := 0; pass < passes; pass++ {

@@ -17,14 +17,13 @@ import (
 // clusters of {1, 4, 16} shards over one Zipf-skewed workload and a
 // 4000-policy base. Three columns tell the story:
 //
-//   - scan dec/s: bare engines, linear evaluation. Sharding splits the
-//     policy base, so throughput grows with shard count — the horizontal
-//     counterpart of the E13 target index.
-//   - full dec/s: the production configuration (target index + decision
-//     cache, warmed), routed one request at a time.
+//   - scan dec/s: uncached engines, so every request is a compiled miss
+//     against its shard's slice of the policy base.
+//   - full dec/s: the production configuration (compiled program +
+//     decision cache, warmed), routed one request at a time.
 //   - batch dec/s: the same production cluster fed 250-request batches;
-//     grouping by shard sweeps each cache and shares index candidate sets
-//     under one critical section instead of two per request.
+//     grouping by shard sweeps each cache under one critical section
+//     instead of two per request.
 //
 // The imbalance column reports max/mean shard load under the full config
 // (1.0 is perfect consistent-hash balance).
@@ -47,16 +46,15 @@ func RunE17Cluster() (*metrics.Table, error) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	scanOpts := []pdp.Option{pdp.WithResolver(dir)}
-	fullOpts := []pdp.Option{pdp.WithResolver(dir), pdp.WithTargetIndex(),
-		pdp.WithDecisionCache(time.Hour, 8192)}
+	fullOpts := []pdp.Option{pdp.WithResolver(dir), pdp.WithDecisionCache(time.Hour, 8192)}
 
 	type provider interface {
 		DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
 		DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result
 	}
 	// Warmed (cache-hit) passes finish in milliseconds, so they repeat to
-	// average out scheduler noise; the scan pass evaluates every policy
-	// linearly and is measured once.
+	// average out scheduler noise; the uncached scan pass is measured
+	// once.
 	const fastPasses = 10
 	ctx := context.Background()
 	perRequestRate := func(p provider, passes int) float64 {

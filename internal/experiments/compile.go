@@ -11,20 +11,20 @@ import (
 	"repro/internal/workload"
 )
 
-// RunE24Compile measures the PR 10 claim: an uncached (miss-path) decision
-// against a large policy base should cost a few posting-list probes plus a
-// handful of precompiled rule evaluations, not a tree walk. Three engines
-// evaluate the same base and workload — the bare interpreter (linear
-// scan), the interpreter behind the PR 2 resource-id target index, and the
-// compiled decision program (production default) — and the table reports
-// their miss throughput, the compiled speedups over both interpretive
-// arms, the mean candidate-set size the compiled program assembled per
+// RunE24Compile measures the §3 scalability claim on the PR 10 compiled
+// decision program: an uncached (miss-path) decision against a large
+// policy base should cost a few posting-list probes plus a handful of
+// precompiled rule evaluations, not a tree walk. The same base and
+// workload run through the plain interpreter (root.Evaluate, a linear
+// scan of every child) and an uncached engine (the compiled program,
+// production default); the table reports their miss throughput, the
+// compiled speedup, the mean candidate-set size the program assembled per
 // request, and the one-time cost of compiling the base at SetRoot.
 func RunE24Compile() (*metrics.Table, error) {
 	table := metrics.NewTable(
 		"E24 — §3 compiled decision program vs. interpreter on the decision miss path",
-		"policies", "interp dec/s", "indexed dec/s", "compiled dec/s",
-		"vs interp", "vs indexed", "candidates/req", "compile ms")
+		"policies", "interp dec/s", "compiled dec/s",
+		"vs interp", "candidates/req", "compile ms")
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for _, n := range []int{1000, 5000, 20000} {
 		gen := workload.NewGenerator(workload.Config{
@@ -33,14 +33,6 @@ func RunE24Compile() (*metrics.Table, error) {
 		dir := gen.Directory("idp")
 		base := gen.PolicyBase("base")
 
-		interp := pdp.New("interp", pdp.WithResolver(dir), pdp.WithoutCompilation())
-		if err := interp.SetRoot(base); err != nil {
-			return nil, err
-		}
-		indexed := pdp.New("indexed", pdp.WithResolver(dir), pdp.WithoutCompilation(), pdp.WithTargetIndex())
-		if err := indexed.SetRoot(base); err != nil {
-			return nil, err
-		}
 		compiled := pdp.New("compiled", pdp.WithResolver(dir))
 		if err := compiled.SetRoot(base); err != nil {
 			return nil, err
@@ -53,7 +45,7 @@ func RunE24Compile() (*metrics.Table, error) {
 		for i := range reqs {
 			reqs[i] = gen.NextRequest()
 		}
-		measure := func(e *pdp.Engine) float64 {
+		measure := func(decide func(req *policy.Request)) float64 {
 			// Calibrate iterations to the base size so the linear arm
 			// does not dominate wall time at 20k policies.
 			iters := 200000 / n
@@ -62,18 +54,21 @@ func RunE24Compile() (*metrics.Table, error) {
 			}
 			start := time.Now()
 			for i := 0; i < iters; i++ {
-				e.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+				decide(reqs[i%len(reqs)])
 			}
 			return float64(iters) / time.Since(start).Seconds()
 		}
-		interpRate := measure(interp)
-		indexedRate := measure(indexed)
-		compiledRate := measure(compiled)
+		ctx := context.Background()
+		interpRate := measure(func(req *policy.Request) {
+			ec := policy.AcquireContext(ctx, req, at).WithResolver(dir)
+			base.Evaluate(ec)
+			policy.ReleaseContext(ec)
+		})
+		compiledRate := measure(func(req *policy.Request) { compiled.DecideAt(ctx, req, at) })
 		st := compiled.Stats()
 		candidates := float64(st.IndexedCandidates) / float64(st.Evaluations)
-		table.AddRow(n, interpRate, indexedRate, compiledRate,
+		table.AddRow(n, interpRate, compiledRate,
 			fmt.Sprintf("%.0fx", compiledRate/interpRate),
-			fmt.Sprintf("%.1fx", compiledRate/indexedRate),
 			candidates,
 			float64(st.CompileNanos)/1e6)
 	}

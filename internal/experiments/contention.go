@@ -32,7 +32,7 @@ func (s *serializedEngine) DecideAt(ctx context.Context, req *policy.Request, at
 // §3 requirement that one decision point absorb the aggregate traffic of
 // many enforcement points, which a per-engine mutex defeats by serializing
 // every decision on one lock. Worker goroutines hammer a warmed
-// production-configuration engine (target index + decision cache, so the
+// production-configuration engine (compiled program + decision cache, so the
 // steady state is the cache-hit path); the lock-free column is the RCU
 // engine, the serialized column routes the same decisions through one
 // exclusive lock. The cluster rows fan the same workload over a 4-shard
@@ -55,8 +55,7 @@ func RunE20Contention() (*metrics.Table, error) {
 	base := gen.PolicyBase("base")
 	reqs := gen.Requests(nRequests)
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	opts := []pdp.Option{pdp.WithResolver(gen.Directory("idp")), pdp.WithTargetIndex(),
-		pdp.WithDecisionCache(time.Hour, 0)}
+	opts := []pdp.Option{pdp.WithResolver(gen.Directory("idp")), pdp.WithDecisionCache(time.Hour, 0)}
 
 	type decider interface {
 		DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result

@@ -50,7 +50,6 @@ func RunE21Deadlines() (*metrics.Table, error) {
 		Shards: 4,
 		EngineOptions: []pdp.Option{
 			pdp.WithResolver(gen.Directory("idp")),
-			pdp.WithTargetIndex(),
 			pdp.WithDecisionCache(time.Hour, 0),
 		},
 	})

@@ -59,8 +59,8 @@ func RunE15Heterogeneity() (*metrics.Table, error) {
 
 // syntheticDialect writes an n-policy document in the local dialect: one
 // resource-scoped policy per resource, each permitting a role to read and
-// seniors to write, denying otherwise — the E13 policy-base shape in its
-// local-language form.
+// seniors to write, denying otherwise — the workload.PolicyBase shape in
+// its local-language form.
 func syntheticDialect(n int) string {
 	var sb strings.Builder
 	for i := 0; i < n; i++ {

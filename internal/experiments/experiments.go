@@ -37,7 +37,6 @@ func All() []Experiment {
 		{ID: "E10", Title: "§3.1 — static conflict detection and resolution strategies", Run: RunE10Conflicts},
 		{ID: "E11", Title: "§3.1 — trust negotiation: eager vs. parsimonious", Run: RunE11Negotiation},
 		{ID: "E12", Title: "§3.2 — delegation chains: validation cost and revocation reach", Run: RunE12Delegation},
-		{ID: "E13", Title: "§3 — PDP scalability vs. policy-base size (target index ablation)", Run: RunE13Scalability},
 		{ID: "E14", Title: "§3.1 — Chinese Wall / separation-of-duty enforcement", Run: RunE14ChineseWall},
 		{ID: "E15", Title: "§3.1 — policy heterogeneity: dialect translation cost and representation sizes", Run: RunE15Heterogeneity},
 		{ID: "E16", Title: "§3.2 — PDP discovery with signed decisions under crashes and rogue nodes", Run: RunE16Discovery},

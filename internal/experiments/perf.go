@@ -216,62 +216,6 @@ func RunE8SecurityOverhead() (*metrics.Table, error) {
 	return table, nil
 }
 
-// RunE13Scalability measures PDP throughput against policy-base size, with
-// and without the resource-id target index — the §3 scalability claim and
-// its target-index ablation.
-func RunE13Scalability() (*metrics.Table, error) {
-	table := metrics.NewTable(
-		"E13 — §3 PDP throughput vs. policy-base size (target-index ablation)",
-		"policies", "linear dec/s", "indexed dec/s", "speedup", "candidates/req")
-	for _, n := range []int{10, 100, 1000, 5000} {
-		gen := workload.NewGenerator(workload.Config{
-			Users: 100, Resources: n, Roles: 10, Seed: 13,
-		})
-		dir := gen.Directory("idp")
-		base := gen.PolicyBase("base")
-
-		// Both arms ablate compilation: this experiment isolates what the
-		// PR 2 target index buys the interpreter. E24 measures the
-		// compiled decision program against these interpretive paths.
-		linear := pdp.New("linear", pdp.WithResolver(dir), pdp.WithoutCompilation())
-		if err := linear.SetRoot(base); err != nil {
-			return nil, err
-		}
-		indexed := pdp.New("indexed", pdp.WithResolver(dir), pdp.WithoutCompilation(), pdp.WithTargetIndex())
-		if err := indexed.SetRoot(base); err != nil {
-			return nil, err
-		}
-
-		reqs := make([]*policy.Request, 500)
-		for i := range reqs {
-			reqs[i] = gen.NextRequest()
-		}
-		at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-
-		measure := func(e *pdp.Engine) float64 {
-			// Calibrate iterations to the base size so big bases do
-			// not dominate wall time.
-			iters := 200000 / n
-			if iters < 20 {
-				iters = 20
-			}
-			start := time.Now()
-			count := 0
-			for i := 0; i < iters; i++ {
-				e.DecideAt(context.Background(), reqs[i%len(reqs)], at)
-				count++
-			}
-			return float64(count) / time.Since(start).Seconds()
-		}
-		linRate := measure(linear)
-		idxRate := measure(indexed)
-		st := indexed.Stats()
-		candidates := float64(st.IndexedCandidates) / float64(st.Evaluations)
-		table.AddRow(n, linRate, idxRate, fmt.Sprintf("%.1fx", idxRate/linRate), candidates)
-	}
-	return table, nil
-}
-
 // seqEntropy is a deterministic entropy source local to the experiments.
 type seqEntropy struct{ state uint64 }
 

@@ -47,7 +47,7 @@ func RunE22TracingOverhead() (*metrics.Table, error) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	engine := pdp.New("traced", pdp.WithResolver(gen.Directory("idp")),
-		pdp.WithTargetIndex(), pdp.WithDecisionCache(time.Hour, 0))
+		pdp.WithDecisionCache(time.Hour, 0))
 	if err := engine.SetRoot(base); err != nil {
 		return nil, err
 	}

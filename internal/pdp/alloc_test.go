@@ -17,7 +17,7 @@ import (
 // instrumentation perturbs allocation accounting.
 func TestCacheHitDecideAllocsFree(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("allocs", WithTargetIndex(), WithDecisionCache(time.Hour, 0))
+	e := New("allocs", WithDecisionCache(time.Hour, 0))
 	if err := e.SetRoot(resourcePolicies(8)); err != nil {
 		t.Fatal(err)
 	}

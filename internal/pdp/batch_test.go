@@ -13,30 +13,50 @@ import (
 func TestEngineDecideBatchMatchesDecide(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	gen := workload.NewGenerator(workload.Config{Users: 20, Resources: 100, Roles: 5, Seed: 3})
-	for _, opts := range map[string][]Option{
-		"plain":   {WithResolver(gen.Directory("idp"))},
-		"indexed": {WithResolver(gen.Directory("idp")), WithTargetIndex()},
-		"cached":  {WithResolver(gen.Directory("idp")), WithDecisionCache(time.Hour, 0)},
+	// A root-level obligation makes the base uncompilable, so that variant
+	// drives the interpreter through the batch path.
+	uncompilable := func() policy.Evaluable {
+		base := gen.PolicyBase("base")
+		base.Obligations = []policy.Obligation{
+			policy.RequireObligation("audit", policy.EffectDeny, map[string]string{"sink": "log"}),
+		}
+		return base
+	}
+	compilable := func() policy.Evaluable { return gen.PolicyBase("base") }
+	for _, v := range []struct {
+		name        string
+		root        func() policy.Evaluable
+		opts        []Option
+		interpreted bool
+	}{
+		{"plain", compilable, nil, false},
+		{"cached", compilable, []Option{WithDecisionCache(time.Hour, 0)}, false},
+		{"uncompilable", uncompilable, nil, true},
 	} {
-		reference := New("ref", WithResolver(gen.Directory("idp")))
-		if err := reference.SetRoot(gen.PolicyBase("base")); err != nil {
-			t.Fatal(err)
-		}
-		engine := New("batch", opts...)
-		if err := engine.SetRoot(gen.PolicyBase("base")); err != nil {
-			t.Fatal(err)
-		}
-		reqs := gen.Requests(200)
-		results := engine.DecideBatchAt(context.Background(), reqs, at)
-		if len(results) != len(reqs) {
-			t.Fatalf("got %d results for %d requests", len(results), len(reqs))
-		}
-		for i, res := range results {
-			want := reference.DecideAt(context.Background(), reqs[i], at)
-			if res.Decision != want.Decision || res.By != want.By {
-				t.Fatalf("item %d: %s by %s, want %s by %s", i, res.Decision, res.By, want.Decision, want.By)
+		t.Run(v.name, func(t *testing.T) {
+			reference := New("ref", WithResolver(gen.Directory("idp")))
+			if err := reference.SetRoot(v.root()); err != nil {
+				t.Fatal(err)
 			}
-		}
+			engine := New("batch", append([]Option{WithResolver(gen.Directory("idp"))}, v.opts...)...)
+			if err := engine.SetRoot(v.root()); err != nil {
+				t.Fatal(err)
+			}
+			reqs := gen.Requests(200)
+			results := engine.DecideBatchAt(context.Background(), reqs, at)
+			if len(results) != len(reqs) {
+				t.Fatalf("got %d results for %d requests", len(results), len(reqs))
+			}
+			for i, res := range results {
+				want := reference.DecideAt(context.Background(), reqs[i], at)
+				if res.Decision != want.Decision || res.By != want.By {
+					t.Fatalf("item %d: %s by %s, want %s by %s", i, res.Decision, res.By, want.Decision, want.By)
+				}
+			}
+			if st := engine.Stats(); v.interpreted && (st.Evaluations == 0 || st.InterpretedEvaluations != st.Evaluations) {
+				t.Fatalf("%d of %d evaluations interpreted, want all", st.InterpretedEvaluations, st.Evaluations)
+			}
+		})
 	}
 }
 

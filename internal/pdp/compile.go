@@ -29,8 +29,8 @@ import (
 // functions or a nested policy-set shape keeps its interpretive Evaluate,
 // wrapped so the root's decorate step is still applied. Roots that are not
 // policy sets, carry obligations, or use non-equality targets do not
-// compile at all (compileProgram returns nil) and the engine keeps its
-// interpretive paths.
+// compile at all (compileProgram returns nil) and the engine evaluates the
+// root with the interpreter.
 
 // progDimCount is the number of posting-list dimensions a program indexes.
 const progDimCount = 3
@@ -292,7 +292,7 @@ type progChild struct {
 // without consulting the map.
 //
 // Pinning uses Target.PinnedFirstGroup, which is deliberately stricter
-// than the target index's ExactMatches: a child is pinned only when its
+// than Target.ExactMatches: a child is pinned only when its
 // target's FIRST group is purely equality matches on this dimension's
 // attribute. For a request that carries the attribute without any pinned
 // value, that first group evaluates MatchNo from the request bag alone —
@@ -789,8 +789,8 @@ func (p *program) evalChild(ec *policy.Context, pos int32, fallback *bool) polic
 // patched returns a copy of the program over newSet's children where the
 // child at pos was replaced (delta 0), inserted (delta +1) or removed
 // (delta -1), recompiling only the new child; everything unchanged is
-// shared with the receiver, and posting lists are remapped with the same
-// position rule the target index uses. The receiver is never mutated.
+// shared with the receiver, and posting lists are remapped with remap32 and
+// insertPos32. The receiver is never mutated.
 func (p *program) patched(newSet *policy.PolicySet, pos, delta int, add policy.Evaluable) *program {
 	n := len(newSet.Children)
 	out := &program{
@@ -865,7 +865,12 @@ func (d *dimension) patched(n, pos, delta, tail int, add policy.Evaluable) dimen
 	return out
 }
 
-// remap32 is policy.RemapPositions over int32 position lists.
+// remap32 rewrites an ascending int32 position list after the child at
+// pos was replaced (delta 0), inserted (delta +1) or removed (delta -1),
+// matching policy.PolicySet.PatchChild: positions at or above pos shift by
+// delta, and pos itself is dropped on replace or delete. The result is
+// freshly allocated, so a patched program never shares a posting list's
+// backing array with the snapshot readers may still hold.
 func remap32(positions []int32, pos, delta int) []int32 {
 	next := make([]int32, 0, len(positions)+1)
 	for _, p := range positions {
@@ -882,7 +887,8 @@ func remap32(positions []int32, pos, delta int) []int32 {
 	return next
 }
 
-// insertPos32 is policy.InsertPosition over int32 position lists.
+// insertPos32 adds pos to an ascending position list, keeping it sorted
+// and duplicate-free. The input is not modified.
 func insertPos32(positions []int32, pos int32) []int32 {
 	i, found := slices.BinarySearch(positions, pos)
 	if found {

@@ -203,6 +203,19 @@ func randomEquivRequest(rng *rand.Rand) *policy.Request {
 	return req
 }
 
+// interpret decides req with the plain tree-walking interpreter — no
+// engine, no compiled program, no cache: the reference every equivalence
+// test compares the engine against. resolver may be nil.
+func interpret(root policy.Evaluable, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
+	ec := policy.AcquireContext(context.Background(), req, at)
+	if resolver != nil {
+		ec.WithResolver(resolver)
+	}
+	res := root.Evaluate(ec)
+	policy.ReleaseContext(ec)
+	return res
+}
+
 // requireSameResult fails the test when two results differ in any
 // observable dimension.
 func requireSameResult(t *testing.T, req *policy.Request, got, want policy.Result) {
@@ -229,9 +242,9 @@ func requireSameResult(t *testing.T, req *policy.Request, got, want policy.Resul
 }
 
 // TestCompiledEquivalentToInterpreter decides hundreds of randomized
-// requests against randomized policy bases on two engines sharing a
-// resolver — one compiled, one with compilation ablated — and requires
-// identical results throughout.
+// requests against randomized policy bases on a compiled engine and on the
+// plain interpreter, sharing a resolver, and requires identical results
+// throughout.
 func TestCompiledEquivalentToInterpreter(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 8; seed++ {
@@ -242,28 +255,19 @@ func TestCompiledEquivalentToInterpreter(t *testing.T) {
 				t.Fatalf("generated root invalid: %v", err)
 			}
 			compiled := New("equiv-compiled", WithResolver(flakyEquivResolver))
-			interp := New("equiv-interp", WithResolver(flakyEquivResolver), WithoutCompilation())
-			indexed := New("equiv-indexed", WithResolver(flakyEquivResolver), WithoutCompilation(), WithTargetIndex())
-			for _, e := range []*Engine{compiled, interp, indexed} {
-				if err := e.SetRoot(root); err != nil {
-					t.Fatal(err)
-				}
+			if err := compiled.SetRoot(root); err != nil {
+				t.Fatal(err)
 			}
 			if st := compiled.Stats(); st.RootChildren == 0 {
 				t.Fatal("root did not compile: no program installed")
 			}
 			for i := 0; i < 300; i++ {
 				req := randomEquivRequest(rng)
-				want := interp.DecideAt(ctx, req, equivAt)
-				requireSameResult(t, req, compiled.DecideAt(ctx, req, equivAt), want)
-				requireSameResult(t, req, indexed.DecideAt(ctx, req, equivAt), want)
+				requireSameResult(t, req, compiled.DecideAt(ctx, req, equivAt),
+					interpret(root, req, equivAt, flakyEquivResolver))
 			}
-			st := compiled.Stats()
-			if st.CompiledEvaluations == 0 {
-				t.Fatal("no evaluation took the compiled path")
-			}
-			if it := interp.Stats(); it.CompiledEvaluations != 0 {
-				t.Fatalf("ablated engine reported %d compiled evaluations", it.CompiledEvaluations)
+			if st := compiled.Stats(); st.CompiledEvaluations != st.Evaluations {
+				t.Fatalf("%d of %d evaluations took the compiled path", st.CompiledEvaluations, st.Evaluations)
 			}
 		})
 	}
@@ -287,7 +291,7 @@ func TestCompiledDeltaEquivalence(t *testing.T) {
 			guard := catchAllPolicy(0)
 			model[guard.ID] = guard
 
-			live := New("delta-compiled", WithTargetIndex(), WithDecisionCache(time.Hour, 0))
+			live := New("delta-compiled", WithDecisionCache(time.Hour, 0))
 			if err := live.SetRoot(modelRoot(model)); err != nil {
 				t.Fatal(err)
 			}
@@ -327,14 +331,14 @@ func TestCompiledDeltaEquivalence(t *testing.T) {
 				if op%10 != 0 {
 					continue
 				}
-				ref := New("delta-ref", WithoutCompilation())
-				if err := ref.SetRoot(modelRoot(model)); err != nil {
+				ref := modelRoot(model)
+				if err := ref.Validate(); err != nil {
 					t.Fatalf("op %d: rebuild: %v", op, err)
 				}
 				for _, req := range churnRequests(10) {
 					requireSameResult(t, req,
 						live.DecideAt(ctx, req, equivAt),
-						ref.DecideAt(ctx, req, equivAt))
+						interpret(ref, req, equivAt, nil))
 				}
 			}
 			st := live.Stats()
@@ -480,8 +484,8 @@ func fuzzRoot(data []byte) *policy.PolicySet {
 
 // FuzzCompile feeds arbitrary (frequently invalid) policy structures
 // straight through the compiler: compileProgram must never panic, and
-// whenever the base validates, engine-level decisions on compiled and
-// ablated engines must agree.
+// whenever the base validates, the engine's decisions must agree with the
+// plain interpreter's.
 func FuzzCompile(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -494,11 +498,7 @@ func FuzzCompile(f *testing.F) {
 			return // invalid bases only exercise the no-panic guarantee
 		}
 		compiled := New("fuzz-compiled")
-		interp := New("fuzz-interp", WithoutCompilation())
 		if err := compiled.SetRoot(root); err != nil {
-			t.Fatalf("validated root rejected: %v", err)
-		}
-		if err := interp.SetRoot(root); err != nil {
 			t.Fatalf("validated root rejected: %v", err)
 		}
 		if prog == nil && compiled.Stats().RootChildren != 0 {
@@ -511,9 +511,7 @@ func FuzzCompile(f *testing.F) {
 			if r.next()%2 == 0 {
 				req.Add(policy.CategorySubject, policy.AttrClearance, policy.Integer(int64(r.next()%5)))
 			}
-			got := compiled.DecideAt(ctx, req, equivAt)
-			want := interp.DecideAt(ctx, req, equivAt)
-			requireSameResult(t, req, got, want)
+			requireSameResult(t, req, compiled.DecideAt(ctx, req, equivAt), interpret(root, req, equivAt, nil))
 		}
 	})
 }

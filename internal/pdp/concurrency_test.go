@@ -28,7 +28,7 @@ func TestConcurrentDecideWithAdministration(t *testing.T) {
 			Build()).
 		Build()
 
-	e := New("concurrent", WithDecisionCache(time.Second, 0), WithTargetIndex())
+	e := New("concurrent", WithDecisionCache(time.Second, 0))
 	if err := e.SetRoot(permitBase); err != nil {
 		t.Fatal(err)
 	}

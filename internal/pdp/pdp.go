@@ -3,37 +3,37 @@
 // (Section 2.2 of the paper).
 //
 // The engine supports two performance mechanisms the paper's challenges
-// motivate: a target index that narrows evaluation to policies whose
-// targets can apply to the requested resource (Section 3 scalability), and
-// a TTL decision cache bounding PEP–PDP traffic (Section 3.2 Communication
-// Performance). Both are optional and ablated in the benchmarks.
+// motivate: a compiled decision program that narrows each miss to the
+// policies whose targets can apply to the request (Section 3
+// scalability), and an optional TTL decision cache bounding PEP–PDP
+// traffic (Section 3.2 Communication Performance).
 //
 // The decision hot path is lock-free for readers, RCU-style: the root,
-// target index and epoch live in one immutable snapshot published through
-// an atomic pointer, so Decide* loads a single pointer per call (per batch,
-// for the batch paths) and never blocks on policy administration. The
-// decision cache is striped across power-of-two shards keyed by a hash of
-// the request's cache key — a cache hit costs one shard lock and zero
-// allocations — and engine counters are padded atomic stripes aggregated on
-// read. Writers (SetRoot, ApplyUpdate, FlushCache) serialize on a writer
-// lock, publish the next snapshot, and then invalidate; the epoch carried
-// in each snapshot guards the cache against resurrection of a decision
-// evaluated against a superseded root (see cache.go).
+// compiled program and epoch live in one immutable snapshot published
+// through an atomic pointer, so Decide* loads a single pointer per call
+// (per batch, for the batch paths) and never blocks on policy
+// administration. The decision cache is striped across power-of-two shards
+// keyed by a hash of the request's cache key — a cache hit costs one shard
+// lock and zero allocations — and engine counters are padded atomic stripes
+// aggregated on read. Writers (SetRoot, ApplyUpdate, FlushCache)
+// serialize on a writer lock, publish the next snapshot, and then
+// invalidate; the epoch carried in each snapshot guards the cache against
+// resurrection of a decision evaluated against a superseded root (see
+// cache.go).
 //
 // A single engine is also the building block of larger deployments. The
 // batch entry points (DecideBatch, DecideScatterAt) answer many requests
-// per call, sharing one snapshot load and index candidate sets across
-// same-resource requests. internal/ha replicates engines into
-// failover/quorum ensembles, and internal/cluster shards the policy base
-// across many such ensembles behind a consistent-hash router — the
-// horizontal answer to the Section 3 performance argument when one
-// engine's throughput ceiling is reached.
+// per call, sharing one snapshot load and the single-request miss path.
+// internal/ha replicates engines into failover/quorum ensembles, and
+// internal/cluster shards the policy base across many such ensembles
+// behind a consistent-hash router — the horizontal answer to the Section 3
+// performance argument when one engine's throughput ceiling is reached.
 //
-// At publication the root is additionally compiled into a flattened
-// decision program (see compile.go): per-child rule arrays with
-// precomputed decisions, decider chains and statically fulfilled
-// obligations, indexed by attribute-keyed posting lists over resource-id,
-// action-id and subject-role. A cache miss then assembles a candidate set
+// At publication the root is compiled into a flattened decision program
+// (see compile.go): per-child rule arrays with precomputed decisions,
+// decider chains and statically fulfilled obligations, indexed by
+// attribute-keyed posting lists over resource-id, action-id and
+// subject-role. A cache miss then assembles a candidate set
 // from the attributes the request carries and runs the combining algorithm
 // over those children only, allocation-free once warm. The program lives
 // inside the snapshot, so readers get it off the same single atomic load.
@@ -41,13 +41,14 @@
 // compiler does not cover (rule conditions, dynamic obligation values,
 // custom match predicates, nested policy sets) fall back to the
 // interpreter per child, chosen at compile time — never per request — and
-// a root the compiler cannot handle at all leaves the program nil and the
-// interpretive paths in charge. ApplyUpdate recompiles only the patched
-// child and remaps the posting lists; WithoutCompilation ablates the whole
-// mechanism.
+// a root the compiler cannot handle at all (not a policy set, root-level
+// obligations, a non-equality root target, an unknown algorithm) leaves
+// the program nil and the root's own interpretive Evaluate in charge.
+// ApplyUpdate recompiles only the patched child and remaps the posting
+// lists.
 //
 // The engine also supports live policy administration: ApplyUpdate
-// patches one root child in place — index patched, not rebuilt; only the
+// patches one root child in place — program patched, not rebuilt; only the
 // changed child's resource keys invalidated from the decision cache — so
 // a policy write never flushes the working set the way SetRoot must (see
 // update.go).
@@ -116,8 +117,8 @@ type Stats struct {
 	CacheHits int64
 	// Permits, Denies, NotApplicables and Indeterminates count outcomes.
 	Permits, Denies, NotApplicables, Indeterminates int64
-	// IndexedCandidates sums the candidate-set sizes considered when the
-	// target index is enabled, for measuring index selectivity.
+	// IndexedCandidates sums the candidate-set sizes the compiled program
+	// considered, for measuring its selectivity.
 	IndexedCandidates int64
 	// StaleServed counts degraded decisions answered from expired cache
 	// entries within the stale grace window (WithStaleGrace).
@@ -132,7 +133,7 @@ type Stats struct {
 	CacheEntries int64
 	// CompiledEvaluations counts evaluations answered by the compiled
 	// decision program; InterpretedEvaluations counts the rest (no program:
-	// compilation disabled, or the root was uncompilable).
+	// the root was uncompilable).
 	CompiledEvaluations    int64
 	InterpretedEvaluations int64
 	// FallbackEvaluations counts the compiled evaluations in which at
@@ -161,21 +162,6 @@ type Option func(*Engine)
 // attributes missing from requests.
 func WithResolver(r policy.Resolver) Option {
 	return func(e *Engine) { e.resolver = r }
-}
-
-// WithTargetIndex enables resource-id target indexing of the root policy
-// set's direct children.
-func WithTargetIndex() Option {
-	return func(e *Engine) { e.indexEnabled = true }
-}
-
-// WithoutCompilation disables ahead-of-time compilation of the policy
-// base, keeping interpretive evaluation (with the target index when
-// enabled). It exists as the ablation arm for benchmarks, experiments and
-// the compiled-vs-interpreter equivalence tests; production engines have
-// no reason to use it.
-func WithoutCompilation() Option {
-	return func(e *Engine) { e.compileDisabled = true }
 }
 
 // WithDecisionCache enables a TTL decision cache. maxItems <= 0 defaults to
@@ -209,17 +195,16 @@ func WithStaleGrace(grace time.Duration) Option {
 }
 
 // snapshot is the immutable unit of the engine's RCU scheme: the installed
-// policy base, its target index, and the epoch that publication bumped.
-// Readers load one snapshot per decision (per batch, for the batch paths)
-// and evaluate against it without locks; writers construct the next
+// policy base, its compiled program, and the epoch that publication
+// bumped. Readers load one snapshot per decision (per batch, for the batch
+// paths) and evaluate against it without locks; writers construct the next
 // snapshot copy-on-write and publish it atomically, never mutating one a
 // reader may hold.
 type snapshot struct {
-	root  policy.Evaluable
-	index *targetIndex
-	// prog is the compiled decision program, nil when compilation is
-	// disabled or the root is uncompilable. Non-nil, it is the evaluation
-	// strategy; the index and the interpretive walk are the fallbacks.
+	root policy.Evaluable
+	// prog is the compiled decision program, nil when the root is
+	// uncompilable. Non-nil, it decides every miss; nil, root.Evaluate
+	// does.
 	prog *program
 	// epoch counts snapshot publications (installs, patches and flushes).
 	// Cache fills re-check it inside the shard lock and skip the write
@@ -232,12 +217,9 @@ type snapshot struct {
 // each other or on policy administration: they share an atomically
 // published snapshot, a striped decision cache and striped atomic counters.
 type Engine struct {
-	name         string
-	resolver     policy.Resolver
-	indexEnabled bool
-	// compileDisabled keeps the interpretive paths (WithoutCompilation).
-	compileDisabled bool
-	now             func() time.Time
+	name     string
+	resolver policy.Resolver
+	now      func() time.Time
 	// staleGrace bounds degraded-mode staleness; zero disables it.
 	staleGrace  time.Duration
 	staleServed atomic.Int64
@@ -249,7 +231,7 @@ type Engine struct {
 	compileNanos atomic.Int64
 	compileHist  telemetry.Histogram
 
-	// snap is the current root/index/epoch triple, nil until SetRoot.
+	// snap is the current root/program/epoch triple, nil until SetRoot.
 	snap atomic.Pointer[snapshot]
 	// cache is the striped TTL decision cache, nil when disabled.
 	cache *decisionCache
@@ -279,8 +261,8 @@ func New(name string, opts ...Option) *Engine {
 // Name identifies the engine in diagnostics.
 func (e *Engine) Name() string { return e.name }
 
-// SetRoot validates and installs the policy base, rebuilding the target
-// index and flushing the decision cache so revocations take effect.
+// SetRoot validates and installs the policy base, compiling it and
+// flushing the decision cache so revocations take effect.
 func (e *Engine) SetRoot(root policy.Evaluable) error {
 	if root == nil {
 		return fmt.Errorf("pdp %s: nil root", e.name)
@@ -288,18 +270,10 @@ func (e *Engine) SetRoot(root policy.Evaluable) error {
 	if err := root.Validate(); err != nil {
 		return fmt.Errorf("pdp %s: %w", e.name, err)
 	}
-	var idx *targetIndex
-	if e.indexEnabled {
-		if set, ok := root.(*policy.PolicySet); ok {
-			idx = buildIndex(set)
-		}
-	}
-	var prog *program
-	if !e.compileDisabled {
-		start := time.Now()
-		if prog = compileProgram(root); prog != nil {
-			e.observeCompile(time.Since(start))
-		}
+	start := time.Now()
+	prog := compileProgram(root)
+	if prog != nil {
+		e.observeCompile(time.Since(start))
 	}
 	e.writerMu.Lock()
 	defer e.writerMu.Unlock()
@@ -307,7 +281,7 @@ func (e *Engine) SetRoot(root policy.Evaluable) error {
 	if old := e.snap.Load(); old != nil {
 		epoch = old.epoch + 1
 	}
-	e.snap.Store(&snapshot{root: root, index: idx, prog: prog, epoch: epoch})
+	e.snap.Store(&snapshot{root: root, prog: prog, epoch: epoch})
 	if e.cache != nil {
 		e.cache.flush()
 	}
@@ -354,7 +328,7 @@ func (e *Engine) FlushCache() {
 	// Publish the epoch move first: in-flight evaluations of the current
 	// root must not refill the cache behind the flush.
 	if old := e.snap.Load(); old != nil {
-		e.snap.Store(&snapshot{root: old.root, index: old.index, prog: old.prog, epoch: old.epoch + 1})
+		e.snap.Store(&snapshot{root: old.root, prog: old.prog, epoch: old.epoch + 1})
 	}
 	if e.cache != nil {
 		e.cache.flush()
@@ -394,8 +368,10 @@ func (e *Engine) DecideAtWith(ctx context.Context, req *policy.Request, at time.
 }
 
 // evaluate runs one uncached evaluation against the snapshot with a pooled
-// evaluation context carrying the request ctx. resolver nil falls back to
-// the engine's configured resolver. The Result never aliases the
+// evaluation context carrying the request ctx: the compiled program when
+// the root compiled, the root's own interpretive Evaluate otherwise. It is
+// the one miss path every Decide* entry point shares. resolver nil falls
+// back to the engine's configured resolver. The Result never aliases the
 // evaluation context, so it is released before return.
 func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Request, at time.Time, resolver policy.Resolver) (policy.Result, evalPath) {
 	ec := policy.AcquireContext(ctx, req, at)
@@ -407,13 +383,10 @@ func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Reque
 	}
 	var res policy.Result
 	var path evalPath
-	switch {
-	case snap.prog != nil:
+	if snap.prog != nil {
 		res, path.candidates, path.fallback = snap.prog.evaluate(ec, req)
 		path.compiled = true
-	case snap.index != nil:
-		res, path.candidates = snap.index.evaluate(ec, req)
-	default:
+	} else {
 		res = snap.root.Evaluate(ec)
 	}
 	policy.ReleaseContext(ec)
@@ -537,9 +510,9 @@ func (e *Engine) DecideBatch(ctx context.Context, reqs []*policy.Request) []poli
 
 // DecideBatchAt evaluates many requests in one pass, answering position i
 // of the result slice for request i. Compared to per-request DecideAt it
-// amortises snapshot loads (one per batch) and shares index candidate
-// sets across same-resource requests; cache lookups and fills still cost
-// only their one shard lock each. A ctx done mid-batch stops evaluating:
+// amortises snapshot loads (one per batch); cache lookups and fills still
+// cost only their one shard lock each, and every miss takes the same
+// evaluation path DecideAt does. A ctx done mid-batch stops evaluating:
 // finished positions keep their decisions, unfinished ones are
 // Indeterminate with the cause.
 func (e *Engine) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
@@ -654,16 +627,6 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 
 	batchSpan.SetInt("batch.misses", int64(len(misses)))
 
-	// Within one batch, requests for the same resource share the same
-	// index candidate set; memoising the assembled subset amortises the
-	// per-request candidate merge across the batch (Zipf-skewed workloads
-	// repeat popular resources heavily). The compiled program needs no
-	// memo: its candidate assembly is a few posting-list probes per
-	// request.
-	var subsets map[string]indexSubset
-	if snap.prog == nil && snap.index != nil {
-		subsets = make(map[string]indexSubset, len(misses))
-	}
 	for mi, p := range misses {
 		// A ctx done mid-batch sheds the unfinished tail: those positions
 		// fail closed immediately instead of evaluating against a dead
@@ -676,34 +639,8 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 			return
 		}
 		req := reqs[p]
-		ec := policy.AcquireContext(ctx, req, at)
-		if e.resolver != nil {
-			ec.WithResolver(e.resolver)
-		}
 		var path evalPath
-		switch {
-		case snap.prog != nil:
-			out[p], path.candidates, path.fallback = snap.prog.evaluate(ec, req)
-			path.compiled = true
-		case snap.index != nil:
-			var sub indexSubset
-			if key, single := resourceMemoKey(req); single {
-				var hit bool
-				if sub, hit = subsets[key]; !hit {
-					sub = snap.index.subsetFor(key)
-					subsets[key] = sub
-				}
-			} else {
-				// Multi-valued or absent resource-id: assembled per
-				// request, never memoised under a single-value key.
-				sub = snap.index.subsetForRequest(req)
-			}
-			out[p] = sub.set.Evaluate(ec)
-			path.candidates = sub.candidates
-		default:
-			out[p] = snap.root.Evaluate(ec)
-		}
-		policy.ReleaseContext(ec)
+		out[p], path = e.evaluate(ctx, snap, req, at, nil)
 
 		var hash uint64
 		if e.cache != nil {
@@ -723,131 +660,4 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 			e.fill(snap, req.CacheKey(), hash, req.ResourceID(), out[p], at)
 		}
 	}
-}
-
-// targetIndex partitions the direct children of a policy set by the exact
-// resource-id values their targets require. Children whose targets do not
-// constrain resource-id by equality land in the catch-all list and are
-// considered for every request. Original child order is preserved within
-// the merged candidate list, keeping order-dependent combining algorithms
-// (first-applicable) correct.
-type targetIndex struct {
-	set        *policy.PolicySet
-	byResource map[string][]int
-	catchAll   []int
-}
-
-func buildIndex(set *policy.PolicySet) *targetIndex {
-	idx := &targetIndex{set: set, byResource: make(map[string][]int)}
-	for i, ch := range set.Children {
-		keys, catchAll := policy.ResourceKeys(ch)
-		if catchAll {
-			idx.catchAll = append(idx.catchAll, i)
-			continue
-		}
-		for _, key := range keys {
-			idx.byResource[key] = append(idx.byResource[key], i)
-		}
-	}
-	return idx
-}
-
-// indexSubset is the assembled candidate policy set for one resource key,
-// shareable across every evaluation of that key (the set is stateless;
-// each evaluation brings its own context).
-type indexSubset struct {
-	set        *policy.PolicySet
-	candidates int
-}
-
-// subsetFor assembles the candidate sub-set for a single resource key.
-func (idx *targetIndex) subsetFor(resID string) indexSubset {
-	return idx.subsetOf(mergeSorted(idx.byResource[resID], idx.catchAll))
-}
-
-// subsetForRequest assembles the candidate sub-set for the request's
-// resource-id bag, whatever its shape. A multi-valued bag takes the union
-// of every value's posting list (a target pinned to any one of the values
-// can match). A request with no resource-id at all cannot be pruned: a
-// resolver could still supply any value — or fail — so skipping a pinned
-// child would turn its Indeterminate into NotApplicable.
-func (idx *targetIndex) subsetForRequest(req *policy.Request) indexSubset {
-	bag, ok := req.Get(policy.CategoryResource, policy.AttrResourceID)
-	switch {
-	case !ok || bag.Empty():
-		return indexSubset{set: idx.set, candidates: len(idx.set.Children)}
-	case len(bag) == 1:
-		return idx.subsetFor(bag[0].String())
-	default:
-		merged := idx.catchAll
-		for _, v := range bag {
-			if matched := idx.byResource[v.String()]; len(matched) > 0 {
-				merged = mergeSorted(matched, merged)
-			}
-		}
-		return idx.subsetOf(merged)
-	}
-}
-
-// subsetOf materialises the sub-set holding the children at the given
-// ascending positions.
-func (idx *targetIndex) subsetOf(candidates []int) indexSubset {
-	children := make([]policy.Evaluable, len(candidates))
-	for i, pos := range candidates {
-		children[i] = idx.set.Children[pos]
-	}
-	return indexSubset{
-		set: &policy.PolicySet{
-			ID:          idx.set.ID,
-			Version:     idx.set.Version,
-			Issuer:      idx.set.Issuer,
-			Target:      idx.set.Target,
-			Combining:   idx.set.Combining,
-			Children:    children,
-			Obligations: idx.set.Obligations,
-		},
-		candidates: len(candidates),
-	}
-}
-
-// resourceMemoKey returns the memoisation key for a request's index
-// subset: only requests with exactly one resource-id value share subsets
-// keyed by that value.
-func resourceMemoKey(req *policy.Request) (string, bool) {
-	bag, ok := req.Get(policy.CategoryResource, policy.AttrResourceID)
-	if !ok || len(bag) != 1 {
-		return "", false
-	}
-	return bag[0].String(), true
-}
-
-// evaluate runs the set's combining algorithm over the candidate children
-// only, reporting the candidate count for selectivity metrics.
-func (idx *targetIndex) evaluate(ctx *policy.Context, req *policy.Request) (policy.Result, int) {
-	sub := idx.subsetForRequest(req)
-	return sub.set.Evaluate(ctx), sub.candidates
-}
-
-// mergeSorted merges two ascending index slices preserving order and
-// dropping duplicates.
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

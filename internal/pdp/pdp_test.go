@@ -79,16 +79,14 @@ func TestEngineRejectsInvalidRoot(t *testing.T) {
 }
 
 func TestIndexMatchesLinearScan(t *testing.T) {
-	// The target index is an optimisation: it must never change decisions.
+	// The compiled program's posting-list narrowing is an optimisation: it
+	// must never change decisions against the plain linear interpreter.
 	root := resourcePolicies(50)
-	linear := New("linear")
-	indexed := New("indexed", WithTargetIndex())
-	if err := linear.SetRoot(root); err != nil {
-		t.Fatal(err)
-	}
+	indexed := New("indexed")
 	if err := indexed.SetRoot(root); err != nil {
 		t.Fatal(err)
 	}
+	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	reqs := []*policy.Request{
 		policy.NewAccessRequest("u", "res-0", "read"),
 		policy.NewAccessRequest("u", "res-49", "write"),
@@ -97,8 +95,8 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 		policy.NewAccessRequest("u", "nonexistent", "read"),
 	}
 	for i, req := range reqs {
-		a := linear.Decide(context.Background(), req)
-		b := indexed.Decide(context.Background(), req)
+		a := interpret(root, req, at, nil)
+		b := indexed.DecideAt(context.Background(), req, at)
 		if a.Decision != b.Decision {
 			t.Errorf("request %d: linear=%v indexed=%v", i, a.Decision, b.Decision)
 		}
@@ -107,19 +105,19 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 		}
 	}
 	st := indexed.Stats()
-	if st.IndexedCandidates == 0 {
-		t.Error("index should report candidate counts")
+	if st.IndexedCandidates == 0 || st.CompiledEvaluations != st.Evaluations {
+		t.Errorf("compiled program should answer every request and report candidate counts: %+v", st)
 	}
 	// Selectivity: with 51 children, candidates per request must be tiny.
 	perReq := float64(st.IndexedCandidates) / float64(st.Evaluations)
 	if perReq > 3 {
-		t.Errorf("index considered %.1f candidates/request, want <= 3", perReq)
+		t.Errorf("program considered %.1f candidates/request, want <= 3", perReq)
 	}
 }
 
 func TestIndexPreservesFirstApplicableOrder(t *testing.T) {
 	// A catch-all deny placed before a specific permit must win under
-	// first-applicable even when the index pulls the specific policy.
+	// first-applicable even when the posting lists pull the specific policy.
 	root := policy.NewPolicySet("ordered").Combining(policy.FirstApplicable).
 		Add(
 			policy.NewPolicy("freeze").
@@ -132,9 +130,12 @@ func TestIndexPreservesFirstApplicableOrder(t *testing.T) {
 				Rule(policy.Permit("ok").Build()).
 				Build(),
 		).Build()
-	indexed := New("indexed", WithTargetIndex())
+	indexed := New("indexed")
 	if err := indexed.SetRoot(root); err != nil {
 		t.Fatal(err)
+	}
+	if st := indexed.Stats(); st.RootChildren != 2 {
+		t.Fatalf("program covers %d root children, want 2", st.RootChildren)
 	}
 	res := indexed.Decide(context.Background(), policy.NewAccessRequest("u", "db", "write"))
 	if res.Decision != policy.DecisionDeny {
@@ -253,30 +254,5 @@ func TestDecideAtTimeDependentPolicy(t *testing.T) {
 	}
 	if res := e.DecideAt(context.Background(), req, night); res.Decision != policy.DecisionDeny {
 		t.Errorf("night = %v, want Deny", res.Decision)
-	}
-}
-
-func TestMergeSorted(t *testing.T) {
-	cases := []struct {
-		a, b, want []int
-	}{
-		{[]int{1, 3}, []int{2, 4}, []int{1, 2, 3, 4}},
-		{nil, []int{0}, []int{0}},
-		{[]int{5}, nil, []int{5}},
-		{[]int{1, 2}, []int{2, 3}, []int{1, 2, 3}},
-		{nil, nil, []int{}},
-	}
-	for _, c := range cases {
-		got := mergeSorted(c.a, c.b)
-		if len(got) != len(c.want) {
-			t.Errorf("mergeSorted(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("mergeSorted(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-				break
-			}
-		}
 	}
 }

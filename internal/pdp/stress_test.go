@@ -33,7 +33,7 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 		updates   = 400
 	)
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("stress", WithTargetIndex(), WithDecisionCache(time.Hour, 0))
+	e := New("stress", WithDecisionCache(time.Hour, 0))
 	model := make(map[string]policy.Evaluable, resources)
 	for i := 0; i < resources; i++ {
 		p := churnPolicy(fmt.Sprintf("res-%d", i), 0)

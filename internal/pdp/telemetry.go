@@ -39,13 +39,13 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 		"Incremental root patches applied.",
 		func() int64 { return e.Stats().Updates })
 	reg.CounterFunc("repro_pdp_indexed_candidates_total",
-		"Sum of target-index candidate-set sizes considered.",
+		"Sum of candidate-set sizes the compiled program considered.",
 		func() int64 { return e.Stats().IndexedCandidates })
 	reg.CounterFunc("repro_pdp_compiled_evaluations_total",
 		"Evaluations answered by the compiled decision program.",
 		func() int64 { return e.Stats().CompiledEvaluations })
 	reg.CounterFunc("repro_pdp_interpreted_evaluations_total",
-		"Evaluations answered by the interpretive paths (no compiled program).",
+		"Evaluations answered by the interpreter (uncompilable root, no program).",
 		func() int64 { return e.Stats().InterpretedEvaluations })
 	reg.CounterFunc("repro_pdp_fallback_evaluations_total",
 		"Compiled evaluations that ran at least one root child in the interpreter.",

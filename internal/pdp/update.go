@@ -27,15 +27,16 @@ type Update struct {
 
 // ApplyUpdate patches a single root child in place of a full rebuild: the
 // delta path of live policy administration. Only the new child is
-// validated (the rest of the root was validated when installed), the target
-// index is patched rather than rebuilt, and — the point of the exercise —
-// only cached decisions whose resource keys the old or new child constrains
-// are invalidated. When either side of the change is a catch-all (its
-// target does not pin resource-id), any cached decision could be affected
-// and the whole cache is flushed, exactly as SetRoot would.
+// validated (the rest of the root was validated when installed), the
+// compiled program is patched rather than rebuilt, and — the point of the
+// exercise — only cached decisions whose resource keys the old or new
+// child constrains are invalidated. When either side of the change is a
+// catch-all (its target does not pin resource-id), any cached decision
+// could be affected and the whole cache is flushed, exactly as SetRoot
+// would.
 //
 // The update is published as a fresh snapshot: readers that loaded the
-// previous one keep evaluating a consistent root/index pair, and the
+// previous one keep evaluating a consistent root/program pair, and the
 // snapshot swap happens before the cache sweep so the epoch guard can
 // reject any stale fill that raced the change. The root must be a
 // *policy.PolicySet; otherwise ErrNotIncremental is returned and the caller
@@ -69,13 +70,6 @@ func (e *Engine) ApplyUpdate(u Update) error {
 		return nil // removing an absent child is a no-op
 	}
 	next := &snapshot{root: newSet, epoch: snap.epoch + 1}
-	if e.indexEnabled {
-		if snap.index != nil {
-			next.index = snap.index.patched(newSet, pos, delta, u.Child)
-		} else {
-			next.index = buildIndex(newSet)
-		}
-	}
 	if snap.prog != nil {
 		// Delta recompile: only the new child is lowered; posting lists are
 		// remapped, untouched children shared. A nil program stays nil —
@@ -118,32 +112,4 @@ func (e *Engine) invalidate(oldChild, newChild policy.Evaluable) {
 		}
 	}
 	e.stats.cacheInvalidations.Add(e.cache.invalidate(affected))
-}
-
-// patched returns a copy of the index over newSet's children where the
-// child at pos was replaced (delta 0), inserted (delta +1) or removed
-// (delta -1), via the shared policy.RemapPositions rule. add (nil on
-// delete) is then indexed at pos. The receiver is never mutated, so
-// concurrent readers holding it keep a consistent snapshot. Cost is
-// O(index size) integer work — no target re-derivation for unchanged
-// children, and no revalidation of anything.
-func (idx *targetIndex) patched(newSet *policy.PolicySet, pos, delta int, add policy.Evaluable) *targetIndex {
-	out := &targetIndex{set: newSet, byResource: make(map[string][]int, len(idx.byResource))}
-	for key, positions := range idx.byResource {
-		if next := policy.RemapPositions(positions, pos, delta); len(next) > 0 {
-			out.byResource[key] = next
-		}
-	}
-	out.catchAll = policy.RemapPositions(idx.catchAll, pos, delta)
-	if add != nil {
-		keys, catchAll := policy.ResourceKeys(add)
-		if catchAll {
-			out.catchAll = policy.InsertPosition(out.catchAll, pos)
-		} else {
-			for _, k := range keys {
-				out.byResource[k] = policy.InsertPosition(out.byResource[k], pos)
-			}
-		}
-	}
-	return out
 }

@@ -84,17 +84,16 @@ func churnRequests(resources int) []*policy.Request {
 
 // TestApplyUpdateEquivalentToRebuild is the delta-pipeline property test:
 // any sequence of Put/Delete deltas applied incrementally yields decisions
-// identical to a from-scratch rebuild of the same state — across plain,
-// indexed, and indexed+cached engines (the cached variant also proves the
-// selective invalidation never serves a stale decision).
+// identical to a from-scratch rebuild of the same state — across plain and
+// cached engines (the cached variant also proves the selective
+// invalidation never serves a stale decision).
 func TestApplyUpdateEquivalentToRebuild(t *testing.T) {
 	variants := []struct {
 		name string
 		opts []Option
 	}{
 		{"plain", nil},
-		{"indexed", []Option{WithTargetIndex()}},
-		{"indexed+cached", []Option{WithTargetIndex(), WithDecisionCache(time.Hour, 0)}},
+		{"cached", []Option{WithDecisionCache(time.Hour, 0)}},
 	}
 	const resources = 7
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -165,7 +164,7 @@ func TestApplyUpdateEquivalentToRebuild(t *testing.T) {
 // and every other cached decision keeps serving.
 func TestApplyUpdatePreservesUnaffectedCache(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("e", WithTargetIndex(), WithDecisionCache(time.Hour, 0))
+	e := New("e", WithDecisionCache(time.Hour, 0))
 	if err := e.SetRoot(resourcePolicies(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +210,7 @@ func TestApplyUpdatePreservesUnaffectedCache(t *testing.T) {
 // cache is dropped.
 func TestApplyUpdateCatchAllFlushes(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("e", WithTargetIndex(), WithDecisionCache(time.Hour, 0))
+	e := New("e", WithDecisionCache(time.Hour, 0))
 	if err := e.SetRoot(resourcePolicies(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +246,7 @@ func TestApplyUpdateCatchAllFlushes(t *testing.T) {
 func TestConcurrentDecideAndApplyUpdate(t *testing.T) {
 	const resources = 8
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("e", WithTargetIndex(), WithDecisionCache(time.Hour, 0))
+	e := New("e", WithDecisionCache(time.Hour, 0))
 	model := make(map[string]policy.Evaluable)
 	for i := 0; i < resources; i++ {
 		p := churnPolicy(fmt.Sprintf("res-%d", i), 0)

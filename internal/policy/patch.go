@@ -76,40 +76,3 @@ func (s *PolicySet) ChildrenSortedByID() bool {
 	}
 	return true
 }
-
-// RemapPositions rewrites an ascending child-position list after the
-// child at pos was replaced (delta 0), inserted (delta +1) or removed
-// (delta -1), matching PatchChild's structural change: positions at or
-// above pos shift by delta, and pos itself is dropped on replace or
-// delete (callers re-add it with InsertPosition where the new child
-// lands). Always returns a freshly allocated slice, so copy-on-write
-// index snapshots never share backing arrays with their successors.
-func RemapPositions(positions []int, pos, delta int) []int {
-	next := make([]int, 0, len(positions)+1)
-	for _, p := range positions {
-		switch {
-		case delta <= 0 && p == pos:
-			// replaced or removed: dropped; re-added by the caller when
-			// the new child keeps this slot
-		case p >= pos:
-			next = append(next, p+delta)
-		default:
-			next = append(next, p)
-		}
-	}
-	return next
-}
-
-// InsertPosition adds pos to an ascending position slice, keeping it
-// sorted and duplicate-free. The input is not modified.
-func InsertPosition(positions []int, pos int) []int {
-	i := sort.SearchInts(positions, pos)
-	if i < len(positions) && positions[i] == pos {
-		return positions
-	}
-	out := make([]int, 0, len(positions)+1)
-	out = append(out, positions[:i]...)
-	out = append(out, pos)
-	out = append(out, positions[i:]...)
-	return out
-}
