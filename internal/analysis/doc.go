@@ -34,13 +34,16 @@
 // # Incremental engine
 //
 // Engine keeps the claim base indexed by the exact resource identifiers
-// each claim constrains (the same key derivation as the PDP target index
-// and the cluster partitioner). Applying one policy delta re-analyses only
-// the changed child against the owners whose claims can overlap it —
-// near-constant work under the per-resource policy shape the repository's
-// workloads model — and is property-tested equivalent to from-scratch
-// analysis of the final base. Analyze is the from-scratch form; a
-// cluster.Router can aggregate per-shard reports with Merge.
+// each claim constrains (the key space of the compiled PDP program's
+// resource-id posting lists and of the cluster partitioner). Applying one
+// policy delta re-analyses only the changed child against the owners whose
+// claims can overlap it — near-constant work under the per-resource policy
+// shape the repository's workloads model — and is property-tested
+// equivalent to from-scratch analysis of the final base. Analyze is the
+// from-scratch form; a cluster.Router can aggregate per-shard reports with
+// Merge. The standing finding set holds no Go pointers (interned ids in
+// one map, per-owner slices of keys), so a large set costs the garbage
+// collector nothing to mark; Report re-materialises findings on demand.
 //
 // # Gating
 //

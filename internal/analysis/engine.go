@@ -40,9 +40,9 @@ type ownerState struct {
 	// claims constrain; a wildcard owner can overlap anything.
 	keys     []string
 	wildcard bool
-	// findings reverse-indexes the findings touching this owner, so
-	// removing the owner removes exactly its findings.
-	findings map[*Finding]struct{}
+	// findings reverse-indexes the standing findings touching this
+	// owner, so removing the owner removes exactly its findings.
+	findings []fkey
 }
 
 // Stats is a snapshot of engine counters.
@@ -73,9 +73,15 @@ type Engine struct {
 	owners   map[string]*ownerState
 	byKey    map[string]map[string]struct{} // resource id -> owners constraining it
 	wildcard map[string]struct{}            // owners with a resource-wildcard claim
-	// findings holds each standing finding under its key. Pairwise
-	// findings stand without Detail (see Finding.rendered).
-	findings map[string]*Finding
+	// findings is the standing set (see fkey); deletes counts removals
+	// since it was last rebuilt. refs and attrs intern the strings its ids
+	// stand for, and buf renders a ref for lookup. Findings stand without
+	// Detail (see Finding.rendered).
+	findings map[fkey]fval
+	deletes  int
+	refs     interner[Ref]
+	attrs    interner[struct{}]
+	buf      []byte
 	// claims, byKind and bySev are kept current on every add and remove
 	// (the maps hold non-zero counts only), so Stats and Summary never
 	// walk the finding set.
@@ -98,7 +104,10 @@ func (e *Engine) resetLocked() {
 	e.owners = make(map[string]*ownerState)
 	e.byKey = make(map[string]map[string]struct{})
 	e.wildcard = make(map[string]struct{})
-	e.findings = make(map[string]*Finding)
+	e.findings = make(map[fkey]fval)
+	e.deletes = 0
+	e.refs = newInterner[Ref]()
+	e.attrs = newInterner[struct{}]()
 	e.claims = 0
 	e.byKind = make(map[Kind]int)
 	e.bySev = make(map[Severity]int)
@@ -138,7 +147,7 @@ func (e *Engine) applyLocked(id string, ev policy.Evaluable) {
 	if ev == nil {
 		return
 	}
-	st := &ownerState{claims: normalizeClaims(id, ev), findings: make(map[*Finding]struct{})}
+	st := &ownerState{claims: normalizeClaims(id, ev)}
 	st.keys, st.wildcard = resourceKeys(st.claims)
 	e.owners[id] = st
 	e.claims += len(st.claims)
@@ -207,74 +216,19 @@ func (e *Engine) candidateOwnersLocked(st *ownerState, self string) map[string]s
 	return out
 }
 
-func (e *Engine) removeOwnerLocked(id string) {
-	st, ok := e.owners[id]
-	if !ok {
-		return
-	}
-	for f := range st.findings {
-		delete(e.findings, f.Key())
-		if e.byKind[f.Kind]--; e.byKind[f.Kind] == 0 {
-			delete(e.byKind, f.Kind)
-		}
-		if e.bySev[f.Severity]--; e.bySev[f.Severity] == 0 {
-			delete(e.bySev, f.Severity)
-		}
-		for _, ow := range [2]string{f.Subject.Owner, f.Other.Owner} {
-			if ow == "" || ow == id {
-				continue
-			}
-			if ost, ok := e.owners[ow]; ok {
-				delete(ost.findings, f)
-			}
-		}
-	}
-	e.claims -= len(st.claims)
-	for _, k := range st.keys {
-		if set, ok := e.byKey[k]; ok {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(e.byKey, k)
-			}
-		}
-	}
-	delete(e.wildcard, id)
-	delete(e.owners, id)
-}
-
-func (e *Engine) addFindingLocked(f Finding) {
-	key := f.Key()
-	if _, dup := e.findings[key]; dup {
-		return
-	}
-	stored := new(Finding)
-	*stored = f
-	e.findings[key] = stored
-	e.byKind[f.Kind]++
-	e.bySev[f.Severity]++
-	for _, ow := range [2]string{f.Subject.Owner, f.Other.Owner} {
-		if ow == "" {
-			continue
-		}
-		if st, ok := e.owners[ow]; ok {
-			st.findings[stored] = struct{}{}
-		}
-	}
-}
-
 // Report snapshots the current finding set, sorted and deduplicated. The
-// findings are rendered and sorted after the lock is released.
+// findings are rendered, keyed and sorted after the lock is released.
 func (e *Engine) Report() Report {
 	e.mu.Lock()
 	fs := make([]Finding, 0, len(e.findings))
-	keys := make([]string, 0, len(e.findings))
-	for key, f := range e.findings {
-		fs = append(fs, *f)
-		keys = append(keys, key)
+	for k, v := range e.findings {
+		fs = append(fs, e.materialize(k, v))
 	}
 	e.mu.Unlock()
+	keys := make([]string, len(fs))
 	for i := range fs {
 		fs[i] = fs[i].rendered()
+		keys[i] = fs[i].Key()
 	}
 	sortFindings(fs, keys)
 	return Report{Findings: fs}

@@ -114,10 +114,12 @@ type Finding struct {
 	Attribute string `json:"attribute,omitempty"`
 	// Detail is the human-readable explanation.
 	Detail string `json:"detail"`
-	// alg is the combining algorithm a dead zone's Detail names. Pairwise
-	// findings stand in the engine without Detail; rendered writes it
-	// when they leave, and clears alg.
-	alg policy.Algorithm
+	// alg is the combining algorithm a dead zone's Detail names, cond
+	// marks a dead attribute referenced from a condition rather than a
+	// target. Findings stand in the engine without Detail; rendered
+	// writes it when they leave, and clears alg and cond.
+	alg  policy.Algorithm
+	cond bool
 }
 
 // MarshalJSON renders Kind and Severity by name and omits the zero Other
@@ -149,7 +151,7 @@ func (f Finding) Key() string {
 	return string(append(b, f.Attribute...))
 }
 
-// rendered returns f with its Detail written out and alg cleared.
+// rendered returns f with its Detail written out and alg and cond cleared.
 func (f Finding) rendered() Finding {
 	if f.Detail == "" {
 		switch f.Kind {
@@ -165,9 +167,15 @@ func (f Finding) rendered() Finding {
 			f.Detail = fmt.Sprintf("%s can never decide: %s covers it and always wins under %s", f.Subject, f.Other, f.alg)
 		case KindRedundancy:
 			f.Detail = fmt.Sprintf("%s is redundant: %s asserts the same effect for every tuple it covers", f.Subject, f.Other)
+		case KindDeadAttribute:
+			where := "target"
+			if f.cond {
+				where = "condition"
+			}
+			f.Detail = fmt.Sprintf("%s references attribute %s in its %s, which no registered information source or request bag can supply: the reference always resolves empty", f.Subject, f.Attribute, where)
 		}
 	}
-	f.alg = 0
+	f.alg, f.cond = 0, false
 	return f
 }
 

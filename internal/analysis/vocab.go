@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-
 	"repro/internal/pip"
 	"repro/internal/policy"
 )
@@ -95,7 +93,7 @@ func deadAttributes(owner string, ev policy.Evaluable, vocab *Vocabulary, emit f
 	if vocab == nil || vocab.open {
 		return
 	}
-	report := func(ref Ref, cat policy.Category, name, where string) {
+	report := func(ref Ref, cat policy.Category, name string, cond bool) {
 		if vocab.Knows(cat, name) {
 			return
 		}
@@ -104,8 +102,7 @@ func deadAttributes(owner string, ev policy.Evaluable, vocab *Vocabulary, emit f
 			Severity:  SeverityWarning,
 			Subject:   ref,
 			Attribute: vocabKey(cat, name),
-			Detail: fmt.Sprintf("%s references attribute %s in its %s, which no registered information source or request bag can supply: the reference always resolves empty",
-				ref, vocabKey(cat, name), where),
+			cond:      cond,
 		})
 	}
 	policy.Walk(ev, func(e policy.Evaluable) bool {
@@ -113,20 +110,20 @@ func deadAttributes(owner string, ev policy.Evaluable, vocab *Vocabulary, emit f
 		case *policy.PolicySet:
 			ref := Ref{Owner: owner, PolicyID: v.ID}
 			v.Target.VisitAttributes(func(cat policy.Category, name string) {
-				report(ref, cat, name, "target")
+				report(ref, cat, name, false)
 			})
 		case *policy.Policy:
 			pref := Ref{Owner: owner, PolicyID: v.ID}
 			v.Target.VisitAttributes(func(cat policy.Category, name string) {
-				report(pref, cat, name, "target")
+				report(pref, cat, name, false)
 			})
 			for _, r := range v.Rules {
 				rref := Ref{Owner: owner, PolicyID: v.ID, RuleID: r.ID}
 				r.Target.VisitAttributes(func(cat policy.Category, name string) {
-					report(rref, cat, name, "target")
+					report(rref, cat, name, false)
 				})
 				policy.WalkDesignators(r.Condition, func(d *policy.Designator) {
-					report(rref, d.Category, d.Name, "condition")
+					report(rref, d.Category, d.Name, true)
 				})
 			}
 		}

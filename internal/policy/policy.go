@@ -11,7 +11,8 @@ type Evaluable interface {
 	// Evaluate applies the entity to the context.
 	Evaluate(c *Context) Result
 	// TargetMatch tests only the entity's target, used by the
-	// only-one-applicable combining algorithm and by PDP target indexes.
+	// only-one-applicable combining algorithm: the interpreter's, and the
+	// compiled PDP program's over its posting-list candidates.
 	TargetMatch(c *Context) (MatchResult, error)
 	// EntityID returns the entity's identifier.
 	EntityID() string
