@@ -430,9 +430,12 @@ type admin struct {
 // With a durable log the store hydrates from the recovered snapshot+WAL
 // state first, and the file seeds only policies the store has never seen:
 // live administration — updated versions and deletes alike — wins over
-// the seed file across restarts. The log is attached as the store's
-// backend during bootstrap, so the seeding Puts and every /admin/policy
-// write after them are committed to the WAL before they are acknowledged.
+// the seed file across restarts. The seeds go in as one PutAll: one WAL
+// record group behind one fsync. The log is attached as the store's
+// backend during bootstrap, so the seed write and every /admin/policy
+// write after it are committed to the WAL before they are acknowledged. A
+// crash during the seed write may leave a prefix of it durable; the next
+// start seeds the rest.
 func newAdmin(point decisionPoint, root policy.Evaluable, lg *store.Log, lint analysis.Mode, tracer *trace.Tracer, auditLog *audit.Log) (*admin, error) {
 	a := &admin{
 		store: pap.NewStore("pdpd"), point: point,
@@ -446,34 +449,28 @@ func newAdmin(point decisionPoint, root policy.Evaluable, lg *store.Log, lint an
 			return nil, err
 		}
 	}
-	seed := func(ch policy.Evaluable) error {
-		if a.store.History(ch.EntityID()) > 0 {
-			return nil // recovered state supersedes the seed file
-		}
-		_, err := a.store.Put(ch)
-		return err
-	}
-	switch v := root.(type) {
-	case *policy.PolicySet:
+	children := []policy.Evaluable{root}
+	if v, ok := root.(*policy.PolicySet); ok {
 		a.rootID = v.ID
 		a.combining = v.Combining
 		a.rootTarget = v.Target
 		a.rootObligations = v.Obligations
-		seen := make(map[string]struct{}, len(v.Children))
-		for _, ch := range v.Children {
-			id := ch.EntityID()
-			if _, dup := seen[id]; dup {
-				return nil, fmt.Errorf("policy set %s: duplicate child ID %q", v.ID, id)
-			}
-			seen[id] = struct{}{}
-			if err := seed(ch); err != nil {
-				return nil, err
-			}
+		children = v.Children
+	}
+	seeds := make([]policy.Evaluable, 0, len(children))
+	seen := make(map[string]struct{}, len(children))
+	for _, ch := range children {
+		id := ch.EntityID()
+		if _, dup := seen[id]; dup {
+			return nil, fmt.Errorf("policy set %s: duplicate child ID %q", a.rootID, id)
 		}
-	default:
-		if err := seed(root); err != nil {
-			return nil, err
+		seen[id] = struct{}{}
+		if a.store.History(id) == 0 { // recovered state supersedes the seed file
+			seeds = append(seeds, ch)
 		}
+	}
+	if err := a.store.PutAll(seeds); err != nil {
+		return nil, err
 	}
 	if set, ok := root.(*policy.PolicySet); ok && !set.ChildrenSortedByID() {
 		log.Printf("pdpd: root %s children re-ordered by policy ID for live administration; order-dependent combining (e.g. first-applicable) may decide differently than the file order", set.ID)

@@ -27,15 +27,8 @@ import (
 // resurrect. A final SIGTERM checks the graceful-shutdown path exits
 // cleanly.
 func TestDaemonCrashRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and spawns the real daemon")
-	}
 	workDir := t.TempDir()
-	bin := filepath.Join(workDir, "pdpd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t, workDir)
 
 	seedDoc, err := xacml.MarshalJSON(testBase(3)) // pol-res-0..2
 	if err != nil {
@@ -152,6 +145,21 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not exit on SIGTERM")
 	}
+}
+
+// buildDaemon compiles pdpd into dir, skipping the calling test in -short
+// mode.
+func buildDaemon(t *testing.T, dir string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and spawns the real daemon")
+	}
+	bin := filepath.Join(dir, "pdpd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 func freeAddr(t *testing.T) string {

@@ -25,7 +25,7 @@ type claim struct {
 }
 
 // ref locates the claim in findings.
-func (c claim) ref() Ref {
+func (c *claim) ref() Ref {
 	return Ref{Owner: c.Owner, PolicyID: c.PolicyID, RuleID: c.RuleID}
 }
 

@@ -173,13 +173,14 @@ func (e *Engine) findingsForLocked(id string, ev policy.Evaluable, st *ownerStat
 	deadAttributes(id, ev, e.cfg.Vocabulary, emit)
 	for i := range st.claims {
 		for j := i + 1; j < len(st.claims); j++ {
-			pairFindings(st.claims[i], st.claims[j], e.cfg.RootCombining, emit)
+			pairFindings(&st.claims[i], &st.claims[j], e.cfg.RootCombining, emit)
 		}
 	}
 	for other := range e.candidateOwnersLocked(st, id) {
-		for _, ca := range st.claims {
-			for _, cb := range e.owners[other].claims {
-				pairFindings(ca, cb, e.cfg.RootCombining, emit)
+		theirs := e.owners[other].claims
+		for i := range st.claims {
+			for j := range theirs {
+				pairFindings(&st.claims[i], &theirs[j], e.cfg.RootCombining, emit)
 			}
 		}
 	}
@@ -319,7 +320,7 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 // the evaluation order the analysis assumes — root children in
 // lexicographic id order, matching the deterministic root the policy
 // administration point builds.
-func precedes(a, b claim) bool {
+func precedes(a, b *claim) bool {
 	if a.Owner != b.Owner {
 		return a.Owner < b.Owner
 	}
@@ -330,7 +331,7 @@ func precedes(a, b claim) bool {
 // satisfiable claims produces, without Detail. It is symmetric in its
 // claim arguments and pure, which is what makes incremental re-analysis
 // equivalent to from-scratch analysis.
-func pairFindings(x, y claim, root policy.Algorithm, emit func(Finding)) {
+func pairFindings(x, y *claim, root policy.Algorithm, emit func(Finding)) {
 	if x.Owner == y.Owner && x.Seq == y.Seq {
 		return
 	}
@@ -386,7 +387,7 @@ func pairFindings(x, y claim, root policy.Algorithm, emit func(Finding)) {
 		if alg == policy.PermitOverrides {
 			win = policy.EffectPermit
 		}
-		for _, pair := range [2][2]claim{{a, b}, {b, a}} {
+		for _, pair := range [2][2]*claim{{a, b}, {b, a}} {
 			w, l := pair[0], pair[1]
 			if w.Effect == win && l.Effect != win && !w.Conditional && w.Claim.Covers(l.Claim) {
 				emit(Finding{
@@ -407,7 +408,7 @@ func pairFindings(x, y claim, root policy.Algorithm, emit func(Finding)) {
 	}
 }
 
-func redundancyFinding(covered, covering claim) Finding {
+func redundancyFinding(covered, covering *claim) Finding {
 	return Finding{
 		Kind: KindRedundancy, Severity: SeverityWarning,
 		Subject: covered.ref(), Other: covering.ref(),

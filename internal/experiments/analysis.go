@@ -62,10 +62,8 @@ func RunE23Analysis() (*metrics.Table, error) {
 		// existing children are clean (they replace themselves), so every
 		// write passes the gate and commits.
 		st := pap.NewStore("e23")
-		for _, ch := range children {
-			if _, err := st.Put(ch); err != nil {
-				return nil, err
-			}
+		if err := st.PutAll(children); err != nil {
+			return nil, err
 		}
 		st.Watch(func(u pap.Update) {
 			if u.Deleted {

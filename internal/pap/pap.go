@@ -138,77 +138,127 @@ func (s *Store) PreCommit(hook func(Update) error) {
 	s.preCommits = append(s.preCommits, hook)
 }
 
-// runPreCommits consults the registered hooks; callers hold notifyMu.
-func (s *Store) runPreCommits(u Update) error {
-	s.mu.RLock()
-	hooks := s.preCommits
-	s.mu.RUnlock()
-	for _, hook := range hooks {
-		if err := hook(u); err != nil {
-			return fmt.Errorf("pap %s: pre-commit %s: %w", s.name, u.ID, err)
-		}
-	}
-	return nil
-}
-
 // Put validates and stores a policy, returning its new version number. The
 // policy's Version field is rewritten to the store-assigned version so
-// retrieved policies self-describe.
+// retrieved policies self-describe. Put is the one-element PutAll.
 func (s *Store) Put(e policy.Evaluable) (int, error) {
-	if e == nil {
-		return 0, fmt.Errorf("pap %s: nil policy", s.name)
+	us, err := s.put([]policy.Evaluable{e})
+	if err != nil {
+		return 0, err
 	}
-	if err := e.Validate(); err != nil {
-		return 0, fmt.Errorf("pap %s: %w", s.name, err)
+	return us[0].Version, nil
+}
+
+// PutAll stores several policies as one write. Every element is validated
+// and the IDs must be distinct; then, serialised with every other writer,
+// each element is assigned its next version and passed to the pre-commit
+// hooks, all of them reach the backend in one Commit (for a store.Log, one
+// record group behind one fsync), and only then do readers see them and
+// watchers observe them, in slice order. An invalid element, a veto or a
+// failed commit aborts the whole write: nothing is durable, visible or
+// notified. Each hook judges its element against the store as it stood
+// before the write, not against the write's earlier elements.
+func (s *Store) PutAll(es []policy.Evaluable) error {
+	if len(es) == 0 {
+		return nil
 	}
-	id := e.EntityID()
+	_, err := s.put(es)
+	return err
+}
+
+func (s *Store) put(es []policy.Evaluable) ([]Update, error) {
+	us := make([]Update, len(es))
+	seen := make(map[string]struct{}, len(es))
+	for i, e := range es {
+		if e == nil {
+			return nil, fmt.Errorf("pap %s: nil policy", s.name)
+		}
+		if err := e.Validate(); err != nil {
+			return nil, fmt.Errorf("pap %s: %w", s.name, err)
+		}
+		id := e.EntityID()
+		if _, dup := seen[id]; dup {
+			return nil, fmt.Errorf("pap %s: policy %q appears twice in one write", s.name, id)
+		}
+		seen[id] = struct{}{}
+		us[i] = Update{ID: id, Policy: e}
+	}
 	s.notifyMu.Lock()
 	defer s.notifyMu.Unlock()
 
-	// Writers are serialised by notifyMu, so the version assigned under a
-	// read lock cannot be invalidated by a concurrent writer; only readers
-	// run while the backend makes the write durable below.
+	// Writers are serialised by notifyMu, so versions assigned under a
+	// read lock cannot be invalidated by a concurrent writer.
 	s.mu.RLock()
-	version := 1
-	if ent, ok := s.entries[id]; ok {
-		version = len(ent.versions) + 1
+	for i := range us {
+		us[i].Version = 1
+		if ent, ok := s.entries[us[i].ID]; ok {
+			us[i].Version = len(ent.versions) + 1
+		}
 	}
-	backend := s.backend
 	s.mu.RUnlock()
-	setVersion(e, version)
-	u := Update{ID: id, Version: version, Policy: e}
+	for _, u := range us {
+		setVersion(u.Policy, u.Version)
+	}
+	if err := s.commitLocked(us); err != nil {
+		return nil, err
+	}
+	return us, nil
+}
+
+// commitLocked takes one write through the pipeline every change follows:
+// the pre-commit hooks on each update, one backend Commit for all of them,
+// then publication to readers and watchers in order. Callers hold
+// notifyMu, so only readers run while the backend works.
+func (s *Store) commitLocked(us []Update) error {
+	s.mu.RLock()
+	hooks, backend := s.preCommits, s.backend
+	s.mu.RUnlock()
 
 	// Pre-commit hooks veto before durability: an aborted write leaves no
 	// trace in the backend either.
-	if err := s.runPreCommits(u); err != nil {
-		return 0, err
+	for _, u := range us {
+		for _, hook := range hooks {
+			if err := hook(u); err != nil {
+				return fmt.Errorf("pap %s: pre-commit %s: %w", s.name, u.ID, err)
+			}
+		}
 	}
 
-	// Durability before visibility: the change reaches the backend before
+	// Durability before visibility: the write reaches the backend before
 	// the in-memory state or any watcher can observe it, so an
 	// acknowledged write survives a crash and an aborted one was never
 	// served.
 	if backend != nil {
-		if err := backend.Commit(u); err != nil {
-			return 0, fmt.Errorf("pap %s: commit %s: %w", s.name, id, err)
+		if err := backend.Commit(us...); err != nil {
+			what := us[0].ID
+			if len(us) > 1 {
+				what = fmt.Sprintf("%d updates from %s", len(us), what)
+			}
+			return fmt.Errorf("pap %s: commit %s: %w", s.name, what, err)
 		}
 	}
 
 	s.mu.Lock()
-	ent, ok := s.entries[id]
-	if !ok {
-		ent = &entry{}
-		s.entries[id] = ent
+	for _, u := range us {
+		ent, ok := s.entries[u.ID]
+		if !ok {
+			ent = &entry{}
+			s.entries[u.ID] = ent
+		}
+		ent.deleted = u.Deleted
+		if !u.Deleted {
+			ent.versions = append(ent.versions, u.Policy)
+		}
 	}
-	ent.deleted = false
-	ent.versions = append(ent.versions, e)
 	watchers := s.watchers
 	s.mu.Unlock()
 
-	for _, w := range watchers {
-		w(u)
+	for _, u := range us {
+		for _, w := range watchers {
+			w(u)
+		}
 	}
-	return version, nil
+	return nil
 }
 
 func setVersion(e policy.Evaluable, v int) {
@@ -256,28 +306,11 @@ func (s *Store) Delete(id string) error {
 	s.mu.RLock()
 	ent, ok := s.entries[id]
 	live := ok && !ent.deleted
-	backend := s.backend
 	s.mu.RUnlock()
 	if !live {
 		return fmt.Errorf("pap %s: %q: %w", s.name, id, ErrNotFound)
 	}
-	u := Update{ID: id, Deleted: true}
-	if err := s.runPreCommits(u); err != nil {
-		return err
-	}
-	if backend != nil {
-		if err := backend.Commit(u); err != nil {
-			return fmt.Errorf("pap %s: commit delete %s: %w", s.name, id, err)
-		}
-	}
-	s.mu.Lock()
-	ent.deleted = true
-	watchers := s.watchers
-	s.mu.Unlock()
-	for _, w := range watchers {
-		w(u)
-	}
-	return nil
+	return s.commitLocked([]Update{{ID: id, Deleted: true}})
 }
 
 // List returns the IDs of live policies, sorted.

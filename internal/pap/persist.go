@@ -7,18 +7,20 @@ import (
 )
 
 // Backend is the optional durability layer beneath a Store: a write-ahead
-// log (internal/store) or a test double. Commit is called once per change
-// with writers serialised in commit order — the same order watchers later
-// observe — strictly before the change becomes visible to readers and
-// before any watcher runs. An error from Commit aborts the write: the
-// store is left untouched and the caller's Put or Delete fails, so an
+// log (internal/store) or a test double. Commit is called once per write —
+// one update for a Put or Delete, all of them for a PutAll — with writers
+// serialised in commit order, the same order watchers later observe,
+// strictly before the write becomes visible to readers and before any
+// watcher runs. An error from Commit aborts the write: the store is left
+// untouched and the caller's Put, PutAll or Delete fails, so an
 // acknowledged write is always durable and a durable log never contains a
-// write the store did not acknowledge... except for the final record of a
-// crash window, which recovery handles by replaying the log (an extra
-// committed-but-unacknowledged tail record is safe to re-apply because the
-// client never saw the ack).
+// write the store did not acknowledge... except for the records of a crash
+// window, which recovery handles by replaying the log (committed-but-
+// unacknowledged tail records are safe to re-apply because the client
+// never saw the ack; a multi-update write may survive as a prefix of its
+// updates, exactly as the same updates written one at a time would).
 type Backend interface {
-	Commit(Update) error
+	Commit(...Update) error
 }
 
 // SetBackend attaches the durability layer. Writes committed while no

@@ -13,20 +13,25 @@ import (
 // cannot import without a cycle.
 type stubBackend struct {
 	commits []Update
+	// calls counts successful Commit calls (one per write).
+	calls int
 	// observed is called inside Commit so tests can examine store state
 	// at commit time, before the write becomes visible.
 	observed func(Update)
 	err      error
 }
 
-func (b *stubBackend) Commit(u Update) error {
+func (b *stubBackend) Commit(us ...Update) error {
 	if b.err != nil {
 		return b.err
 	}
-	if b.observed != nil {
-		b.observed(u)
+	for _, u := range us {
+		if b.observed != nil {
+			b.observed(u)
+		}
+		b.commits = append(b.commits, u)
 	}
-	b.commits = append(b.commits, u)
+	b.calls++
 	return nil
 }
 

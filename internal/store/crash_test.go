@@ -88,7 +88,8 @@ func probe(engine *pdp.Engine, ids int) []policy.Decision {
 // base — and therefore byte-identical decisions — of some acknowledged
 // prefix of the sequence. Never a torn half-write, never a lost
 // acknowledged record beyond the torn tail, and monotone: more surviving
-// bytes never recover fewer writes.
+// bytes never recover fewer writes. The sequence ends in one multi-record
+// write (PutAll), whose records a cut may keep only as an in-order prefix.
 func TestCrashAtAnyByteOffset(t *testing.T) {
 	const ops, ids = 10, 4
 	dir := t.TempDir()
@@ -99,11 +100,24 @@ func TestCrashAtAnyByteOffset(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	fingerprints := randomOps(t, s, rng, ops, ids)
+	if err := s.PutAll(batchPolicies(ids)); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Batches != ops+1 || st.Appends != ops+ids {
+		t.Fatalf("WAL stats = %+v, want %d batches carrying %d records", st, ops+1, ops+ids)
+	}
 
 	// Decision probes for every prefix, from independently rebuilt
 	// engines: recovery must land exactly on one of these.
-	prefixProbes := make([][]policy.Decision, len(fingerprints))
 	prefixStores := prefixStoresFor(t, ops, ids)
+	for _, ps := range prefixStores[len(fingerprints):] {
+		fingerprints = append(fingerprints, rootFingerprint(t, ps))
+	}
+	if fingerprints[len(fingerprints)-1] != rootFingerprint(t, s) {
+		t.Fatal("live store after the batch differs from the rebuilt final prefix")
+	}
+	writes := len(fingerprints) - 1
+	prefixProbes := make([][]policy.Decision, len(fingerprints))
 	for i, ps := range prefixStores {
 		engine := pdp.New(fmt.Sprintf("prefix-%d", i))
 		root, err := ps.BuildRoot("root", policy.DenyOverrides)
@@ -135,7 +149,7 @@ func TestCrashAtAnyByteOffset(t *testing.T) {
 		}
 		got, n, decisions := recoverFingerprint(t, crashDir, ids)
 		if n >= len(fingerprints) {
-			t.Fatalf("cut %d: recovered %d records from %d writes", cut, n, ops)
+			t.Fatalf("cut %d: recovered %d records from %d writes", cut, n, writes)
 		}
 		if got != fingerprints[n] {
 			t.Fatalf("cut %d: recovered state does not match acknowledged prefix %d", cut, n)
@@ -150,14 +164,27 @@ func TestCrashAtAnyByteOffset(t *testing.T) {
 		}
 		lastRecovered = n
 	}
-	if lastRecovered != ops {
-		t.Fatalf("full WAL recovered %d of %d writes", lastRecovered, ops)
+	if lastRecovered != writes {
+		t.Fatalf("full WAL recovered %d of %d writes", lastRecovered, writes)
 	}
+}
+
+// batchPolicies is the multi-record write closing the crash sequence: a
+// fresh revision of every ID, in descending ID order so an in-order
+// prefix differs from every other subset.
+func batchPolicies(ids int) []policy.Evaluable {
+	out := make([]policy.Evaluable, 0, ids)
+	for i := ids - 1; i >= 0; i-- {
+		id := fmt.Sprintf("p-%d", i)
+		out = append(out, testPolicy(id, "res-"+id, "batch"))
+	}
+	return out
 }
 
 // prefixStoresFor rebuilds, from scratch and without any persistence, the
 // store state after every prefix of the same pseudo-random op sequence
-// (same seed, same retry rule as randomOps).
+// (same seed, same retry rule as randomOps) followed by batchPolicies,
+// one record at a time.
 func prefixStoresFor(t *testing.T, ops, ids int) []*pap.Store {
 	t.Helper()
 	stores := make([]*pap.Store, 0, ops+1)
@@ -189,6 +216,12 @@ func prefixStoresFor(t *testing.T, ops, ids int) []*pap.Store {
 			if _, err := s.Put(testPolicy(id, "res-"+id, fmt.Sprintf("op%d", i))); err != nil {
 				t.Fatal(err)
 			}
+		}
+		stores = append(stores, snap())
+	}
+	for _, e := range batchPolicies(ids) {
+		if _, err := s.Put(e); err != nil {
+			t.Fatal(err)
 		}
 		stores = append(stores, snap())
 	}

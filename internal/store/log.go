@@ -62,7 +62,7 @@ type RecoveredEntry struct {
 }
 
 type appendReq struct {
-	u    pap.Update
+	us   []pap.Update
 	done chan error
 }
 
@@ -182,15 +182,23 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Append makes one update durable: it returns only after the record (and
-// everything queued before it) has been written and fsynced. Concurrent
-// appenders share fsyncs via group commit. After a write error the log
-// fail-stops: the failed append and every later one return the fault.
-func (l *Log) Append(u pap.Update) error {
-	if u.ID == "" || (!u.Deleted && u.Policy == nil) {
-		return errors.New("store: append: update needs an ID and (for puts) a policy")
+// Append makes updates durable: it returns only after their records (and
+// everything queued before them) have been written, as consecutive frames
+// in order, and fsynced. One call is one request, however many updates it
+// carries; concurrent appenders share fsyncs via group commit. A call
+// whose update cannot be encoded fails whole, writing none of its records.
+// After a write error the log fail-stops: the failed append and every
+// later one return the fault.
+func (l *Log) Append(us ...pap.Update) error {
+	if len(us) == 0 {
+		return nil
 	}
-	req := &appendReq{u: u, done: make(chan error, 1)}
+	for _, u := range us {
+		if u.ID == "" || (!u.Deleted && u.Policy == nil) {
+			return errors.New("store: append: update needs an ID and (for puts) a policy")
+		}
+	}
+	req := &appendReq{us: us, done: make(chan error, 1)}
 	l.closeMu.RLock()
 	if l.closed {
 		l.closeMu.RUnlock()
@@ -202,7 +210,7 @@ func (l *Log) Append(u pap.Update) error {
 }
 
 // Commit implements pap.Backend.
-func (l *Log) Commit(u pap.Update) error { return l.Append(u) }
+func (l *Log) Commit(us ...pap.Update) error { return l.Append(us...) }
 
 // Close stops the log after draining queued appends (each still honouring
 // the durability contract), writes a final snapshot when snapshots are
@@ -440,9 +448,11 @@ func (l *Log) gather(first *appendReq) []*appendReq {
 	return batch
 }
 
-// commitBatch writes the batch as consecutive frames, fsyncs once, and
-// acknowledges every request. Only after the fsync does the materialised
-// state advance — the in-memory view never runs ahead of the disk.
+// commitBatch writes every record of the batch's requests as consecutive
+// frames, fsyncs once, and acknowledges every request; a batch that
+// crosses the snapshot threshold snapshots once, however many records it
+// carries. Only after the fsync does the materialised state advance — the
+// in-memory view never runs ahead of the disk.
 func (l *Log) commitBatch(batch []*appendReq) {
 	if l.failed != nil {
 		for _, req := range batch {
@@ -456,13 +466,24 @@ func (l *Log) commitBatch(batch []*appendReq) {
 		docs  [][]byte
 	)
 	for _, req := range batch {
-		payload, doc, err := encodeRecord(l.seq+uint64(len(acked))+1, req.u)
+		// A request is all or nothing: an unencodable update withdraws
+		// the frames of its request's earlier updates.
+		mark, ndocs := len(buf), len(docs)
+		var err error
+		for _, u := range req.us {
+			var payload, doc []byte
+			payload, doc, err = encodeRecord(l.seq+uint64(len(docs))+1, u)
+			if err != nil {
+				break
+			}
+			buf = appendFrame(buf, payload)
+			docs = append(docs, doc)
+		}
 		if err != nil {
+			buf, docs = buf[:mark], docs[:ndocs]
 			req.done <- err
 			continue
 		}
-		buf = appendFrame(buf, payload)
-		docs = append(docs, doc)
 		acked = append(acked, req)
 	}
 	if len(acked) == 0 {
@@ -479,14 +500,18 @@ func (l *Log) commitBatch(batch []*appendReq) {
 		}
 		return
 	}
-	for i, req := range acked {
-		l.seq++
-		l.applyState(req.u, docs[i])
+	i := 0
+	for _, req := range acked {
+		for _, u := range req.us {
+			l.seq++
+			l.applyState(u, docs[i])
+			i++
+		}
 	}
-	l.sinceSnap += len(acked)
+	l.sinceSnap += len(docs)
 	l.statsMu.Lock()
 	l.stats.LastSeq = l.seq
-	l.stats.Appends += uint64(len(acked))
+	l.stats.Appends += uint64(len(docs))
 	l.stats.Batches++
 	l.stats.Fsyncs++
 	l.statsMu.Unlock()

@@ -394,6 +394,89 @@ func TestOversizedRecordRejected(t *testing.T) {
 	}
 }
 
+// unencodable is a policy the record codec refuses (xacml serialises only
+// *policy.Policy and *policy.PolicySet): a cheap encode failure.
+type unencodable struct{ *policy.Policy }
+
+// TestAppendBatchOneFsync: one multi-update Append is one group — one
+// batch, one fsync, N records — recovered in order; an unencodable update
+// fails its whole call and writes none of its records.
+func TestAppendBatchOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{SnapshotEvery: -1})
+	if err := l.Append(putUpdate("p-first", "res", "v", 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := l.Stats()
+	var batch []pap.Update
+	for i := 0; i < 6; i++ {
+		batch = append(batch, putUpdate(fmt.Sprintf("p-%d", i), fmt.Sprintf("res-%d", i), "v", 1))
+	}
+	if err := l.Append(batch...); err != nil {
+		t.Fatal(err)
+	}
+	after := l.Stats()
+	n := uint64(len(batch))
+	if after.Batches != before.Batches+1 || after.Fsyncs != before.Fsyncs+1 ||
+		after.Appends != before.Appends+n || after.LastSeq != before.LastSeq+n {
+		t.Fatalf("stats %+v -> %+v, want +1 batch, +1 fsync, +%d appends", before, after, n)
+	}
+
+	odd := unencodable{testPolicy("p-odd", "res", "v")}
+	bad := []pap.Update{putUpdate("p-ok", "res", "v", 1), {ID: "p-odd", Version: 1, Policy: odd}}
+	if err := l.Append(bad...); err == nil {
+		t.Fatal("batch with an unencodable record acknowledged")
+	}
+	if st := l.Stats(); st.LastSeq != after.LastSeq || st.Appends != after.Appends {
+		t.Fatalf("rejected batch moved the log: %+v -> %+v", after, st)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mustOpen(t, dir, Options{SnapshotEvery: -1})
+	defer r.Close()
+	tail := r.RecoveredTail()
+	if len(tail) != 1+len(batch) {
+		t.Fatalf("recovered %d records, want %d", len(tail), 1+len(batch))
+	}
+	for i, u := range batch {
+		sameUpdate(t, tail[1+i], u)
+	}
+}
+
+// TestAppendBatchCrossingSnapshotSnapshotsOnce: a batch that carries the
+// log past SnapshotEvery — even several intervals past it — snapshots once,
+// after its one fsync, and the snapshot covers the whole batch.
+func TestAppendBatchCrossingSnapshotSnapshotsOnce(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{SnapshotEvery: 4})
+	for i := 0; i < 2; i++ {
+		if err := l.Append(putUpdate(fmt.Sprintf("p-single-%d", i), "res", "v", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var batch []pap.Update
+	for i := 0; i < 11; i++ {
+		batch = append(batch, putUpdate(fmt.Sprintf("p-%02d", i), fmt.Sprintf("res-%d", i), "v", 1))
+	}
+	if err := l.Append(batch...); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.Snapshots != 1 || st.SnapshotSeq != st.LastSeq || st.LastSeq != 13 || st.Fsyncs != 3 {
+		t.Fatalf("stats = %+v, want 1 snapshot covering seq 13 after 3 fsyncs", st)
+	}
+	if err := l.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, dir, Options{SnapshotEvery: 4})
+	defer r.Close()
+	if st := r.Stats(); st.RecoveredSnapshot != 13 || st.RecoveredTail != 0 {
+		t.Fatalf("recovery = %+v, want 13 snapshot entries and no tail", st)
+	}
+}
+
 // TestCrashSkipsFinalSnapshot pins the Crash/Close distinction the crash
 // tests and benchmarks rely on.
 func TestCrashSkipsFinalSnapshot(t *testing.T) {

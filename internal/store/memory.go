@@ -21,13 +21,13 @@ type Memory struct {
 func NewMemory() *Memory { return &Memory{} }
 
 // Commit implements pap.Backend.
-func (m *Memory) Commit(u pap.Update) error {
+func (m *Memory) Commit(us ...pap.Update) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return m.err
 	}
-	m.updates = append(m.updates, u)
+	m.updates = append(m.updates, us...)
 	return nil
 }
 
