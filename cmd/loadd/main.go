@@ -21,12 +21,12 @@
 // recovery checks. Violations, goodput below -min-goodput, or p99 above
 // -max-p99 exit non-zero, so CI can gate on a live run.
 //
-// With -resilience the spawned pdpd arms its breaker/serve-stale layer, so
-// the brownout scenario can prove degraded mode end to end: while the
-// partition holds, warm keys answer served-stale (counted by the daemon and
-// gated by -min-stale) instead of failing closed, and the harness reports
-// server-side admission rejections (rejected) and degraded serves
-// separately from its own queue shed.
+// With -resilience the spawned pdpd arms its breakers and its
+// last-known-good layer, so the brownout scenario can prove degraded mode
+// end to end: while the partition holds, warm keys answer served-stale
+// (counted by the daemon and gated by -min-stale) instead of failing
+// closed, and the harness reports server-side admission rejections
+// (rejected) and degraded serves separately from its own queue shed.
 //
 // Usage:
 //
@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxP99 := fs.Duration("max-p99", 0, "fail (exit 1) when p99 latency exceeds this")
 	resilienceOn := fs.Bool("resilience", false, "spawn pdpd with the resilience layer armed (-breaker plus -stale-grace below); brownout runs need this")
 	staleGraceFlag := fs.Duration("stale-grace", 30*time.Second, "degraded-mode staleness bound forwarded to the spawned pdpd (with -resilience)")
-	minStale := fs.Int64("min-stale", 0, "fail (exit 1) when the daemon served fewer than this many stale decisions (repro_cluster_stale_served_total); proves degraded mode engaged during a brownout")
+	minStale := fs.Int64("min-stale", 0, "fail (exit 1) when the daemon served fewer than this many stale decisions (repro_stale_served_total); proves degraded mode engaged during a brownout")
 	chaosOn := fs.Bool("chaos", false, "run the fault schedule during the load run")
 	chaosCrash := fs.Duration("chaos-crash", 10*time.Second, "replica-crash offset (0 disables)")
 	chaosPartition := fs.Duration("chaos-partition", 20*time.Second, "shard-partition offset (0 disables)")
@@ -187,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *minStale > 0 {
 		// The degraded-mode proof: the daemon itself must report having
 		// served stale decisions, not just the harness having survived.
-		served, err := scrapeCounter(ctx, endpoint+"/metrics", "repro_cluster_stale_served_total")
+		served, err := scrapeCounter(ctx, endpoint+"/metrics", "repro_stale_served_total")
 		switch {
 		case err != nil:
 			fmt.Fprintf(stderr, "loadd: FAIL: stale-served scrape: %v\n", err)

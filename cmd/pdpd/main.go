@@ -37,9 +37,11 @@
 //
 // The resilience layer is opt-in per mechanism. -breaker arms per-shard
 // circuit breakers (a dead shard group fails fast instead of burning every
-// caller's deadline budget); -stale-grace arms bounded-staleness degraded
-// mode (an open breaker answers warm keys from the last-known-good cache,
-// marked degraded and audit-logged, while cold keys fail closed);
+// caller's deadline budget); -stale-grace places the one last-known-good
+// layer over the decision point, in either mode (an Indeterminate — open
+// breaker, replicas down, dead PIP — is answered for warm keys with their
+// last conclusive decision, marked degraded and audit-logged, while cold
+// keys fail closed; every admin write retires the remembered decisions);
 // -hedge-after arms hedged replica fan-out for batch decisions; and
 // -admission arms adaptive (AIMD) admission control at ingress, shedding
 // excess decision traffic with 503 + Retry-After while the admin plane,
@@ -93,8 +95,9 @@ import (
 // context wire.HTTPHandler arms from the envelope's deadline budget, so a
 // remote caller's deadline bounds the work this daemon does for it.
 type decisionPoint interface {
-	Decide(ctx context.Context, req *policy.Request) policy.Result
-	DecideBatch(ctx context.Context, reqs []*policy.Request) []policy.Result
+	pdp.Provider
+	pdp.BatchProvider
+	resilience.Provider
 	ApplyUpdate(u pdp.Update) error
 	SetRoot(root policy.Evaluable) error
 }
@@ -118,7 +121,7 @@ func main() {
 	breakerFlag := flag.Bool("breaker", false, "arm per-shard circuit breakers (cluster mode): a shard group observed down fails fast instead of burning per-request deadline budget")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive shard failures that open the breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-state cooldown before a single half-open probe is admitted")
-	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: serve a last-known-good decision no older than this while the owning dependency is down (0 fails closed instead)")
+	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it is no older than this and no policy write came since (0 fails closed instead)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge replica batch fan-out after this delay (cluster mode; 0 disables)")
 	admissionLimit := flag.Int("admission", 0, "adaptive (AIMD) admission control: initial concurrency limit for decision traffic, shed with 503 + Retry-After beyond it; admin/health/metrics are never shed (0 disables)")
 	flag.Parse()
@@ -199,23 +202,29 @@ func main() {
 			log.Printf("pdpd: policy lint (%s): %s", lintMode, sum)
 		}
 	}
-	if router != nil && resPolicy != nil {
-		// Every degraded serve leaves an audit trail: which shard's outage
-		// was papered over, for which cache key, and how stale the answer
-		// was. The ring is shared with the admin plane, so one query shows
-		// the policy writes and the brownouts they rode through.
-		auditLog := adm.auditLog
-		router.SetOnDegraded(func(shard, key string, age time.Duration) {
-			auditLog.Record(audit.Event{
+	// The handlers serve the point itself, or the one last-known-good
+	// layer placed over it.
+	decide, decideBatch := pdp.Handler(point), pdp.BatchHandler(point)
+	if *staleGrace > 0 {
+		stale := resilience.NewStaleCache(point, resPolicy)
+		stale.RegisterMetrics(reg)
+		// Every degraded serve is audited with the outage it papered over
+		// (the replaced Indeterminate's error), the cache key and the age.
+		// The ring is shared with the admin plane, so one query shows the
+		// policy writes and the brownouts they rode through.
+		stale.SetAudit(func(key string, age time.Duration, cause error) {
+			adm.auditLog.Record(audit.Event{
 				Time:      time.Now(),
 				Component: "pdpd/resilience",
-				Subject:   shard,
+				Subject:   fmt.Sprint(cause),
 				Resource:  key,
 				Action:    "serve-stale",
-				By:        "breaker:open",
+				By:        "last-known-good",
 				Latency:   age,
 			})
 		})
+		adm.stale = stale
+		decide, decideBatch = pdp.Handler(stale), pdp.BatchHandler(stale)
 	}
 
 	var admission *resilience.Admission
@@ -228,8 +237,8 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/decide", wire.HTTPHandler(pdp.Handler(point), wire.WithTracer(tracer)))
-	mux.Handle("/decide-batch", wire.HTTPHandler(pdp.BatchHandler(point), wire.WithTracer(tracer)))
+	mux.Handle("/decide", wire.HTTPHandler(decide, wire.WithTracer(tracer)))
+	mux.Handle("/decide-batch", wire.HTTPHandler(decideBatch, wire.WithTracer(tracer)))
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/traces", tracer.Handler())
 	mux.HandleFunc("/admin/policy", adm.handlePolicy)
@@ -240,12 +249,17 @@ func main() {
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		out := struct {
-			Point         any                        `json:"point"`
-			Policies      int                        `json:"policies"`
-			RefreshErrors int64                      `json:"refresh_errors"`
-			Persistence   *store.Stats               `json:"persistence,omitempty"`
-			Admission     *resilience.AdmissionStats `json:"admission,omitempty"`
-		}{stats(), len(adm.store.List()), adm.refreshErrs.Load(), nil, nil}
+			Point         any                         `json:"point"`
+			Policies      int                         `json:"policies"`
+			RefreshErrors int64                       `json:"refresh_errors"`
+			Persistence   *store.Stats                `json:"persistence,omitempty"`
+			Admission     *resilience.AdmissionStats  `json:"admission,omitempty"`
+			Stale         *resilience.StaleCacheStats `json:"stale,omitempty"`
+		}{Point: stats(), Policies: len(adm.store.List()), RefreshErrors: adm.refreshErrs.Load()}
+		if adm.stale != nil {
+			st := adm.stale.Stats()
+			out.Stale = &st
+		}
 		if lg != nil {
 			st := lg.Stats()
 			out.Persistence = &st
@@ -335,11 +349,12 @@ func admissionPriority(r *http.Request) resilience.Priority {
 	return resilience.Decision
 }
 
-// buildDecisionPoint assembles the serving surface; the returned router is
+// buildDecisionPoint assembles the decision point; the returned router is
 // non-nil only in cluster mode, where it additionally exposes the replica
 // handles /admin/chaos injects faults through. A non-nil res arms the
-// resilience layer: per-shard breakers, serve-stale and hedging in cluster
-// mode, engine-level serve-stale (PIP outages) in single-engine mode.
+// router's per-shard breakers and hedging; its StaleGrace is applied by
+// the caller, which places one resilience.StaleCache over the point in
+// either mode.
 func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (decisionPoint, func() any, *cluster.Router, error) {
 	var opts []pdp.Option
 	if cacheTTL > 0 {
@@ -347,12 +362,6 @@ func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy s
 	}
 	if resolver != nil {
 		opts = append(opts, pdp.WithResolver(resolver))
-	}
-	if res != nil && res.StaleGrace > 0 && cacheTTL > 0 && shards <= 1 && replicas <= 1 {
-		// Single-engine degraded mode rides the decision cache: an
-		// Indeterminate (dead PIP backend) is answered from the
-		// last-known-good entry within the grace window.
-		opts = append(opts, pdp.WithStaleGrace(res.StaleGrace))
 	}
 
 	if shards <= 1 && replicas <= 1 {
@@ -417,6 +426,9 @@ type admin struct {
 	lintMode analysis.Mode
 	tracer   *trace.Tracer
 	auditLog *audit.Log
+	// stale is the last-known-good layer over point, nil without
+	// -stale-grace; every applied write invalidates it.
+	stale *resilience.StaleCache
 }
 
 // newAdmin seeds the store from the loaded policy file (a policy set
@@ -543,6 +555,10 @@ func (a *admin) apply(u pap.Update) {
 	if errors.Is(err, pdp.ErrNotIncremental) {
 		err = a.installRoot()
 	}
+	// Retire the remembered decisions once the write is in the point (or
+	// failed half-way): a decision dispatched before this call may have
+	// been evaluated against the old base and must never be served stale.
+	a.stale.Invalidate()
 	if err != nil {
 		a.refreshErrs.Add(1)
 		log.Printf("pdpd: policy refresh %s: %v", u.ID, err)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/audit"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 	"repro/internal/trace"
 	"repro/internal/xacml"
 )
@@ -274,5 +275,48 @@ func TestAdminLiveUpdates(t *testing.T) {
 				t.Fatalf("refresh errors = %d, want 0", adm.refreshErrs.Load())
 			}
 		})
+	}
+}
+
+// TestAdminWriteRetiresStaleDecisions: with -stale-grace the admin plane
+// invalidates the last-known-good layer after every write it applies, so a
+// permission revoked over /admin/policy cannot be served stale through a
+// later outage — while a decision made after the write still can.
+func TestAdminWriteRetiresStaleDecisions(t *testing.T) {
+	point, _, router, err := buildDecisionPoint(0, 1, 2, "failover", nil,
+		&resilience.Policy{Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Minute}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := resilience.NewStaleCache(point, &resilience.Policy{StaleGrace: time.Minute})
+	adm := testAdmin(t, point, testBase(2), analysis.ModeOff)
+	adm.stale = stale
+	revoked := policy.NewAccessRequest("u", "res-0", "read")
+	kept := policy.NewAccessRequest("u", "res-1", "read")
+	if got := stale.Decide(context.Background(), revoked); got.Decision != policy.DecisionPermit {
+		t.Fatalf("seed decision = %+v, want permit", got)
+	}
+
+	rec := httptest.NewRecorder()
+	adm.handlePolicy(rec, httptest.NewRequest(http.MethodDelete, "/admin/policy?id=pol-res-0", nil))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE = %d: %s", rec.Code, rec.Body)
+	}
+	if got := stale.Decide(context.Background(), kept); got.Decision != policy.DecisionPermit {
+		t.Fatalf("post-write decision = %+v, want permit", got)
+	}
+
+	reps, err := router.Replicas(router.Shards()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reps {
+		rep.SetDown(true)
+	}
+	if got := stale.Decide(context.Background(), revoked); got.Decision != policy.DecisionIndeterminate || got.Degraded {
+		t.Fatalf("revoked key during outage = %+v, want fail-closed Indeterminate", got)
+	}
+	if got := stale.Decide(context.Background(), kept); got.Decision != policy.DecisionPermit || !got.Degraded {
+		t.Fatalf("key decided after the write, during outage = %+v, want Degraded permit", got)
 	}
 }

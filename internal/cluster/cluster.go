@@ -68,11 +68,10 @@ type Config struct {
 	EngineOptions []pdp.Option
 	// Clock drives Decide and DecideBatch; time.Now when nil.
 	Clock func() time.Time
-	// Resilience, when non-nil, arms the router's degraded-mode machinery:
-	// a circuit breaker per shard group, a bounded-staleness last-known-good
-	// cache serving warm keys while a breaker is open, and optional hedged
-	// batch dispatch. Nil keeps the decision path exactly as before — no
-	// breaker check, no stale bookkeeping.
+	// Resilience, when non-nil, arms a circuit breaker per shard group (an
+	// open breaker fails fast with resilience.ErrOpen) and, with HedgeAfter,
+	// hedged batch dispatch. StaleGrace is not the router's concern: a
+	// resilience.StaleCache placed over the router serves last-known-good.
 	Resilience *resilience.Policy
 }
 
@@ -93,11 +92,8 @@ type Stats struct {
 	// UpdateShardsTouched sums the shard groups each delta reached; the
 	// remaining shards kept their policy bases and decision caches.
 	UpdateShardsTouched int64
-	// StaleServed counts degraded decisions answered from the
-	// last-known-good cache while a shard breaker was open.
-	StaleServed int64
-	// DegradedRejects counts open-breaker requests with no usable stale
-	// entry: they failed fast and closed (resilience.ErrOpen).
+	// DegradedRejects counts requests failed fast by an open shard
+	// breaker (resilience.ErrOpen).
 	DegradedRejects int64
 }
 
@@ -105,8 +101,7 @@ type Stats struct {
 // under the router's read lock, so the fields must be atomic.
 type counters struct {
 	requests, batches, batchRequests, rebalances, childrenMoved atomic.Int64
-	updates, updateShardsTouched                                atomic.Int64
-	staleServed, degradedRejects                                atomic.Int64
+	updates, updateShardsTouched, degradedRejects               atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -118,7 +113,6 @@ func (c *counters) snapshot() Stats {
 		ChildrenMoved:       c.childrenMoved.Load(),
 		Updates:             c.updates.Load(),
 		UpdateShardsTouched: c.updateShardsTouched.Load(),
-		StaleServed:         c.staleServed.Load(),
 		DegradedRejects:     c.degradedRejects.Load(),
 	}
 }
@@ -171,13 +165,9 @@ type Router struct {
 	// metricsOn gates per-decision latency observation: zero clock reads
 	// on the decision path until RegisterMetrics flips it.
 	metricsOn atomic.Bool
-	// res and stale carry the degraded-mode state armed by
-	// Config.Resilience; both nil when resilience is off.
-	res   *resilience.Policy
-	stale *resilience.StaleCache
-	// onDegraded, when set (SetOnDegraded), observes every stale serve —
-	// the audit hook. Called under the router's read lock.
-	onDegraded func(shard, cacheKey string, age time.Duration)
+	// res is the breaker and hedging policy armed by Config.Resilience;
+	// nil when resilience is off.
+	res *resilience.Policy
 }
 
 // New builds a cluster of cfg.Shards empty shard groups.
@@ -210,9 +200,6 @@ func New(name string, cfg Config) (*Router, error) {
 			res.Breaker.Clock = cfg.Clock
 		}
 		r.res = &res
-		if res.StaleGrace > 0 {
-			r.stale = resilience.NewStaleCache(res.StaleItems)
-		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		r.addShardLocked()
@@ -540,7 +527,7 @@ func (r *Router) DecideAtWith(ctx context.Context, req *policy.Request, at time.
 		defer route.End()
 	}
 	if s.breaker != nil && !s.breaker.Allow() {
-		return r.serveDegradedLocked(ctx, s, req, at)
+		return r.failFast(s, 1)
 	}
 	var res policy.Result
 	if r.metricsOn.Load() {
@@ -550,7 +537,7 @@ func (r *Router) DecideAtWith(ctx context.Context, req *policy.Request, at time.
 	} else {
 		res = s.group.DecideAtWith(ctx, req, at, resolver)
 	}
-	r.observeShardLocked(s, req, at, res)
+	r.observeShardLocked(s, res)
 	return res
 }
 
@@ -675,10 +662,11 @@ func (r *Router) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at t
 			return
 		}
 		if s.breaker != nil && !s.breaker.Allow() {
+			res := r.failFast(s, len(indexes))
 			for _, p := range indexes {
-				out[p] = r.serveDegradedLocked(gctx, s, reqs[p], at)
+				out[p] = res
 			}
-			gsp.SetInt("cluster.degraded", int64(len(indexes)))
+			gsp.SetInt("cluster.breaker_open", int64(len(indexes)))
 			gsp.Keep()
 			return
 		}
@@ -696,7 +684,7 @@ func (r *Router) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at t
 		} else {
 			dispatch()
 		}
-		r.observeGroupLocked(s, reqs, indexes, at, out)
+		r.observeGroupLocked(s, indexes, out)
 	}
 
 	if live <= 1 || runtime.GOMAXPROCS(0) <= 2 {

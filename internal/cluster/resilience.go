@@ -4,32 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/ha"
 	"repro/internal/policy"
 	"repro/internal/resilience"
-	"repro/internal/trace"
 )
 
-// Degraded-mode routing (Config.Resilience): each shard group carries a
-// circuit breaker fed by the availability of its ensemble. While a breaker
-// is open the router stops dispatching to the group and answers from a
-// bounded-staleness last-known-good cache instead — warm keys get their
-// most recent conclusive decision (marked Degraded, aged by StaleFor, at
-// most StaleGrace old), cold keys fail fast and closed with
-// resilience.ErrOpen. An expired caller context never reaches this path:
-// the ctx check at the top of every entry point fails it closed first.
-
-// SetOnDegraded installs the audit hook observing every stale serve: shard
-// name, the request's cache key, and the served entry's age. The hook runs
-// on the decision path under the router's read lock, so it must be cheap
-// and must not call back into the router.
-func (r *Router) SetOnDegraded(hook func(shard, cacheKey string, age time.Duration)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onDegraded = hook
-}
+// Breaker routing (Config.Resilience): each shard group carries a circuit
+// breaker fed by the availability of its ensemble. While a breaker is open
+// the router stops dispatching to the group and fails its requests fast
+// and closed with resilience.ErrOpen; answering them last-known-good is
+// the job of a resilience.StaleCache placed over the router. An expired
+// caller context never reaches this path: the ctx check at the top of
+// every entry point fails it closed first.
 
 // BreakerStats returns each shard group's breaker counters keyed by shard
 // name; empty when resilience is off.
@@ -45,36 +32,10 @@ func (r *Router) BreakerStats() map[string]resilience.BreakerStats {
 	return out
 }
 
-// StaleStats returns the last-known-good cache counters; zero when
-// degraded mode is off.
-func (r *Router) StaleStats() resilience.StaleCacheStats {
-	if r.stale == nil {
-		return resilience.StaleCacheStats{}
-	}
-	return r.stale.Stats()
-}
-
-// serveDegradedLocked answers a request whose shard breaker is open: the
-// last known good decision when the key is warm and within grace, a fast
-// fail-closed Indeterminate wrapping resilience.ErrOpen otherwise. Callers
-// hold r.mu read-locked.
-func (r *Router) serveDegradedLocked(ctx context.Context, s *shard, req *policy.Request, at time.Time) policy.Result {
-	if r.stale != nil {
-		if res, age, ok := r.stale.Get(req.CacheKey(), req.CacheKeyHash(), at, r.res.StaleGrace); ok {
-			res.Degraded = true
-			res.StaleFor = age
-			r.stats.staleServed.Add(1)
-			if sp := trace.FromContext(ctx); sp != nil {
-				sp.SetAttr("cluster.degraded", "true")
-				sp.Keep()
-			}
-			if r.onDegraded != nil {
-				r.onDegraded(s.name, req.CacheKey(), age)
-			}
-			return res
-		}
-	}
-	r.stats.degradedRejects.Add(1)
+// failFast answers n requests whose shard breaker is open: a fail-closed
+// Indeterminate wrapping resilience.ErrOpen that names the shard.
+func (r *Router) failFast(s *shard, n int) policy.Result {
+	r.stats.degradedRejects.Add(int64(n))
 	return policy.Result{Decision: policy.DecisionIndeterminate,
 		Err: fmt.Errorf("cluster %s: shard %s: %w", r.name, s.name, resilience.ErrOpen)}
 }
@@ -102,42 +63,24 @@ func ctxExpired(res policy.Result) bool {
 		(errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded))
 }
 
-// conclusive reports whether a decision is worth remembering as last known
-// good: anything but an Indeterminate.
-func conclusive(res policy.Result) bool {
-	switch res.Decision {
-	case policy.DecisionPermit, policy.DecisionDeny, policy.DecisionNotApplicable:
-		return res.Err == nil
-	}
-	return false
-}
-
 // observeShardLocked classifies one dispatched decision for the shard's
-// breaker and retains conclusive outcomes in the last-known-good cache.
-// Callers hold r.mu read-locked.
-func (r *Router) observeShardLocked(s *shard, req *policy.Request, at time.Time, res policy.Result) {
-	if s.breaker == nil {
-		return
-	}
-	if shardFailure(res) {
+// breaker. Callers hold r.mu read-locked.
+func (r *Router) observeShardLocked(s *shard, res policy.Result) {
+	switch {
+	case s.breaker == nil:
+	case shardFailure(res):
 		s.breaker.OnFailure()
-		return
-	}
-	if ctxExpired(res) {
+	case ctxExpired(res):
 		s.breaker.OnAbandon()
-		return
-	}
-	s.breaker.OnSuccess()
-	if r.stale != nil && conclusive(res) {
-		r.stale.Put(req.CacheKey(), req.CacheKeyHash(), res, at)
+	default:
+		s.breaker.OnSuccess()
 	}
 }
 
 // observeGroupLocked classifies one dispatched batch group: the breaker
 // hears a single verdict per group call (availability failures strike the
-// whole group at once), while every conclusive position refreshes the
-// last-known-good cache. Callers hold r.mu read-locked.
-func (r *Router) observeGroupLocked(s *shard, reqs []*policy.Request, indexes []int, at time.Time, out []policy.Result) {
+// whole group at once). Callers hold r.mu read-locked.
+func (r *Router) observeGroupLocked(s *shard, indexes []int, out []policy.Result) {
 	if s.breaker == nil {
 		return
 	}
@@ -154,21 +97,10 @@ func (r *Router) observeGroupLocked(s *shard, reqs []*policy.Request, indexes []
 	switch {
 	case failed:
 		s.breaker.OnFailure()
-		return
 	case expired:
-		// The caller ran out of time mid-batch: neutral for the breaker,
-		// but any positions that did complete conclusively are still worth
-		// remembering below.
+		// The caller ran out of time mid-batch: neutral for the breaker.
 		s.breaker.OnAbandon()
 	default:
 		s.breaker.OnSuccess()
-	}
-	if r.stale == nil {
-		return
-	}
-	for _, p := range indexes {
-		if conclusive(out[p]) {
-			r.stale.Put(reqs[p].CacheKey(), reqs[p].CacheKeyHash(), out[p], at)
-		}
 	}
 }

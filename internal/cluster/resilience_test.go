@@ -3,25 +3,33 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ha"
+	"repro/internal/pdp"
 	"repro/internal/policy"
 	"repro/internal/resilience"
 )
 
+// dbReaders permits every request on resource "db".
+func dbReaders() policy.Evaluable {
+	return policy.NewPolicy("db-readers").Combining(policy.FirstApplicable).
+		When(policy.MatchResourceID("db")).
+		Rule(policy.Permit("ok").Build()).
+		Build()
+}
+
 // resilienceRoot: "db" permits, every other resource denies via the
-// catch-all — every decision is conclusive, so warm keys always have a
-// last known good to fall back on.
+// deny-unless-permit root — every decision is conclusive, so warm keys
+// always have a last known good to fall back on.
 func resilienceRoot() policy.Evaluable {
 	return policy.NewPolicySet("base").Combining(policy.DenyUnlessPermit).
-		Add(policy.NewPolicy("db-readers").Combining(policy.FirstApplicable).
-			When(policy.MatchResourceID("db")).
-			Rule(policy.Permit("ok").Build()).
-			Build()).
+		Add(dbReaders()).
 		Build()
 }
 
@@ -49,25 +57,17 @@ func downShard(t *testing.T, r *Router, down bool) []*ha.Failable {
 	return reps
 }
 
-// TestClusterBreakerDegradedMode walks the whole degraded lifecycle under a
-// virtual clock: trip, serve-stale within grace, fail fast on cold keys,
-// fail closed beyond grace, recover through the half-open probe.
+// TestClusterBreakerDegradedMode walks the whole breaker lifecycle under a
+// virtual clock: trip, fail fast and closed with ErrOpen — warm keys too,
+// the router keeps no last known good — without touching the dead
+// replicas, recover through the half-open probe.
 func TestClusterBreakerDegradedMode(t *testing.T) {
 	t0 := testEpoch
 	now := t0
 	clock := func() time.Time { return now }
 	router := resilienceCluster(t, clock, &resilience.Policy{
-		Breaker:    resilience.BreakerConfig{Threshold: 3, Cooldown: time.Minute},
-		StaleGrace: 30 * time.Second,
+		Breaker: resilience.BreakerConfig{Threshold: 3, Cooldown: time.Minute},
 	})
-	var hookShard, hookKey string
-	var hookAge time.Duration
-	hooked := 0
-	router.SetOnDegraded(func(shard, key string, age time.Duration) {
-		hookShard, hookKey, hookAge = shard, key, age
-		hooked++
-	})
-
 	warm := policy.NewAccessRequest("alice", "db", "read")
 	cold := policy.NewAccessRequest("alice", "ledger", "read")
 
@@ -87,44 +87,31 @@ func TestClusterBreakerDegradedMode(t *testing.T) {
 		t.Fatalf("breaker after threshold = %+v, want open after one trip", bs)
 	}
 
-	// Open breaker, warm key, within grace: the last known good serves,
-	// marked and aged — without touching the dead replicas.
+	// Open breaker: warm and cold keys alike fail fast and closed, naming
+	// the shard, without touching the dead replicas.
 	queriesBefore := reps[0].Queries()
 	now = t0.Add(2 * time.Second)
-	res := router.DecideAt(context.Background(), warm, now)
-	if res.Decision != policy.DecisionPermit || !res.Degraded || res.StaleFor != 2*time.Second {
-		t.Fatalf("degraded decision = %+v, want stale Permit aged 2s", res)
+	for _, req := range []*policy.Request{warm, cold} {
+		res := router.DecideAt(context.Background(), req, now)
+		if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, resilience.ErrOpen) || res.Degraded {
+			t.Fatalf("open-breaker decision on %s = %+v, want fail-fast ErrOpen", req.ResourceID(), res)
+		}
+		if !strings.Contains(res.Err.Error(), router.Shards()[0]) {
+			t.Fatalf("open-breaker error %q does not name the shard", res.Err)
+		}
 	}
 	if got := reps[0].Queries(); got != queriesBefore {
-		t.Fatalf("stale serve touched the dead replica (%d -> %d queries)", queriesBefore, got)
+		t.Fatalf("open breaker touched the dead replica (%d -> %d queries)", queriesBefore, got)
 	}
-	if hooked != 1 || hookShard != router.Shards()[0] || hookKey != warm.CacheKey() || hookAge != 2*time.Second {
-		t.Fatalf("audit hook saw (%q, %q, %v) x%d", hookShard, hookKey, hookAge, hooked)
-	}
-
-	// Cold key: no last known good, fail fast and closed.
-	res = router.DecideAt(context.Background(), cold, now)
-	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, resilience.ErrOpen) {
-		t.Fatalf("cold-key decision = %+v, want ErrOpen Indeterminate", res)
-	}
-
-	// Beyond the grace window even the warm key fails closed.
-	now = t0.Add(31 * time.Second)
-	res = router.DecideAt(context.Background(), warm, now)
-	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, resilience.ErrOpen) || res.Degraded {
-		t.Fatalf("over-grace decision = %+v, want fail-closed ErrOpen", res)
-	}
-
-	st := router.Stats()
-	if st.StaleServed != 1 || st.DegradedRejects != 2 {
-		t.Fatalf("stats = %+v, want 1 stale serve and 2 rejects", st)
+	if st := router.Stats(); st.DegradedRejects != 2 {
+		t.Fatalf("stats = %+v, want 2 fail-fast rejects", st)
 	}
 
 	// Revive and pass the cooldown: the single half-open probe goes
 	// through, succeeds, and closes the breaker.
 	downShard(t, router, false)
 	now = t0.Add(2 * time.Minute)
-	res = router.DecideAt(context.Background(), warm, now)
+	res := router.DecideAt(context.Background(), warm, now)
 	if res.Decision != policy.DecisionPermit || res.Degraded {
 		t.Fatalf("post-recovery decision = %+v, want fresh Permit", res)
 	}
@@ -135,14 +122,12 @@ func TestClusterBreakerDegradedMode(t *testing.T) {
 }
 
 // TestClusterBatchDegradedPositions: in one batch against an open breaker,
-// warm positions serve stale and cold positions fail fast — per position,
-// not per batch.
+// every position fails fast with ErrOpen and counts as one reject.
 func TestClusterBatchDegradedPositions(t *testing.T) {
 	t0 := testEpoch
 	now := t0
 	router := resilienceCluster(t, func() time.Time { return now }, &resilience.Policy{
-		Breaker:    resilience.BreakerConfig{Threshold: 2, Cooldown: time.Minute},
-		StaleGrace: 30 * time.Second,
+		Breaker: resilience.BreakerConfig{Threshold: 2, Cooldown: time.Minute},
 	})
 	warm1 := policy.NewAccessRequest("alice", "db", "read")
 	warm2 := policy.NewAccessRequest("bob", "files", "read")
@@ -157,15 +142,154 @@ func TestClusterBatchDegradedPositions(t *testing.T) {
 
 	now = t0.Add(10 * time.Second)
 	out := router.DecideBatchAt(context.Background(), []*policy.Request{warm1, cold, warm2}, now)
-	if !out[0].Degraded || out[0].Decision != policy.DecisionPermit || out[0].StaleFor != 10*time.Second {
-		t.Fatalf("warm position 0 = %+v, want stale Permit aged 10s", out[0])
+	for p, res := range out {
+		if res.Degraded || res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, resilience.ErrOpen) {
+			t.Fatalf("position %d = %+v, want fail-fast ErrOpen", p, res)
+		}
 	}
-	if !out[2].Degraded || out[2].Decision != policy.DecisionDeny {
-		t.Fatalf("warm position 2 = %+v, want stale Deny", out[2])
+	if st := router.Stats(); st.DegradedRejects != 3 {
+		t.Fatalf("stats = %+v, want one reject per position", st)
 	}
-	if out[1].Degraded || !errors.Is(out[1].Err, resilience.ErrOpen) {
-		t.Fatalf("cold position 1 = %+v, want ErrOpen", out[1])
+}
+
+// TestRevocationFailsClosed: a permission deleted before the outage
+// must not come back as a Degraded Permit. The StaleCache over the router
+// remembers the Permit; the delete, acknowledged with Invalidate, retires
+// it, so the outage that follows fails closed.
+func TestRevocationFailsClosed(t *testing.T) {
+	t0 := testEpoch
+	now := t0
+	clock := func() time.Time { return now }
+	router := resilienceCluster(t, clock, &resilience.Policy{
+		Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+	})
+	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: 30 * time.Second, Clock: clock})
+	req := policy.NewAccessRequest("alice", "db", "read")
+	if res := stale.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+		t.Fatalf("before revocation = %+v, want Permit", res)
 	}
+
+	if err := router.ApplyUpdate(pdp.Update{ID: "db-readers"}); err != nil {
+		t.Fatal(err)
+	}
+	stale.Invalidate()
+	downShard(t, router, true)
+	now = t0.Add(time.Second)
+	for i := 0; i < 2; i++ { // all replicas down, then breaker open
+		res := stale.Decide(context.Background(), req)
+		if res.Decision != policy.DecisionIndeterminate || res.Degraded {
+			t.Fatalf("decision %d after revocation and outage = %+v, want fail-closed Indeterminate", i, res)
+		}
+	}
+	if st := stale.Stats(); st.Served != 0 || st.Superseded != 1 {
+		t.Fatalf("stale stats = %+v, want no serve and one superseded entry", st)
+	}
+}
+
+// TestRevocationFailsClosedRace is the concurrent twin (run with
+// -race): a writer flips "db-readers" between present (even versions,
+// Permit) and deleted (odd, Deny), acknowledging each write with
+// Invalidate, while readers decide through the StaleCache and the shard
+// flaps down and up. With the bracketing of
+// internal/pdp's TestStressDecideAgainstAdministration — a reader
+// snapshots committed before its decision and started after it — a reader
+// whose whole decision ran at one stable version must get that version's
+// verdict or fail closed: never a Degraded answer from an earlier one.
+func TestRevocationFailsClosedRace(t *testing.T) {
+	const (
+		readers = 4
+		writes  = 300
+	)
+	router := resilienceCluster(t, nil, &resilience.Policy{
+		Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Millisecond},
+	})
+	stale := resilience.NewStaleCache(laggingRouter{router}, &resilience.Policy{StaleGrace: time.Minute})
+	req := policy.NewAccessRequest("alice", "db", "read")
+
+	var started, committed atomic.Int64
+	var stop atomic.Bool
+	var served atomic.Int64
+	errs := make(chan string, readers)
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				before := committed.Load()
+				var res policy.Result
+				if (i+w)%4 == 0 {
+					res = stale.DecideBatch(context.Background(), []*policy.Request{req})[0]
+				} else {
+					res = stale.Decide(context.Background(), req)
+				}
+				after := started.Load()
+				if res.Degraded {
+					served.Add(1)
+				}
+				if before != after || res.Decision == policy.DecisionIndeterminate {
+					continue // a write overlapped, or the outage failed closed
+				}
+				want := policy.DecisionPermit
+				if before%2 == 1 {
+					want = policy.DecisionDeny
+				}
+				if res.Decision != want {
+					errs <- fmt.Sprintf("at stable version %d got %+v, want %v", before, res, want)
+					return
+				}
+			}
+		}(w)
+	}
+	reps := downShard(t, router, false)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for down := false; !stop.Load(); down = !down {
+			for _, rep := range reps {
+				rep.SetDown(down)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+
+	for v := 1; v <= writes; v++ {
+		u := pdp.Update{ID: "db-readers"}
+		if v%2 == 0 {
+			u.Child = dbReaders()
+		}
+		started.Add(1)
+		if err := router.ApplyUpdate(u); err != nil {
+			t.Error(err)
+			break
+		}
+		stale.Invalidate()
+		committed.Add(1)
+		time.Sleep(100 * time.Microsecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	t.Logf("%d degraded answers served across %d writes", served.Load(), writes)
+}
+
+// laggingRouter holds each answer briefly before the StaleCache settles
+// it, so writes often land between a decision's evaluation and its
+// settling — the window a generation read after dispatch, instead of
+// before, would leak a pre-write verdict through.
+type laggingRouter struct{ *Router }
+
+func (l laggingRouter) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
+	defer time.Sleep(50 * time.Microsecond)
+	return l.Router.DecideAt(ctx, req, at)
+}
+
+func (l laggingRouter) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
+	defer time.Sleep(50 * time.Microsecond)
+	return l.Router.DecideBatchAt(ctx, reqs, at)
 }
 
 // TestClusterHedgedBatch: with a stalled preferred replica and HedgeAfter
@@ -260,17 +384,18 @@ func TestClusterBreakerNeutralOnCallerExpiry(t *testing.T) {
 	}
 }
 
-// TestClusterBreakerFlapping hammers a resilient cluster while a chaos
-// goroutine flaps the shard's replicas, checking (under -race) that the
-// breaker lifecycle, stale cache and router counters stay coherent and the
-// cluster answers cleanly once the flapping stops.
+// TestClusterBreakerFlapping hammers a resilient cluster, behind a
+// StaleCache, while a chaos goroutine flaps the shard's replicas, checking
+// (under -race) that the breaker lifecycle, the stale layer and the router
+// counters stay coherent, and that the cluster answers cleanly once the
+// flapping stops.
 func TestClusterBreakerFlapping(t *testing.T) {
 	router := resilienceCluster(t, nil, &resilience.Policy{
-		Breaker:    resilience.BreakerConfig{Threshold: 2, Cooldown: 2 * time.Millisecond},
-		StaleGrace: time.Minute,
+		Breaker: resilience.BreakerConfig{Threshold: 2, Cooldown: 2 * time.Millisecond},
 	})
+	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: time.Minute})
 	warm := policy.NewAccessRequest("alice", "db", "read")
-	router.Decide(context.Background(), warm)
+	stale.Decide(context.Background(), warm)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -293,8 +418,8 @@ func TestClusterBreakerFlapping(t *testing.T) {
 				policy.NewAccessRequest("bob", "other", "read"),
 			}
 			for i := 0; i < 400; i++ {
-				router.Decide(context.Background(), warm)
-				router.DecideBatch(context.Background(), reqs)
+				stale.Decide(context.Background(), warm)
+				stale.DecideBatch(context.Background(), reqs)
 			}
 		}(g)
 	}
@@ -306,7 +431,7 @@ func TestClusterBreakerFlapping(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	deadline := time.Now().Add(time.Second)
 	for {
-		res := router.Decide(context.Background(), warm)
+		res := stale.Decide(context.Background(), warm)
 		if res.Decision == policy.DecisionPermit && !res.Degraded {
 			break
 		}

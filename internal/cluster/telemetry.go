@@ -107,11 +107,8 @@ func (r *Router) RegisterMetrics(reg *telemetry.Registry) {
 			}
 			return out
 		})
-	reg.CounterFunc("repro_cluster_stale_served_total",
-		"Degraded decisions answered from the last-known-good cache while a shard breaker was open.",
-		func() int64 { return r.Stats().StaleServed })
 	reg.CounterFunc("repro_cluster_degraded_rejects_total",
-		"Open-breaker requests with no usable stale entry (failed fast and closed).",
+		"Requests failed fast by an open shard breaker.",
 		func() int64 { return r.Stats().DegradedRejects })
 	reg.Register("repro_cluster_breaker_state",
 		"Per-shard circuit-breaker state: 0 closed, 1 open, 2 half-open.",

@@ -11,9 +11,6 @@ import (
 type cacheEntry struct {
 	res     policy.Result
 	expires time.Time
-	// stored is the evaluation time — the staleness metadata degraded
-	// mode measures its grace window against.
-	stored time.Time
 	// resID keys the entry by the request's resource, so ApplyUpdate can
 	// invalidate only the decisions a changed child constrains.
 	resID string
@@ -26,22 +23,19 @@ type cacheEntry struct {
 // engine-wide lock; size bounds and eviction are per shard, so an eviction
 // sweep never stalls the other shards either.
 type decisionCache struct {
-	ttl  time.Duration
-	mask uint64
-	// grace keeps expired entries touchable for bounded-staleness
-	// degraded serving (WithStaleGrace): an expired entry survives until
-	// its age exceeds grace, available to getStale but never to get. Zero
-	// restores delete-on-touch expiry.
-	grace  time.Duration
+	ttl    time.Duration
+	mask   uint64
 	shards []cacheShard
 }
 
 // cacheShard is one stripe of the cache. The trailing pad keeps each
 // shard's mutex on its own cache line, so shard locks taken by different
-// cores do not false-share.
+// cores do not false-share. Entries are held by pointer: a map stores
+// values of up to 128 bytes inline, so each empty slot of a table grown
+// under eviction and invalidation churn would cost a whole entry.
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[string]cacheEntry
+	entries map[string]*cacheEntry
 	max     int
 	_       [40]byte
 }
@@ -68,7 +62,7 @@ func newDecisionCache(ttl time.Duration, maxItems int) *decisionCache {
 	perShard := (maxItems + n - 1) / n
 	c := &decisionCache{ttl: ttl, mask: uint64(n - 1), shards: make([]cacheShard, n)}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]cacheEntry, 8)
+		c.shards[i].entries = make(map[string]*cacheEntry, 8)
 		c.shards[i].max = perShard
 	}
 	return c
@@ -89,38 +83,11 @@ func (c *decisionCache) get(key string, hash uint64, at time.Time) (policy.Resul
 		sh.mu.Unlock()
 		return entry.res, true
 	}
-	if ok && (c.grace <= 0 || at.Sub(entry.stored) > c.grace) {
-		// Beyond TTL — and, when degraded mode keeps a grace window,
-		// beyond that too: nothing can ever serve it again.
+	if ok {
 		delete(sh.entries, key)
 	}
 	sh.mu.Unlock()
 	return policy.Result{}, false
-}
-
-// getStale returns the entry for the key regardless of TTL expiry, as long
-// as its age at `at` is within the configured grace window, along with
-// that age — the degraded-mode read path. Over-grace entries are deleted
-// on touch: the staleness bound is enforced here.
-func (c *decisionCache) getStale(key string, hash uint64, at time.Time) (policy.Result, time.Duration, bool) {
-	sh := c.shard(hash)
-	sh.mu.Lock()
-	entry, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		return policy.Result{}, 0, false
-	}
-	age := at.Sub(entry.stored)
-	if age > c.grace {
-		delete(sh.entries, key)
-		sh.mu.Unlock()
-		return policy.Result{}, 0, false
-	}
-	sh.mu.Unlock()
-	if age < 0 {
-		age = 0
-	}
-	return entry.res, age, true
 }
 
 // evictProbe bounds the expired-first scan on an at-capacity insert, so
@@ -133,7 +100,7 @@ const evictProbe = 8
 // randomized, so a full shard of dead entries drains across successive
 // fills) and evicting one sampled live entry only when nothing in the
 // sample has expired. Callers hold sh.mu.
-func (sh *cacheShard) insertLocked(key string, entry cacheEntry, at time.Time) {
+func (sh *cacheShard) insertLocked(key string, entry *cacheEntry, at time.Time) {
 	if _, exists := sh.entries[key]; !exists && len(sh.entries) >= sh.max {
 		victim := ""
 		scanned, reclaimed := 0, false
@@ -180,7 +147,7 @@ func (c *decisionCache) flush() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.entries = make(map[string]cacheEntry, 8)
+		sh.entries = make(map[string]*cacheEntry, 8)
 		sh.mu.Unlock()
 	}
 }

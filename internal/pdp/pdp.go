@@ -120,9 +120,6 @@ type Stats struct {
 	// IndexedCandidates sums the candidate-set sizes the compiled program
 	// considered, for measuring its selectivity.
 	IndexedCandidates int64
-	// StaleServed counts degraded decisions answered from expired cache
-	// entries within the stale grace window (WithStaleGrace).
-	StaleServed int64
 	// Updates counts incremental root patches applied via ApplyUpdate.
 	Updates int64
 	// CacheInvalidations counts cached decisions dropped by ApplyUpdate
@@ -181,19 +178,6 @@ func WithClock(now func() time.Time) Option {
 	return func(e *Engine) { e.now = now }
 }
 
-// WithStaleGrace enables bounded-staleness degraded serving on the
-// decision cache: an evaluation that comes back Indeterminate while the
-// caller's context is still alive — a failed attribute resolution, a down
-// information point — is answered from the key's expired cache entry
-// instead, provided the entry's age is within the grace window. Served
-// results are marked Degraded with their StaleFor age, counted, and
-// stamped on the trace span; Indeterminate results are never cached in
-// this mode, so a resolver outage cannot clobber the last known good.
-// Requires WithDecisionCache; without one the option is inert.
-func WithStaleGrace(grace time.Duration) Option {
-	return func(e *Engine) { e.staleGrace = grace }
-}
-
 // snapshot is the immutable unit of the engine's RCU scheme: the installed
 // policy base, its compiled program, and the epoch that publication
 // bumped. Readers load one snapshot per decision (per batch, for the batch
@@ -220,9 +204,6 @@ type Engine struct {
 	name     string
 	resolver policy.Resolver
 	now      func() time.Time
-	// staleGrace bounds degraded-mode staleness; zero disables it.
-	staleGrace  time.Duration
-	staleServed atomic.Int64
 
 	// compiles / compileNanos / compileHist account policy-base
 	// compilation work: full compiles at SetRoot and delta recompiles at
@@ -249,11 +230,6 @@ func New(name string, opts ...Option) *Engine {
 	e := &Engine{name: name, now: time.Now}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if e.cache != nil && e.staleGrace > 0 {
-		// Option order is free: the grace window lands on whichever cache
-		// the options built.
-		e.cache.grace = e.staleGrace
 	}
 	return e
 }
@@ -311,7 +287,6 @@ func (e *Engine) Stats() Stats {
 	if e.cache != nil {
 		st.CacheEntries = e.cache.len()
 	}
-	st.StaleServed = e.staleServed.Load()
 	st.Compiles = e.compiles.Load()
 	st.CompileNanos = e.compileNanos.Load()
 	if snap := e.snap.Load(); snap != nil && snap.prog != nil {
@@ -439,14 +414,7 @@ func (e *Engine) DecideAt(ctx context.Context, req *policy.Request, at time.Time
 	}
 	res, path := e.evaluate(ctx, snap, req, at, nil)
 	st.recordEvaluation(res, path)
-	if stale, ok := e.serveStale(ctx, key, hash, at, res); ok {
-		ev.SetAttr("pdp.degraded", "true")
-		ev.Keep()
-		e.traceDecision(ev, snap.epoch, stale, "stale", path.candidates)
-		ev.End()
-		return stale
-	}
-	if e.cacheable(ctx, res) {
+	if cacheable(res) {
 		e.fill(snap, key, hash, req.ResourceID(), res, at)
 	}
 	e.traceDecision(ev, snap.epoch, res, "miss", path.candidates)
@@ -454,37 +422,11 @@ func (e *Engine) DecideAt(ctx context.Context, req *policy.Request, at time.Time
 	return res
 }
 
-// serveStale answers a failed evaluation from the key's expired cache
-// entry when degraded mode (WithStaleGrace) allows it: the evaluation came
-// back Indeterminate, the caller's own context is still alive (an expired
-// caller always fails closed), and the entry's age is within the grace
-// window.
-func (e *Engine) serveStale(ctx context.Context, key string, hash uint64, at time.Time, res policy.Result) (policy.Result, bool) {
-	if e.staleGrace <= 0 || e.cache == nil || res.Decision != policy.DecisionIndeterminate || ctx.Err() != nil {
-		return res, false
-	}
-	stale, age, ok := e.cache.getStale(key, hash, at)
-	if !ok {
-		return res, false
-	}
-	stale.Degraded = true
-	stale.StaleFor = age
-	e.staleServed.Add(1)
-	return stale, true
-}
-
-// cacheable reports whether an evaluated result may be written back: never
-// one poisoned by the caller's expired context, and — in degraded mode —
-// never an Indeterminate, which would clobber the last known good entry a
-// resolver outage needs.
-func (e *Engine) cacheable(ctx context.Context, res policy.Result) bool {
-	if res.Err != nil && ctx.Err() != nil {
-		return false
-	}
-	if e.staleGrace > 0 && res.Decision == policy.DecisionIndeterminate {
-		return false
-	}
-	return true
+// cacheable reports whether an evaluated result may be written back:
+// never an errored one — a PIP outage or an expired caller is not an
+// answer, and once the dependency heals the key must be evaluated afresh.
+func cacheable(res policy.Result) bool {
+	return res.Err == nil
 }
 
 // fill writes an evaluated decision back into the cache unless the policy
@@ -497,7 +439,7 @@ func (e *Engine) fill(snap *snapshot, key string, hash uint64, resID string, res
 	sh := e.cache.shard(hash)
 	sh.mu.Lock()
 	if cur := e.snap.Load(); cur != nil && cur.epoch == snap.epoch {
-		sh.insertLocked(key, cacheEntry{res: res, expires: at.Add(e.cache.ttl), stored: at, resID: resID}, at)
+		sh.insertLocked(key, &cacheEntry{res: res, expires: at.Add(e.cache.ttl), resID: resID}, at)
 	}
 	sh.mu.Unlock()
 }
@@ -649,14 +591,7 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 			hash = policy.HashString(req.ResourceID())
 		}
 		e.stats.stripe(hash).recordEvaluation(out[p], path)
-		if e.cache == nil {
-			continue
-		}
-		if stale, ok := e.serveStale(ctx, req.CacheKey(), hash, at, out[p]); ok {
-			out[p] = stale
-			continue
-		}
-		if e.cacheable(ctx, out[p]) {
+		if e.cache != nil && cacheable(out[p]) {
 			e.fill(snap, req.CacheKey(), hash, req.ResourceID(), out[p], at)
 		}
 	}

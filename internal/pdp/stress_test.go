@@ -164,14 +164,14 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 func TestCacheShardExpiredFirstEviction(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	expires := at.Add(time.Minute)
-	sh := &cacheShard{entries: make(map[string]cacheEntry), max: 2}
-	sh.insertLocked("a", cacheEntry{expires: expires, resID: "res-a"}, at)
-	sh.insertLocked("b", cacheEntry{expires: expires, resID: "res-b"}, at)
+	sh := &cacheShard{entries: make(map[string]*cacheEntry), max: 2}
+	sh.insertLocked("a", &cacheEntry{expires: expires, resID: "res-a"}, at)
+	sh.insertLocked("b", &cacheEntry{expires: expires, resID: "res-b"}, at)
 
 	// Both residents are expired at insert time: the sweep must reclaim
 	// them rather than evict arbitrarily, leaving only the new entry.
 	later := at.Add(2 * time.Minute)
-	sh.insertLocked("c", cacheEntry{expires: later.Add(time.Minute), resID: "res-c"}, later)
+	sh.insertLocked("c", &cacheEntry{expires: later.Add(time.Minute), resID: "res-c"}, later)
 	if len(sh.entries) != 1 {
 		t.Fatalf("shard holds %d entries after expired sweep, want 1", len(sh.entries))
 	}
@@ -181,8 +181,8 @@ func TestCacheShardExpiredFirstEviction(t *testing.T) {
 
 	// With only live residents the bound still holds via arbitrary
 	// eviction.
-	sh.insertLocked("d", cacheEntry{expires: later.Add(time.Minute), resID: "res-d"}, later)
-	sh.insertLocked("e", cacheEntry{expires: later.Add(time.Minute), resID: "res-e"}, later)
+	sh.insertLocked("d", &cacheEntry{expires: later.Add(time.Minute), resID: "res-d"}, later)
+	sh.insertLocked("e", &cacheEntry{expires: later.Add(time.Minute), resID: "res-e"}, later)
 	if len(sh.entries) != 2 {
 		t.Fatalf("shard holds %d live entries, bound is 2", len(sh.entries))
 	}

@@ -71,10 +71,6 @@ type Stats struct {
 	CacheHits int64
 	// ObligationFailures counts permits discarded over obligations.
 	ObligationFailures int64
-	// ServedStale counts degraded enforcements answered from an expired
-	// cache entry within the WithServeStale grace window while the decision
-	// provider was unavailable.
-	ServedStale int64
 }
 
 // Outcome is the result of one enforcement.
@@ -92,20 +88,17 @@ type Outcome struct {
 type cacheEntry struct {
 	res     policy.Result
 	expires time.Time
-	// stored is the decision time, the age baseline for WithServeStale.
-	stored time.Time
 }
 
 // Enforcer is a pull-model enforcement point.
 type Enforcer struct {
-	name       string
-	pdp        DecisionProvider
-	handlers   map[string]ObligationHandler
-	now        func() time.Time
-	cacheTTL   time.Duration
-	cacheMax   int
-	staleGrace time.Duration
-	tracer     *trace.Tracer
+	name     string
+	pdp      DecisionProvider
+	handlers map[string]ObligationHandler
+	now      func() time.Time
+	cacheTTL time.Duration
+	cacheMax int
+	tracer   *trace.Tracer
 
 	mu    sync.Mutex
 	cache map[string]cacheEntry
@@ -131,19 +124,6 @@ func WithDecisionCache(ttl time.Duration, maxItems int) EnforcerOption {
 		e.cacheMax = maxItems
 		e.cache = make(map[string]cacheEntry, 64)
 	}
-}
-
-// WithServeStale arms bounded-staleness degraded enforcement: when the
-// decision provider answers Indeterminate while the caller's own context
-// is still alive (an unreachable PDP, an open circuit breaker downstream),
-// the enforcer may serve the key's expired cached decision as long as its
-// age is within grace. Served decisions are marked Degraded and aged by
-// StaleFor; beyond grace — or for keys never decided — enforcement stays
-// fail-closed. Requires WithDecisionCache; inert without it. In this mode
-// Indeterminates are never cached, so an outage cannot clobber the last
-// known good entry.
-func WithServeStale(grace time.Duration) EnforcerOption {
-	return func(e *Enforcer) { e.staleGrace = grace }
 }
 
 // WithClock overrides the enforcement clock.
@@ -231,33 +211,14 @@ func (e *Enforcer) EnforceAt(ctx context.Context, req *policy.Request, at time.T
 		res = e.pdp.DecideAt(ctx, req, at)
 		e.mu.Lock()
 		e.stats.DecisionQueries++
-		served := false
-		if useCache && e.staleGrace > 0 && res.Decision == policy.DecisionIndeterminate && ctx.Err() == nil {
-			if entry, ok := e.cache[key]; ok {
-				if age := at.Sub(entry.stored); age <= e.staleGrace {
-					if age < 0 {
-						age = 0
-					}
-					res = entry.res
-					res.Degraded = true
-					res.StaleFor = age
-					e.stats.ServedStale++
-					served = true
-				} else {
-					// The staleness bound is enforced on touch: an entry
-					// aged out of the grace window can never serve again.
-					delete(e.cache, key)
-				}
-			}
-		}
-		if useCache && !served && e.cacheable(ctx, res) {
+		if useCache && cacheable(res) {
 			if len(e.cache) >= e.cacheMax {
 				for k := range e.cache {
 					delete(e.cache, k)
 					break
 				}
 			}
-			e.cache[key] = cacheEntry{res: res, expires: at.Add(e.cacheTTL), stored: at}
+			e.cache[key] = cacheEntry{res: res, expires: at.Add(e.cacheTTL)}
 		}
 		e.mu.Unlock()
 	}
@@ -277,17 +238,11 @@ func (e *Enforcer) EnforceAt(ctx context.Context, req *policy.Request, at time.T
 	return e.finalize(req, res)
 }
 
-// cacheable reports whether a fresh decision may be cached: never one
-// poisoned by the caller's expired context, and — with WithServeStale
-// armed — never an Indeterminate. Callers hold e.mu.
-func (e *Enforcer) cacheable(ctx context.Context, res policy.Result) bool {
-	if res.Err != nil && ctx.Err() != nil {
-		return false
-	}
-	if e.staleGrace > 0 && res.Decision == policy.DecisionIndeterminate {
-		return false
-	}
-	return true
+// cacheable reports whether a decision may be cached: never an errored one
+// (a healed PDP must be asked afresh) nor a Degraded one (it would outlive
+// the grace bound its provider enforced).
+func cacheable(res policy.Result) bool {
+	return !res.Degraded && res.Err == nil
 }
 
 // finalize applies obligations and the deny bias to a raw decision.

@@ -34,22 +34,29 @@
 //     burst of impatient callers cannot talk a healthy server into
 //     shedding.
 //
-//   - A StaleCache holds the last conclusive decision per cache key so an
-//     open breaker can serve bounded-staleness answers for warm keys
-//     within a configurable grace window — degraded (counted, audit
-//     logged, stamped degraded=true on the trace span) but conclusive —
-//     while cold keys keep failing closed.
+//   - A StaleCache, the one last-known-good layer, decorates the decision
+//     provider a deployment serves: it holds the last conclusive decision
+//     per cache key so an Indeterminate (open breaker, replicas down, dead
+//     PIP) can be answered for warm keys within a configurable grace
+//     window — degraded (counted, audit logged, stamped degraded=true on
+//     the trace span) but conclusive — while cold keys keep failing
+//     closed. A policy write (Invalidate) retires every entry.
 //
-// Fail-closed versus serve-stale, the decision table the enforcement
-// points implement:
+// Fail-closed versus serve-stale, the decision table StaleCache
+// implements:
 //
 //	caller ctx already expired    -> fail closed (Indeterminate), always
 //	dependency up                 -> fresh decision, never stale
 //	dependency down, warm key,
 //	  entry age <= grace          -> serve stale, Degraded=true
-//	dependency down, cold key     -> fail fast (breaker short-circuit)
+//	dependency down, cold key     -> fail closed (a breaker fails fast)
 //	dependency down, entry older
 //	  than grace                  -> fail closed (staleness bound wins)
+//	policy write since the entry
+//	  was stored                  -> fail closed (revocation wins)
+//
+// StaleFor counts from the last fresh answer of the decorated provider,
+// which a decision cache below may have held for up to its own TTL.
 //
 // Everything here is allocation-free and lock-free on its hot path
 // (atomics; the stale cache uses striped shard mutexes like the PDP
@@ -66,7 +73,7 @@ import (
 // the dependency was recently observed dead, and the fast local failure
 // stands in for the timeout the caller would otherwise pay. Matched with
 // errors.Is; enforcement points treat it as an unavailability (deny-biased
-// Indeterminate), and degraded mode may answer it from the stale cache.
+// Indeterminate), and a StaleCache above may answer it last-known-good.
 var ErrOpen = errors.New("resilience: circuit open")
 
 // Policy bundles the resilience configuration a layered deployment (the
@@ -77,12 +84,10 @@ type Policy struct {
 	// Breaker configures the per-dependency circuit breakers; a zero
 	// value uses the defaults (see BreakerConfig).
 	Breaker BreakerConfig
-	// StaleGrace bounds degraded-mode staleness: with a breaker open, a
-	// cached conclusive decision no older than StaleGrace may be served
-	// marked Degraded. Zero disables serve-stale (pure fail-fast).
+	// StaleGrace bounds degraded-mode staleness: a StaleCache may answer
+	// an Indeterminate with a conclusive decision no older than
+	// StaleGrace, marked Degraded. Zero means no StaleCache is placed.
 	StaleGrace time.Duration
-	// StaleItems caps the last-known-good cache; 8192 when zero.
-	StaleItems int
 	// HedgeAfter arms hedged batch fan-out: a replica group that has not
 	// answered a batch within HedgeAfter gets a second request on the
 	// next replica, first conclusive answer wins. Zero disables hedging.

@@ -18,15 +18,15 @@ func staleKey(i int) (string, uint64) {
 // virtual clock: an entry is served while (and only while) its age is
 // within grace, and the first over-grace touch removes it for good.
 func TestStaleNeverExceedsGraceWindow(t *testing.T) {
-	c := NewStaleCache(64)
 	now := time.Unix(1_700_000_000, 0)
 	grace := 30 * time.Second
+	c := newStaleCache(nil, grace, nil, 64)
 	key, hash := staleKey(1)
 	want := policy.Result{Decision: policy.DecisionPermit, By: "p1"}
-	c.Put(key, hash, want, now)
+	c.put(key, hash, want, now, 0)
 
 	for _, step := range []time.Duration{0, time.Second, 29 * time.Second, grace} {
-		res, age, ok := c.Get(key, hash, now.Add(step), grace)
+		res, age, ok := c.get(key, hash, now.Add(step))
 		if !ok {
 			t.Fatalf("entry aged %v not served within grace %v", step, grace)
 		}
@@ -38,12 +38,12 @@ func TestStaleNeverExceedsGraceWindow(t *testing.T) {
 		}
 	}
 
-	if _, _, ok := c.Get(key, hash, now.Add(grace+time.Nanosecond), grace); ok {
+	if _, _, ok := c.get(key, hash, now.Add(grace+time.Nanosecond)); ok {
 		t.Fatal("entry served beyond the grace window")
 	}
 	// The over-grace touch evicted: even rolling the clock back cannot
 	// resurrect it.
-	if _, _, ok := c.Get(key, hash, now, grace); ok {
+	if _, _, ok := c.get(key, hash, now); ok {
 		t.Fatal("over-grace entry resurrected")
 	}
 	if st := c.Stats(); st.TooOld != 1 {
@@ -52,9 +52,9 @@ func TestStaleNeverExceedsGraceWindow(t *testing.T) {
 }
 
 func TestStaleCacheColdMiss(t *testing.T) {
-	c := NewStaleCache(64)
+	c := newStaleCache(nil, time.Hour, nil, 64)
 	key, hash := staleKey(7)
-	if _, _, ok := c.Get(key, hash, time.Unix(0, 0), time.Hour); ok {
+	if _, _, ok := c.get(key, hash, time.Unix(0, 0)); ok {
 		t.Fatal("cold key served")
 	}
 	if st := c.Stats(); st.ColdMisses != 1 {
@@ -64,19 +64,19 @@ func TestStaleCacheColdMiss(t *testing.T) {
 
 func TestStaleCacheBounded(t *testing.T) {
 	const max = 64
-	c := NewStaleCache(max)
+	c := newStaleCache(nil, time.Hour, nil, max)
 	now := time.Unix(1_700_000_000, 0)
 	for i := 0; i < 10*max; i++ {
 		key, hash := staleKey(i)
-		c.Put(key, hash, policy.Result{Decision: policy.DecisionPermit}, now.Add(time.Duration(i)*time.Second))
+		c.put(key, hash, policy.Result{Decision: policy.DecisionPermit}, now.Add(time.Duration(i)*time.Second), 0)
 	}
-	if n := c.Len(); n > max {
+	if n := c.Stats().Entries; n > max {
 		t.Fatalf("occupancy %d exceeds bound %d", n, max)
 	}
 }
 
 func TestStaleCacheConcurrent(t *testing.T) {
-	c := NewStaleCache(256)
+	c := newStaleCache(nil, time.Minute, nil, 256)
 	base := time.Unix(1_700_000_000, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -86,9 +86,16 @@ func TestStaleCacheConcurrent(t *testing.T) {
 			for i := 0; i < 5000; i++ {
 				key, hash := staleKey((seed*31 + i) % 512)
 				at := base.Add(time.Duration(i) * time.Millisecond)
-				if i%2 == 0 {
-					c.Put(key, hash, policy.Result{Decision: policy.DecisionDeny}, at)
-				} else if res, age, ok := c.Get(key, hash, at, time.Minute); ok {
+				switch {
+				case i%500 == 0:
+					c.Invalidate()
+				case i%2 == 0:
+					c.put(key, hash, policy.Result{Decision: policy.DecisionDeny}, at, c.gen.Load())
+				default:
+					res, age, ok := c.get(key, hash, at)
+					if !ok {
+						continue
+					}
 					if res.Decision != policy.DecisionDeny || age > time.Minute {
 						panic(fmt.Sprintf("incoherent stale read: %+v age %v", res, age))
 					}
