@@ -63,7 +63,6 @@ func BenchmarkE12_Delegation(b *testing.B)         { benchExperiment(b, "E12") }
 func BenchmarkE14_ChineseWall(b *testing.B)        { benchExperiment(b, "E14") }
 func BenchmarkE15_Heterogeneity(b *testing.B)      { benchExperiment(b, "E15") }
 func BenchmarkE16_Discovery(b *testing.B)          { benchExperiment(b, "E16") }
-func BenchmarkE17_Cluster(b *testing.B)            { benchExperiment(b, "E17") }
 
 // --- micro-benchmarks of the hot paths behind the experiments ---
 
@@ -516,9 +515,6 @@ func BenchmarkRecovery(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkE19_Durability(b *testing.B) { benchExperiment(b, "E19") }
-func BenchmarkE20_Contention(b *testing.B) { benchExperiment(b, "E20") }
 
 // parallelSeed hands each RunParallel goroutine a distinct starting offset
 // into the shared request slice, so concurrent workers spread across cache

@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
@@ -28,7 +29,11 @@ func run(args []string) int {
 		for _, id := range args {
 			exp, ok := experiments.ByID(id)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: E1..E%d\n", id, len(experiments.All()))
+				var known []string
+				for _, e := range experiments.All() {
+					known = append(known, e.ID)
+				}
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(known, " "))
 				return 2
 			}
 			selected = append(selected, exp)

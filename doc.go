@@ -21,8 +21,7 @@
 // the request's memoised key hash (a hit is one shard lock and zero
 // allocations), and stats are padded atomic stripes aggregated on read —
 // ensembles and the router add no per-decision critical section on top.
-// Experiment E20 and the BenchmarkParallel* suite measure the resulting
-// multi-core scaling against a serialized baseline.
+// The BenchmarkParallel* suite measures the resulting multi-core scaling.
 //
 // Policy administration is live (the paper's Section 3.2 manageability
 // argument): a pap.Store change notifies watchers in commit order, each
@@ -33,8 +32,8 @@
 // are dropped (catch-all children fall back to a full flush), and a
 // cluster routes each delta to just the owning shard group, so the other
 // N-1 shards' caches stay warm through policy churn. Any delta sequence
-// yields decisions identical to a from-scratch rebuild; experiment E18 and
-// BenchmarkPolicyChurn quantify the win over the rebuild pipeline.
+// yields decisions identical to a from-scratch rebuild;
+// BenchmarkPolicyChurn quantifies the win over the rebuild pipeline.
 //
 // The policy base itself is durable (Section 3.3 dependability):
 // internal/store backs the pap.Store with a CRC-framed, group-commit
@@ -44,9 +43,8 @@
 // snapshot, truncates a torn tail (never applying a partial record), and
 // replays the surviving tail through the delta pipeline above — so a
 // pdpd restart, a new shard, or a rehydrated federation domain serves
-// exactly the acknowledged pre-crash decisions. Experiment E19 and
-// BenchmarkWALAppend/BenchmarkRecovery measure the write and restart
-// paths.
+// exactly the acknowledged pre-crash decisions. BenchmarkWALAppend and
+// BenchmarkRecovery measure the write and restart paths.
 //
 // Every decision is context-bounded. The paper's architecture makes
 // authorisation an autonomous service reached over a network, so each
@@ -64,8 +62,9 @@
 // lets engines fetch missing attributes mid-evaluation through pip
 // provider chains, with per-request memoisation (pip.RequestResolver) and
 // concurrent-miss coalescing (pip.Cache), so requests need not arrive
-// with attributes pre-populated. Experiment E21 measures the tail-latency
-// bound deadlines buy under an injected slow shard.
+// with attributes pre-populated. internal/cluster's
+// TestDeadlineShedsOnlySlowShard pins what deadlines buy under an injected
+// slow shard: only that shard's requests fail closed.
 //
 // The running system is observable end to end. internal/trace gives every
 // decision a trace: spans follow the request through enforcement, the
@@ -79,9 +78,9 @@
 // metrics registry (atomic counters, gauges, log-bucketed histograms)
 // with Prometheus text exposition on /metrics; instrumented packages
 // register pull-model collectors that read their existing atomic stats
-// only at scrape time, so the decision hot path stays alloc-free.
-// Experiment E22 quantifies tracing overhead against the cache-hit worst
-// case, and cmd/benchjson renders benchmark output machine-readable.
+// only at scrape time, so the decision hot path stays alloc-free. The
+// bench module's traced pass reports tracing overhead end to end, and
+// cmd/benchjson renders benchmark output machine-readable.
 //
 // The system is exercised the way it will be operated. internal/loadgen
 // drives a decision point open-loop — arrivals follow a schedule

@@ -142,7 +142,7 @@ type shard struct {
 
 // Router is a horizontally sharded Policy Decision Point. It satisfies the
 // DecisionProvider interfaces of pep, rest, capability and ha, and the
-// pdp.BatchProvider/ha.BatchProvider batch contract.
+// pdp.BatchProvider batch contract.
 type Router struct {
 	name string
 	cfg  Config
@@ -504,12 +504,6 @@ func (r *Router) Decide(ctx context.Context, req *policy.Request) policy.Result 
 // read lock is held across evaluation so a concurrent rebalance can never
 // route a request to a shard that no longer serves its policies.
 func (r *Router) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
-	return r.DecideAtWith(ctx, req, at, nil)
-}
-
-// DecideAtWith implements the ha.ResolverProvider extension, threading a
-// per-call attribute resolver to the owning shard group.
-func (r *Router) DecideAtWith(ctx context.Context, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
 	if err := ctx.Err(); err != nil {
 		return r.ctxDone(err)
 	}
@@ -532,10 +526,10 @@ func (r *Router) DecideAtWith(ctx context.Context, req *policy.Request, at time.
 	var res policy.Result
 	if r.metricsOn.Load() {
 		start := time.Now()
-		res = s.group.DecideAtWith(ctx, req, at, resolver)
+		res = s.group.DecideAt(ctx, req, at)
 		s.lat.Observe(time.Since(start))
 	} else {
-		res = s.group.DecideAtWith(ctx, req, at, resolver)
+		res = s.group.DecideAt(ctx, req, at)
 	}
 	r.observeShardLocked(s, res)
 	return res

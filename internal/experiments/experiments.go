@@ -5,16 +5,12 @@
 // cmd/experiments prints regenerate exactly.
 package experiments
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Experiment is one reproducible experiment.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E14).
+	// ID is the experiment identifier (E1..E16; E13 is retired and IDs
+	// are not reused).
 	ID string
 	// Title describes the experiment and its source in the paper.
 	Title string
@@ -24,7 +20,7 @@ type Experiment struct {
 
 // All returns every experiment in ID order.
 func All() []Experiment {
-	exps := []Experiment{
+	return []Experiment{
 		{ID: "E1", Title: "Fig. 1 — Virtual Organisation: cross-domain cost vs. number of domains", Run: RunE1VirtualOrganisation},
 		{ID: "E2", Title: "Fig. 2 — capability-issuing (push) flow: amortisation over capability reuse", Run: RunE2Push},
 		{ID: "E3", Title: "Fig. 3 — policy-issuing (pull) flow and crossover vs. push", Run: RunE3PullVsPush},
@@ -40,23 +36,7 @@ func All() []Experiment {
 		{ID: "E14", Title: "§3.1 — Chinese Wall / separation-of-duty enforcement", Run: RunE14ChineseWall},
 		{ID: "E15", Title: "§3.1 — policy heterogeneity: dialect translation cost and representation sizes", Run: RunE15Heterogeneity},
 		{ID: "E16", Title: "§3.2 — PDP discovery with signed decisions under crashes and rogue nodes", Run: RunE16Discovery},
-		{ID: "E17", Title: "§3 — horizontal PDP scaling: sharded cluster throughput and batch amortisation", Run: RunE17Cluster},
-		{ID: "E18", Title: "§3.2 — live administration: policy churn, full rebuild vs incremental delta", Run: RunE18Churn},
-		{ID: "E19", Title: "§3.3 — durable policy base: WAL group commit and crash recovery", Run: RunE19Durability},
-		{ID: "E20", Title: "§3 — decision hot-path contention: lock-free engine vs serialized baseline", Run: RunE20Contention},
-		{ID: "E21", Title: "§3.2 — deadlines and cancellation: bounded tail latency under a slow shard", Run: RunE21Deadlines},
-		{ID: "E22", Title: "§3.2 — decision-tracing overhead at 0%/1%/100% head sampling", Run: RunE22TracingOverhead},
-		{ID: "E23", Title: "§3.1 — incremental static analysis: full vs delta re-analysis, gated admin-write p99", Run: RunE23Analysis},
-		{ID: "E24", Title: "§3 — compiled decision program vs. interpreter on the decision miss path", Run: RunE24Compile},
 	}
-	sort.Slice(exps, func(i, j int) bool {
-		// Numeric ID order (E2 < E10).
-		var a, b int
-		_, _ = fmt.Sscanf(exps[i].ID, "E%d", &a)
-		_, _ = fmt.Sscanf(exps[j].ID, "E%d", &b)
-		return a < b
-	})
-	return exps
 }
 
 // ByID finds an experiment.

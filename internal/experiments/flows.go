@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -69,8 +71,8 @@ func RunE1VirtualOrganisation() (*metrics.Table, error) {
 		}
 		rng := rand.New(rand.NewSource(7))
 		const requests = 200
-		var localMsgs, crossMsgs metrics.Histogram
-		var localLat, crossLat metrics.Histogram
+		var localMsgs, crossMsgs []int
+		var localLat, crossLat []time.Duration
 		permits := 0
 		for i := 0; i < requests; i++ {
 			from := rng.Intn(n)
@@ -82,19 +84,43 @@ func RunE1VirtualOrganisation() (*metrics.Table, error) {
 				permits++
 			}
 			if from == to {
-				localMsgs.Observe(time.Duration(out.Messages))
-				localLat.Observe(out.Latency)
+				localMsgs = append(localMsgs, out.Messages)
+				localLat = append(localLat, out.Latency)
 			} else {
-				crossMsgs.Observe(time.Duration(out.Messages))
-				crossLat.Observe(out.Latency)
+				crossMsgs = append(crossMsgs, out.Messages)
+				crossLat = append(crossLat, out.Latency)
 			}
 		}
 		table.AddRow(n, requests,
-			float64(localMsgs.Mean()), float64(crossMsgs.Mean()),
-			localLat.Percentile(50), crossLat.Percentile(50),
+			mean(localMsgs), mean(crossMsgs),
+			percentile(localLat, 50), percentile(crossLat, 50),
 			float64(permits)/float64(requests))
 	}
 	return table, nil
+}
+
+// mean returns the arithmetic mean of xs, or zero without samples.
+func mean(xs []int) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0
+	for _, x := range xs {
+		sum += x
+	}
+	return float64(sum) / float64(len(xs))
+}
+
+// percentile returns the nearest-rank p-th percentile (0 < p <= 100) of
+// ds, the sample at index ⌈p/100·n⌉−1 once sorted, or zero without
+// samples. It sorts ds in place.
+func percentile(ds []time.Duration, p float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	slices.Sort(ds)
+	idx := int(math.Ceil(p/100*float64(len(ds)))) - 1
+	return ds[max(0, min(idx, len(ds)-1))]
 }
 
 // RunE2Push measures the capability-issuing flow of Fig. 2: one issuance

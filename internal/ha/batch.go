@@ -8,14 +8,6 @@ import (
 	"repro/internal/policy"
 )
 
-// BatchProvider is the optional extension a decision provider may implement
-// to answer many requests in one call, amortising per-decision lock and
-// cache overhead (pdp.Engine does). The result slice is positional: result
-// i answers request i.
-type BatchProvider interface {
-	DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result
-}
-
 // ScatterProvider is the zero-copy batch extension: evaluate reqs[p] for
 // every p in positions (nil means every request) and write each result to
 // out[p]. Callers own out, so stacked layers (cluster router → ensemble →
@@ -36,14 +28,6 @@ func eachPosition(n int, positions []int, visit func(p int)) {
 	for _, p := range positions {
 		visit(p)
 	}
-}
-
-// DecideBatchAt implements BatchProvider over the replica; see
-// DecideScatterAt.
-func (f *Failable) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
-	out := make([]policy.Result, len(reqs))
-	f.DecideScatterAt(ctx, reqs, nil, at, out)
-	return out
 }
 
 // DecideScatterAt implements ScatterProvider: a crashed replica yields an
@@ -84,8 +68,8 @@ func (f *Failable) DecideScatterAt(ctx context.Context, reqs []*policy.Request, 
 	})
 }
 
-// DecideBatchAt implements BatchProvider over the ensemble; see
-// DecideScatterAt.
+// DecideBatchAt answers many requests in one call; result i answers
+// request i. See DecideScatterAt.
 func (e *Ensemble) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
 	if len(reqs) == 0 {
 		return nil

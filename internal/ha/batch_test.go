@@ -37,13 +37,16 @@ func TestFailableDecideBatch(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	f := NewFailable("r0", batchFixture(t, policy.DecisionPermit))
 	reqs := batchRequests(5)
-	for _, res := range f.DecideBatchAt(context.Background(), reqs, at) {
+	out := make([]policy.Result, len(reqs))
+	f.DecideScatterAt(context.Background(), reqs, nil, at, out)
+	for _, res := range out {
 		if res.Decision != policy.DecisionPermit {
 			t.Fatalf("live replica: %s, want Permit", res.Decision)
 		}
 	}
 	f.SetDown(true)
-	for _, res := range f.DecideBatchAt(context.Background(), reqs, at) {
+	f.DecideScatterAt(context.Background(), reqs, nil, at, out)
+	for _, res := range out {
 		if !errors.Is(res.Err, ErrUnavailable) {
 			t.Fatalf("crashed replica: %v, want ErrUnavailable", res.Err)
 		}

@@ -6,115 +6,6 @@ import (
 	"time"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 1000; i++ {
-				c.Add(1)
-			}
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		<-done
-	}
-	if c.Value() != 4000 {
-		t.Errorf("Value = %d, want 4000", c.Value())
-	}
-}
-
-func TestHistogramPercentiles(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if got := h.Percentile(50); got != 50*time.Millisecond {
-		t.Errorf("p50 = %v, want 50ms", got)
-	}
-	if got := h.Percentile(99); got != 99*time.Millisecond {
-		t.Errorf("p99 = %v, want 99ms", got)
-	}
-	if got := h.Max(); got != 100*time.Millisecond {
-		t.Errorf("max = %v, want 100ms", got)
-	}
-	if got := h.Mean(); got != 50500*time.Microsecond {
-		t.Errorf("mean = %v, want 50.5ms", got)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 || h.Percentile(50) != 0 || h.Max() != 0 {
-		t.Error("empty histogram must report zeros")
-	}
-}
-
-func TestHistogramObserveAfterPercentile(t *testing.T) {
-	var h Histogram
-	h.Observe(time.Second)
-	_ = h.Percentile(50)
-	h.Observe(time.Millisecond)
-	if got := h.Percentile(1); got != time.Millisecond {
-		t.Errorf("p1 after re-observe = %v, want 1ms (re-sort required)", got)
-	}
-}
-
-// TestHistogramReservoirBounded pins the fix for unbounded sample growth:
-// past reservoirCap the retained slice stops growing, while count, mean
-// and max stay exact and percentiles remain sane estimates.
-func TestHistogramReservoirBounded(t *testing.T) {
-	var h Histogram
-	const n = 100000
-	for i := 1; i <= n; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-	if got := len(h.reservoir); got != reservoirCap {
-		t.Errorf("reservoir len = %d, want capped at %d", got, reservoirCap)
-	}
-	if h.Count() != n {
-		t.Errorf("Count = %d, want %d (exact despite sampling)", h.Count(), n)
-	}
-	if got, want := h.Mean(), time.Duration(n+1)*time.Microsecond/2; got != want {
-		t.Errorf("Mean = %v, want %v (exact despite sampling)", got, want)
-	}
-	if got := h.Max(); got != n*time.Microsecond {
-		t.Errorf("Max = %v, want %v (exact despite sampling)", got, n*time.Microsecond)
-	}
-	// The reservoir is a uniform sample of 1..n microseconds, so p50
-	// should land near n/2: allow a generous ±10% band.
-	p50 := h.Percentile(50)
-	lo, hi := time.Duration(n*45/100)*time.Microsecond, time.Duration(n*55/100)*time.Microsecond
-	if p50 < lo || p50 > hi {
-		t.Errorf("p50 = %v, want within [%v, %v]", p50, lo, hi)
-	}
-}
-
-// TestHistogramPercentileCaching checks the sorted view survives repeated
-// queries and invalidates on new observations.
-func TestHistogramPercentileCaching(t *testing.T) {
-	var h Histogram
-	h.Observe(3 * time.Millisecond)
-	h.Observe(1 * time.Millisecond)
-	if got := h.Percentile(100); got != 3*time.Millisecond {
-		t.Fatalf("p100 = %v", got)
-	}
-	if h.sortedView == nil {
-		t.Fatal("sorted view not cached after a percentile query")
-	}
-	h.Observe(5 * time.Millisecond)
-	if h.sortedView != nil {
-		t.Fatal("sorted view not invalidated by Observe")
-	}
-	if got := h.Percentile(100); got != 5*time.Millisecond {
-		t.Fatalf("p100 after re-observe = %v", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("E1: example", "domains", "latency", "rate")
 	tbl.AddRow(2, 40*time.Millisecond, 0.5)

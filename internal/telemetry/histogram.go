@@ -16,9 +16,7 @@ const histFiniteBuckets = 27
 
 // Histogram is a lock-free log-bucketed duration histogram. Observe is a
 // handful of atomic adds: no locks, no allocation, safe on the decision
-// hot path. This is the production replacement for the experiment
-// harness's raw-sample metrics.Histogram, whose memory grows without
-// bound and whose percentile reads sort every sample.
+// hot path.
 type Histogram struct {
 	counts   [histFiniteBuckets]atomic.Uint64
 	overflow atomic.Uint64
@@ -93,14 +91,22 @@ func (s HistogramSnapshot) UpperBoundSeconds(i int) float64 {
 func (s HistogramSnapshot) SumSeconds() float64 { return float64(s.Sum) / 1e9 }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) as the upper bound of
-// the bucket containing it — a log-accurate estimate. It returns 0 with no
-// observations; quantiles that fall in the overflow bucket report the last
-// finite bound (the estimate saturates rather than inventing a tail).
+// the bucket holding the observation of nearest rank ⌈q·n⌉ — a
+// log-accurate estimate. It returns 0 with no observations; quantiles that
+// fall in the overflow bucket report the last finite bound (the estimate
+// saturates rather than inventing a tail).
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
-	target := uint64(q * float64(s.Count))
+	// Round the rank up only when q·n has a real fractional part, so float
+	// noise in an exact product (0.07·100 = 7.000000000000001) does not
+	// promote it to the next rank.
+	rank := q * float64(s.Count)
+	target := uint64(rank)
+	if rank-float64(target) > 1e-9 {
+		target++
+	}
 	if target == 0 {
 		target = 1
 	}

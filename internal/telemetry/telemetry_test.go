@@ -81,6 +81,37 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 	if got := s.Mean(); got != wantMean {
 		t.Fatalf("mean = %v, want %v", got, wantMean)
 	}
+
+	// The quantile is the nearest rank ⌈q·n⌉: with q·n fractional the
+	// rank rounds up (one fast + one slow: p99 is rank ⌈1.98⌉ = 2, the
+	// slow one), and an exact product is the rank itself, float noise
+	// included (q=0.5, n=4 → rank 2; q=0.07, n=100 → rank 7, though the
+	// float product is 7.000000000000001).
+	fast, slow := 100*time.Microsecond, 80*time.Millisecond
+	cases := []struct {
+		name       string
+		fast, slow int
+		q          float64
+		want       time.Duration
+	}{
+		{"two samples, p99", 1, 1, 0.99, slow},
+		{"148 fast + 2 slow, p99", 148, 2, 0.99, slow},
+		{"exact product 0.5·4", 2, 2, 0.5, fast},
+		{"exact product 0.07·100", 7, 93, 0.07, fast},
+	}
+	for _, c := range cases {
+		var h Histogram
+		for i := 0; i < c.fast; i++ {
+			h.Observe(fast)
+		}
+		for i := 0; i < c.slow; i++ {
+			h.Observe(slow)
+		}
+		got := h.Snapshot().Quantile(c.q)
+		if want := time.Duration(upperBoundNs(bucketFor(c.want.Nanoseconds()))); got != want {
+			t.Errorf("%s: Quantile(%v) = %v, want %v (the bucket of %v)", c.name, c.q, got, want, c.want)
+		}
+	}
 }
 
 // seriesLine matches one exposition sample line at the format level:

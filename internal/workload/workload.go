@@ -225,7 +225,7 @@ func ResourcePolicy(i, roles int) *policy.Policy {
 // PolicyBase builds one policy per resource permitting reads to the role
 // owning the resource (role r owns resources where i mod Roles == r) and
 // denying everything else — the bulk policy base of the scalability
-// experiments (E17, E24) and the benchmarks.
+// benchmarks and the miss-path and analysis scale tests.
 func (g *Generator) PolicyBase(rootID string) *policy.PolicySet {
 	b := policy.NewPolicySet(rootID).Combining(policy.DenyOverrides)
 	for i := 0; i < g.cfg.Resources; i++ {
