@@ -42,10 +42,10 @@
 // breaker, replicas down, dead PIP — is answered for warm keys with their
 // last conclusive decision, marked degraded and audit-logged, while cold
 // keys fail closed; every admin write retires the remembered decisions);
-// -hedge-after arms hedged replica fan-out for batch decisions; and
-// -admission arms adaptive (AIMD) admission control at ingress, shedding
-// excess decision traffic with 503 + Retry-After while the admin plane,
-// health probes and metric scrapes are never shed.
+// -hedge-after arms hedged replica failover for every decision, single or
+// batch; and -admission arms adaptive (AIMD) admission control at ingress,
+// shedding excess decision traffic with 503 + Retry-After while the admin
+// plane, health probes and metric scrapes are never shed.
 //
 // Usage:
 //
@@ -122,7 +122,7 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive shard failures that open the breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-state cooldown before a single half-open probe is admitted")
 	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it is no older than this and no policy write came since (0 fails closed instead)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge replica batch fan-out after this delay (cluster mode; 0 disables)")
+	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a shard group's silent preferred replica onto the rest of its chain after this delay, single and batch decisions alike (cluster mode; 0 disables)")
 	admissionLimit := flag.Int("admission", 0, "adaptive (AIMD) admission control: initial concurrency limit for decision traffic, shed with 503 + Retry-After beyond it; admin/health/metrics are never shed (0 disables)")
 	flag.Parse()
 

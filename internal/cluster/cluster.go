@@ -14,15 +14,19 @@
 // shard therefore sees exactly the children a single engine's evaluation
 // could match, and returns the identical decision.
 //
-// DecideBatch groups requests by owning shard and evaluates each group in
-// one engine pass through the zero-copy scatter path (one shared result
-// buffer from router to engine), amortising lock, cache-sweep and
-// snapshot-load overhead; groups evaluate concurrently across shards when
-// the runtime has spare parallelism. AddShard and RemoveShard rebalance live:
-// consistent hashing moves only ~1/N of the key space, and only shards
-// whose ownership changed have their policy base reinstalled (which also
-// invalidates their decision caches — stale entries cannot outlive a
-// rebalance).
+// Every decision takes one per-shard dispatch: the zero-copy scatter path
+// (one shared result buffer from router to engine), with the shard's
+// breaker, latency histogram, trace span and the ensemble's hedge applied
+// in one place. A single decision is a one-position scatter; DecideBatch
+// groups requests by owning shard and evaluates each group in one engine
+// pass, amortising lock, cache-sweep and snapshot-load overhead, with
+// groups running concurrently across shards when the runtime has spare
+// parallelism.
+//
+// AddShard and RemoveShard rebalance live: consistent hashing moves only
+// ~1/N of the key space, and only shards whose ownership changed have
+// their policy base reinstalled (which also invalidates their decision
+// caches — stale entries cannot outlive a rebalance).
 package cluster
 
 import (
@@ -70,7 +74,8 @@ type Config struct {
 	Clock func() time.Time
 	// Resilience, when non-nil, arms a circuit breaker per shard group (an
 	// open breaker fails fast with resilience.ErrOpen) and, with HedgeAfter,
-	// hedged batch dispatch. StaleGrace is not the router's concern: a
+	// hedged failover in every shard group, for single and batch decisions
+	// alike. StaleGrace is not the router's concern: a
 	// resilience.StaleCache placed over the router serves last-known-good.
 	Resilience *resilience.Policy
 }
@@ -141,8 +146,9 @@ type shard struct {
 }
 
 // Router is a horizontally sharded Policy Decision Point. It satisfies the
-// DecisionProvider interfaces of pep, rest, capability and ha, and the
-// pdp.BatchProvider batch contract.
+// DecisionProvider interfaces of pep, rest and capability, the
+// pdp.BatchProvider batch contract and resilience.Provider, so a
+// StaleCache can sit over it.
 type Router struct {
 	name string
 	cfg  Config
@@ -221,6 +227,7 @@ func (r *Router) addShardLocked() *shard {
 	s.group = ha.NewEnsemble(name, r.cfg.Strategy, s.replicas...)
 	if r.res != nil {
 		s.breaker = resilience.NewBreaker(name, r.res.Breaker)
+		s.group.SetHedge(r.res.HedgeAfter)
 	}
 	r.shards[name] = s
 	r.order = append(r.order, name)
@@ -500,9 +507,10 @@ func (r *Router) Decide(ctx context.Context, req *policy.Request) policy.Result 
 }
 
 // DecideAt implements the DecisionProvider contract: route the request to
-// the shard owning its resource key and decide there, bounded by ctx. The
-// read lock is held across evaluation so a concurrent rebalance can never
-// route a request to a shard that no longer serves its policies.
+// the shard owning its resource key and decide there, bounded by ctx — a
+// one-position scatter through the same per-group dispatch DecideBatchAt
+// uses. The read lock is held across evaluation so a concurrent rebalance
+// can never route a request to a shard that no longer serves its policies.
 func (r *Router) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
 	if err := ctx.Err(); err != nil {
 		return r.ctxDone(err)
@@ -514,26 +522,14 @@ func (r *Router) DecideAt(ctx context.Context, req *policy.Request, at time.Time
 	if s == nil {
 		return r.noShards()
 	}
-	if sp := trace.FromContext(ctx); sp != nil {
-		var route *trace.Span
-		ctx, route = trace.StartSpan(ctx, "cluster.route")
-		route.SetAttr("cluster.shard", s.name)
-		defer route.End()
-	}
-	if s.breaker != nil && !s.breaker.Allow() {
-		return r.failFast(s, 1)
-	}
-	var res policy.Result
-	if r.metricsOn.Load() {
-		start := time.Now()
-		res = s.group.DecideAt(ctx, req, at)
-		s.lat.Observe(time.Since(start))
-	} else {
-		res = s.group.DecideAt(ctx, req, at)
-	}
-	r.observeShardLocked(s, res)
-	return res
+	out := make([]policy.Result, 1)
+	r.dispatchLocked(ctx, s, []*policy.Request{req}, onePosition, at, out)
+	return out[0]
 }
+
+// onePosition selects the only request of a single decision's scatter.
+// Dispatch only reads positions, so every single decision shares it.
+var onePosition = []int{0}
 
 // ctxDone renders a caller context expiring at the router: the fail-closed
 // Indeterminate every layer of the pipeline surfaces for out-of-time work.
@@ -624,67 +620,18 @@ func (r *Router) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at t
 	// Traced batches get a scatter span plus one span per shard group; the
 	// group spans record shed positions when the deadline expires mid-
 	// scatter — the trace shows which shards never ran and why.
-	var scatter *trace.Span
-	traced := trace.FromContext(ctx) != nil
-	if traced {
+	if trace.FromContext(ctx) != nil {
+		var scatter *trace.Span
 		ctx, scatter = trace.StartSpan(ctx, "cluster.scatter")
 		scatter.SetInt("batch.n", int64(len(reqs)))
 		scatter.SetInt("cluster.groups", int64(live))
 		defer scatter.End()
 	}
 
-	// The scatter path threads the shared out buffer through ensemble,
-	// replica and engine: no per-group request slice, no per-layer result
-	// allocation, no copy-back. A group that is not dispatched because ctx
-	// expired first fails its positions closed here.
-	evaluate := func(s *shard, indexes []int) {
-		gctx := ctx
-		var gsp *trace.Span
-		if traced {
-			gctx, gsp = trace.StartSpan(ctx, "cluster.shard")
-			gsp.SetAttr("cluster.shard", s.name)
-			gsp.SetInt("batch.n", int64(len(indexes)))
-			defer gsp.End()
-		}
-		if err := ctx.Err(); err != nil {
-			res := r.ctxDone(err)
-			for _, p := range indexes {
-				out[p] = res
-			}
-			gsp.SetInt("cluster.shed", int64(len(indexes)))
-			gsp.Keep()
-			return
-		}
-		if s.breaker != nil && !s.breaker.Allow() {
-			res := r.failFast(s, len(indexes))
-			for _, p := range indexes {
-				out[p] = res
-			}
-			gsp.SetInt("cluster.breaker_open", int64(len(indexes)))
-			gsp.Keep()
-			return
-		}
-		dispatch := func() {
-			if r.res != nil && r.res.HedgeAfter > 0 {
-				s.group.DecideScatterHedgedAt(gctx, reqs, indexes, at, out, r.res.HedgeAfter)
-				return
-			}
-			s.group.DecideScatterAt(gctx, reqs, indexes, at, out)
-		}
-		if r.metricsOn.Load() {
-			start := time.Now()
-			dispatch()
-			s.lat.Observe(time.Since(start))
-		} else {
-			dispatch()
-		}
-		r.observeGroupLocked(s, indexes, out)
-	}
-
 	if live <= 1 || runtime.GOMAXPROCS(0) <= 2 {
 		for ord, indexes := range groups {
 			if indexes != nil {
-				evaluate(byOrd[ord], indexes)
+				r.dispatchLocked(ctx, byOrd[ord], reqs, indexes, at, out)
 			}
 		}
 		return out
@@ -709,11 +656,53 @@ func (r *Router) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at t
 					return
 				}
 				if groups[ord] != nil {
-					evaluate(byOrd[ord], groups[ord])
+					r.dispatchLocked(ctx, byOrd[ord], reqs, groups[ord], at, out)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	return out
+}
+
+// dispatchLocked decides one shard group's positions of reqs into out: the
+// one per-shard dispatch, for single decisions and batch groups alike. The
+// scatter threads the shared out buffer through ensemble, replica and
+// engine: no per-group request slice, no per-layer result allocation, no
+// copy-back. A group whose ctx expired before dispatch, or whose breaker is
+// open, fails its positions closed here; a traced group gets a
+// cluster.shard span recording which shard ran it and why it shed.
+// Callers hold r.mu read-locked.
+func (r *Router) dispatchLocked(ctx context.Context, s *shard, reqs []*policy.Request, indexes []int, at time.Time, out []policy.Result) {
+	gctx := ctx
+	var gsp *trace.Span
+	if trace.FromContext(ctx) != nil {
+		gctx, gsp = trace.StartSpan(ctx, "cluster.shard")
+		gsp.SetAttr("cluster.shard", s.name)
+		gsp.SetInt("batch.n", int64(len(indexes)))
+		defer gsp.End()
+	}
+	shed := func(res policy.Result, attr string) {
+		for _, p := range indexes {
+			out[p] = res
+		}
+		gsp.SetInt(attr, int64(len(indexes)))
+		gsp.Keep()
+	}
+	if err := ctx.Err(); err != nil {
+		shed(r.ctxDone(err), "cluster.shed")
+		return
+	}
+	if s.breaker != nil && !s.breaker.Allow() {
+		shed(r.failFast(s, len(indexes)), "cluster.breaker_open")
+		return
+	}
+	if r.metricsOn.Load() {
+		start := time.Now()
+		s.group.DecideScatterAt(gctx, reqs, indexes, at, nil, out)
+		s.lat.Observe(time.Since(start))
+	} else {
+		s.group.DecideScatterAt(gctx, reqs, indexes, at, nil, out)
+	}
+	r.observeGroupLocked(s, indexes, out)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ha"
 	"repro/internal/pdp"
 	"repro/internal/policy"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -66,6 +67,43 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTracedDecideRecordsShard: a traced single decision takes the batch
+// path's per-shard dispatch, so its trace names the shard that decided it
+// (a one-position cluster.shard span over a one-position pdp.batch).
+func TestTracedDecideRecordsShard(t *testing.T) {
+	_, router, gen := fixture(t, Config{Shards: 4}, 200)
+	req := gen.NextRequest()
+	owner, ok := router.Owner(req.ResourceID())
+	if !ok {
+		t.Fatal("no owner")
+	}
+	tracer := trace.NewTracer(trace.Options{Sample: 1})
+	ctx, root := tracer.StartRoot(context.Background(), "test")
+	router.DecideAt(ctx, req, testEpoch)
+	root.End()
+
+	recs := tracer.Recent(1)
+	if len(recs) != 1 {
+		t.Fatalf("kept %d traces, want 1", len(recs))
+	}
+	attrs := make(map[string]map[string]string)
+	for _, sp := range recs[0].Spans {
+		attrs[sp.Name] = make(map[string]string, len(sp.Attrs))
+		for _, a := range sp.Attrs {
+			attrs[sp.Name][a.Key] = a.Value
+		}
+	}
+	if got := attrs["cluster.shard"]; got["cluster.shard"] != owner || got["batch.n"] != "1" {
+		t.Fatalf("cluster.shard span attrs = %v, want cluster.shard=%s batch.n=1 (spans: %v)", got, owner, attrs)
+	}
+	if got := attrs["pdp.batch"]; got["batch.n"] != "1" {
+		t.Fatalf("pdp.batch span attrs = %v, want batch.n=1 (spans: %v)", got, attrs)
+	}
+	if st := router.Stats(); st.Requests != 1 || st.Batches != 0 {
+		t.Fatalf("stats = %+v, want one single decision and no batch", st)
 	}
 }
 

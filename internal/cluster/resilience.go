@@ -63,23 +63,10 @@ func ctxExpired(res policy.Result) bool {
 		(errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded))
 }
 
-// observeShardLocked classifies one dispatched decision for the shard's
-// breaker. Callers hold r.mu read-locked.
-func (r *Router) observeShardLocked(s *shard, res policy.Result) {
-	switch {
-	case s.breaker == nil:
-	case shardFailure(res):
-		s.breaker.OnFailure()
-	case ctxExpired(res):
-		s.breaker.OnAbandon()
-	default:
-		s.breaker.OnSuccess()
-	}
-}
-
-// observeGroupLocked classifies one dispatched batch group: the breaker
-// hears a single verdict per group call (availability failures strike the
-// whole group at once). Callers hold r.mu read-locked.
+// observeGroupLocked classifies one dispatched group — a batch's share of
+// one shard, or a single decision: the breaker hears a single verdict per
+// dispatch (availability failures strike the whole group at once). Callers
+// hold r.mu read-locked.
 func (r *Router) observeGroupLocked(s *shard, indexes []int, out []policy.Result) {
 	if s.breaker == nil {
 		return

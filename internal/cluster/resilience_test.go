@@ -293,40 +293,62 @@ func (l laggingRouter) DecideBatchAt(ctx context.Context, reqs []*policy.Request
 }
 
 // TestClusterHedgedBatch: with a stalled preferred replica and HedgeAfter
-// armed, the batch is answered by the hedge well before the stall elapses.
+// armed, the hedge answers well before the stall elapses — for batches and
+// single decisions alike, since both take the same per-shard dispatch.
 func TestClusterHedgedBatch(t *testing.T) {
-	router, err := New("c", Config{
-		Shards: 1, Replicas: 3,
-		Resilience: &resilience.Policy{HedgeAfter: 5 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := router.SetRoot(resilienceRoot()); err != nil {
-		t.Fatal(err)
-	}
-	reps, err := router.Replicas(router.Shards()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	const stall = 2 * time.Second
-	reps[0].SetStall(stall)
-
 	reqs := []*policy.Request{
 		policy.NewAccessRequest("alice", "db", "read"),
 		policy.NewAccessRequest("bob", "files", "read"),
 	}
-	start := time.Now()
-	out := router.DecideBatchAt(context.Background(), reqs, testEpoch)
-	if elapsed := time.Since(start); elapsed >= stall {
-		t.Fatalf("batch took %v, the hedge should beat the %v stall", elapsed, stall)
-	}
-	if out[0].Decision != policy.DecisionPermit || out[1].Decision != policy.DecisionDeny {
-		t.Fatalf("hedged batch = %+v, want conclusive verdicts", out)
-	}
-	gs := router.GroupStats()[router.Shards()[0]]
-	if gs.Hedges == 0 || gs.HedgeWins == 0 {
-		t.Fatalf("group stats = %+v, want hedges launched and won", gs)
+	want := []policy.Decision{policy.DecisionPermit, policy.DecisionDeny}
+	for _, tc := range []struct {
+		name   string
+		decide func(r *Router) []policy.Result
+	}{
+		{"single", func(r *Router) []policy.Result {
+			out := make([]policy.Result, len(reqs))
+			for i, req := range reqs {
+				out[i] = r.DecideAt(context.Background(), req, testEpoch)
+			}
+			return out
+		}},
+		{"batch", func(r *Router) []policy.Result {
+			return r.DecideBatchAt(context.Background(), reqs, testEpoch)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			router, err := New("c", Config{
+				Shards: 1, Replicas: 3,
+				Resilience: &resilience.Policy{HedgeAfter: 5 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := router.SetRoot(resilienceRoot()); err != nil {
+				t.Fatal(err)
+			}
+			reps, err := router.Replicas(router.Shards()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			const stall = 2 * time.Second
+			reps[0].SetStall(stall)
+
+			start := time.Now()
+			out := tc.decide(router)
+			if elapsed := time.Since(start); elapsed >= stall {
+				t.Fatalf("decisions took %v, the hedge should beat the %v stall", elapsed, stall)
+			}
+			for i, res := range out {
+				if res.Decision != want[i] {
+					t.Fatalf("hedged decisions = %+v, want conclusive verdicts %v", out, want)
+				}
+			}
+			gs := router.GroupStats()[router.Shards()[0]]
+			if gs.Hedges == 0 || gs.HedgeWins == 0 {
+				t.Fatalf("group stats = %+v, want hedges launched and won", gs)
+			}
+		})
 	}
 }
 

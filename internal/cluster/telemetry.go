@@ -147,7 +147,7 @@ func (r *Router) RegisterMetrics(reg *telemetry.Registry) {
 			return out
 		})
 	reg.Register("repro_cluster_shard_hedges_total",
-		"Hedged batch dispatches per shard group (and the subset the hedge won).",
+		"Decisions hedged onto a second replica per shard group (and the subset the hedge won).",
 		telemetry.KindCounter, func() []telemetry.Sample {
 			r.mu.RLock()
 			defer r.mu.RUnlock()

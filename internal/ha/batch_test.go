@@ -38,14 +38,14 @@ func TestFailableDecideBatch(t *testing.T) {
 	f := NewFailable("r0", batchFixture(t, policy.DecisionPermit))
 	reqs := batchRequests(5)
 	out := make([]policy.Result, len(reqs))
-	f.DecideScatterAt(context.Background(), reqs, nil, at, out)
+	f.DecideScatterAt(context.Background(), reqs, nil, at, nil, out)
 	for _, res := range out {
 		if res.Decision != policy.DecisionPermit {
 			t.Fatalf("live replica: %s, want Permit", res.Decision)
 		}
 	}
 	f.SetDown(true)
-	f.DecideScatterAt(context.Background(), reqs, nil, at, out)
+	f.DecideScatterAt(context.Background(), reqs, nil, at, nil, out)
 	for _, res := range out {
 		if !errors.Is(res.Err, ErrUnavailable) {
 			t.Fatalf("crashed replica: %v, want ErrUnavailable", res.Err)

@@ -88,8 +88,8 @@ func TestFailoverDuringLiveBatches(t *testing.T) {
 }
 
 // TestSetDownMidSingleDecisionStream is the single-decision flavour: the
-// DecideAtWith failover walk under concurrent SetDown must stay
-// race-clean and conclusive with one replica always live.
+// one-position failover walk under concurrent SetDown must stay race-clean
+// and conclusive with one replica always live.
 func TestSetDownMidSingleDecisionStream(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	r0 := NewFailable("r0", batchFixture(t, policy.DecisionPermit))

@@ -1,10 +1,17 @@
 // Package ha provides the dependability mechanisms behind the paper's
 // title: replicated Policy Decision Point ensembles that keep authorising
 // under component failure. Two strategies are offered — ordered failover
-// (try replicas until one answers) and quorum voting (majority of all
+// (try replicas until one answers, optionally hedging a slow preferred
+// replica onto the rest of the chain) and quorum voting (majority of all
 // replicas, which additionally masks a minority of corrupt or stale
 // answers) — plus a health monitor that reorders failover chains away from
 // dead replicas.
+//
+// Every decision takes one path: the scatter call (ScatterProvider), which
+// answers a selection of request positions into a caller-owned result
+// buffer. A single decision is a one-position scatter, so failover order,
+// the all-or-nothing replica rule, the majority rule, hedging and the
+// failover/quorum trace annotations each exist once.
 //
 // Failure injection is first-class: replicas are wrapped in Failable
 // handles that experiments crash and revive on a virtual-time schedule.
@@ -20,7 +27,6 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Dependability errors, matched with errors.Is.
@@ -33,10 +39,16 @@ var (
 	ErrNoQuorum = errors.New("ha: no quorum")
 )
 
-// DecisionProvider is re-declared from pep to keep the package
-// dependency-light; *pdp.Engine satisfies it.
-type DecisionProvider interface {
-	DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
+// ScatterProvider is the one decision call every layer shares: evaluate
+// reqs[p] for every p in positions (nil means every request) and write each
+// result to out[p]. Callers own out, so stacked layers (cluster router →
+// ensemble → replica → engine) share one result buffer instead of
+// allocating and copying one per layer. A non-nil resolver replaces the
+// provider's own attribute resolver for every position (multi-domain
+// deployments thread cross-domain attribute retrieval through it); nil
+// keeps the provider's. pdp.Engine implements it.
+type ScatterProvider interface {
+	DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result)
 }
 
 // Failable wraps a decision provider with a crash switch, the failure
@@ -47,7 +59,7 @@ type DecisionProvider interface {
 // until the caller's context is done, whichever comes first.
 type Failable struct {
 	name  string
-	inner DecisionProvider
+	inner ScatterProvider
 	down  atomic.Bool
 	stall atomic.Int64 // nanoseconds injected per decision
 	// Queries counts decision attempts routed to this replica.
@@ -55,7 +67,7 @@ type Failable struct {
 }
 
 // NewFailable wraps a provider.
-func NewFailable(name string, inner DecisionProvider) *Failable {
+func NewFailable(name string, inner ScatterProvider) *Failable {
 	return &Failable{name: name, inner: inner}
 }
 
@@ -94,45 +106,6 @@ func (f *Failable) stallFor(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// DecideAt implements DecisionProvider: a crashed replica yields an
-// unavailable Indeterminate, which ensembles treat as a liveness failure
-// rather than a decision.
-func (f *Failable) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
-	return f.DecideAtWith(ctx, req, at, nil)
-}
-
-// ResolverProvider is the optional extension a replica may implement to
-// accept a per-call attribute resolver (pdp.Engine does); multi-domain
-// deployments use it to thread cross-domain attribute retrieval through
-// replicated decision points.
-type ResolverProvider interface {
-	DecideAtWith(ctx context.Context, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result
-}
-
-// DecideAtWith decides with a caller-supplied resolver when the wrapped
-// provider supports one, falling back to DecideAt otherwise.
-func (f *Failable) DecideAtWith(ctx context.Context, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
-	f.queries.Add(1)
-	if f.down.Load() {
-		return policy.Result{
-			Decision: policy.DecisionIndeterminate,
-			Err:      fmt.Errorf("ha: replica %s: %w", f.name, ErrUnavailable),
-		}
-	}
-	if err := f.stallFor(ctx); err != nil {
-		return policy.Result{
-			Decision: policy.DecisionIndeterminate,
-			Err:      fmt.Errorf("ha: replica %s: context done before decision: %w", f.name, err),
-		}
-	}
-	if resolver != nil {
-		if rp, ok := f.inner.(ResolverProvider); ok {
-			return rp.DecideAtWith(ctx, req, at, resolver)
-		}
-	}
-	return f.inner.DecideAt(ctx, req, at)
 }
 
 // Strategy selects how an ensemble combines its replicas.
@@ -211,7 +184,8 @@ type Ensemble struct {
 	// order is the failover preference: deciders load it without locking,
 	// Probe builds a reordered copy and swaps it in.
 	order   atomic.Pointer[[]int]
-	probeMu sync.Mutex // serializes Probe's read-modify-write of order
+	probeMu sync.Mutex   // serializes Probe's read-modify-write of order
+	hedge   atomic.Int64 // failover hedge delay in nanoseconds; 0 disables
 	stats   counters
 }
 
@@ -228,6 +202,12 @@ func NewEnsemble(name string, strategy Strategy, replicas ...*Failable) *Ensembl
 
 // Name identifies the ensemble.
 func (e *Ensemble) Name() string { return e.name }
+
+// SetHedge arms hedged failover: a preferred replica that has not answered
+// within d gets a hedge copy of its work sent down the rest of the chain,
+// and the first settled answer wins. Zero disables hedging; quorum
+// ensembles and single-replica groups never hedge.
+func (e *Ensemble) SetHedge(d time.Duration) { e.hedge.Store(int64(d)) }
 
 // Stats returns a snapshot of ensemble counters.
 func (e *Ensemble) Stats() Stats {
@@ -275,123 +255,4 @@ func (e *Ensemble) Probe() (alive int) {
 	next := append(live, dead...)
 	e.order.Store(&next)
 	return len(live)
-}
-
-// DecideAt implements DecisionProvider.
-func (e *Ensemble) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
-	return e.DecideAtWith(ctx, req, at, nil)
-}
-
-// DecideAtWith implements ResolverProvider, threading a per-call resolver
-// to every queried replica. A ctx done between replicas stops the walk:
-// failover does not try further replicas for a caller that is gone, and a
-// quorum vote short-circuits to Indeterminate.
-func (e *Ensemble) DecideAtWith(ctx context.Context, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
-	e.stats.requests.Add(1)
-	switch e.strategy {
-	case Quorum:
-		return e.quorum(ctx, e.replicas, req, at, resolver)
-	default:
-		return e.failover(ctx, e.replicas, *e.order.Load(), req, at, resolver)
-	}
-}
-
-// ctxDone renders a caller context expiring inside the ensemble.
-func (e *Ensemble) ctxDone(err error) policy.Result {
-	return policy.Result{
-		Decision: policy.DecisionIndeterminate,
-		Err:      fmt.Errorf("ha: ensemble %s: context done before decision: %w", e.name, err),
-	}
-}
-
-func unavailable(res policy.Result) bool {
-	return res.Decision == policy.DecisionIndeterminate && errors.Is(res.Err, ErrUnavailable)
-}
-
-func (e *Ensemble) failover(ctx context.Context, replicas []*Failable, order []int, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
-	skipped := 0
-	for _, idx := range order {
-		if err := ctx.Err(); err != nil {
-			return e.ctxDone(err)
-		}
-		res := replicas[idx].DecideAtWith(ctx, req, at, resolver)
-		e.stats.replicaQueries.Add(1)
-		if unavailable(res) {
-			skipped++
-			continue
-		}
-		if skipped > 0 {
-			e.stats.failovers.Add(1)
-			// The span lookup happens only on the degraded path: a
-			// failover-free decision pays nothing here. Failover traces
-			// are force-retained — a decision that survived dead replicas
-			// is worth reading whatever the sampling rate.
-			if sp := trace.FromContext(ctx); sp != nil {
-				sp.SetInt("ha.failover_skipped", int64(skipped))
-				sp.SetAttr("ha.replica", replicas[idx].Name())
-				sp.Keep()
-			}
-		}
-		return res
-	}
-	e.stats.unavailable.Add(1)
-	if sp := trace.FromContext(ctx); sp != nil {
-		sp.SetAttr("ha.error", ErrAllReplicasDown.Error())
-		sp.Keep()
-	}
-	return policy.Result{
-		Decision: policy.DecisionIndeterminate,
-		Err:      fmt.Errorf("ha: ensemble %s: %w", e.name, ErrAllReplicasDown),
-	}
-}
-
-func (e *Ensemble) quorum(ctx context.Context, replicas []*Failable, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
-	votes := make(map[policy.Decision]int, 4)
-	results := make(map[policy.Decision]policy.Result, 4)
-	answered := 0
-	for _, r := range replicas {
-		if err := ctx.Err(); err != nil {
-			return e.ctxDone(err)
-		}
-		res := r.DecideAtWith(ctx, req, at, resolver)
-		e.stats.replicaQueries.Add(1)
-		if unavailable(res) {
-			continue
-		}
-		answered++
-		votes[res.Decision]++
-		if _, ok := results[res.Decision]; !ok {
-			results[res.Decision] = res
-		}
-	}
-	need := len(replicas)/2 + 1
-	var winner policy.Decision
-	best := 0
-	for d, n := range votes {
-		if n > best {
-			best, winner = n, d
-		}
-	}
-	if answered > 0 && len(votes) > 1 {
-		e.stats.disagreements.Add(1)
-		// A split vote is always worth a trace: annotate and retain.
-		if sp := trace.FromContext(ctx); sp != nil {
-			sp.SetInt("ha.quorum_answered", int64(answered))
-			sp.SetInt("ha.quorum_votes", int64(len(votes)))
-			sp.Keep()
-		}
-	}
-	if best >= need {
-		return results[winner]
-	}
-	e.stats.unavailable.Add(1)
-	if sp := trace.FromContext(ctx); sp != nil {
-		sp.SetAttr("ha.error", ErrNoQuorum.Error())
-		sp.Keep()
-	}
-	return policy.Result{
-		Decision: policy.DecisionIndeterminate,
-		Err: fmt.Errorf("ha: ensemble %s: %d/%d answered, need %d agreeing: %w",
-			e.name, answered, len(replicas), need, ErrNoQuorum),
-	}
 }

@@ -36,16 +36,21 @@ func req() *policy.Request { return policy.NewAccessRequest("u", "r", "read") }
 
 func TestFailableCrashAndRevive(t *testing.T) {
 	r := NewFailable("r1", permitEngine(t, "p1"))
-	if res := r.DecideAt(context.Background(), req(), testTime); res.Decision != policy.DecisionPermit {
+	decide := func() policy.Result {
+		out := make([]policy.Result, 1)
+		r.DecideScatterAt(context.Background(), []*policy.Request{req()}, nil, testTime, nil, out)
+		return out[0]
+	}
+	if res := decide(); res.Decision != policy.DecisionPermit {
 		t.Fatalf("up replica = %v", res.Decision)
 	}
 	r.SetDown(true)
-	res := r.DecideAt(context.Background(), req(), testTime)
+	res := decide()
 	if !errors.Is(res.Err, ErrUnavailable) {
 		t.Fatalf("down replica err = %v", res.Err)
 	}
 	r.SetDown(false)
-	if res := r.DecideAt(context.Background(), req(), testTime); res.Decision != policy.DecisionPermit {
+	if res := decide(); res.Decision != policy.DecisionPermit {
 		t.Fatalf("revived replica = %v", res.Decision)
 	}
 	if r.Queries() != 3 {
@@ -179,8 +184,11 @@ func TestQuorumSplitVote(t *testing.T) {
 }
 
 func TestEnsembleAsPEPProvider(t *testing.T) {
-	// The ensemble drops into any place a single PDP fits.
-	var provider DecisionProvider = NewEnsemble("ens", Failover,
+	// The ensemble drops into any place a single PDP fits (pep, rest and
+	// capability declare this one-method contract).
+	var provider interface {
+		DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
+	} = NewEnsemble("ens", Failover,
 		NewFailable("r1", permitEngine(t, "p1")))
 	if res := provider.DecideAt(context.Background(), req(), testTime); res.Decision != policy.DecisionPermit {
 		t.Errorf("provider = %v", res.Decision)

@@ -2,116 +2,76 @@ package ha
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/policy"
 )
 
-// chainUnavailable reports whether a scatter attempt came back with an
-// availability failure: one replica unavailable, or a whole failover chain
-// exhausted (failoverScatter's terminal ErrAllReplicasDown — which plain
-// unavailable() does not match, since it is a per-replica predicate).
-func chainUnavailable(res policy.Result) bool {
-	return res.Decision == policy.DecisionIndeterminate &&
-		(errors.Is(res.Err, ErrUnavailable) || errors.Is(res.Err, ErrAllReplicasDown))
-}
-
-// DecideScatterHedgedAt is the tail-cutting variant of the failover
-// scatter: the batch goes to the preferred replica, and if that replica
-// has not answered within `after`, a hedge copy of the batch is issued to
-// the rest of the failover chain — first conclusive answer wins. A stalled
-// replica (wedged disk, GC pause) then costs ~after extra latency instead
-// of the caller's whole deadline, at the price of duplicated work on the
-// slow tail only.
+// hedgedScatter is the failover dispatch with a hedge: the selection goes
+// to the preferred replica, and if that replica has not answered within
+// after, a hedge copy walks the rest of the chain — the first settled
+// answer wins. A stalled replica (wedged disk, GC pause) then costs ~after
+// extra latency instead of the caller's whole deadline, at the price of
+// duplicated work on the slow tail only.
 //
-// Both attempts write private buffers; the winner is copied into out, so
+// Both walks write private buffers and the kept one is copied into out, so
 // the loser can finish (and be discarded) without racing the caller's
-// result slice. It reports whether a hedge was launched and whether it
-// won. Quorum ensembles, single-replica groups and after<=0 fall back to
-// the plain scatter.
-func (e *Ensemble) DecideScatterHedgedAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, out []policy.Result, after time.Duration) (hedged, hedgeWon bool) {
-	n := len(reqs)
-	if positions != nil {
-		n = len(positions)
+// result slice. The walks record nothing; the walk returned is the one
+// kept, with a dead preferred replica counted among its skips, so
+// settleFailover counts each request once.
+func (e *Ensemble) hedgedScatter(ctx context.Context, order []int, reqs []*policy.Request, positions []int, n int, at time.Time, resolver policy.Resolver, out []policy.Result, after time.Duration) walked {
+	walk := func(chain []int, buf []policy.Result) <-chan walked {
+		done := make(chan walked, 1)
+		go func() { done <- e.failoverScatter(ctx, chain, reqs, positions, n, at, resolver, buf) }()
+		return done
 	}
-	if n == 0 {
-		return false, false
-	}
-	order := *e.order.Load()
-	if after <= 0 || e.strategy == Quorum || len(order) < 2 {
-		e.DecideScatterAt(ctx, reqs, positions, at, out)
-		return false, false
-	}
-	e.stats.requests.Add(int64(n))
-
-	copyInto := func(buf []policy.Result) {
+	keep := func(w walked, buf []policy.Result) walked {
 		eachPosition(len(reqs), positions, func(p int) { out[p] = buf[p] })
+		return w
 	}
 
 	primary := make([]policy.Result, len(reqs))
-	primaryDone := make(chan struct{})
-	go func() {
-		defer close(primaryDone)
-		e.failoverScatter(ctx, e.replicas, order[:1], reqs, positions, n, at, primary)
-	}()
-
+	primaryDone := walk(order[:1], primary)
 	timer := time.NewTimer(after)
+	defer timer.Stop()
 	select {
-	case <-primaryDone:
-		timer.Stop()
+	case w := <-primaryDone:
 		// Fast primary: the common case pays one goroutine and one timer.
-		// An unavailable primary is not hedged here — it already failed
-		// fast, so the ordinary failover walk is cheaper than a hedge.
-		if !chainUnavailable(primary[probe(positions)]) {
-			copyInto(primary)
-			return false, false
+		if w.settled() {
+			return keep(w, primary)
 		}
-		rest := make([]policy.Result, len(reqs))
-		e.failoverScatter(ctx, e.replicas, order[1:], reqs, positions, n, at, rest)
-		if !chainUnavailable(rest[probe(positions)]) {
-			e.stats.failovers.Add(int64(n))
-		}
-		copyInto(rest)
-		return false, false
+		// An unavailable primary is not hedged — it already failed fast,
+		// so the ordinary failover walk over the rest follows it.
+		rest := e.failoverScatter(ctx, order[1:], reqs, positions, n, at, resolver, out)
+		rest.skipped += w.skipped
+		return rest
 	case <-timer.C:
 	}
 
 	// Primary is slow: hedge on the rest of the chain.
 	e.stats.hedges.Add(int64(n))
 	hedge := make([]policy.Result, len(reqs))
-	hedgeDone := make(chan struct{})
-	go func() {
-		defer close(hedgeDone)
-		e.failoverScatter(ctx, e.replicas, order[1:], reqs, positions, n, at, hedge)
-	}()
-
+	hedgeDone := walk(order[1:], hedge)
 	select {
-	case <-primaryDone:
-		if chainUnavailable(primary[probe(positions)]) {
-			// The slow primary came back all-replicas-down. The hedge on
-			// the rest of the chain IS the failover walk the non-hedged
-			// path would now perform — wait for it rather than abandoning
-			// a failover that may still succeed.
-			<-hedgeDone
-			if !chainUnavailable(hedge[probe(positions)]) {
-				e.stats.failovers.Add(int64(n))
-				e.stats.hedgeWins.Add(int64(n))
-				copyInto(hedge)
-				return true, true
-			}
+	case w := <-primaryDone:
+		if w.settled() {
+			return keep(w, primary)
 		}
-		copyInto(primary)
-		return true, false
-	case <-hedgeDone:
-		if chainUnavailable(hedge[probe(positions)]) {
-			// The hedge found nobody; the primary is still the only hope.
-			<-primaryDone
-			copyInto(primary)
-			return true, false
+		// The slow primary came back down. The hedge IS the failover walk
+		// the unhedged path would now perform — wait for it rather than
+		// abandon a failover that may still succeed.
+		h := <-hedgeDone
+		h.skipped += w.skipped
+		if h.settled() {
+			e.stats.hedgeWins.Add(int64(n))
 		}
-		e.stats.hedgeWins.Add(int64(n))
-		copyInto(hedge)
-		return true, true
+		return keep(h, hedge)
+	case h := <-hedgeDone:
+		if h.settled() {
+			e.stats.hedgeWins.Add(int64(n))
+			return keep(h, hedge)
+		}
+		// The hedge found nobody; the primary is still the only hope.
+		return keep(<-primaryDone, primary)
 	}
 }

@@ -75,6 +75,45 @@ func TestDecideAtWithBypassesCache(t *testing.T) {
 	}
 }
 
+func TestDecideScatterAtWithResolverBypassesCache(t *testing.T) {
+	// The scatter path follows the DecideAtWith rule: a caller-supplied
+	// resolver decides every selected position, and the shared decision
+	// cache is neither read nor filled.
+	e := New("pdp", WithResolver(roleResolver("visitor")), WithDecisionCache(time.Minute, 0))
+	if err := e.SetRoot(rolePolicy()); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
+	reqs := []*policy.Request{
+		policy.NewAccessRequest("alice", "rec-1", "read"),
+		policy.NewAccessRequest("bob", "rec-2", "read"),
+		policy.NewAccessRequest("carol", "rec-3", "read"),
+	}
+	// Warm the cache with alice's Deny under the engine's own resolver.
+	if got := e.DecideAt(context.Background(), reqs[0], at); got.Decision != policy.DecisionDeny {
+		t.Fatalf("warm-up = %v, want Deny", got.Decision)
+	}
+
+	out := make([]policy.Result, len(reqs))
+	e.DecideScatterAt(context.Background(), reqs, []int{0, 2}, at, roleResolver("doctor"), out)
+	for _, p := range []int{0, 2} {
+		if out[p].Decision != policy.DecisionPermit {
+			t.Fatalf("position %d = %v, want Permit from the per-call resolver (a cached Deny was read)", p, out[p].Decision)
+		}
+	}
+	if out[1].Decision != 0 || out[1].Err != nil {
+		t.Fatalf("unselected position written: %+v", out[1])
+	}
+	st := e.Stats()
+	if st.CacheHits != 0 || st.CacheEntries != 1 || st.Evaluations != 3 {
+		t.Fatalf("stats = %+v, want 0 hits, the warm-up's 1 entry, 3 evaluations", st)
+	}
+	// A cached permit here would be a cross-context information leak.
+	if got := e.DecideAt(context.Background(), reqs[2], at); got.Decision != policy.DecisionDeny {
+		t.Fatalf("cache leaked a per-call decision: got %v, want Deny", got.Decision)
+	}
+}
+
 func TestDecideAtWithNoPolicy(t *testing.T) {
 	e := New("empty")
 	res := e.DecideAtWith(context.Background(), policy.NewRequest(), time.Now(), nil)

@@ -462,7 +462,7 @@ func (e *Engine) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at t
 		return nil
 	}
 	out := make([]policy.Result, len(reqs))
-	e.DecideScatterAt(ctx, reqs, nil, at, out)
+	e.DecideScatterAt(ctx, reqs, nil, at, nil, out)
 	return out
 }
 
@@ -471,8 +471,11 @@ func (e *Engine) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at t
 // write each result to out[p]. The caller owns out, so layered deployments
 // (cluster router → ha ensemble → engine) share one result buffer instead
 // of allocating and copying per layer. The whole batch evaluates against
-// one snapshot, so its decisions are mutually consistent.
-func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, out []policy.Result) {
+// one snapshot, so its decisions are mutually consistent. A non-nil
+// resolver replaces the engine's for every position and bypasses the
+// decision cache, which is neither read nor filled (the DecideAtWith
+// rule); nil uses the engine's own resolver and cache.
+func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
 	n := len(reqs)
 	if positions != nil {
 		n = len(positions)
@@ -532,8 +535,15 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		}()
 	}
 
-	misses := make([]int, 0, n)
-	if e.cache != nil {
+	// A single decision is a one-position scatter: its miss list lives on
+	// the stack, keeping the cache-hit path allocation-free.
+	var one [1]int
+	misses := one[:0]
+	if n > len(one) {
+		misses = make([]int, 0, n)
+	}
+	cached := e.cache != nil && resolver == nil
+	if cached {
 		sweep := func(p int) {
 			req := reqs[p]
 			key := req.CacheKey()
@@ -582,16 +592,16 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		}
 		req := reqs[p]
 		var path evalPath
-		out[p], path = e.evaluate(ctx, snap, req, at, nil)
+		out[p], path = e.evaluate(ctx, snap, req, at, resolver)
 
 		var hash uint64
-		if e.cache != nil {
+		if cached {
 			hash = req.CacheKeyHash()
 		} else {
 			hash = policy.HashString(req.ResourceID())
 		}
 		e.stats.stripe(hash).recordEvaluation(out[p], path)
-		if e.cache != nil && cacheable(out[p]) {
+		if cached && cacheable(out[p]) {
 			e.fill(snap, req.CacheKey(), hash, req.ResourceID(), out[p], at)
 		}
 	}

@@ -126,7 +126,7 @@ type Span struct {
 	TraceID ID
 	ID      SpanID
 	Parent  SpanID
-	// Name describes the operation ("rest GET", "cluster.route",
+	// Name describes the operation ("rest GET", "cluster.shard",
 	// "pip.fetch", "serve pdp:decide").
 	Name string
 	// Start and Duration time the operation (Duration is zero until End).
