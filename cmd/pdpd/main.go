@@ -130,10 +130,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	start := time.Now()
 	root, err := loadPolicy(*policyPath)
 	if err != nil {
 		log.Fatalf("pdpd: %v", err)
 	}
+	parseTook := time.Since(start)
 	var lg *store.Log
 	if *dataDir != "" {
 		lg, err = store.Open(*dataDir, store.Options{SnapshotEvery: *snapshotEvery})
@@ -166,11 +168,14 @@ func main() {
 		}
 	}
 	var resolver policy.Resolver
+	var subjectsTook time.Duration
 	if *subjectsPath != "" {
+		start := time.Now()
 		dir, err := loadSubjects(*subjectsPath)
 		if err != nil {
 			log.Fatalf("pdpd: %v", err)
 		}
+		subjectsTook = time.Since(start)
 		cache := pip.NewCachedChain("pdpd-pip", 30*time.Second, dir)
 		if resPolicy != nil {
 			// The PIP chain gets the same protection as the shards: failed
@@ -195,6 +200,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("pdpd: %v", err)
 	}
+	ms := func(d time.Duration) string { return d.Round(100 * time.Microsecond).String() }
+	log.Printf("pdpd: start-up: parse %s, subjects %s, seed %s, root %s, lint %s",
+		ms(parseTook), ms(subjectsTook), ms(adm.seedTook), ms(adm.rootTook), ms(adm.lintTook))
 	if adm.engine != nil {
 		adm.engine.RegisterMetrics(reg)
 		adm.gate.RegisterMetrics(reg)
@@ -429,6 +437,9 @@ type admin struct {
 	// stale is the last-known-good layer over point, nil without
 	// -stale-grace; every applied write invalidates it.
 	stale *resilience.StaleCache
+	// seedTook, rootTook and lintTook time newAdmin's start-up phases: the
+	// seed PutAll, installRoot and the lint engine's Install.
+	seedTook, rootTook, lintTook time.Duration
 }
 
 // newAdmin seeds the store from the loaded policy file (a policy set
@@ -481,15 +492,19 @@ func newAdmin(point decisionPoint, root policy.Evaluable, lg *store.Log, lint an
 			seeds = append(seeds, ch)
 		}
 	}
+	start := time.Now()
 	if err := a.store.PutAll(seeds); err != nil {
 		return nil, err
 	}
+	a.seedTook = time.Since(start)
 	if set, ok := root.(*policy.PolicySet); ok && !set.ChildrenSortedByID() {
 		log.Printf("pdpd: root %s children re-ordered by policy ID for live administration; order-dependent combining (e.g. first-applicable) may decide differently than the file order", set.ID)
 	}
+	start = time.Now()
 	if err := a.installRoot(); err != nil {
 		return nil, err
 	}
+	a.rootTook = time.Since(start)
 	a.store.Watch(a.apply)
 	if lint != analysis.ModeOff {
 		// Seed the analyzer atomically with watcher registration so no
@@ -506,7 +521,9 @@ func newAdmin(point decisionPoint, root policy.Evaluable, lg *store.Log, lint an
 				}
 				children = append(children, e)
 			}
+			start := time.Now()
 			eng.Install(children...)
+			a.lintTook = time.Since(start)
 			return nil
 		}, func(u pap.Update) {
 			if u.Deleted {

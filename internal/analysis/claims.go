@@ -22,11 +22,32 @@ type claim struct {
 	// a plain policy, the set's policy-combining algorithm for a set.
 	// Deeper nesting is approximated by the top set's algorithm.
 	GroupAlg policy.Algorithm
+	// universal marks a claim that, after set-target narrowing, constrains
+	// none of the five dimensions (a condition is not a constraint); see
+	// the package documentation's "Incremental engine".
+	universal bool
+	// repeat marks a claim whose ref an earlier claim of the same owner
+	// already has — a verbatim-duplicate rule, whose findings are its
+	// first copy's.
+	repeat bool
 }
 
 // ref locates the claim in findings.
 func (c *claim) ref() Ref {
 	return Ref{Owner: c.Owner, PolicyID: c.PolicyID, RuleID: c.RuleID}
+}
+
+// shape indexes the two claim properties a universal claim's findings
+// against it depend on: bit 0 a permit, bit 1 a condition.
+func (c *claim) shape() int {
+	s := 0
+	if c.Effect == policy.EffectPermit {
+		s = 1
+	}
+	if c.Conditional {
+		s |= 2
+	}
+	return s
 }
 
 // setConstraints are the equality constraints a policy-set target places
@@ -92,19 +113,29 @@ func normalizeClaims(owner string, ev policy.Evaluable) []claim {
 		group = v.Combining
 	}
 	for i := range out {
-		out[i].Seq = i
-		out[i].GroupAlg = group
+		c := &out[i]
+		c.Seq = i
+		c.GroupAlg = group
+		c.universal = c.Subjects.Wildcard() && c.Roles.Wildcard() && c.Actions.Wildcard() &&
+			c.Resources.Wildcard() && c.ResourceTypes.Wildcard()
+		for j := 0; j < i && !c.repeat; j++ {
+			c.repeat = out[j].PolicyID == c.PolicyID && out[j].RuleID == c.RuleID
+		}
 	}
 	return out
 }
 
-// resourceKeys reports the exact resource identifiers the claims
-// constrain and whether any claim is a resource wildcard — the same key
-// space as policy.ResourceKeys, derived from the already-normalised
-// claims so set-target narrowing is reflected.
+// resourceKeys reports the exact resource identifiers the non-universal
+// claims constrain and whether any of them is a resource wildcard — the
+// same key space as policy.ResourceKeys, derived from the already-
+// normalised claims so set-target narrowing is reflected. Universal claims
+// are left out: the engine tallies them instead of pairing them.
 func resourceKeys(claims []claim) (keys []string, wildcard bool) {
 	seen := make(map[string]struct{})
 	for _, c := range claims {
+		if c.universal {
+			continue
+		}
 		if c.Resources.Wildcard() {
 			wildcard = true
 			continue

@@ -38,12 +38,29 @@
 // resource-id posting lists and of the cluster partitioner). Applying one
 // policy delta re-analyses only the changed child against the owners whose
 // claims can overlap it — near-constant work under the per-resource policy
-// shape the repository's workloads model — and is property-tested
-// equivalent to from-scratch analysis of the final base. Analyze is the
-// from-scratch form; a cluster.Router can aggregate per-shard reports with
-// Merge. The standing finding set holds no Go pointers (interned ids in
-// one map, per-owner slices of keys), so a large set costs the garbage
-// collector nothing to mark; Report re-materialises findings on demand.
+// shape the repository's workloads model — and is property-tested against
+// a quadratic reference that runs every claim pair of the final base.
+// Analyze is the from-scratch form; a cluster.Router can aggregate
+// per-shard reports with Merge.
+//
+// Universal claims are tallied, not paired. A claim is universal when,
+// after set-target narrowing, it constrains none of the five dimensions —
+// an organisation-wide rule such as a target-less veto; a condition is not
+// a constraint. Against a non-universal claim of another owner it always
+// overlaps and covers, and is never covered, so the pair's findings depend
+// only on the universal claim, the root algorithm, the other claim's
+// effect and condition flag, and (under first-applicable) which owner
+// sorts first. The engine therefore keeps one count per universal owner
+// and such class of distinct refs, not one finding per pair, and indexes
+// owners by their non-universal claims only. Universal pairs among
+// themselves, intra-owner pairs and non-universal pairs stand one finding
+// each, in a set holding no Go pointers (interned ids in one map,
+// per-owner slices of keys) that costs the garbage collector nothing to
+// mark. Stats and Summary are arithmetic over both; Report and Preview
+// expand the classes through the same pair analysis on the way out. The
+// cost of Install and of the live heap is per policy: the bench's 32
+// vetoes over 4 096 resource policies stand 262 144 findings as 64 class
+// counts.
 //
 // # Gating
 //

@@ -37,12 +37,49 @@ func (c Config) normalized() Config {
 type ownerState struct {
 	claims []claim
 	// keys and wildcard index the owner by the exact resource ids its
-	// claims constrain; a wildcard owner can overlap anything.
+	// non-universal claims constrain; a wildcard owner can overlap
+	// anything.
 	keys     []string
 	wildcard bool
 	// findings reverse-indexes the standing findings touching this
 	// owner, so removing the owner removes exactly its findings.
 	findings []fkey
+	// nu and uv count the owner's distinct non-universal and universal
+	// claim refs by shape. tally, kept for an owner holding universal
+	// claims, counts every other owner's distinct non-universal refs by
+	// class (see count).
+	nu, uv [4]int32
+	tally  [8]int32
+}
+
+func newOwnerState(id string, ev policy.Evaluable) *ownerState {
+	st := &ownerState{claims: normalizeClaims(id, ev)}
+	st.keys, st.wildcard = resourceKeys(st.claims)
+	for i := range st.claims {
+		c := &st.claims[i]
+		switch {
+		case c.repeat: // counted with its first copy
+		case c.universal:
+			st.uv[c.shape()]++
+		default:
+			st.nu[c.shape()]++
+		}
+	}
+	return st
+}
+
+// count adds d times another owner's non-universal shape counts nu to the
+// tally. A class is a shape plus, in bit 0, whether the other owner sorts
+// after this one — the order first-applicable root combining evaluates
+// them in, which decides between shadow and redundancy.
+func (st *ownerState) count(nu [4]int32, after bool, d int32) {
+	a := 0
+	if after {
+		a = 1
+	}
+	for s, n := range nu {
+		st.tally[2*s+a] += d * n
+	}
 }
 
 // Stats is a snapshot of engine counters.
@@ -57,13 +94,16 @@ type Stats struct {
 	Severities map[Severity]int
 }
 
-// Engine is the incremental analyser: it keeps the policy base's claims
-// indexed by exact resource id and re-analyses only the changed child
-// against the owners whose claims can overlap it. The finding set after
-// any sequence of Apply calls equals from-scratch analysis of the
-// resulting base (the delta-equivalence property the tests assert),
-// because every finding is a pure function of one claim pair — or one
-// owner — and the index never misses an overlapping pair.
+// Engine is the incremental analyser: it keeps the policy base's
+// non-universal claims indexed by exact resource id and re-analyses only
+// the changed child against the owners whose claims can overlap it. A
+// universal claim's findings against other owners' non-universal claims
+// are not stored but tallied per class, and expanded by Report and
+// Preview. The finding set after any sequence of Apply calls equals
+// from-scratch analysis of the resulting base (the delta-equivalence
+// property the tests assert), because every finding is a pure function of
+// one claim pair — or one owner — and neither the index nor the tallies
+// miss an overlapping pair.
 //
 // All methods are safe for concurrent use; analysis runs under one mutex,
 // off the decision hot path.
@@ -73,6 +113,11 @@ type Engine struct {
 	owners   map[string]*ownerState
 	byKey    map[string]map[string]struct{} // resource id -> owners constraining it
 	wildcard map[string]struct{}            // owners with a resource-wildcard claim
+	// universal holds the owners with a universal claim; classes[s][k]
+	// are the findings a universal claim of shape s has against any
+	// non-universal claim of class k (see ownerState.count).
+	universal map[string]struct{}
+	classes   [4][8][]Finding
 	// findings is the standing set (see fkey); deletes counts removals
 	// since it was last rebuilt. refs and attrs intern the strings its ids
 	// stand for, and buf renders a ref for lookup. Findings stand without
@@ -82,9 +127,9 @@ type Engine struct {
 	refs     interner[Ref]
 	attrs    interner[struct{}]
 	buf      []byte
-	// claims, byKind and bySev are kept current on every add and remove
-	// (the maps hold non-zero counts only), so Stats and Summary never
-	// walk the finding set.
+	// claims, byKind and bySev are kept current on every stored add and
+	// remove (the maps hold non-zero counts only), so Stats and Summary
+	// never walk the finding set.
 	claims int
 	byKind map[Kind]int
 	bySev  map[Severity]int
@@ -96,14 +141,44 @@ type Engine struct {
 // NewEngine builds an empty incremental analyser.
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{cfg: cfg.normalized()}
+	e.classes = classTable(e.cfg.RootCombining)
 	e.resetLocked()
 	return e
+}
+
+// classTable lists the findings of one universal claim of each shape
+// against one non-universal claim of another owner in each class. For such
+// a pair Overlap and the universal claim's coverage always hold and the
+// reverse coverage never does, so the findings of two representatives
+// stand for every pair of the class.
+func classTable(root policy.Algorithm) (t [4][8][]Finding) {
+	rep := func(shape int, owner string, resources conflict.ConstraintSet) claim {
+		c := claim{Owner: owner, universal: resources == nil}
+		c.Effect, c.Conditional, c.Resources = policy.EffectDeny, shape&2 != 0, resources
+		if shape&1 != 0 {
+			c.Effect = policy.EffectPermit
+		}
+		return c
+	}
+	for s := range t {
+		u := rep(s, "m", nil)
+		for k := range t[s] {
+			owner := "a"
+			if k&1 != 0 {
+				owner = "z"
+			}
+			c := rep(k>>1, owner, conflict.ConstraintSet{"r"})
+			pairFindings(&u, &c, root, func(f Finding) { t[s][k] = append(t[s][k], f) })
+		}
+	}
+	return t
 }
 
 func (e *Engine) resetLocked() {
 	e.owners = make(map[string]*ownerState)
 	e.byKey = make(map[string]map[string]struct{})
 	e.wildcard = make(map[string]struct{})
+	e.universal = make(map[string]struct{})
 	e.findings = make(map[fkey]fval)
 	e.deletes = 0
 	e.refs = newInterner[Ref]()
@@ -147,8 +222,7 @@ func (e *Engine) applyLocked(id string, ev policy.Evaluable) {
 	if ev == nil {
 		return
 	}
-	st := &ownerState{claims: normalizeClaims(id, ev)}
-	st.keys, st.wildcard = resourceKeys(st.claims)
+	st := newOwnerState(id, ev)
 	e.owners[id] = st
 	e.claims += len(st.claims)
 	for _, k := range st.keys {
@@ -162,14 +236,63 @@ func (e *Engine) applyLocked(id string, ev policy.Evaluable) {
 	if st.wildcard {
 		e.wildcard[id] = struct{}{}
 	}
-	e.findingsForLocked(id, ev, st, e.addFindingLocked)
+	e.pairedLocked(id, ev, st, e.addFindingLocked)
+	e.tallyLocked(id, st, 1)
+}
+
+// tallyLocked adds (d = 1) or takes back (d = -1) owner id's share of the
+// tallies: its non-universal refs in every other universal owner's tally
+// and, when it holds universal claims, its own tally over every other
+// owner.
+func (e *Engine) tallyLocked(id string, st *ownerState, d int32) {
+	if st.nu != [4]int32{} {
+		for w := range e.universal {
+			if w != id {
+				e.owners[w].count(st.nu, id > w, d)
+			}
+		}
+	}
+	switch {
+	case st.uv == [4]int32{}:
+	case d < 0:
+		delete(e.universal, id)
+	default:
+		for other, ost := range e.owners {
+			if other != id {
+				st.count(ost.nu, other > id, 1)
+			}
+		}
+		e.universal[id] = struct{}{}
+	}
 }
 
 // findingsForLocked passes to emit every finding involving the candidate
-// state of owner id: its single-owner findings, its intra-owner claim
-// pairs, and its pairs against each other indexed owner that can overlap
-// it. It does not mutate the engine, which is what lets Preview share it.
+// state of owner id: the findings the engine stores and those its tallies
+// stand for — universal claims against other owners' non-universal ones —
+// expanded. It does not mutate the engine, which is what lets Preview
+// share it.
 func (e *Engine) findingsForLocked(id string, ev policy.Evaluable, st *ownerState, emit func(Finding)) {
+	e.pairedLocked(id, ev, st, emit)
+	if st.uv != [4]int32{} {
+		for other, ost := range e.owners {
+			if other != id {
+				e.pairs(st.claims, true, ost.claims, false, emit)
+			}
+		}
+	}
+	for w := range e.universal {
+		if w != id {
+			e.pairs(e.owners[w].claims, true, st.claims, false, emit)
+		}
+	}
+}
+
+// pairedLocked passes to emit every stored finding involving the
+// candidate state of owner id: its single-owner findings, its intra-owner
+// claim pairs, its non-universal claims against those of each indexed
+// owner that can overlap them, and its universal claims against those of
+// every other owner.
+func (e *Engine) pairedLocked(id string, ev policy.Evaluable, st *ownerState, emit func(Finding)) {
 	deadAttributes(id, ev, e.cfg.Vocabulary, emit)
 	for i := range st.claims {
 		for j := i + 1; j < len(st.claims); j++ {
@@ -177,10 +300,25 @@ func (e *Engine) findingsForLocked(id string, ev policy.Evaluable, st *ownerStat
 		}
 	}
 	for other := range e.candidateOwnersLocked(st, id) {
-		theirs := e.owners[other].claims
-		for i := range st.claims {
-			for j := range theirs {
-				pairFindings(&st.claims[i], &theirs[j], e.cfg.RootCombining, emit)
+		e.pairs(st.claims, false, e.owners[other].claims, false, emit)
+	}
+	for w := range e.universal {
+		if w != id {
+			e.pairs(st.claims, true, e.owners[w].claims, true, emit)
+		}
+	}
+}
+
+// pairs passes to emit the findings of every pair of an xs claim whose
+// universality is xu and a ys claim whose universality is yu.
+func (e *Engine) pairs(xs []claim, xu bool, ys []claim, yu bool, emit func(Finding)) {
+	for i := range xs {
+		if xs[i].universal != xu {
+			continue
+		}
+		for j := range ys {
+			if ys[j].universal == yu {
+				pairFindings(&xs[i], &ys[j], e.cfg.RootCombining, emit)
 			}
 		}
 	}
@@ -217,13 +355,27 @@ func (e *Engine) candidateOwnersLocked(st *ownerState, self string) map[string]s
 	return out
 }
 
-// Report snapshots the current finding set, sorted and deduplicated. The
-// findings are rendered, keyed and sorted after the lock is released.
+// Report snapshots the current finding set, sorted and deduplicated: the
+// stored findings and the tallied ones, expanded. The findings are
+// rendered, keyed and sorted after the lock is released.
 func (e *Engine) Report() Report {
 	e.mu.Lock()
-	fs := make([]Finding, 0, len(e.findings))
+	_, bySev := e.countsLocked()
+	n := 0
+	for _, c := range bySev {
+		n += c
+	}
+	fs := make([]Finding, 0, n)
 	for k, v := range e.findings {
 		fs = append(fs, e.materialize(k, v))
+	}
+	add := func(f Finding) { fs = append(fs, f) }
+	for w := range e.universal {
+		for other, ost := range e.owners {
+			if other != w {
+				e.pairs(e.owners[w].claims, true, ost.claims, false, add)
+			}
+		}
 	}
 	e.mu.Unlock()
 	keys := make([]string, len(fs))
@@ -232,7 +384,16 @@ func (e *Engine) Report() Report {
 		keys[i] = fs[i].Key()
 	}
 	sortFindings(fs, keys)
-	return Report{Findings: fs}
+	// A verbatim-duplicate rule, or a ref aliased across owners (see
+	// fkey), expands one tallied finding twice; the copies sort next to
+	// each other.
+	out := fs[:0]
+	for i := range fs {
+		if i == 0 || keys[i] != keys[i-1] {
+			out = append(out, fs[i])
+		}
+	}
+	return Report{Findings: out}
 }
 
 // Summary returns Report().Summary() from the standing counts, without
@@ -240,10 +401,32 @@ func (e *Engine) Report() Report {
 func (e *Engine) Summary() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.findings) == 0 {
+	byKind, bySev := e.countsLocked()
+	if len(bySev) == 0 {
 		return "clean"
 	}
-	return summarize(e.bySev, e.byKind)
+	return summarize(bySev, byKind)
+}
+
+// countsLocked tallies the standing findings by kind and severity: the
+// stored findings' running counts plus, for each universal owner, its
+// universal claims' classes times the class tallies.
+func (e *Engine) countsLocked() (map[Kind]int, map[Severity]int) {
+	byKind, bySev := maps.Clone(e.byKind), maps.Clone(e.bySev)
+	for w := range e.universal {
+		st := e.owners[w]
+		for s, us := range st.uv {
+			for k, cs := range st.tally {
+				for _, f := range e.classes[s][k] {
+					if n := int(us) * int(cs); n > 0 {
+						byKind[f.Kind] += n
+						bySev[f.Severity] += n
+					}
+				}
+			}
+		}
+	}
+	return byKind, bySev
 }
 
 // Preview analyses a hypothetical write without applying it: the findings
@@ -257,10 +440,8 @@ func (e *Engine) Preview(id string, ev policy.Evaluable) Report {
 	if ev == nil {
 		return Report{}
 	}
-	st := &ownerState{claims: normalizeClaims(id, ev)}
-	st.keys, st.wildcard = resourceKeys(st.claims)
 	var fs []Finding
-	e.findingsForLocked(id, ev, st, func(f Finding) { fs = append(fs, f.rendered()) })
+	e.findingsForLocked(id, ev, newOwnerState(id, ev), func(f Finding) { fs = append(fs, f.rendered()) })
 	return Merge(Report{Findings: fs})
 }
 
@@ -268,13 +449,14 @@ func (e *Engine) Preview(id string, ev policy.Evaluable) Report {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	byKind, bySev := e.countsLocked()
 	return Stats{
 		IncrementalRuns: e.incRuns,
 		FullRuns:        e.fullRuns,
 		Policies:        len(e.owners),
 		Claims:          e.claims,
-		Findings:        maps.Clone(e.byKind),
-		Severities:      maps.Clone(e.bySev),
+		Findings:        byKind,
+		Severities:      bySev,
 	}
 }
 

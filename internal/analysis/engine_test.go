@@ -243,6 +243,35 @@ func TestPolicySetNarrowing(t *testing.T) {
 	}
 }
 
+// TestUniversalClaims pins which claims the engine tallies rather than
+// pairs: those constraining none of the five dimensions after set-target
+// narrowing. A condition is not a constraint; a set target is.
+func TestUniversalClaims(t *testing.T) {
+	guard := policy.Call("string-equal", policy.SubjectAttr(policy.AttrSubjectDomain), policy.LitBag(policy.String("x")))
+	wide := pol("wide", policy.DenyOverrides,
+		policy.Deny("all").Build(),
+		policy.Permit("guarded").If(guard).Build(),
+		policy.Permit("reads").When(policy.MatchActionID("read")).Build())
+	ward := policy.NewPolicySet("ward").Combining(policy.DenyOverrides).
+		When(policy.MatchResourceID("res-1")).
+		Add(pol("inner", policy.DenyOverrides, policy.Deny("all").Build())).
+		Build()
+	for _, tc := range []struct {
+		ev   policy.Evaluable
+		want []bool
+	}{{wide, []bool{true, true, false}}, {ward, []bool{false}}} {
+		claims := normalizeClaims(tc.ev.EntityID(), tc.ev)
+		if len(claims) != len(tc.want) {
+			t.Fatalf("%s: %d claims, want %d", tc.ev.EntityID(), len(claims), len(tc.want))
+		}
+		for i, c := range claims {
+			if c.universal != tc.want[i] {
+				t.Errorf("%s: universal = %v, want %v", c.ref(), c.universal, tc.want[i])
+			}
+		}
+	}
+}
+
 func TestPreviewExcludesOwnRevision(t *testing.T) {
 	e := NewEngine(Config{})
 	e.Install(

@@ -7,6 +7,16 @@ import "repro/internal/policy"
 // interned subject, other and attribute. Refs are interned by their
 // rendered string, so two refs that render alike are one ref (and
 // re-materialise with the spelling interned first).
+//
+// The tallies count refs per owner, so they hold to that identity only
+// while a rendered ref names one claim shape in one owner: a verbatim-
+// duplicate rule counts once, but ids containing ':' that make refs of two
+// owners render alike (a set "a" holding policy "b:c" and a set "a:b"
+// holding "c") count once per owner in Stats and Summary, where Report
+// lists the finding once. Within that contract two emissions with one key
+// are the same finding, except a dead attribute referenced from both a
+// rule's target and its condition: the first emitted — the target's —
+// stands.
 type fkey struct {
 	kind           uint8
 	subject, other uint32 // Engine.refs ids; 0 is the zero Ref
@@ -134,13 +144,15 @@ func (e *Engine) listOwners(k fkey) [2]string {
 	return [2]string{subject, other}
 }
 
-// removeOwnerLocked removes owner id, its index entries and every finding
-// in its reverse list, unlinking each from its other owner's list.
+// removeOwnerLocked removes owner id, its tallies, its index entries and
+// every finding in its reverse list, unlinking each from its other owner's
+// list.
 func (e *Engine) removeOwnerLocked(id string) {
 	st, ok := e.owners[id]
 	if !ok {
 		return
 	}
+	e.tallyLocked(id, st, -1)
 	for _, k := range st.findings {
 		v := e.findings[k]
 		for s, owner := range e.listOwners(k) {
