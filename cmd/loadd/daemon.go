@@ -7,12 +7,53 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/workload"
+	"repro/internal/xacml"
 )
+
+// spawnDaemon writes the load shape's policy base into workDir and starts
+// the real pdpd over it, with a WAL in workDir/data and /admin/chaos
+// exposed — the same artifacts an operator would deploy.
+func spawnDaemon(ctx context.Context, bin, workDir string, resilience bool, log io.Writer) (*daemon, error) {
+	seed, err := xacml.MarshalJSON(workload.NewGenerator(loadShape).PolicyBase("loadd-root"))
+	if err != nil {
+		return nil, err
+	}
+	seedPath := filepath.Join(workDir, "seed.json")
+	if err := os.WriteFile(seedPath, seed, 0o644); err != nil {
+		return nil, err
+	}
+	addr, err := freeAddr()
+	if err != nil {
+		return nil, err
+	}
+	args := []string{
+		"-policy", seedPath,
+		"-addr", addr,
+		"-data-dir", filepath.Join(workDir, "data"),
+		"-shards", fmt.Sprint(shards),
+		"-replicas", fmt.Sprint(replicas),
+		"-cache", "30s",
+		"-chaos",
+	}
+	if resilience {
+		args = append(args, "-breaker", "-breaker-cooldown", breakerCooldown.String(),
+			"-stale-grace", staleGrace.String())
+	}
+	proc := &daemon{bin: bin, args: args, addr: addr, log: log}
+	if err := proc.Start(ctx); err != nil {
+		return nil, err
+	}
+	return proc, nil
+}
 
 // daemon is a spawned pdpd under the harness's control: it implements
 // chaos.Process, so the kill-9/WAL-recovery event is a real SIGKILL of a
@@ -98,7 +139,7 @@ func freeAddr() (string, error) {
 
 // scrapeCounter fetches a /metrics exposition and sums every series of the
 // named metric (label variants included), rounding to a whole count. Used
-// by the -min-stale gate to prove degraded mode engaged on the daemon side.
+// to prove degraded mode engaged on the daemon side.
 func scrapeCounter(ctx context.Context, url, name string) (int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/loadgen"
 	"repro/internal/policy"
 	"repro/internal/workload"
+	"repro/internal/xacml"
 )
 
 // chaosClient drives a daemon's /admin/chaos endpoint: the remote flavour
@@ -111,36 +111,28 @@ func (c *chaosClient) shardWide(action, shard string, replicas int) chaos.Action
 
 // scheduleConfig parameterises the built-in fault schedule.
 type scheduleConfig struct {
-	endpoint  string
-	target    chaos.Decider
-	admin     loadgen.HTTPAdmin
-	workload  workload.Config
-	proc      *daemon // nil when attached to an external daemon
-	crash     time.Duration
-	partition time.Duration
-	kill      time.Duration
-	heal      time.Duration
-	recovery  time.Duration
+	endpoint   string
+	target     chaos.Decider
+	proc       *daemon
+	resilience bool
+	crash      time.Duration
+	partition  time.Duration
+	kill       time.Duration
+	heal       time.Duration
 }
 
-// buildSchedule assembles the documented chaos run: snapshot the decision
-// probes and seed the acknowledged-write ledger first, then schedule
-// replica crash, shard partition and (for spawned daemons) a kill -9, each
-// healing after cfg.heal, with the strict recovery checks as the final
-// events. The tolerant invariants sweep after every event.
-func buildSchedule(ctx context.Context, cfg scheduleConfig) (*chaos.Orchestrator, error) {
+// buildSchedule assembles the documented chaos run: seed the
+// acknowledged-write ledger and snapshot the decision probes first, then
+// schedule replica crash, shard partition and kill -9, each repaired
+// after cfg.heal, with the strict recovery checks as the final events.
+// The tolerant invariants sweep after every event. It returns the fault
+// windows the partition and the kill declare; the crash declares none,
+// because failover masks it.
+func buildSchedule(ctx context.Context, cfg scheduleConfig) (*chaos.Orchestrator, []*window, error) {
 	inj := newChaosClient(cfg.endpoint)
 	shards, replicasPerShard, err := inj.topology(ctx)
 	if err != nil {
-		return nil, err
-	}
-
-	probe := &chaos.DecisionProbe{Target: cfg.target, Requests: []*policy.Request{
-		warmProbe(cfg.workload, 0), warmProbe(cfg.workload, 1),
-		warmProbe(cfg.workload, 2), warmProbe(cfg.workload, 3),
-	}}
-	if err := probe.Snapshot(ctx); err != nil {
-		return nil, fmt.Errorf("probe snapshot: %w", err)
+		return nil, nil, err
 	}
 
 	// Acknowledged writes: sentinel policies written through the admin
@@ -149,13 +141,23 @@ func buildSchedule(ctx context.Context, cfg scheduleConfig) (*chaos.Orchestrator
 	acked := &chaos.AckedWrites{Target: cfg.target}
 	for i := 0; i < 4; i++ {
 		pol, req := sentinelPolicy(i)
-		if err := cfg.admin.Put(ctx, pol); err != nil {
-			return nil, fmt.Errorf("sentinel write %d: %w", i, err)
+		if err := putPolicy(ctx, cfg.endpoint+"/admin/policy", pol); err != nil {
+			return nil, nil, fmt.Errorf("sentinel write %d: %w", i, err)
 		}
 		acked.Acknowledge(pol.EntityID(), req, policy.DecisionPermit)
 	}
 
+	// The probes are snapshot after the writes: a write retires the
+	// daemon's last-known-good answers, and the staleness sweep needs the
+	// probes' answers remembered when the partition starts.
+	probes := []*policy.Request{warmProbe(0), warmProbe(1), warmProbe(2), warmProbe(3)}
+	probe := &chaos.DecisionProbe{Target: cfg.target, Requests: probes}
+	if err := probe.Snapshot(ctx); err != nil {
+		return nil, nil, fmt.Errorf("probe snapshot: %w", err)
+	}
+
 	orch := chaos.New()
+	var windows []*window
 	last := time.Duration(0)
 	add := func(at time.Duration, name string, do chaos.Action) {
 		orch.Add(chaos.Event{At: at, Name: name, Do: do})
@@ -163,34 +165,113 @@ func buildSchedule(ctx context.Context, cfg scheduleConfig) (*chaos.Orchestrator
 			last = at
 		}
 	}
+	// fault schedules inject at `at` and repair cfg.heal later; with
+	// excused set it declares the fault's window.
+	fault := func(at time.Duration, name string, inject chaos.Action, repairName string, repair chaos.Action, excused bool) {
+		if excused {
+			w := &window{name: name}
+			windows = append(windows, w)
+			inject, repair = w.opening(inject), w.closing(repair)
+		}
+		add(at, name, inject)
+		add(at+cfg.heal, repairName, repair)
+	}
 	if cfg.crash > 0 {
-		add(cfg.crash, fmt.Sprintf("crash %s/replica-0", shards[0]), inj.action("crash", shards[0], 0))
-		add(cfg.crash+cfg.heal, fmt.Sprintf("revive %s/replica-0", shards[0]), inj.action("revive", shards[0], 0))
+		fault(cfg.crash, fmt.Sprintf("crash %s/replica-0", shards[0]), inj.action("crash", shards[0], 0),
+			fmt.Sprintf("revive %s/replica-0", shards[0]), inj.action("revive", shards[0], 0), false)
 	}
 	if cfg.partition > 0 {
 		shard := shards[len(shards)-1]
-		add(cfg.partition, fmt.Sprintf("partition shard %s (all %d replicas down)", shard, replicasPerShard),
-			inj.shardWide("crash", shard, replicasPerShard))
-		add(cfg.partition+cfg.heal, fmt.Sprintf("heal shard %s", shard),
-			inj.shardWide("revive", shard, replicasPerShard))
+		if cfg.resilience {
+			// The degraded-mode proof, taken while the partition still
+			// holds (events at one offset fire in the order added): the
+			// daemon itself must report stale serves.
+			add(cfg.partition+cfg.heal, "verify degraded mode served stale", servedStale(cfg.endpoint))
+		}
+		fault(cfg.partition, fmt.Sprintf("partition shard %s (all %d replicas down)", shard, replicasPerShard),
+			inj.shardWide("crash", shard, replicasPerShard),
+			fmt.Sprintf("heal shard %s", shard), inj.shardWide("revive", shard, replicasPerShard), true)
 	}
 	if cfg.kill > 0 {
-		if cfg.proc == nil {
-			return nil, fmt.Errorf("-chaos-kill needs -spawn (cannot SIGKILL an external daemon); set -chaos-kill 0")
-		}
-		add(cfg.kill, "kill -9 pdpd", chaos.Kill9(cfg.proc))
-		add(cfg.kill+cfg.heal, "restart pdpd (WAL recovery)", chaos.Restart(cfg.proc))
+		fault(cfg.kill, "kill -9 pdpd", chaos.Kill9(cfg.proc),
+			"restart pdpd (WAL recovery)", chaos.Restart(cfg.proc), true)
 	}
 	// Strict recovery checks after the last repair: decisions identical,
 	// acknowledged writes provably in effect.
 	verifyAt := last + cfg.heal
-	add(verifyAt, "verify decisions recovered", chaos.Check(probe.Recovered(cfg.recovery)))
-	add(verifyAt, "verify acked writes durable", chaos.Check(acked.Durable(cfg.recovery)))
+	add(verifyAt, "verify decisions recovered", chaos.Check(probe.Recovered(recoveryWindow)))
+	add(verifyAt, "verify acked writes durable", chaos.Check(acked.Durable(recoveryWindow)))
 
 	orch.Require(
 		probe.Unchanged(),
 		acked.Held(),
-		chaos.FailClosed(cfg.target, warmProbe(cfg.workload, 4)),
+		chaos.FailClosed(cfg.target, warmProbe(4)),
 	)
-	return orch, nil
+	if cfg.resilience {
+		for _, req := range probes {
+			orch.Require(chaos.StalenessBounded(cfg.target, req, staleGrace))
+		}
+	}
+	return orch, windows, nil
+}
+
+// servedStale fails unless the daemon's repro_stale_served_total is at
+// least one.
+func servedStale(endpoint string) chaos.Action {
+	return func(ctx context.Context) error {
+		served, err := scrapeCounter(ctx, endpoint+"/metrics", "repro_stale_served_total")
+		if err != nil {
+			return err
+		}
+		if served < 1 {
+			return fmt.Errorf("daemon served no stale decisions: degraded mode never engaged")
+		}
+		return nil
+	}
+}
+
+// warmProbe is a request the load shape's base permits: role r reads
+// resource r, which it owns (resource i is owned by role i mod Roles).
+func warmProbe(i int) *policy.Request {
+	role := i % loadShape.Roles
+	return policy.NewAccessRequest(workload.UserID(i), workload.ResourceID(role), "read").
+		Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String(workload.RoleID(role)))
+}
+
+// sentinelPolicy is an acknowledged-write probe policy on a resource
+// outside the load shape's space.
+func sentinelPolicy(i int) (*policy.Policy, *policy.Request) {
+	res := fmt.Sprintf("loadd-acked-res-%d", i)
+	pol := policy.NewPolicy(fmt.Sprintf("loadd-acked-%d", i)).
+		Combining(policy.FirstApplicable).
+		When(policy.MatchResourceID(res)).
+		Rule(policy.Permit("allow-read").When(policy.MatchActionID("read")).Build()).
+		Rule(policy.Deny("default").Build()).
+		Build()
+	return pol, policy.NewAccessRequest("loadd-auditor", res, "read")
+}
+
+// putPolicy POSTs pol as XACML JSON to the daemon's admin URL. Only a 200
+// acknowledges the write; anything else (a 409 from the strict lint gate
+// included) is an error.
+func putPolicy(ctx context.Context, url string, pol policy.Evaluable) error {
+	doc, err := xacml.MarshalJSON(pol)
+	if err != nil {
+		return fmt.Errorf("encode policy %s: %w", pol.EntityID(), err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(doc))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := (&http.Client{Timeout: 10 * time.Second}).Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("admin put %s: %s: %s", pol.EntityID(), resp.Status, body)
+	}
+	return nil
 }

@@ -82,16 +82,14 @@
 // bench module's traced pass reports tracing overhead end to end, and
 // cmd/benchjson renders benchmark output machine-readable.
 //
-// The system is exercised the way it will be operated. internal/loadgen
-// drives a decision point open-loop — arrivals follow a schedule
-// (Poisson, bursts, flash crowds) the server cannot push back on, with
-// latency measured from each request's scheduled arrival instant and
-// overload surfacing as counted shed rather than a slowed generator — and
-// internal/chaos composes the repo's fault seams (replica crash/stall,
-// partitions, kill -9 with WAL recovery, clock skew) into timed schedules
-// whose invariants distinguish mid-fault fail-closed behaviour (tolerated)
-// from lost acknowledged writes or changed decisions (violations).
-// cmd/loadd runs both against a real pdpd cluster, emits benchfmt JSON
-// (the committed BENCH_<PR>.json trajectory), and cmd/benchjson -compare
-// gates CI on regressions against the committed baseline.
+// The system is exercised the way it will be operated. internal/chaos
+// composes the repo's fault seams (replica crash/stall, partitions, kill
+// -9 with WAL recovery, clock skew) into timed schedules whose invariants
+// distinguish mid-fault fail-closed behaviour (tolerated) from lost
+// acknowledged writes or changed decisions (violations). cmd/loadd runs
+// such a schedule against a real pdpd cluster under one kernel-paced
+// open-loop load and fails on any failed decision outside a declared
+// fault window; throughput and latency come from the bench module, and
+// cmd/benchjson -compare gates CI on regressions against the committed
+// BENCH_<PR>.json baseline.
 package repro

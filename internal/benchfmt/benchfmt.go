@@ -1,9 +1,9 @@
 // Package benchfmt is the machine-readable benchmark interchange format
-// shared by cmd/benchjson, cmd/loadd and the CI regression gate. A Doc is
-// the committed BENCH_<PR>.json unit of the perf trajectory: each PR's
-// harness run appends one document, and the gate diffs a fresh run against
-// the committed baseline so a regression fails the build instead of
-// rotting silently in a log.
+// shared by cmd/benchjson and the CI regression gate. A Doc is the
+// committed BENCH_<PR>.json unit of the perf trajectory: each PR's
+// benchmark run becomes one document, and the gate diffs a fresh run
+// against the committed baseline so a regression fails the build instead
+// of rotting silently in a log.
 package benchfmt
 
 import (
@@ -15,8 +15,7 @@ import (
 	"strconv"
 )
 
-// Doc is one benchmark document: the parse of a `go test -bench` run or
-// the emission of a load-harness run.
+// Doc is one benchmark document: the parse of a `go test -bench` run.
 type Doc struct {
 	// Goos, Goarch, Pkg and CPU echo the bench header when present.
 	Goos   string `json:"goos,omitempty"`
@@ -30,14 +29,12 @@ type Doc struct {
 // Benchmark is one result entry.
 type Benchmark struct {
 	// Name is the benchmark name including sub-bench path and -cpu
-	// suffix, as printed (e.g. "BenchmarkParallelDecide/hit-16"), or a
-	// harness scenario name (e.g. "Loadgen/steady-zipf").
+	// suffix, as printed (e.g. "BenchmarkParallelDecide/hit-16").
 	Name string `json:"name"`
-	// Runs is the measured iteration count (the b.N column), or the
-	// request count of a harness scenario.
+	// Runs is the measured iteration count (the b.N column).
 	Runs int64 `json:"runs"`
 	// Metrics maps each reported unit to its value: ns/op, B/op,
-	// allocs/op, custom b.ReportMetric units, and harness metrics alike.
+	// allocs/op and custom b.ReportMetric units alike.
 	Metrics map[string]float64 `json:"metrics"`
 }
 

@@ -1,18 +1,20 @@
 // Package chaos composes the codebase's existing fault-injection seams —
-// replica crash/revive and stalls (ha.Failable), wire partitions and node
-// outages (wire.Network), WAL kill-9 crashes (store.Log), clock skew — into
-// timed schedules that run while an open-loop load run (internal/loadgen)
-// is in flight, and checks the paper's safety contract after every event:
+// replica crash/revive and stalls (ha.Failable), wire partitions
+// (wire.Network), kill -9 of a real process (Process), clock skew — into
+// timed schedules that run while paced load is in flight, and checks the
+// paper's safety contract after every event:
 //
 //   - no acknowledged policy write is ever lost (AckedWrites);
 //   - decisions are identical before and after recovery (DecisionProbe);
 //   - an expired deadline budget always fails closed to Indeterminate,
-//     never leaks a Permit (FailClosed).
+//     never leaks a Permit (FailClosed);
+//   - a degraded answer is never staler than its grace (StalenessBounded).
 //
 // The orchestrator is deliberately dumb: a sorted list of named events on
 // a relative timeline, each followed by an invariant sweep. Everything
 // interesting lives in the seams (seams.go) and the invariants
-// (invariants.go); cmd/loadd wires both under a real pdpd.
+// (invariants.go); cmd/loadd wires both under a real pdpd and its own
+// kernel-paced load.
 package chaos
 
 import (

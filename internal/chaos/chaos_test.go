@@ -5,19 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/ha"
-	"repro/internal/loadgen"
 	"repro/internal/pap"
 	"repro/internal/pdp"
 	"repro/internal/policy"
 	"repro/internal/store"
 	"repro/internal/wire"
 	"repro/internal/workload"
+	"repro/internal/xacml"
 )
 
 // record is a concurrency-safe event trace for schedule tests.
@@ -142,10 +143,31 @@ func permitRequest(wcfg workload.Config, i int) *policy.Request {
 		Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String(workload.RoleID(role)))
 }
 
-// TestCrashFailoverUnderLiveLoad is the core composition: an open-loop
-// load run in flight while the schedule crashes one replica per shard,
-// stalls another, and repairs — failover must keep every decision
-// conclusive and the probes identical throughout.
+// pacedLoad decides warm workload requests against d at the workload's
+// Poisson arrival rate until stop closes, each under a 250ms budget, and
+// returns how many it decided and how many came back Indeterminate.
+func pacedLoad(d chaos.Decider, wcfg workload.Config, stop <-chan struct{}) (decided, indeterminate int) {
+	gen := workload.NewGenerator(wcfg)
+	for {
+		select {
+		case <-stop:
+			return decided, indeterminate
+		case <-time.After(gen.NextInterarrival()):
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+		res := d.Decide(ctx, gen.WarmRequest())
+		cancel()
+		decided++
+		if res.Decision == policy.DecisionIndeterminate {
+			indeterminate++
+		}
+	}
+}
+
+// TestCrashFailoverUnderLiveLoad is the core composition: paced load in
+// flight while the schedule crashes one replica per shard, stalls another,
+// and repairs — failover must keep every decision conclusive and the
+// probes identical throughout.
 func TestCrashFailoverUnderLiveLoad(t *testing.T) {
 	wcfg := workload.Config{
 		Users: 200, Resources: 64, Roles: 8,
@@ -185,38 +207,119 @@ func TestCrashFailoverUnderLiveLoad(t *testing.T) {
 	)
 	o.Require(probe.Unchanged(), chaos.FailClosed(router, permitRequest(wcfg, 3)))
 
-	lcfg := loadgen.Config{
-		Workload: wcfg,
-		Duration: 300 * time.Millisecond,
-		Workers:  16,
-		QueueCap: 4096,
-		Timeout:  250 * time.Millisecond,
-	}
-	driver, err := loadgen.New("chaos-failover", lcfg, router, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan loadgen.Result, 1)
-	go func() { done <- driver.Run(context.Background()) }()
+	stop := make(chan struct{})
+	type tally struct{ decided, indeterminate int }
+	done := make(chan tally, 1)
+	go func() {
+		d, i := pacedLoad(router, wcfg, stop)
+		done <- tally{d, i}
+	}()
 	chaosRep := o.Run(context.Background())
-	res := <-done
+	close(stop)
+	load := <-done
 
 	if !chaosRep.Ok() {
 		t.Fatalf("chaos report not Ok:\n%s", chaosRep)
 	}
-	if res.Completed == 0 {
-		t.Fatal("load run completed nothing")
+	if load.decided == 0 {
+		t.Fatal("load run decided nothing")
 	}
 	// Failover absorbs a single-replica crash and a bounded stall: no
 	// decision may fail under a 250ms budget.
-	if res.Indeterminate != 0 {
-		t.Fatalf("%d Indeterminate decisions under failover chaos:\n%s", res.Indeterminate, res.String())
+	if load.indeterminate != 0 {
+		t.Fatalf("%d of %d decisions Indeterminate under failover chaos", load.indeterminate, load.decided)
 	}
 	// The crashed replica must actually have been routed around.
 	if rep0[0].Queries() == 0 || rep0[1].Queries() == 0 {
 		t.Fatalf("replica queries %d/%d: failover path never exercised",
 			rep0[0].Queries(), rep0[1].Queries())
+	}
+}
+
+// networkTarget decides over one envelope exchange on an in-process
+// wire.Network, so link partitions come from the network model instead of
+// a real socket. Transport failures surface as Indeterminate, the same
+// fail-closed contract as pdp.Client.
+type networkTarget struct {
+	net      *wire.Network
+	from, to string
+	budget   time.Duration // when positive, arms each exchange's virtual deadline
+	serial   atomic.Int64
+}
+
+func (t *networkTarget) Decide(ctx context.Context, req *policy.Request) policy.Result {
+	fail := func(err error) policy.Result {
+		return policy.Result{Decision: policy.DecisionIndeterminate, Err: err}
+	}
+	body, err := xacml.MarshalRequestXML(req)
+	if err != nil {
+		return fail(err)
+	}
+	reply, err := t.net.Send(ctx, &wire.Call{}, &wire.Envelope{
+		MessageID: fmt.Sprintf("%s-%d", t.from, t.serial.Add(1)),
+		From:      t.from,
+		To:        t.to,
+		Action:    "pdp:decide",
+		Timestamp: time.Now(),
+		Deadline:  t.budget,
+		Body:      body,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	if reply == nil {
+		return fail(fmt.Errorf("empty reply from %s", t.to))
+	}
+	res, err := xacml.UnmarshalResponseXML(reply.Body)
+	if err != nil {
+		return fail(err)
+	}
+	return res
+}
+
+// wireNetwork serves the workload base from a "pdp" node behind a
+// latency-per-hop simulated network with a "pep" node to send from.
+func wireNetwork(t *testing.T, wcfg workload.Config, latency time.Duration) *wire.Network {
+	t.Helper()
+	gen := workload.NewGenerator(wcfg)
+	engine := pdp.New("wire-test")
+	if err := engine.SetRoot(gen.PolicyBase("root")); err != nil {
+		t.Fatal(err)
+	}
+	net := wire.NewNetwork(latency, 1)
+	net.Register("pep", func(context.Context, *wire.Call, *wire.Envelope) (*wire.Envelope, error) {
+		return nil, nil
+	})
+	net.Register("pdp", pdp.Handler(engine))
+	return net
+}
+
+func TestNetworkTargetDecidesOverWire(t *testing.T) {
+	wcfg := workload.Config{Users: 10, Resources: 8, Roles: 2, Seed: 1}
+	net := wireNetwork(t, wcfg, time.Millisecond)
+	target := &networkTarget{net: net, from: "pep", to: "pdp"}
+	req := permitRequest(wcfg, 0)
+	if res := target.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+		t.Fatalf("decision over wire = %v (%v), want Permit", res.Decision, res.Err)
+	}
+	net.SetLink("pep", "pdp", wire.LinkProps{Down: true})
+	res := target.Decide(context.Background(), req)
+	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, wire.ErrUnreachable) {
+		t.Fatalf("partitioned decision = %v (%v), want Indeterminate/unreachable", res.Decision, res.Err)
+	}
+	net.SetLink("pep", "pdp", wire.LinkProps{Latency: time.Millisecond})
+	if res := target.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+		t.Fatalf("healed link decision = %v (%v), want Permit", res.Decision, res.Err)
+	}
+}
+
+func TestNetworkTargetBudgetFailsClosed(t *testing.T) {
+	wcfg := workload.Config{Users: 10, Resources: 8, Roles: 2, Seed: 1}
+	net := wireNetwork(t, wcfg, 10*time.Millisecond) // 10ms per hop on the virtual clock
+	target := &networkTarget{net: net, from: "pep", to: "pdp", budget: 5 * time.Millisecond}
+	res := target.Decide(context.Background(), permitRequest(wcfg, 0))
+	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, wire.ErrDeadline) {
+		t.Fatalf("budget < link latency: %v (%v), want Indeterminate/deadline", res.Decision, res.Err)
 	}
 }
 
@@ -226,17 +329,8 @@ func TestCrashFailoverUnderLiveLoad(t *testing.T) {
 // fail-closed Indeterminate.
 func TestPartitionViolationIsDetected(t *testing.T) {
 	wcfg := workload.Config{Users: 10, Resources: 8, Roles: 2, Seed: 3}
-	gen := workload.NewGenerator(wcfg)
-	engine := pdp.New("part-test")
-	if err := engine.SetRoot(gen.PolicyBase("root")); err != nil {
-		t.Fatal(err)
-	}
-	net := wire.NewNetwork(time.Millisecond, 1)
-	net.Register("pep", func(context.Context, *wire.Call, *wire.Envelope) (*wire.Envelope, error) {
-		return nil, nil
-	})
-	net.Register("pdp", pdp.Handler(engine))
-	target := &loadgen.NetworkTarget{Net: net, From: "pep", To: "pdp"}
+	net := wireNetwork(t, wcfg, time.Millisecond)
+	target := &networkTarget{net: net, from: "pep", to: "pdp"}
 
 	probe := &chaos.DecisionProbe{Target: target, Requests: []*policy.Request{permitRequest(wcfg, 0)}}
 	if err := probe.Snapshot(context.Background()); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // Decider is the decision surface the invariants probe — pdp.Engine,
-// cluster.Router, pdp.Client or loadgen.NetworkTarget all satisfy it.
+// cluster.Router and pdp.Client (a real pdpd over HTTP) all satisfy it.
 type Decider interface {
 	Decide(ctx context.Context, req *policy.Request) policy.Result
 }

@@ -71,15 +71,6 @@ func Heal(net *wire.Network, from, to string, latency time.Duration) Action {
 	}
 }
 
-// NodeOutage takes a whole node off the simulated network (every link in
-// and out); down=false repairs.
-func NodeOutage(net *wire.Network, name string, down bool) Action {
-	return func(context.Context) error {
-		net.SetNodeDown(name, down)
-		return nil
-	}
-}
-
 // Process is a controllable external process — a real pdpd under test.
 // Kill must be immediate and graceless (SIGKILL; no flush, no goodbye),
 // Restart must return once the process serves traffic again. cmd/loadd

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -114,11 +116,11 @@ func TestE1Shape(t *testing.T) {
 		{99.5, 100 * time.Millisecond},
 		{100, 100 * time.Millisecond},
 	} {
-		if got := percentile(ds, c.p); got != c.want {
+		if got := metrics.Percentile(ds, c.p); got != c.want {
 			t.Errorf("p%v of 1..100ms = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if got := percentile(nil, 50); got != 0 {
+	if got := metrics.Percentile(nil, 50); got != 0 {
 		t.Errorf("p50 of no samples = %v, want 0", got)
 	}
 }

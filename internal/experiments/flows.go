@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -93,7 +91,7 @@ func RunE1VirtualOrganisation() (*metrics.Table, error) {
 		}
 		table.AddRow(n, requests,
 			mean(localMsgs), mean(crossMsgs),
-			percentile(localLat, 50), percentile(crossLat, 50),
+			metrics.Percentile(localLat, 50), metrics.Percentile(crossLat, 50),
 			float64(permits)/float64(requests))
 	}
 	return table, nil
@@ -109,18 +107,6 @@ func mean(xs []int) float64 {
 		sum += x
 	}
 	return float64(sum) / float64(len(xs))
-}
-
-// percentile returns the nearest-rank p-th percentile (0 < p <= 100) of
-// ds, the sample at index ⌈p/100·n⌉−1 once sorted, or zero without
-// samples. It sorts ds in place.
-func percentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	slices.Sort(ds)
-	idx := int(math.Ceil(p/100*float64(len(ds)))) - 1
-	return ds[max(0, min(idx, len(ds)-1))]
 }
 
 // RunE2Push measures the capability-issuing flow of Fig. 2: one issuance

@@ -1,14 +1,29 @@
 // Package metrics renders the experiment harness's results as aligned
 // text tables (the output of cmd/experiments) and computes the shard-load
-// imbalance the cluster walkthrough reports. Latency distributions are
-// telemetry.Histogram's job; this package keeps no samples.
+// imbalance the cluster walkthrough reports. Streaming latency
+// distributions are telemetry.Histogram's job; this package keeps no
+// samples, it only ranks the ones a caller hands it (Percentile).
 package metrics
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 )
+
+// Percentile returns the nearest-rank p-th percentile (0 < p <= 100) of
+// ds, the sample at index ⌈p/100·n⌉−1 once sorted, or zero without
+// samples. It sorts ds in place.
+func Percentile(ds []time.Duration, p float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	slices.Sort(ds)
+	idx := int(math.Ceil(p/100*float64(len(ds)))) - 1
+	return ds[max(0, min(idx, len(ds)-1))]
+}
 
 // Imbalance reports how unevenly load spreads across units as the ratio
 // of the largest load to the mean (1.0 is perfect balance). The cluster

@@ -29,61 +29,4 @@ func TestInterarrivalPoissonDistribution(t *testing.T) {
 	if cv < 0.98 || cv > 1.02 {
 		t.Errorf("coefficient of variation = %.4f, want ~1 (exponential)", cv)
 	}
-	if got := g.ArrivalClock(); math.Abs(float64(got)-sum) > float64(n) {
-		t.Errorf("arrival clock %v disagrees with summed interarrivals %v", got, time.Duration(sum))
-	}
-}
-
-// TestBurstMultipliesArrivalRate counts arrivals before, inside and after
-// the burst window: the window must carry ~Factor times the steady rate,
-// and the stream must return to the steady rate once the window closes.
-func TestBurstMultipliesArrivalRate(t *testing.T) {
-	mean := time.Millisecond
-	burst := Burst{After: 500 * time.Millisecond, For: 250 * time.Millisecond, Factor: 10}
-	g := NewGenerator(Config{
-		Users: 1, Resources: 1, Roles: 1,
-		MeanInterarrival: mean, Burst: burst, Seed: 21,
-	})
-	var before, during, after int
-	for g.ArrivalClock() < 1500*time.Millisecond {
-		g.NextInterarrival()
-		at := g.ArrivalClock()
-		switch {
-		case at < burst.After:
-			before++
-		case at < burst.After+burst.For:
-			during++
-		default:
-			after++
-		}
-	}
-	// Steady segments: 500ms and 750ms at 1/ms. Burst: 250ms at 10/ms.
-	if before < 400 || before > 600 {
-		t.Errorf("pre-burst arrivals = %d, want ~500", before)
-	}
-	if during < 2100 || during > 2900 {
-		t.Errorf("burst-window arrivals = %d, want ~2500 (10x rate)", during)
-	}
-	if after < 600 || after > 900 {
-		t.Errorf("post-burst arrivals = %d, want ~750", after)
-	}
-	rate := func(n int, window time.Duration) float64 {
-		return float64(n) / window.Seconds()
-	}
-	ratio := rate(during, burst.For) / rate(before, burst.After)
-	if ratio < 8 || ratio > 12 {
-		t.Errorf("burst/steady rate ratio = %.2f, want ~10", ratio)
-	}
-}
-
-// TestBurstZeroValueIsSteady: the zero Burst leaves the process untouched
-// and deterministic against an unburst twin.
-func TestBurstZeroValueIsSteady(t *testing.T) {
-	a := NewGenerator(Config{Users: 1, Resources: 1, Roles: 1, Seed: 3})
-	b := NewGenerator(Config{Users: 1, Resources: 1, Roles: 1, Seed: 3, Burst: Burst{Factor: 1, For: time.Hour}})
-	for i := 0; i < 1000; i++ {
-		if a.NextInterarrival() != b.NextInterarrival() {
-			t.Fatalf("factor<=1 burst changed the stream at draw %d", i)
-		}
-	}
 }

@@ -32,31 +32,8 @@ type Config struct {
 	// MeanInterarrival spaces request arrivals for the Poisson process;
 	// 10ms when zero.
 	MeanInterarrival time.Duration
-	// Burst overlays a flash-crowd window on the arrival process; the
-	// zero value leaves arrivals steady.
-	Burst Burst
 	// Seed makes the workload reproducible.
 	Seed int64
-}
-
-// Burst is a flash-crowd arrival window: between After and After+For of
-// cumulative arrival time, the arrival rate is multiplied by Factor (the
-// mean interarrival is divided by it). It models one tenant's audience
-// piling in at a known instant — the skew the autoscaling and open-loop
-// load scenarios exist to expose.
-type Burst struct {
-	// After is the window start on the generator's arrival clock.
-	After time.Duration
-	// For is the window length; zero disables the burst.
-	For time.Duration
-	// Factor multiplies the arrival rate inside the window; values <= 1
-	// disable the burst.
-	Factor float64
-}
-
-// active reports whether the arrival clock instant falls in the window.
-func (b Burst) active(at time.Duration) bool {
-	return b.Factor > 1 && b.For > 0 && at >= b.After && at < b.After+b.For
 }
 
 func (c Config) withDefaults() Config {
@@ -80,10 +57,6 @@ type Generator struct {
 	cfg  Config
 	rng  *rand.Rand
 	zipf *rand.Zipf
-	// arrivalClock accumulates NextInterarrival draws: the virtual
-	// instant of the most recent arrival, which positions the Burst
-	// window.
-	arrivalClock time.Duration
 }
 
 // NewGenerator builds a generator from the config.
@@ -155,30 +128,18 @@ func (g *Generator) Requests(n int) []*policy.Request {
 }
 
 // NextInterarrival draws an exponential interarrival time for the Poisson
-// arrival process and advances the generator's arrival clock. Inside the
-// configured Burst window the mean is divided by the burst factor, so the
-// window carries Factor times the arrival rate — a flash crowd overlaid on
-// the steady Poisson stream.
+// arrival process.
 func (g *Generator) NextInterarrival() time.Duration {
 	u := g.rng.Float64()
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	mean := float64(g.cfg.MeanInterarrival)
-	if g.cfg.Burst.active(g.arrivalClock) {
-		mean /= g.cfg.Burst.Factor
-	}
-	d := time.Duration(-math.Log(u) * mean)
+	d := time.Duration(-math.Log(u) * float64(g.cfg.MeanInterarrival))
 	if d <= 0 {
 		d = time.Nanosecond
 	}
-	g.arrivalClock += d
 	return d
 }
-
-// ArrivalClock reports the cumulative virtual arrival time: the sum of
-// every interarrival drawn so far.
-func (g *Generator) ArrivalClock() time.Duration { return g.arrivalClock }
 
 // Directory provisions a subject directory where user i holds role
 // i mod Roles, the identity-provider population of the experiments.
