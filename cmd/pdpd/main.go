@@ -147,6 +147,7 @@ func main() {
 			*dataDir, st.RecoveredSnapshot, st.RecoveredTail, st.LastSeq, st.TruncatedBytes)
 	}
 	reg := telemetry.NewRegistry()
+	reg.RegisterGoGC()
 	tracer := trace.NewTracer(trace.Options{
 		Sample:        *traceSample,
 		SlowThreshold: *traceSlow,

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +58,7 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
+	reg.RegisterGoGC()
 	cache := pip.NewCachedChain("pdpd-pip", time.Minute, dir)
 	cache.RegisterMetrics(reg)
 	point, _, _, err := buildDecisionPoint(time.Minute, 1, 1, "failover", cache, nil, reg)
@@ -81,6 +84,7 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 		t.Fatalf("decision = %v, want permit (PIP role resolution)", res.Decision)
 	}
 
+	runtime.GC()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +105,20 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The collector's work is on /metrics, with at least the cycle forced
+	// above counted.
+	for _, name := range []string{"repro_go_gc_cycles_total", "repro_go_gc_heap_goal_bytes", "repro_go_gc_pause_seconds_total"} {
+		i := strings.Index(metrics, "\n"+name+" ")
+		if i < 0 {
+			t.Errorf("/metrics missing %s", name)
+			continue
+		}
+		line := metrics[i+len(name)+2:]
+		v, err := strconv.ParseFloat(line[:strings.IndexByte(line, '\n')], 64)
+		if err != nil || v <= 0 {
+			t.Errorf("%s = %q, want a positive number", name, line[:strings.IndexByte(line, '\n')])
 		}
 	}
 

@@ -178,7 +178,7 @@ type BatchProvider interface {
 // the deadline the transport armed from the envelope's budget — bounds
 // the decision.
 func Handler(p Provider) wire.Handler {
-	return func(ctx context.Context, _ *wire.Call, env *wire.Envelope) (*wire.Envelope, error) {
+	return func(ctx context.Context, call *wire.Call, env *wire.Envelope) (*wire.Envelope, error) {
 		req, err := decodeRequestContext(env.Body)
 		if err != nil {
 			return nil, err
@@ -188,11 +188,9 @@ func Handler(p Provider) wire.Handler {
 		// the envelope carried trace headers) so the caller's stitched
 		// trace shows the decision this hop produced.
 		annotateResultSpan(trace.FromContext(ctx), res)
-		body, err := xacml.MarshalResponseXML(res)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.Envelope{Action: "pdp:decision", Timestamp: env.Timestamp, Body: body}, nil
+		body := call.Buffer()
+		*body = xacml.AppendResponseXML(*body, res)
+		return &wire.Envelope{Action: "pdp:decision", Timestamp: env.Timestamp, Body: *body}, nil
 	}
 }
 
@@ -201,8 +199,14 @@ func Handler(p Provider) wire.Handler {
 // contexts in the same order. Clusters use it to amortise transport and
 // evaluation overhead across a whole burst of queries.
 func BatchHandler(p BatchProvider) wire.Handler {
-	return func(ctx context.Context, _ *wire.Call, env *wire.Envelope) (*wire.Envelope, error) {
-		bodies, err := wire.DecodeBodies(env.Body)
+	return func(ctx context.Context, call *wire.Call, env *wire.Envelope) (*wire.Envelope, error) {
+		// The request bodies and then the reply documents live in one
+		// pooled scratch buffer: both are dead once the reply frame is
+		// built. Requests own their strings, so a hedged loser still
+		// reading them after the handler returns reads none of it.
+		scratch := wire.GetBuffer()
+		defer wire.PutBuffer(scratch)
+		bodies, err := wire.DecodeBodiesInto(scratch, env.Body)
 		if err != nil {
 			return nil, err
 		}
@@ -213,21 +217,20 @@ func BatchHandler(p BatchProvider) wire.Handler {
 			}
 		}
 		results := p.DecideBatch(ctx, reqs)
-		// Every reply is encoded into one growing buffer. A reply sliced
-		// off before the buffer moves keeps the old array, which holds
-		// its bytes unchanged.
-		var docs []byte
-		replies := make([][]byte, len(results))
-		for i, res := range results {
+		// Every reply is encoded into the scratch buffer, over the decoded
+		// request bodies, and the bodies' slice is reused for the replies.
+		// A reply sliced off before the buffer moves keeps the old array,
+		// which holds its bytes unchanged.
+		docs, replies := (*scratch)[:0], bodies[:0]
+		for _, res := range results {
 			start := len(docs)
 			docs = xacml.AppendResponseXML(docs, res)
-			replies[i] = docs[start:]
+			replies = append(replies, docs[start:])
 		}
-		body, err := wire.EncodeBodies(replies)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.Envelope{Action: "pdp:decision-batch", Timestamp: env.Timestamp, Body: body}, nil
+		*scratch = docs
+		frame := call.Buffer()
+		*frame = wire.AppendBodies(*frame, replies)
+		return &wire.Envelope{Action: "pdp:decision-batch", Timestamp: env.Timestamp, Body: *frame}, nil
 	}
 }
 

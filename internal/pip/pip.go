@@ -333,6 +333,15 @@ type cacheEntry struct {
 	err error
 }
 
+// cacheKey identifies one cached lookup: the attribute and the subject it
+// was resolved for. Being comparable, it keys the maps without a string
+// being built per lookup.
+type cacheKey struct {
+	subject string
+	cat     policy.Category
+	name    string
+}
+
 // flight is one in-progress backend fetch that concurrent misses for the
 // same key wait on instead of issuing their own.
 type flight struct {
@@ -363,8 +372,8 @@ type Cache struct {
 	breaker  *resilience.Breaker
 
 	mu       sync.Mutex
-	entries  map[string]cacheEntry
-	inflight map[string]*flight
+	entries  map[cacheKey]cacheEntry
+	inflight map[cacheKey]*flight
 	stats    CacheStats
 }
 
@@ -383,8 +392,8 @@ func NewCache(inner Provider, ttl time.Duration, maxItems int) *Cache {
 		ttl:      ttl,
 		now:      time.Now,
 		maxItems: maxItems,
-		entries:  make(map[string]cacheEntry),
-		inflight: make(map[string]*flight),
+		entries:  make(map[cacheKey]cacheEntry),
+		inflight: make(map[cacheKey]*flight),
 	}
 }
 
@@ -474,7 +483,7 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]cacheEntry)
+	c.entries = make(map[cacheKey]cacheEntry)
 }
 
 // ResolveAttribute implements policy.Resolver. See the Cache doc for the
@@ -487,7 +496,7 @@ func (c *Cache) ResolveAttribute(ctx context.Context, req *policy.Request, cat p
 	if req != nil {
 		subject = req.SubjectID()
 	}
-	key := subject + "|" + staticKey(cat, name)
+	key := cacheKey{subject: subject, cat: cat, name: name}
 	now := c.now()
 
 	for {

@@ -1,10 +1,12 @@
 package policy
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync/atomic"
+	"time"
 )
 
 // Category partitions request attributes, mirroring the XACML attribute
@@ -86,13 +88,27 @@ type cacheKey struct {
 	hash     uint64
 }
 
+// attribute is one named bag of a request.
+type attribute struct {
+	cat  Category
+	name string
+	bag  Bag
+}
+
 // Request holds the attributes describing one access request: who (subject)
 // wants to do what (action) to which resource, in which environment. It is
 // the in-memory form of an XACML request context.
 type Request struct {
-	// attrs is one flat map: a request carries a handful of attributes,
-	// and a map per category would cost two allocations each.
-	attrs map[attrKey]Bag
+	// attrs is sorted by category, then name, so Get is a short linear
+	// scan and Names and the cache key walk it in order. It starts on
+	// inline, and bags added while there is room start on values: a
+	// request of a few single-valued attributes, the common shape, is one
+	// allocation. Inline bags are capped at their length, so appending to
+	// one copies it out.
+	attrs  []attribute
+	inline [4]attribute
+	values [4]Value
+	nvals  int
 	// key memoises CacheKey and CacheKeyHash: decision caches at the PEP,
 	// the PDP and the cluster batch sweep all key on them, and rendering
 	// dominates the cache-hit path. Stored atomically so concurrent
@@ -103,7 +119,9 @@ type Request struct {
 
 // NewRequest returns an empty request.
 func NewRequest() *Request {
-	return &Request{attrs: make(map[attrKey]Bag)}
+	r := &Request{}
+	r.attrs = r.inline[:0]
+	return r
 }
 
 // NewAccessRequest builds the common subject/resource/action triple request.
@@ -115,26 +133,68 @@ func NewAccessRequest(subject, resource, action string) *Request {
 	return r
 }
 
+// find returns the index of the named attribute and true, or the index it
+// would be inserted at and false.
+func (r *Request) find(cat Category, name string) (int, bool) {
+	for i := range r.attrs {
+		if a := &r.attrs[i]; a.cat > cat || (a.cat == cat && a.name >= name) {
+			return i, a.cat == cat && a.name == name
+		}
+	}
+	return len(r.attrs), false
+}
+
+// own copies vals into storage the request owns: the inline values while
+// there is room, the heap otherwise. Nil stays nil.
+func (r *Request) own(vals []Value) Bag {
+	if vals == nil {
+		return nil
+	}
+	if n, end := r.nvals, r.nvals+len(vals); end <= len(r.values) {
+		r.nvals = end
+		return append(r.values[n:n:end], vals...)
+	}
+	return slices.Clone(vals)
+}
+
 // Add appends values to the named attribute, creating it if necessary.
 // It returns the request to allow chaining during construction.
 func (r *Request) Add(cat Category, name string, vals ...Value) *Request {
-	key := attrKey{cat: cat, name: name}
-	r.attrs[key] = append(r.attrs[key], vals...)
+	if i, ok := r.find(cat, name); ok {
+		r.attrs[i].bag = append(r.attrs[i].bag, vals...)
+	} else {
+		r.insert(i, attribute{cat: cat, name: name, bag: r.own(vals)})
+	}
 	r.key.Store(nil)
 	return r
 }
 
 // Set replaces the named attribute's bag.
 func (r *Request) Set(cat Category, name string, bag Bag) *Request {
-	r.attrs[attrKey{cat: cat, name: name}] = bag.Clone()
+	if i, ok := r.find(cat, name); ok {
+		r.attrs[i].bag = r.own(bag)
+	} else {
+		r.insert(i, attribute{cat: cat, name: name, bag: r.own(bag)})
+	}
 	r.key.Store(nil)
 	return r
 }
 
+func (r *Request) insert(i int, a attribute) {
+	if r.attrs == nil {
+		r.attrs = r.inline[:0]
+	}
+	r.attrs = slices.Insert(r.attrs, i, a)
+}
+
 // Get returns the named attribute's bag and whether it is present.
 func (r *Request) Get(cat Category, name string) (Bag, bool) {
-	bag, ok := r.attrs[attrKey{cat: cat, name: name}]
-	return bag, ok
+	for i := range r.attrs {
+		if a := &r.attrs[i]; a.cat == cat && a.name == name {
+			return a.bag, true
+		}
+	}
+	return nil, false
 }
 
 // SubjectID returns the well-known subject identifier, or "" if absent.
@@ -157,29 +217,32 @@ func (r *Request) first(cat Category, name string) string {
 // Names returns the attribute names present in a category, sorted.
 func (r *Request) Names(cat Category) []string {
 	var names []string
-	for key := range r.attrs {
-		if key.cat == cat {
-			names = append(names, key.name)
+	for i := range r.attrs {
+		if a := &r.attrs[i]; a.cat == cat {
+			names = append(names, a.name)
 		}
 	}
-	sort.Strings(names)
 	return names
 }
 
 // Clone returns a deep copy of the request.
 func (r *Request) Clone() *Request {
 	out := NewRequest()
-	for key, bag := range r.attrs {
-		out.attrs[key] = bag.Clone()
+	for _, a := range r.attrs {
+		out.attrs = append(out.attrs, attribute{cat: a.cat, name: a.name, bag: out.own(a.bag)})
 	}
 	return out
 }
 
-// CacheKey renders a deterministic string identifying the request's
-// attribute content, used by decision caches. Attributes are serialised in
-// sorted order so logically equal requests share a key. The rendering is
-// memoised until the next Add or Set, so stacked cache layers (PEP, PDP,
-// batch sweep) pay for it once per request, not once per lookup.
+// CacheKey renders a string identifying the request's attribute content,
+// used by decision caches. Equal content gives an equal key whatever order
+// the attributes and bag values were added in, and different content a
+// different key: each attribute is written as its category, its
+// length-prefixed name and its values, each value tagged with its kind and
+// length-prefixed, so neither a delimiter inside a name or value nor two
+// kinds with the same text make two requests share a key. The rendering
+// is memoised until the next Add or Set, so stacked cache layers (PEP,
+// PDP, batch sweep) pay for it once per request, not once per lookup.
 func (r *Request) CacheKey() string { return r.cacheKey().rendered }
 
 // CacheKeyHash returns a 64-bit FNV-1a hash of CacheKey, memoised with the
@@ -187,28 +250,78 @@ func (r *Request) CacheKey() string { return r.cacheKey().rendered }
 // stat stripe) without re-hashing the key per lookup.
 func (r *Request) CacheKeyHash() uint64 { return r.cacheKey().hash }
 
+// cacheKey renders the key in one in-order walk of the sorted attributes
+// into a stack buffer, so the key string is its one allocation besides the
+// memo. An attribute renders as "subject/10:subject-id=s4:u-17;".
 func (r *Request) cacheKey() *cacheKey {
 	if k := r.key.Load(); k != nil {
 		return k
 	}
-	var sb strings.Builder
-	for _, cat := range Categories() {
-		names := r.Names(cat)
-		for _, n := range names {
-			bag, _ := r.Get(cat, n)
-			vals := bag.Strings()
-			sort.Strings(vals)
-			sb.WriteString(cat.String())
-			sb.WriteByte('/')
-			sb.WriteString(n)
-			sb.WriteByte('=')
-			sb.WriteString(strings.Join(vals, ","))
-			sb.WriteByte(';')
-		}
+	var stack [256]byte
+	buf := stack[:0]
+	for i := range r.attrs {
+		a := &r.attrs[i]
+		buf = appendLenPrefixed(append(append(buf, a.cat.String()...), '/'), a.name)
+		buf = append(appendBag(append(buf, '='), a.bag), ';')
 	}
-	k := &cacheKey{rendered: sb.String(), hash: HashString(sb.String())}
+	s := string(buf)
+	k := &cacheKey{rendered: s, hash: HashString(s)}
 	r.key.Store(k)
 	return k
+}
+
+// appendLenPrefixed appends "<len>:<s>".
+func appendLenPrefixed(buf []byte, s string) []byte {
+	return append(append(strconv.AppendInt(buf, int64(len(s)), 10), ':'), s...)
+}
+
+// appendBag appends the bag's values in byte order of their renderings,
+// so the key does not depend on the order they were added in.
+func appendBag(buf []byte, bag Bag) []byte {
+	if len(bag) == 1 {
+		return appendValue(buf, &bag[0])
+	}
+	// Render the values past the key so far, append them again in order,
+	// then move the ordered copy down over the unordered one.
+	start := len(buf)
+	var stack [8][2]int
+	spans := stack[:0]
+	for i := range bag {
+		lo := len(buf)
+		buf = appendValue(buf, &bag[i])
+		spans = append(spans, [2]int{lo, len(buf)})
+	}
+	slices.SortFunc(spans, func(a, b [2]int) int { return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]]) })
+	sorted := len(buf)
+	for _, sp := range spans {
+		buf = append(buf, buf[sp[0]:sp[1]]...)
+	}
+	return buf[:start+copy(buf[start:], buf[sorted:])]
+}
+
+// appendValue appends one value as its kind tag and its length-prefixed
+// canonical text (a duration's text is its nanosecond count).
+func appendValue(buf []byte, v *Value) []byte {
+	if v.kind == KindString {
+		return appendLenPrefixed(append(buf, 's'), v.str)
+	}
+	var tmp [64]byte
+	text := tmp[:0]
+	switch v.kind {
+	case KindInteger:
+		buf, text = append(buf, 'i'), strconv.AppendInt(text, v.num, 10)
+	case KindDouble:
+		buf, text = append(buf, 'f'), strconv.AppendFloat(text, v.flt, 'g', -1, 64)
+	case KindBoolean:
+		buf, text = append(buf, 'b'), strconv.AppendBool(text, v.bit)
+	case KindTime:
+		buf, text = append(buf, 't'), v.ts.AppendFormat(text, time.RFC3339Nano)
+	case KindDuration:
+		buf, text = append(buf, 'd'), strconv.AppendInt(text, int64(v.dur), 10)
+	default:
+		buf = append(buf, '?')
+	}
+	return append(append(strconv.AppendInt(buf, int64(len(text)), 10), ':'), text...)
 }
 
 // HashString is an allocation-free FNV-1a 64 over a string: deterministic

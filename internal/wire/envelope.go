@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/pki"
@@ -227,25 +226,33 @@ func appendBase64(dst, data []byte) []byte {
 	return dst
 }
 
-// decodeBase64 decodes the standard base64 text of an element.
-func decodeBase64(text []byte) ([]byte, error) {
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
+// decodeBase64 decodes the standard base64 text of an element into dst's
+// storage, grown as needed. The result is never nil.
+func decodeBase64(dst, text []byte) ([]byte, error) {
+	n := base64.StdEncoding.DecodedLen(len(text))
+	out := slices.Grow(dst[:0], n)[:n]
 	n, err := base64.StdEncoding.Decode(out, text)
+	if out == nil {
+		out = []byte{}
+	}
 	return out[:n], err
 }
 
 // DecodeXML parses an envelope from its XML form. Elements may come in
 // any layout and with namespace prefixes; unknown ones are skipped, and
 // of a repeated header the last wins.
-func DecodeXML(data []byte) (*Envelope, error) {
-	e, err := decodeEnvelope(data)
+func DecodeXML(data []byte) (*Envelope, error) { return decodeXML(data, nil) }
+
+// decodeXML is DecodeXML with the Body decoded into body's storage.
+func decodeXML(data, body []byte) (*Envelope, error) {
+	e, err := decodeEnvelope(data, body)
 	if err != nil {
 		return nil, fmt.Errorf("wire: decode: %v: %w", err, ErrBadEnvelope)
 	}
 	return e, nil
 }
 
-func decodeEnvelope(data []byte) (*Envelope, error) {
+func decodeEnvelope(data, body []byte) (*Envelope, error) {
 	s := xmlscan.New(data)
 	if err := s.Root("Envelope"); err != nil {
 		return nil, err
@@ -260,7 +267,7 @@ func decodeEnvelope(data []byte) (*Envelope, error) {
 	binary := func(dst *[]byte) error {
 		b, err := s.Text()
 		if err == nil {
-			*dst, err = decodeBase64(b)
+			*dst, err = decodeBase64(nil, b)
 		}
 		return err
 	}
@@ -303,7 +310,7 @@ func decodeEnvelope(data []byte) (*Envelope, error) {
 		case "TraceSpans":
 			b, err := s.Text()
 			if e.TraceSpans = nil; err == nil && len(b) > 0 {
-				e.TraceSpans, err = decodeBase64(b)
+				e.TraceSpans, err = decodeBase64(nil, b)
 			}
 			return err
 		case "Security":
@@ -324,7 +331,10 @@ func decodeEnvelope(data []byte) (*Envelope, error) {
 		case "Header":
 			err = s.Children(header)
 		case "Body":
-			err = binary(&e.Body)
+			var b []byte
+			if b, err = s.Text(); err == nil {
+				e.Body, err = decodeBase64(body, b)
+			}
 		default:
 			err = s.Skip()
 		}
@@ -342,16 +352,13 @@ func decodeEnvelope(data []byte) (*Envelope, error) {
 	return e, nil
 }
 
-// sizeScratch holds the buffers WireSize encodes into.
-var sizeScratch = sync.Pool{New: func() any { return new([]byte) }}
-
 // WireSize reports the encoded size in bytes, the unit of experiment E8:
 // exactly len(EncodeXML()), without keeping the encoding.
 func (e *Envelope) WireSize() int {
-	buf := sizeScratch.Get().(*[]byte)
-	*buf = e.appendXML((*buf)[:0])
+	buf := GetBuffer()
+	*buf = e.appendXML(*buf)
 	n := len(*buf)
-	sizeScratch.Put(buf)
+	PutBuffer(buf)
 	return n
 }
 

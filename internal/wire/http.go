@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -23,18 +24,17 @@ const DeadlineHeader = "X-Deadline-Budget-Ms"
 // direction.
 const maxBodyBytes = 10 << 20
 
-// readBody reads a message body whole: into a buffer of the declared
-// length when there is one (r is already limited to maxBodyBytes or just
-// over), otherwise until EOF.
-func readBody(r io.Reader, contentLength int64) ([]byte, error) {
+// readBody reads a message body whole: into dst's storage, sized to the
+// declared length, when there is one (r is already limited to
+// maxBodyBytes or just over), otherwise until EOF. The buffer is returned
+// on error too, so a pooled one can go back.
+func readBody(dst []byte, r io.Reader, contentLength int64) ([]byte, error) {
 	if contentLength < 0 || contentLength > maxBodyBytes {
 		return io.ReadAll(r)
 	}
-	data := make([]byte, contentLength)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
+	dst = slices.Grow(dst[:0], int(contentLength))[:contentLength]
+	_, err := io.ReadFull(r, dst)
+	return dst, err
 }
 
 // HTTPOption configures the HTTP binding.
@@ -77,7 +77,15 @@ func HTTPHandler(h Handler, opts ...HTTPOption) http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		data, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+		// The body read, the envelope Body decoded from it and the reply
+		// encoding are pooled: none outlives the exchange (see Handler on
+		// env.Body), so all go back once the reply is written.
+		data, body, out := GetBuffer(), GetBuffer(), GetBuffer()
+		defer PutBuffer(data)
+		defer PutBuffer(body)
+		defer PutBuffer(out)
+		var err error
+		*data, err = readBody(*data, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 		if err != nil {
 			status := http.StatusBadRequest
 			if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
@@ -86,11 +94,12 @@ func HTTPHandler(h Handler, opts ...HTTPOption) http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		env, err := DecodeXML(data)
+		env, err := decodeXML(*data, *body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		*body = env.Body // keep a grown Body's storage for the pool
 		ctx := r.Context()
 		budget := env.Deadline
 		if budget <= 0 {
@@ -115,7 +124,8 @@ func HTTPHandler(h Handler, opts ...HTTPOption) http.Handler {
 			ctx, hop = cfg.tracer.StartRoot(ctx, "serve "+env.Action)
 		}
 		hop.SetAttr("wire.from", env.From)
-		call := &Call{Deadline: budget}
+		call := &Call{Deadline: budget, pooling: true}
+		defer call.release()
 		reply, err := h(ctx, call, env)
 		hop.End()
 		if err != nil {
@@ -135,15 +145,9 @@ func HTTPHandler(h Handler, opts ...HTTPOption) http.Handler {
 		if reply.MessageID == "" {
 			reply.MessageID = env.MessageID + "-reply"
 		}
-		out, err := reply.EncodeXML()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		*out = reply.appendXML(*out)
 		w.Header().Set("Content-Type", "application/xml")
-		if _, err := w.Write(out); err != nil {
-			return
-		}
+		_, _ = w.Write(*out) // a failed write is the client's broken connection
 	})
 }
 
@@ -203,7 +207,7 @@ func (c *HTTPClient) Send(ctx context.Context, env *Envelope) (*Envelope, error)
 	}
 	defer func() { _ = resp.Body.Close() }()
 	// One byte past the limit tells an oversize reply from a full one.
-	body, err := readBody(io.LimitReader(resp.Body, maxBodyBytes+1), resp.ContentLength)
+	body, err := readBody(nil, io.LimitReader(resp.Body, maxBodyBytes+1), resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("wire: read reply: %w", err)
 	}

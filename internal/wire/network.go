@@ -46,6 +46,12 @@ var (
 // protocols (PEP → PDP → PIP); the virtual clock accumulates across hops.
 // ctx carries the sender's cancellation and deadline; handlers doing real
 // work (deciding, resolving attributes) must thread it through.
+//
+// env.Body is valid only until the handler returns: the HTTP binding
+// decodes it into a pooled buffer it reuses for the next request, so a
+// handler that keeps body bytes (rather than values decoded from them)
+// must copy them. A reply Body the handler builds in Call.Buffer is
+// likewise reused once the transport has written it.
 type Handler func(ctx context.Context, call *Call, env *Envelope) (*Envelope, error)
 
 // Call carries the per-request virtual clock and traffic counters through
@@ -62,6 +68,11 @@ type Call struct {
 	// Messages and Bytes count traffic attributed to this call.
 	Messages int
 	Bytes    int
+
+	// pooling is set by a transport that writes replies out and then
+	// returns the buffers Buffer handed out (pooled) to the pool.
+	pooling bool
+	pooled  [2]*[]byte
 }
 
 // Remaining reports the virtual budget left on the call; unbounded calls

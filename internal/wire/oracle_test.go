@@ -266,6 +266,22 @@ func checkFrame(t *testing.T, data []byte) {
 			t.Fatalf("body %d has spare capacity %d", i, cap(bodies[i])-len(bodies[i]))
 		}
 	}
+	// Decoding into a reused buffer that still holds other bytes, roomy
+	// or too small, gives the same bodies.
+	for _, dirty := range [][]byte{bytes.Repeat([]byte{0xa5}, len(data)+8), {0xa5}} {
+		reused, err := DecodeBodiesInto(&dirty, data)
+		if err != nil {
+			t.Fatalf("dirty buffer: %v", err)
+		}
+		if len(reused) != len(bodies) || (reused == nil) != (bodies == nil) {
+			t.Fatalf("dirty buffer: %d bodies (nil=%v), want %d (nil=%v)", len(reused), reused == nil, len(bodies), bodies == nil)
+		}
+		for i := range bodies {
+			if !bytes.Equal(reused[i], bodies[i]) || (reused[i] == nil) != (bodies[i] == nil) || cap(reused[i]) != len(reused[i]) {
+				t.Fatalf("dirty buffer: body %d = %q (cap %d), want %q", i, reused[i], cap(reused[i]), bodies[i])
+			}
+		}
+	}
 	again, err := EncodeBodies(bodies)
 	if err != nil {
 		t.Fatal(err)
