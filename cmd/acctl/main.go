@@ -1,8 +1,8 @@
 // Command acctl is the administrator's tool for working with policy files:
 // validating them, evaluating ad-hoc requests against them, converting
 // between the XML and JSON encodings, and running the static analysis of
-// Section 3.1 — the full lint pass (conflicts, shadowing, redundancy,
-// dead attributes, combining dead zones) or the legacy conflict report.
+// Section 3.1 — the lint pass (conflicts, shadowing, redundancy, dead
+// attributes, combining dead zones).
 //
 // Usage:
 //
@@ -10,12 +10,12 @@
 //	acctl evaluate <policy-file> subject=<id> resource=<id> action=<id> [cat/attr=value ...]
 //	acctl convert  <policy-file>            # XML<->JSON to stdout
 //	acctl lint [-json] [-root-combining=<alg>] <policy-file>...
-//	acctl conflicts <policy-file>...        # legacy modality-conflict report
+//	acctl conflicts ...                     # alias of lint
 //	acctl translate <policy.acl>            # local dialect -> standard XML
 //	acctl fmt <policy.acl>                  # canonical dialect formatting
 //
-// lint and conflicts are CI-friendly: exit 0 with a clean base, 1 when
-// findings exist, 2 when a policy file cannot be loaded.
+// lint is CI-friendly: exit 0 with a clean base, 1 when findings exist, 2
+// when a policy file cannot be loaded or a flag is bad.
 package main
 
 import (
@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/conflict"
 	"repro/internal/dialect"
 	"repro/internal/policy"
 	"repro/internal/xacml"
@@ -50,10 +49,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = evaluate(args[1:], stdout)
 	case "convert":
 		err = convert(args[1:], stdout)
-	case "lint":
+	case "lint", "conflicts":
 		return lint(args[1:], stdout, stderr)
-	case "conflicts":
-		return conflicts(args[1:], stdout, stderr)
 	case "translate":
 		err = translate(args[1:], stdout)
 	case "fmt":
@@ -75,7 +72,7 @@ func usage(stderr io.Writer) {
   acctl evaluate <policy-file> subject=<id> resource=<id> action=<id> [category/attr=value ...]
   acctl convert <policy-file>
   acctl lint [-json] [-root-combining=<alg>] <policy-file>...
-  acctl conflicts <policy-file>...
+  acctl conflicts ...  (alias of lint)
   acctl translate <policy.acl>
   acctl fmt <policy.acl>`)
 }
@@ -280,36 +277,5 @@ func lint(args []string, stdout, stderr io.Writer) int {
 	if rep.Clean() {
 		return 0
 	}
-	return 1
-}
-
-// conflicts is the legacy pairwise modality-conflict report, kept for
-// scripts that want only Section 3.1 conflicts with a resolution hint.
-// Exit codes match lint: 0 clean, 1 conflicts found, 2 load error.
-func conflicts(paths []string, stdout, stderr io.Writer) int {
-	evs, err := loadAll(paths)
-	if err != nil {
-		fmt.Fprintln(stderr, "acctl:", err)
-		return 2
-	}
-	var all []*policy.Policy
-	for _, e := range evs {
-		all = append(all, policy.CollectPolicies(e)...)
-	}
-	found := conflict.Analyze(all)
-	if len(found) == 0 {
-		fmt.Fprintln(stdout, "no modality conflicts")
-		return 0
-	}
-	for _, c := range found {
-		fmt.Fprintln(stdout, c)
-		winner, reason, err := conflict.PrecedenceStrategy{}.Resolve(c)
-		if err != nil {
-			fmt.Fprintln(stderr, "acctl:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "  resolution (deny-overrides): %s — %s\n", winner, reason)
-	}
-	fmt.Fprintf(stdout, "%d conflicts found\n", len(found))
 	return 1
 }

@@ -118,24 +118,41 @@ func TestLintExitCodes(t *testing.T) {
 	})
 }
 
+// TestConflictsExitCodes pins conflicts as an alias of lint: lint's exit
+// codes and report, policy-set targets included — two sets on disjoint
+// resources, one permitting and one denying read, cannot clash.
 func TestConflictsExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	clean := cleanPolicy(t, dir)
 	permits, denies := conflictingPair(t, dir)
+	set := func(id, res string, rule *policy.Rule) string {
+		return writePolicy(t, dir, id+".xml", policy.NewPolicySet(id).
+			Combining(policy.DenyOverrides).
+			When(policy.MatchResourceID(res)).
+			Add(policy.NewPolicy(id+"-p").Combining(policy.FirstApplicable).Rule(rule).Build()).
+			Build())
+	}
+	sx := set("sx", "x", policy.Permit("open").When(policy.MatchActionID("read")).Build())
+	sy := set("sy", "y", policy.Deny("shut").When(policy.MatchActionID("read")).Build())
 
-	var out, errw bytes.Buffer
-	if code := run([]string{"conflicts", clean}, &out, &errw); code != 0 {
-		t.Fatalf("clean exit %d, stderr %q", code, errw.String())
-	}
-	out.Reset()
-	if code := run([]string{"conflicts", permits, denies}, &out, &errw); code != 1 {
-		t.Fatalf("conflicting exit %d, want 1", code)
-	}
-	if !strings.Contains(out.String(), "resolution (deny-overrides)") {
-		t.Fatalf("report %q lacks a resolution hint", out.String())
-	}
-	if code := run([]string{"conflicts", filepath.Join(dir, "ghost.xml")}, &out, &errw); code != 2 {
-		t.Fatalf("missing-file exit %d, want 2", code)
+	for _, tc := range []struct {
+		name  string
+		files []string
+		want  int
+		says  string
+	}{
+		{"clean-base", []string{clean}, 0, "clean"},
+		{"conflicting-pair", []string{permits, denies}, 1, "conflict"},
+		{"disjoint-set-targets", []string{sx, sy}, 0, "clean"},
+		{"missing-file", []string{filepath.Join(dir, "ghost.xml")}, 2, ""},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(append([]string{"conflicts"}, tc.files...), &out, &errw); code != tc.want {
+			t.Errorf("%s: exit %d, want %d\n%s%s", tc.name, code, tc.want, out.String(), errw.String())
+		}
+		if !strings.Contains(out.String(), tc.says) {
+			t.Errorf("%s: report %q does not say %q", tc.name, out.String(), tc.says)
+		}
 	}
 }
 

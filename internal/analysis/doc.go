@@ -1,7 +1,8 @@
-// Package analysis is the claim-indexed static policy analyser: the
-// Section 3.1 conflict analysis of the paper (package conflict) widened
-// into a full lint pass over a policy base and made incremental so it can
-// gate the live administration plane.
+// Package analysis is the Section 3.1 conflict analyser of the paper
+// (after Lupu & Sloman), widened into a full lint pass over the
+// authorisation claims of a policy base and made incremental so it can
+// gate the live administration plane. CheckSoD tests separation-of-duty
+// meta-policies over the same claims.
 //
 // # Finding taxonomy
 //

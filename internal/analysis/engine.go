@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/conflict"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -148,11 +147,11 @@ func NewEngine(cfg Config) *Engine {
 
 // classTable lists the findings of one universal claim of each shape
 // against one non-universal claim of another owner in each class. For such
-// a pair Overlap and the universal claim's coverage always hold and the
+// a pair overlap and the universal claim's coverage always hold and the
 // reverse coverage never does, so the findings of two representatives
 // stand for every pair of the class.
 func classTable(root policy.Algorithm) (t [4][8][]Finding) {
-	rep := func(shape int, owner string, resources conflict.ConstraintSet) claim {
+	rep := func(shape int, owner string, resources constraint) claim {
 		c := claim{Owner: owner, universal: resources == nil}
 		c.Effect, c.Conditional, c.Resources = policy.EffectDeny, shape&2 != 0, resources
 		if shape&1 != 0 {
@@ -167,7 +166,7 @@ func classTable(root policy.Algorithm) (t [4][8][]Finding) {
 			if k&1 != 0 {
 				owner = "z"
 			}
-			c := rep(k>>1, owner, conflict.ConstraintSet{"r"})
+			c := rep(k>>1, owner, constraint{"r"})
 			pairFindings(&u, &c, root, func(f Finding) { t[s][k] = append(t[s][k], f) })
 		}
 	}
@@ -327,9 +326,9 @@ func (e *Engine) pairs(xs []claim, xu bool, ys []claim, yu bool, emit func(Findi
 // candidateOwnersLocked returns the owners whose claims can overlap the
 // candidate state's: the owners sharing an exact resource id, every
 // resource-wildcard owner, and — when the candidate itself has a wildcard
-// claim — every owner. Completeness follows from Overlap requiring the
+// claim — every owner. Completeness follows from overlap requiring the
 // resource dimensions to share a value or include a wildcard, and every
-// pairwise finding requiring Overlap.
+// pairwise finding requiring overlap.
 func (e *Engine) candidateOwnersLocked(st *ownerState, self string) map[string]struct{} {
 	out := make(map[string]struct{})
 	if st.wildcard {
@@ -521,7 +520,7 @@ func pairFindings(x, y *claim, root policy.Algorithm, emit func(Finding)) {
 	if !precedes(a, b) {
 		a, b = b, a
 	}
-	if !conflict.Overlap(a.Claim, b.Claim) {
+	if !a.overlaps(b) {
 		return
 	}
 	cross := a.Owner != b.Owner
@@ -552,7 +551,7 @@ func pairFindings(x, y *claim, root policy.Algorithm, emit func(Finding)) {
 	}
 
 	shadowed := false
-	if alg == policy.FirstApplicable && !a.Conditional && a.Claim.Covers(b.Claim) {
+	if alg == policy.FirstApplicable && !a.Conditional && a.covers(b) {
 		shadowed = true
 		sev := SeverityWarning
 		if cross {
@@ -571,7 +570,7 @@ func pairFindings(x, y *claim, root policy.Algorithm, emit func(Finding)) {
 		}
 		for _, pair := range [2][2]*claim{{a, b}, {b, a}} {
 			w, l := pair[0], pair[1]
-			if w.Effect == win && l.Effect != win && !w.Conditional && w.Claim.Covers(l.Claim) {
+			if w.Effect == win && l.Effect != win && !w.Conditional && w.covers(l) {
 				emit(Finding{
 					Kind: KindDeadZone, Severity: SeverityWarning,
 					Subject: l.ref(), Other: w.ref(), alg: alg,
@@ -582,9 +581,9 @@ func pairFindings(x, y *claim, root policy.Algorithm, emit func(Finding)) {
 
 	if a.Effect == b.Effect && !shadowed {
 		switch {
-		case !a.Conditional && a.Claim.Covers(b.Claim):
+		case !a.Conditional && a.covers(b):
 			emit(redundancyFinding(b, a))
-		case !b.Conditional && b.Claim.Covers(a.Claim):
+		case !b.Conditional && b.covers(a):
 			emit(redundancyFinding(a, b))
 		}
 	}

@@ -51,28 +51,54 @@ func TestConflictSeverity(t *testing.T) {
 	deny := pol("b-deny", policy.FirstApplicable,
 		policy.Deny("close").When(policy.MatchResourceID("res-1")).Build())
 
+	// reader constrains all three dimensions; the rows below vary one.
+	reader := policy.Permit("open").When(policy.MatchResourceID("res-1"), policy.MatchActionID("read"), policy.MatchRole("doctor"))
+
 	t.Run("cross-owner-actual-is-error", func(t *testing.T) {
-		rep := Analyze(Config{}, permit, deny)
-		f := mustFind(t, rep, KindConflict)
-		if !f.Actual || f.Severity != SeverityError {
-			t.Fatalf("cross actual conflict = %+v, want actual error", f)
-		}
-		if f.Subject.PolicyID != "a-permit" || f.Other.PolicyID != "b-deny" {
-			t.Fatalf("conflict sides = %s vs %s, want permit side as subject", f.Subject, f.Other)
-		}
-		if len(rep.Blocking()) == 0 {
-			t.Fatal("actual cross-owner conflict must block strict writes")
+		for _, tc := range []struct {
+			name         string
+			permit, deny *policy.Policy
+		}{
+			{"same-target", permit, deny},
+			// A blanket deny (a universal claim) clashes with any permit.
+			{"blanket-deny", permit, pol("b-deny", policy.FirstApplicable, policy.Deny("close").Build())},
+			{"role-action-resource", pol("a-permit", policy.FirstApplicable, reader.Build()),
+				pol("b-deny", policy.FirstApplicable,
+					policy.Deny("close").When(policy.MatchResourceID("res-1"), policy.MatchActionID("read"), policy.MatchRole("doctor")).Build())},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				rep := Analyze(Config{}, tc.permit, tc.deny)
+				f := mustFind(t, rep, KindConflict)
+				if !f.Actual || f.Severity != SeverityError {
+					t.Fatalf("cross actual conflict = %+v, want actual error", f)
+				}
+				if f.Subject.PolicyID != "a-permit" || f.Other.PolicyID != "b-deny" {
+					t.Fatalf("conflict sides = %s vs %s, want permit side as subject", f.Subject, f.Other)
+				}
+				if len(rep.Blocking()) == 0 {
+					t.Fatal("actual cross-owner conflict must block strict writes")
+				}
+			})
 		}
 	})
 
 	t.Run("conditional-is-potential-warning", func(t *testing.T) {
-		guarded := pol("b-deny", policy.FirstApplicable,
-			policy.Deny("close").When(policy.MatchResourceID("res-1")).
-				If(policy.Call("string-equal", policy.SubjectAttr(policy.AttrSubjectDomain), policy.LitBag(policy.String("x")))).
-				Build())
-		f := mustFind(t, Analyze(Config{}, permit, guarded), KindConflict)
-		if f.Actual || f.Severity != SeverityWarning {
-			t.Fatalf("conditional conflict = %+v, want potential warning", f)
+		guard := policy.Call("string-equal", policy.SubjectAttr(policy.AttrSubjectDomain), policy.LitBag(policy.String("x")))
+		for _, tc := range []struct {
+			name            string
+			permit, guarded *policy.Policy
+		}{
+			{"resource-target", permit, pol("b-deny", policy.FirstApplicable,
+				policy.Deny("close").When(policy.MatchResourceID("res-1")).If(guard).Build())},
+			{"action-target", pol("a-permit", policy.FirstApplicable, policy.Permit("open").When(policy.MatchActionID("read")).Build()),
+				pol("b-deny", policy.FirstApplicable, policy.Deny("close").When(policy.MatchActionID("read")).If(guard).Build())},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				f := mustFind(t, Analyze(Config{}, tc.permit, tc.guarded), KindConflict)
+				if f.Actual || f.Severity != SeverityWarning {
+					t.Fatalf("conditional conflict = %+v, want potential warning", f)
+				}
+			})
 		}
 	})
 
@@ -86,13 +112,27 @@ func TestConflictSeverity(t *testing.T) {
 		}
 	})
 
-	t.Run("disjoint-resources-are-clean", func(t *testing.T) {
-		other := pol("b-deny", policy.FirstApplicable,
-			policy.Deny("close").When(policy.MatchResourceID("res-2")).Build())
-		if rep := Analyze(Config{}, permit, other); !rep.Clean() {
-			t.Fatalf("disjoint claims produced findings: %v", rep.Findings)
-		}
-	})
+	// A permit and a deny differing in one dimension never meet.
+	for _, tc := range []struct {
+		name          string
+		permit, other *policy.Rule
+	}{
+		{"disjoint-resources-are-clean", permit.Rules[0],
+			policy.Deny("close").When(policy.MatchResourceID("res-2")).Build()},
+		{"disjoint-resources-same-subject-are-clean", reader.Build(),
+			policy.Deny("close").When(policy.MatchResourceID("res-2"), policy.MatchActionID("read"), policy.MatchRole("doctor")).Build()},
+		{"disjoint-actions-are-clean", reader.Build(),
+			policy.Deny("close").When(policy.MatchResourceID("res-1"), policy.MatchActionID("write"), policy.MatchRole("doctor")).Build()},
+		{"disjoint-roles-are-clean", reader.Build(),
+			policy.Deny("close").When(policy.MatchResourceID("res-1"), policy.MatchActionID("read"), policy.MatchRole("nurse")).Build()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := Analyze(Config{}, pol("a-permit", policy.FirstApplicable, tc.permit), pol("b-deny", policy.FirstApplicable, tc.other))
+			if !rep.Clean() {
+				t.Fatalf("disjoint claims produced findings: %v", rep.Findings)
+			}
+		})
+	}
 }
 
 func TestShadowFindings(t *testing.T) {
@@ -161,9 +201,13 @@ func TestRedundancyFindings(t *testing.T) {
 	p := pol("p", policy.DenyOverrides,
 		policy.Permit("broad").When(policy.MatchResourceID("res-1")).Build(),
 		policy.Permit("narrow").When(policy.MatchResourceID("res-1"), policy.MatchActionID("read")).Build())
-	f := mustFind(t, Analyze(Config{}, p), KindRedundancy)
+	rep := Analyze(Config{}, p)
+	f := mustFind(t, rep, KindRedundancy)
 	if f.Subject.RuleID != "narrow" || f.Other.RuleID != "broad" {
 		t.Fatalf("redundancy = %s vs %s, want narrow redundant to broad", f.Subject, f.Other)
+	}
+	if got := kinds(rep.Findings)[KindConflict]; got != 0 {
+		t.Fatalf("same-effect overlap produced %d conflicts, want 0", got)
 	}
 
 	// Under first-applicable the covered rule is reported shadowed, not
@@ -175,6 +219,16 @@ func TestRedundancyFindings(t *testing.T) {
 	if got[KindRedundancy] != 0 || got[KindShadow] != 1 {
 		t.Fatalf("first-applicable coverage = %v, want 1 shadow and no redundancy", got)
 	}
+
+	t.Run("same-effect-across-owners-is-no-conflict", func(t *testing.T) {
+		permitRead := func(id string) *policy.Policy {
+			return pol(id, policy.FirstApplicable,
+				policy.Permit("open").When(policy.MatchResourceID("res-1"), policy.MatchActionID("read"), policy.MatchRole("doctor")).Build())
+		}
+		if got := kinds(Analyze(Config{}, permitRead("a"), permitRead("b")).Findings)[KindConflict]; got != 0 {
+			t.Fatalf("two permits on one target produced %d conflicts, want 0", got)
+		}
+	})
 }
 
 func TestDeadAttributeFindings(t *testing.T) {
@@ -245,7 +299,7 @@ func TestPolicySetNarrowing(t *testing.T) {
 
 // TestUniversalClaims pins which claims the engine tallies rather than
 // pairs: those constraining none of the five dimensions after set-target
-// narrowing. A condition is not a constraint; a set target is.
+// narrowing. A condition is not a constraint; a set or policy target is.
 func TestUniversalClaims(t *testing.T) {
 	guard := policy.Call("string-equal", policy.SubjectAttr(policy.AttrSubjectDomain), policy.LitBag(policy.String("x")))
 	wide := pol("wide", policy.DenyOverrides,
@@ -256,10 +310,15 @@ func TestUniversalClaims(t *testing.T) {
 		When(policy.MatchResourceID("res-1")).
 		Add(pol("inner", policy.DenyOverrides, policy.Deny("all").Build())).
 		Build()
+	db := policy.NewPolicy("db").Combining(policy.FirstApplicable).
+		When(policy.MatchResourceID("db")).
+		Rule(policy.Permit("reads").When(policy.MatchActionID("read")).Build()).
+		Rule(policy.Deny("guarded").If(guard).Build()).
+		Build()
 	for _, tc := range []struct {
 		ev   policy.Evaluable
 		want []bool
-	}{{wide, []bool{true, true, false}}, {ward, []bool{false}}} {
+	}{{wide, []bool{true, true, false}}, {ward, []bool{false}}, {db, []bool{false, false}}} {
 		claims := normalizeClaims(tc.ev.EntityID(), tc.ev)
 		if len(claims) != len(tc.want) {
 			t.Fatalf("%s: %d claims, want %d", tc.ev.EntityID(), len(claims), len(tc.want))

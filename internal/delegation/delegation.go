@@ -18,7 +18,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/conflict"
+	"repro/internal/analysis"
 	"repro/internal/policy"
 )
 
@@ -241,18 +241,18 @@ func (r *Registry) ValidateIssuer(issuer, resource, action string, at time.Time)
 
 // ValidatePolicy reduces an issued policy to a trusted root: every claim
 // the policy makes must fall inside a scope the issuer holds. Policies
-// with wildcard claims require correspondingly unrestricted grants.
+// with wildcard claims require correspondingly unrestricted grants; a
+// rule whose target is disjoint from the policy's claims nothing.
 func (r *Registry) ValidatePolicy(p *policy.Policy, at time.Time) error {
 	if p.Issuer == "" {
 		return fmt.Errorf("delegation: policy %s has no issuer: %w", p.ID, ErrNotAuthorized)
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	claims := conflict.ExtractClaims(p)
-	for _, c := range claims {
-		scope := Scope{Resources: c.Resources, Actions: c.Actions}
+	for _, rs := range analysis.RuleScopes(p) {
+		scope := Scope{Resources: rs.Resources, Actions: rs.Actions}
 		if _, err := r.authorityFor(p.Issuer, scope, 0, at, map[string]struct{}{}); err != nil {
-			return fmt.Errorf("delegation: policy %s rule %s by %s: %w", p.ID, c.RuleID, p.Issuer, err)
+			return fmt.Errorf("delegation: policy %s rule %s by %s: %w", p.ID, rs.RuleID, p.Issuer, err)
 		}
 	}
 	return nil

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/conflict"
+	"repro/internal/analysis"
 	"repro/internal/delegation"
 	"repro/internal/metrics"
 	"repro/internal/policy"
@@ -107,8 +107,8 @@ func conflictBase(n int, conflictFraction float64, seed int64) []*policy.Policy 
 }
 
 // RunE10Conflicts measures the §3.1 static conflict analysis: potential
-// and actual conflicts found across policy-base sizes, analysis wall time,
-// and the outcome split under each resolution strategy.
+// and actual conflicts the analyser finds across policy-base sizes, its
+// wall time, and the outcome split under each resolution strategy.
 func RunE10Conflicts() (*metrics.Table, error) {
 	table := metrics.NewTable(
 		"E10 — §3.1 static conflict analysis (10% of policies in conflicting pairs)",
@@ -116,49 +116,71 @@ func RunE10Conflicts() (*metrics.Table, error) {
 		"deny-overrides→deny", "specificity→deny", "priority→deny")
 	for _, n := range []int{10, 100, 500, 1000} {
 		base := conflictBase(n, 0.10, 21)
+		children := make([]policy.Evaluable, len(base))
+		spec := make(map[analysis.Ref]int)
+		rank := make(map[string]int, n)
+		for i, p := range base {
+			children[i] = p
+			for _, rs := range analysis.RuleScopes(p) {
+				spec[analysis.Ref{Owner: p.ID, PolicyID: p.ID, RuleID: rs.RuleID}] = rs.Specificity
+			}
+			rank[p.ID] = i % 7 // arbitrary but deterministic ranks
+		}
 		start := time.Now()
-		conflicts := conflict.Analyze(base)
+		rep := analysis.Analyze(analysis.Config{}, children...)
 		elapsed := time.Since(start)
 
-		actual := 0
-		for _, c := range conflicts {
-			if c.Actual {
+		strategies := []resolver{denyOverrides, bySpecificity(spec), byPriority(rank)}
+		conflicts, actual := 0, 0
+		denies := make([]int, len(strategies))
+		for _, f := range rep.Findings {
+			if f.Kind != analysis.KindConflict {
+				continue
+			}
+			conflicts++
+			if f.Actual {
 				actual++
 			}
-		}
-		countDenies := func(s conflict.Strategy) (int, error) {
-			res, err := conflict.ResolveAll(conflicts, s)
-			if err != nil {
-				return 0, err
-			}
-			n := 0
-			for _, r := range res {
-				if r.Winner == policy.EffectDeny {
-					n++
+			for i, resolve := range strategies {
+				if resolve(f.Subject, f.Other) == policy.EffectDeny {
+					denies[i]++
 				}
 			}
-			return n, nil
 		}
-		prio := make(map[string]int, n)
-		for i, p := range base {
-			prio[p.ID] = i % 7 // arbitrary but deterministic ranks
-		}
-		dOver, err := countDenies(conflict.PrecedenceStrategy{})
-		if err != nil {
-			return nil, err
-		}
-		spec, err := countDenies(conflict.SpecificityStrategy{})
-		if err != nil {
-			return nil, err
-		}
-		prioDenies, err := countDenies(conflict.PriorityStrategy{Priorities: prio})
-		if err != nil {
-			return nil, err
-		}
-		table.AddRow(n, len(conflicts), actual, len(conflicts)-actual,
-			float64(elapsed.Milliseconds()), dOver, spec, prioDenies)
+		table.AddRow(n, conflicts, actual, conflicts-actual,
+			float64(elapsed.Milliseconds()), denies[0], denies[1], denies[2])
 	}
 	return table, nil
+}
+
+// resolver is one of §3.1's conflict-resolution strategies: it picks the
+// effect that wins a modality conflict between a permit and a deny claim.
+type resolver func(permit, deny analysis.Ref) policy.Effect
+
+// denyOverrides resolves by a fixed modality precedence, mirroring the
+// deny-overrides combining algorithm.
+func denyOverrides(_, _ analysis.Ref) policy.Effect { return policy.EffectDeny }
+
+// bySpecificity favours the claim constraining more dimensions.
+func bySpecificity(spec map[analysis.Ref]int) resolver {
+	return func(permit, deny analysis.Ref) policy.Effect { return outranks(spec[permit], spec[deny]) }
+}
+
+// byPriority favours the claim of the higher-ranked policy; unranked
+// policies rank 0.
+func byPriority(rank map[string]int) resolver {
+	return func(permit, deny analysis.Ref) policy.Effect {
+		return outranks(rank[permit.PolicyID], rank[deny.PolicyID])
+	}
+}
+
+// outranks lets the permit win only when it ranks strictly higher: ties
+// fail closed.
+func outranks(permit, deny int) policy.Effect {
+	if permit > deny {
+		return policy.EffectPermit
+	}
+	return policy.EffectDeny
 }
 
 // RunE12Delegation measures §3.2 delegation: validation latency against

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 )
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -122,6 +124,71 @@ func TestE1Shape(t *testing.T) {
 	}
 	if got := metrics.Percentile(nil, 50); got != 0 {
 		t.Errorf("p50 of no samples = %v, want 0", got)
+	}
+}
+
+// TestE10Pinned pins every column of the §3.1 conflict table except the
+// analysis wall time: conflicts found, the actual/potential split and the
+// deny outcomes under the three resolution strategies.
+func TestE10Pinned(t *testing.T) {
+	table, err := RunE10Conflicts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"10", "1", "1", "0", "1", "1", "1"},
+		{"100", "5", "3", "2", "5", "5", "4"},
+		{"500", "25", "13", "12", "25", "25", "21"},
+		{"1000", "50", "25", "25", "50", "50", "43"},
+	}
+	rows := table.Rows()
+	if len(rows) != len(want) {
+		t.Fatalf("E10 has %d rows, want %d", len(rows), len(want))
+	}
+	for i, row := range rows {
+		got := append(append([]string(nil), row[:4]...), row[5:]...)
+		if strings.Join(got, "|") != strings.Join(want[i], "|") {
+			t.Errorf("E10 row %d = %q (analysis ms dropped), want %q", i, got, want[i])
+		}
+	}
+}
+
+// TestResolutionStrategies pins the three §3.1 resolution strategies E10
+// counts: deny-overrides always denies; specificity and priority let the
+// permit win only when it ranks strictly higher, so ties fail closed.
+func TestResolutionStrategies(t *testing.T) {
+	permit := analysis.Ref{Owner: "p", PolicyID: "p", RuleID: "allow"}
+	deny := analysis.Ref{Owner: "d", PolicyID: "d", RuleID: "shut"}
+	type row struct {
+		name    string
+		resolve resolver
+		want    policy.Effect
+	}
+	for _, strategy := range []struct {
+		name string
+		rows []row
+	}{
+		{"precedence", []row{
+			{"deny-overrides", denyOverrides, policy.EffectDeny},
+		}},
+		{"specificity", []row{
+			{"permit-more-specific", bySpecificity(map[analysis.Ref]int{permit: 3}), policy.EffectPermit},
+			{"deny-more-specific", bySpecificity(map[analysis.Ref]int{permit: 1, deny: 2}), policy.EffectDeny},
+			{"specificity-tie", bySpecificity(map[analysis.Ref]int{permit: 3, deny: 3}), policy.EffectDeny},
+		}},
+		{"priority", []row{
+			{"permit-outranks", byPriority(map[string]int{"p": 10, "d": 1}), policy.EffectPermit},
+			{"deny-outranks", byPriority(map[string]int{"d": 10}), policy.EffectDeny},
+			{"unranked-tie", byPriority(nil), policy.EffectDeny},
+		}},
+	} {
+		t.Run(strategy.name, func(t *testing.T) {
+			for _, tc := range strategy.rows {
+				if got := tc.resolve(permit, deny); got != tc.want {
+					t.Errorf("%s: %s wins, want %s", tc.name, got, tc.want)
+				}
+			}
+		})
 	}
 }
 

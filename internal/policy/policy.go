@@ -241,15 +241,3 @@ func Walk(root Evaluable, fn func(Evaluable) bool) {
 		}
 	}
 }
-
-// CollectPolicies returns every *Policy reachable from root.
-func CollectPolicies(root Evaluable) []*Policy {
-	var out []*Policy
-	Walk(root, func(e Evaluable) bool {
-		if p, ok := e.(*Policy); ok {
-			out = append(out, p)
-		}
-		return true
-	})
-	return out
-}

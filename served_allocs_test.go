@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -132,6 +133,10 @@ func TestServedDecisionAllocs(t *testing.T) {
 				}
 				posts[c] = postEnvelope(t, accesses, "read")
 			}
+			// A collection between warm-up and the timed calls would empty
+			// the sync.Pools the served path reuses, so the timed calls
+			// would count refills no steady-state decision makes.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			if tc.hit {
 				serve(t, tc.h, posts[0])
 			} else {
