@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -134,11 +135,11 @@ func BenchmarkClusterDecide(b *testing.B) {
 			b.Run(fmt.Sprintf("config=%s/shards=%d", cfg.name, shards), func(b *testing.B) {
 				router, reqs := clusterFixture(b, shards, cfg.opts...)
 				for _, req := range reqs {
-					router.DecideAt(context.Background(), req, at) // warm the decision caches
+					policy.Decide(context.Background(), router, req, at) // warm the decision caches
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					router.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+					policy.Decide(context.Background(), router, reqs[i%len(reqs)], at)
 				}
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 			})
@@ -157,11 +158,11 @@ func BenchmarkClusterDecideBatch(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("config=full/shards=%d", shards), func(b *testing.B) {
 			router, reqs := clusterFixture(b, shards, fullConfig()...)
-			router.DecideBatchAt(context.Background(), reqs, at) // warm the decision caches
+			policy.DecideBatch(context.Background(), router, reqs, at) // warm the decision caches
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				off := (i * batch) % (len(reqs) - batch + 1)
-				router.DecideBatchAt(context.Background(), reqs[off:off+batch], at)
+				policy.DecideBatch(context.Background(), router, reqs[off:off+batch], at)
 			}
 			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "decisions/s")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/decision")
@@ -192,7 +193,7 @@ func BenchmarkPolicyChurn(b *testing.B) {
 			router, reqs := clusterFixture(b, 4, fullConfig()...)
 			base := router.Root().(*policy.PolicySet)
 			for _, req := range reqs {
-				router.DecideAt(context.Background(), req, at) // warm the decision caches
+				policy.Decide(context.Background(), router, req, at) // warm the decision caches
 			}
 			before := router.EngineStats()
 			writes := 0
@@ -217,7 +218,7 @@ func BenchmarkPolicyChurn(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				router.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+				policy.Decide(context.Background(), router, reqs[i%len(reqs)], at)
 			}
 			b.StopTimer()
 			after := router.EngineStats()
@@ -290,16 +291,12 @@ func BenchmarkXACMLCodec(b *testing.B) {
 // benchmarks time the message codecs alone.
 type permitAll struct{}
 
-func (permitAll) Decide(context.Context, *policy.Request) policy.Result {
-	return policy.Result{Decision: policy.DecisionPermit, By: "res-policy-7/permit-owner"}
-}
-
-func (p permitAll) DecideBatch(ctx context.Context, reqs []*policy.Request) []policy.Result {
-	out := make([]policy.Result, len(reqs))
-	for i := range out {
-		out[i] = p.Decide(ctx, reqs[i])
+func (permitAll) DecideScatterAt(_ context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
+	for i := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = policy.Result{Decision: policy.DecisionPermit, By: "res-policy-7/permit-owner"}
+		}
 	}
-	return out
 }
 
 // serveEnvelope encodes the request envelope a PEP would post for n cold
@@ -631,13 +628,13 @@ func BenchmarkParallelClusterDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	router, reqs := clusterFixture(b, 4, fullConfig()...)
 	for _, req := range reqs {
-		router.DecideAt(context.Background(), req, at) // warm the decision caches
+		policy.Decide(context.Background(), router, req, at) // warm the decision caches
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(parallelSeed.Add(7919))
 		for pb.Next() {
-			router.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+			policy.Decide(context.Background(), router, reqs[i%len(reqs)], at)
 			i++
 		}
 	})

@@ -8,7 +8,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -32,7 +31,7 @@ func (s sample) failed() bool { return s.decision == policy.DecisionIndeterminat
 // lateness shows in sent − due — instead of queueing. Decisions run under
 // ctx, not stop: stopping ends the arrivals, it does not cancel
 // decisions in flight.
-func pace(ctx context.Context, target chaos.Decider, stop <-chan struct{}) []sample {
+func pace(ctx context.Context, target policy.Decider, stop <-chan struct{}) []sample {
 	gen := workload.NewGenerator(loadShape)
 	start := time.Now()
 	var (
@@ -61,7 +60,7 @@ func pace(ctx context.Context, target chaos.Decider, stop <-chan struct{}) []sam
 				}
 				dctx, cancel := context.WithDeadline(ctx, due.Add(decisionBudget))
 				s := sample{due: due, sent: time.Now()}
-				res := target.Decide(dctx, req)
+				res := policy.Decide(dctx, target, req, time.Time{})
 				cancel()
 				s.done, s.decision, s.degraded = time.Now(), res.Decision, res.Degraded
 				perSender[i] = append(perSender[i], s)

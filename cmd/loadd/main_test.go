@@ -7,12 +7,12 @@ import (
 	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/pdp"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -86,7 +86,7 @@ func TestClassifyWindows(t *testing.T) {
 }
 
 // paceFor runs pace against target for d and returns its samples.
-func paceFor(target chaos.Decider, d time.Duration) []sample {
+func paceFor(target policy.Decider, d time.Duration) []sample {
 	stop := make(chan struct{})
 	time.AfterFunc(d, func() { close(stop) })
 	return pace(context.Background(), target, stop)
@@ -120,7 +120,15 @@ type slowTarget struct {
 	decided atomic.Int64
 }
 
-func (s *slowTarget) Decide(ctx context.Context, _ *policy.Request) policy.Result {
+func (s *slowTarget) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
+	for i, req := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = s.decide(ctx, req)
+		}
+	}
+}
+
+func (s *slowTarget) decide(ctx context.Context, _ *policy.Request) policy.Result {
 	t := time.NewTimer(s.delay)
 	defer t.Stop()
 	select {

@@ -112,7 +112,7 @@ func (c *chaosClient) shardWide(action, shard string, replicas int) chaos.Action
 // scheduleConfig parameterises the built-in fault schedule.
 type scheduleConfig struct {
 	endpoint   string
-	target     chaos.Decider
+	target     policy.Decider
 	proc       *daemon
 	resilience bool
 	crash      time.Duration

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -78,7 +79,7 @@ func TestChaosEndpointCrashReviveSurvivesFailover(t *testing.T) {
 	}
 	req := policy.NewAccessRequest(workload.UserID(0), workload.ResourceID(0), "read").
 		Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String(workload.RoleID(0)))
-	if res := point.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), point, req, time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Fatalf("decision with one replica crashed = %v (%v), want Permit via failover", res.Decision, res.Err)
 	}
 

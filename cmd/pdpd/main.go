@@ -95,9 +95,7 @@ import (
 // context wire.HTTPHandler arms from the envelope's deadline budget, so a
 // remote caller's deadline bounds the work this daemon does for it.
 type decisionPoint interface {
-	pdp.Provider
-	pdp.BatchProvider
-	resilience.Provider
+	policy.Decider
 	ApplyUpdate(u pdp.Update) error
 	SetRoot(root policy.Evaluable) error
 }

@@ -62,10 +62,10 @@ func TestAdminPreservesRootTarget(t *testing.T) {
 		Build()
 	adm := testAdmin(t, point, root, analysis.ModeWarn)
 	outside := policy.NewAccessRequest("u", "res-1", "read")
-	if got := point.Decide(context.Background(), outside); got.Decision != policy.DecisionNotApplicable {
+	if got := policy.Decide(context.Background(), point, outside, time.Time{}); got.Decision != policy.DecisionNotApplicable {
 		t.Fatalf("out-of-target decision = %v, want not-applicable (root target dropped?)", got.Decision)
 	}
-	if got := point.Decide(context.Background(), policy.NewAccessRequest("u", "res-0", "read")); got.Decision != policy.DecisionPermit {
+	if got := policy.Decide(context.Background(), point, policy.NewAccessRequest("u", "res-0", "read"), time.Time{}); got.Decision != policy.DecisionPermit {
 		t.Fatalf("in-target decision = %v, want permit", got.Decision)
 	}
 	// The delta path preserves the root target too.
@@ -78,7 +78,7 @@ func TestAdminPreservesRootTarget(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST = %d: %s", rec.Code, rec.Body)
 	}
-	if got := point.Decide(context.Background(), outside); got.Decision != policy.DecisionNotApplicable {
+	if got := policy.Decide(context.Background(), point, outside, time.Time{}); got.Decision != policy.DecisionNotApplicable {
 		t.Fatalf("out-of-target decision after update = %v, want not-applicable", got.Decision)
 	}
 }
@@ -131,7 +131,7 @@ func TestAdminPolicyLintGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		adm := testAdmin(t, point, testBase(2), analysis.ModeStrict)
-		before := point.Decide(context.Background(), policy.NewAccessRequest("u", "res-0", "delete"))
+		before := policy.Decide(context.Background(), point, policy.NewAccessRequest("u", "res-0", "delete"), time.Time{})
 
 		rec := httptest.NewRecorder()
 		adm.handlePolicy(rec, httptest.NewRequest(http.MethodPost, "/admin/policy", bytes.NewReader(body)))
@@ -155,7 +155,7 @@ func TestAdminPolicyLintGate(t *testing.T) {
 		if got := adm.store.History("rogue"); got != 0 {
 			t.Fatalf("rejected policy has %d stored versions, want 0", got)
 		}
-		after := point.Decide(context.Background(), policy.NewAccessRequest("u", "res-0", "delete"))
+		after := policy.Decide(context.Background(), point, policy.NewAccessRequest("u", "res-0", "delete"), time.Time{})
 		if after.Decision != before.Decision {
 			t.Fatalf("decision changed across rejected write: %v -> %v", before.Decision, after.Decision)
 		}
@@ -226,7 +226,7 @@ func TestAdminLiveUpdates(t *testing.T) {
 			}
 			adm := testAdmin(t, point, testBase(4), analysis.ModeWarn)
 			req := policy.NewAccessRequest("u", "res-1", "write")
-			if got := point.Decide(context.Background(), req); got.Decision != policy.DecisionDeny {
+			if got := policy.Decide(context.Background(), point, req, time.Time{}); got.Decision != policy.DecisionDeny {
 				t.Fatalf("seed decision = %v, want deny", got.Decision)
 			}
 
@@ -246,7 +246,7 @@ func TestAdminLiveUpdates(t *testing.T) {
 			if rec.Code != http.StatusOK {
 				t.Fatalf("POST = %d: %s", rec.Code, rec.Body)
 			}
-			if got := point.Decide(context.Background(), req); got.Decision != policy.DecisionPermit {
+			if got := policy.Decide(context.Background(), point, req, time.Time{}); got.Decision != policy.DecisionPermit {
 				t.Fatalf("decision after POST = %v, want permit", got.Decision)
 			}
 
@@ -256,7 +256,7 @@ func TestAdminLiveUpdates(t *testing.T) {
 			if rec.Code != http.StatusNoContent {
 				t.Fatalf("DELETE = %d: %s", rec.Code, rec.Body)
 			}
-			if got := point.Decide(context.Background(), req); got.Decision != policy.DecisionNotApplicable {
+			if got := policy.Decide(context.Background(), point, req, time.Time{}); got.Decision != policy.DecisionNotApplicable {
 				t.Fatalf("decision after DELETE = %v, want not-applicable", got.Decision)
 			}
 			rec = httptest.NewRecorder()
@@ -293,7 +293,7 @@ func TestAdminWriteRetiresStaleDecisions(t *testing.T) {
 	adm.stale = stale
 	revoked := policy.NewAccessRequest("u", "res-0", "read")
 	kept := policy.NewAccessRequest("u", "res-1", "read")
-	if got := stale.Decide(context.Background(), revoked); got.Decision != policy.DecisionPermit {
+	if got := policy.Decide(context.Background(), stale, revoked, time.Time{}); got.Decision != policy.DecisionPermit {
 		t.Fatalf("seed decision = %+v, want permit", got)
 	}
 
@@ -302,7 +302,7 @@ func TestAdminWriteRetiresStaleDecisions(t *testing.T) {
 	if rec.Code != http.StatusNoContent {
 		t.Fatalf("DELETE = %d: %s", rec.Code, rec.Body)
 	}
-	if got := stale.Decide(context.Background(), kept); got.Decision != policy.DecisionPermit {
+	if got := policy.Decide(context.Background(), stale, kept, time.Time{}); got.Decision != policy.DecisionPermit {
 		t.Fatalf("post-write decision = %+v, want permit", got)
 	}
 
@@ -313,10 +313,10 @@ func TestAdminWriteRetiresStaleDecisions(t *testing.T) {
 	for _, rep := range reps {
 		rep.SetDown(true)
 	}
-	if got := stale.Decide(context.Background(), revoked); got.Decision != policy.DecisionIndeterminate || got.Degraded {
+	if got := policy.Decide(context.Background(), stale, revoked, time.Time{}); got.Decision != policy.DecisionIndeterminate || got.Degraded {
 		t.Fatalf("revoked key during outage = %+v, want fail-closed Indeterminate", got)
 	}
-	if got := stale.Decide(context.Background(), kept); got.Decision != policy.DecisionPermit || !got.Degraded {
+	if got := policy.Decide(context.Background(), stale, kept, time.Time{}); got.Decision != policy.DecisionPermit || !got.Degraded {
 		t.Fatalf("key decided after the write, during outage = %+v, want Degraded permit", got)
 	}
 }

@@ -79,7 +79,7 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	defer srv.Close()
 
 	client := pdp.NewClient(srv.URL+"/decide", "gw", "pdpd")
-	res := client.Decide(context.Background(), policy.NewAccessRequest("alice", "res-0", "read"))
+	res := policy.Decide(context.Background(), client, policy.NewAccessRequest("alice", "res-0", "read"), time.Time{})
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("decision = %v, want permit (PIP role resolution)", res.Decision)
 	}

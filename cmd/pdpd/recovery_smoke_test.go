@@ -194,7 +194,7 @@ func decideAll(t *testing.T, addr string, probes []struct{ res, action string })
 	client := pdp.NewClient("http://"+addr+"/decide", "smoke-test", "pdpd")
 	out := make([]policy.Decision, len(probes))
 	for i, p := range probes {
-		res := client.Decide(context.Background(), policy.NewAccessRequest("u", p.res, p.action))
+		res := policy.Decide(context.Background(), client, policy.NewAccessRequest("u", p.res, p.action), time.Time{})
 		if res.Err != nil && res.Decision != policy.DecisionNotApplicable {
 			t.Fatalf("decide %s %s: %v", p.res, p.action, res.Err)
 		}

@@ -222,7 +222,7 @@ func run(upstream, policyPath, pdpEndpoint, addr string, routes routeFlags, obs 
 // buildProvider loads the local engine or dials the remote PDP. The root
 // comes back non-nil only for a locally-loaded policy, so the caller can
 // lint it (a remote PDP lints its own base behind its admin gate).
-func buildProvider(policyPath, pdpEndpoint string) (rest.DecisionProvider, policy.Evaluable, error) {
+func buildProvider(policyPath, pdpEndpoint string) (policy.Decider, policy.Evaluable, error) {
 	if pdpEndpoint != "" {
 		return pdp.NewClient(pdpEndpoint, "restgw", "pdp"), nil, nil
 	}

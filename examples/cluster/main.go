@@ -16,6 +16,7 @@ import (
 	"repro/internal/ha"
 	"repro/internal/metrics"
 	"repro/internal/pdp"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
@@ -50,12 +51,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 1. The cluster is a drop-in DecisionProvider: same verdicts as one
+	// 1. The cluster is a drop-in policy.Decider: same verdicts as one
 	// engine over the same base.
 	reqs := gen.Requests(1000)
 	agree := 0
 	for _, req := range reqs {
-		if router.DecideAt(ctx, req, at).Decision == single.DecideAt(ctx, req, at).Decision {
+		if policy.Decide(ctx, router, req, at).Decision == policy.Decide(ctx, single, req, at).Decision {
 			agree++
 		}
 	}
@@ -66,11 +67,11 @@ func main() {
 	// 2. Batching: group per shard, evaluate each group in one pass.
 	start := time.Now()
 	for _, req := range reqs {
-		router.DecideAt(ctx, req, at)
+		policy.Decide(ctx, router, req, at)
 	}
 	perReq := time.Since(start)
 	start = time.Now()
-	router.DecideBatchAt(ctx, reqs, at)
+	policy.DecideBatch(ctx, router, reqs, at)
 	batched := time.Since(start)
 	fmt.Printf("1000 decisions: per-request %v, batched %v (%.1fx)\n",
 		perReq.Round(time.Microsecond), batched.Round(time.Microsecond),
@@ -88,7 +89,7 @@ func main() {
 	}
 	survived := 0
 	for _, req := range reqs[:200] {
-		if router.DecideAt(ctx, req, at).Decision == single.DecideAt(ctx, req, at).Decision {
+		if policy.Decide(ctx, router, req, at).Decision == policy.Decide(ctx, single, req, at).Decision {
 			survived++
 		}
 	}
@@ -106,7 +107,7 @@ func main() {
 		name, moved, 100*float64(moved)/2000)
 	agree = 0
 	for _, req := range reqs[:200] {
-		if router.DecideAt(ctx, req, at).Decision == single.DecideAt(ctx, req, at).Decision {
+		if policy.Decide(ctx, router, req, at).Decision == policy.Decide(ctx, single, req, at).Decision {
 			agree++
 		}
 	}

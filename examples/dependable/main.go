@@ -53,10 +53,10 @@ func main() {
 		for r, rep := range tripleReplicas {
 			rep.SetDown((i+3*r)%10 < 2)
 		}
-		if single.DecideAt(context.Background(), req, at).Decision == policy.DecisionPermit {
+		if policy.Decide(context.Background(), single, req, at).Decision == policy.DecisionPermit {
 			okSingle++
 		}
-		if triple.DecideAt(context.Background(), req, at).Decision == policy.DecisionPermit {
+		if policy.Decide(context.Background(), triple, req, at).Decision == policy.DecisionPermit {
 			okTriple++
 		}
 	}
@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	_ = quorumReplicas
-	res := quorum.DecideAt(context.Background(), req, s.At(0))
+	res := policy.Decide(context.Background(), quorum, req, s.At(0))
 	fmt.Printf("\nquorum-3 with all replicas healthy: %s\n", res.Decision)
 
 	// One replica misses a revocation (its policy store is stale and
@@ -98,9 +98,9 @@ func main() {
 	// Demonstrate the disagreement bookkeeping with the stale trio: all
 	// three still hold the permit base, so unanimity; the interesting
 	// number is on the updated pair vs old trio.
-	res = stale.DecideAt(context.Background(), req, s.At(time.Hour))
+	res = policy.Decide(context.Background(), stale, req, s.At(time.Hour))
 	fmt.Printf("stale trio still permits (their stores predate the revocation): %s\n", res.Decision)
-	res = fresh.DecideAt(context.Background(), req, s.At(time.Hour))
+	res = policy.Decide(context.Background(), fresh, req, s.At(time.Hour))
 	fmt.Printf("freshly rebuilt ensemble after revocation: %s\n", res.Decision)
 	fmt.Println("\n(the E9 experiment sweeps this systematically: run `go run ./cmd/experiments E9`)")
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/ha"
@@ -89,8 +90,8 @@ func main() {
 
 	// The owning role (i mod 4) may read resource i; probe as the owner.
 	ownerRead := func(i int) policy.Result {
-		return router.Decide(context.Background(), policy.NewAccessRequest("alice", workload.ResourceID(i), "read").
-			Add(policy.CategorySubject, "role", policy.String(workload.RoleID(i%4))))
+		return policy.Decide(context.Background(), router, policy.NewAccessRequest("alice", workload.ResourceID(i), "read").
+			Add(policy.CategorySubject, "role", policy.String(workload.RoleID(i%4))), time.Time{})
 	}
 	for _, i := range []int{0, 7, 19} {
 		fmt.Printf("  res-%-3d owner read -> %v\n", i, ownerRead(i).Decision)

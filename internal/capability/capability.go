@@ -38,12 +38,6 @@ var (
 	ErrNoDecision = errors.New("capability: assertion carries no authorisation decision")
 )
 
-// DecisionProvider abstracts the policy engine the capability service
-// consults; *pdp.Engine satisfies it. ctx bounds the decision query.
-type DecisionProvider interface {
-	DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
-}
-
 // AttributeSource abstracts the directory used for VOMS-style attribute
 // certificates; *pip.Directory's typed accessors are adapted through this
 // narrow interface (it matches policy.Resolver, ctx included).
@@ -57,7 +51,7 @@ type Service struct {
 	// certificate subject.
 	issuer string
 	key    pki.KeyPair
-	pdp    DecisionProvider
+	pdp    policy.Decider
 	attrs  AttributeSource
 	ttl    time.Duration
 	now    func() time.Time
@@ -69,8 +63,9 @@ type Service struct {
 	issued, rejected int64
 }
 
-// NewService builds a capability service.
-func NewService(issuer string, key pki.KeyPair, pdp DecisionProvider, attrs AttributeSource, ttl time.Duration) *Service {
+// NewService builds a capability service consulting pdp; ctx bounds each
+// decision query.
+func NewService(issuer string, key pki.KeyPair, pdp policy.Decider, attrs AttributeSource, ttl time.Duration) *Service {
 	return &Service{issuer: issuer, key: key, pdp: pdp, attrs: attrs, ttl: ttl, now: time.Now}
 }
 
@@ -103,7 +98,7 @@ func (s *Service) nextID() string {
 // the capability to one resource provider; empty means unrestricted.
 func (s *Service) IssueCapability(ctx context.Context, req *policy.Request, audience string) (*assertion.Assertion, error) {
 	now := s.now()
-	res := s.pdp.DecideAt(ctx, req, now)
+	res := policy.Decide(ctx, s.pdp, req, now)
 	if res.Decision != policy.DecisionPermit {
 		s.mu.Lock()
 		s.rejected++

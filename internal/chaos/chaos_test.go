@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,7 +147,7 @@ func permitRequest(wcfg workload.Config, i int) *policy.Request {
 // pacedLoad decides warm workload requests against d at the workload's
 // Poisson arrival rate until stop closes, each under a 250ms budget, and
 // returns how many it decided and how many came back Indeterminate.
-func pacedLoad(d chaos.Decider, wcfg workload.Config, stop <-chan struct{}) (decided, indeterminate int) {
+func pacedLoad(d policy.Decider, wcfg workload.Config, stop <-chan struct{}) (decided, indeterminate int) {
 	gen := workload.NewGenerator(wcfg)
 	for {
 		select {
@@ -155,7 +156,7 @@ func pacedLoad(d chaos.Decider, wcfg workload.Config, stop <-chan struct{}) (dec
 		case <-time.After(gen.NextInterarrival()):
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-		res := d.Decide(ctx, gen.WarmRequest())
+		res := policy.Decide(ctx, d, gen.WarmRequest(), time.Time{})
 		cancel()
 		decided++
 		if res.Decision == policy.DecisionIndeterminate {
@@ -247,7 +248,15 @@ type networkTarget struct {
 	serial   atomic.Int64
 }
 
-func (t *networkTarget) Decide(ctx context.Context, req *policy.Request) policy.Result {
+func (t *networkTarget) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
+	for i, req := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = t.decide(ctx, req)
+		}
+	}
+}
+
+func (t *networkTarget) decide(ctx context.Context, req *policy.Request) policy.Result {
 	fail := func(err error) policy.Result {
 		return policy.Result{Decision: policy.DecisionIndeterminate, Err: err}
 	}
@@ -299,16 +308,16 @@ func TestNetworkTargetDecidesOverWire(t *testing.T) {
 	net := wireNetwork(t, wcfg, time.Millisecond)
 	target := &networkTarget{net: net, from: "pep", to: "pdp"}
 	req := permitRequest(wcfg, 0)
-	if res := target.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), target, req, time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Fatalf("decision over wire = %v (%v), want Permit", res.Decision, res.Err)
 	}
 	net.SetLink("pep", "pdp", wire.LinkProps{Down: true})
-	res := target.Decide(context.Background(), req)
+	res := policy.Decide(context.Background(), target, req, time.Time{})
 	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, wire.ErrUnreachable) {
 		t.Fatalf("partitioned decision = %v (%v), want Indeterminate/unreachable", res.Decision, res.Err)
 	}
 	net.SetLink("pep", "pdp", wire.LinkProps{Latency: time.Millisecond})
-	if res := target.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), target, req, time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Fatalf("healed link decision = %v (%v), want Permit", res.Decision, res.Err)
 	}
 }
@@ -317,7 +326,7 @@ func TestNetworkTargetBudgetFailsClosed(t *testing.T) {
 	wcfg := workload.Config{Users: 10, Resources: 8, Roles: 2, Seed: 1}
 	net := wireNetwork(t, wcfg, 10*time.Millisecond) // 10ms per hop on the virtual clock
 	target := &networkTarget{net: net, from: "pep", to: "pdp", budget: 5 * time.Millisecond}
-	res := target.Decide(context.Background(), permitRequest(wcfg, 0))
+	res := policy.Decide(context.Background(), target, permitRequest(wcfg, 0), time.Time{})
 	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, wire.ErrDeadline) {
 		t.Fatalf("budget < link latency: %v (%v), want Indeterminate/deadline", res.Decision, res.Err)
 	}
@@ -380,8 +389,12 @@ func TestPartitionViolationIsDetected(t *testing.T) {
 // catch.
 type leakyDecider struct{}
 
-func (leakyDecider) Decide(context.Context, *policy.Request) policy.Result {
-	return policy.Result{Decision: policy.DecisionPermit}
+func (leakyDecider) DecideScatterAt(_ context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
+	for i := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = policy.Result{Decision: policy.DecisionPermit}
+		}
+	}
 }
 
 func TestFailClosedInvariant(t *testing.T) {
@@ -404,8 +417,12 @@ func TestFailClosedInvariant(t *testing.T) {
 // contract StalenessBounded patrols.
 type staleDecider struct{ age time.Duration }
 
-func (d staleDecider) Decide(context.Context, *policy.Request) policy.Result {
-	return policy.Result{Decision: policy.DecisionPermit, Degraded: true, StaleFor: d.age}
+func (d staleDecider) DecideScatterAt(_ context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
+	for i := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = policy.Result{Decision: policy.DecisionPermit, Degraded: true, StaleFor: d.age}
+		}
+	}
 }
 
 func TestStalenessBoundedInvariant(t *testing.T) {

@@ -9,20 +9,14 @@ import (
 	"repro/internal/policy"
 )
 
-// Decider is the decision surface the invariants probe — pdp.Engine,
-// cluster.Router and pdp.Client (a real pdpd over HTTP) all satisfy it.
-type Decider interface {
-	Decide(ctx context.Context, req *policy.Request) policy.Result
-}
-
 // probeUntil decides req, retrying while the answer is Indeterminate until
 // window elapses — the recovery grace every post-repair check needs (a
 // just-restarted pdpd or a healing ensemble answers Indeterminate for a
 // beat before it answers correctly).
-func probeUntil(ctx context.Context, d Decider, req *policy.Request, window time.Duration) policy.Result {
+func probeUntil(ctx context.Context, d policy.Decider, req *policy.Request, window time.Duration) policy.Result {
 	deadline := time.Now().Add(window)
 	for {
-		res := d.Decide(ctx, req)
+		res := policy.Decide(ctx, d, req, time.Time{})
 		if res.Decision != policy.DecisionIndeterminate {
 			return res
 		}
@@ -48,7 +42,7 @@ func probeUntil(ctx context.Context, d Decider, req *policy.Request, window time
 // probe must answer conclusively and identically within the window.
 type DecisionProbe struct {
 	// Target is the decision surface probed.
-	Target Decider
+	Target policy.Decider
 	// Requests are the pinned probes; Snapshot records their decisions.
 	Requests []*policy.Request
 
@@ -64,7 +58,7 @@ func (p *DecisionProbe) Snapshot(ctx context.Context) error {
 	}
 	p.baseline = make([]policy.Decision, len(p.Requests))
 	for i, req := range p.Requests {
-		res := p.Target.Decide(ctx, req)
+		res := policy.Decide(ctx, p.Target, req, time.Time{})
 		if res.Decision == policy.DecisionIndeterminate {
 			return fmt.Errorf("chaos: probe %d Indeterminate at snapshot (%v); baseline must be conclusive", i, res.Err)
 		}
@@ -84,7 +78,7 @@ func (p *DecisionProbe) Unchanged() Invariant {
 				return fmt.Errorf("chaos: probe swept before Snapshot")
 			}
 			for i, req := range p.Requests {
-				res := p.Target.Decide(ctx, req)
+				res := policy.Decide(ctx, p.Target, req, time.Time{})
 				if res.Decision == policy.DecisionIndeterminate {
 					continue // fail-closed, not wrong
 				}
@@ -135,7 +129,7 @@ type ackedWrite struct {
 // crash, not by kill -9, not by recovery.
 type AckedWrites struct {
 	// Target is the decision surface the ledger verifies against.
-	Target Decider
+	Target policy.Decider
 
 	mu      sync.Mutex
 	entries []ackedWrite
@@ -171,7 +165,7 @@ func (a *AckedWrites) Held() Invariant {
 		Name: "acked-writes-held",
 		Check: func(ctx context.Context) error {
 			for _, w := range a.snapshot() {
-				res := a.Target.Decide(ctx, w.req)
+				res := policy.Decide(ctx, a.Target, w.req, time.Time{})
 				if res.Decision == policy.DecisionIndeterminate {
 					continue
 				}
@@ -208,11 +202,11 @@ func (a *AckedWrites) Durable(window time.Duration) Invariant {
 // entry the bound should have evicted. Fresh answers and fail-closed
 // Indeterminates always pass; the invariant is meaningful while a fault
 // holds a breaker open, and harmless to sweep at any time.
-func StalenessBounded(d Decider, req *policy.Request, grace time.Duration) Invariant {
+func StalenessBounded(d policy.Decider, req *policy.Request, grace time.Duration) Invariant {
 	return Invariant{
 		Name: "staleness-bounded",
 		Check: func(ctx context.Context) error {
-			res := d.Decide(ctx, req)
+			res := policy.Decide(ctx, d, req, time.Time{})
 			if !res.Degraded {
 				return nil
 			}
@@ -225,16 +219,16 @@ func StalenessBounded(d Decider, req *policy.Request, grace time.Duration) Invar
 }
 
 // FailClosed asserts an expired deadline budget can never leak a
-// conclusive answer: a Decide under an already-dead context must be
+// conclusive answer: a decision under an already-dead context must be
 // Indeterminate. Swept after every event so no fault combination opens
 // the gate.
-func FailClosed(d Decider, req *policy.Request) Invariant {
+func FailClosed(d policy.Decider, req *policy.Request) Invariant {
 	return Invariant{
 		Name: "fail-closed",
 		Check: func(ctx context.Context) error {
 			expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Millisecond))
 			defer cancel()
-			res := d.Decide(expired, req)
+			res := policy.Decide(expired, d, req, time.Time{})
 			if res.Decision != policy.DecisionIndeterminate {
 				return fmt.Errorf("expired budget yielded %v; must fail closed", res.Decision)
 			}

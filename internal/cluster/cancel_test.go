@@ -45,7 +45,7 @@ func TestCancelMidBatchReturnsPromptlyFailClosed(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results := router.DecideBatchAt(ctx, reqs, testEpoch)
+	results := policy.DecideBatch(ctx, router, reqs, testEpoch)
 	elapsed := time.Since(start)
 	if elapsed >= stall {
 		t.Fatalf("batch took %v; cancellation did not cut the stall short", elapsed)
@@ -106,7 +106,7 @@ func TestDeadlineShedsOnlySlowShard(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	results := router.DecideBatchAt(ctx, reqs, testEpoch)
+	results := policy.DecideBatch(ctx, router, reqs, testEpoch)
 	if elapsed := time.Since(start); elapsed >= stall {
 		t.Fatalf("batch took %v; deadline did not bound the slow shard", elapsed)
 	}
@@ -121,7 +121,7 @@ func TestDeadlineShedsOnlySlowShard(t *testing.T) {
 			shed++
 			continue
 		}
-		want := single.DecideAt(context.Background(), reqs[i], testEpoch)
+		want := policy.Decide(context.Background(), single, reqs[i], testEpoch)
 		if res.Decision != want.Decision {
 			t.Fatalf("healthy position %d: got %s, want %s", i, res.Decision, want.Decision)
 		}
@@ -142,7 +142,7 @@ func TestExpiredContextSingleDecide(t *testing.T) {
 	_, router, gen := fixture(t, Config{Shards: 4}, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := router.DecideAt(ctx, gen.NextRequest(), testEpoch)
+	res := policy.Decide(ctx, router, gen.NextRequest(), testEpoch)
 	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("got %s (%v), want canceled Indeterminate", res.Decision, res.Err)
 	}

@@ -1,10 +1,9 @@
 // Package cluster scales the Policy Decision Point horizontally: the
 // paper's Section 3 scalability challenge met by a fleet of engines rather
 // than one. A consistent-hash ring partitions the policy base across N
-// shards by the resource keys their targets constrain; a Router implements
-// the same DecisionProvider contract as a single pdp.Engine, so
-// enforcement points (pep, rest, capability) work against a cluster
-// unchanged. Each shard is a replicated group built from the ha package's
+// shards by the resource keys their targets constrain; a Router is a
+// policy.Decider like a single pdp.Engine, so enforcement points (pep,
+// rest, capability) work against a cluster unchanged. Each shard is a replicated group built from the ha package's
 // failover or quorum ensembles, so a shard survives replica crashes.
 //
 // Routing preserves single-engine semantics: a shard's base holds, in
@@ -17,8 +16,8 @@
 // Every decision takes one per-shard dispatch: the zero-copy scatter path
 // (one shared result buffer from router to engine), with the shard's
 // breaker, latency histogram, trace span and the ensemble's hedge applied
-// in one place. A single decision is a one-position scatter; DecideBatch
-// groups requests by owning shard and evaluates each group in one engine
+// in one place. A single decision is a one-position scatter; a larger
+// selection is grouped by owning shard and evaluates each group in one engine
 // pass, amortising lock, cache-sweep and snapshot-load overhead, with
 // groups running concurrently across shards when the runtime has spare
 // parallelism.
@@ -70,7 +69,8 @@ type Config struct {
 	// EngineOptions configure every replica engine (resolver, decision
 	// cache, clock).
 	EngineOptions []pdp.Option
-	// Clock drives Decide and DecideBatch; time.Now when nil.
+	// Clock is the router clock, for decisions asked with a zero time;
+	// time.Now when nil.
 	Clock func() time.Time
 	// Resilience, when non-nil, arms a circuit breaker per shard group (an
 	// open breaker fails fast with resilience.ErrOpen) and, with HedgeAfter,
@@ -82,10 +82,11 @@ type Config struct {
 
 // Stats aggregates router activity.
 type Stats struct {
-	// Requests counts single decisions routed.
+	// Requests counts single decisions routed: scatter calls selecting one
+	// position, a one-request batch included.
 	Requests int64
-	// Batches and BatchRequests count DecideBatch calls and the requests
-	// they carried.
+	// Batches and BatchRequests count scatter calls selecting more than
+	// one position and the positions they selected.
 	Batches, BatchRequests int64
 	// Rebalances counts AddShard/RemoveShard membership changes.
 	Rebalances int64
@@ -145,10 +146,9 @@ type shard struct {
 	breaker *resilience.Breaker
 }
 
-// Router is a horizontally sharded Policy Decision Point. It satisfies the
-// DecisionProvider interfaces of pep, rest and capability, the
-// pdp.BatchProvider batch contract and resilience.Provider, so a
-// StaleCache can sit over it.
+// Router is a horizontally sharded Policy Decision Point, a
+// policy.Decider: enforcement points, pdp.Handler/BatchHandler and a
+// resilience.StaleCache all take it as they take a single engine.
 type Router struct {
 	name string
 	cfg  Config
@@ -501,30 +501,162 @@ func movedCount(prev, next []int) int {
 	return moved
 }
 
-// Decide routes the request at the router clock.
+// Decide routes the request at the router clock. bench/ladder.go calls
+// it.
 func (r *Router) Decide(ctx context.Context, req *policy.Request) policy.Result {
-	return r.DecideAt(ctx, req, r.now())
+	return policy.Decide(ctx, r, req, time.Time{})
 }
 
-// DecideAt implements the DecisionProvider contract: route the request to
-// the shard owning its resource key and decide there, bounded by ctx — a
-// one-position scatter through the same per-group dispatch DecideBatchAt
-// uses. The read lock is held across evaluation so a concurrent rebalance
-// can never route a request to a shard that no longer serves its policies.
-func (r *Router) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
-	if err := ctx.Err(); err != nil {
-		return r.ctxDone(err)
+// DecideBatch decides many requests at the router clock; result i answers
+// request i. bench/ladder.go calls it.
+func (r *Router) DecideBatch(ctx context.Context, reqs []*policy.Request) []policy.Result {
+	return policy.DecideBatch(ctx, r, reqs, time.Time{})
+}
+
+// DecideScatterAt implements policy.Decider: every selected request is
+// routed to the shard owning its resource key and decided there, bounded
+// by ctx; a zero at decides at the router clock. One selected position is
+// a single decision, dispatched straight to its shard. More are grouped
+// by owning shard and each group is evaluated in one pass on its shard
+// group, amortising lock, cache-sweep and snapshot-load overhead in the
+// engines. The read lock is held across evaluation so a concurrent
+// rebalance can never route a request to a shard that no longer serves
+// its policies.
+//
+// ctx bounds the whole scatter: once it is done the router stops fanning
+// out — undispatched shard groups are never started, in-flight groups see
+// the same ctx and abort inside the engine (or inside a stalled replica's
+// injected latency), and every position that did not finish returns
+// Indeterminate with the cause. One slow shard therefore bounds the
+// batch's latency at the caller's deadline instead of the shard's worst
+// case.
+//
+// Groups evaluate concurrently across shards only when the runtime has
+// spare parallelism (GOMAXPROCS > 2): policy evaluation is allocation-
+// heavy, and on small or heavily virtualised hosts the scheduler and GC
+// handoff cost of fan-out goroutines exceeds the overlap they buy.
+func (r *Router) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
+	n := len(reqs)
+	if positions != nil {
+		n = len(positions)
+	}
+	if n == 0 {
+		return
+	}
+	if at.IsZero() {
+		at = r.now()
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	r.stats.requests.Add(1)
-	s := r.shardForLocked(req)
-	if s == nil {
-		return r.noShards()
+	if n == 1 {
+		r.stats.requests.Add(1)
+		indexes := onePosition
+		if positions != nil {
+			indexes = positions
+		}
+		p := indexes[0]
+		if err := ctx.Err(); err != nil {
+			out[p] = r.ctxDone(err)
+			return
+		}
+		s := r.shardForLocked(reqs[p])
+		if s == nil {
+			out[p] = r.noShards()
+			return
+		}
+		r.dispatchLocked(ctx, s, reqs, indexes, at, resolver, out)
+		return
 	}
-	out := make([]policy.Result, 1)
-	r.dispatchLocked(ctx, s, []*policy.Request{req}, onePosition, at, out)
-	return out[0]
+	r.scatterLocked(ctx, reqs, positions, n, at, resolver, out)
+}
+
+// scatterLocked decides a selection of n > 1 positions: grouped by owning
+// shard, one dispatch per group. Callers hold r.mu read-locked.
+func (r *Router) scatterLocked(ctx context.Context, reqs []*policy.Request, positions []int, n int, at time.Time, resolver policy.Resolver, out []policy.Result) {
+	r.stats.batches.Add(1)
+	r.stats.batchRequests.Add(int64(n))
+	if err := ctx.Err(); err != nil {
+		res := r.ctxDone(err)
+		eachPosition(len(reqs), positions, func(p int) { out[p] = res })
+		return
+	}
+	// Group request positions by shard ordinal: a slice walk, not a map,
+	// on the hot path.
+	groups := make([][]int, len(r.order))
+	byOrd := r.byOrd
+	live := 0
+	eachPosition(len(reqs), positions, func(p int) {
+		s := r.shardForLocked(reqs[p])
+		if s == nil {
+			out[p] = r.noShards()
+			return
+		}
+		if groups[s.ord] == nil {
+			live++
+		}
+		groups[s.ord] = append(groups[s.ord], p)
+	})
+
+	// Traced batches get a scatter span plus one span per shard group; the
+	// group spans record shed positions when the deadline expires mid-
+	// scatter — the trace shows which shards never ran and why.
+	if trace.FromContext(ctx) != nil {
+		var scatter *trace.Span
+		ctx, scatter = trace.StartSpan(ctx, "cluster.scatter")
+		scatter.SetInt("batch.n", int64(n))
+		scatter.SetInt("cluster.groups", int64(live))
+		defer scatter.End()
+	}
+
+	if live <= 1 || runtime.GOMAXPROCS(0) <= 2 {
+		for ord, indexes := range groups {
+			if indexes != nil {
+				r.dispatchLocked(ctx, byOrd[ord], reqs, indexes, at, resolver, out)
+			}
+		}
+		return
+	}
+	// Bounded fan-out: one worker per available P, never more than one
+	// goroutine per group. Unbounded fan-out loses on small hosts, where
+	// scheduler and GC handoff for excess goroutines costs more than the
+	// overlap buys.
+	workers := runtime.GOMAXPROCS(0)
+	if workers > live {
+		workers = live
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	gctx := ctx // the workers capture a copy, not ctx itself, so ctx stays on the stack
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ord := int(next.Add(1)) - 1
+				if ord >= len(groups) {
+					return
+				}
+				if groups[ord] != nil {
+					r.dispatchLocked(gctx, byOrd[ord], reqs, groups[ord], at, resolver, out)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// eachPosition visits every selected request position (positions nil
+// means all n).
+func eachPosition(n int, positions []int, visit func(p int)) {
+	if positions == nil {
+		for p := 0; p < n; p++ {
+			visit(p)
+		}
+		return
+	}
+	for _, p := range positions {
+		visit(p)
+	}
 }
 
 // onePosition selects the only request of a single decision's scatter.
@@ -560,111 +692,6 @@ func (r *Router) noShards() policy.Result {
 		Err: fmt.Errorf("cluster %s: %w", r.name, ErrNoShards)}
 }
 
-// DecideBatch evaluates many requests at the router clock. See
-// DecideBatchAt.
-func (r *Router) DecideBatch(ctx context.Context, reqs []*policy.Request) []policy.Result {
-	return r.DecideBatchAt(ctx, reqs, r.now())
-}
-
-// DecideBatchAt implements the batch contract: requests are grouped by
-// owning shard and each group is evaluated in one pass on its shard group,
-// amortising lock, cache-sweep and snapshot-load overhead in the engines.
-// Result i answers request i.
-//
-// ctx bounds the whole scatter: once it is done the router stops fanning
-// out — undispatched shard groups are never started, in-flight groups see
-// the same ctx and abort inside the engine (or inside a stalled replica's
-// injected latency), and every position that did not finish returns
-// Indeterminate with the cause. One slow shard therefore bounds the
-// batch's latency at the caller's deadline instead of the shard's worst
-// case.
-//
-// Groups evaluate concurrently across shards only when the runtime has
-// spare parallelism (GOMAXPROCS > 2): policy evaluation is allocation-
-// heavy, and on small or heavily virtualised hosts the scheduler and GC
-// handoff cost of fan-out goroutines exceeds the overlap they buy.
-func (r *Router) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
-	if len(reqs) == 0 {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	r.stats.batches.Add(1)
-	r.stats.batchRequests.Add(int64(len(reqs)))
-
-	out := make([]policy.Result, len(reqs))
-	if err := ctx.Err(); err != nil {
-		res := r.ctxDone(err)
-		for i := range out {
-			out[i] = res
-		}
-		return out
-	}
-	// Group request positions by shard ordinal: a slice walk, not a map,
-	// on the hot path.
-	groups := make([][]int, len(r.order))
-	byOrd := r.byOrd
-	live := 0
-	for i, req := range reqs {
-		s := r.shardForLocked(req)
-		if s == nil {
-			out[i] = r.noShards()
-			continue
-		}
-		if groups[s.ord] == nil {
-			live++
-		}
-		groups[s.ord] = append(groups[s.ord], i)
-	}
-
-	// Traced batches get a scatter span plus one span per shard group; the
-	// group spans record shed positions when the deadline expires mid-
-	// scatter — the trace shows which shards never ran and why.
-	if trace.FromContext(ctx) != nil {
-		var scatter *trace.Span
-		ctx, scatter = trace.StartSpan(ctx, "cluster.scatter")
-		scatter.SetInt("batch.n", int64(len(reqs)))
-		scatter.SetInt("cluster.groups", int64(live))
-		defer scatter.End()
-	}
-
-	if live <= 1 || runtime.GOMAXPROCS(0) <= 2 {
-		for ord, indexes := range groups {
-			if indexes != nil {
-				r.dispatchLocked(ctx, byOrd[ord], reqs, indexes, at, out)
-			}
-		}
-		return out
-	}
-	// Bounded fan-out: one worker per available P, never more than one
-	// goroutine per group. Unbounded fan-out loses on small hosts, where
-	// scheduler and GC handoff for excess goroutines costs more than the
-	// overlap buys.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > live {
-		workers = live
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ord := int(next.Add(1)) - 1
-				if ord >= len(groups) {
-					return
-				}
-				if groups[ord] != nil {
-					r.dispatchLocked(ctx, byOrd[ord], reqs, groups[ord], at, out)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
 // dispatchLocked decides one shard group's positions of reqs into out: the
 // one per-shard dispatch, for single decisions and batch groups alike. The
 // scatter threads the shared out buffer through ensemble, replica and
@@ -673,7 +700,7 @@ func (r *Router) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at t
 // open, fails its positions closed here; a traced group gets a
 // cluster.shard span recording which shard ran it and why it shed.
 // Callers hold r.mu read-locked.
-func (r *Router) dispatchLocked(ctx context.Context, s *shard, reqs []*policy.Request, indexes []int, at time.Time, out []policy.Result) {
+func (r *Router) dispatchLocked(ctx context.Context, s *shard, reqs []*policy.Request, indexes []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
 	gctx := ctx
 	var gsp *trace.Span
 	if trace.FromContext(ctx) != nil {
@@ -699,10 +726,10 @@ func (r *Router) dispatchLocked(ctx context.Context, s *shard, reqs []*policy.Re
 	}
 	if r.metricsOn.Load() {
 		start := time.Now()
-		s.group.DecideScatterAt(gctx, reqs, indexes, at, nil, out)
+		s.group.DecideScatterAt(gctx, reqs, indexes, at, resolver, out)
 		s.lat.Observe(time.Since(start))
 	} else {
-		s.group.DecideScatterAt(gctx, reqs, indexes, at, nil, out)
+		s.group.DecideScatterAt(gctx, reqs, indexes, at, resolver, out)
 	}
 	r.observeGroupLocked(s, indexes, out)
 }

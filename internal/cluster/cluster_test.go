@@ -59,8 +59,8 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 			single, router, gen := fixture(t, tc.cfg, 200)
 			for i := 0; i < 500; i++ {
 				req := gen.NextRequest()
-				want := single.DecideAt(context.Background(), req, testEpoch)
-				got := router.DecideAt(context.Background(), req, testEpoch)
+				want := policy.Decide(context.Background(), single, req, testEpoch)
+				got := policy.Decide(context.Background(), router, req, testEpoch)
 				if got.Decision != want.Decision || got.By != want.By {
 					t.Fatalf("request %d (%s): cluster says %s by %s, single engine %s by %s",
 						i, req, got.Decision, got.By, want.Decision, want.By)
@@ -82,7 +82,7 @@ func TestTracedDecideRecordsShard(t *testing.T) {
 	}
 	tracer := trace.NewTracer(trace.Options{Sample: 1})
 	ctx, root := tracer.StartRoot(context.Background(), "test")
-	router.DecideAt(ctx, req, testEpoch)
+	policy.Decide(ctx, router, req, testEpoch)
 	root.End()
 
 	recs := tracer.Recent(1)
@@ -110,18 +110,18 @@ func TestTracedDecideRecordsShard(t *testing.T) {
 func TestClusterDecideBatchMatchesDecide(t *testing.T) {
 	single, router, gen := fixture(t, Config{Shards: 4}, 200)
 	reqs := gen.Requests(300)
-	results := router.DecideBatchAt(context.Background(), reqs, testEpoch)
+	results := policy.DecideBatch(context.Background(), router, reqs, testEpoch)
 	if len(results) != len(reqs) {
 		t.Fatalf("got %d results for %d requests", len(results), len(reqs))
 	}
 	for i, res := range results {
-		want := single.DecideAt(context.Background(), reqs[i], testEpoch)
+		want := policy.Decide(context.Background(), single, reqs[i], testEpoch)
 		if res.Decision != want.Decision || res.By != want.By {
 			t.Fatalf("batch item %d: %s by %s, want %s by %s",
 				i, res.Decision, res.By, want.Decision, want.By)
 		}
 	}
-	if got := router.DecideBatchAt(context.Background(), nil, testEpoch); got != nil {
+	if got := policy.DecideBatch(context.Background(), router, nil, testEpoch); got != nil {
 		t.Fatalf("empty batch returned %v", got)
 	}
 	st := router.Stats()
@@ -175,8 +175,8 @@ func TestClusterRebalanceStability(t *testing.T) {
 	check := func() {
 		for i := 0; i < 300; i++ {
 			req := gen.NextRequest()
-			want := single.DecideAt(context.Background(), req, testEpoch)
-			got := router.DecideAt(context.Background(), req, testEpoch)
+			want := policy.Decide(context.Background(), single, req, testEpoch)
+			got := policy.Decide(context.Background(), router, req, testEpoch)
 			if got.Decision != want.Decision || got.By != want.By {
 				t.Fatalf("after rebalance, %s: %s by %s, want %s by %s",
 					req, got.Decision, got.By, want.Decision, want.By)
@@ -215,7 +215,7 @@ func TestClusterShardFailover(t *testing.T) {
 	if victimReq == nil {
 		t.Fatal("no resource owned by the victim shard")
 	}
-	want := single.DecideAt(context.Background(), victimReq, testEpoch)
+	want := policy.Decide(context.Background(), single, victimReq, testEpoch)
 
 	replicas, err := router.Replicas(victim)
 	if err != nil {
@@ -224,18 +224,18 @@ func TestClusterShardFailover(t *testing.T) {
 	// Two of three replicas down: failover keeps the verdict identical.
 	replicas[0].SetDown(true)
 	replicas[1].SetDown(true)
-	if got := router.DecideAt(context.Background(), victimReq, testEpoch); got.Decision != want.Decision {
+	if got := policy.Decide(context.Background(), router, victimReq, testEpoch); got.Decision != want.Decision {
 		t.Fatalf("with 2/3 replicas down: %s, want %s", got.Decision, want.Decision)
 	}
 
 	// All three down: the shard's requests fail closed...
 	replicas[2].SetDown(true)
-	got := router.DecideAt(context.Background(), victimReq, testEpoch)
+	got := policy.Decide(context.Background(), router, victimReq, testEpoch)
 	if got.Decision != policy.DecisionIndeterminate || !errors.Is(got.Err, ha.ErrAllReplicasDown) {
 		t.Fatalf("with 3/3 replicas down: %s (%v), want Indeterminate/all-replicas-down", got.Decision, got.Err)
 	}
 	// ...and batches against the dead shard fail closed per-request too.
-	for _, res := range router.DecideBatchAt(context.Background(), []*policy.Request{victimReq, victimReq}, testEpoch) {
+	for _, res := range policy.DecideBatch(context.Background(), router, []*policy.Request{victimReq, victimReq}, testEpoch) {
 		if res.Decision != policy.DecisionIndeterminate {
 			t.Fatalf("batch against dead shard: %s, want Indeterminate", res.Decision)
 		}
@@ -251,8 +251,8 @@ func TestClusterShardFailover(t *testing.T) {
 		}
 	}
 	req := policy.NewAccessRequest("user-1", other, "read")
-	want = single.DecideAt(context.Background(), req, testEpoch)
-	if got := router.DecideAt(context.Background(), req, testEpoch); got.Decision != want.Decision {
+	want = policy.Decide(context.Background(), single, req, testEpoch)
+	if got := policy.Decide(context.Background(), router, req, testEpoch); got.Decision != want.Decision {
 		t.Fatalf("healthy shard affected by sibling crash: %s, want %s", got.Decision, want.Decision)
 	}
 
@@ -260,8 +260,8 @@ func TestClusterShardFailover(t *testing.T) {
 	for _, rep := range replicas {
 		rep.SetDown(false)
 	}
-	want = single.DecideAt(context.Background(), victimReq, testEpoch)
-	if got := router.DecideAt(context.Background(), victimReq, testEpoch); got.Decision != want.Decision {
+	want = policy.Decide(context.Background(), single, victimReq, testEpoch)
+	if got := policy.Decide(context.Background(), router, victimReq, testEpoch); got.Decision != want.Decision {
 		t.Fatalf("after revival: %s, want %s", got.Decision, want.Decision)
 	}
 }
@@ -278,8 +278,8 @@ func TestClusterRebalanceFlushesMovedCaches(t *testing.T) {
 
 	reqs := gen.Requests(200)
 	for _, req := range reqs {
-		router.DecideAt(context.Background(), req, testEpoch)
-		router.DecideAt(context.Background(), req, testEpoch) // warm the per-shard caches
+		policy.Decide(context.Background(), router, req, testEpoch)
+		policy.Decide(context.Background(), router, req, testEpoch) // warm the per-shard caches
 	}
 	if _, err := router.AddShard(); err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestClusterRebalanceFlushesMovedCaches(t *testing.T) {
 	// Decisions for moved resources re-evaluate on the new owner rather
 	// than serving another shard's stale cache; verdicts stay correct.
 	for _, req := range reqs {
-		res := router.DecideAt(context.Background(), req, testEpoch)
+		res := policy.Decide(context.Background(), router, req, testEpoch)
 		if res.Decision == policy.DecisionIndeterminate {
 			t.Fatalf("post-rebalance Indeterminate for %s: %v", req, res.Err)
 		}
@@ -306,7 +306,7 @@ func TestClusterConfigAndErrors(t *testing.T) {
 		t.Fatal("SetRoot accepted nil root")
 	}
 	// Deciding before any root is installed fails closed.
-	res := router.DecideAt(context.Background(), policy.NewAccessRequest("u", "r", "read"), testEpoch)
+	res := policy.Decide(context.Background(), router, policy.NewAccessRequest("u", "r", "read"), testEpoch)
 	if res.Decision != policy.DecisionIndeterminate {
 		t.Fatalf("rootless decide: %s, want Indeterminate", res.Decision)
 	}
@@ -343,8 +343,8 @@ func TestClusterNonPartitionableRoot(t *testing.T) {
 	for _, action := range []string{"read", "write"} {
 		for i := 0; i < 30; i++ {
 			req := policy.NewAccessRequest("u", workload.ResourceID(i), action)
-			want := single.DecideAt(context.Background(), req, testEpoch)
-			got := router.DecideAt(context.Background(), req, testEpoch)
+			want := policy.Decide(context.Background(), single, req, testEpoch)
+			got := policy.Decide(context.Background(), router, req, testEpoch)
 			if got.Decision != want.Decision {
 				t.Fatalf("%s %s: %s, want %s", action, workload.ResourceID(i), got.Decision, want.Decision)
 			}
@@ -356,7 +356,7 @@ func TestClusterNonPartitionableRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := policy.NewAccessRequest("u", "anything", "read")
-	if got := router.DecideAt(context.Background(), req, testEpoch); got.Decision != policy.DecisionPermit {
+	if got := policy.Decide(context.Background(), router, req, testEpoch); got.Decision != policy.DecisionPermit {
 		t.Fatalf("new shard after rebalance: %s, want Permit", got.Decision)
 	}
 }
@@ -397,8 +397,8 @@ func TestClusterDisjunctiveTargetReplicated(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		req := policy.NewAccessRequest("root", workload.ResourceID(i), "write").
 			Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String("admin"))
-		want := single.DecideAt(context.Background(), req, testEpoch)
-		got := router.DecideAt(context.Background(), req, testEpoch)
+		want := policy.Decide(context.Background(), single, req, testEpoch)
+		got := policy.Decide(context.Background(), router, req, testEpoch)
 		if want.Decision != policy.DecisionPermit {
 			t.Fatalf("single engine: admin on %s = %s, want Permit", workload.ResourceID(i), want.Decision)
 		}
@@ -414,7 +414,7 @@ func TestClusterDisjunctiveTargetReplicated(t *testing.T) {
 func TestClusterLoadBalance(t *testing.T) {
 	_, router, gen := fixture(t, Config{Shards: 4}, 500)
 	for _, req := range gen.Requests(2000) {
-		router.DecideAt(context.Background(), req, testEpoch)
+		policy.Decide(context.Background(), router, req, testEpoch)
 	}
 	loads := router.ShardLoads()
 	if len(loads) != 4 {

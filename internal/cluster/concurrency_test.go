@@ -58,7 +58,7 @@ func TestClusterConcurrentDecideAndRebalance(t *testing.T) {
 		go func(reqs []*policy.Request) {
 			defer wg.Done()
 			for _, req := range reqs {
-				res := router.DecideAt(context.Background(), req, at)
+				res := policy.Decide(context.Background(), router, req, at)
 				if res.Decision != policy.DecisionPermit && res.Decision != policy.DecisionDeny {
 					report("Decide returned " + res.Decision.String() + " during rebalance")
 					return
@@ -72,7 +72,7 @@ func TestClusterConcurrentDecideAndRebalance(t *testing.T) {
 			defer wg.Done()
 			const batch = 20
 			for i := 0; i+batch <= len(reqs); i += batch {
-				for _, res := range router.DecideBatchAt(context.Background(), reqs[i:i+batch], at) {
+				for _, res := range policy.DecideBatch(context.Background(), router, reqs[i:i+batch], at) {
 					if res.Decision != policy.DecisionPermit && res.Decision != policy.DecisionDeny {
 						report("DecideBatch returned " + res.Decision.String() + " during rebalance")
 						return
@@ -139,7 +139,7 @@ func TestClusterConcurrentBatchSameShard(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				for _, res := range router.DecideBatchAt(context.Background(), reqs, at) {
+				for _, res := range policy.DecideBatch(context.Background(), router, reqs, at) {
 					if res.Decision != policy.DecisionPermit && res.Decision != policy.DecisionDeny {
 						t.Errorf("unexpected decision %s", res.Decision)
 						return

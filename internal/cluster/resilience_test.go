@@ -71,13 +71,13 @@ func TestClusterBreakerDegradedMode(t *testing.T) {
 	warm := policy.NewAccessRequest("alice", "db", "read")
 	cold := policy.NewAccessRequest("alice", "ledger", "read")
 
-	if res := router.DecideAt(context.Background(), warm, t0); res.Decision != policy.DecisionPermit || res.Degraded {
+	if res := policy.Decide(context.Background(), router, warm, t0); res.Decision != policy.DecisionPermit || res.Degraded {
 		t.Fatalf("healthy decision = %+v, want fresh Permit", res)
 	}
 
 	reps := downShard(t, router, true)
 	for i := 0; i < 3; i++ {
-		res := router.DecideAt(context.Background(), warm, now)
+		res := policy.Decide(context.Background(), router, warm, now)
 		if !errors.Is(res.Err, ha.ErrAllReplicasDown) {
 			t.Fatalf("failure %d = %+v, want all-replicas-down", i, res)
 		}
@@ -92,7 +92,7 @@ func TestClusterBreakerDegradedMode(t *testing.T) {
 	queriesBefore := reps[0].Queries()
 	now = t0.Add(2 * time.Second)
 	for _, req := range []*policy.Request{warm, cold} {
-		res := router.DecideAt(context.Background(), req, now)
+		res := policy.Decide(context.Background(), router, req, now)
 		if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, resilience.ErrOpen) || res.Degraded {
 			t.Fatalf("open-breaker decision on %s = %+v, want fail-fast ErrOpen", req.ResourceID(), res)
 		}
@@ -111,7 +111,7 @@ func TestClusterBreakerDegradedMode(t *testing.T) {
 	// through, succeeds, and closes the breaker.
 	downShard(t, router, false)
 	now = t0.Add(2 * time.Minute)
-	res := router.DecideAt(context.Background(), warm, now)
+	res := policy.Decide(context.Background(), router, warm, now)
 	if res.Decision != policy.DecisionPermit || res.Degraded {
 		t.Fatalf("post-recovery decision = %+v, want fresh Permit", res)
 	}
@@ -133,15 +133,15 @@ func TestClusterBatchDegradedPositions(t *testing.T) {
 	warm2 := policy.NewAccessRequest("bob", "files", "read")
 	cold := policy.NewAccessRequest("carol", "vault", "read")
 
-	router.DecideBatchAt(context.Background(), []*policy.Request{warm1, warm2}, t0)
+	policy.DecideBatch(context.Background(), router, []*policy.Request{warm1, warm2}, t0)
 
 	downShard(t, router, true)
 	for i := 0; i < 2; i++ {
-		router.DecideAt(context.Background(), warm1, t0)
+		policy.Decide(context.Background(), router, warm1, t0)
 	}
 
 	now = t0.Add(10 * time.Second)
-	out := router.DecideBatchAt(context.Background(), []*policy.Request{warm1, cold, warm2}, now)
+	out := policy.DecideBatch(context.Background(), router, []*policy.Request{warm1, cold, warm2}, now)
 	for p, res := range out {
 		if res.Degraded || res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, resilience.ErrOpen) {
 			t.Fatalf("position %d = %+v, want fail-fast ErrOpen", p, res)
@@ -165,7 +165,7 @@ func TestRevocationFailsClosed(t *testing.T) {
 	})
 	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: 30 * time.Second, Clock: clock})
 	req := policy.NewAccessRequest("alice", "db", "read")
-	if res := stale.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), stale, req, time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Fatalf("before revocation = %+v, want Permit", res)
 	}
 
@@ -176,7 +176,7 @@ func TestRevocationFailsClosed(t *testing.T) {
 	downShard(t, router, true)
 	now = t0.Add(time.Second)
 	for i := 0; i < 2; i++ { // all replicas down, then breaker open
-		res := stale.Decide(context.Background(), req)
+		res := policy.Decide(context.Background(), stale, req, time.Time{})
 		if res.Decision != policy.DecisionIndeterminate || res.Degraded {
 			t.Fatalf("decision %d after revocation and outage = %+v, want fail-closed Indeterminate", i, res)
 		}
@@ -219,9 +219,9 @@ func TestRevocationFailsClosedRace(t *testing.T) {
 				before := committed.Load()
 				var res policy.Result
 				if (i+w)%4 == 0 {
-					res = stale.DecideBatch(context.Background(), []*policy.Request{req})[0]
+					res = policy.DecideBatch(context.Background(), stale, []*policy.Request{req}, time.Time{})[0]
 				} else {
-					res = stale.Decide(context.Background(), req)
+					res = policy.Decide(context.Background(), stale, req, time.Time{})
 				}
 				after := started.Load()
 				if res.Degraded {
@@ -284,12 +284,12 @@ type laggingRouter struct{ *Router }
 
 func (l laggingRouter) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
 	defer time.Sleep(50 * time.Microsecond)
-	return l.Router.DecideAt(ctx, req, at)
+	return policy.Decide(ctx, l.Router, req, at)
 }
 
 func (l laggingRouter) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
 	defer time.Sleep(50 * time.Microsecond)
-	return l.Router.DecideBatchAt(ctx, reqs, at)
+	return policy.DecideBatch(ctx, l.Router, reqs, at)
 }
 
 // TestClusterHedgedBatch: with a stalled preferred replica and HedgeAfter
@@ -308,12 +308,12 @@ func TestClusterHedgedBatch(t *testing.T) {
 		{"single", func(r *Router) []policy.Result {
 			out := make([]policy.Result, len(reqs))
 			for i, req := range reqs {
-				out[i] = r.DecideAt(context.Background(), req, testEpoch)
+				out[i] = policy.Decide(context.Background(), r, req, testEpoch)
 			}
 			return out
 		}},
 		{"batch", func(r *Router) []policy.Result {
-			return r.DecideBatchAt(context.Background(), reqs, testEpoch)
+			return policy.DecideBatch(context.Background(), r, reqs, testEpoch)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -367,7 +367,7 @@ func TestClusterBreakerNeutralOnCallerExpiry(t *testing.T) {
 
 	reps := downShard(t, router, true)
 	for i := 0; i < 3; i++ {
-		router.DecideAt(context.Background(), warm, now)
+		policy.Decide(context.Background(), router, warm, now)
 	}
 	if bs := router.BreakerStats()[router.Shards()[0]]; bs.State != resilience.StateOpen {
 		t.Fatalf("breaker = %+v after threshold failures, want open", bs)
@@ -383,7 +383,7 @@ func TestClusterBreakerNeutralOnCallerExpiry(t *testing.T) {
 	now = t0.Add(2 * time.Minute)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	res := router.DecideAt(ctx, warm, now)
+	res := policy.Decide(ctx, router, warm, now)
 	if !errors.Is(res.Err, context.DeadlineExceeded) {
 		t.Fatalf("stalled probe = %+v, want caller deadline expiry", res)
 	}
@@ -397,7 +397,7 @@ func TestClusterBreakerNeutralOnCallerExpiry(t *testing.T) {
 	for _, rep := range reps {
 		rep.SetStall(0)
 	}
-	res = router.DecideAt(context.Background(), warm, now)
+	res = policy.Decide(context.Background(), router, warm, now)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("post-expiry probe = %+v, want fresh Permit", res)
 	}
@@ -417,7 +417,7 @@ func TestClusterBreakerFlapping(t *testing.T) {
 	})
 	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: time.Minute})
 	warm := policy.NewAccessRequest("alice", "db", "read")
-	stale.Decide(context.Background(), warm)
+	policy.Decide(context.Background(), stale, warm, time.Time{})
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -440,8 +440,8 @@ func TestClusterBreakerFlapping(t *testing.T) {
 				policy.NewAccessRequest("bob", "other", "read"),
 			}
 			for i := 0; i < 400; i++ {
-				stale.Decide(context.Background(), warm)
-				stale.DecideBatch(context.Background(), reqs)
+				policy.Decide(context.Background(), stale, warm, time.Time{})
+				policy.DecideBatch(context.Background(), stale, reqs, time.Time{})
 			}
 		}(g)
 	}
@@ -453,7 +453,7 @@ func TestClusterBreakerFlapping(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	deadline := time.Now().Add(time.Second)
 	for {
-		res := stale.Decide(context.Background(), warm)
+		res := policy.Decide(context.Background(), stale, warm, time.Time{})
 		if res.Decision == policy.DecisionPermit && !res.Degraded {
 			break
 		}

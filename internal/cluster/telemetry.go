@@ -13,10 +13,10 @@ import (
 // changes appear on the next scrape without re-registration.
 func (r *Router) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("repro_cluster_requests_total",
-		"Single decisions routed.",
+		"Single decisions routed (one-request batches included).",
 		func() int64 { return r.Stats().Requests })
 	reg.CounterFunc("repro_cluster_batches_total",
-		"Batch decisions routed.",
+		"Batch decisions (two or more requests) routed.",
 		func() int64 { return r.Stats().Batches })
 	reg.CounterFunc("repro_cluster_batch_requests_total",
 		"Requests carried by routed batches.",

@@ -139,8 +139,8 @@ func TestRouterApplyUpdateEquivalence(t *testing.T) {
 						t.Fatalf("seed %d op %d: rebuild: %v", seed, op, err)
 					}
 					for _, req := range reqs {
-						got := router.DecideAt(context.Background(), req, testEpoch)
-						want := rebuilt.DecideAt(context.Background(), req, testEpoch)
+						got := policy.Decide(context.Background(), router, req, testEpoch)
+						want := policy.Decide(context.Background(), rebuilt, req, testEpoch)
 						if got.Decision != want.Decision || got.By != want.By {
 							t.Fatalf("seed %d op %d: %s on %s: cluster delta = %v by %s, rebuild = %v by %s",
 								seed, op, req.ActionID(), req.ResourceID(),
@@ -176,7 +176,7 @@ func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 		warm = append(warm, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"))
 	}
 	for _, req := range warm {
-		if got := router.DecideAt(context.Background(), req, testEpoch); got.Decision != policy.DecisionPermit {
+		if got := policy.Decide(context.Background(), router, req, testEpoch); got.Decision != policy.DecisionPermit {
 			t.Fatalf("warm-up %s: %v", req.ResourceID(), got.Decision)
 		}
 	}
@@ -191,11 +191,11 @@ func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 	}
 
 	for _, req := range warm[1:] {
-		if got := router.DecideAt(context.Background(), req, testEpoch); got.Decision != policy.DecisionPermit {
+		if got := policy.Decide(context.Background(), router, req, testEpoch); got.Decision != policy.DecisionPermit {
 			t.Fatalf("unaffected %s: %v", req.ResourceID(), got.Decision)
 		}
 	}
-	if got := router.DecideAt(context.Background(), warm[0], testEpoch); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), router, warm[0], testEpoch); got.Decision != policy.DecisionDeny {
 		t.Fatalf("res-0 read after update = %v, want deny", got.Decision)
 	}
 	after := router.EngineStats()
@@ -215,7 +215,7 @@ func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 	}
 	mid := router.EngineStats()
 	for _, req := range warm {
-		router.DecideAt(context.Background(), req, testEpoch)
+		policy.Decide(context.Background(), router, req, testEpoch)
 	}
 	cold := router.EngineStats()
 	if hits := cold.CacheHits - mid.CacheHits; hits != 0 {
@@ -263,8 +263,8 @@ func TestRouterApplyUpdateUnsortedInsertFallsBack(t *testing.T) {
 		for _, res := range resources {
 			for _, action := range []string{"read", "write"} {
 				req := policy.NewAccessRequest("u", res, action)
-				got := router.DecideAt(context.Background(), req, testEpoch)
-				want := ref.DecideAt(context.Background(), req, testEpoch)
+				got := policy.Decide(context.Background(), router, req, testEpoch)
+				want := policy.Decide(context.Background(), ref, req, testEpoch)
 				if got.Decision != want.Decision || got.By != want.By {
 					t.Fatalf("%s %s: cluster = %v by %s, engine = %v by %s",
 						action, res, got.Decision, got.By, want.Decision, want.By)
@@ -347,7 +347,7 @@ func TestAddShardRollback(t *testing.T) {
 	if err := router.SetRoot(updModelRoot(model)); err != nil {
 		t.Fatal(err)
 	}
-	want := router.DecideAt(context.Background(), policy.NewAccessRequest("u", "res-3", "read"), testEpoch)
+	want := policy.Decide(context.Background(), router, policy.NewAccessRequest("u", "res-3", "read"), testEpoch)
 	if want.Decision != policy.DecisionPermit {
 		t.Fatalf("baseline decision = %v", want.Decision)
 	}
@@ -376,7 +376,7 @@ func TestAddShardRollback(t *testing.T) {
 			t.Fatalf("res-%d owner = %q after rollback, want c/shard-0", i, owner)
 		}
 	}
-	got := router.DecideAt(context.Background(), policy.NewAccessRequest("u", "res-3", "read"), testEpoch)
+	got := policy.Decide(context.Background(), router, policy.NewAccessRequest("u", "res-3", "read"), testEpoch)
 	if got.Decision != want.Decision {
 		t.Fatalf("decision after rollback = %v, want %v", got.Decision, want.Decision)
 	}

@@ -193,13 +193,13 @@ func TestReplicatePDP(t *testing.T) {
 	req := policy.NewAccessRequest("u", "rec", "read").
 		Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String("doctor")).
 		Add(policy.CategoryResource, policy.AttrResourceType, policy.String("patient-record"))
-	if res := ensemble.DecideAt(context.Background(), req, s.At(0)); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), ensemble, req, s.At(0)); res.Decision != policy.DecisionPermit {
 		t.Fatalf("ensemble decision = %v", res.Decision)
 	}
 	// Survives two crashes under failover.
 	replicas[0].SetDown(true)
 	replicas[1].SetDown(true)
-	if res := ensemble.DecideAt(context.Background(), req, s.At(0)); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), ensemble, req, s.At(0)); res.Decision != policy.DecisionPermit {
 		t.Errorf("2-crash decision = %v (%v)", res.Decision, res.Err)
 	}
 	if _, _, err := s.ReplicatePDP(d, 0, ha.Failover); err == nil {

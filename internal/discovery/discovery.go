@@ -111,22 +111,17 @@ func (r *Registry) Lookup(authority string) []Entry {
 	return out
 }
 
-// Decider is the decision source a signed decision point serves.
-type Decider interface {
-	DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
-}
-
 // ServeSigned registers a decision point on the network: it answers
 // request contexts with authorisation-decision assertions signed by key
 // and valid for ttl. Both permits and denies are signed — a deny is a
 // decision, not an error.
-func ServeSigned(net *wire.Network, node string, decider Decider, key pki.KeyPair, issuer string, ttl time.Duration) {
+func ServeSigned(net *wire.Network, node string, decider policy.Decider, key pki.KeyPair, issuer string, ttl time.Duration) {
 	net.Register(node, func(ctx context.Context, _ *wire.Call, env *wire.Envelope) (*wire.Envelope, error) {
 		req, err := xacml.UnmarshalRequestJSON(env.Body)
 		if err != nil {
 			return nil, fmt.Errorf("discovery: %s: %w", node, err)
 		}
-		res := decider.DecideAt(ctx, req, env.Timestamp)
+		res := policy.Decide(ctx, decider, req, env.Timestamp)
 		a := &assertion.Assertion{
 			ID:           net.NextMessageID(node),
 			Issuer:       issuer,

@@ -205,7 +205,7 @@ func TestTamperedDecisionIsRejected(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res := engine.DecideAt(context.Background(), req, env.Timestamp)
+		res := policy.Decide(context.Background(), engine, req, env.Timestamp)
 		a := &assertion.Assertion{
 			ID: "forged", Issuer: "pdp.med.1", Subject: req.SubjectID(),
 			IssuedAt: env.Timestamp, NotBefore: env.Timestamp,

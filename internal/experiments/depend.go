@@ -73,7 +73,7 @@ func RunE9DependablePDP() (*metrics.Table, error) {
 					replicas[r].SetDown(schedule.downAt(r, t))
 				}
 				req := policy.NewAccessRequest(fmt.Sprintf("u%d", i), "res", "read")
-				if res := ens.DecideAt(context.Background(), req, epoch.Add(t)); res.Decision == policy.DecisionPermit {
+				if res := policy.Decide(context.Background(), ens, req, epoch.Add(t)); res.Decision == policy.DecisionPermit {
 					available++
 				}
 			}

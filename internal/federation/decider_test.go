@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,9 +19,13 @@ type stubDecider struct {
 	res   policy.Result
 }
 
-func (s *stubDecider) DecideAtWith(context.Context, *policy.Request, time.Time, policy.Resolver) policy.Result {
+func (s *stubDecider) DecideScatterAt(_ context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
 	atomic.AddInt64(&s.calls, 1)
-	return s.res
+	for i := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = s.res
+		}
+	}
 }
 
 func TestUseDeciderReplacesAndRestoresDecisionSource(t *testing.T) {

@@ -87,7 +87,7 @@ type Domain struct {
 	vo *VO
 
 	deciderMu sync.RWMutex
-	decider   Decider
+	decider   policy.Decider
 
 	pipMu sync.RWMutex
 	pip   policy.Resolver
@@ -97,24 +97,17 @@ type Domain struct {
 	onRefreshErr func(error)
 }
 
-// Decider abstracts where a domain's decisions come from: the single PDP
-// engine (the default) or a replicated ha.Ensemble installed for
-// dependability. The resolver threads per-call cross-domain attribute
-// retrieval; ctx bounds the decision, resolver round-trips included.
-type Decider interface {
-	DecideAtWith(ctx context.Context, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result
-}
-
-// UseDecider replaces the domain's decision source; a nil decider restores
-// the built-in PDP engine.
-func (d *Domain) UseDecider(dec Decider) {
+// UseDecider replaces where the domain's decisions come from — the single
+// PDP engine by default, or a replicated ha.Ensemble installed for
+// dependability; a nil decider restores the built-in PDP engine.
+func (d *Domain) UseDecider(dec policy.Decider) {
 	d.deciderMu.Lock()
 	defer d.deciderMu.Unlock()
 	d.decider = dec
 }
 
 // currentDecider returns the active decision source.
-func (d *Domain) currentDecider() Decider {
+func (d *Domain) currentDecider() policy.Decider {
 	d.deciderMu.RLock()
 	defer d.deciderMu.RUnlock()
 	if d.decider != nil {
@@ -447,6 +440,15 @@ func armDeadline(ctx context.Context, env *wire.Envelope) *wire.Envelope {
 	return env
 }
 
+// decideWith decides one request through d with the per-call cross-domain
+// resolver, which bypasses decision caches; ctx bounds the decision,
+// resolver round-trips included.
+func decideWith(ctx context.Context, d policy.Decider, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
+	var out [1]policy.Result
+	d.DecideScatterAt(ctx, []*policy.Request{req}, nil, at, resolver, out[:])
+	return out[0]
+}
+
 // combine applies domain autonomy: access requires a local permit and
 // survives only if the VO policy does not veto it.
 func combine(local, vo policy.Result) policy.Result {
@@ -470,10 +472,10 @@ func (d *Domain) handleDecide(ctx context.Context, call *wire.Call, env *wire.En
 		return nil, err
 	}
 	resolver := pip.NewRequestResolver(&crossDomainResolver{local: d, call: call, at: env.Timestamp})
-	local := d.currentDecider().DecideAtWith(ctx, req, env.Timestamp, resolver)
+	local := decideWith(ctx, d.currentDecider(), req, env.Timestamp, resolver)
 	var final policy.Result
 	if d.vo != nil {
-		voRes := d.vo.voPDP.DecideAtWith(ctx, req, env.Timestamp, resolver)
+		voRes := decideWith(ctx, d.vo.voPDP, req, env.Timestamp, resolver)
 		final = combine(local, voRes)
 	} else {
 		final = local
@@ -619,8 +621,8 @@ func (vo *VO) handleCapabilityRequest(ctx context.Context, call *wire.Call, env 
 	// enforces: resource-domain policy plus VO policy, sharing one
 	// per-request attribute memo across both evaluations.
 	resolver := pip.NewRequestResolver(&crossDomainResolver{local: d, call: call, at: env.Timestamp})
-	local := d.PDP.DecideAtWith(ctx, req, env.Timestamp, resolver)
-	final := combine(local, vo.voPDP.DecideAtWith(ctx, req, env.Timestamp, resolver))
+	local := decideWith(ctx, d.PDP, req, env.Timestamp, resolver)
+	final := combine(local, decideWith(ctx, vo.voPDP, req, env.Timestamp, resolver))
 	if final.Decision != policy.DecisionPermit {
 		return nil, fmt.Errorf("federation: capability refused: %s: %w", final.Decision, capability.ErrNotAuthorized)
 	}

@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/policy"
 	"repro/internal/store"
@@ -45,7 +46,7 @@ func TestDomainHydratePAP(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func(d *Domain, res string) policy.Decision {
-		return d.PDP.Decide(context.Background(), policy.NewAccessRequest("alice", res, "read")).Decision
+		return policy.Decide(context.Background(), d.PDP, policy.NewAccessRequest("alice", res, "read"), time.Time{}).Decision
 	}
 	if got := read(first, "records"); got != policy.DecisionPermit {
 		t.Fatalf("records pre-crash = %v", got)

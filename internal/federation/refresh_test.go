@@ -30,14 +30,14 @@ func TestDomainPDPFollowsPAPIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := policy.NewAccessRequest("alice", "records", "read")
-	if got := d.PDP.DecideAt(context.Background(), req, at); got.Decision != policy.DecisionPermit {
+	if got := policy.Decide(context.Background(), d.PDP, req, at); got.Decision != policy.DecisionPermit {
 		t.Fatalf("after first Put: %v", got.Decision)
 	}
 	// Flip to write-only: the revocation must reach the PDP as a delta.
 	if _, err := d.PAP.Put(refreshPolicy("p-records", "records", "write")); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PDP.DecideAt(context.Background(), req, at); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), d.PDP, req, at); got.Decision != policy.DecisionDeny {
 		t.Fatalf("after revocation: %v, want deny", got.Decision)
 	}
 	if st := d.PDP.Stats(); st.Updates < 1 {
@@ -46,7 +46,7 @@ func TestDomainPDPFollowsPAPIncrementally(t *testing.T) {
 	if err := d.PAP.Delete("p-records"); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PDP.DecideAt(context.Background(), req, at); got.Decision != policy.DecisionNotApplicable {
+	if got := policy.Decide(context.Background(), d.PDP, req, at); got.Decision != policy.DecisionNotApplicable {
 		t.Fatalf("after delete: %v, want not-applicable", got.Decision)
 	}
 	if n := d.RefreshErrors(); n != 0 {

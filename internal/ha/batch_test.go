@@ -64,7 +64,7 @@ func TestEnsembleFailoverBatch(t *testing.T) {
 	reqs := batchRequests(4)
 
 	r0.SetDown(true)
-	for _, res := range ens.DecideBatchAt(context.Background(), reqs, at) {
+	for _, res := range policy.DecideBatch(context.Background(), ens, reqs, at) {
 		if res.Decision != policy.DecisionPermit {
 			t.Fatalf("failover batch: %s, want Permit", res.Decision)
 		}
@@ -75,12 +75,12 @@ func TestEnsembleFailoverBatch(t *testing.T) {
 	}
 
 	r1.SetDown(true)
-	for _, res := range ens.DecideBatchAt(context.Background(), reqs, at) {
+	for _, res := range policy.DecideBatch(context.Background(), ens, reqs, at) {
 		if !errors.Is(res.Err, ErrAllReplicasDown) {
 			t.Fatalf("dead ensemble batch: %v, want ErrAllReplicasDown", res.Err)
 		}
 	}
-	if got := ens.DecideBatchAt(context.Background(), nil, at); got != nil {
+	if got := policy.DecideBatch(context.Background(), ens, nil, at); got != nil {
 		t.Fatalf("empty batch returned %v", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestEnsembleQuorumBatchMasksMinority(t *testing.T) {
 	ens := NewEnsemble("ens", Quorum, good0, good1, stale)
 
 	reqs := batchRequests(3)
-	for _, res := range ens.DecideBatchAt(context.Background(), reqs, at) {
+	for _, res := range policy.DecideBatch(context.Background(), ens, reqs, at) {
 		if res.Decision != policy.DecisionPermit {
 			t.Fatalf("quorum batch: %s, want Permit (minority masked)", res.Decision)
 		}
@@ -105,7 +105,7 @@ func TestEnsembleQuorumBatchMasksMinority(t *testing.T) {
 
 	// Losing a good replica drops the vote to 1-1: no quorum, fail closed.
 	good1.SetDown(true)
-	for _, res := range ens.DecideBatchAt(context.Background(), reqs, at) {
+	for _, res := range policy.DecideBatch(context.Background(), ens, reqs, at) {
 		if !errors.Is(res.Err, ErrNoQuorum) {
 			t.Fatalf("split vote: %v, want ErrNoQuorum", res.Err)
 		}

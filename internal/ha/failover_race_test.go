@@ -57,7 +57,7 @@ func TestFailoverDuringLiveBatches(t *testing.T) {
 			defer wg.Done()
 			deadline := time.Now().Add(runFor)
 			for time.Now().Before(deadline) {
-				for _, res := range ens.DecideBatchAt(context.Background(), reqs, at) {
+				for _, res := range policy.DecideBatch(context.Background(), ens, reqs, at) {
 					if res.Decision != policy.DecisionPermit {
 						wrong.Add(1)
 					}
@@ -119,7 +119,7 @@ func TestSetDownMidSingleDecisionStream(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if res := ens.DecideAt(context.Background(), req, at); res.Decision != policy.DecisionPermit {
+				if res := policy.Decide(context.Background(), ens, req, at); res.Decision != policy.DecisionPermit {
 					wrong.Add(1)
 				}
 			}

@@ -7,7 +7,7 @@
 // answers) — plus a health monitor that reorders failover chains away from
 // dead replicas.
 //
-// Every decision takes one path: the scatter call (ScatterProvider), which
+// Every decision takes one path: the scatter call (policy.Decider), which
 // answers a selection of request positions into a caller-owned result
 // buffer. A single decision is a one-position scatter, so failover order,
 // the all-or-nothing replica rule, the majority rule, hedging and the
@@ -39,18 +39,6 @@ var (
 	ErrNoQuorum = errors.New("ha: no quorum")
 )
 
-// ScatterProvider is the one decision call every layer shares: evaluate
-// reqs[p] for every p in positions (nil means every request) and write each
-// result to out[p]. Callers own out, so stacked layers (cluster router →
-// ensemble → replica → engine) share one result buffer instead of
-// allocating and copying one per layer. A non-nil resolver replaces the
-// provider's own attribute resolver for every position (multi-domain
-// deployments thread cross-domain attribute retrieval through it); nil
-// keeps the provider's. pdp.Engine implements it.
-type ScatterProvider interface {
-	DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result)
-}
-
 // Failable wraps a decision provider with a crash switch, the failure
 // injection handle used by experiments E9, and a stall switch injecting
 // per-decision latency — the slow-replica failure mode (a wedged disk, a
@@ -59,7 +47,7 @@ type ScatterProvider interface {
 // until the caller's context is done, whichever comes first.
 type Failable struct {
 	name  string
-	inner ScatterProvider
+	inner policy.Decider
 	down  atomic.Bool
 	stall atomic.Int64 // nanoseconds injected per decision
 	// Queries counts decision attempts routed to this replica.
@@ -67,7 +55,7 @@ type Failable struct {
 }
 
 // NewFailable wraps a provider.
-func NewFailable(name string, inner ScatterProvider) *Failable {
+func NewFailable(name string, inner policy.Decider) *Failable {
 	return &Failable{name: name, inner: inner}
 }
 

@@ -65,7 +65,7 @@ func TestFailoverSkipsDeadReplicas(t *testing.T) {
 	ens := NewEnsemble("ens", Failover, r1, r2, r3)
 
 	r1.SetDown(true)
-	res := ens.DecideAt(context.Background(), req(), testTime)
+	res := policy.Decide(context.Background(), ens, req(), testTime)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("failover decision = %v (%v)", res.Decision, res.Err)
 	}
@@ -85,7 +85,7 @@ func TestFailoverAllDown(t *testing.T) {
 	ens := NewEnsemble("ens", Failover, r1, r2)
 	r1.SetDown(true)
 	r2.SetDown(true)
-	res := ens.DecideAt(context.Background(), req(), testTime)
+	res := policy.Decide(context.Background(), ens, req(), testTime)
 	if !errors.Is(res.Err, ErrAllReplicasDown) {
 		t.Fatalf("want ErrAllReplicasDown, got %v", res.Err)
 	}
@@ -106,7 +106,7 @@ func TestProbeReordersFailoverChain(t *testing.T) {
 	// penalty.
 	before := r1.Queries()
 	for i := 0; i < 5; i++ {
-		if res := ens.DecideAt(context.Background(), req(), testTime); res.Decision != policy.DecisionPermit {
+		if res := policy.Decide(context.Background(), ens, req(), testTime); res.Decision != policy.DecisionPermit {
 			t.Fatal(res.Err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestQuorumMajority(t *testing.T) {
 		NewFailable("r2", permitEngine(t, "p2")),
 		NewFailable("r3", denyEngine(t, "p3")),
 	)
-	res := ens.DecideAt(context.Background(), req(), testTime)
+	res := policy.Decide(context.Background(), ens, req(), testTime)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("quorum = %v, want Permit by 2/3", res.Decision)
 	}
@@ -144,7 +144,7 @@ func TestQuorumToleratesMinorityCrash(t *testing.T) {
 		r3,
 	)
 	r3.SetDown(true)
-	res := ens.DecideAt(context.Background(), req(), testTime)
+	res := policy.Decide(context.Background(), ens, req(), testTime)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("quorum with 1 crash = %v (%v)", res.Decision, res.Err)
 	}
@@ -159,7 +159,7 @@ func TestQuorumFailsWithoutMajority(t *testing.T) {
 	)
 	r2.SetDown(true)
 	r3.SetDown(true)
-	res := ens.DecideAt(context.Background(), req(), testTime)
+	res := policy.Decide(context.Background(), ens, req(), testTime)
 	if !errors.Is(res.Err, ErrNoQuorum) {
 		t.Fatalf("want ErrNoQuorum, got %v", res.Err)
 	}
@@ -177,7 +177,7 @@ func TestQuorumSplitVote(t *testing.T) {
 		NewFailable("r3", denyEngine(t, "p3")),
 		NewFailable("r4", denyEngine(t, "p4")),
 	)
-	res := ens.DecideAt(context.Background(), req(), testTime)
+	res := policy.Decide(context.Background(), ens, req(), testTime)
 	if !errors.Is(res.Err, ErrNoQuorum) {
 		t.Fatalf("split vote: want ErrNoQuorum, got %v (%v)", res.Err, res.Decision)
 	}
@@ -185,12 +185,10 @@ func TestQuorumSplitVote(t *testing.T) {
 
 func TestEnsembleAsPEPProvider(t *testing.T) {
 	// The ensemble drops into any place a single PDP fits (pep, rest and
-	// capability declare this one-method contract).
-	var provider interface {
-		DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
-	} = NewEnsemble("ens", Failover,
+	// capability take this one-method contract).
+	var provider policy.Decider = NewEnsemble("ens", Failover,
 		NewFailable("r1", permitEngine(t, "p1")))
-	if res := provider.DecideAt(context.Background(), req(), testTime); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), provider, req(), testTime); res.Decision != policy.DecisionPermit {
 		t.Errorf("provider = %v", res.Decision)
 	}
 }
@@ -215,10 +213,10 @@ func TestAvailabilityUnderCrashWindow(t *testing.T) {
 		r3.SetDown(i >= 66)
 		single.replicas[0].SetDown(i%10 < 3) // 30% downtime
 
-		if res := ens.DecideAt(context.Background(), req(), at); res.Decision == policy.DecisionPermit {
+		if res := policy.Decide(context.Background(), ens, req(), at); res.Decision == policy.DecisionPermit {
 			okEns++
 		}
-		if res := single.DecideAt(context.Background(), req(), at); res.Decision == policy.DecisionPermit {
+		if res := policy.Decide(context.Background(), single, req(), at); res.Decision == policy.DecisionPermit {
 			okSingle++
 		}
 	}

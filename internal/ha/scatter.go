@@ -49,7 +49,7 @@ func unavailable(res policy.Result) bool {
 	return res.Decision == policy.DecisionIndeterminate && errors.Is(res.Err, ErrUnavailable)
 }
 
-// DecideScatterAt implements ScatterProvider: a crashed replica yields an
+// DecideScatterAt implements policy.Decider: a crashed replica yields an
 // unavailable Indeterminate at every position; a stalled replica blocks
 // once per call (however many positions it carries) for the stall or the
 // caller's deadline; a live one delegates to the wrapped provider.
@@ -72,31 +72,19 @@ func (f *Failable) DecideScatterAt(ctx context.Context, reqs []*policy.Request, 
 	f.inner.DecideScatterAt(ctx, reqs, positions, at, resolver, out)
 }
 
-// DecideAt decides one request: a one-position scatter.
+// DecideAt decides one request: a one-position scatter. bench/ladder.go
+// calls it.
 func (e *Ensemble) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
-	return e.DecideAtWith(ctx, req, at, nil)
-}
-
-// DecideAtWith decides one request with a per-call resolver threaded to
-// every queried replica (the federation.Decider contract).
-func (e *Ensemble) DecideAtWith(ctx context.Context, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
-	out := make([]policy.Result, 1)
-	e.DecideScatterAt(ctx, []*policy.Request{req}, nil, at, resolver, out)
-	return out[0]
+	return policy.Decide(ctx, e, req, at)
 }
 
 // DecideBatchAt answers many requests in one call; result i answers
-// request i. See DecideScatterAt.
+// request i. bench/ladder.go calls it.
 func (e *Ensemble) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
-	if len(reqs) == 0 {
-		return nil
-	}
-	out := make([]policy.Result, len(reqs))
-	e.DecideScatterAt(ctx, reqs, nil, at, nil, out)
-	return out
+	return policy.DecideBatch(ctx, e, reqs, at)
 }
 
-// DecideScatterAt implements ScatterProvider over the ensemble. Failover
+// DecideScatterAt implements policy.Decider over the ensemble. Failover
 // sends the selection to the first live replica (a replica is
 // all-or-nothing: crashed replicas fail every request, live ones answer
 // every request), hedging a slow preferred replica once SetHedge armed it;

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/pdp"
 	"repro/internal/policy"
@@ -40,10 +41,10 @@ func TestDecideAtWithReachesBackupResolver(t *testing.T) {
 	})
 
 	req := policy.NewAccessRequest("alice", "rec-1", "read")
-	if res := ens.DecideAtWith(context.Background(), req, testTime, doctor); res.Decision != policy.DecisionPermit {
+	if res := decideWith(context.Background(), ens, req, testTime, doctor); res.Decision != policy.DecisionPermit {
 		t.Fatalf("with the caller's resolver = %+v, want Permit from the backup", res)
 	}
-	if res := ens.DecideAtWith(context.Background(), req, testTime, nil); res.Decision != policy.DecisionDeny {
+	if res := decideWith(context.Background(), ens, req, testTime, nil); res.Decision != policy.DecisionDeny {
 		t.Fatalf("without a resolver = %+v, want Deny", res)
 	}
 	if got := engines[0].Stats().Evaluations; got != 0 {
@@ -83,8 +84,8 @@ func TestFailoverIsTraced(t *testing.T) {
 		name   string
 		decide func(ctx context.Context, ens *Ensemble)
 	}{
-		{"single", func(ctx context.Context, ens *Ensemble) { ens.DecideAt(ctx, req(), testTime) }},
-		{"batch", func(ctx context.Context, ens *Ensemble) { ens.DecideBatchAt(ctx, batchRequests(3), testTime) }},
+		{"single", func(ctx context.Context, ens *Ensemble) { policy.Decide(ctx, ens, req(), testTime) }},
+		{"batch", func(ctx context.Context, ens *Ensemble) { policy.DecideBatch(ctx, ens, batchRequests(3), testTime) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r0 := NewFailable("r0", permitEngine(t, "p0"))
@@ -123,7 +124,7 @@ func TestSplitQuorumIsTraced(t *testing.T) {
 				replicas = append(replicas, NewFailable("d", denyEngine(t, "d")))
 			}
 			ens := NewEnsemble("ens", Quorum, replicas...)
-			attrs := traced(func(ctx context.Context) { ens.DecideAt(ctx, req(), testTime) })
+			attrs := traced(func(ctx context.Context) { policy.Decide(ctx, ens, req(), testTime) })
 			if attrs == nil {
 				t.Fatal("split-vote trace was not force-kept")
 			}
@@ -136,4 +137,11 @@ func TestSplitQuorumIsTraced(t *testing.T) {
 			}
 		})
 	}
+}
+
+// decideWith decides one request through d with a per-call resolver.
+func decideWith(ctx context.Context, d policy.Decider, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
+	out := make([]policy.Result, 1)
+	d.DecideScatterAt(ctx, []*policy.Request{req}, nil, at, resolver, out)
+	return out[0]
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/pdp"
 	"repro/internal/policy"
@@ -166,10 +167,10 @@ func TestMACAsResolverWithPolicy(t *testing.T) {
 	if err := engine.SetRoot(noReadUp); err != nil {
 		t.Fatal(err)
 	}
-	if res := engine.Decide(context.Background(), policy.NewAccessRequest("analyst", "briefing", "read")); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), engine, policy.NewAccessRequest("analyst", "briefing", "read"), time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Errorf("read down via policy = %v", res.Decision)
 	}
-	if res := engine.Decide(context.Background(), policy.NewAccessRequest("analyst", "warplan", "read")); res.Decision != policy.DecisionDeny {
+	if res := policy.Decide(context.Background(), engine, policy.NewAccessRequest("analyst", "warplan", "read"), time.Time{}); res.Decision != policy.DecisionDeny {
 		t.Errorf("read up via policy = %v", res.Decision)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/pdp"
 	"repro/internal/pep"
@@ -142,7 +143,7 @@ func TestBuildRoot(t *testing.T) {
 	if err := engine.SetRoot(root); err != nil {
 		t.Fatal(err)
 	}
-	if res := engine.Decide(context.Background(), policy.NewAccessRequest("u", "r", "read")); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), engine, policy.NewAccessRequest("u", "r", "read"), time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Errorf("decision = %v", res.Decision)
 	}
 }

@@ -43,12 +43,12 @@ func TestEngineDecideBatchMatchesDecide(t *testing.T) {
 				t.Fatal(err)
 			}
 			reqs := gen.Requests(200)
-			results := engine.DecideBatchAt(context.Background(), reqs, at)
+			results := policy.DecideBatch(context.Background(), engine, reqs, at)
 			if len(results) != len(reqs) {
 				t.Fatalf("got %d results for %d requests", len(results), len(reqs))
 			}
 			for i, res := range results {
-				want := reference.DecideAt(context.Background(), reqs[i], at)
+				want := policy.Decide(context.Background(), reference, reqs[i], at)
 				if res.Decision != want.Decision || res.By != want.By {
 					t.Fatalf("item %d: %s by %s, want %s by %s", i, res.Decision, res.By, want.Decision, want.By)
 				}
@@ -68,9 +68,9 @@ func TestEngineDecideBatchCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := gen.Requests(50)
-	engine.DecideBatchAt(context.Background(), reqs, at)
+	policy.DecideBatch(context.Background(), engine, reqs, at)
 	first := engine.Stats()
-	engine.DecideBatchAt(context.Background(), reqs, at)
+	policy.DecideBatch(context.Background(), engine, reqs, at)
 	second := engine.Stats()
 	if second.Evaluations != first.Evaluations {
 		t.Fatalf("second batch evaluated %d fresh decisions, want 0",
@@ -84,11 +84,11 @@ func TestEngineDecideBatchCacheHits(t *testing.T) {
 
 func TestEngineDecideBatchNoRoot(t *testing.T) {
 	engine := New("e")
-	results := engine.DecideBatchAt(context.Background(), []*policy.Request{policy.NewAccessRequest("u", "r", "read")}, time.Now())
+	results := policy.DecideBatch(context.Background(), engine, []*policy.Request{policy.NewAccessRequest("u", "r", "read")}, time.Now())
 	if len(results) != 1 || !errors.Is(results[0].Err, ErrNoPolicy) {
 		t.Fatalf("rootless batch = %+v, want ErrNoPolicy", results)
 	}
-	if got := engine.DecideBatchAt(context.Background(), nil, time.Now()); got != nil {
+	if got := policy.DecideBatch(context.Background(), engine, nil, time.Now()); got != nil {
 		t.Fatalf("empty batch returned %v", got)
 	}
 }

@@ -33,13 +33,13 @@ func TestCacheKeyKindCollisionFailsClosed(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	if res := plain.DecideAt(ctx, req(policy.String("9")), at); res.Decision != policy.DecisionIndeterminate {
+	if res := policy.Decide(ctx, plain, req(policy.String("9")), at); res.Decision != policy.DecisionIndeterminate {
 		t.Fatalf("uncached String(9) = %v, want Indeterminate (type mismatch)", res.Decision)
 	}
-	if res := cached.DecideAt(ctx, req(policy.Integer(9)), at); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(ctx, cached, req(policy.Integer(9)), at); res.Decision != policy.DecisionPermit {
 		t.Fatalf("cached Integer(9) = %v, want Permit", res.Decision)
 	}
-	if res := cached.DecideAt(ctx, req(policy.String("9")), at); res.Decision != policy.DecisionIndeterminate {
+	if res := policy.Decide(ctx, cached, req(policy.String("9")), at); res.Decision != policy.DecisionIndeterminate {
 		t.Fatalf("cached String(9) after Integer(9) = %v, want Indeterminate", res.Decision)
 	}
 }

@@ -264,7 +264,7 @@ func TestCompiledEquivalentToInterpreter(t *testing.T) {
 			}
 			for i := 0; i < 300; i++ {
 				req := randomEquivRequest(rng)
-				requireSameResult(t, req, compiled.DecideAt(ctx, req, equivAt),
+				requireSameResult(t, req, policy.Decide(ctx, compiled, req, equivAt),
 					interpret(root, req, equivAt, flakyEquivResolver))
 			}
 			if st := compiled.Stats(); st.CompiledEvaluations != st.Evaluations {
@@ -303,7 +303,7 @@ func TestCompiledMissBeatsInterpreter(t *testing.T) {
 	}
 	ctx := context.Background()
 	interp := perDecision(len(reqs), func(req *policy.Request) { interpret(base, req, equivAt, dir) })
-	compiled := perDecision(20*len(reqs), func(req *policy.Request) { engine.DecideAt(ctx, req, equivAt) })
+	compiled := perDecision(20*len(reqs), func(req *policy.Request) { policy.Decide(ctx, engine, req, equivAt) })
 	speedup := float64(interp) / float64(compiled)
 	t.Logf("miss path on 1 000 policies: interpreter %v, compiled %v per decision (%.0fx)", interp, compiled, speedup)
 	if speedup < 5 {
@@ -375,7 +375,7 @@ func TestCompiledDeltaEquivalence(t *testing.T) {
 				}
 				for _, req := range churnRequests(10) {
 					requireSameResult(t, req,
-						live.DecideAt(ctx, req, equivAt),
+						policy.Decide(ctx, live, req, equivAt),
 						interpret(ref, req, equivAt, nil))
 				}
 			}
@@ -549,7 +549,7 @@ func FuzzCompile(f *testing.F) {
 			if r.next()%2 == 0 {
 				req.Add(policy.CategorySubject, policy.AttrClearance, policy.Integer(int64(r.next()%5)))
 			}
-			requireSameResult(t, req, compiled.DecideAt(ctx, req, equivAt), interpret(root, req, equivAt, nil))
+			requireSameResult(t, req, policy.Decide(ctx, compiled, req, equivAt), interpret(root, req, equivAt, nil))
 		}
 	})
 }
@@ -577,7 +577,7 @@ func TestFallbackEvaluationsCountsMissesNotChildren(t *testing.T) {
 		t.Fatalf("program has %d of %d children compiled, want 1 of 3", st.CompiledChildren, st.RootChildren)
 	}
 	ctx := context.Background()
-	engine.Decide(ctx, policy.NewAccessRequest("alice", "rec-1", "read"))
+	policy.Decide(ctx, engine, policy.NewAccessRequest("alice", "rec-1", "read"), time.Time{})
 	if st := engine.Stats(); st.FallbackEvaluations != 0 {
 		t.Errorf("compiled-only miss counted %d fallback evaluations", st.FallbackEvaluations)
 	}
@@ -585,8 +585,8 @@ func TestFallbackEvaluationsCountsMissesNotChildren(t *testing.T) {
 		policy.NewAccessRequest("bob", "rec-2", "read").Add(policy.CategorySubject, policy.AttrClearance, policy.Integer(5)),
 		policy.NewAccessRequest("carol", "rec-2", "read").Add(policy.CategorySubject, policy.AttrClearance, policy.Integer(5)),
 	}
-	engine.Decide(ctx, reqs[0])
-	engine.DecideBatch(ctx, reqs[1:])
+	policy.Decide(ctx, engine, reqs[0], time.Time{})
+	policy.DecideBatch(ctx, engine, reqs[1:], time.Time{})
 	st := engine.Stats()
 	if st.FallbackEvaluations != 2 {
 		t.Errorf("FallbackEvaluations = %d after two misses walking two fallback children each, want 2", st.FallbackEvaluations)

@@ -46,7 +46,7 @@ func TestConcurrentDecideWithAdministration(t *testing.T) {
 			defer wg.Done()
 			req := policy.NewAccessRequest("u", "res", "read")
 			for i := 0; i < decisions; i++ {
-				res := e.DecideAt(context.Background(), req, at.Add(time.Duration(i)*time.Millisecond))
+				res := policy.Decide(context.Background(), e, req, at.Add(time.Duration(i)*time.Millisecond))
 				if res.Decision != policy.DecisionPermit && res.Decision != policy.DecisionDeny {
 					errs <- res.Decision.String()
 					return

@@ -30,7 +30,7 @@ func TestEngineExpiredContextIndeterminate(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := e.DecideAt(ctx, policy.NewAccessRequest("alice", "r", "read"), time.Now())
+	res := policy.Decide(ctx, e, policy.NewAccessRequest("alice", "r", "read"), time.Now())
 	if res.Decision != policy.DecisionIndeterminate {
 		t.Fatalf("decision = %s, want Indeterminate", res.Decision)
 	}
@@ -57,7 +57,7 @@ func TestEngineCancelAbortsBlockedResolver(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res := e.DecideAt(ctx, policy.NewAccessRequest("alice", "r", "read"), time.Now())
+	res := policy.Decide(ctx, e, policy.NewAccessRequest("alice", "r", "read"), time.Now())
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("decision blocked past the deadline on a stuck information point")
 	}
@@ -87,13 +87,13 @@ func TestDeadlinePoisonedDecisionNotCached(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	res := e.DecideAt(ctx, req, at)
+	res := policy.Decide(ctx, e, req, at)
 	cancel()
 	if res.Decision != policy.DecisionIndeterminate {
 		t.Fatalf("poisoned decision = %s, want Indeterminate", res.Decision)
 	}
 
-	res = e.DecideAt(context.Background(), req, at)
+	res = policy.Decide(context.Background(), e, req, at)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("fresh decision = %s (%v), want Permit — the poisoned result leaked from the cache", res.Decision, res.Err)
 	}
@@ -124,7 +124,7 @@ func TestBatchCancelledMidwayShedsTail(t *testing.T) {
 		// resolver calls.
 		reqs[i] = policy.NewAccessRequest("user-"+string(rune('a'+i)), "r", "read")
 	}
-	results := e.DecideBatchAt(ctx, reqs, time.Now())
+	results := policy.DecideBatch(ctx, e, reqs, time.Now())
 	permits, shed := 0, 0
 	for _, res := range results {
 		switch {

@@ -41,14 +41,14 @@ func TestDecideAtWithOverridesResolver(t *testing.T) {
 	at := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
 	req := policy.NewAccessRequest("alice", "rec-1", "read")
 
-	if got := e.DecideAt(context.Background(), req, at); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), e, req, at); got.Decision != policy.DecisionDeny {
 		t.Fatalf("configured resolver: got %v, want Deny", got.Decision)
 	}
-	if got := e.DecideAtWith(context.Background(), req, at, roleResolver("doctor")); got.Decision != policy.DecisionPermit {
+	if got := decideWith(context.Background(), e, req, at, roleResolver("doctor")); got.Decision != policy.DecisionPermit {
 		t.Fatalf("per-call resolver: got %v, want Permit", got.Decision)
 	}
 	// Falling back to nil must use the configured resolver again.
-	if got := e.DecideAtWith(context.Background(), req, at, nil); got.Decision != policy.DecisionDeny {
+	if got := decideWith(context.Background(), e, req, at, nil); got.Decision != policy.DecisionDeny {
 		t.Fatalf("nil per-call resolver: got %v, want Deny", got.Decision)
 	}
 }
@@ -63,11 +63,11 @@ func TestDecideAtWithBypassesCache(t *testing.T) {
 	at := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
 	req := policy.NewAccessRequest("alice", "rec-1", "read")
 
-	if got := e.DecideAtWith(context.Background(), req, at, roleResolver("doctor")); got.Decision != policy.DecisionPermit {
+	if got := decideWith(context.Background(), e, req, at, roleResolver("doctor")); got.Decision != policy.DecisionPermit {
 		t.Fatalf("got %v, want Permit", got.Decision)
 	}
 	// A cached permit here would be a cross-context information leak.
-	if got := e.DecideAt(context.Background(), req, at.Add(time.Second)); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), e, req, at.Add(time.Second)); got.Decision != policy.DecisionDeny {
 		t.Fatalf("cache leaked a per-call decision: got %v, want Deny", got.Decision)
 	}
 	if hits := e.Stats().CacheHits; hits != 0 {
@@ -90,7 +90,7 @@ func TestDecideScatterAtWithResolverBypassesCache(t *testing.T) {
 		policy.NewAccessRequest("carol", "rec-3", "read"),
 	}
 	// Warm the cache with alice's Deny under the engine's own resolver.
-	if got := e.DecideAt(context.Background(), reqs[0], at); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), e, reqs[0], at); got.Decision != policy.DecisionDeny {
 		t.Fatalf("warm-up = %v, want Deny", got.Decision)
 	}
 
@@ -109,14 +109,14 @@ func TestDecideScatterAtWithResolverBypassesCache(t *testing.T) {
 		t.Fatalf("stats = %+v, want 0 hits, the warm-up's 1 entry, 3 evaluations", st)
 	}
 	// A cached permit here would be a cross-context information leak.
-	if got := e.DecideAt(context.Background(), reqs[2], at); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), e, reqs[2], at); got.Decision != policy.DecisionDeny {
 		t.Fatalf("cache leaked a per-call decision: got %v, want Deny", got.Decision)
 	}
 }
 
 func TestDecideAtWithNoPolicy(t *testing.T) {
 	e := New("empty")
-	res := e.DecideAtWith(context.Background(), policy.NewRequest(), time.Now(), nil)
+	res := decideWith(context.Background(), e, policy.NewRequest(), time.Now(), nil)
 	if res.Decision != policy.DecisionIndeterminate || res.Err == nil {
 		t.Errorf("no-policy engine: got %+v, want Indeterminate with error", res)
 	}
@@ -148,14 +148,21 @@ func TestFlushCacheForcesReevaluation(t *testing.T) {
 	req := policy.NewAccessRequest("alice", "rec-1", "read").
 		Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String("doctor"))
 
-	e.DecideAt(context.Background(), req, at)
-	e.DecideAt(context.Background(), req, at.Add(time.Second))
+	policy.Decide(context.Background(), e, req, at)
+	policy.Decide(context.Background(), e, req, at.Add(time.Second))
 	if st := e.Stats(); st.CacheHits != 1 || st.Evaluations != 1 {
 		t.Fatalf("before flush: %+v", st)
 	}
 	e.FlushCache()
-	e.DecideAt(context.Background(), req, at.Add(2*time.Second))
+	policy.Decide(context.Background(), e, req, at.Add(2*time.Second))
 	if st := e.Stats(); st.CacheHits != 1 || st.Evaluations != 2 {
 		t.Errorf("after flush: %+v, want a fresh evaluation", st)
 	}
+}
+
+// decideWith decides one request through d with a per-call resolver.
+func decideWith(ctx context.Context, d policy.Decider, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
+	out := make([]policy.Result, 1)
+	d.DecideScatterAt(ctx, []*policy.Request{req}, nil, at, resolver, out)
+	return out[0]
 }

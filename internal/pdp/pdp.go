@@ -10,8 +10,8 @@
 //
 // The decision hot path is lock-free for readers, RCU-style: the root,
 // compiled program and epoch live in one immutable snapshot published
-// through an atomic pointer, so Decide* loads a single pointer per call
-// (per batch, for the batch paths) and never blocks on policy
+// through an atomic pointer, so a decision call loads a single pointer
+// however many requests it carries, and never blocks on policy
 // administration. The decision cache is striped across power-of-two shards
 // keyed by a hash of the request's cache key — a cache hit costs one shard
 // lock and zero allocations — and engine counters are padded atomic stripes
@@ -21,9 +21,10 @@
 // resurrection of a decision evaluated against a superseded root (see
 // cache.go).
 //
-// A single engine is also the building block of larger deployments. The
-// batch entry points (DecideBatch, DecideScatterAt) answer many requests
-// per call, sharing one snapshot load and the single-request miss path.
+// A single engine is also the building block of larger deployments. Its
+// one decision body is the scatter call (policy.Decider): it answers any
+// selection of a request batch per call, a single decision being a
+// one-position scatter, sharing one snapshot load and one miss path.
 // internal/ha replicates engines into failover/quorum ensembles, and
 // internal/cluster shards the policy base across many such ensembles
 // behind a consistent-hash router — the horizontal answer to the Section 3
@@ -89,7 +90,7 @@ func ctxResult(name string, err error) policy.Result {
 	}
 }
 
-// traceDecision annotates the request's span with the decision outcome.
+// traceDecision annotates a single decision's span with its outcome.
 // Indeterminate decisions force trace retention (trace.Span.Keep): the
 // decisions that need explaining most are always captured, whatever the
 // sampling rate. A nil span (untraced request) costs nothing.
@@ -310,42 +311,10 @@ func (e *Engine) FlushCache() {
 	}
 }
 
-// Decide evaluates the request against the policy base at the current
-// engine clock, bounded by ctx.
-func (e *Engine) Decide(ctx context.Context, req *policy.Request) policy.Result {
-	return e.DecideAt(ctx, req, e.now())
-}
-
-// DecideAtWith evaluates the request at an explicit time with a caller-
-// supplied resolver overriding the engine's configured one. Multi-domain
-// deployments use this to thread per-call network context (virtual clocks,
-// message accounting) into cross-domain attribute retrieval; ctx bounds
-// the evaluation, including any resolver round-trips it triggers.
-// Decisions made through a caller-supplied resolver bypass the decision
-// cache, since the resolver's view may differ per call.
-func (e *Engine) DecideAtWith(ctx context.Context, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
-	if err := ctx.Err(); err != nil {
-		return ctxResult(e.name, err)
-	}
-	snap := e.snap.Load()
-	if snap == nil {
-		return policy.Result{Decision: policy.DecisionIndeterminate, Err: ErrNoPolicy}
-	}
-	var ev *trace.Span
-	if sp := trace.FromContext(ctx); sp != nil {
-		ctx, ev = trace.StartSpan(ctx, "pdp.eval")
-	}
-	res, path := e.evaluate(ctx, snap, req, at, resolver)
-	e.stats.stripe(policy.HashString(req.ResourceID())).recordEvaluation(res, path)
-	e.traceDecision(ev, snap.epoch, res, "bypass", path.candidates)
-	ev.End()
-	return res
-}
-
 // evaluate runs one uncached evaluation against the snapshot with a pooled
 // evaluation context carrying the request ctx: the compiled program when
 // the root compiled, the root's own interpretive Evaluate otherwise. It is
-// the one miss path every Decide* entry point shares. resolver nil falls
+// the one miss path every decision shares. resolver nil falls
 // back to the engine's configured resolver. The Result never aliases the
 // evaluation context, so it is released before return.
 func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Request, at time.Time, resolver policy.Resolver) (policy.Result, evalPath) {
@@ -366,60 +335,6 @@ func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Reque
 	}
 	policy.ReleaseContext(ec)
 	return res, path
-}
-
-// DecideAt evaluates the request at an explicit time, bounded by ctx: a
-// context done before or during evaluation (a stuck information point, an
-// expired caller deadline) yields Indeterminate with the cause, never a
-// hang. A cache hit takes no engine-wide lock — one snapshot pointer load,
-// one shard mutex, zero allocations.
-func (e *Engine) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
-	if err := ctx.Err(); err != nil {
-		return ctxResult(e.name, err)
-	}
-	snap := e.snap.Load()
-	if snap == nil {
-		return policy.Result{Decision: policy.DecisionIndeterminate, Err: ErrNoPolicy}
-	}
-
-	// One context lookup is the whole tracing cost for untraced requests;
-	// the cache-hit fast path below stays lock-free and allocation-free.
-	sp := trace.FromContext(ctx)
-
-	if e.cache == nil {
-		var ev *trace.Span
-		if sp != nil {
-			ctx, ev = trace.StartSpan(ctx, "pdp.eval")
-		}
-		res, path := e.evaluate(ctx, snap, req, at, nil)
-		e.stats.stripe(policy.HashString(req.ResourceID())).recordEvaluation(res, path)
-		e.traceDecision(ev, snap.epoch, res, "off", path.candidates)
-		ev.End()
-		return res
-	}
-
-	key := req.CacheKey()
-	hash := req.CacheKeyHash()
-	st := e.stats.stripe(hash)
-	if res, ok := e.cache.get(key, hash, at); ok {
-		st.cacheHits.Add(1)
-		st.record(res.Decision)
-		e.traceDecision(sp, snap.epoch, res, "hit", 0)
-		return res
-	}
-
-	var ev *trace.Span
-	if sp != nil {
-		ctx, ev = trace.StartSpan(ctx, "pdp.eval")
-	}
-	res, path := e.evaluate(ctx, snap, req, at, nil)
-	st.recordEvaluation(res, path)
-	if cacheable(res) {
-		e.fill(snap, key, hash, req.ResourceID(), res, at)
-	}
-	e.traceDecision(ev, snap.epoch, res, "miss", path.candidates)
-	ev.End()
-	return res
 }
 
 // cacheable reports whether an evaluated result may be written back:
@@ -444,37 +359,32 @@ func (e *Engine) fill(snap *snapshot, key string, hash uint64, resID string, res
 	sh.mu.Unlock()
 }
 
-// DecideBatch evaluates many requests at the current engine clock. See
-// DecideBatchAt.
-func (e *Engine) DecideBatch(ctx context.Context, reqs []*policy.Request) []policy.Result {
-	return e.DecideBatchAt(ctx, reqs, e.now())
+// DecideAt decides one request: a one-position scatter over stack
+// arrays, so a cache hit stays allocation-free. bench/ladder.go calls it.
+func (e *Engine) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
+	var out [1]policy.Result
+	e.DecideScatterAt(ctx, []*policy.Request{req}, nil, at, nil, out[:])
+	return out[0]
 }
 
-// DecideBatchAt evaluates many requests in one pass, answering position i
-// of the result slice for request i. Compared to per-request DecideAt it
-// amortises snapshot loads (one per batch); cache lookups and fills still
-// cost only their one shard lock each, and every miss takes the same
-// evaluation path DecideAt does. A ctx done mid-batch stops evaluating:
-// finished positions keep their decisions, unfinished ones are
-// Indeterminate with the cause.
+// DecideBatchAt decides many requests; result i answers request i.
+// bench/ladder.go calls it.
 func (e *Engine) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
-	if len(reqs) == 0 {
-		return nil
-	}
-	out := make([]policy.Result, len(reqs))
-	e.DecideScatterAt(ctx, reqs, nil, at, nil, out)
-	return out
+	return policy.DecideBatch(ctx, e, reqs, at)
 }
 
-// DecideScatterAt is the zero-copy batch primitive behind DecideBatchAt:
-// evaluate reqs[p] for every p in positions (nil means every request) and
-// write each result to out[p]. The caller owns out, so layered deployments
-// (cluster router → ha ensemble → engine) share one result buffer instead
-// of allocating and copying per layer. The whole batch evaluates against
-// one snapshot, so its decisions are mutually consistent. A non-nil
-// resolver replaces the engine's for every position and bypasses the
-// decision cache, which is neither read nor filled (the DecideAtWith
-// rule); nil uses the engine's own resolver and cache.
+// DecideScatterAt implements policy.Decider, the engine's one evaluation
+// body: evaluate reqs[p] for every p in positions (nil means every
+// request) and write each result to out[p]. The whole call evaluates
+// against one snapshot, so its decisions are mutually consistent; a zero
+// at evaluates at the engine clock. A cache hit takes no engine-wide lock
+// — one snapshot pointer load, one shard mutex, zero allocations for a
+// single position — and every miss takes the one evaluation path
+// (evaluate). A non-nil resolver replaces the engine's for every position
+// and bypasses the decision cache, which is neither read nor filled: the
+// resolver's view may differ per call. A ctx done before or mid-call
+// stops evaluating: finished positions keep their decisions, unfinished
+// ones are Indeterminate with the cause, never a hang.
 func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
 	n := len(reqs)
 	if positions != nil {
@@ -503,11 +413,21 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		fail(policy.Result{Decision: policy.DecisionIndeterminate, Err: ErrNoPolicy})
 		return
 	}
+	if at.IsZero() {
+		at = e.now()
+	}
 
-	// Traced batches get one span covering the whole scatter, not one per
-	// position: the batch is the unit of work the caller dispatched.
+	// Tracing follows what the caller handed over. A call for a whole
+	// request list of one (positions nil) is a single decision: a hit
+	// annotates the caller's span, a miss opens a pdp.eval span under which
+	// resolver fetches nest. Any other call, a selection of positions
+	// included (a router's shard group, even a group of one), is a batch
+	// covered by one pdp.batch span, so a traced batch costs one span, not
+	// one per request.
+	sp := trace.FromContext(ctx)
+	single := positions == nil && len(reqs) == 1
 	var batchSpan *trace.Span
-	if sp := trace.FromContext(ctx); sp != nil {
+	if sp != nil && !single {
 		ctx, batchSpan = trace.StartSpan(ctx, "pdp.batch")
 		batchSpan.SetAttr("pdp.engine", e.name)
 		batchSpan.SetInt("pdp.epoch", int64(snap.epoch))
@@ -553,6 +473,9 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 				st := e.stats.stripe(hash)
 				st.cacheHits.Add(1)
 				st.record(res.Decision)
+				if single {
+					e.traceDecision(sp, snap.epoch, res, "hit", 0)
+				}
 				return
 			}
 			misses = append(misses, p)
@@ -566,9 +489,6 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 				sweep(p)
 			}
 		}
-		if len(misses) == 0 {
-			return
-		}
 	} else if positions == nil {
 		for p := range reqs {
 			misses = append(misses, p)
@@ -578,6 +498,12 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 	}
 
 	batchSpan.SetInt("batch.misses", int64(len(misses)))
+	cache := "miss"
+	if e.cache == nil {
+		cache = "off"
+	} else if resolver != nil {
+		cache = "bypass"
+	}
 
 	for mi, p := range misses {
 		// A ctx done mid-batch sheds the unfinished tail: those positions
@@ -591,8 +517,15 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 			return
 		}
 		req := reqs[p]
+		ectx := ctx
+		var ev *trace.Span
+		if sp != nil && single {
+			ectx, ev = trace.StartSpan(ctx, "pdp.eval")
+		}
 		var path evalPath
-		out[p], path = e.evaluate(ctx, snap, req, at, resolver)
+		out[p], path = e.evaluate(ectx, snap, req, at, resolver)
+		e.traceDecision(ev, snap.epoch, out[p], cache, path.candidates)
+		ev.End()
 
 		var hash uint64
 		if cached {

@@ -48,7 +48,7 @@ func TestEngineBasicDecisions(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := e.Decide(context.Background(), tt.req); got.Decision != tt.want {
+			if got := policy.Decide(context.Background(), e, tt.req, time.Time{}); got.Decision != tt.want {
 				t.Errorf("got %v, want %v", got.Decision, tt.want)
 			}
 		})
@@ -61,7 +61,7 @@ func TestEngineBasicDecisions(t *testing.T) {
 
 func TestEngineNoPolicy(t *testing.T) {
 	e := New("empty")
-	res := e.Decide(context.Background(), policy.NewAccessRequest("u", "r", "read"))
+	res := policy.Decide(context.Background(), e, policy.NewAccessRequest("u", "r", "read"), time.Time{})
 	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, ErrNoPolicy) {
 		t.Errorf("got %v / %v, want Indeterminate / ErrNoPolicy", res.Decision, res.Err)
 	}
@@ -96,7 +96,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 	}
 	for i, req := range reqs {
 		a := interpret(root, req, at, nil)
-		b := indexed.DecideAt(context.Background(), req, at)
+		b := policy.Decide(context.Background(), indexed, req, at)
 		if a.Decision != b.Decision {
 			t.Errorf("request %d: linear=%v indexed=%v", i, a.Decision, b.Decision)
 		}
@@ -137,11 +137,11 @@ func TestIndexPreservesFirstApplicableOrder(t *testing.T) {
 	if st := indexed.Stats(); st.RootChildren != 2 {
 		t.Fatalf("program covers %d root children, want 2", st.RootChildren)
 	}
-	res := indexed.Decide(context.Background(), policy.NewAccessRequest("u", "db", "write"))
+	res := policy.Decide(context.Background(), indexed, policy.NewAccessRequest("u", "db", "write"), time.Time{})
 	if res.Decision != policy.DecisionDeny {
 		t.Errorf("got %v, want Deny (catch-all must keep its position)", res.Decision)
 	}
-	res = indexed.Decide(context.Background(), policy.NewAccessRequest("u", "db", "read"))
+	res = policy.Decide(context.Background(), indexed, policy.NewAccessRequest("u", "db", "read"), time.Time{})
 	if res.Decision != policy.DecisionPermit {
 		t.Errorf("got %v, want Permit", res.Decision)
 	}
@@ -157,7 +157,7 @@ func TestDecisionCache(t *testing.T) {
 	}
 	req := policy.NewAccessRequest("u", "res-1", "read")
 	for i := 0; i < 5; i++ {
-		if res := e.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+		if res := policy.Decide(context.Background(), e, req, time.Time{}); res.Decision != policy.DecisionPermit {
 			t.Fatalf("decision %d = %v", i, res.Decision)
 		}
 	}
@@ -168,7 +168,7 @@ func TestDecisionCache(t *testing.T) {
 
 	// TTL expiry forces re-evaluation.
 	now = now.Add(time.Minute)
-	e.Decide(context.Background(), req)
+	policy.Decide(context.Background(), e, req, time.Time{})
 	if st := e.Stats(); st.Evaluations != 2 {
 		t.Errorf("after TTL: evaluations = %d, want 2", st.Evaluations)
 	}
@@ -184,14 +184,14 @@ func TestSetRootFlushesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := policy.NewAccessRequest("u", "r", "read")
-	if res := e.Decide(context.Background(), req); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), e, req, time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Fatalf("v1 decision = %v", res.Decision)
 	}
 	denyAll := policy.NewPolicySet("v2").Combining(policy.DenyUnlessPermit).Build()
 	if err := e.SetRoot(denyAll); err != nil {
 		t.Fatal(err)
 	}
-	if res := e.Decide(context.Background(), req); res.Decision != policy.DecisionDeny {
+	if res := policy.Decide(context.Background(), e, req, time.Time{}); res.Decision != policy.DecisionDeny {
 		t.Errorf("after policy update decision = %v, want Deny (cache flushed)", res.Decision)
 	}
 }
@@ -202,7 +202,7 @@ func TestCacheBoundEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		e.Decide(context.Background(), policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"))
+		policy.Decide(context.Background(), e, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"), time.Time{})
 	}
 	if n := e.Stats().CacheEntries; n > 2 {
 		t.Errorf("cache holds %d entries, bound is 2", n)
@@ -224,10 +224,10 @@ func TestEngineWithResolver(t *testing.T) {
 	if err := e.SetRoot(root); err != nil {
 		t.Fatal(err)
 	}
-	if res := e.Decide(context.Background(), policy.NewAccessRequest("alice", "ledger", "read")); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), e, policy.NewAccessRequest("alice", "ledger", "read"), time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Errorf("alice = %v, want Permit", res.Decision)
 	}
-	if res := e.Decide(context.Background(), policy.NewAccessRequest("bob", "ledger", "read")); res.Decision != policy.DecisionDeny {
+	if res := policy.Decide(context.Background(), e, policy.NewAccessRequest("bob", "ledger", "read"), time.Time{}); res.Decision != policy.DecisionDeny {
 		t.Errorf("bob = %v, want Deny", res.Decision)
 	}
 }
@@ -249,10 +249,10 @@ func TestDecideAtTimeDependentPolicy(t *testing.T) {
 	req := policy.NewAccessRequest("u", "r", "read")
 	noon := time.Date(2026, 6, 12, 12, 0, 0, 0, time.UTC)
 	night := time.Date(2026, 6, 12, 22, 0, 0, 0, time.UTC)
-	if res := e.DecideAt(context.Background(), req, noon); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), e, req, noon); res.Decision != policy.DecisionPermit {
 		t.Errorf("noon = %v, want Permit", res.Decision)
 	}
-	if res := e.DecideAt(context.Background(), req, night); res.Decision != policy.DecisionDeny {
+	if res := policy.Decide(context.Background(), e, req, night); res.Decision != policy.DecisionDeny {
 		t.Errorf("night = %v, want Deny", res.Decision)
 	}
 }

@@ -25,7 +25,7 @@ func TestRemoteBatchRoundTrip(t *testing.T) {
 			Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String("doctor")),
 		policy.NewAccessRequest("eve", "rec-1", "read"),
 	}
-	results := client.DecideBatchAt(context.Background(), reqs, at)
+	results := policy.DecideBatch(context.Background(), client, reqs, at)
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
@@ -35,7 +35,7 @@ func TestRemoteBatchRoundTrip(t *testing.T) {
 	if results[1].Decision != policy.DecisionDeny {
 		t.Errorf("visitor decision = %v, want Deny", results[1].Decision)
 	}
-	if got := client.DecideBatchAt(context.Background(), nil, at); got != nil {
+	if got := policy.DecideBatch(context.Background(), client, nil, at); got != nil {
 		t.Errorf("empty batch returned %v", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestRemoteBatchFailsClosed(t *testing.T) {
 	srv := httptest.NewServer(wire.HTTPHandler(BatchHandler(engine)))
 	srv.Close()
 	client := NewClient(srv.URL, "pep.test", "pdp.remote")
-	results := client.DecideBatchAt(context.Background(), []*policy.Request{
+	results := policy.DecideBatch(context.Background(), client, []*policy.Request{
 		policy.NewAccessRequest("alice", "rec-1", "read"),
 	}, time.Now())
 	if len(results) != 1 || results[0].Decision != policy.DecisionIndeterminate || results[0].Err == nil {

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/xacml"
 )
@@ -34,7 +36,7 @@ func TestRemoteClientRoundTrip(t *testing.T) {
 
 	doctor := policy.NewAccessRequest("alice", "rec-1", "read").
 		Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String("doctor"))
-	res := client.DecideAt(context.Background(), doctor, at)
+	res := policy.Decide(context.Background(), client, doctor, at)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("remote decision = %v (%v), want Permit", res.Decision, res.Err)
 	}
@@ -43,7 +45,7 @@ func TestRemoteClientRoundTrip(t *testing.T) {
 	}
 
 	visitor := policy.NewAccessRequest("eve", "rec-1", "read")
-	if res := client.Decide(context.Background(), visitor); res.Decision != policy.DecisionDeny {
+	if res := policy.Decide(context.Background(), client, visitor, time.Time{}); res.Decision != policy.DecisionDeny {
 		t.Errorf("visitor decision = %v, want Deny", res.Decision)
 	}
 }
@@ -54,9 +56,49 @@ func TestRemoteClientFailsClosed(t *testing.T) {
 	srv := newRemotePDP(t)
 	srv.Close()
 	client := NewClient(srv.URL, "pep.test", "pdp.remote")
-	res := client.Decide(context.Background(), policy.NewAccessRequest("alice", "rec-1", "read"))
+	res := policy.Decide(context.Background(), client, policy.NewAccessRequest("alice", "rec-1", "read"), time.Time{})
 	if res.Decision != policy.DecisionIndeterminate || res.Err == nil {
 		t.Errorf("dead PDP: got %+v, want Indeterminate with error", res)
+	}
+}
+
+// TestLostRemoteKeepsTrace: with head sampling off, a decision the lost
+// remote PDP leaves Indeterminate force-retains its trace, single and
+// batch alike, and the trace's pdp.remote span reads the Indeterminate.
+func TestLostRemoteKeepsTrace(t *testing.T) {
+	srv := newRemotePDP(t)
+	srv.Close()
+	client := NewClient(srv.URL, "pep.test", "pdp.remote")
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"single", 1}, {"batch", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracer := trace.NewTracer(trace.Options{Sample: 0})
+			ctx, root := tracer.StartRoot(context.Background(), "test")
+			reqs := make([]*policy.Request, tc.n)
+			for i := range reqs {
+				reqs[i] = policy.NewAccessRequest(fmt.Sprintf("user-%d", i), "rec-1", "read")
+			}
+			for i, res := range policy.DecideBatch(ctx, client, reqs, time.Time{}) {
+				if res.Decision != policy.DecisionIndeterminate {
+					t.Fatalf("request %d: %v, want Indeterminate", i, res.Decision)
+				}
+			}
+			root.End()
+			if st := tracer.Stats(); st.KeptForced != 1 {
+				t.Fatalf("stats = %+v, want exactly one forced trace", st)
+			}
+			var remote []trace.Attr
+			for _, sp := range tracer.Recent(1)[0].Spans {
+				if sp.Name == "pdp.remote" {
+					remote = sp.Attrs
+				}
+			}
+			if !slices.Contains(remote, trace.Attr{Key: "pdp.decision", Value: "Indeterminate"}) {
+				t.Fatalf("pdp.remote span attrs = %v, want pdp.decision=Indeterminate", remote)
+			}
+		})
 	}
 }
 
@@ -67,7 +109,7 @@ func TestRemoteClientRejectsGarbageEndpoint(t *testing.T) {
 	}))
 	defer srv.Close()
 	client := NewClient(srv.URL, "pep.test", "pdp.remote")
-	res := client.Decide(context.Background(), policy.NewAccessRequest("alice", "rec-1", "read"))
+	res := policy.Decide(context.Background(), client, policy.NewAccessRequest("alice", "rec-1", "read"), time.Time{})
 	if res.Decision != policy.DecisionIndeterminate {
 		t.Errorf("garbage endpoint: got %v, want Indeterminate", res.Decision)
 	}
@@ -128,12 +170,12 @@ func TestDecodeRequestContextSniffsCodec(t *testing.T) {
 
 type permitAll struct{}
 
-func (permitAll) DecideBatch(_ context.Context, reqs []*policy.Request) []policy.Result {
-	out := make([]policy.Result, len(reqs))
-	for i := range out {
-		out[i] = policy.Result{Decision: policy.DecisionPermit, By: "res-policy-7/permit-owner"}
+func (permitAll) DecideScatterAt(_ context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
+	for i := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = policy.Result{Decision: policy.DecisionPermit, By: "res-policy-7/permit-owner"}
+		}
 	}
-	return out
 }
 
 // TestServeBatchAllocs guards the daemon's codec pass over one

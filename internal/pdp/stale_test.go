@@ -3,6 +3,7 @@ package pdp_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,19 +40,16 @@ type outageProvider struct {
 	broken atomic.Bool
 }
 
-func (p *outageProvider) DecideAt(context.Context, *policy.Request, time.Time) policy.Result {
+func (p *outageProvider) DecideScatterAt(_ context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
+	res := policy.Result{Decision: policy.DecisionPermit, By: "ok"}
 	if p.broken.Load() {
-		return policy.Result{Decision: policy.DecisionIndeterminate, Err: errors.New("pdp unreachable")}
+		res = policy.Result{Decision: policy.DecisionIndeterminate, Err: errors.New("pdp unreachable")}
 	}
-	return policy.Result{Decision: policy.DecisionPermit, By: "ok"}
-}
-
-func (p *outageProvider) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
-	out := make([]policy.Result, len(reqs))
-	for i, req := range reqs {
-		out[i] = p.DecideAt(ctx, req, at)
+	for i := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = res
+		}
 	}
-	return out
 }
 
 // staleRoot permits doctors, a role only the resolver knows.
@@ -67,7 +65,7 @@ func staleRoot() policy.Evaluable {
 // staleShape is one provider under the StaleCache and its outage switch.
 type staleShape struct {
 	name string
-	next resilience.Provider
+	next policy.Decider
 	down func(bool)
 	// queries, when set, counts the work that reached the provider's
 	// replicas: an open breaker must keep it still.
@@ -153,13 +151,13 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 			warm := policy.NewAccessRequest("alice", "ward", "read")
 			cold := policy.NewAccessRequest("bob", "ward", "read")
 
-			if res := stale.DecideAt(ctx, warm, now); res.Decision != policy.DecisionPermit || res.Degraded {
+			if res := policy.Decide(ctx, stale, warm, now); res.Decision != policy.DecisionPermit || res.Degraded {
 				t.Fatalf("healthy decision = %+v, want fresh Permit", res)
 			}
 
 			sh.down(true)
 			now = t0.Add(2 * time.Second)
-			res := stale.DecideAt(ctx, warm, now)
+			res := policy.Decide(ctx, stale, warm, now)
 			if res.Decision != policy.DecisionPermit || !res.Degraded || res.StaleFor != 2*time.Second {
 				t.Fatalf("degraded decision = %+v, want stale Permit aged exactly 2s", res)
 			}
@@ -169,18 +167,18 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 			}
 
 			// A key never decided before the outage has no last known good.
-			if res := stale.DecideAt(ctx, cold, now); res.Decision != policy.DecisionIndeterminate || res.Degraded {
+			if res := policy.Decide(ctx, stale, cold, now); res.Decision != policy.DecisionIndeterminate || res.Degraded {
 				t.Fatalf("cold-key decision = %+v, want fail-closed Indeterminate", res)
 			}
 
 			// At exactly the grace bound the entry still serves; one
 			// nanosecond past it the bound wins.
 			now = t0.Add(staleGrace)
-			if res := stale.DecideAt(ctx, warm, now); !res.Degraded || res.StaleFor != staleGrace {
+			if res := policy.Decide(ctx, stale, warm, now); !res.Degraded || res.StaleFor != staleGrace {
 				t.Fatalf("at-bound decision = %+v, want StaleFor=%v", res, staleGrace)
 			}
 			now = t0.Add(staleGrace + time.Nanosecond)
-			if res := stale.DecideAt(ctx, warm, now); res.Decision != policy.DecisionIndeterminate || res.Degraded {
+			if res := policy.Decide(ctx, stale, warm, now); res.Decision != policy.DecisionIndeterminate || res.Degraded {
 				t.Fatalf("over-grace decision = %+v, want fail-closed Indeterminate", res)
 			}
 			if sh.queries != nil && sh.queries() != queries {
@@ -207,7 +205,7 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 			// or, behind a breaker, as soon as its cooldown lets it.
 			sh.down(false)
 			now = now.Add(sh.cooldown)
-			if res := stale.DecideAt(ctx, warm, now); res.Decision != policy.DecisionPermit || res.Degraded {
+			if res := policy.Decide(ctx, stale, warm, now); res.Decision != policy.DecisionPermit || res.Degraded {
 				t.Fatalf("post-recovery decision = %+v, want fresh Permit", res)
 			}
 		})
@@ -226,11 +224,11 @@ func TestStaleGraceBatchPath(t *testing.T) {
 			stale := resilience.NewStaleCache(sh.next, &resilience.Policy{StaleGrace: staleGrace, Clock: clock})
 			warm := policy.NewAccessRequest("alice", "ward", "read")
 			cold := policy.NewAccessRequest("carol", "ward", "read")
-			stale.DecideBatch(context.Background(), []*policy.Request{warm})
+			policy.DecideBatch(context.Background(), stale, []*policy.Request{warm}, time.Time{})
 
 			sh.down(true)
 			now = t0.Add(5 * time.Second)
-			out := stale.DecideBatch(context.Background(), []*policy.Request{warm, cold, warm})
+			out := policy.DecideBatch(context.Background(), stale, []*policy.Request{warm, cold, warm}, time.Time{})
 			for _, p := range []int{0, 2} {
 				if !out[p].Degraded || out[p].Decision != policy.DecisionPermit || out[p].StaleFor != 5*time.Second {
 					t.Fatalf("warm batch position %d = %+v, want stale Permit aged 5s", p, out[p])
@@ -255,16 +253,16 @@ func TestStaleGraceExpiredCallerFailsClosed(t *testing.T) {
 			now = t0
 			stale := resilience.NewStaleCache(sh.next, &resilience.Policy{StaleGrace: staleGrace, Clock: clock})
 			warm := policy.NewAccessRequest("alice", "ward", "read")
-			stale.DecideAt(context.Background(), warm, now)
+			policy.Decide(context.Background(), stale, warm, now)
 
 			sh.down(true)
 			now = t0.Add(2 * time.Second)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if res := stale.DecideAt(ctx, warm, now); res.Degraded || res.Decision != policy.DecisionIndeterminate {
+			if res := policy.Decide(ctx, stale, warm, now); res.Degraded || res.Decision != policy.DecisionIndeterminate {
 				t.Fatalf("expired-caller decision = %+v, want fail-closed Indeterminate", res)
 			}
-			if out := stale.DecideBatchAt(ctx, []*policy.Request{warm}, now); out[0].Degraded || out[0].Decision != policy.DecisionIndeterminate {
+			if out := policy.DecideBatch(ctx, stale, []*policy.Request{warm}, now); out[0].Degraded || out[0].Decision != policy.DecisionIndeterminate {
 				t.Fatalf("expired-caller batch position = %+v, want fail-closed Indeterminate", out[0])
 			}
 		})
@@ -288,16 +286,16 @@ func TestStaleGraceAgeOverEngineCache(t *testing.T) {
 	ctx := context.Background()
 	warm := policy.NewAccessRequest("alice", "ward", "read")
 
-	stale.DecideAt(ctx, warm, t0)
+	policy.Decide(ctx, stale, warm, t0)
 	hits := engine.Stats().CacheHits
 	// Half a second later the engine answers from its cache.
-	stale.DecideAt(ctx, warm, t0.Add(500*time.Millisecond))
+	policy.Decide(ctx, stale, warm, t0.Add(500*time.Millisecond))
 	if engine.Stats().CacheHits != hits+1 {
 		t.Fatal("second decision was not an engine cache hit")
 	}
 
 	resolver.broken.Store(true)
-	res := stale.DecideAt(ctx, warm, t0.Add(2*time.Second))
+	res := policy.Decide(ctx, stale, warm, t0.Add(2*time.Second))
 	if !res.Degraded || res.StaleFor != 1500*time.Millisecond {
 		t.Fatalf("degraded decision = %+v, want StaleFor 1.5s counted from the engine's cached answer", res)
 	}

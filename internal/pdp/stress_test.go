@@ -93,7 +93,7 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 				if i%2 == 1 {
 					action = "write"
 				}
-				if !check(r, action, func(req *policy.Request) policy.Result { return e.DecideAt(context.Background(), req, at) }) {
+				if !check(r, action, func(req *policy.Request) policy.Result { return policy.Decide(context.Background(), e, req, at) }) {
 					return
 				}
 				// Every few rounds, push the same freshness property
@@ -104,7 +104,7 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 							batch[j] = policy.NewAccessRequest("alice", fmt.Sprintf("res-%d", j), action)
 						}
 						batch[0] = req
-						return e.DecideBatchAt(context.Background(), batch, at)[0]
+						return policy.DecideBatch(context.Background(), e, batch, at)[0]
 					}) {
 						return
 					}
@@ -149,8 +149,8 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, req := range churnRequests(resources) {
-		got := e.DecideAt(context.Background(), req, at)
-		want := ref.DecideAt(context.Background(), req, at)
+		got := policy.Decide(context.Background(), e, req, at)
+		want := policy.Decide(context.Background(), ref, req, at)
 		if got.Decision != want.Decision || got.By != want.By {
 			t.Fatalf("%s on %s after stress = %v by %s, want %v by %s",
 				req.ActionID(), req.ResourceID(), got.Decision, got.By, want.Decision, want.By)
@@ -198,14 +198,14 @@ func TestCacheExpiredLookupReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := policy.NewAccessRequest("u", "res-1", "read")
-	e.DecideAt(context.Background(), req, at)
+	policy.Decide(context.Background(), e, req, at)
 	if n := e.Stats().CacheEntries; n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 	// Past the TTL the lookup misses, deletes the dead entry, and the
 	// re-evaluation fills a fresh one: still exactly one entry.
 	later := at.Add(2 * time.Minute)
-	if res := e.DecideAt(context.Background(), req, later); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), e, req, later); res.Decision != policy.DecisionPermit {
 		t.Fatalf("post-TTL decision = %v", res.Decision)
 	}
 	st := e.Stats()

@@ -145,8 +145,8 @@ func TestApplyUpdateEquivalentToRebuild(t *testing.T) {
 						t.Fatalf("seed %d op %d: rebuild: %v", seed, op, err)
 					}
 					for _, req := range reqs {
-						got := live.DecideAt(context.Background(), req, at)
-						want := rebuilt.DecideAt(context.Background(), req, at)
+						got := policy.Decide(context.Background(), live, req, at)
+						want := policy.Decide(context.Background(), rebuilt, req, at)
 						if got.Decision != want.Decision || got.By != want.By {
 							t.Fatalf("seed %d op %d: %s on %s: delta path = %v by %s, rebuild = %v by %s",
 								seed, op, req.ActionID(), req.ResourceID(),
@@ -173,7 +173,7 @@ func TestApplyUpdatePreservesUnaffectedCache(t *testing.T) {
 		warm = append(warm, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"))
 	}
 	for _, req := range warm {
-		if got := e.DecideAt(context.Background(), req, at); got.Decision != policy.DecisionPermit {
+		if got := policy.Decide(context.Background(), e, req, at); got.Decision != policy.DecisionPermit {
 			t.Fatalf("warm-up %s: %v", req.ResourceID(), got.Decision)
 		}
 	}
@@ -189,11 +189,11 @@ func TestApplyUpdatePreservesUnaffectedCache(t *testing.T) {
 	}
 
 	for _, req := range warm[1:] {
-		if got := e.DecideAt(context.Background(), req, at); got.Decision != policy.DecisionPermit {
+		if got := policy.Decide(context.Background(), e, req, at); got.Decision != policy.DecisionPermit {
 			t.Fatalf("unaffected %s: %v", req.ResourceID(), got.Decision)
 		}
 	}
-	if got := e.DecideAt(context.Background(), warm[0], at); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), e, warm[0], at); got.Decision != policy.DecisionDeny {
 		t.Fatalf("res-0 read after update = %v, want deny", got.Decision)
 	}
 	after := e.Stats()
@@ -219,14 +219,14 @@ func TestApplyUpdateCatchAllFlushes(t *testing.T) {
 		warm = append(warm, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"))
 	}
 	for _, req := range warm {
-		e.DecideAt(context.Background(), req, at)
+		policy.Decide(context.Background(), e, req, at)
 	}
 	before := e.Stats()
 	if err := e.ApplyUpdate(Update{ID: "global-guard", Child: catchAllPolicy(0)}); err != nil {
 		t.Fatal(err)
 	}
 	for _, req := range warm {
-		e.DecideAt(context.Background(), req, at)
+		policy.Decide(context.Background(), e, req, at)
 	}
 	after := e.Stats()
 	if hits := after.CacheHits - before.CacheHits; hits != 0 {
@@ -268,7 +268,7 @@ func TestConcurrentDecideAndApplyUpdate(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					e.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+					policy.Decide(context.Background(), e, reqs[i%len(reqs)], at)
 				}
 			}
 		}()
@@ -293,8 +293,8 @@ func TestConcurrentDecideAndApplyUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, req := range reqs {
-		got := e.DecideAt(context.Background(), req, at)
-		want := ref.DecideAt(context.Background(), req, at)
+		got := policy.Decide(context.Background(), e, req, at)
+		want := policy.Decide(context.Background(), ref, req, at)
 		if got.Decision != want.Decision {
 			t.Fatalf("%s on %s after churn = %v, want %v (stale cache entry?)",
 				req.ActionID(), req.ResourceID(), got.Decision, want.Decision)

@@ -42,17 +42,6 @@ var (
 	ErrObligation = errors.New("pep: obligation not fulfilled")
 )
 
-// DecisionProvider abstracts where decisions come from: a local pdp.Engine,
-// a remote client, or a replicated ensemble. In the paper's architecture a
-// decision is a network call to an autonomous authorisation service, so
-// every query carries the enforcement point's context: a deadline or
-// cancellation bounds the round-trip, and an out-of-time decision comes
-// back Indeterminate — which the deny bias below refuses. Losing the PDP,
-// or merely being too slow, fails closed at the PEP.
-type DecisionProvider interface {
-	DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
-}
-
 // ObligationHandler performs one obligation before access is granted or
 // denied. Returning an error vetoes a permit.
 type ObligationHandler func(ob policy.FulfilledObligation, req *policy.Request) error
@@ -93,7 +82,7 @@ type cacheEntry struct {
 // Enforcer is a pull-model enforcement point.
 type Enforcer struct {
 	name     string
-	pdp      DecisionProvider
+	pdp      policy.Decider
 	handlers map[string]ObligationHandler
 	now      func() time.Time
 	cacheTTL time.Duration
@@ -139,8 +128,14 @@ func WithTracer(t *trace.Tracer) EnforcerOption {
 }
 
 // NewEnforcer builds a pull-model enforcement point over the decision
-// provider.
-func NewEnforcer(name string, pdp DecisionProvider, opts ...EnforcerOption) *Enforcer {
+// provider: a local engine, a remote client, or a replicated ensemble. In
+// the paper's architecture a decision is a network call to an autonomous
+// authorisation service, so every query carries the enforcement point's
+// context: a deadline or cancellation bounds the round-trip, and an
+// out-of-time decision comes back Indeterminate — which the deny bias
+// refuses. Losing the PDP, or merely being too slow, fails closed at the
+// PEP.
+func NewEnforcer(name string, pdp policy.Decider, opts ...EnforcerOption) *Enforcer {
 	e := &Enforcer{
 		name:     name,
 		pdp:      pdp,
@@ -208,7 +203,7 @@ func (e *Enforcer) EnforceAt(ctx context.Context, req *policy.Request, at time.T
 	e.mu.Unlock()
 
 	if !hit {
-		res = e.pdp.DecideAt(ctx, req, at)
+		res = policy.Decide(ctx, e.pdp, req, at)
 		e.mu.Lock()
 		e.stats.DecisionQueries++
 		if useCache && cacheable(res) {

@@ -3,6 +3,7 @@ package pep
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,20 +17,17 @@ type outageProvider struct {
 	broken bool
 }
 
-func (p *outageProvider) DecideAt(context.Context, *policy.Request, time.Time) policy.Result {
+func (p *outageProvider) DecideScatterAt(_ context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
+	res := policy.Result{Decision: policy.DecisionPermit, By: "p"}
 	if p.broken {
-		return policy.Result{Decision: policy.DecisionIndeterminate,
+		res = policy.Result{Decision: policy.DecisionIndeterminate,
 			Err: errors.New("pdp unreachable")}
 	}
-	return policy.Result{Decision: policy.DecisionPermit, By: "p"}
-}
-
-func (p *outageProvider) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
-	out := make([]policy.Result, len(reqs))
-	for i, req := range reqs {
-		out[i] = p.DecideAt(ctx, req, at)
+	for i := range reqs {
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = res
+		}
 	}
-	return out
 }
 
 // TestEnforcerServeStale: an enforcer over a resilience.StaleCache enforces

@@ -65,10 +65,10 @@ func TestRequestResolverMemoisesAcrossEvaluations(t *testing.T) {
 	req := policy.NewAccessRequest("alice", "rec-1", "read")
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	ctx := context.Background()
-	if res := local.DecideAtWith(ctx, req, at, resolver); res.Decision != policy.DecisionPermit {
+	if res := decideWith(ctx, local, req, at, resolver); res.Decision != policy.DecisionPermit {
 		t.Fatalf("local decision %s: %v", res.Decision, res.Err)
 	}
-	if res := vo.DecideAtWith(ctx, req, at, resolver); res.Decision != policy.DecisionPermit {
+	if res := decideWith(ctx, vo, req, at, resolver); res.Decision != policy.DecisionPermit {
 		t.Fatalf("vo decision %s: %v", res.Decision, res.Err)
 	}
 	if got := backend.count(policy.AttrSubjectRole); got != 1 {
@@ -232,4 +232,11 @@ func TestCacheWaiterHonoursDeadline(t *testing.T) {
 	if time.Since(start) > time.Second {
 		t.Fatal("waiter did not abandon the flight promptly")
 	}
+}
+
+// decideWith decides one request through d with a per-call resolver.
+func decideWith(ctx context.Context, d policy.Decider, req *policy.Request, at time.Time, resolver policy.Resolver) policy.Result {
+	out := make([]policy.Result, 1)
+	d.DecideScatterAt(ctx, []*policy.Request{req}, nil, at, resolver, out)
+	return out[0]
 }

@@ -17,13 +17,6 @@ import (
 // hot path contend per-stripe, not globally.
 const staleShards = 16
 
-// Provider is the decision surface StaleCache decorates and itself
-// offers: *pdp.Engine, *cluster.Router and *pdp.Client all have it.
-type Provider interface {
-	DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
-	DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result
-}
-
 type staleEntry struct {
 	res    policy.Result
 	stored time.Time
@@ -42,7 +35,7 @@ type staleShard struct {
 }
 
 // StaleCache is the one last-known-good layer behind degraded mode, a
-// decorator placed once over the provider a deployment serves. Every
+// policy.Decider placed once over the provider a deployment serves. Every
 // fresh conclusive decision from below is remembered with its time; an
 // Indeterminate arriving while the caller's context is still alive is
 // answered from the key's entry instead when that entry is at most grace
@@ -63,7 +56,7 @@ type staleShard struct {
 // policy base can therefore never be served after the write that
 // superseded it.
 type StaleCache struct {
-	next  Provider
+	next  policy.Decider
 	grace time.Duration
 	now   func() time.Time
 	audit func(key string, age time.Duration, cause error)
@@ -95,11 +88,11 @@ type StaleCacheStats struct {
 // NewStaleCache decorates next with bounded-staleness degraded serving,
 // taking the grace window (StaleGrace) and clock from p, which must be
 // non-nil. The store holds at most 8192 decisions.
-func NewStaleCache(next Provider, p *Policy) *StaleCache {
+func NewStaleCache(next policy.Decider, p *Policy) *StaleCache {
 	return newStaleCache(next, p.StaleGrace, p.Now(), 8192)
 }
 
-func newStaleCache(next Provider, grace time.Duration, now func() time.Time, maxItems int) *StaleCache {
+func newStaleCache(next policy.Decider, grace time.Duration, now func() time.Time, maxItems int) *StaleCache {
 	perShard := maxItems / staleShards
 	if perShard < 1 {
 		perShard = 1
@@ -136,33 +129,31 @@ func (c *StaleCache) Invalidate() {
 	}
 }
 
-// Decide decides at the cache clock. See DecideAt.
-func (c *StaleCache) Decide(ctx context.Context, req *policy.Request) policy.Result {
-	return c.DecideAt(ctx, req, c.now())
-}
-
-// DecideAt asks the decorated provider and settles its answer against the
-// last-known-good store.
-func (c *StaleCache) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
-	gen := c.gen.Load()
-	return c.settle(ctx, req, at, gen, c.next.DecideAt(ctx, req, at))
-}
-
-// DecideBatch decides many requests at the cache clock. See DecideBatchAt.
-func (c *StaleCache) DecideBatch(ctx context.Context, reqs []*policy.Request) []policy.Result {
-	return c.DecideBatchAt(ctx, reqs, c.now())
-}
-
-// DecideBatchAt asks the decorated provider for the whole batch and
-// settles each position on its own: warm positions of a failed batch may
-// serve stale while cold ones fail closed.
-func (c *StaleCache) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
-	gen := c.gen.Load()
-	out := c.next.DecideBatchAt(ctx, reqs, at)
-	for i := range out {
-		out[i] = c.settle(ctx, reqs[i], at, gen, out[i])
+// DecideScatterAt implements policy.Decider: it asks the decorated
+// provider for the selection at `at` (zero: the cache clock) and settles
+// each position on its own against the last-known-good store, so warm
+// positions of a failed batch may serve stale while cold ones fail
+// closed. Answers made through a caller-supplied resolver pass through
+// untouched, neither remembered nor replaced: that resolver's view is the
+// caller's, not the deployment's.
+func (c *StaleCache) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
+	if at.IsZero() {
+		at = c.now()
 	}
-	return out
+	gen := c.gen.Load()
+	c.next.DecideScatterAt(ctx, reqs, positions, at, resolver, out)
+	if resolver != nil {
+		return
+	}
+	if positions == nil {
+		for p := range reqs {
+			out[p] = c.settle(ctx, reqs[p], at, gen, out[p])
+		}
+		return
+	}
+	for _, p := range positions {
+		out[p] = c.settle(ctx, reqs[p], at, gen, out[p])
+	}
 }
 
 // settle applies the decision table to one answer from below: remember it

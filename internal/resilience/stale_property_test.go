@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,16 +43,12 @@ func (p *scriptedProvider) answer(ctx context.Context, req *policy.Request) poli
 	return policy.Result{Decision: p.verdict[sub], By: fmt.Sprintf("%s@v%d", sub, p.version[sub])}
 }
 
-func (p *scriptedProvider) DecideAt(ctx context.Context, req *policy.Request, _ time.Time) policy.Result {
-	return p.answer(ctx, req)
-}
-
-func (p *scriptedProvider) DecideBatchAt(ctx context.Context, reqs []*policy.Request, _ time.Time) []policy.Result {
-	out := make([]policy.Result, len(reqs))
+func (p *scriptedProvider) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, _ time.Time, _ policy.Resolver, out []policy.Result) {
 	for i, req := range reqs {
-		out[i] = p.answer(ctx, req)
+		if positions == nil || slices.Contains(positions, i) {
+			out[i] = p.answer(ctx, req)
+		}
 	}
-	return out
 }
 
 // lastGood is the model's view of one key's last fresh conclusive answer.
@@ -189,7 +186,7 @@ func runStaleSchedule(seed int64, steps int) string {
 			ctx, dead := callerCtx()
 			from := below.answer(ctx, reqs[sub])
 			want := predict(sub, dead, from)
-			if msg := check(step, sub, dead, from, want, c.Decide(ctx, reqs[sub])); msg != "" {
+			if msg := check(step, sub, dead, from, want, policy.Decide(ctx, c, reqs[sub], time.Time{})); msg != "" {
 				return msg
 			}
 		default:
@@ -203,12 +200,12 @@ func runStaleSchedule(seed int64, steps int) string {
 			ctx, dead := callerCtx()
 			// Predict position by position, in order: that is how the
 			// cache settles a batch.
-			froms := below.DecideBatchAt(ctx, batch, now)
+			froms := policy.DecideBatch(ctx, below, batch, now)
 			wants := make([]policy.Result, n)
 			for i := range batch {
 				wants[i] = predict(subs[i], dead, froms[i])
 			}
-			got := c.DecideBatch(ctx, batch)
+			got := policy.DecideBatch(ctx, c, batch, time.Time{})
 			for i := range batch {
 				if msg := check(step, subs[i], dead, froms[i], wants[i], got[i]); msg != "" {
 					return fmt.Sprintf("batch position %d: %s", i, msg)
@@ -217,4 +214,29 @@ func runStaleSchedule(seed int64, steps int) string {
 		}
 	}
 	return ""
+}
+
+// TestStaleCacheBypassedByCallerResolver: an answer made through a
+// caller-supplied resolver is neither remembered nor replaced. A permit
+// decided that way must not be served stale to a caller without it.
+func TestStaleCacheBypassedByCallerResolver(t *testing.T) {
+	below := &scriptedProvider{verdict: map[string]policy.Decision{"alice": policy.DecisionPermit}}
+	c := newStaleCache(below, time.Minute, time.Now, 8*staleShards)
+	req := policy.NewAccessRequest("alice", "res", "read")
+	caller := policy.ResolverFunc(func(context.Context, *policy.Request, policy.Category, string) (policy.Bag, error) {
+		return nil, nil
+	})
+	out := make([]policy.Result, 1)
+	c.DecideScatterAt(context.Background(), []*policy.Request{req}, nil, time.Time{}, caller, out)
+	if out[0].Decision != policy.DecisionPermit {
+		t.Fatalf("with the caller's resolver: %v, want Permit", out[0].Decision)
+	}
+	if st := c.Stats(); st.Puts != 0 {
+		t.Fatalf("stats = %+v: a caller-resolver answer was remembered", st)
+	}
+	below.down = true
+	c.DecideScatterAt(context.Background(), []*policy.Request{req}, nil, time.Time{}, caller, out)
+	if out[0].Decision != policy.DecisionIndeterminate || out[0].Degraded {
+		t.Fatalf("outage with the caller's resolver: %+v, want the Indeterminate from below", out[0])
+	}
 }

@@ -19,7 +19,6 @@ package rest
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -244,15 +243,6 @@ func (r *Router) BuildRequest(method, path string, actions map[string]string) (*
 	return req, m, nil
 }
 
-// DecisionProvider abstracts the PDP the middleware queries. The incoming
-// http.Request's context is threaded into every query, so a client that
-// disconnects — or a server write deadline about to fire — cancels the
-// decision instead of leaving it running; an out-of-time decision is
-// Indeterminate, which the middleware denies.
-type DecisionProvider interface {
-	DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result
-}
-
 // SubjectFunc extracts the requesting subject from the HTTP request and
 // adds its attributes to the policy request. Returning an error refuses the
 // request as unauthenticated (401).
@@ -282,7 +272,7 @@ type Transformer func(ob policy.FulfilledObligation, body []byte) ([]byte, error
 // Middleware is the REST enforcement point.
 type Middleware struct {
 	router       *Router
-	pdp          DecisionProvider
+	pdp          policy.Decider
 	subject      SubjectFunc
 	actions      map[string]string
 	transformers map[string]Transformer
@@ -332,8 +322,12 @@ func WithTracer(t *trace.Tracer) MiddlewareOption {
 	return func(m *Middleware) { m.tracer = t }
 }
 
-// NewMiddleware builds the enforcement point.
-func NewMiddleware(router *Router, pdp DecisionProvider, subject SubjectFunc, opts ...MiddlewareOption) *Middleware {
+// NewMiddleware builds the enforcement point over the PDP it queries. The
+// incoming http.Request's context is threaded into every query, so a
+// client that disconnects — or a server write deadline about to fire —
+// cancels the decision instead of leaving it running; an out-of-time
+// decision is Indeterminate, which the middleware denies.
+func NewMiddleware(router *Router, pdp policy.Decider, subject SubjectFunc, opts ...MiddlewareOption) *Middleware {
 	m := &Middleware{
 		router:       router,
 		pdp:          pdp,
@@ -434,7 +428,7 @@ func (m *Middleware) Wrap(next http.Handler) http.Handler {
 			return
 		}
 		root.SetAttr("rest.subject", req.SubjectID())
-		res := m.pdp.DecideAt(ctx, req, m.now())
+		res := policy.Decide(ctx, m.pdp, req, m.now())
 		root.SetAttr("rest.decision", res.Decision.String())
 		if res.Decision == policy.DecisionIndeterminate {
 			// The always-capture invariant at the enforcement point: a

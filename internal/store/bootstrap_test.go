@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/ha"
@@ -73,8 +74,8 @@ func TestBootstrapClusterHydratesShards(t *testing.T) {
 	for i := 0; i < ids; i++ {
 		for _, action := range []string{"read", "write"} {
 			req := policy.NewAccessRequest("u", fmt.Sprintf("res-p-%d", i), action)
-			got := router.Decide(context.Background(), req)
-			ref := single.Decide(context.Background(), policy.NewAccessRequest("u", fmt.Sprintf("res-p-%d", i), action))
+			got := policy.Decide(context.Background(), router, req, time.Time{})
+			ref := policy.Decide(context.Background(), single, policy.NewAccessRequest("u", fmt.Sprintf("res-p-%d", i), action), time.Time{})
 			if got.Decision != ref.Decision {
 				t.Fatalf("res-p-%d %s: cluster = %v, single = %v", i, action, got.Decision, ref.Decision)
 			}

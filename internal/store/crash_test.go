@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/pap"
 	"repro/internal/pdp"
@@ -76,8 +77,8 @@ func probe(engine *pdp.Engine, ids int) []policy.Decision {
 	for i := 0; i < ids; i++ {
 		res := fmt.Sprintf("res-p-%d", i)
 		out = append(out,
-			engine.Decide(context.Background(), policy.NewAccessRequest("u", res, "read")).Decision,
-			engine.Decide(context.Background(), policy.NewAccessRequest("u", res, "write")).Decision)
+			policy.Decide(context.Background(), engine, policy.NewAccessRequest("u", res, "read"), time.Time{}).Decision,
+			policy.Decide(context.Background(), engine, policy.NewAccessRequest("u", res, "write"), time.Time{}).Decision)
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/pap"
 	"repro/internal/pdp"
@@ -109,10 +110,10 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if s.History("p-a") != 2 {
 		t.Fatalf("History(p-a) = %d, want 2", s.History("p-a"))
 	}
-	if res := engine.Decide(context.Background(), policy.NewAccessRequest("u", "res-1", "read")); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), engine, policy.NewAccessRequest("u", "res-1", "read"), time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Fatalf("decide res-1 = %v, want permit", res.Decision)
 	}
-	if res := engine.Decide(context.Background(), policy.NewAccessRequest("u", "res-2", "read")); res.Decision != policy.DecisionNotApplicable {
+	if res := policy.Decide(context.Background(), engine, policy.NewAccessRequest("u", "res-2", "read"), time.Time{}); res.Decision != policy.DecisionNotApplicable {
 		t.Fatalf("decide deleted res-2 = %v, want not-applicable", res.Decision)
 	}
 	// A write after bootstrap goes through the reattached backend.

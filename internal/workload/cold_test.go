@@ -39,8 +39,8 @@ func TestColdSubjectDecisionsMatchWarm(t *testing.T) {
 		if got, ok := coldReq.Get(policy.CategorySubject, policy.AttrSubjectRole); ok {
 			t.Fatalf("cold request %d carries roles: %v", i, got)
 		}
-		coldRes := cold.DecideAt(ctx, coldReq, at)
-		warmRes := warm.DecideAt(ctx, warmReq, at)
+		coldRes := policy.Decide(ctx, cold, coldReq, at)
+		warmRes := policy.Decide(ctx, warm, warmReq, at)
 		if coldRes.Decision != warmRes.Decision {
 			t.Fatalf("request %d (%s): cold %s vs warm %s",
 				i, coldReq, coldRes.Decision, warmRes.Decision)

@@ -93,12 +93,12 @@ func TestDirectoryAndPolicyBaseAgree(t *testing.T) {
 	}
 	// user-7 holds role-2 (7 mod 5); resource res-12 belongs to role-2
 	// (12 mod 5): permit.
-	res := engine.Decide(context.Background(), policy.NewAccessRequest(UserID(7), ResourceID(12), "read"))
+	res := policy.Decide(context.Background(), engine, policy.NewAccessRequest(UserID(7), ResourceID(12), "read"), time.Time{})
 	if res.Decision != policy.DecisionPermit {
 		t.Errorf("owner read = %v, want Permit", res.Decision)
 	}
 	// user-7 (role-2) on res-10 (role-0): deny.
-	res = engine.Decide(context.Background(), policy.NewAccessRequest(UserID(7), ResourceID(10), "read"))
+	res = policy.Decide(context.Background(), engine, policy.NewAccessRequest(UserID(7), ResourceID(10), "read"), time.Time{})
 	if res.Decision != policy.DecisionDeny {
 		t.Errorf("foreign read = %v, want Deny", res.Decision)
 	}

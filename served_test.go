@@ -21,8 +21,8 @@ type hedgedBatch struct {
 	at  time.Time
 }
 
-func (h hedgedBatch) DecideBatch(ctx context.Context, reqs []*policy.Request) []policy.Result {
-	return h.ens.DecideBatchAt(context.WithoutCancel(ctx), reqs, h.at)
+func (h hedgedBatch) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, _ time.Time, resolver policy.Resolver, out []policy.Result) {
+	h.ens.DecideScatterAt(context.WithoutCancel(ctx), reqs, positions, h.at, resolver, out)
 }
 
 // TestHedgeLoserOutlivesPooledBuffers serves batches through the HTTP
@@ -52,9 +52,9 @@ func TestHedgeLoserOutlivesPooledBuffers(t *testing.T) {
 
 	for round := 0; round < 12; round++ {
 		reqs := gen.Requests(16)
-		got := client.DecideBatchAt(context.Background(), reqs, at)
+		got := policy.DecideBatch(context.Background(), client, reqs, at)
 		for i, req := range reqs {
-			want := reference.DecideAt(context.Background(), req, at)
+			want := policy.Decide(context.Background(), reference, req, at)
 			if got[i].Decision != want.Decision || got[i].By != want.By {
 				t.Fatalf("round %d request %d (%s): served %v by %q, single engine %v by %q",
 					round, i, req, got[i].Decision, got[i].By, want.Decision, want.By)
