@@ -81,6 +81,15 @@ func scalabilityFixture(b *testing.B, n int) (*pdp.Engine, []*policy.Request) {
 	return engine, reqs
 }
 
+// decideOne decides one request on the engine as a one-position scatter
+// over stack arrays, the way Engine.DecideAt does: a call on the concrete
+// type, so the request and result cells do not escape to the heap.
+func decideOne(ctx context.Context, e *pdp.Engine, req *policy.Request, at time.Time) policy.Result {
+	var out [1]policy.Result
+	e.DecideScatterAt(ctx, []*policy.Request{req}, nil, at, nil, out[:])
+	return out[0]
+}
+
 func BenchmarkPDPDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for _, n := range []int{10, 100, 1000} {
@@ -88,7 +97,7 @@ func BenchmarkPDPDecide(b *testing.B) {
 			engine, reqs := scalabilityFixture(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				engine.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+				decideOne(context.Background(), engine, reqs[i%len(reqs)], at)
 			}
 		})
 	}
@@ -544,13 +553,13 @@ func BenchmarkParallelDecide(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			engine, reqs := fixture(b, mode)
 			for _, req := range reqs {
-				engine.DecideAt(context.Background(), req, at) // warm cache and key memos
+				decideOne(context.Background(), engine, req, at) // warm cache and key memos
 			}
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := int(parallelSeed.Add(7919))
 				for pb.Next() {
-					engine.DecideAt(context.Background(), reqs[i%len(reqs)], at)
+					decideOne(context.Background(), engine, reqs[i%len(reqs)], at)
 					i++
 				}
 			})
@@ -598,7 +607,7 @@ func BenchmarkParallelMissScale(b *testing.B) {
 		for _, path := range []string{"compiled", "scan"} {
 			b.Run(fmt.Sprintf("policies=%d/path=%s", n, path), func(b *testing.B) {
 				f := missScaleFor(b, n)
-				decide := func(req *policy.Request) { f.engine.DecideAt(ctx, req, at) }
+				decide := func(req *policy.Request) { decideOne(ctx, f.engine, req, at) }
 				if path == "scan" {
 					decide = func(req *policy.Request) {
 						ec := policy.AcquireContext(ctx, req, at).WithResolver(f.resolver)

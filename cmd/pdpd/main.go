@@ -52,7 +52,7 @@
 //	pdpd -policy policy.xml [-addr :8080] [-cache 30s]
 //	     [-shards N] [-replicas M] [-strategy failover|quorum]
 //	     [-policy-lint off|warn|strict]
-//	     [-breaker] [-breaker-threshold 5] [-breaker-cooldown 1s]
+//	     [-breaker] [-breaker-cooldown 1s]
 //	     [-stale-grace 30s] [-hedge-after 5ms] [-admission 256]
 package main
 
@@ -100,6 +100,14 @@ type decisionPoint interface {
 	SetRoot(root policy.Evaluable) error
 }
 
+// Trace retention and breaker sensitivity: no deployment or harness has
+// needed other values.
+const (
+	traceSlow        = 250 * time.Millisecond // always keep traces at least this slow
+	traceBuffer      = 256                    // kept-trace ring capacity behind /debug/traces
+	breakerThreshold = 5                      // consecutive shard failures that open a breaker
+)
+
 func main() {
 	policyPath := flag.String("policy", "", "policy file (XML or JSON)")
 	addr := flag.String("addr", ":8080", "listen address")
@@ -110,14 +118,11 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable policy store directory (empty runs in-memory only)")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot/compact cycles (persistence mode)")
 	traceSample := flag.Float64("trace-sample", 0.01, "decision-trace head-sampling fraction in [0,1]; slow and Indeterminate traces are always kept")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "always keep traces at least this slow (0 disables the slow path)")
-	traceBuffer := flag.Int("trace-buffer", 256, "kept-trace ring capacity behind /debug/traces")
 	subjectsPath := flag.String("subjects", "", "subject directory JSON file wired (behind a coalescing cache) as the engines' PIP resolver")
 	policyLint := flag.String("policy-lint", "warn", "static policy lint gate on /admin/policy: off, warn, or strict (strict rejects writes introducing blocking findings, fail-closed)")
 	chaosFlag := flag.Bool("chaos", false, "expose /admin/chaos fault injection (replica crash/revive/stall; cluster mode only) — load/chaos harness use, never production")
 	debugAddr := flag.String("debug-addr", "", "optional pprof listen address (profiling stays off unless set)")
 	breakerFlag := flag.Bool("breaker", false, "arm per-shard circuit breakers (cluster mode): a shard group observed down fails fast instead of burning per-request deadline budget")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive shard failures that open the breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-state cooldown before a single half-open probe is admitted")
 	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it is no older than this and no policy write came since (0 fails closed instead)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a shard group's silent preferred replica onto the rest of its chain after this delay, single and batch decisions alike (cluster mode; 0 disables)")
@@ -148,8 +153,8 @@ func main() {
 	reg.RegisterGoGC()
 	tracer := trace.NewTracer(trace.Options{
 		Sample:        *traceSample,
-		SlowThreshold: *traceSlow,
-		Capacity:      *traceBuffer,
+		SlowThreshold: traceSlow,
+		Capacity:      traceBuffer,
 	})
 	tracer.RegisterMetrics(reg)
 	if lg != nil {
@@ -159,7 +164,7 @@ func main() {
 	if *breakerFlag || *staleGrace > 0 || *hedgeAfter > 0 {
 		resPolicy = &resilience.Policy{
 			Breaker: resilience.BreakerConfig{
-				Threshold: *breakerThreshold,
+				Threshold: breakerThreshold,
 				Cooldown:  *breakerCooldown,
 			},
 			StaleGrace: *staleGrace,
@@ -286,7 +291,7 @@ func main() {
 		*policyPath, *addr, *cacheTTL, *shards, *replicas, *strategy, *dataDir, *traceSample)
 	if resPolicy != nil {
 		log.Printf("pdpd: resilience armed (breaker threshold=%d cooldown=%v stale-grace=%v hedge-after=%v)",
-			*breakerThreshold, *breakerCooldown, *staleGrace, *hedgeAfter)
+			breakerThreshold, *breakerCooldown, *staleGrace, *hedgeAfter)
 	}
 	var handler http.Handler = mux
 	if admission != nil {

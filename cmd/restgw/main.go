@@ -57,10 +57,14 @@ func (r *routeFlags) Set(v string) error {
 // obsConfig carries the gateway's observability settings from flags.
 type obsConfig struct {
 	traceSample float64
-	traceSlow   time.Duration
-	traceBuffer int
 	debugAddr   string
 }
+
+// Trace retention, as pdpd keeps it: no deployment has needed other values.
+const (
+	traceSlow   = 250 * time.Millisecond // always keep traces at least this slow
+	traceBuffer = 256                    // kept-trace ring capacity behind /debug/traces
+)
 
 func main() {
 	var routes routeFlags
@@ -69,8 +73,6 @@ func main() {
 	pdpEndpoint := flag.String("pdp", "", "remote PDP envelope endpoint (alternative to -policy)")
 	addr := flag.String("addr", ":8081", "listen address")
 	traceSample := flag.Float64("trace-sample", 0.01, "request-trace head-sampling fraction in [0,1]; slow and Indeterminate traces are always kept")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "always keep traces at least this slow (0 disables the slow path)")
-	traceBuffer := flag.Int("trace-buffer", 256, "kept-trace ring capacity behind /debug/traces")
 	debugAddr := flag.String("debug-addr", "", "optional pprof listen address (profiling stays off unless set)")
 	admissionLimit := flag.Int("admission", 0, "adaptive (AIMD) admission control: initial concurrency limit for proxied traffic, shed with 503 + Retry-After beyond it; metrics/trace/stats endpoints are never shed (0 disables)")
 	flag.Var(&routes, "route", "URI route as pattern=resource-type (repeatable)")
@@ -78,8 +80,6 @@ func main() {
 
 	obs := obsConfig{
 		traceSample: *traceSample,
-		traceSlow:   *traceSlow,
-		traceBuffer: *traceBuffer,
 		debugAddr:   *debugAddr,
 	}
 	if err := run(*upstream, *policyPath, *pdpEndpoint, *addr, routes, obs, *admissionLimit); err != nil {
@@ -133,8 +133,8 @@ func run(upstream, policyPath, pdpEndpoint, addr string, routes routeFlags, obs 
 	}
 	tracer := trace.NewTracer(trace.Options{
 		Sample:        obs.traceSample,
-		SlowThreshold: obs.traceSlow,
-		Capacity:      obs.traceBuffer,
+		SlowThreshold: traceSlow,
+		Capacity:      traceBuffer,
 	})
 	tracer.RegisterMetrics(reg)
 

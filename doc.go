@@ -79,8 +79,7 @@
 // with Prometheus text exposition on /metrics; instrumented packages
 // register pull-model collectors that read their existing atomic stats
 // only at scrape time, so the decision hot path stays alloc-free. The
-// bench module's traced pass reports tracing overhead end to end, and
-// cmd/benchjson renders benchmark output machine-readable.
+// bench module's traced pass reports tracing overhead end to end.
 //
 // The system is exercised the way it will be operated. internal/chaos
 // composes the repo's fault seams (replica crash/stall, partitions, kill
@@ -89,7 +88,8 @@
 // acknowledged writes or changed decisions (violations). cmd/loadd runs
 // such a schedule against a real pdpd cluster under one kernel-paced
 // open-loop load and fails on any failed decision outside a declared
-// fault window; throughput and latency come from the bench module, and
-// cmd/benchjson -compare gates CI on regressions against the committed
-// BENCH_<PR>.json baseline.
+// fault window; throughput and latency come from the bench module.
+// .github/bench-gate.sh gates CI on it: alternating pairs of short bench
+// runs on the change and its base revision, compared within the
+// BENCHMARK.json bounds. Each BENCH_PR<N>.json records one PR's pairs.
 package repro

@@ -16,7 +16,8 @@ import (
 // a Decide* method (pdpd's decisionPoint embeds it), and these are the only
 // Decide* methods. Every provider has one body, DecideScatterAt. The six
 // other methods of the six provider types are one-call wrappers kept
-// because bench/ladder.go, frozen as the benchmark yardstick, calls them:
+// because bench/ladder.go, frozen as the benchmark yardstick, calls them;
+// nothing outside bench/ calls them:
 //
 //	cluster.Router.Decide, DecideBatch   ladder.go:218, 294–295
 //	pdp.Engine.DecideAt, DecideBatchAt   ladder.go:300–301
