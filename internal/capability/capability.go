@@ -75,9 +75,6 @@ func (s *Service) WithClock(now func() time.Time) *Service {
 	return s
 }
 
-// Issuer returns the service's distinguished name.
-func (s *Service) Issuer() string { return s.issuer }
-
 // Counts returns how many capabilities were issued and rejected.
 func (s *Service) Counts() (issued, rejected int64) {
 	s.mu.Lock()

@@ -101,18 +101,6 @@ func (r *Ring) Owner(key string) (node string, ok bool) {
 	return r.points[i].node, true
 }
 
-// Nodes returns the member nodes, sorted.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the number of member nodes.
 func (r *Ring) Len() int {
 	r.mu.RLock()

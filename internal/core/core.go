@@ -25,7 +25,6 @@ import (
 	"repro/internal/ha"
 	"repro/internal/pap"
 	"repro/internal/pdp"
-	"repro/internal/pip"
 	"repro/internal/policy"
 	"repro/internal/wire"
 )
@@ -224,21 +223,6 @@ func (s *System) AdmitDialectSource(d *federation.Domain, src string, at time.Ti
 		}
 	}
 	return nil
-}
-
-// AttachInformationPoints wires a chain of Policy Information Points into
-// a domain's decision path: attributes neither the request nor the
-// domain's Directory carries are resolved lazily, mid-evaluation, from the
-// providers in order. The chain sits behind a TTL cache that coalesces
-// concurrent misses, so a burst of decisions over one cold subject costs a
-// single backend fetch; the returned cache exposes hit/miss/coalesce
-// counters. This is the live resolution path of the decision pipeline —
-// requests no longer need attributes pre-populated by the caller. ttl <= 0
-// defaults to one minute.
-func (s *System) AttachInformationPoints(d *federation.Domain, ttl time.Duration, providers ...pip.Provider) *pip.Cache {
-	cache := pip.NewCachedChain(d.Name+"-pip", ttl, providers...)
-	d.UsePIP(cache)
-	return cache
 }
 
 // Delegate grants issuing authority from one VO authority to another; use

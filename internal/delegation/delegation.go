@@ -141,14 +141,6 @@ func (r *Registry) AddRoot(authority string) {
 	r.roots[authority] = struct{}{}
 }
 
-// IsRoot reports whether the authority is a trusted root.
-func (r *Registry) IsRoot(authority string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.roots[authority]
-	return ok
-}
-
 // authorityFor reports whether the authority may act within the scope at
 // the given time, with at least minDepth re-delegation budget remaining,
 // and returns the supporting chain (root end first, empty for roots).

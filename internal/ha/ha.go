@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/policy"
-	"repro/internal/telemetry"
 )
 
 // Dependability errors, matched with errors.Is.
@@ -200,28 +199,6 @@ func (e *Ensemble) SetHedge(d time.Duration) { e.hedge.Store(int64(d)) }
 // Stats returns a snapshot of ensemble counters.
 func (e *Ensemble) Stats() Stats {
 	return e.stats.snapshot()
-}
-
-// RegisterMetrics exposes the ensemble's counters on the registry,
-// pull-model (collectors read the atomic counters at scrape time only).
-// Deployments running a single ensemble outside a cluster use this; the
-// cluster router registers per-shard ensemble families itself.
-func (e *Ensemble) RegisterMetrics(reg *telemetry.Registry) {
-	reg.CounterFunc("repro_ha_requests_total",
-		"Decisions asked of the ensemble.",
-		func() int64 { return e.Stats().Requests })
-	reg.CounterFunc("repro_ha_failovers_total",
-		"Decisions that skipped at least one dead replica.",
-		func() int64 { return e.Stats().Failovers })
-	reg.CounterFunc("repro_ha_unavailable_total",
-		"Decisions no replica could answer.",
-		func() int64 { return e.Stats().Unavailable })
-	reg.CounterFunc("repro_ha_disagreements_total",
-		"Quorum votes whose replicas split.",
-		func() int64 { return e.Stats().Disagreements })
-	reg.CounterFunc("repro_ha_replica_queries_total",
-		"Individual replica decisions issued.",
-		func() int64 { return e.Stats().ReplicaQueries })
 }
 
 // Probe health-checks every replica and moves dead ones to the back of the

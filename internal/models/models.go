@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/pip"
@@ -139,19 +138,6 @@ func (d *DAC) Check(subject, object, action string) bool {
 	}
 	_, holds := entry.Actions[action]
 	return holds
-}
-
-// Subjects lists the subjects with entries on the object, sorted; used by
-// audits.
-func (d *DAC) Subjects(object string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.acls[object]))
-	for s := range d.acls[object] {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- Mandatory access control (Bell–LaPadula) ---

@@ -453,7 +453,3 @@ func (g *GuardedStore) Delete(ctx context.Context, admin, id string) error {
 	}
 	return g.store.Delete(id)
 }
-
-// Store exposes the underlying unguarded store for trusted internal use
-// (PDP refresh, syndication).
-func (g *GuardedStore) Store() *Store { return g.store }

@@ -25,7 +25,6 @@ type Client struct {
 	http *wire.HTTPClient
 	from string
 	to   string
-	now  func() time.Time
 }
 
 // NewClient builds a client for the PDP at the given envelope endpoint
@@ -38,20 +37,13 @@ func NewClient(endpoint, from, to string) *Client {
 		http: &wire.HTTPClient{Endpoint: endpoint},
 		from: from,
 		to:   to,
-		now:  time.Now,
 	}
-}
-
-// WithClock overrides the message-ID clock, used by deterministic tests.
-func (c *Client) WithClock(now func() time.Time) *Client {
-	c.now = now
-	return c
 }
 
 // DecideScatterAt implements policy.Decider over the wire: one selected
 // position is sent as a pdp:decide envelope, more as one pdp:decide-batch
 // envelope carrying the selection. at stamps the envelope (zero: the
-// client clock); the remote engine evaluates at its own clock and
+// current time); the remote engine evaluates at its own clock and
 // resolves attributes itself, as a real deployment would, so resolver is
 // ignored. ctx bounds the round-trip, and its remaining deadline budget
 // travels in the envelope so the remote PDP arms the same deadline (see
@@ -73,7 +65,7 @@ func (c *Client) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		return
 	}
 	if at.IsZero() {
-		at = c.now()
+		at = time.Now()
 	}
 	ctx, sp := trace.StartSpan(ctx, "pdp.remote")
 	defer sp.End()

@@ -27,7 +27,6 @@ import (
 	"repro/internal/assertion"
 	"repro/internal/capability"
 	"repro/internal/policy"
-	"repro/internal/trace"
 )
 
 // Enforcement errors, matched with errors.Is.
@@ -87,7 +86,6 @@ type Enforcer struct {
 	now      func() time.Time
 	cacheTTL time.Duration
 	cacheMax int
-	tracer   *trace.Tracer
 
 	mu    sync.Mutex
 	cache map[string]cacheEntry
@@ -118,13 +116,6 @@ func WithDecisionCache(ttl time.Duration, maxItems int) EnforcerOption {
 // WithClock overrides the enforcement clock.
 func WithClock(now func() time.Time) EnforcerOption {
 	return func(e *Enforcer) { e.now = now }
-}
-
-// WithTracer roots a decision trace at the enforcement point: each
-// enforced request not already under a trace becomes one, spanning the
-// decision through every layer below (engine, cluster, PIP, remote hops).
-func WithTracer(t *trace.Tracer) EnforcerOption {
-	return func(e *Enforcer) { e.tracer = t }
 }
 
 // NewEnforcer builds a pull-model enforcement point over the decision
@@ -179,13 +170,6 @@ func (e *Enforcer) Enforce(ctx context.Context, req *policy.Request) Outcome {
 // cached — the next request with time to spare must be able to earn a real
 // decision.
 func (e *Enforcer) EnforceAt(ctx context.Context, req *policy.Request, at time.Time) Outcome {
-	var root *trace.Span
-	if e.tracer != nil {
-		ctx, root = e.tracer.StartRoot(ctx, "pep "+e.name)
-		defer root.End()
-		root.SetAttr("pep.subject", req.SubjectID())
-		root.SetAttr("pep.resource", req.ResourceID())
-	}
 	e.mu.Lock()
 	e.stats.Requests++
 	useCache := e.cache != nil
@@ -216,19 +200,6 @@ func (e *Enforcer) EnforceAt(ctx context.Context, req *policy.Request, at time.T
 			e.cache[key] = cacheEntry{res: res, expires: at.Add(e.cacheTTL)}
 		}
 		e.mu.Unlock()
-	}
-	if root != nil {
-		if hit {
-			root.SetAttr("pep.cache", "hit")
-		}
-		if res.Degraded {
-			root.SetAttr("pep.degraded", "true")
-			root.Keep()
-		}
-		root.SetAttr("pep.decision", res.Decision.String())
-		if res.Decision == policy.DecisionIndeterminate {
-			root.Keep()
-		}
 	}
 	return e.finalize(req, res)
 }

@@ -275,9 +275,6 @@ func NewChain(name string, providers ...Provider) *Chain {
 // Name implements Provider.
 func (c *Chain) Name() string { return c.name }
 
-// Append adds a provider at the end of the chain.
-func (c *Chain) Append(p Provider) { c.providers = append(c.providers, p) }
-
 // ResolveAttribute implements policy.Resolver. A done context stops the
 // chain between providers, so a multi-source lookup cannot outlive the
 // caller's deadline by walking every remaining source.

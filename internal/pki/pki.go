@@ -179,10 +179,6 @@ func (a *Authority) Certificate() *Certificate { return a.cert }
 // PublicKey returns the authority's verification key.
 func (a *Authority) PublicKey() ed25519.PublicKey { return a.key.Public }
 
-// Key returns the authority's key pair; used when the authority also signs
-// assertions or messages.
-func (a *Authority) Key() KeyPair { return a.key }
-
 // Issue signs a certificate for the subject's public key.
 func (a *Authority) Issue(subject string, pub ed25519.PublicKey, notBefore, notAfter time.Time, isCA bool) *Certificate {
 	a.mu.Lock()

@@ -117,13 +117,6 @@ func (c *Context) WithResolver(r Resolver) *Context {
 	return c
 }
 
-// WithCtx attaches the caller's cancellation context and returns the
-// evaluation context.
-func (c *Context) WithCtx(ctx context.Context) *Context {
-	c.Ctx = ctx
-	return c
-}
-
 func (c *Context) now() time.Time {
 	if c.Now.IsZero() {
 		c.Now = time.Now().UTC()

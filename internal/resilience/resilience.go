@@ -1,28 +1,21 @@
 // Package resilience provides the fault-handling building blocks that let
 // the decision fabric survive the failures the chaos harness injects,
 // instead of merely detecting them: circuit breakers around unreliable
-// dependencies, retry budgets with capped decorrelated-jitter backoff,
-// adaptive admission control at ingress, and a bounded-staleness
-// last-known-good cache backing the degraded serving mode.
+// dependencies, adaptive admission control at ingress, and a
+// bounded-staleness last-known-good cache backing the degraded serving
+// mode.
 //
 // The pieces compose into one overload story:
 //
 //   - A Breaker turns a dead dependency (crashed shard group, stalled PIP
-//     backend, partitioned federation peer) from a per-request
-//     deadline-budget timeout into one fast local check. State is a single
-//     atomic word; the half-open probe is claimed by compare-and-swap, so
-//     exactly one request tests a recovering dependency while the rest
-//     keep failing fast. Outcomes are three-valued: OnSuccess, OnFailure,
+//     backend) from a per-request deadline-budget timeout into one fast
+//     local check. State is a single atomic word; the half-open probe is
+//     claimed by compare-and-swap, so exactly one request tests a
+//     recovering dependency while the rest keep failing fast. Outcomes are three-valued: OnSuccess, OnFailure,
 //     and the neutral OnAbandon for calls killed by their own caller's
 //     context, which returns a held probe token without moving the state;
 //     a probe claim never reported at all ages out after a cooldown and
 //     is reclaimed by the next Allow.
-//
-//   - A RetryBudget bounds the retry amplification a failing dependency
-//     can provoke: retries withdraw from a token bucket that only
-//     successes refill, so a hard-down peer is retried at a small fraction
-//     of the offered load instead of multiplying it. Decorrelated jitter
-//     (Backoff/Decorrelated) spreads the retries that do happen.
 //
 //   - An Admission controller sheds excess concurrency at ingress with an
 //     AIMD limit, rejecting early with 503 + Retry-After while the caller

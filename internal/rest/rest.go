@@ -274,9 +274,7 @@ type Middleware struct {
 	router       *Router
 	pdp          policy.Decider
 	subject      SubjectFunc
-	actions      map[string]string
 	transformers map[string]Transformer
-	now          func() time.Time
 	tracer       *trace.Tracer
 
 	mu    sync.Mutex
@@ -297,19 +295,9 @@ type Stats struct {
 // MiddlewareOption configures the middleware.
 type MiddlewareOption func(*Middleware)
 
-// WithActions overrides the method-to-action table.
-func WithActions(actions map[string]string) MiddlewareOption {
-	return func(m *Middleware) { m.actions = actions }
-}
-
 // WithTransformer registers the handler for a content obligation ID.
 func WithTransformer(obligationID string, t Transformer) MiddlewareOption {
 	return func(m *Middleware) { m.transformers[obligationID] = t }
-}
-
-// WithClock overrides the middleware clock.
-func WithClock(now func() time.Time) MiddlewareOption {
-	return func(m *Middleware) { m.now = now }
 }
 
 // WithTracer roots a decision trace at the enforcement point: each
@@ -333,7 +321,6 @@ func NewMiddleware(router *Router, pdp policy.Decider, subject SubjectFunc, opts
 		pdp:          pdp,
 		subject:      subject,
 		transformers: make(map[string]Transformer),
-		now:          time.Now,
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -414,7 +401,7 @@ func (m *Middleware) Wrap(next http.Handler) http.Handler {
 			w.Header().Set("X-Trace-Id", root.TraceID.String())
 			r = r.WithContext(ctx)
 		}
-		req, _, err := m.router.BuildRequest(r.Method, r.URL.Path, m.actions)
+		req, _, err := m.router.BuildRequest(r.Method, r.URL.Path, nil)
 		if err != nil {
 			m.count(func(s *Stats) { s.Unrouted++; s.Denied++ })
 			root.SetAttr("rest.outcome", "unrouted")
@@ -428,7 +415,7 @@ func (m *Middleware) Wrap(next http.Handler) http.Handler {
 			return
 		}
 		root.SetAttr("rest.subject", req.SubjectID())
-		res := policy.Decide(ctx, m.pdp, req, m.now())
+		res := policy.Decide(ctx, m.pdp, req, time.Now())
 		root.SetAttr("rest.decision", res.Decision.String())
 		if res.Decision == policy.DecisionIndeterminate {
 			// The always-capture invariant at the enforcement point: a

@@ -223,14 +223,6 @@ func (tr *active) newSpan(name string, parent SpanID) *Span {
 
 type ctxKey struct{}
 
-// ContextWithSpan returns a context carrying the span as the current one.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
 // FromContext returns the current span, or nil when the context is
 // untraced. The nil result is safe to annotate (no-op).
 func FromContext(ctx context.Context) *Span {

@@ -93,20 +93,6 @@ func TestVirtualDeadlineSharedAcrossHops(t *testing.T) {
 	}
 }
 
-// TestSendWithRetryStopsAtDeadline: retries never outlive the budget.
-func TestSendWithRetryStopsAtDeadline(t *testing.T) {
-	n := NewNetwork(10*time.Millisecond, 1)
-	n.Register("pdp", echoNode)
-	n.SetNodeDown("pdp", true)
-	call := &Call{}
-	_, err := n.SendWithRetry(context.Background(), call, &Envelope{
-		From: "pep", To: "pdp", Action: "pdp:decide", Deadline: 35 * time.Millisecond,
-	}, 10, 20*time.Millisecond)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline (retry loop must stop at the budget)", err)
-	}
-}
-
 // TestSendHonoursCanceledContext: a dead caller sends nothing.
 func TestSendHonoursCanceledContext(t *testing.T) {
 	n := NewNetwork(time.Millisecond, 1)

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // Network errors, matched with errors.Is.
@@ -24,16 +22,6 @@ var (
 	// envelope's Deadline header, enforced on the call's virtual clock)
 	// or caller context expired before the reply arrived.
 	ErrDeadline = errors.New("wire: deadline exceeded")
-	// ErrCircuitOpen reports a send short-circuited by the destination's
-	// open circuit breaker (UseBreakers): the peer was recently observed
-	// dead, and the failure is local and instant — no latency is charged
-	// to the call's virtual clock. Not retryable: SendWithRetry returns
-	// it immediately.
-	ErrCircuitOpen = errors.New("wire: circuit open")
-	// ErrRetryBudget reports a retry refused because the network's retry
-	// budget (UseRetryBudget) is exhausted: enough recent sends failed
-	// that further retries would only amplify the overload.
-	ErrRetryBudget = errors.New("wire: retry budget exhausted")
 	// ErrOverload reports a request the remote side rejected under
 	// admission control (HTTP 503/429): the server is alive but shedding.
 	// Callers distinguish it from unreachability — the right reaction is
@@ -124,17 +112,6 @@ type Network struct {
 	rng       *rand.Rand
 	stats     Stats
 	msgSerial int64
-
-	// breakers holds one circuit breaker per destination once UseBreakers
-	// arms them (nil otherwise): a dead peer — a crashed federation
-	// partner, a partitioned IdP — then costs one fast local check per
-	// send instead of a latency charge against the caller's deadline
-	// budget on every attempt.
-	breakerCfg *resilience.BreakerConfig
-	breakers   map[string]*resilience.Breaker
-	// retryBudget, when armed by UseRetryBudget, bounds SendWithRetry's
-	// amplification network-wide.
-	retryBudget *resilience.RetryBudget
 }
 
 // NewNetwork builds a network with the given default one-way latency and
@@ -200,61 +177,6 @@ func (n *Network) NextMessageID(from string) string {
 	return from + "-m" + strconv.FormatInt(n.msgSerial, 10)
 }
 
-// UseBreakers arms a per-destination circuit breaker on every Send: after
-// cfg.Threshold consecutive unreachable/lost outcomes against one
-// destination, sends to it fail fast with ErrCircuitOpen (no virtual
-// latency charged) until the cooldown admits a half-open probe. Federation
-// hops, syndication pushes and discovery walks all go through Send, so one
-// call protects every protocol on the network.
-func (n *Network) UseBreakers(cfg resilience.BreakerConfig) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.breakerCfg = &cfg
-	n.breakers = make(map[string]*resilience.Breaker)
-}
-
-// UseRetryBudget bounds SendWithRetry amplification network-wide: each
-// retry withdraws from a token bucket of the given capacity that only
-// successful sends refill (depositRate tokens per success). An exhausted
-// bucket fails retries with ErrRetryBudget instead of hammering a down
-// peer.
-func (n *Network) UseRetryBudget(capacity, depositRate float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.retryBudget = resilience.NewRetryBudget(capacity, depositRate)
-}
-
-// BreakerStats reports each armed destination breaker's counters, keyed by
-// destination node.
-func (n *Network) BreakerStats() map[string]resilience.BreakerStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.breakers == nil {
-		return nil
-	}
-	out := make(map[string]resilience.BreakerStats, len(n.breakers))
-	for name, b := range n.breakers {
-		out[name] = b.Stats()
-	}
-	return out
-}
-
-// breakerFor returns the destination's breaker, creating it on first use;
-// nil when breakers are not armed.
-func (n *Network) breakerFor(to string) *resilience.Breaker {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.breakers == nil {
-		return nil
-	}
-	b, ok := n.breakers[to]
-	if !ok {
-		b = resilience.NewBreaker(to, *n.breakerCfg)
-		n.breakers[to] = b
-	}
-	return b
-}
-
 func (n *Network) linkProps(from, to string) LinkProps {
 	if p, ok := n.links[linkKey{from: from, to: to}]; ok {
 		return p
@@ -314,30 +236,8 @@ func (n *Network) Send(ctx context.Context, call *Call, env *Envelope) (*Envelop
 	if env.MessageID == "" {
 		env.MessageID = n.NextMessageID(env.From)
 	}
-	// The breaker check happens before any latency is charged: a fast
-	// local failure is the whole point of tripping.
-	br := n.breakerFor(env.To)
-	if br != nil && !br.Allow() {
-		return nil, fmt.Errorf("wire: %s: %w", env.To, ErrCircuitOpen)
-	}
-	size := env.WireSize()
-	if err := n.traverse(call, env.From, env.To, size); err != nil {
-		if br != nil {
-			if errors.Is(err, ErrUnreachable) || errors.Is(err, ErrLost) {
-				br.OnFailure()
-			} else {
-				// ErrDeadline and ErrUnknownNode indict the caller's budget
-				// or its addressing, not the peer: neutral, but a held
-				// half-open probe token must be returned, not leaked.
-				br.OnAbandon()
-			}
-		}
+	if err := n.traverse(call, env.From, env.To, env.WireSize()); err != nil {
 		return nil, err
-	}
-	if br != nil {
-		// Reachability is what the breaker guards; handler-level errors
-		// are the application's business.
-		br.OnSuccess()
 	}
 	n.mu.Lock()
 	handler := n.nodes[env.To]
@@ -358,83 +258,4 @@ func (n *Network) Send(ctx context.Context, call *Call, env *Envelope) (*Envelop
 		return nil, err
 	}
 	return reply, nil
-}
-
-// maxRetryAttempts caps SendWithRetry regardless of what the caller asks
-// for: beyond a handful of attempts a retry is load amplification, not
-// resilience.
-const maxRetryAttempts = 8
-
-// maxBackoffFactor caps the decorrelated-jitter backoff at this multiple
-// of the per-attempt timeout.
-const maxBackoffFactor = 8
-
-// randFloat draws from the network RNG under the lock, keeping simulated
-// runs deterministic per seed.
-func (n *Network) randFloat() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rng.Float64()
-}
-
-// SendWithRetry retries a Send on loss or unreachability — the PEP-side
-// resilience mechanism used by the dependability experiments. Attempts are
-// capped at maxRetryAttempts; each failed attempt charges the virtual
-// clock its timeout plus capped decorrelated jitter (never less than the
-// timeout, never more than maxBackoffFactor times it), so synchronized
-// retriers spread out instead of re-colliding. Between attempts the
-// caller's ctx is re-checked and, when UseRetryBudget armed one, the
-// network-wide retry budget must grant a token — an exhausted budget fails
-// with ErrRetryBudget rather than hammering a down peer. Deadline expiry
-// (virtual budget or ctx) and ErrCircuitOpen are final: there is no point
-// retrying for a caller that is out of time or a peer known to be dead.
-func (n *Network) SendWithRetry(ctx context.Context, call *Call, env *Envelope, attempts int, timeout time.Duration) (*Envelope, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	if attempts > maxRetryAttempts {
-		attempts = maxRetryAttempts
-	}
-	if timeout <= 0 {
-		timeout = n.defaultLatency
-		if timeout <= 0 {
-			timeout = time.Millisecond
-		}
-	}
-	var lastErr error
-	prev := timeout
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			// The caller may have died during the previous attempt's
-			// backoff; retrying for a dead caller is pure waste.
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("wire: retry %d to %s: %w", i, env.To, err)
-			}
-			if n.retryBudget != nil && !n.retryBudget.Withdraw() {
-				return nil, fmt.Errorf("wire: retry %d to %s: %w (last: %v)", i, env.To, ErrRetryBudget, lastErr)
-			}
-		}
-		reply, err := n.Send(ctx, call, env)
-		if err == nil {
-			if n.retryBudget != nil {
-				n.retryBudget.Deposit()
-			}
-			return reply, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrLost) && !errors.Is(err, ErrUnreachable) {
-			return nil, err
-		}
-		// A failed attempt costs its timeout, jittered upward but capped:
-		// min charge is the timeout itself (the attempt had to expire),
-		// max is maxBackoffFactor timeouts.
-		backoff := resilience.Decorrelated(timeout, maxBackoffFactor*timeout, prev, n.randFloat())
-		prev = backoff
-		call.Elapsed += backoff
-		if call.Deadline > 0 && call.Elapsed > call.Deadline {
-			return nil, fmt.Errorf("wire: deadline budget exhausted after %d attempts to %s: %w", i+1, env.To, ErrDeadline)
-		}
-		env.MessageID = "" // a retry is a fresh message
-	}
-	return nil, fmt.Errorf("wire: %d attempts to %s failed: %w", attempts, env.To, lastErr)
 }

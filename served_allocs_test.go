@@ -18,6 +18,7 @@ import (
 	"repro/internal/pip"
 	"repro/internal/policy"
 	"repro/internal/resilience"
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/internal/xacml"
@@ -28,8 +29,8 @@ import (
 // cache decisions and resolve roles and clearance through a cached PIP
 // chain. The base is resource policies plus clearance vetoes, and
 // requests are cold (subject, resource, action), as in bench's cold
-// workloads.
-func servedDeployment(t *testing.T) (single, batch http.Handler) {
+// workloads. opts configure both handlers, as pdpd's one tracer does.
+func servedDeployment(t *testing.T, opts ...wire.HTTPOption) (single, batch http.Handler) {
 	t.Helper()
 	const users, resources, roles = 512, 256, 16
 	dir := pip.NewDirectory("idp")
@@ -61,7 +62,7 @@ func servedDeployment(t *testing.T) (single, batch http.Handler) {
 		t.Fatal(err)
 	}
 	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: 30 * time.Second})
-	return wire.HTTPHandler(pdp.Handler(stale)), wire.HTTPHandler(pdp.BatchHandler(stale))
+	return wire.HTTPHandler(pdp.Handler(stale), opts...), wire.HTTPHandler(pdp.BatchHandler(stale), opts...)
 }
 
 // postEnvelope encodes one posted envelope of the given accesses.
@@ -94,21 +95,29 @@ func postEnvelope(t *testing.T, accesses [][2]int, action string) []byte {
 // inside the daemon, from the posted bytes to the written reply: hit and
 // miss, single and 64-request batch. A miss is a decision key never seen
 // before whose subject the PIP cache already holds (as on bench's cold
-// workloads after warm-up); a hit repeats a decided envelope. The budgets
-// are the measured values with a little headroom.
+// workloads after warm-up); a hit repeats a decided envelope. The traced
+// rows serve through pdpd's tracer as bench runs it (head sampling off,
+// slow and Indeterminate traces kept), which pdpd always installs. The
+// budgets are the measured values with a little headroom.
 func TestServedDecisionAllocs(t *testing.T) {
 	single, batch := servedDeployment(t)
+	tracer := trace.NewTracer(trace.Options{Sample: 0, SlowThreshold: 250 * time.Millisecond, Capacity: 256})
+	tracedSingle, tracedBatch := servedDeployment(t, wire.WithTracer(tracer))
 	for _, tc := range []struct {
 		name          string
-		h             http.Handler
+		h, warm       http.Handler
 		size          int
 		hit           bool
 		allocs, bytes float64 // budgets per decision
 	}{
-		{"single/hit", single, 1, true, 25, 2700},
-		{"single/miss", single, 1, false, 28, 5000},
-		{"batch/hit", batch, 64, true, 7, 1150},
-		{"batch/miss", batch, 64, false, 10.5, 2100},
+		{"single/hit", single, batch, 1, true, 25, 2700},
+		{"single/miss", single, batch, 1, false, 28, 5000},
+		{"batch/hit", batch, batch, 64, true, 7, 1150},
+		{"batch/miss", batch, batch, 64, false, 10.5, 2100},
+		{"traced/single/hit", tracedSingle, tracedBatch, 1, true, 45, 3850},
+		{"traced/single/miss", tracedSingle, tracedBatch, 1, false, 49, 6200},
+		{"traced/batch/hit", tracedBatch, tracedBatch, 64, true, 7.5, 1200},
+		{"traced/batch/miss", tracedBatch, tracedBatch, 64, false, 11, 2150},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const calls = 16
@@ -119,7 +128,7 @@ func TestServedDecisionAllocs(t *testing.T) {
 				warm = append(warm, [2]int{u, u % 256})
 			}
 			for off := 0; off < len(warm); off += 64 {
-				serve(t, batch, postEnvelope(t, warm[off:off+64], "write"))
+				serve(t, tc.warm, postEnvelope(t, warm[off:off+64], "write"))
 			}
 			posts := make([][]byte, calls)
 			for c := range posts {
