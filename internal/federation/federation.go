@@ -89,9 +89,6 @@ type Domain struct {
 	deciderMu sync.RWMutex
 	decider   policy.Decider
 
-	pipMu sync.RWMutex
-	pip   policy.Resolver
-
 	refreshMu    sync.Mutex
 	refreshErrs  atomic.Int64
 	onRefreshErr func(error)
@@ -114,25 +111,6 @@ func (d *Domain) currentDecider() policy.Decider {
 		return d.decider
 	}
 	return d.PDP
-}
-
-// UsePIP attaches an information point consulted during this domain's
-// decisions for attributes neither the request nor the Directory supplies
-// — the hook through which resource metadata stores, access-history
-// providers and external attribute authorities join the live resolution
-// path. A nil resolver detaches it. Chains built from pip providers
-// (typically behind a pip.Cache) are the intended argument.
-func (d *Domain) UsePIP(p policy.Resolver) {
-	d.pipMu.Lock()
-	defer d.pipMu.Unlock()
-	d.pip = p
-}
-
-// currentPIP returns the attached information point, or nil.
-func (d *Domain) currentPIP() policy.Resolver {
-	d.pipMu.RLock()
-	defer d.pipMu.RUnlock()
-	return d.pip
 }
 
 // NewDomain builds a domain with a fresh CA (deterministic from the
@@ -358,20 +336,15 @@ var _ policy.Resolver = (*crossDomainResolver)(nil)
 
 func (r *crossDomainResolver) ResolveAttribute(ctx context.Context, req *policy.Request, cat policy.Category, name string) (policy.Bag, error) {
 	if cat != policy.CategorySubject || req == nil {
-		// Non-subject attributes never cross domains; the domain's own
-		// information point (if any) is their only source.
-		return r.localPIP(ctx, req, cat, name)
+		// Non-subject attributes never cross domains.
+		return nil, nil
 	}
 	home := ""
 	if bag, ok := req.Get(policy.CategorySubject, policy.AttrSubjectDomain); ok && !bag.Empty() {
 		home = bag[0].String()
 	}
 	if home == "" || home == r.local.Name {
-		bag, err := r.local.Directory.ResolveAttribute(ctx, req, cat, name)
-		if err != nil || !bag.Empty() {
-			return bag, err
-		}
-		return r.localPIP(ctx, req, cat, name)
+		return r.local.Directory.ResolveAttribute(ctx, req, cat, name)
 	}
 	vo := r.local.vo
 	if vo == nil {
@@ -412,14 +385,6 @@ func (r *crossDomainResolver) ResolveAttribute(ctx context.Context, req *policy.
 		bag = append(bag, val)
 	}
 	return bag, nil
-}
-
-// localPIP consults the domain's attached information point, if any.
-func (r *crossDomainResolver) localPIP(ctx context.Context, req *policy.Request, cat policy.Category, name string) (policy.Bag, error) {
-	if p := r.local.currentPIP(); p != nil {
-		return p.ResolveAttribute(ctx, req, cat, name)
-	}
-	return nil, nil
 }
 
 // --- the pull flow ---

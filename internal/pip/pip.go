@@ -397,8 +397,8 @@ func NewCache(inner Provider, ttl time.Duration, maxItems int) *Cache {
 // NewCachedChain builds the standard information-point stack: the
 // providers chained in order behind a TTL cache that coalesces concurrent
 // misses. ttl <= 0 defaults to one minute. This is the recipe the
-// decision pipeline wires into engines (pdp.WithResolver) and domains
-// (federation.Domain.UsePIP) for live attribute resolution.
+// decision pipeline wires into engines (pdp.WithResolver) for live
+// attribute resolution.
 func NewCachedChain(name string, ttl time.Duration, providers ...Provider) *Cache {
 	if ttl <= 0 {
 		ttl = time.Minute

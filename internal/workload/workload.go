@@ -157,7 +157,7 @@ func (g *Generator) Directory(name string) *pip.Directory {
 // InformationPoints builds the standard PIP stack for the cold-subject
 // scenario: the directory population behind a TTL cache that coalesces
 // concurrent misses (pip.NewCachedChain), ready to hand to
-// pdp.WithResolver (or a domain's UsePIP).
+// pdp.WithResolver.
 func (g *Generator) InformationPoints(name string, ttl time.Duration) *pip.Cache {
 	return pip.NewCachedChain(name, ttl, g.Directory(name+"-idp"))
 }
