@@ -84,10 +84,6 @@ func (c *chaosAdmin) targets(req chaosRequest) ([]*ha.Failable, error) {
 
 // ServeHTTP: GET returns the fault state; POST applies one injection.
 func (c *chaosAdmin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if c.router == nil {
-		http.Error(w, "chaos injection needs cluster mode (-shards/-replicas > 1); kill the process for single-engine chaos", http.StatusServiceUnavailable)
-		return
-	}
 	switch r.Method {
 	case http.MethodGet:
 		c.respondState(w)

@@ -9,23 +9,24 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
 // chaosFixture builds a 2x2 cluster serving the workload base and the
 // /admin/chaos handler over it.
-func chaosFixture(t *testing.T) (*chaosAdmin, decisionPoint) {
+func chaosFixture(t *testing.T) (*chaosAdmin, *cluster.Router) {
 	t.Helper()
-	point, _, router, err := buildDecisionPoint(0, 2, 2, "failover", nil, nil, nil)
+	router, err := buildDecisionPoint(0, 2, 2, "failover", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := workload.NewGenerator(workload.Config{Users: 10, Resources: 16, Roles: 4})
-	if err := point.SetRoot(gen.PolicyBase("root")); err != nil {
+	if err := router.SetRoot(gen.PolicyBase("root")); err != nil {
 		t.Fatal(err)
 	}
-	return &chaosAdmin{router: router}, point
+	return &chaosAdmin{router: router}, router
 }
 
 func postChaos(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
@@ -115,14 +116,5 @@ func TestChaosEndpointStallAndBadRequests(t *testing.T) {
 	}
 	if rec := postChaos(t, h, `not json`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad body: %d", rec.Code)
-	}
-}
-
-func TestChaosEndpointNeedsCluster(t *testing.T) {
-	h := &chaosAdmin{router: nil} // single-engine mode
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/admin/chaos", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("single-engine chaos: %d, want 503", rec.Code)
 	}
 }

@@ -7,11 +7,11 @@
 // include CacheEntries, the live decision-cache occupancy summed across
 // cache shards), so polling /stats never stalls the decision hot path.
 //
-// With -shards > 1 the daemon runs a sharded cluster instead of a single
-// engine: the policy base is partitioned across shard groups by a
-// consistent-hash ring over resource keys, and each shard is replicated
-// -replicas ways under the chosen -strategy, so decisions survive replica
-// crashes. The endpoints are identical in both modes.
+// The daemon always serves a cluster.Router: the policy base is
+// partitioned across -shards shard groups by a consistent-hash ring over
+// resource keys, and each shard is replicated -replicas ways under the
+// chosen -strategy, so decisions survive replica crashes. The defaults,
+// one shard of one replica, route every decision to one engine.
 //
 // The daemon administers policy live: the loaded file seeds an in-process
 // Policy Administration Point, and /admin/policy accepts writes while
@@ -19,9 +19,9 @@
 // body; DELETE ?id=... removes one. Each change propagates through the
 // incremental delta pipeline — only the affected root child is patched and
 // only its resource keys' cached decisions are invalidated, on only the
-// owning shard group(s) in cluster mode — so policy churn does not flush
-// the decision caches or stall the hot path. Root children are kept in
-// policy-ID order, the administration pipeline's deterministic ordering.
+// owning shard group(s) — so policy churn does not flush the decision
+// caches or stall the hot path. Root children are kept in policy-ID order,
+// the administration pipeline's deterministic ordering.
 // Refresh failures are counted in /stats as refresh_errors.
 //
 // Admin writes pass through the static policy lint gate (-policy-lint):
@@ -38,10 +38,10 @@
 // The resilience layer is opt-in per mechanism. -breaker arms per-shard
 // circuit breakers (a dead shard group fails fast instead of burning every
 // caller's deadline budget); -stale-grace places the one last-known-good
-// layer over the decision point, in either mode (an Indeterminate — open
-// breaker, replicas down, dead PIP — is answered for warm keys with their
-// last conclusive decision, marked degraded and audit-logged, while cold
-// keys fail closed; every admin write retires the remembered decisions);
+// layer over the decision point (an Indeterminate — open breaker,
+// replicas down, dead PIP — is answered for warm keys with their last
+// conclusive decision, marked degraded and audit-logged, while cold keys
+// fail closed; every admin write retires the remembered decisions);
 // -hedge-after arms hedged replica failover for every decision, single or
 // batch; and -admission arms adaptive (AIMD) admission control at ingress,
 // shedding excess decision traffic with 503 + Retry-After while the admin
@@ -90,16 +90,6 @@ import (
 	"repro/internal/xacml"
 )
 
-// decisionPoint is the deployment-independent surface pdpd serves: a
-// single pdp.Engine or a cluster.Router. Decisions carry the request
-// context wire.HTTPHandler arms from the envelope's deadline budget, so a
-// remote caller's deadline bounds the work this daemon does for it.
-type decisionPoint interface {
-	policy.Decider
-	ApplyUpdate(u pdp.Update) error
-	SetRoot(root policy.Evaluable) error
-}
-
 // Trace retention and breaker sensitivity: no deployment or harness has
 // needed other values.
 const (
@@ -112,20 +102,20 @@ func main() {
 	policyPath := flag.String("policy", "", "policy file (XML or JSON)")
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheTTL := flag.Duration("cache", 0, "decision cache TTL (0 disables)")
-	shards := flag.Int("shards", 1, "shard count; > 1 serves a consistent-hash cluster")
-	replicas := flag.Int("replicas", 1, "replicas per shard group (cluster mode)")
+	shards := flag.Int("shards", 1, "shard groups of the consistent-hash cluster")
+	replicas := flag.Int("replicas", 1, "replicas per shard group")
 	strategy := flag.String("strategy", "failover", "shard replication strategy: failover or quorum")
 	dataDir := flag.String("data-dir", "", "durable policy store directory (empty runs in-memory only)")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot/compact cycles (persistence mode)")
 	traceSample := flag.Float64("trace-sample", 0.01, "decision-trace head-sampling fraction in [0,1]; slow and Indeterminate traces are always kept")
 	subjectsPath := flag.String("subjects", "", "subject directory JSON file wired (behind a coalescing cache) as the engines' PIP resolver")
 	policyLint := flag.String("policy-lint", "warn", "static policy lint gate on /admin/policy: off, warn, or strict (strict rejects writes introducing blocking findings, fail-closed)")
-	chaosFlag := flag.Bool("chaos", false, "expose /admin/chaos fault injection (replica crash/revive/stall; cluster mode only) — load/chaos harness use, never production")
+	chaosFlag := flag.Bool("chaos", false, "expose /admin/chaos fault injection (replica crash/revive/stall) — load/chaos harness use, never production")
 	debugAddr := flag.String("debug-addr", "", "optional pprof listen address (profiling stays off unless set)")
-	breakerFlag := flag.Bool("breaker", false, "arm per-shard circuit breakers (cluster mode): a shard group observed down fails fast instead of burning per-request deadline budget")
+	breakerFlag := flag.Bool("breaker", false, "arm per-shard circuit breakers: a shard group observed down fails fast instead of burning per-request deadline budget")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-state cooldown before a single half-open probe is admitted")
 	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it is no older than this and no policy write came since (0 fails closed instead)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a shard group's silent preferred replica onto the rest of its chain after this delay, single and batch decisions alike (cluster mode; 0 disables)")
+	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a shard group's silent preferred replica onto the rest of its chain after this delay, single and batch decisions alike (0 disables)")
 	admissionLimit := flag.Int("admission", 0, "adaptive (AIMD) admission control: initial concurrency limit for decision traffic, shed with 503 + Retry-After beyond it; admin/health/metrics are never shed (0 disables)")
 	flag.Parse()
 
@@ -192,7 +182,7 @@ func main() {
 		resolver = cache
 		log.Printf("pdpd: %d subjects loaded from %s", dir.Len(), *subjectsPath)
 	}
-	point, stats, router, err := buildDecisionPoint(*cacheTTL, *shards, *replicas, *strategy, resolver, resPolicy, reg)
+	router, err := buildDecisionPoint(*cacheTTL, *shards, *replicas, *strategy, resolver, resPolicy, reg)
 	if err != nil {
 		log.Fatalf("pdpd: %v", err)
 	}
@@ -200,7 +190,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("pdpd: %v", err)
 	}
-	adm, err := newAdmin(point, root, lg, lintMode, tracer, audit.NewLog(1024))
+	adm, err := newAdmin(router, root, lg, lintMode, tracer, audit.NewLog(1024))
 	if err != nil {
 		log.Fatalf("pdpd: %v", err)
 	}
@@ -214,11 +204,11 @@ func main() {
 			log.Printf("pdpd: policy lint (%s): %s", lintMode, sum)
 		}
 	}
-	// The handlers serve the point itself, or the one last-known-good
+	// The handlers serve the router itself, or the one last-known-good
 	// layer placed over it.
-	decide, decideBatch := pdp.Handler(point), pdp.BatchHandler(point)
+	decide, decideBatch := pdp.Handler(router), pdp.BatchHandler(router)
 	if *staleGrace > 0 {
-		stale := resilience.NewStaleCache(point, resPolicy)
+		stale := resilience.NewStaleCache(router, resPolicy)
 		stale.RegisterMetrics(reg)
 		// Every degraded serve is audited with the outage it papered over
 		// (the replaced Indeterminate's error), the cache key and the age.
@@ -260,14 +250,21 @@ func main() {
 	}
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		type pointStats struct {
+			Cluster cluster.Stats
+			Engines pdp.Stats
+			Shards  []string
+			Loads   []int64
+			Groups  map[string]ha.Stats
+		}
 		out := struct {
-			Point         any                         `json:"point"`
+			Point         pointStats                  `json:"point"`
 			Policies      int                         `json:"policies"`
 			RefreshErrors int64                       `json:"refresh_errors"`
 			Persistence   *store.Stats                `json:"persistence,omitempty"`
 			Admission     *resilience.AdmissionStats  `json:"admission,omitempty"`
 			Stale         *resilience.StaleCacheStats `json:"stale,omitempty"`
-		}{Point: stats(), Policies: len(adm.store.List()), RefreshErrors: adm.refreshErrs.Load()}
+		}{Point: pointStats{router.Stats(), router.EngineStats(), router.Shards(), router.ShardLoads(), router.GroupStats()}, Policies: len(adm.store.List()), RefreshErrors: adm.refreshErrs.Load()}
 		if adm.stale != nil {
 			st := adm.stale.Stats()
 			out.Stale = &st
@@ -361,13 +358,11 @@ func admissionPriority(r *http.Request) resilience.Priority {
 	return resilience.Decision
 }
 
-// buildDecisionPoint assembles the decision point; the returned router is
-// non-nil only in cluster mode, where it additionally exposes the replica
+// buildDecisionPoint assembles the router pdpd serves, whose replica
 // handles /admin/chaos injects faults through. A non-nil res arms the
 // router's per-shard breakers and hedging; its StaleGrace is applied by
-// the caller, which places one resilience.StaleCache over the point in
-// either mode.
-func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (decisionPoint, func() any, *cluster.Router, error) {
+// the caller, which places one resilience.StaleCache over the router.
+func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (*cluster.Router, error) {
 	var opts []pdp.Option
 	if cacheTTL > 0 {
 		opts = append(opts, pdp.WithDecisionCache(cacheTTL, 0))
@@ -375,15 +370,6 @@ func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy s
 	if resolver != nil {
 		opts = append(opts, pdp.WithResolver(resolver))
 	}
-
-	if shards <= 1 && replicas <= 1 {
-		engine := pdp.New("pdpd", opts...)
-		if reg != nil {
-			engine.RegisterMetrics(reg)
-		}
-		return engine, func() any { return engine.Stats() }, nil, nil
-	}
-
 	var strat ha.Strategy
 	switch strategy {
 	case "failover":
@@ -391,7 +377,7 @@ func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy s
 	case "quorum":
 		strat = ha.Quorum
 	default:
-		return nil, nil, nil, fmt.Errorf("unknown strategy %q (want failover or quorum)", strategy)
+		return nil, fmt.Errorf("unknown strategy %q (want failover or quorum)", strategy)
 	}
 	router, err := cluster.New("pdpd", cluster.Config{
 		Shards:        shards,
@@ -401,27 +387,19 @@ func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy s
 		Resilience:    res,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if reg != nil {
 		router.RegisterMetrics(reg)
 	}
-	return router, func() any {
-		return struct {
-			Cluster cluster.Stats
-			Engines pdp.Stats
-			Shards  []string
-			Loads   []int64
-			Groups  map[string]ha.Stats
-		}{router.Stats(), router.EngineStats(), router.Shards(), router.ShardLoads(), router.GroupStats()}
-	}, router, nil
+	return router, nil
 }
 
 // admin owns the daemon's Policy Administration Point and pushes its
 // updates into the decision point through the delta pipeline.
 type admin struct {
 	store     *pap.Store
-	point     decisionPoint
+	point     *cluster.Router
 	rootID    string
 	combining policy.Algorithm
 	// rootTarget and rootObligations are the loaded file root's own
@@ -463,7 +441,7 @@ type admin struct {
 // write after it are committed to the WAL before they are acknowledged. A
 // crash during the seed write may leave a prefix of it durable; the next
 // start seeds the rest.
-func newAdmin(point decisionPoint, root policy.Evaluable, lg *store.Log, lint analysis.Mode, tracer *trace.Tracer, auditLog *audit.Log) (*admin, error) {
+func newAdmin(point *cluster.Router, root policy.Evaluable, lg *store.Log, lint analysis.Mode, tracer *trace.Tracer, auditLog *audit.Log) (*admin, error) {
 	a := &admin{
 		store: pap.NewStore("pdpd"), point: point,
 		rootID: "pdpd-root", combining: policy.DenyOverrides,

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/audit"
+	"repro/internal/cluster"
 	"repro/internal/policy"
 	"repro/internal/resilience"
 	"repro/internal/trace"
@@ -20,7 +21,7 @@ import (
 
 // testAdmin builds an admin the way main() does, with an in-memory store
 // and the given lint mode.
-func testAdmin(t *testing.T, point decisionPoint, root policy.Evaluable, mode analysis.Mode) *admin {
+func testAdmin(t *testing.T, point *cluster.Router, root policy.Evaluable, mode analysis.Mode) *admin {
 	t.Helper()
 	adm, err := newAdmin(point, root, nil, mode, trace.NewTracer(trace.Options{}), audit.NewLog(64))
 	if err != nil {
@@ -48,7 +49,7 @@ func testBase(resources int) *policy.PolicySet {
 // obligations) must keep gating applicability after the store reassembles
 // the root, and across live updates.
 func TestAdminPreservesRootTarget(t *testing.T) {
-	point, _, _, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
+	point, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestAdminPolicyLintGate(t *testing.T) {
 	}
 
 	t.Run("strict-rejects", func(t *testing.T) {
-		point, _, _, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
+		point, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestAdminPolicyLintGate(t *testing.T) {
 	})
 
 	t.Run("warn-reports", func(t *testing.T) {
-		point, _, _, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
+		point, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,8 +208,9 @@ func TestAdminPolicyLintGate(t *testing.T) {
 	})
 }
 
-// TestAdminLiveUpdates drives the daemon's live-administration pipeline in
-// both deployment modes: policies posted to /admin/policy change decisions
+// TestAdminLiveUpdates drives the daemon's live-administration pipeline on
+// the default one-shard, one-replica router (one engine) and on a 4x2
+// cluster: policies posted to /admin/policy change decisions
 // without a restart, deletes revoke, and updates flow through the delta
 // path rather than a rebuild.
 func TestAdminLiveUpdates(t *testing.T) {
@@ -220,7 +222,7 @@ func TestAdminLiveUpdates(t *testing.T) {
 		{"4-shard-cluster", 4, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			point, _, _, err := buildDecisionPoint(time.Hour, tc.shards, tc.replicas, "failover", nil, nil, nil)
+			point, err := buildDecisionPoint(time.Hour, tc.shards, tc.replicas, "failover", nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,13 +285,13 @@ func TestAdminLiveUpdates(t *testing.T) {
 // permission revoked over /admin/policy cannot be served stale through a
 // later outage — while a decision made after the write still can.
 func TestAdminWriteRetiresStaleDecisions(t *testing.T) {
-	point, _, router, err := buildDecisionPoint(0, 1, 2, "failover", nil,
+	router, err := buildDecisionPoint(0, 1, 2, "failover", nil,
 		&resilience.Policy{Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Minute}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := resilience.NewStaleCache(point, &resilience.Policy{StaleGrace: time.Minute})
-	adm := testAdmin(t, point, testBase(2), analysis.ModeOff)
+	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: time.Minute})
+	adm := testAdmin(t, router, testBase(2), analysis.ModeOff)
 	adm.stale = stale
 	revoked := policy.NewAccessRequest("u", "res-0", "read")
 	kept := policy.NewAccessRequest("u", "res-1", "read")

@@ -38,10 +38,13 @@ func rolePolicy() *policy.PolicySet {
 }
 
 // TestDaemonObservabilitySurface assembles the daemon's serving surface the
-// way main() does — engine with a subjects-file PIP, wire handler with a
-// tracer, /metrics and /debug/traces on the mux — and checks one decision
-// shows up on every exposition: the decision counters, the PIP counters,
-// and a retained trace whose spans cover the wire and evaluation layers.
+// way main() does — a 2x2 router (bench's shape) with a subjects-file PIP,
+// wire handler with a tracer, /metrics and /debug/traces on the mux — and
+// checks one decision shows up on every exposition: the decision counters
+// summed over the router's engines, the per-engine epoch, the PIP
+// counters, and a retained trace whose spans cover the wire and
+// evaluation layers. A routed single decision traces like a single one: a
+// pdp.eval span carrying the outcome, no pdp.batch.
 func TestDaemonObservabilitySurface(t *testing.T) {
 	subjectsPath := filepath.Join(t.TempDir(), "subjects.json")
 	err := os.WriteFile(subjectsPath,
@@ -61,7 +64,7 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	reg.RegisterGoGC()
 	cache := pip.NewCachedChain("pdpd-pip", time.Minute, dir)
 	cache.RegisterMetrics(reg)
-	point, _, _, err := buildDecisionPoint(time.Minute, 1, 1, "failover", cache, nil, reg)
+	point, err := buildDecisionPoint(time.Minute, 2, 2, "failover", cache, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,10 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	for _, want := range []string{
 		`repro_pdp_decisions_total{outcome="permit"} 1`,
 		"repro_pdp_evaluations_total 1",
+		"repro_pdp_compiled_evaluations_total 1",
 		"repro_pdp_fallback_evaluations_total 0",
+		`repro_pdp_epoch{engine="pdpd/shard-0/r0"} 1`,
+		`repro_pdp_epoch{engine="pdpd/shard-1/r1"} 1`,
 		"repro_pip_cache_misses_total 1",
 		"repro_trace_started_total 1",
 		`repro_trace_kept_total{cause="sampled"} 1`,
@@ -144,11 +150,24 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	spanNames := make(map[string]bool, len(rec.Spans))
 	for _, sp := range rec.Spans {
 		spanNames[sp.Name] = true
+		if sp.Name != "pdp.eval" {
+			continue
+		}
+		attrs := make(map[string]string, len(sp.Attrs))
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["pdp.decision"] != policy.DecisionPermit.String() || attrs["pdp.cache"] != "miss" {
+			t.Errorf("pdp.eval attrs = %v, want pdp.decision=%s pdp.cache=miss", attrs, policy.DecisionPermit)
+		}
 	}
-	for _, want := range []string{"pdp.eval", "pip.fetch"} {
+	for _, want := range []string{"cluster.shard", "pdp.eval", "pip.fetch"} {
 		if !spanNames[want] {
 			t.Errorf("trace spans %v missing %q", keys(spanNames), want)
 		}
+	}
+	if spanNames["pdp.batch"] {
+		t.Errorf("trace spans %v: a single decision opened a pdp.batch span", keys(spanNames))
 	}
 }
 

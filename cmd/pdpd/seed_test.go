@@ -173,7 +173,7 @@ func BenchmarkColdStart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		point, _, _, err := buildDecisionPoint(5*time.Minute, 2, 2, "failover", nil, nil, nil)
+		point, err := buildDecisionPoint(5*time.Minute, 2, 2, "failover", nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

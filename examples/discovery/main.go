@@ -84,7 +84,7 @@ func main() {
 		if role != "" {
 			req.Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String(role))
 		}
-		res := client.DecideAt(context.Background(), req, epoch.Add(time.Hour))
+		res := policy.Decide(context.Background(), client, req, epoch.Add(time.Hour))
 		fmt.Printf("%-34s -> %-13s (decided by %s)\n", label, res.Decision, orDash(res.By))
 	}
 

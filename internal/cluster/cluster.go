@@ -577,7 +577,7 @@ func (r *Router) scatterLocked(ctx context.Context, reqs []*policy.Request, posi
 	r.stats.batchRequests.Add(int64(n))
 	if err := ctx.Err(); err != nil {
 		res := r.ctxDone(err)
-		eachPosition(len(reqs), positions, func(p int) { out[p] = res })
+		policy.EachPosition(len(reqs), positions, func(p int) { out[p] = res })
 		return
 	}
 	// Group request positions by shard ordinal: a slice walk, not a map,
@@ -585,7 +585,7 @@ func (r *Router) scatterLocked(ctx context.Context, reqs []*policy.Request, posi
 	groups := make([][]int, len(r.order))
 	byOrd := r.byOrd
 	live := 0
-	eachPosition(len(reqs), positions, func(p int) {
+	policy.EachPosition(len(reqs), positions, func(p int) {
 		s := r.shardForLocked(reqs[p])
 		if s == nil {
 			out[p] = r.noShards()
@@ -643,20 +643,6 @@ func (r *Router) scatterLocked(ctx context.Context, reqs []*policy.Request, posi
 		}()
 	}
 	wg.Wait()
-}
-
-// eachPosition visits every selected request position (positions nil
-// means all n).
-func eachPosition(n int, positions []int, visit func(p int)) {
-	if positions == nil {
-		for p := 0; p < n; p++ {
-			visit(p)
-		}
-		return
-	}
-	for _, p := range positions {
-		visit(p)
-	}
 }
 
 // onePosition selects the only request of a single decision's scatter.

@@ -72,7 +72,8 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 
 // TestTracedDecideRecordsShard: a traced single decision takes the batch
 // path's per-shard dispatch, so its trace names the shard that decided it
-// (a one-position cluster.shard span over a one-position pdp.batch).
+// (a one-position cluster.shard span), and the engine traces it as a
+// single decision: a pdp.eval span with its outcome, no pdp.batch.
 func TestTracedDecideRecordsShard(t *testing.T) {
 	_, router, gen := fixture(t, Config{Shards: 4}, 200)
 	req := gen.NextRequest()
@@ -82,7 +83,7 @@ func TestTracedDecideRecordsShard(t *testing.T) {
 	}
 	tracer := trace.NewTracer(trace.Options{Sample: 1})
 	ctx, root := tracer.StartRoot(context.Background(), "test")
-	policy.Decide(ctx, router, req, testEpoch)
+	want := policy.Decide(ctx, router, req, testEpoch)
 	root.End()
 
 	recs := tracer.Recent(1)
@@ -99,8 +100,11 @@ func TestTracedDecideRecordsShard(t *testing.T) {
 	if got := attrs["cluster.shard"]; got["cluster.shard"] != owner || got["batch.n"] != "1" {
 		t.Fatalf("cluster.shard span attrs = %v, want cluster.shard=%s batch.n=1 (spans: %v)", got, owner, attrs)
 	}
-	if got := attrs["pdp.batch"]; got["batch.n"] != "1" {
-		t.Fatalf("pdp.batch span attrs = %v, want batch.n=1 (spans: %v)", got, attrs)
+	if got := attrs["pdp.eval"]; got["pdp.decision"] != want.Decision.String() || got["pdp.cache"] != "off" || got["pdp.engine"] == "" {
+		t.Fatalf("pdp.eval span attrs = %v, want pdp.decision=%s pdp.cache=off and the engine (spans: %v)", got, want.Decision, attrs)
+	}
+	if _, ok := attrs["pdp.batch"]; ok {
+		t.Fatalf("a single decision opened a pdp.batch span (spans: %v)", attrs)
 	}
 	if st := router.Stats(); st.Requests != 1 || st.Batches != 0 {
 		t.Fatalf("stats = %+v, want one single decision and no batch", st)

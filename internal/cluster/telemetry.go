@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"repro/internal/pdp"
 	"repro/internal/telemetry"
 )
 
-// RegisterMetrics exposes router and per-shard activity on the registry
-// and enables per-shard decision-latency observation (two clock reads per
-// routed decision; the path stays lock-free and allocation-free).
+// RegisterMetrics exposes router and per-shard activity on the registry,
+// with the repro_pdp_* families over every replica engine
+// (pdp.RegisterMetrics), and enables per-shard decision-latency
+// observation (two clock reads per routed decision; the path stays
+// lock-free and allocation-free).
 //
 // Per-shard families are collected dynamically: the collectors walk the
 // live shard list at scrape time, so AddShard/RemoveShard membership
@@ -69,29 +72,6 @@ func (r *Router) RegisterMetrics(reg *telemetry.Registry) {
 			}
 			return out
 		})
-	reg.Register("repro_pdp_decisions_total",
-		"Decisions by outcome, aggregated across every shard engine.",
-		telemetry.KindCounter, func() []telemetry.Sample {
-			st := r.EngineStats()
-			return []telemetry.Sample{
-				{Labels: []telemetry.Label{telemetry.L("outcome", "permit")}, Value: float64(st.Permits)},
-				{Labels: []telemetry.Label{telemetry.L("outcome", "deny")}, Value: float64(st.Denies)},
-				{Labels: []telemetry.Label{telemetry.L("outcome", "not_applicable")}, Value: float64(st.NotApplicables)},
-				{Labels: []telemetry.Label{telemetry.L("outcome", "indeterminate")}, Value: float64(st.Indeterminates)},
-			}
-		})
-	reg.CounterFunc("repro_pdp_evaluations_total",
-		"Decisions computed by the shard engines (cache misses included).",
-		func() int64 { return r.EngineStats().Evaluations })
-	reg.CounterFunc("repro_pdp_cache_hits_total",
-		"Decisions served from the shard engines' decision caches.",
-		func() int64 { return r.EngineStats().CacheHits })
-	reg.GaugeFunc("repro_pdp_cache_entries",
-		"Live decision-cache occupancy summed across shard engines.",
-		func() int64 { return r.EngineStats().CacheEntries })
-	reg.CounterFunc("repro_pdp_fallback_evaluations_total",
-		"Compiled evaluations that ran at least one root child in the interpreter, summed across shard engines.",
-		func() int64 { return r.EngineStats().FallbackEvaluations })
 	reg.Register("repro_cluster_shard_failovers_total",
 		"Failover reroutes per shard group.",
 		telemetry.KindCounter, func() []telemetry.Sample {
@@ -166,5 +146,6 @@ func (r *Router) RegisterMetrics(reg *telemetry.Registry) {
 			}
 			return out
 		})
+	pdp.RegisterMetrics(reg, r.engines)
 	r.metricsOn.Store(true)
 }

@@ -1,0 +1,78 @@
+package cluster
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/telemetry"
+)
+
+// TestRouterPDPFamiliesGolden pins the repro_pdp_* families a router
+// exposes: exactly these sixteen, each with its kind and help text, and
+// the per-engine ones labelled by engine. pdp.RegisterMetrics defines
+// them once; a family renamed, dropped, added or redefined elsewhere
+// fails here.
+func TestRouterPDPFamiliesGolden(t *testing.T) {
+	golden := map[string]string{
+		"repro_pdp_cache_entries":                 "gauge Decisions currently cached, summed across cache shards.",
+		"repro_pdp_cache_hits_total":              "counter Decisions served from the decision cache.",
+		"repro_pdp_cache_invalidations_total":     "counter Cached decisions dropped by live policy updates.",
+		"repro_pdp_compile_ns":                    "histogram Policy-base compilation latency (full and delta compiles), per engine.",
+		"repro_pdp_compiled_children":             "gauge Direct root children lowered by the compiler in the current programs.",
+		"repro_pdp_compiled_evaluations_total":    "counter Evaluations answered by the compiled decision program.",
+		"repro_pdp_compiles_total":                "counter Policy-base compilations (full on SetRoot, delta on ApplyUpdate).",
+		"repro_pdp_decisions_total":               "counter Decisions returned, by outcome (cache hits included).",
+		"repro_pdp_epoch":                         "gauge Policy snapshot epoch (bumps on installs, patches and flushes), per engine.",
+		"repro_pdp_evaluations_total":             "counter Full policy evaluations (decision cache misses).",
+		"repro_pdp_fallback_evaluations_total":    "counter Compiled evaluations that ran at least one root child in the interpreter.",
+		"repro_pdp_indexed_candidates_total":      "counter Sum of candidate-set sizes the compiled program considered.",
+		"repro_pdp_interpreted_evaluations_total": "counter Evaluations answered by the interpreter (uncompilable root, no program).",
+		"repro_pdp_max_candidates":                "gauge Largest candidate set a single evaluation considered.",
+		"repro_pdp_root_children":                 "gauge Direct root children in the current compiled programs.",
+		"repro_pdp_updates_total":                 "counter Incremental root patches applied.",
+	}
+	_, router, _ := fixture(t, Config{Shards: 2, Replicas: 2}, 20)
+	reg := telemetry.NewRegistry()
+	router.RegisterMetrics(reg)
+	out := reg.Render()
+
+	help := make(map[string]string)
+	kind := make(map[string]string)
+	for _, line := range strings.Split(out, "\n") {
+		var into map[string]string
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			into = help
+		case strings.HasPrefix(line, "# TYPE "):
+			into = kind
+		default:
+			continue
+		}
+		if name, text, _ := strings.Cut(line[len("# HELP "):], " "); strings.HasPrefix(name, "repro_pdp_") {
+			into[name] = text
+		}
+	}
+	if len(help) != len(golden) {
+		t.Errorf("router exposes %d repro_pdp_* families, want %d", len(help), len(golden))
+	}
+	for name, want := range golden {
+		if got := kind[name] + " " + help[name]; got != want {
+			t.Errorf("%s: got %q, want %q", name, got, want)
+		}
+	}
+	for name := range help {
+		if _, ok := golden[name]; !ok {
+			t.Errorf("unexpected family %s", name)
+		}
+	}
+	for _, engine := range []string{"c/shard-0/r0", "c/shard-0/r1", "c/shard-1/r0", "c/shard-1/r1"} {
+		for _, series := range []string{
+			`repro_pdp_epoch{engine="` + engine + `"} 1`,
+			`repro_pdp_compile_ns_count{engine="` + engine + `"} 1`,
+		} {
+			if !strings.Contains(out, "\n"+series+"\n") {
+				t.Errorf("exposition missing %s", series)
+			}
+		}
+	}
+}

@@ -183,39 +183,22 @@ func remapPositions(positions []int, pos, delta int, owns bool) []int {
 	return next
 }
 
-// EngineStats sums replica engine counters across every shard group: the
-// cluster-wide view of evaluations, cache hits and incremental updates the
-// churn experiment and benchmarks report. Each engine aggregates its own
-// atomic stat stripes (and cache-shard occupancy) at read time, so this
-// never pauses the decision hot path.
+// EngineStats sums replica engine counters across every shard group
+// (pdp.SumStats): the cluster-wide view of evaluations, cache hits and
+// incremental updates the churn experiment and benchmarks report. Each
+// engine aggregates its own atomic stat stripes (and cache-shard
+// occupancy) at read time, so this never pauses the decision hot path.
 func (r *Router) EngineStats() pdp.Stats {
+	return pdp.SumStats(r.engines())
+}
+
+// engines lists every replica engine, shard by shard in creation order.
+func (r *Router) engines() []*pdp.Engine {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var sum pdp.Stats
+	var out []*pdp.Engine
 	for _, s := range r.byOrd {
-		for _, engine := range s.engines {
-			st := engine.Stats()
-			sum.Evaluations += st.Evaluations
-			sum.CacheHits += st.CacheHits
-			sum.Permits += st.Permits
-			sum.Denies += st.Denies
-			sum.NotApplicables += st.NotApplicables
-			sum.Indeterminates += st.Indeterminates
-			sum.IndexedCandidates += st.IndexedCandidates
-			sum.Updates += st.Updates
-			sum.CacheInvalidations += st.CacheInvalidations
-			sum.CacheEntries += st.CacheEntries
-			sum.CompiledEvaluations += st.CompiledEvaluations
-			sum.InterpretedEvaluations += st.InterpretedEvaluations
-			sum.FallbackEvaluations += st.FallbackEvaluations
-			sum.Compiles += st.Compiles
-			sum.CompileNanos += st.CompileNanos
-			sum.CompiledChildren += st.CompiledChildren
-			sum.RootChildren += st.RootChildren
-			if st.MaxCandidates > sum.MaxCandidates {
-				sum.MaxCandidates = st.MaxCandidates
-			}
-		}
+		out = append(out, s.engines...)
 	}
-	return sum
+	return out
 }

@@ -26,7 +26,7 @@ func TestConcurrentDiscoveryUnderChurn(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < queries; i++ {
-				res := f.client.DecideAt(context.Background(), doctorReq("alice", "read"), at.Add(time.Duration(i)*time.Second))
+				res := policy.Decide(context.Background(), f.client, doctorReq("alice", "read"), at.Add(time.Duration(i)*time.Second))
 				switch res.Decision {
 				case policy.DecisionPermit:
 				case policy.DecisionIndeterminate:

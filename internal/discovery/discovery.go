@@ -162,7 +162,7 @@ type Stats struct {
 	Exhausted int64
 }
 
-// Client is a decision provider that discovers decision points of one
+// Client is a policy.Decider that discovers decision points of one
 // administrative authority and verifies their signed decisions.
 type Client struct {
 	net       *wire.Network
@@ -224,13 +224,24 @@ func (c *Client) reject(node string, err error) {
 	}
 }
 
-// DecideAt discovers a decision point of the client's authority and
-// returns its verified decision. Unreachable nodes fail over; responses
-// that do not verify are discarded; a ctx done between nodes stops the
-// walk — discovery does not keep shopping for a decision its caller can
-// no longer use. With no verifiable decision the result is Indeterminate
+// DecideScatterAt implements policy.Decider: each selected request (nil
+// positions means every request) is decided on its own by decide, at at
+// (zero: the current time). resolver is ignored, as pdp.Client ignores
+// it: the discovered decision point resolves attributes itself.
+func (c *Client) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, _ policy.Resolver, out []policy.Result) {
+	if at.IsZero() {
+		at = time.Now()
+	}
+	policy.EachPosition(len(reqs), positions, func(p int) { out[p] = c.decide(ctx, reqs[p], at) })
+}
+
+// decide discovers a decision point of the client's authority and returns
+// its verified decision. Unreachable nodes fail over; responses that do
+// not verify are discarded; a ctx done between nodes stops the walk —
+// discovery does not keep shopping for a decision its caller can no
+// longer use. With no verifiable decision the result is Indeterminate
 // carrying ErrNoDecisionPoint.
-func (c *Client) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
+func (c *Client) decide(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
 	c.count(func(s *Stats) { s.Queries++ })
 	entries := c.reg.Lookup(c.authority)
 	body, err := xacml.MarshalRequestJSON(req)

@@ -109,7 +109,7 @@ func doctorReq(subject, action string) *policy.Request {
 
 func TestSignedDecisionHappyPath(t *testing.T) {
 	f := newFixture(t)
-	res := f.client.DecideAt(context.Background(), doctorReq("alice", "read"), at)
+	res := policy.Decide(context.Background(), f.client, doctorReq("alice", "read"), at)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("decision = %v (%v), want Permit", res.Decision, res.Err)
 	}
@@ -117,7 +117,7 @@ func TestSignedDecisionHappyPath(t *testing.T) {
 		t.Errorf("decider = %q, want first registered node", res.By)
 	}
 	// A deny is a verified decision too, not a reason to shop around.
-	res = f.client.DecideAt(context.Background(), doctorReq("alice", "delete"), at)
+	res = policy.Decide(context.Background(), f.client, doctorReq("alice", "delete"), at)
 	if res.Decision != policy.DecisionDeny {
 		t.Fatalf("deny decision = %v, want Deny", res.Decision)
 	}
@@ -130,7 +130,7 @@ func TestSignedDecisionHappyPath(t *testing.T) {
 func TestFailoverToSecondNode(t *testing.T) {
 	f := newFixture(t)
 	f.net.SetNodeDown("pdp.med.1", true)
-	res := f.client.DecideAt(context.Background(), doctorReq("alice", "read"), at)
+	res := policy.Decide(context.Background(), f.client, doctorReq("alice", "read"), at)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("decision = %v (%v), want Permit via second node", res.Decision, res.Err)
 	}
@@ -146,7 +146,7 @@ func TestAllNodesDownFailsClosed(t *testing.T) {
 	f := newFixture(t)
 	f.net.SetNodeDown("pdp.med.1", true)
 	f.net.SetNodeDown("pdp.med.2", true)
-	res := f.client.DecideAt(context.Background(), doctorReq("alice", "read"), at)
+	res := policy.Decide(context.Background(), f.client, doctorReq("alice", "read"), at)
 	if res.Decision != policy.DecisionIndeterminate || !errors.Is(res.Err, ErrNoDecisionPoint) {
 		t.Fatalf("result = %+v, want Indeterminate/ErrNoDecisionPoint", res)
 	}
@@ -185,7 +185,7 @@ func TestRoguePDPIsRejected(t *testing.T) {
 
 	// mallory is no doctor: the rogue would permit her, the honest node
 	// denies. The verified outcome must be the honest deny.
-	res := client.DecideAt(context.Background(), policy.NewAccessRequest("mallory", "rec-7", "read"), at)
+	res := policy.Decide(context.Background(), client, policy.NewAccessRequest("mallory", "rec-7", "read"), at)
 	if res.Decision != policy.DecisionDeny {
 		t.Fatalf("decision = %v (%v), want honest Deny", res.Decision, res.Err)
 	}
@@ -222,7 +222,7 @@ func TestTamperedDecisionIsRejected(t *testing.T) {
 		}
 		return &wire.Envelope{Action: "pdp:signed-decision", Timestamp: env.Timestamp, Body: body}, nil
 	})
-	res := f.client.DecideAt(context.Background(), policy.NewAccessRequest("mallory", "rec-7", "read"), at)
+	res := policy.Decide(context.Background(), f.client, policy.NewAccessRequest("mallory", "rec-7", "read"), at)
 	// The tampered permit is discarded; the honest second node denies.
 	if res.Decision != policy.DecisionDeny {
 		t.Fatalf("decision = %v (%v), want Deny", res.Decision, res.Err)
@@ -260,7 +260,7 @@ func TestMisboundDecisionIsRejected(t *testing.T) {
 	var rejectErr error
 	client := NewClient(f.net, f.reg, f.root.Certificate(), "authority.med", "pep.ward",
 		WithRejectHook(func(_ string, err error) { rejectErr = err }))
-	res := client.DecideAt(context.Background(), doctorReq("alice", "read"), at)
+	res := policy.Decide(context.Background(), client, doctorReq("alice", "read"), at)
 	if res.Decision != policy.DecisionPermit || res.By != "pdp.med.2" {
 		t.Fatalf("decision = %v by %q, want Permit by pdp.med.2", res.Decision, res.By)
 	}
@@ -281,7 +281,7 @@ func TestExpiredDecisionIsRejected(t *testing.T) {
 	var rejectErr error
 	client := NewClient(f.net, f.reg, f.root.Certificate(), "authority.med", "pep.ward",
 		WithRejectHook(func(_ string, err error) { rejectErr = err }))
-	res := client.DecideAt(context.Background(), doctorReq("alice", "read"), at)
+	res := policy.Decide(context.Background(), client, doctorReq("alice", "read"), at)
 	if res.Decision != policy.DecisionPermit || res.By != "pdp.med.2" {
 		t.Fatalf("decision = %v by %q, want Permit by pdp.med.2", res.Decision, res.By)
 	}

@@ -132,7 +132,7 @@ func runDiscoveryConfig(down int, rogue bool) (*discoveryRow, error) {
 		if isDoctor {
 			req.Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String("doctor"))
 		}
-		res := client.DecideAt(context.Background(), req, epoch.Add(time.Duration(q)*time.Second))
+		res := policy.Decide(context.Background(), client, req, epoch.Add(time.Duration(q)*time.Second))
 		switch res.Decision {
 		case policy.DecisionPermit:
 			verified++

@@ -26,7 +26,7 @@ func (e *Ensemble) hedgedScatter(ctx context.Context, order []int, reqs []*polic
 		return done
 	}
 	keep := func(w walked, buf []policy.Result) walked {
-		eachPosition(len(reqs), positions, func(p int) { out[p] = buf[p] })
+		policy.EachPosition(len(reqs), positions, func(p int) { out[p] = buf[p] })
 		return w
 	}
 

@@ -18,22 +18,9 @@ func selected(reqs []*policy.Request, positions []int) int {
 	return len(positions)
 }
 
-// eachPosition visits every selected request position.
-func eachPosition(n int, positions []int, visit func(p int)) {
-	if positions == nil {
-		for p := 0; p < n; p++ {
-			visit(p)
-		}
-		return
-	}
-	for _, p := range positions {
-		visit(p)
-	}
-}
-
 // fill answers every selected position with res.
 func fill(reqs []*policy.Request, positions []int, out []policy.Result, res policy.Result) {
-	eachPosition(len(reqs), positions, func(p int) { out[p] = res })
+	policy.EachPosition(len(reqs), positions, func(p int) { out[p] = res })
 }
 
 // probe is the position checked to classify a replica's answer: replicas

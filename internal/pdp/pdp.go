@@ -153,6 +153,35 @@ type Stats struct {
 	RootChildren     int64
 }
 
+// SumStats adds up the engines' counters and gauges, MaxCandidates taking
+// the largest: the deployment-wide view the repro_pdp_* families and
+// cluster.Router.EngineStats report. A new Stats field is summed here.
+func SumStats(engines []*Engine) Stats {
+	var sum Stats
+	for _, e := range engines {
+		st := e.Stats()
+		sum.Evaluations += st.Evaluations
+		sum.CacheHits += st.CacheHits
+		sum.Permits += st.Permits
+		sum.Denies += st.Denies
+		sum.NotApplicables += st.NotApplicables
+		sum.Indeterminates += st.Indeterminates
+		sum.IndexedCandidates += st.IndexedCandidates
+		sum.Updates += st.Updates
+		sum.CacheInvalidations += st.CacheInvalidations
+		sum.CacheEntries += st.CacheEntries
+		sum.CompiledEvaluations += st.CompiledEvaluations
+		sum.InterpretedEvaluations += st.InterpretedEvaluations
+		sum.FallbackEvaluations += st.FallbackEvaluations
+		sum.MaxCandidates = max(sum.MaxCandidates, st.MaxCandidates)
+		sum.Compiles += st.Compiles
+		sum.CompileNanos += st.CompileNanos
+		sum.CompiledChildren += st.CompiledChildren
+		sum.RootChildren += st.RootChildren
+	}
+	return sum
+}
+
 // Option configures an Engine.
 type Option func(*Engine)
 
@@ -394,15 +423,7 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		return
 	}
 	fail := func(res policy.Result) {
-		if positions == nil {
-			for i := range out {
-				out[i] = res
-			}
-		} else {
-			for _, p := range positions {
-				out[p] = res
-			}
-		}
+		policy.EachPosition(len(reqs), positions, func(p int) { out[p] = res })
 	}
 	if err := ctx.Err(); err != nil {
 		fail(ctxResult(e.name, err))
@@ -417,15 +438,14 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		at = e.now()
 	}
 
-	// Tracing follows what the caller handed over. A call for a whole
-	// request list of one (positions nil) is a single decision: a hit
-	// annotates the caller's span, a miss opens a pdp.eval span under which
-	// resolver fetches nest. Any other call, a selection of positions
-	// included (a router's shard group, even a group of one), is a batch
-	// covered by one pdp.batch span, so a traced batch costs one span, not
-	// one per request.
+	// Tracing follows how many positions the call selects. One position is
+	// a single decision, whoever sent it (a caller's Decide, a router's
+	// shard group of one): a hit annotates the caller's span, a miss opens
+	// a pdp.eval span under which resolver fetches nest. More positions are
+	// a batch covered by one pdp.batch span, so a traced batch costs one
+	// span, not one per request.
 	sp := trace.FromContext(ctx)
-	single := positions == nil && len(reqs) == 1
+	single := n == 1
 	var batchSpan *trace.Span
 	if sp != nil && !single {
 		ctx, batchSpan = trace.StartSpan(ctx, "pdp.batch")
@@ -434,19 +454,11 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		batchSpan.SetInt("batch.n", int64(n))
 		defer func() {
 			indeterminate := 0
-			if positions == nil {
-				for i := range out {
-					if out[i].Decision == policy.DecisionIndeterminate {
-						indeterminate++
-					}
+			policy.EachPosition(len(reqs), positions, func(p int) {
+				if out[p].Decision == policy.DecisionIndeterminate {
+					indeterminate++
 				}
-			} else {
-				for _, p := range positions {
-					if out[p].Decision == policy.DecisionIndeterminate {
-						indeterminate++
-					}
-				}
-			}
+			})
 			if indeterminate > 0 {
 				batchSpan.SetInt("batch.indeterminate", int64(indeterminate))
 				batchSpan.Keep()

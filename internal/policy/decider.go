@@ -41,6 +41,20 @@ func Decide(ctx context.Context, d Decider, req *Request, at time.Time) Result {
 	return one.out[0]
 }
 
+// EachPosition visits every request position a scatter call selects:
+// positions, or 0..n-1 when positions is nil.
+func EachPosition(n int, positions []int, visit func(p int)) {
+	if positions == nil {
+		for p := 0; p < n; p++ {
+			visit(p)
+		}
+		return
+	}
+	for _, p := range positions {
+		visit(p)
+	}
+}
+
 // DecideBatch asks d for every request in one call at `at` (zero: d's
 // clock); result i answers request i. An empty batch returns nil.
 func DecideBatch(ctx context.Context, d Decider, reqs []*Request, at time.Time) []Result {

@@ -151,6 +151,10 @@ func HTTPHandler(h Handler, opts ...HTTPOption) http.Handler {
 	})
 }
 
+// defaultHTTPClient serves every HTTPClient without its own Client. It
+// holds no per-call state, so one value is shared.
+var defaultHTTPClient = &http.Client{Timeout: 10 * time.Second}
+
 // HTTPClient sends envelopes to a remote envelope endpoint.
 type HTTPClient struct {
 	// Endpoint is the full URL of the envelope endpoint.
@@ -191,7 +195,7 @@ func (c *HTTPClient) Send(ctx context.Context, env *Envelope) (*Envelope, error)
 	}
 	httpClient := c.Client
 	if httpClient == nil {
-		httpClient = &http.Client{Timeout: 10 * time.Second}
+		httpClient = defaultHTTPClient
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(data))
 	if err != nil {

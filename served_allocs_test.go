@@ -114,7 +114,7 @@ func TestServedDecisionAllocs(t *testing.T) {
 		{"single/miss", single, batch, 1, false, 28, 5000},
 		{"batch/hit", batch, batch, 64, true, 7, 1150},
 		{"batch/miss", batch, batch, 64, false, 10.5, 2100},
-		{"traced/single/hit", tracedSingle, tracedBatch, 1, true, 45, 3850},
+		{"traced/single/hit", tracedSingle, tracedBatch, 1, true, 40, 3850},
 		{"traced/single/miss", tracedSingle, tracedBatch, 1, false, 49, 6200},
 		{"traced/batch/hit", tracedBatch, tracedBatch, 64, true, 7.5, 1200},
 		{"traced/batch/miss", tracedBatch, tracedBatch, 64, false, 11, 2150},

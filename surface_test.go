@@ -13,26 +13,24 @@ import (
 
 // TestDecisionSurface pins the decision surface of the production code
 // under internal/ and cmd/: policy.Decider is the one interface declaring
-// a Decide* method (pdpd's decisionPoint embeds it), and these are the only
-// Decide* methods. Every provider has one body, DecideScatterAt. The six
-// other methods of the six provider types are one-call wrappers kept
-// because bench/ladder.go, frozen as the benchmark yardstick, calls them;
-// nothing outside bench/ calls them:
+// or embedding a Decide* method, and these are the only Decide* methods.
+// Every provider has one body, DecideScatterAt. The six other methods, on
+// three of the seven provider types, are one-call wrappers kept because
+// bench/ladder.go, frozen as the benchmark yardstick, calls them; nothing
+// outside bench/ calls them:
 //
 //	cluster.Router.Decide, DecideBatch   ladder.go:218, 294–295
 //	pdp.Engine.DecideAt, DecideBatchAt   ladder.go:300–301
 //	ha.Ensemble.DecideAt, DecideBatchAt  ladder.go:304–305
 //
-// discovery.Client.DecideAt is the paper's discovery client, a different
-// contract (it shops registered decision points and verifies their signed
-// answers). A new Decide* method or interface fails this test: route the
-// decision through policy.Decider, policy.Decide or policy.DecideBatch.
+// A new Decide* method or interface fails this test: route the decision
+// through policy.Decider, policy.Decide or policy.DecideBatch.
 func TestDecisionSurface(t *testing.T) {
 	wantMethods := []string{
 		"internal/cluster.Router.Decide",
 		"internal/cluster.Router.DecideBatch",
 		"internal/cluster.Router.DecideScatterAt",
-		"internal/discovery.Client.DecideAt",
+		"internal/discovery.Client.DecideScatterAt",
 		"internal/ha.Ensemble.DecideAt",
 		"internal/ha.Ensemble.DecideBatchAt",
 		"internal/ha.Ensemble.DecideScatterAt",
@@ -44,7 +42,6 @@ func TestDecisionSurface(t *testing.T) {
 		"internal/resilience.StaleCache.DecideScatterAt",
 	}
 	wantInterfaces := []string{
-		"cmd/pdpd.decisionPoint (embeds policy.Decider)",
 		"internal/policy.Decider",
 	}
 
