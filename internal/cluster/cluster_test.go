@@ -70,44 +70,90 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// TestTracedDecideRecordsShard: a traced single decision takes the batch
-// path's per-shard dispatch, so its trace names the shard that decided it
-// (a one-position cluster.shard span), and the engine traces it as a
-// single decision: a pdp.eval span with its outcome, no pdp.batch.
+// TestTracedDecideRecordsShard: a traced decision takes the per-shard
+// dispatch, so its trace names the shard that decided it (a one-position
+// cluster.shard span), and the engine traces each one-position shard group
+// as a single decision: a pdp.eval span with its outcome, no pdp.batch.
+// That holds for a single decision and for a batch whose requests land on
+// different shards alike.
 func TestTracedDecideRecordsShard(t *testing.T) {
-	_, router, gen := fixture(t, Config{Shards: 4}, 200)
-	req := gen.NextRequest()
-	owner, ok := router.Owner(req.ResourceID())
-	if !ok {
-		t.Fatal("no owner")
-	}
-	tracer := trace.NewTracer(trace.Options{Sample: 1})
-	ctx, root := tracer.StartRoot(context.Background(), "test")
-	want := policy.Decide(ctx, router, req, testEpoch)
-	root.End()
+	for _, tc := range []struct {
+		name        string
+		n           int
+		wantBatches int64
+	}{
+		{"single", 1, 0},
+		{"batch-groups-of-one", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, router, gen := fixture(t, Config{Shards: 4}, 200)
+			// One request per owning shard, so every shard group holds one.
+			want := make(map[string]policy.Decision, tc.n)
+			var reqs []*policy.Request
+			for len(reqs) < tc.n {
+				req := gen.NextRequest()
+				owner, ok := router.Owner(req.ResourceID())
+				if !ok {
+					t.Fatal("no owner")
+				}
+				if _, dup := want[owner]; dup {
+					continue
+				}
+				want[owner] = policy.Decide(context.Background(), router, req, testEpoch).Decision
+				reqs = append(reqs, req)
+			}
+			before := router.Stats()
 
-	recs := tracer.Recent(1)
-	if len(recs) != 1 {
-		t.Fatalf("kept %d traces, want 1", len(recs))
-	}
-	attrs := make(map[string]map[string]string)
-	for _, sp := range recs[0].Spans {
-		attrs[sp.Name] = make(map[string]string, len(sp.Attrs))
-		for _, a := range sp.Attrs {
-			attrs[sp.Name][a.Key] = a.Value
-		}
-	}
-	if got := attrs["cluster.shard"]; got["cluster.shard"] != owner || got["batch.n"] != "1" {
-		t.Fatalf("cluster.shard span attrs = %v, want cluster.shard=%s batch.n=1 (spans: %v)", got, owner, attrs)
-	}
-	if got := attrs["pdp.eval"]; got["pdp.decision"] != want.Decision.String() || got["pdp.cache"] != "off" || got["pdp.engine"] == "" {
-		t.Fatalf("pdp.eval span attrs = %v, want pdp.decision=%s pdp.cache=off and the engine (spans: %v)", got, want.Decision, attrs)
-	}
-	if _, ok := attrs["pdp.batch"]; ok {
-		t.Fatalf("a single decision opened a pdp.batch span (spans: %v)", attrs)
-	}
-	if st := router.Stats(); st.Requests != 1 || st.Batches != 0 {
-		t.Fatalf("stats = %+v, want one single decision and no batch", st)
+			tracer := trace.NewTracer(trace.Options{Sample: 1})
+			ctx, root := tracer.StartRoot(context.Background(), "test")
+			if tc.n == 1 {
+				policy.Decide(ctx, router, reqs[0], testEpoch)
+			} else {
+				policy.DecideBatch(ctx, router, reqs, testEpoch)
+			}
+			root.End()
+
+			recs := tracer.Recent(1)
+			if len(recs) != 1 {
+				t.Fatalf("kept %d traces, want 1", len(recs))
+			}
+			shardOf := make(map[string]string) // cluster.shard span ID → shard
+			var evals []trace.SpanRecord
+			for _, sp := range recs[0].Spans {
+				attrs := make(map[string]string, len(sp.Attrs))
+				for _, a := range sp.Attrs {
+					attrs[a.Key] = a.Value
+				}
+				switch sp.Name {
+				case "cluster.shard":
+					if _, ok := want[attrs["cluster.shard"]]; !ok || attrs["batch.n"] != "1" {
+						t.Fatalf("cluster.shard span attrs = %v, want one of %v with batch.n=1", attrs, want)
+					}
+					shardOf[sp.ID] = attrs["cluster.shard"]
+				case "pdp.eval":
+					evals = append(evals, sp)
+				case "pdp.batch":
+					t.Fatalf("a one-position shard group opened a pdp.batch span (spans: %+v)", recs[0].Spans)
+				}
+			}
+			if len(shardOf) != tc.n || len(evals) != tc.n {
+				t.Fatalf("%d cluster.shard and %d pdp.eval spans, want %d each (spans: %+v)", len(shardOf), len(evals), tc.n, recs[0].Spans)
+			}
+			for _, sp := range evals {
+				attrs := make(map[string]string, len(sp.Attrs))
+				for _, a := range sp.Attrs {
+					attrs[a.Key] = a.Value
+				}
+				owner, ok := shardOf[sp.Parent]
+				if !ok || attrs["pdp.decision"] != want[owner].String() || attrs["pdp.cache"] != "off" || attrs["pdp.engine"] == "" {
+					t.Fatalf("pdp.eval span attrs = %v under shard %q, want pdp.decision=%s pdp.cache=off and the engine", attrs, owner, want[owner])
+				}
+			}
+			st := router.Stats()
+			if st.Requests-before.Requests != 1-tc.wantBatches || st.Batches-before.Batches != tc.wantBatches {
+				t.Fatalf("stats = %+v (before %+v), want %d batch(es) of %d", st, before, tc.wantBatches, tc.n)
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/pdp"
 	"repro/internal/policy"
 	"repro/internal/resilience"
+	"repro/internal/trace"
 )
 
 // dbReaders permits every request on resource "db".
@@ -349,6 +350,76 @@ func TestClusterHedgedBatch(t *testing.T) {
 				t.Fatalf("group stats = %+v, want hedges launched and won", gs)
 			}
 		})
+	}
+}
+
+// TestTracedHedgedDecision: a hedged decision's two walks run at once, so
+// each owns an ha.walk span and neither annotates the shared cluster.shard
+// span. The stalled primary is cached, so it answers from its own timer
+// after the router has returned and the trace was published; under -race
+// that late loser must touch no span but its own.
+func TestTracedHedgedDecision(t *testing.T) {
+	router, err := New("c", Config{
+		Shards: 1, Replicas: 2,
+		EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 64)},
+		Resilience:    &resilience.Policy{HedgeAfter: 5 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := router.SetRoot(resilienceRoot()); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := router.Replicas(router.Shards()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm both caches: the primary answers the first call and, with the
+	// primary down, the failover walk brings the second to the other.
+	req := policy.NewAccessRequest("alice", "db", "read")
+	policy.Decide(context.Background(), router, req, testEpoch)
+	reps[0].SetDown(true)
+	policy.Decide(context.Background(), router, req, testEpoch)
+	reps[0].SetDown(false)
+
+	reps[0].SetStall(100 * time.Millisecond)
+	tracer := trace.NewTracer(trace.Options{Sample: 1})
+	ctx, root := tracer.StartRoot(context.Background(), "test")
+	res := policy.Decide(ctx, router, req, testEpoch)
+	root.End()
+	if res.Decision != policy.DecisionPermit {
+		t.Fatalf("hedged decision = %+v, want Permit", res)
+	}
+	// Both replicas answer from cache: the hedge before the router
+	// returned, the stalled primary once its stall elapses.
+	for deadline := time.Now().Add(5 * time.Second); router.EngineStats().CacheHits < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine stats = %+v, want the stalled primary's cache hit", router.EngineStats())
+		}
+	}
+
+	recs := tracer.Recent(1)
+	if len(recs) != 1 {
+		t.Fatalf("kept %d traces, want 1", len(recs))
+	}
+	var shard, hedge map[string]string
+	for _, sp := range recs[0].Spans {
+		attrs := make(map[string]string, len(sp.Attrs))
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		switch {
+		case sp.Name == "cluster.shard":
+			shard = attrs
+		case sp.Name == "ha.walk" && attrs["ha.walk"] == "hedge":
+			hedge = attrs
+		}
+	}
+	if shard == nil || shard["pdp.decision"] != "" {
+		t.Fatalf("cluster.shard attrs = %v, want the span with no pdp.* annotation (spans: %+v)", shard, recs[0].Spans)
+	}
+	if hedge["pdp.decision"] != "Permit" || hedge["pdp.cache"] != "hit" {
+		t.Fatalf("hedge walk attrs = %v, want pdp.decision=Permit pdp.cache=hit (spans: %+v)", hedge, recs[0].Spans)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/trace"
 )
 
 // hedgedScatter is the failover dispatch with a hedge: the selection goes
@@ -14,15 +15,23 @@ import (
 // extra latency instead of the caller's whole deadline, at the price of
 // duplicated work on the slow tail only.
 //
-// Both walks write private buffers and the kept one is copied into out, so
-// the loser can finish (and be discarded) without racing the caller's
-// result slice. The walks record nothing; the walk returned is the one
+// Both walks write private buffers and the kept one is copied into out, and
+// each traces under its own ha.walk span, so the loser can finish (and be
+// discarded) without racing the caller's result slice or span. The walks record nothing; the walk returned is the one
 // kept, with a dead preferred replica counted among its skips, so
 // settleFailover counts each request once.
 func (e *Ensemble) hedgedScatter(ctx context.Context, order []int, reqs []*policy.Request, positions []int, n int, at time.Time, resolver policy.Resolver, out []policy.Result, after time.Duration) walked {
-	walk := func(chain []int, buf []policy.Result) <-chan walked {
+	walk := func(name string, chain []int, buf []policy.Result) <-chan walked {
 		done := make(chan walked, 1)
-		go func() { done <- e.failoverScatter(ctx, chain, reqs, positions, n, at, resolver, buf) }()
+		go func() {
+			// The walks run at once and a span belongs to one goroutine, so
+			// each walk annotates its own span, never the caller's.
+			wctx, sp := trace.StartSpan(ctx, "ha.walk")
+			sp.SetAttr("ha.walk", name)
+			w := e.failoverScatter(wctx, chain, reqs, positions, n, at, resolver, buf)
+			sp.End()
+			done <- w
+		}()
 		return done
 	}
 	keep := func(w walked, buf []policy.Result) walked {
@@ -31,7 +40,7 @@ func (e *Ensemble) hedgedScatter(ctx context.Context, order []int, reqs []*polic
 	}
 
 	primary := make([]policy.Result, len(reqs))
-	primaryDone := walk(order[:1], primary)
+	primaryDone := walk("primary", order[:1], primary)
 	timer := time.NewTimer(after)
 	defer timer.Stop()
 	select {
@@ -51,7 +60,7 @@ func (e *Ensemble) hedgedScatter(ctx context.Context, order []int, reqs []*polic
 	// Primary is slow: hedge on the rest of the chain.
 	e.stats.hedges.Add(int64(n))
 	hedge := make([]policy.Result, len(reqs))
-	hedgeDone := walk(order[1:], hedge)
+	hedgeDone := walk("hedge", order[1:], hedge)
 	select {
 	case w := <-primaryDone:
 		if w.settled() {

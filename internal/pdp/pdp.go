@@ -440,8 +440,9 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 
 	// Tracing follows how many positions the call selects. One position is
 	// a single decision, whoever sent it (a caller's Decide, a router's
-	// shard group of one): a hit annotates the caller's span, a miss opens
-	// a pdp.eval span under which resolver fetches nest. More positions are
+	// shard group of one, in a batch too): a hit annotates the caller's
+	// span, which must be this goroutine's alone, and a miss opens a
+	// pdp.eval span under which resolver fetches nest. More positions are
 	// a batch covered by one pdp.batch span, so a traced batch costs one
 	// span, not one per request.
 	sp := trace.FromContext(ctx)

@@ -34,7 +34,8 @@ type SpanRecord struct {
 	Attrs    []Attr        `json:"attrs,omitempty"`
 }
 
-// record snapshots the trace's spans under its lock.
+// record snapshots the trace's spans under its lock; an open span's owner
+// may still be writing it, so only its identity is copied.
 func (tr *active) record(cause string) *Record {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -48,12 +49,9 @@ func (tr *active) record(cause string) *Record {
 		rec.Duration = tr.root.Duration
 	}
 	for i, sp := range tr.spans {
-		rec.Spans[i] = SpanRecord{
-			ID:       sp.ID.String(),
-			Name:     sp.Name,
-			Start:    sp.Start,
-			Duration: sp.Duration,
-			Attrs:    sp.Attrs,
+		rec.Spans[i] = SpanRecord{ID: sp.ID.String(), Name: sp.Name, Start: sp.Start}
+		if sp.ended {
+			rec.Spans[i].Duration, rec.Spans[i].Attrs = sp.Duration, sp.Attrs
 		}
 		if sp.Parent != 0 {
 			rec.Spans[i].Parent = sp.Parent.String()

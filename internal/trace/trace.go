@@ -116,7 +116,9 @@ type Attr struct {
 // Tracer.StartRoot, StartSpan and JoinRemote, annotated by the layer that
 // owns them, and closed with End. A span belongs to one goroutine between
 // creation and End; concurrent spans of the same trace (batch fan-out) are
-// safe because the trace's span list is lock-protected.
+// safe because the trace's span list is lock-protected. A span still open
+// when its trace is recorded appears without duration or annotations, so a
+// straggler (a hedge's losing walk) never races the published record.
 //
 // All methods are no-ops on a nil receiver, so instrumentation never
 // branches on whether tracing is active.
@@ -180,8 +182,10 @@ func (s *Span) End() {
 	if s == nil || s.ended {
 		return
 	}
-	s.ended = true
-	s.Duration = s.tr.clock().Sub(s.Start)
+	d := s.tr.clock().Sub(s.Start)
+	s.tr.mu.Lock()
+	s.Duration, s.ended = d, true
+	s.tr.mu.Unlock()
 	if s.tr.root == s && s.tr.tracer != nil {
 		s.tr.tracer.finish(s.tr)
 	}
