@@ -63,7 +63,7 @@ func TestDaemonSeedBatch(t *testing.T) {
 	daemon := start()
 	defer func() { _ = daemon.Process.Kill() }()
 	policies, st := persistenceStats(t, addr)
-	if policies != n || st.Appends != n || st.Fsyncs != 1 || st.Batches != 1 || st.Snapshots != 0 {
+	if policies != n || st.Appends != n || st.Fsyncs != 1 || st.Snapshots != 0 {
 		t.Fatalf("fresh start: %d policies, persistence %+v; want %d policies from %d appends behind 1 fsync", policies, st, n, n)
 	}
 	kill(daemon)

@@ -36,7 +36,7 @@
 // BenchmarkPolicyChurn quantifies the win over the rebuild pipeline.
 //
 // The policy base itself is durable (Section 3.3 dependability):
-// internal/store backs the pap.Store with a CRC-framed, group-commit
+// internal/store backs the pap.Store with a CRC-framed, fsynced
 // write-ahead log whose records are the same pap.Update deltas, plus
 // periodic snapshots with WAL compaction. Writes are committed before
 // they are visible or acknowledged; crash recovery loads the newest

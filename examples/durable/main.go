@@ -50,8 +50,8 @@ func main() {
 		log.Fatal(err)
 	}
 	st := lg.Stats()
-	fmt.Printf("acknowledged %d writes (%d fsync batches, %d snapshots, last seq %d)\n",
-		st.Appends, st.Batches, st.Snapshots, st.LastSeq)
+	fmt.Printf("acknowledged %d writes (%d fsyncs, %d snapshots, last seq %d)\n",
+		st.Appends, st.Fsyncs, st.Snapshots, st.LastSeq)
 	fmt.Printf("policy %s revoked; kill -9 strikes now\n\n", revoked)
 	// kill -9: no flush hook, no final compaction (Crash models it
 	// in-process). Everything acknowledged is already on disk — that is

@@ -295,7 +295,7 @@ func (s *System) InstallReplicatedPDP(d *federation.Domain, n int, strategy ha.S
 	}
 	err := d.PAP.WatchInstall(install, func(u pap.Update) {
 		for _, e := range engines {
-			if err := federation.ApplyPAPUpdate(e, d.PAP, u, d.Name+"-root"); err != nil {
+			if err := pap.Apply(e, d.PAP, u, d.Name+"-root", policy.DenyOverrides); err != nil {
 				d.ReportRefreshError(err)
 			}
 		}

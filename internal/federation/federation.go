@@ -134,19 +134,11 @@ func NewDomain(name string, entropy io.Reader, notBefore, notAfter time.Time) (*
 		PDP:       pdp.New(PDPAddr(name)),
 	}
 	d.PAP.Watch(func(u pap.Update) {
-		if err := ApplyPAPUpdate(d.PDP, d.PAP, u, d.Name+"-root"); err != nil {
+		if err := pap.Apply(d.PDP, d.PAP, u, d.Name+"-root", policy.DenyOverrides); err != nil {
 			d.ReportRefreshError(err)
 		}
 	})
 	return d, nil
-}
-
-// ApplyPAPUpdate pushes one store change into a decision point through
-// pap.Apply with the domain convention (deny-overrides combining): the
-// delta path, rebuilding the root from the store only when the target
-// cannot be patched incrementally.
-func ApplyPAPUpdate(point pap.RootInstaller, store *pap.Store, u pap.Update, rootID string) error {
-	return pap.Apply(point, store, u, rootID, policy.DenyOverrides)
 }
 
 // ReportRefreshError records a failed PAP→PDP refresh: the PDP may be

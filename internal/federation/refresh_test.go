@@ -93,7 +93,7 @@ func TestDomainRefreshErrorSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyPAPUpdate(d.PDP, d.PAP, pap.Update{ID: "p-b", Version: 1, Policy: pb}, "clinic-root"); err == nil {
-		t.Error("ApplyPAPUpdate with a corrupt store must fail")
+	if err := pap.Apply(d.PDP, d.PAP, pap.Update{ID: "p-b", Version: 1, Policy: pb}, "clinic-root", policy.DenyOverrides); err == nil {
+		t.Error("pap.Apply with a corrupt store must fail")
 	}
 }

@@ -376,9 +376,10 @@ type RootInstaller interface {
 // Apply pushes one store change into a decision point: the delta path
 // first, a full BuildRoot+SetRoot only when the point cannot be patched
 // incrementally (pdp.ErrNotIncremental — e.g. no root installed yet).
-// This is the one canonical refresh protocol; federation domains, the
-// core facade's replicated deciders and the pdpd daemon all route
-// through it.
+// Federation domains, the core facade's replicated deciders and
+// store.Bootstrap's tail replay route through it. pdpd does not: its
+// fallback must restore the file root's target and obligations, which
+// BuildRoot drops, so it keeps its own variant (admin.apply/installRoot).
 func Apply(point RootInstaller, store *Store, u Update, rootID string, combining policy.Algorithm) error {
 	err := point.ApplyUpdate(pdp.Update{ID: u.ID, Child: u.Policy})
 	if errors.Is(err, pdp.ErrNotIncremental) {

@@ -104,8 +104,8 @@ func TestCrashAtAnyByteOffset(t *testing.T) {
 	if err := s.PutAll(batchPolicies(ids)); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Batches != ops+1 || st.Appends != ops+ids {
-		t.Fatalf("WAL stats = %+v, want %d batches carrying %d records", st, ops+1, ops+ids)
+	if st := l.Stats(); st.Fsyncs != ops+1 || st.Appends != ops+ids {
+		t.Fatalf("WAL stats = %+v, want %d fsyncs carrying %d records", st, ops+1, ops+ids)
 	}
 
 	// Decision probes for every prefix, from independently rebuilt

@@ -15,17 +15,14 @@
 // before the write becomes visible in memory or to any watcher, in
 // commit order.
 //
-// # Durability contract (group commit)
+// # Durability contract
 //
-// Append returns only after its records — and everything queued before
-// them — have been written and fsynced. Concurrent appends are absorbed
-// into one batch per fsync (group commit), so the fsync cost amortises
-// across appenders without weakening the contract: an acknowledged write
-// is on disk, full stop. Note that one pap.Store serialises its writers
-// (the commit-order guarantee), so a single store's writes run at the
-// one-fsync-per-write floor; batching engages for direct appenders and
-// for multiple stores sharing a log. A multi-policy write
-// (pap.Store.PutAll) is one Append: consecutive frames behind one fsync,
+// Append writes, fsyncs and updates the log's state in its caller, under
+// one mutex, and returns only after its records are on disk: an
+// acknowledged write is durable, full stop. Each call costs one fsync,
+// however many updates it carries, and concurrent calls run one after
+// another. Batching is the caller's job: a multi-policy write
+// (pap.Store.PutAll) is one Append — consecutive frames behind one fsync,
 // of which a crash may leave a durable prefix. A write error fail-stops
 // the log (subsequent appends return the sticky fault) rather than
 // risking a half-written log that looks healthy.

@@ -22,24 +22,17 @@ type Options struct {
 	// disables snapshots entirely (the WAL grows without bound — useful
 	// for tests and benchmarks that want a single raw segment).
 	SnapshotEvery int
-	// MaxBatch caps how many queued appends one fsync may absorb (group
-	// commit). 0 means the default of 64.
-	MaxBatch int
 }
 
-const (
-	defaultSnapshotEvery = 1024
-	defaultMaxBatch      = 64
-)
+const defaultSnapshotEvery = 1024
 
 // Stats counts the log's persistence activity.
 type Stats struct {
 	// LastSeq is the sequence number of the newest durable record.
 	LastSeq uint64
-	// Appends counts records made durable; Batches counts the fsync
-	// groups that carried them (Appends/Batches is the achieved group-
-	// commit factor); Fsyncs counts WAL fsyncs (one per batch).
-	Appends, Batches, Fsyncs uint64
+	// Appends counts records made durable; Fsyncs counts WAL fsyncs
+	// (one per Append call, however many records it carries).
+	Appends, Fsyncs uint64
 	// Snapshots counts snapshots written; SnapshotSeq is the sequence
 	// number the newest one covers; SnapshotFailures counts snapshot
 	// attempts that failed (the WAL keeps the data safe regardless).
@@ -61,24 +54,22 @@ type RecoveredEntry struct {
 	Policy   policy.Evaluable // nil when Deleted
 }
 
-type appendReq struct {
-	us   []pap.Update
-	done chan error
-}
-
-// Log is a durable policy store: a CRC-framed, fsync-batched write-ahead
-// log of pap.Update records with periodic snapshot/compact cycles. It
+// Log is a durable policy store: a CRC-framed, fsynced write-ahead log
+// of pap.Update records with periodic snapshot/compact cycles. It
 // implements pap.Backend, so attaching it to a pap.Store (which Bootstrap
 // does) makes every acknowledged administrative write crash-durable.
 //
-// Concurrency: Append/Commit may be called from any goroutine; a single
-// internal syncer goroutine owns the files and the materialised state,
-// absorbing concurrent appends into group commits.
+// Concurrency: Append/Commit may be called from any goroutine; each runs
+// in its caller under mu, so concurrent appends are written and fsynced
+// one call after another. Stats reads a separate lock and never waits
+// behind an fsync.
 type Log struct {
 	dir  string
 	opts Options
 
-	// Owned by the syncer goroutine (recovery runs before it starts).
+	// mu guards the files and the materialised state (recovery runs
+	// before the log is shared).
+	mu        sync.Mutex
 	file      *os.File
 	lockFile  *os.File
 	segStart  uint64
@@ -87,17 +78,7 @@ type Log struct {
 	state     map[string]*stateEntry
 	sinceSnap int
 	failed    error // sticky fault: fail-stop after a write error
-
-	appendCh chan *appendReq
-	quit     chan struct{}
-	done     chan struct{}
-	closeErr error
-
-	closeMu sync.RWMutex
-	closed  bool
-	// skipCloseSnapshot is set by Crash before quit closes, so the
-	// channel close publishes it to the syncer's shutdown.
-	skipCloseSnapshot bool
+	closed    bool
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -116,20 +97,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = defaultMaxBatch
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	l := &Log{
-		dir:      dir,
-		opts:     opts,
-		state:    make(map[string]*stateEntry),
-		appendCh: make(chan *appendReq, opts.MaxBatch),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	l := &Log{dir: dir, opts: opts, state: make(map[string]*stateEntry)}
 	if err := l.lockDir(); err != nil {
 		return nil, err
 	}
@@ -137,7 +108,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.unlockDir()
 		return nil, err
 	}
-	go l.run()
 	return l, nil
 }
 
@@ -182,13 +152,14 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Append makes updates durable: it returns only after their records (and
-// everything queued before them) have been written, as consecutive frames
-// in order, and fsynced. One call is one request, however many updates it
-// carries; concurrent appenders share fsyncs via group commit. A call
-// whose update cannot be encoded fails whole, writing none of its records.
-// After a write error the log fail-stops: the failed append and every
-// later one return the fault.
+// Append makes updates durable: it writes their records as consecutive
+// frames, in order, fsyncs once and only then returns. One call is one
+// request, however many updates it carries; concurrent calls run one
+// after another. A call whose update cannot be encoded fails whole,
+// writing none of its records. After a write error the log fail-stops:
+// the failed append and every later one return the fault. A call that
+// crosses the snapshot threshold snapshots once before it returns, so a
+// caller whose Append has returned sees a quiescent data directory.
 func (l *Log) Append(us ...pap.Update) error {
 	if len(us) == 0 {
 		return nil
@@ -198,47 +169,81 @@ func (l *Log) Append(us ...pap.Update) error {
 			return errors.New("store: append: update needs an ID and (for puts) a policy")
 		}
 	}
-	req := &appendReq{us: us, done: make(chan error, 1)}
-	l.closeMu.RLock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.closeMu.RUnlock()
 		return ErrClosed
 	}
-	l.appendCh <- req
-	l.closeMu.RUnlock()
-	return <-req.done
+	if l.failed != nil {
+		return l.failed
+	}
+	var buf []byte
+	docs := make([][]byte, len(us))
+	for i, u := range us {
+		payload, doc, err := encodeRecord(l.seq+uint64(i)+1, u)
+		if err != nil {
+			return err
+		}
+		buf = appendFrame(buf, payload)
+		docs[i] = doc
+	}
+	if err := l.writeAndSync(buf); err != nil {
+		// Fail-stop: the segment may now hold a partial frame; recovery
+		// will truncate it, and no later append may succeed and be
+		// ordered after a write that was never acknowledged.
+		l.failed = fmt.Errorf("store: wal write: %w", err)
+		return l.failed
+	}
+	// Only after the fsync does the materialised state advance: the
+	// in-memory view never runs ahead of the disk.
+	for i, u := range us {
+		l.seq++
+		l.applyState(u, docs[i])
+	}
+	l.sinceSnap += len(us)
+	l.statsMu.Lock()
+	l.stats.LastSeq = l.seq
+	l.stats.Appends += uint64(len(us))
+	l.stats.Fsyncs++
+	l.statsMu.Unlock()
+	if l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery {
+		l.snapshotAndRotate()
+	}
+	return nil
 }
 
 // Commit implements pap.Backend.
 func (l *Log) Commit(us ...pap.Update) error { return l.Append(us...) }
 
-// Close stops the log after draining queued appends (each still honouring
-// the durability contract), writes a final snapshot when snapshots are
-// enabled and records have accumulated since the last one, and closes the
-// files. Further appends return ErrClosed.
+// Close waits for an append in progress, writes a final snapshot when
+// snapshots are enabled and records have accumulated since the last one,
+// and closes the files. Further appends return ErrClosed. After a write
+// error Close returns that fault.
 func (l *Log) Close() error { return l.stop(false) }
 
-// Crash closes the log leaving the on-disk shape a kill -9 would: queued
-// appends are still made durable (in a real crash they would merely be
-// unacknowledged, which is always safe to persist), but the final
-// snapshot/compaction of Close is skipped, so the directory keeps its
-// snapshot + WAL tail exactly as recovery will find them. Tests,
+// Crash closes the log leaving the on-disk shape a kill -9 would: the
+// final snapshot/compaction of Close is skipped, so the directory keeps
+// its snapshot + WAL tail exactly as recovery will find them. Tests,
 // benchmarks and experiments use it to exercise the tail-replay path that
 // a graceful Close would compact away.
 func (l *Log) Crash() error { return l.stop(true) }
 
 func (l *Log) stop(crash bool) error {
-	l.closeMu.Lock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.closeMu.Unlock()
 		return nil
 	}
 	l.closed = true
-	l.skipCloseSnapshot = crash
-	l.closeMu.Unlock()
-	close(l.quit)
-	<-l.done
-	return l.closeErr
+	if !crash && l.failed == nil && l.opts.SnapshotEvery > 0 && l.sinceSnap > 0 {
+		l.snapshotAndRotate()
+	}
+	err := l.file.Close()
+	l.unlockDir()
+	if l.failed != nil {
+		return l.failed
+	}
+	return err
 }
 
 // --- recovery ---
@@ -411,122 +416,6 @@ func (l *Log) applyState(u pap.Update, doc []byte) {
 	ent.Policy = append([]byte(nil), doc...)
 }
 
-// --- the syncer goroutine ---
-
-func (l *Log) run() {
-	defer close(l.done)
-	for {
-		select {
-		case req := <-l.appendCh:
-			l.commitBatch(l.gather(req))
-		case <-l.quit:
-			for {
-				select {
-				case req := <-l.appendCh:
-					l.commitBatch(l.gather(req))
-				default:
-					l.shutdown()
-					return
-				}
-			}
-		}
-	}
-}
-
-// gather drains whatever else is already queued behind first, up to the
-// group-commit cap: every request collected here shares one fsync.
-func (l *Log) gather(first *appendReq) []*appendReq {
-	batch := append(make([]*appendReq, 0, l.opts.MaxBatch), first)
-	for len(batch) < l.opts.MaxBatch {
-		select {
-		case req := <-l.appendCh:
-			batch = append(batch, req)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// commitBatch writes every record of the batch's requests as consecutive
-// frames, fsyncs once, and acknowledges every request; a batch that
-// crosses the snapshot threshold snapshots once, however many records it
-// carries. Only after the fsync does the materialised state advance — the
-// in-memory view never runs ahead of the disk.
-func (l *Log) commitBatch(batch []*appendReq) {
-	if l.failed != nil {
-		for _, req := range batch {
-			req.done <- l.failed
-		}
-		return
-	}
-	var (
-		buf   []byte
-		acked []*appendReq
-		docs  [][]byte
-	)
-	for _, req := range batch {
-		// A request is all or nothing: an unencodable update withdraws
-		// the frames of its request's earlier updates.
-		mark, ndocs := len(buf), len(docs)
-		var err error
-		for _, u := range req.us {
-			var payload, doc []byte
-			payload, doc, err = encodeRecord(l.seq+uint64(len(docs))+1, u)
-			if err != nil {
-				break
-			}
-			buf = appendFrame(buf, payload)
-			docs = append(docs, doc)
-		}
-		if err != nil {
-			buf, docs = buf[:mark], docs[:ndocs]
-			req.done <- err
-			continue
-		}
-		acked = append(acked, req)
-	}
-	if len(acked) == 0 {
-		return
-	}
-	err := l.writeAndSync(buf)
-	if err != nil {
-		// Fail-stop: the segment may now hold a partial frame; recovery
-		// will truncate it, and no later append may succeed and be
-		// ordered after a write that was never acknowledged.
-		l.failed = fmt.Errorf("store: wal write: %w", err)
-		for _, req := range acked {
-			req.done <- l.failed
-		}
-		return
-	}
-	i := 0
-	for _, req := range acked {
-		for _, u := range req.us {
-			l.seq++
-			l.applyState(u, docs[i])
-			i++
-		}
-	}
-	l.sinceSnap += len(docs)
-	l.statsMu.Lock()
-	l.stats.LastSeq = l.seq
-	l.stats.Appends += uint64(len(docs))
-	l.stats.Batches++
-	l.stats.Fsyncs++
-	l.statsMu.Unlock()
-	// A due snapshot completes before the batch is acknowledged: the
-	// writer that crosses the threshold pays for it, and a caller whose
-	// Append has returned sees a quiescent data directory (no snapshot
-	// or rotation still running behind its back).
-	if l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery {
-		l.snapshotAndRotate()
-	}
-	for _, req := range acked {
-		req.done <- nil
-	}
-}
-
 func (l *Log) writeAndSync(buf []byte) error {
 	if _, err := l.file.Write(buf); err != nil {
 		return err
@@ -539,7 +428,7 @@ func (l *Log) writeAndSync(buf []byte) error {
 // deletes the segments and older snapshots the new snapshot supersedes.
 // The previous snapshot is kept as a fallback. Failure is not fatal: the
 // WAL still holds everything, so the attempt is just counted and retried
-// after the next batch.
+// after the next append.
 func (l *Log) snapshotAndRotate() {
 	if err := l.trySnapshot(); err != nil {
 		l.statsMu.Lock()
@@ -622,19 +511,4 @@ func (l *Log) pruneSnapshots() {
 		_ = os.Remove(filepath.Join(l.dir, snapName(snaps[0])))
 		snaps = snaps[1:]
 	}
-}
-
-func (l *Log) shutdown() {
-	if !l.skipCloseSnapshot && l.failed == nil && l.opts.SnapshotEvery > 0 && l.sinceSnap > 0 {
-		l.snapshotAndRotate()
-	}
-	if l.file != nil {
-		if err := l.file.Close(); err != nil && l.closeErr == nil {
-			l.closeErr = err
-		}
-	}
-	if l.failed != nil && l.closeErr == nil {
-		l.closeErr = l.failed
-	}
-	l.unlockDir()
 }

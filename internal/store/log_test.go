@@ -275,9 +275,12 @@ func TestCorruptionMidLogIsFatal(t *testing.T) {
 	}
 }
 
-func TestGroupCommitConcurrentAppends(t *testing.T) {
+// TestConcurrentAppendsSerialised: concurrent direct appenders run one
+// call after another, each behind its own fsync, and every record is
+// recovered exactly once with each writer's records in its own order.
+func TestConcurrentAppendsSerialised(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{SnapshotEvery: -1, MaxBatch: 16})
+	l := mustOpen(t, dir, Options{SnapshotEvery: -1})
 	const writers, perWriter = 8, 20
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -295,11 +298,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 	wg.Wait()
 	st := l.Stats()
-	if st.Appends != writers*perWriter {
-		t.Fatalf("Appends = %d, want %d", st.Appends, writers*perWriter)
-	}
-	if st.Fsyncs != st.Batches {
-		t.Fatalf("Fsyncs = %d, Batches = %d: want one fsync per batch", st.Fsyncs, st.Batches)
+	if st.Appends != writers*perWriter || st.Fsyncs != st.Appends {
+		t.Fatalf("Appends = %d, Fsyncs = %d: want %d of each", st.Appends, st.Fsyncs, writers*perWriter)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -309,12 +309,120 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	if got := len(r.RecoveredTail()); got != writers*perWriter {
 		t.Fatalf("recovered %d records, want %d", got, writers*perWriter)
 	}
-	seen := make(map[string]bool)
+	next := make([]int, writers)
 	for _, u := range r.RecoveredTail() {
-		if seen[u.ID] {
-			t.Fatalf("record %s recovered twice", u.ID)
+		var w, i int
+		if _, err := fmt.Sscanf(u.ID, "p-%d-%d", &w, &i); err != nil {
+			t.Fatalf("record %q: %v", u.ID, err)
 		}
-		seen[u.ID] = true
+		if i != next[w] {
+			t.Fatalf("record %s recovered where writer %d's record %d was due", u.ID, w, next[w])
+		}
+		next[w]++
+	}
+}
+
+// TestConcurrentAppendsFromPAPWriters: 16 pap.Store writers on one Log
+// pay one fsync per write (the store commits under its notification lock,
+// so no two writes ever reach the log together), and the order the WAL
+// recovers is the order watchers saw and the order versions were
+// assigned. Batching concurrent writers must keep that invariant.
+func TestConcurrentAppendsFromPAPWriters(t *testing.T) {
+	const writers, perWriter, ids = 16, 25, 4
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{SnapshotEvery: -1})
+	s := pap.NewStore("writers")
+	if err := l.Bootstrap(s, nil, "root", policy.DenyOverrides); err != nil {
+		t.Fatal(err)
+	}
+	var watched []pap.Update // watchers run serialised, in commit order
+	s.Watch(func(u pap.Update) { watched = append(watched, u) })
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := fmt.Sprintf("p-%d", (w+i)%ids)
+				if _, err := s.Put(testPolicy(id, "res-"+id, fmt.Sprintf("w%d-%d", w, i))); err != nil {
+					t.Errorf("Put(%s): %v", id, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	const total = writers * perWriter
+	if st := l.Stats(); st.Appends != total || st.Fsyncs != total {
+		t.Fatalf("Appends = %d, Fsyncs = %d: want %d of each", st.Appends, st.Fsyncs, total)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, dir, Options{SnapshotEvery: -1})
+	defer r.Close()
+	tail := r.RecoveredTail()
+	if len(tail) != total || len(watched) != total {
+		t.Fatalf("recovered %d records, watched %d updates, want %d", len(tail), len(watched), total)
+	}
+	version := make(map[string]int)
+	for i, u := range tail {
+		if u.ID != watched[i].ID || u.Version != watched[i].Version {
+			t.Fatalf("WAL record %d is %s v%d, watchers saw %s v%d", i, u.ID, u.Version, watched[i].ID, watched[i].Version)
+		}
+		if version[u.ID]++; u.Version != version[u.ID] {
+			t.Fatalf("WAL record %d is %s v%d, want v%d", i, u.ID, u.Version, version[u.ID])
+		}
+	}
+}
+
+// TestWriteErrorFailStops: a failed segment write fail-stops the log. The
+// failing Append and every later one return the sticky fault, so Close
+// does too, and a reopen recovers exactly the acknowledged records.
+func TestWriteErrorFailStops(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{SnapshotEvery: -1})
+	acked := []pap.Update{putUpdate("p-a", "res-a", "v", 1), putUpdate("p-b", "res-b", "v", 1)}
+	for _, u := range acked {
+		if err := l.Append(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := l.Stats()
+	// Pull the segment out from under the log: the next write fails.
+	if err := l.file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fault := l.Append(putUpdate("p-c", "res-c", "v", 1))
+	if !errors.Is(fault, os.ErrClosed) {
+		t.Fatalf("Append over a failed segment = %v, want the write fault", fault)
+	}
+	for _, us := range [][]pap.Update{
+		{putUpdate("p-d", "res-d", "v", 1)},
+		{putUpdate("p-e", "res-e", "v", 1), putUpdate("p-f", "res-f", "v", 1)},
+	} {
+		if err := l.Commit(us...); err != fault {
+			t.Fatalf("Commit after the fault = %v, want the sticky %v", err, fault)
+		}
+	}
+	if st := l.Stats(); st != before {
+		t.Fatalf("failed appends moved the stats: %+v -> %+v", before, st)
+	}
+	if err := l.Close(); err != fault {
+		t.Fatalf("Close = %v, want the sticky %v", err, fault)
+	}
+	if err := l.Append(putUpdate("p-g", "res-g", "v", 1)); err != ErrClosed {
+		t.Fatalf("Append after Close = %v, want ErrClosed", err)
+	}
+
+	r := mustOpen(t, dir, Options{SnapshotEvery: -1})
+	defer r.Close()
+	tail := r.RecoveredTail()
+	if len(tail) != len(acked) {
+		t.Fatalf("recovered %d records, want the %d acknowledged", len(tail), len(acked))
+	}
+	for i := range acked {
+		sameUpdate(t, tail[i], acked[i])
 	}
 }
 
@@ -400,7 +508,7 @@ func TestOversizedRecordRejected(t *testing.T) {
 type unencodable struct{ *policy.Policy }
 
 // TestAppendBatchOneFsync: one multi-update Append is one group — one
-// batch, one fsync, N records — recovered in order; an unencodable update
+// fsync, N records — recovered in order; an unencodable update
 // fails its whole call and writes none of its records.
 func TestAppendBatchOneFsync(t *testing.T) {
 	dir := t.TempDir()
@@ -418,9 +526,9 @@ func TestAppendBatchOneFsync(t *testing.T) {
 	}
 	after := l.Stats()
 	n := uint64(len(batch))
-	if after.Batches != before.Batches+1 || after.Fsyncs != before.Fsyncs+1 ||
+	if after.Fsyncs != before.Fsyncs+1 ||
 		after.Appends != before.Appends+n || after.LastSeq != before.LastSeq+n {
-		t.Fatalf("stats %+v -> %+v, want +1 batch, +1 fsync, +%d appends", before, after, n)
+		t.Fatalf("stats %+v -> %+v, want +1 fsync, +%d appends", before, after, n)
 	}
 
 	odd := unencodable{testPolicy("p-odd", "res", "v")}

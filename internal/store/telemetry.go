@@ -9,11 +9,8 @@ func (l *Log) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("repro_store_wal_appends_total",
 		"Policy updates made durable in the write-ahead log.",
 		func() int64 { return int64(l.Stats().Appends) })
-	reg.CounterFunc("repro_store_wal_batches_total",
-		"Group-commit batches carrying the appends (appends/batches is the achieved group-commit factor).",
-		func() int64 { return int64(l.Stats().Batches) })
 	reg.CounterFunc("repro_store_wal_fsyncs_total",
-		"WAL fsyncs issued (one per group-commit batch).",
+		"WAL fsyncs issued (one per Append call, however many updates it carries).",
 		func() int64 { return int64(l.Stats().Fsyncs) })
 	reg.CounterFunc("repro_store_snapshots_total",
 		"Snapshot/compact cycles completed.",
