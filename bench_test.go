@@ -466,8 +466,9 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures cold restart (store.Open + Bootstrap into a
-// fresh engine) against WAL length, with snapshots disabled (recovery
+// BenchmarkRecovery measures cold restart (store.Open, Bootstrap into a
+// fresh store, and pap.Follow installing it into a fresh engine) against
+// WAL length, with snapshots disabled (recovery
 // replays the whole history) and enabled (recovery is bounded by the
 // snapshot interval) — the restart half of the durability design.
 func BenchmarkRecovery(b *testing.B) {
@@ -487,7 +488,7 @@ func BenchmarkRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := pap.NewStore("bench")
-			if err := lg.Bootstrap(s, nil, "root", policy.DenyOverrides); err != nil {
+			if err := lg.Bootstrap(s); err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < tc.writes; i++ {
@@ -510,7 +511,10 @@ func BenchmarkRecovery(b *testing.B) {
 				}
 				rs := pap.NewStore("recovered")
 				engine := pdp.New("recovered")
-				if err := rl.Bootstrap(rs, engine, "root", policy.DenyOverrides); err != nil {
+				if err := rl.Bootstrap(rs); err != nil {
+					b.Fatal(err)
+				}
+				if err := pap.Follow(engine, rs, pap.Root{ID: "root", Combining: policy.DenyOverrides}, nil); err != nil {
 					b.Fatal(err)
 				}
 				st := rl.Stats()

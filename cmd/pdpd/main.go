@@ -398,17 +398,9 @@ func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy s
 // admin owns the daemon's Policy Administration Point and pushes its
 // updates into the decision point through the delta pipeline.
 type admin struct {
-	store     *pap.Store
-	point     *cluster.Router
-	rootID    string
-	combining policy.Algorithm
-	// rootTarget and rootObligations are the loaded file root's own
-	// target and obligations, carried onto every assembled root so the
-	// administration pipeline preserves root-level applicability and
-	// obligation semantics (the delta path preserves them via PatchChild).
-	rootTarget      policy.Target
-	rootObligations []policy.Obligation
-	refreshErrs     atomic.Int64
+	store       *pap.Store
+	point       *cluster.Router
+	refreshErrs atomic.Int64
 	// engine and gate are the incremental static analyzer and its
 	// admin-write veto; both nil when -policy-lint=off.
 	engine   *analysis.Engine
@@ -420,14 +412,16 @@ type admin struct {
 	// -stale-grace; every applied write invalidates it.
 	stale *resilience.StaleCache
 	// seedTook, rootTook and lintTook time newAdmin's start-up phases: the
-	// seed PutAll, installRoot and the lint engine's Install.
+	// seed PutAll, pap.Follow's root install and the lint engine's Install.
 	seedTook, rootTook, lintTook time.Duration
 }
 
 // newAdmin seeds the store from the loaded policy file (a policy set
-// contributes its children, its ID and its combining algorithm; a single
-// policy becomes the lone child under deny-overrides), installs the
-// assembled root, and wires store updates to the delta path. Root
+// contributes its children and its root shape — ID, combining algorithm,
+// target and obligations; a single policy becomes the lone child under
+// deny-overrides) and makes the decision point follow the store
+// (pap.Follow): the assembled root installs once, and every later write
+// reaches the point through the delta path. Root
 // children are administered by ID, so the assembled root holds them in ID
 // order and duplicate child IDs are rejected (as root validation always
 // has).
@@ -444,22 +438,17 @@ type admin struct {
 func newAdmin(point *cluster.Router, root policy.Evaluable, lg *store.Log, lint analysis.Mode, tracer *trace.Tracer, auditLog *audit.Log) (*admin, error) {
 	a := &admin{
 		store: pap.NewStore("pdpd"), point: point,
-		rootID: "pdpd-root", combining: policy.DenyOverrides,
 		lintMode: lint, tracer: tracer, auditLog: auditLog,
 	}
 	if lg != nil {
-		// Hydrate the store only; installRoot below assembles the
-		// decorated root (file-level target and obligations) itself.
-		if err := lg.Bootstrap(a.store, nil, a.rootID, a.combining); err != nil {
+		if err := lg.Bootstrap(a.store); err != nil {
 			return nil, err
 		}
 	}
+	shape := pap.Root{ID: "pdpd-root", Combining: policy.DenyOverrides}
 	children := []policy.Evaluable{root}
 	if v, ok := root.(*policy.PolicySet); ok {
-		a.rootID = v.ID
-		a.combining = v.Combining
-		a.rootTarget = v.Target
-		a.rootObligations = v.Obligations
+		shape = pap.Root{ID: v.ID, Combining: v.Combining, Target: v.Target, Obligations: v.Obligations}
 		children = v.Children
 	}
 	seeds := make([]policy.Evaluable, 0, len(children))
@@ -467,7 +456,7 @@ func newAdmin(point *cluster.Router, root policy.Evaluable, lg *store.Log, lint 
 	for _, ch := range children {
 		id := ch.EntityID()
 		if _, dup := seen[id]; dup {
-			return nil, fmt.Errorf("policy set %s: duplicate child ID %q", a.rootID, id)
+			return nil, fmt.Errorf("policy set %s: duplicate child ID %q", shape.ID, id)
 		}
 		seen[id] = struct{}{}
 		if a.store.History(id) == 0 { // recovered state supersedes the seed file
@@ -483,85 +472,46 @@ func newAdmin(point *cluster.Router, root policy.Evaluable, lg *store.Log, lint 
 		log.Printf("pdpd: root %s children re-ordered by policy ID for live administration; order-dependent combining (e.g. first-applicable) may decide differently than the file order", set.ID)
 	}
 	start = time.Now()
-	if err := a.installRoot(); err != nil {
+	// A failed refresh is counted and logged: the point may be serving
+	// stale policy, and that must be observable.
+	err := pap.Follow(point, a.store, shape, func(err error) {
+		a.refreshErrs.Add(1)
+		log.Printf("pdpd: %v", err)
+	})
+	if err != nil {
 		return nil, err
 	}
 	a.rootTook = time.Since(start)
-	a.store.Watch(a.apply)
+	// Retire the remembered decisions once each write is in the point (or
+	// failed half-way): a decision dispatched before then may have been
+	// evaluated against the old base and must never be served stale.
+	// Registered after Follow, so it runs after the write reaches the
+	// router.
+	a.store.Watch(func(pap.Update) { a.stale.Invalidate() })
 	if lint != analysis.ModeOff {
 		// Seed the analyzer atomically with watcher registration so no
 		// write can slip between the snapshot and the delta stream, then
 		// veto through the store's pre-commit hook: the gate decision is
 		// serialised with every writer and runs before durability.
-		eng := analysis.NewEngine(analysis.Config{RootCombining: a.combining})
+		eng := analysis.NewEngine(analysis.Config{RootCombining: shape.Combining})
 		err := a.store.WatchInstall(func(s *pap.Store) error {
-			children := make([]policy.Evaluable, 0, len(s.List()))
-			for _, id := range s.List() {
-				e, err := s.Get(id)
-				if err != nil {
-					return err
-				}
-				children = append(children, e)
-			}
+			live := s.Live()
 			start := time.Now()
-			eng.Install(children...)
+			eng.Install(live...)
 			a.lintTook = time.Since(start)
 			return nil
-		}, func(u pap.Update) {
-			if u.Deleted {
-				eng.Apply(u.ID, nil)
-			} else {
-				eng.Apply(u.ID, u.Policy)
-			}
-		})
+		}, func(u pap.Update) { eng.Apply(u.ID, u.Policy) })
 		if err != nil {
 			return nil, err
 		}
 		a.engine = eng
 		a.gate = analysis.NewGate(eng, lint)
 		a.store.PreCommit(func(u pap.Update) error {
-			ev := u.Policy
-			if u.Deleted {
-				ev = nil
-			}
-			_, err := a.gate.Check(u.ID, ev)
+			_, err := a.gate.Check(u.ID, u.Policy)
 			return err
 		})
 	}
 	return a, nil
-}
-
-// installRoot assembles the store into a root and installs it, restoring
-// the loaded file root's target and obligations (BuildRoot assembles a
-// bare set). This is pdpd's variant of pap.Apply's rebuild fallback —
-// federation/core roots are bare BuildRoot products, pdpd roots are not.
-func (a *admin) installRoot() error {
-	built, err := a.store.BuildRoot(a.rootID, a.combining)
-	if err != nil {
-		return err
-	}
-	built.Target = a.rootTarget
-	built.Obligations = a.rootObligations
-	return a.point.SetRoot(built)
-}
-
-// apply pushes one store change into the decision point: the delta path
-// first, a full reassembly only when the point cannot patch; failures are
-// counted and logged — the PDP may be serving stale policy and that must
-// be observable.
-func (a *admin) apply(u pap.Update) {
-	err := a.point.ApplyUpdate(pdp.Update{ID: u.ID, Child: u.Policy})
-	if errors.Is(err, pdp.ErrNotIncremental) {
-		err = a.installRoot()
-	}
-	// Retire the remembered decisions once the write is in the point (or
-	// failed half-way): a decision dispatched before this call may have
-	// been evaluated against the old base and must never be served stale.
-	a.stale.Invalidate()
-	if err != nil {
-		a.refreshErrs.Add(1)
-		log.Printf("pdpd: policy refresh %s: %v", u.ID, err)
-	}
 }
 
 // writeResult is the admin-plane response body: the stored version on

@@ -25,9 +25,10 @@
 //
 // Policy administration is live (the paper's Section 3.2 manageability
 // argument): a pap.Store change notifies watchers in commit order, each
-// update carrying the changed policy as a self-contained delta, and the
-// delta pipeline (pdp.Engine.ApplyUpdate, cluster.Router.ApplyUpdate)
-// patches the one affected root child in place. Invalidation is targeted —
+// update carrying the changed policy as a self-contained delta, and
+// pap.Follow feeds each one to the decision point's delta pipeline
+// (pdp.Engine.ApplyUpdate, cluster.Router.ApplyUpdate), which patches the
+// one affected root child in place. Invalidation is targeted —
 // only cached decisions for the resource keys the changed child constrains
 // are dropped (catch-all children fall back to a full flush), and a
 // cluster routes each delta to just the owning shard group, so the other
@@ -40,9 +41,10 @@
 // write-ahead log whose records are the same pap.Update deltas, plus
 // periodic snapshots with WAL compaction. Writes are committed before
 // they are visible or acknowledged; crash recovery loads the newest
-// snapshot, truncates a torn tail (never applying a partial record), and
-// replays the surviving tail through the delta pipeline above — so a
-// pdpd restart, a new shard, or a rehydrated federation domain serves
+// snapshot, truncates a torn tail (never applying a partial record),
+// replays the surviving tail into the store, and installs the recovered
+// base as one root — so a pdpd restart, a new shard, or a rehydrated
+// federation domain serves
 // exactly the acknowledged pre-crash decisions. BenchmarkWALAppend and
 // BenchmarkRecovery measure the write and restart paths.
 //

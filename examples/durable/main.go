@@ -3,8 +3,8 @@
 // only after it is fsynced; the walkthrough (1) writes, revises and
 // revokes policies through a backed store, (2) simulates a crash by
 // abandoning the process state and recovering the data directory from
-// scratch, (3) bootstraps a sharded PDP cluster from the recovered
-// snapshot + WAL tail through the incremental delta pipeline, and (4)
+// scratch, (3) rebuilds the PAP from the recovered snapshot + WAL tail
+// and has a sharded PDP cluster follow it (pap.Follow), and (4)
 // shows the recovered fleet serving exactly the acknowledged decisions —
 // including the revocation, which a restart must never resurrect.
 package main
@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	adminPAP := pap.NewStore("org")
-	if err := lg.Bootstrap(adminPAP, nil, "org-root", policy.DenyOverrides); err != nil {
+	if err := lg.Bootstrap(adminPAP); err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -75,18 +75,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Snapshot state installs as the root; the tail replays through
-	// cluster.Router.ApplyUpdate — the same delta path live
-	// administration uses — and the log reattaches as the PAP backend.
-	if err := rlg.Bootstrap(recoveredPAP, router, "org-root", policy.DenyOverrides); err != nil {
+	// Snapshot and tail rebuild the PAP and the log reattaches as its
+	// backend; the fleet then follows the recovered PAP: the recovered
+	// base installs as one root, and post-recovery administration flows
+	// on through cluster.Router.ApplyUpdate — the delta path.
+	if err := rlg.Bootstrap(recoveredPAP); err != nil {
 		log.Fatal(err)
 	}
-	// Post-recovery administration flows on through the same delta path.
-	recoveredPAP.Watch(func(u pap.Update) {
-		if err := pap.Apply(router, recoveredPAP, u, "org-root", policy.DenyOverrides); err != nil {
-			log.Fatal(err)
-		}
-	})
+	if err := pap.Follow(router, recoveredPAP, pap.Root{ID: "org-root", Combining: policy.DenyOverrides}, func(err error) { log.Fatal(err) }); err != nil {
+		log.Fatal(err)
+	}
 
 	// The owning role (i mod 4) may read resource i; probe as the owner.
 	ownerRead := func(i int) policy.Result {

@@ -450,16 +450,16 @@ func TestKill9WALRecoveryKeepsAckedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	root := pap.Root{ID: "root", Combining: policy.DenyOverrides}
+	refreshErr := func(err error) { t.Errorf("refresh: %v", err) }
 	st := pap.NewStore("wal-chaos")
 	engine := pdp.New("wal-chaos")
-	if err := lg.Bootstrap(st, engine, "root", policy.DenyOverrides); err != nil {
+	if err := lg.Bootstrap(st); err != nil {
 		t.Fatal(err)
 	}
-	st.Watch(func(u pap.Update) {
-		if err := pap.Apply(engine, st, u, "root", policy.DenyOverrides); err != nil {
-			t.Errorf("apply %s: %v", u.ID, err)
-		}
-	})
+	if err := pap.Follow(engine, st, root, refreshErr); err != nil {
+		t.Fatal(err)
+	}
 
 	const roles = 4
 	acked := &chaos.AckedWrites{Target: engine}
@@ -487,7 +487,10 @@ func TestKill9WALRecoveryKeepsAckedWrites(t *testing.T) {
 	defer recovered.Close()
 	st2 := pap.NewStore("wal-chaos-recovered")
 	engine2 := pdp.New("wal-chaos-recovered")
-	if err := recovered.Bootstrap(st2, engine2, "root", policy.DenyOverrides); err != nil {
+	if err := recovered.Bootstrap(st2); err != nil {
+		t.Fatal(err)
+	}
+	if err := pap.Follow(engine2, st2, root, refreshErr); err != nil {
 		t.Fatal(err)
 	}
 	acked.Target = engine2

@@ -177,25 +177,10 @@ func (s *System) domainAnalyzer(d *federation.Domain) (*analysis.Engine, error) 
 	}
 	eng := analysis.NewEngine(analysis.Config{RootCombining: policy.DenyOverrides})
 	install := func(store *pap.Store) error {
-		children := make([]policy.Evaluable, 0, 8)
-		for _, id := range store.List() {
-			e, err := store.Get(id)
-			if err != nil {
-				return err
-			}
-			children = append(children, e)
-		}
-		eng.Install(children...)
+		eng.Install(store.Live()...)
 		return nil
 	}
-	err := d.PAP.WatchInstall(install, func(u pap.Update) {
-		if u.Deleted {
-			eng.Apply(u.ID, nil)
-			return
-		}
-		eng.Apply(u.ID, u.Policy)
-	})
-	if err != nil {
+	if err := d.PAP.WatchInstall(install, func(u pap.Update) { eng.Apply(u.ID, u.Policy) }); err != nil {
 		return nil, err
 	}
 	s.analyzers[d.Name] = eng
@@ -241,13 +226,13 @@ func (s *System) ReplicatePDP(d *federation.Domain, n int, strategy ha.Strategy)
 	if n < 1 {
 		return nil, nil, fmt.Errorf("core: need at least one replica")
 	}
+	root, err := d.PAP.BuildRoot(d.Root())
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: replicate %s: %w", d.Name, err)
+	}
 	replicas := make([]*ha.Failable, n)
 	for i := 0; i < n; i++ {
 		engine := pdp.New(fmt.Sprintf("%s-replica-%d", d.Name, i))
-		root, err := d.PAP.BuildRoot(d.Name+"-root", policy.DenyOverrides)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: replicate %s: %w", d.Name, err)
-		}
 		if err := engine.SetRoot(root); err != nil {
 			return nil, nil, fmt.Errorf("core: replicate %s: %w", d.Name, err)
 		}
@@ -271,37 +256,13 @@ func (s *System) InstallReplicatedPDP(d *federation.Domain, n int, strategy ha.S
 	if n < 1 {
 		return nil, nil, fmt.Errorf("core: need at least one replica")
 	}
-	engines := make([]*pdp.Engine, n)
 	replicas := make([]*ha.Failable, n)
-	for i := 0; i < n; i++ {
-		engines[i] = pdp.New(fmt.Sprintf("%s-replica-%d", d.Name, i))
-		replicas[i] = ha.NewFailable(engines[i].Name(), engines[i])
-	}
-	// Initial install and watcher registration are atomic (WatchInstall):
-	// an update committing between a plain snapshot and a later Watch
-	// would never reach the delta pipeline, leaving replicas permanently
-	// serving the missed version.
-	install := func(store *pap.Store) error {
-		root, err := store.BuildRoot(d.Name+"-root", policy.DenyOverrides)
-		if err != nil {
-			return err
+	for i := range replicas {
+		engine := pdp.New(fmt.Sprintf("%s-replica-%d", d.Name, i))
+		if err := pap.Follow(engine, d.PAP, d.Root(), d.ReportRefreshError); err != nil {
+			return nil, nil, fmt.Errorf("core: replicate %s: %w", d.Name, err)
 		}
-		for _, e := range engines {
-			if err := e.SetRoot(root); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := d.PAP.WatchInstall(install, func(u pap.Update) {
-		for _, e := range engines {
-			if err := pap.Apply(e, d.PAP, u, d.Name+"-root", policy.DenyOverrides); err != nil {
-				d.ReportRefreshError(err)
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: replicate %s: %w", d.Name, err)
+		replicas[i] = ha.NewFailable(engine.Name(), engine)
 	}
 	ensemble := ha.NewEnsemble(d.Name+"-ensemble", strategy, replicas...)
 	d.UseDecider(ensemble)

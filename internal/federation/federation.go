@@ -114,13 +114,13 @@ func (d *Domain) currentDecider() policy.Decider {
 }
 
 // NewDomain builds a domain with a fresh CA (deterministic from the
-// entropy source), an empty directory and an empty PAP. Policies put into
-// the PAP reach the PDP through the incremental delta pipeline: each
-// pap.Update patches the one affected root child in place (invalidating
-// only the cached decisions its resource keys constrain), falling back to
-// a full BuildRoot+SetRoot only when the PDP has no patchable root yet.
-// Refresh failures are counted and reported through OnRefreshError, so a
-// PDP silently serving stale policy is observable.
+// entropy source), an empty directory and an empty PAP whose PDP follows
+// it (pap.Follow) under the domain's Root: each pap.Update patches the one
+// affected root child in place (invalidating only the cached decisions
+// its resource keys constrain), falling back to a full reassembly only
+// when the PDP holds no patchable root. Refresh failures are counted and
+// reported through OnRefreshError, so a PDP silently serving stale policy
+// is observable.
 func NewDomain(name string, entropy io.Reader, notBefore, notAfter time.Time) (*Domain, error) {
 	ca, err := pki.NewRootAuthority("ca."+name, entropy, notBefore, notAfter)
 	if err != nil {
@@ -133,12 +133,16 @@ func NewDomain(name string, entropy io.Reader, notBefore, notAfter time.Time) (*
 		PAP:       pap.NewStore("pap." + name),
 		PDP:       pdp.New(PDPAddr(name)),
 	}
-	d.PAP.Watch(func(u pap.Update) {
-		if err := pap.Apply(d.PDP, d.PAP, u, d.Name+"-root", policy.DenyOverrides); err != nil {
-			d.ReportRefreshError(err)
-		}
-	})
+	if err := pap.Follow(d.PDP, d.PAP, d.Root(), d.ReportRefreshError); err != nil {
+		return nil, fmt.Errorf("federation: domain %s: %w", name, err)
+	}
 	return d, nil
+}
+
+// Root is the shape of the domain's assembled policy root: its live
+// policies under "<name>-root", combined deny-overrides.
+func (d *Domain) Root() pap.Root {
+	return pap.Root{ID: d.Name + "-root", Combining: policy.DenyOverrides}
 }
 
 // ReportRefreshError records a failed PAP→PDP refresh: the PDP may be

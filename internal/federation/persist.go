@@ -3,20 +3,26 @@ package federation
 import (
 	"fmt"
 
-	"repro/internal/policy"
 	"repro/internal/store"
 )
 
 // HydratePAP bootstraps the domain's policy base from a durable policy
-// log: snapshot state hydrates the PAP and installs as the PDP root, the
-// WAL tail replays through the incremental delta pipeline (the same
-// pap.Apply path live administration uses), and the log becomes the PAP's
-// backend so every later administrative write is durable before it is
-// acknowledged. Call it on a fresh domain, before the first Put — a
-// restarted domain then serves exactly the decisions it acknowledged
-// before the crash instead of fail-closing on an empty base.
+// log: the recovered snapshot + WAL tail rebuild the PAP, the PDP gets the
+// recovered base as one root, and the log becomes the PAP's backend so
+// every later administrative write is durable before it is acknowledged
+// and reaches the PDP through the domain's delta pipeline. Call it on a
+// fresh domain, before the first Put — a restarted domain then serves
+// exactly the decisions it acknowledged before the crash instead of
+// fail-closing on an empty base.
 func (d *Domain) HydratePAP(lg *store.Log) error {
-	if err := lg.Bootstrap(d.PAP, d.PDP, d.Name+"-root", policy.DenyOverrides); err != nil {
+	if err := lg.Bootstrap(d.PAP); err != nil {
+		return fmt.Errorf("federation: domain %s: %w", d.Name, err)
+	}
+	root, err := d.PAP.BuildRoot(d.Root())
+	if err == nil {
+		err = d.PDP.SetRoot(root)
+	}
+	if err != nil {
 		return fmt.Errorf("federation: domain %s: %w", d.Name, err)
 	}
 	return nil

@@ -80,15 +80,16 @@ func TestDomainHydratePAP(t *testing.T) {
 			t.Fatalf("%s after recovery = %v, want %v", res, got, want)
 		}
 	}
-	if st := second.PDP.Stats(); st.Updates == 0 {
-		t.Fatalf("tail did not replay through the delta path: %+v", st)
-	}
-	// The domain's normal watcher pipeline keeps working, now durably.
+	// The domain's normal watcher pipeline keeps working, now durably:
+	// the first post-recovery write reaches the PDP as one delta.
 	if _, err := second.PAP.Put(persistPolicy("p-icu", "icu")); err != nil {
 		t.Fatal(err)
 	}
 	if got := read(second, "icu"); got != policy.DecisionPermit {
 		t.Fatalf("post-recovery put = %v", got)
+	}
+	if st := second.PDP.Stats(); st.Updates != 1 {
+		t.Fatalf("engine Updates = %d, want 1: the post-recovery write takes the delta path (%+v)", st.Updates, st)
 	}
 	if rlg.Stats().LastSeq != 7 {
 		t.Fatalf("LastSeq = %d, want 7 (6 pre-crash + 1 post-recovery)", rlg.Stats().LastSeq)

@@ -2,9 +2,9 @@ package federation
 
 import (
 	"context"
+	"strings"
 	"testing"
 
-	"repro/internal/pap"
 	"repro/internal/policy"
 )
 
@@ -88,12 +88,8 @@ func TestDomainRefreshErrorSurfaced(t *testing.T) {
 	if len(reported) != 1 || reported[0] == nil {
 		t.Fatalf("callback reports = %v, want one error", reported)
 	}
-	// The helper itself propagates the rebuild failure.
-	pb, err := d.PAP.Get("p-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pap.Apply(d.PDP, d.PAP, pap.Update{ID: "p-b", Version: 1, Policy: pb}, "clinic-root", policy.DenyOverrides); err == nil {
-		t.Error("pap.Apply with a corrupt store must fail")
+	// The report names the store and the write whose refresh failed.
+	if msg := reported[0].Error(); !strings.Contains(msg, "pap pap.clinic: refresh p-b:") {
+		t.Errorf("reported error %q does not name the store and p-b", msg)
 	}
 }

@@ -51,7 +51,7 @@ func TestConcurrentPutDeleteBuildRoot(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < writers*rounds; i++ {
-			root, err := s.BuildRoot("root", policy.DenyOverrides)
+			root, err := s.BuildRoot(Root{ID: "root", Combining: policy.DenyOverrides})
 			if err != nil {
 				errs <- fmt.Errorf("BuildRoot during churn: %w", err)
 				return

@@ -105,12 +105,12 @@ func (s *Store) Watch(w Watcher) {
 
 // WatchInstall runs install while change notification is quiesced and then
 // registers the watcher, atomically: no Put or Delete can commit between
-// install's snapshot of the store (e.g. BuildRoot + SetRoot on a fleet of
-// engines) and the registration. A delta-driven consumer attached to a
-// live store needs this — with plain Watch after a snapshot, an update
-// committing in between would never reach the watcher, and a delta
-// pipeline (unlike a full-rebuild watcher) would never heal the gap.
-// install must not write to the store.
+// install's snapshot of the store (Follow's BuildRoot + SetRoot, an
+// analyzer's Install of Live) and the registration. A delta-driven
+// consumer attached to a live store needs this — with plain Watch after a
+// snapshot, an update committing in between would never reach the
+// watcher, and a delta pipeline (unlike a full-rebuild watcher) would
+// never heal the gap. install must not write to the store.
 func (s *Store) WatchInstall(install func(*Store) error, w Watcher) error {
 	s.notifyMu.Lock()
 	defer s.notifyMu.Unlock()
@@ -339,12 +339,10 @@ func (s *Store) History(id string) int {
 	return len(ent.versions)
 }
 
-// BuildRoot assembles all live policies into a policy set ready to install
-// in a PDP. Children are ordered by ID for determinism; the caller selects
-// the combining algorithm. The live set is snapshotted under one read lock,
-// so a concurrent Put or Delete can never make assembly fail or mix pre-
-// and post-update state.
-func (s *Store) BuildRoot(id string, combining policy.Algorithm) (*policy.PolicySet, error) {
+// Live returns the latest version of every live policy, sorted by ID. The
+// live set is snapshotted under one read lock, so a concurrent Put or
+// Delete can never mix pre- and post-update state into it.
+func (s *Store) Live() []policy.Evaluable {
 	s.mu.RLock()
 	live := make([]policy.Evaluable, 0, len(s.entries))
 	for _, ent := range s.entries {
@@ -354,42 +352,65 @@ func (s *Store) BuildRoot(id string, combining policy.Algorithm) (*policy.Policy
 	}
 	s.mu.RUnlock()
 	sort.Slice(live, func(i, j int) bool { return live[i].EntityID() < live[j].EntityID() })
-	b := policy.NewPolicySet(id).Combining(combining)
-	for _, e := range live {
-		b.Add(e)
-	}
-	root := b.Build()
-	if err := root.Validate(); err != nil {
-		return nil, fmt.Errorf("pap %s: assembled root: %w", s.name, err)
-	}
-	return root, nil
+	return live
 }
 
-// RootInstaller is the decision-point surface the PAP→PDP refresh
-// pipeline drives: incremental deltas with a full reinstall as fallback.
-// Both *pdp.Engine and *cluster.Router satisfy it.
+// Root is the shape of the policy set a store's live policies are
+// assembled under: its ID, combining algorithm, and the root-level target
+// and obligations (both optional) every assembled root keeps.
+type Root struct {
+	ID          string
+	Combining   policy.Algorithm
+	Target      policy.Target
+	Obligations []policy.Obligation
+}
+
+// BuildRoot assembles the live policies (Live, so in ID order) under root
+// into a policy set ready to install in a PDP.
+func (s *Store) BuildRoot(root Root) (*policy.PolicySet, error) {
+	set := policy.NewPolicySet(root.ID).Combining(root.Combining).Add(s.Live()...).Build()
+	set.Target = root.Target
+	set.Obligations = root.Obligations
+	if err := set.Validate(); err != nil {
+		return nil, fmt.Errorf("pap %s: assembled root: %w", s.name, err)
+	}
+	return set, nil
+}
+
+// RootInstaller is the decision-point surface Follow drives: incremental
+// deltas with a full reinstall as fallback. Both *pdp.Engine and
+// *cluster.Router satisfy it.
 type RootInstaller interface {
 	ApplyUpdate(u pdp.Update) error
 	SetRoot(root policy.Evaluable) error
 }
 
-// Apply pushes one store change into a decision point: the delta path
-// first, a full BuildRoot+SetRoot only when the point cannot be patched
-// incrementally (pdp.ErrNotIncremental — e.g. no root installed yet).
-// Federation domains, the core facade's replicated deciders and
-// store.Bootstrap's tail replay route through it. pdpd does not: its
-// fallback must restore the file root's target and obligations, which
-// BuildRoot drops, so it keeps its own variant (admin.apply/installRoot).
-func Apply(point RootInstaller, store *Store, u Update, rootID string, combining policy.Algorithm) error {
-	err := point.ApplyUpdate(pdp.Update{ID: u.ID, Child: u.Policy})
-	if errors.Is(err, pdp.ErrNotIncremental) {
-		root, berr := store.BuildRoot(rootID, combining)
-		if berr != nil {
-			return berr
+// Follow makes point serve the store's live policies under root and keeps
+// it current: the assembled root installs and the refresh watcher
+// registers atomically (WatchInstall), so no write is missed. Each later
+// Put or Delete reaches the point as a delta (ApplyUpdate); a point that
+// cannot patch incrementally (pdp.ErrNotIncremental, e.g. it holds a bare
+// policy) gets the whole root reassembled and reinstalled. Every failed
+// refresh — the point may then be serving stale policy — goes to onErr,
+// which may be nil, as "pap <store>: refresh <id>: ...". Follow returns
+// the initial install's error.
+func Follow(point RootInstaller, s *Store, root Root, onErr func(error)) error {
+	install := func(s *Store) error {
+		set, err := s.BuildRoot(root)
+		if err != nil {
+			return err
 		}
-		err = point.SetRoot(root)
+		return point.SetRoot(set)
 	}
-	return err
+	return s.WatchInstall(install, func(u Update) {
+		err := point.ApplyUpdate(pdp.Update{ID: u.ID, Child: u.Policy})
+		if errors.Is(err, pdp.ErrNotIncremental) {
+			err = install(s)
+		}
+		if err != nil && onErr != nil {
+			onErr(fmt.Errorf("pap %s: refresh %s: %w", s.name, u.ID, err))
+		}
+	})
 }
 
 // Administrative action and resource-type names used by GuardedStore when

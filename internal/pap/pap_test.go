@@ -121,6 +121,12 @@ func TestWatchNotifications(t *testing.T) {
 	if updates[0].Version != 1 || updates[1].Version != 2 || !updates[2].Deleted {
 		t.Errorf("updates = %+v", updates)
 	}
+	// A Put carries the stored policy; a Delete carries none, so a
+	// watcher passes Policy on as is (nil removes).
+	if updates[0].Policy == nil || updates[1].Policy == nil || updates[2].Policy != nil {
+		t.Errorf("update policies = %v, %v, %v; want non-nil, non-nil, nil",
+			updates[0].Policy, updates[1].Policy, updates[2].Policy)
+	}
 }
 
 func TestBuildRoot(t *testing.T) {
@@ -131,7 +137,7 @@ func TestBuildRoot(t *testing.T) {
 	if _, err := s.Put(permitPolicy("a")); err != nil {
 		t.Fatal(err)
 	}
-	root, err := s.BuildRoot("domain-root", policy.DenyOverrides)
+	root, err := s.BuildRoot(Root{ID: "domain-root", Combining: policy.DenyOverrides})
 	if err != nil {
 		t.Fatal(err)
 	}

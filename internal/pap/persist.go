@@ -26,7 +26,8 @@ type Backend interface {
 // SetBackend attaches the durability layer. Writes committed while no
 // backend is attached are volatile; recovery bootstrap
 // (store.Log.Bootstrap) hydrates the store first and attaches the log
-// last, so replayed state is not re-appended to the log.
+// last, so replayed state is not re-appended to the log, and the caller
+// then runs Follow to install the recovered base as one root.
 func (s *Store) SetBackend(b Backend) {
 	s.notifyMu.Lock()
 	defer s.notifyMu.Unlock()

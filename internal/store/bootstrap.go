@@ -4,50 +4,31 @@ import (
 	"fmt"
 
 	"repro/internal/pap"
-	"repro/internal/policy"
 )
 
-// Bootstrap replays the recovered state into a live system and attaches
-// the log as the store's durability backend, in the order the delta
-// pipeline requires:
+// Bootstrap rebuilds the recovered state into a fresh pap.Store and
+// attaches the log as its durability backend:
 //
-//  1. snapshot entries hydrate the pap.Store (version counters,
-//     tombstones and latest policies, without waking watchers);
-//  2. when a decision point is given, the root assembled from that
-//     snapshot state installs via SetRoot — exactly what a fresh shard or
-//     domain would receive;
-//  3. each WAL tail record replays into the store and then through
-//     pap.Apply, i.e. pdp.Engine.ApplyUpdate / cluster.Router.ApplyUpdate
-//     — the same incremental path live administration uses;
-//  4. the log becomes the store's Backend, so every later write is
+//  1. snapshot entries hydrate the store (version counters, tombstones
+//     and latest policies, without waking watchers);
+//  2. each WAL tail record replays into the store, again without waking
+//     watchers;
+//  3. the log becomes the store's Backend, so every later write is
 //     committed before it is acknowledged.
 //
-// Both *pdp.Engine and *cluster.Router satisfy pap.RootInstaller; point
-// may be nil to hydrate only the store (the caller installs roots itself,
-// as cmd/pdpd does to preserve root-level targets and obligations).
-func (l *Log) Bootstrap(s *pap.Store, point pap.RootInstaller, rootID string, combining policy.Algorithm) error {
+// The store then holds exactly the acknowledged pre-crash state. A
+// decision point catches up by following it (pap.Follow), which installs
+// the recovered base as one root and streams every later write as a
+// delta.
+func (l *Log) Bootstrap(s *pap.Store) error {
 	for _, ent := range l.recoveredSnap {
 		if err := s.Hydrate(ent.ID, ent.Versions, ent.Deleted, ent.Policy); err != nil {
-			return fmt.Errorf("store: bootstrap: %w", err)
-		}
-	}
-	if point != nil {
-		root, err := s.BuildRoot(rootID, combining)
-		if err != nil {
-			return fmt.Errorf("store: bootstrap: %w", err)
-		}
-		if err := point.SetRoot(root); err != nil {
 			return fmt.Errorf("store: bootstrap: %w", err)
 		}
 	}
 	for _, u := range l.recoveredTail {
 		if err := s.Replay(u); err != nil {
 			return fmt.Errorf("store: bootstrap: %w", err)
-		}
-		if point != nil {
-			if err := pap.Apply(point, s, u, rootID, combining); err != nil {
-				return fmt.Errorf("store: bootstrap: replay %s: %w", u.ID, err)
-			}
 		}
 	}
 	// The recovered trees are now owned by the store; holding a second

@@ -16,15 +16,16 @@ import (
 )
 
 // TestBootstrapClusterHydratesShards pins the replication-bootstrap use:
-// a freshly built sharded cluster router hydrated from snapshot + WAL
-// tail serves the same decisions as the pre-crash single store, with the
-// tail flowing through cluster.Router.ApplyUpdate (the delta path).
+// a freshly built sharded cluster router following a store rebuilt from
+// snapshot + WAL tail serves the same decisions as the pre-crash single
+// store, and the first post-recovery write reaches it through
+// cluster.Router.ApplyUpdate (the delta path).
 func TestBootstrapClusterHydratesShards(t *testing.T) {
 	const ids = 8
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{SnapshotEvery: 6})
 	live := pap.NewStore("live")
-	if err := l.Bootstrap(live, nil, "root", policy.DenyOverrides); err != nil {
+	if err := l.Bootstrap(live); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ids; i++ {
@@ -57,32 +58,40 @@ func TestBootstrapClusterHydratesShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := pap.NewStore("recovered")
-	if err := r.Bootstrap(s, router, "root", policy.DenyOverrides); err != nil {
-		t.Fatal(err)
-	}
+	recoverInto(t, r, s, router)
 	if got := rootFingerprint(t, s); got != want {
 		t.Fatal("recovered store diverged from pre-crash store")
 	}
-	single := pdp.New("reference")
-	root, err := s.BuildRoot("root", policy.DenyOverrides)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := single.SetRoot(root); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < ids; i++ {
-		for _, action := range []string{"read", "write"} {
-			req := policy.NewAccessRequest("u", fmt.Sprintf("res-p-%d", i), action)
-			got := policy.Decide(context.Background(), router, req, time.Time{})
-			ref := policy.Decide(context.Background(), single, policy.NewAccessRequest("u", fmt.Sprintf("res-p-%d", i), action), time.Time{})
-			if got.Decision != ref.Decision {
-				t.Fatalf("res-p-%d %s: cluster = %v, single = %v", i, action, got.Decision, ref.Decision)
+	// The cluster decides like a single engine given a fresh BuildRoot,
+	// right after recovery and again after one post-recovery write.
+	sameAsSingle := func(when string) {
+		t.Helper()
+		single := pdp.New("reference")
+		root, err := s.BuildRoot(pap.Root{ID: "root", Combining: policy.DenyOverrides})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := single.SetRoot(root); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ids; i++ {
+			for _, action := range []string{"read", "write"} {
+				req := policy.NewAccessRequest("u", fmt.Sprintf("res-p-%d", i), action)
+				got := policy.Decide(context.Background(), router, req, time.Time{})
+				ref := policy.Decide(context.Background(), single, policy.NewAccessRequest("u", fmt.Sprintf("res-p-%d", i), action), time.Time{})
+				if got.Decision != ref.Decision {
+					t.Fatalf("%s: res-p-%d %s: cluster = %v, single = %v", when, i, action, got.Decision, ref.Decision)
+				}
 			}
 		}
 	}
-	if st := router.Stats(); st.Updates == 0 {
-		t.Fatalf("router Updates = 0: tail did not flow through the delta path (stats %+v)", st)
+	sameAsSingle("after recovery")
+	if _, err := s.Put(testPolicy("p-3", "res-p-3", "v3")); err != nil {
+		t.Fatal(err)
+	}
+	sameAsSingle("after a post-recovery write")
+	if st := router.Stats(); st.Updates != 1 {
+		t.Fatalf("router Updates = %d, want 1: the post-recovery write takes the delta path (stats %+v)", st.Updates, st)
 	}
 }
 
@@ -92,7 +101,7 @@ func TestBootstrapRefusesDirtyStore(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{SnapshotEvery: 2})
 	s := pap.NewStore("a")
-	if err := l.Bootstrap(s, nil, "root", policy.DenyOverrides); err != nil {
+	if err := l.Bootstrap(s); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -109,7 +118,7 @@ func TestBootstrapRefusesDirtyStore(t *testing.T) {
 	if _, err := dirty.Put(testPolicy("p-0", "res", "other")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Bootstrap(dirty, nil, "root", policy.DenyOverrides); err == nil {
+	if err := r.Bootstrap(dirty); err == nil {
 		t.Fatal("Bootstrap over a dirty store succeeded")
 	}
 }

@@ -45,15 +45,29 @@ func randomOps(t *testing.T, s *pap.Store, rng *rand.Rand, n, ids int) []string 
 // bytes: the canonical JSON of the assembled root.
 func rootFingerprint(t *testing.T, s *pap.Store) string {
 	t.Helper()
-	root, err := s.BuildRoot("root", policy.DenyOverrides)
+	root, err := s.BuildRoot(pap.Root{ID: "root", Combining: policy.DenyOverrides})
 	if err != nil {
 		t.Fatalf("BuildRoot: %v", err)
 	}
 	return policyJSON(t, root)
 }
 
-// recoverFingerprint recovers a data directory from scratch, bootstraps a
-// fresh store and engine through the delta pipeline, and returns the
+// recoverInto rebuilds s from l and has point follow it under the "root"
+// shape — how a restarted service recovers: Bootstrap, then pap.Follow.
+// A failed refresh after recovery fails the test.
+func recoverInto(t *testing.T, l *Log, s *pap.Store, point pap.RootInstaller) {
+	t.Helper()
+	if err := l.Bootstrap(s); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	root := pap.Root{ID: "root", Combining: policy.DenyOverrides}
+	if err := pap.Follow(point, s, root, func(err error) { t.Errorf("refresh: %v", err) }); err != nil {
+		t.Fatalf("Follow: %v", err)
+	}
+}
+
+// recoverFingerprint recovers a data directory from scratch into a fresh
+// store and an engine following it, and returns the
 // fingerprint plus how many WAL records were replayed and a decision
 // probe over the resource space.
 func recoverFingerprint(t *testing.T, dir string, ids int) (string, int, []policy.Decision) {
@@ -65,9 +79,7 @@ func recoverFingerprint(t *testing.T, dir string, ids int) (string, int, []polic
 	defer l.Close()
 	s := pap.NewStore("recovered")
 	engine := pdp.New("recovered")
-	if err := l.Bootstrap(s, engine, "root", policy.DenyOverrides); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	recoverInto(t, l, s, engine)
 	st := l.Stats()
 	return rootFingerprint(t, s), st.RecoveredSnapshot + st.RecoveredTail, probe(engine, ids)
 }
@@ -96,7 +108,7 @@ func TestCrashAtAnyByteOffset(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{SnapshotEvery: -1})
 	s := pap.NewStore("live")
-	if err := l.Bootstrap(s, nil, "root", policy.DenyOverrides); err != nil {
+	if err := l.Bootstrap(s); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -121,7 +133,7 @@ func TestCrashAtAnyByteOffset(t *testing.T) {
 	prefixProbes := make([][]policy.Decision, len(fingerprints))
 	for i, ps := range prefixStores {
 		engine := pdp.New(fmt.Sprintf("prefix-%d", i))
-		root, err := ps.BuildRoot("root", policy.DenyOverrides)
+		root, err := ps.BuildRoot(pap.Root{ID: "root", Combining: policy.DenyOverrides})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +251,7 @@ func TestCrashCopyDuringSnapshotChurn(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{SnapshotEvery: 5})
 	s := pap.NewStore("live")
-	if err := l.Bootstrap(s, nil, "root", policy.DenyOverrides); err != nil {
+	if err := l.Bootstrap(s); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -263,10 +275,7 @@ func TestCrashCopyDuringSnapshotChurn(t *testing.T) {
 			t.Fatalf("op %d: recover: %v", i, err)
 		}
 		rs := pap.NewStore("recovered")
-		engine := pdp.New("recovered")
-		if err := r.Bootstrap(rs, engine, "root", policy.DenyOverrides); err != nil {
-			t.Fatalf("op %d: bootstrap: %v", i, err)
-		}
+		recoverInto(t, r, rs, pdp.New("recovered"))
 		if got := rootFingerprint(t, rs); got != want {
 			t.Fatalf("op %d: recovered policy base diverged from acknowledged state", i)
 		}

@@ -42,9 +42,9 @@
 // of the log: the tail is truncated at the last whole record, never
 // partially applied (a torn record was never acknowledged, so nothing
 // acknowledged is lost). Corruption anywhere earlier is a hard error.
-// Bootstrap then rebuilds the world through the existing delta pipeline:
-// snapshot state hydrates the pap.Store, the assembled root installs into
-// the decision point via SetRoot, and each tail record replays through
-// pap.Apply — pdp.Engine.ApplyUpdate / cluster.Router.ApplyUpdate — the
-// exact path live administration uses.
+// Bootstrap then rebuilds the pap.Store: snapshot state hydrates it, the
+// tail records replay into it, and the log attaches as its backend. A
+// decision point recovers by following the rebuilt store (pap.Follow):
+// the recovered base installs as one root, and every later write reaches
+// the point through ApplyUpdate — the path live administration uses.
 package store

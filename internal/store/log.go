@@ -92,7 +92,7 @@ type Log struct {
 // tail beyond it is replayed, and a torn or corrupt record at the very
 // end of the log is truncated — never partially applied. The recovered
 // state is exposed via RecoveredSnapshot/RecoveredTail and, more usefully,
-// replayed into a live system by Bootstrap.
+// rebuilt into a pap.Store by Bootstrap.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery

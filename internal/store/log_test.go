@@ -101,9 +101,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 
 	s := pap.NewStore("recovered")
 	engine := pdp.New("recovered")
-	if err := r.Bootstrap(s, engine, "root", policy.DenyOverrides); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	recoverInto(t, r, s, engine)
 	if got := s.List(); len(got) != 2 || got[0] != "p-a" || got[1] != "p-c" {
 		t.Fatalf("List = %v", got)
 	}
@@ -161,7 +159,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 		t.Fatalf("tail after graceful close = %d records, want 0 (all in snapshot)", n)
 	}
 	s := pap.NewStore("s")
-	if err := r.Bootstrap(s, nil, "root", policy.DenyOverrides); err != nil {
+	if err := r.Bootstrap(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.List()); got != 5 {
@@ -332,7 +330,7 @@ func TestConcurrentAppendsFromPAPWriters(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{SnapshotEvery: -1})
 	s := pap.NewStore("writers")
-	if err := l.Bootstrap(s, nil, "root", policy.DenyOverrides); err != nil {
+	if err := l.Bootstrap(s); err != nil {
 		t.Fatal(err)
 	}
 	var watched []pap.Update // watchers run serialised, in commit order
@@ -459,7 +457,7 @@ func TestSnapshotFallsBackWhenNewestDamaged(t *testing.T) {
 	}
 	defer r.Close()
 	s := pap.NewStore("s")
-	if err := r.Bootstrap(s, nil, "root", policy.DenyOverrides); err != nil {
+	if err := r.Bootstrap(s); err != nil {
 		return
 	}
 	if got := len(s.List()); got == 8 {
