@@ -41,9 +41,8 @@
 // layer over the decision point (an Indeterminate — open breaker,
 // replicas down, dead PIP — is answered for warm keys with their last
 // conclusive decision, marked degraded and audit-logged, while cold keys
-// fail closed; every admin write retires the remembered decisions);
-// -hedge-after arms hedged replica failover for every decision, single or
-// batch; and -admission arms adaptive (AIMD) admission control at ingress,
+// fail closed; every admin write retires the remembered decisions); and
+// -admission arms adaptive (AIMD) admission control at ingress,
 // shedding excess decision traffic with 503 + Retry-After while the admin
 // plane, health probes and metric scrapes are never shed.
 //
@@ -53,7 +52,7 @@
 //	     [-shards N] [-replicas M] [-strategy failover|quorum]
 //	     [-policy-lint off|warn|strict]
 //	     [-breaker] [-breaker-cooldown 1s]
-//	     [-stale-grace 30s] [-hedge-after 5ms] [-admission 256]
+//	     [-stale-grace 30s] [-admission 256]
 package main
 
 import (
@@ -115,7 +114,6 @@ func main() {
 	breakerFlag := flag.Bool("breaker", false, "arm per-shard circuit breakers: a shard group observed down fails fast instead of burning per-request deadline budget")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-state cooldown before a single half-open probe is admitted")
 	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it is no older than this and no policy write came since (0 fails closed instead)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a shard group's silent preferred replica onto the rest of its chain after this delay, single and batch decisions alike (0 disables)")
 	admissionLimit := flag.Int("admission", 0, "adaptive (AIMD) admission control: initial concurrency limit for decision traffic, shed with 503 + Retry-After beyond it; admin/health/metrics are never shed (0 disables)")
 	flag.Parse()
 
@@ -151,14 +149,13 @@ func main() {
 		lg.RegisterMetrics(reg)
 	}
 	var resPolicy *resilience.Policy
-	if *breakerFlag || *staleGrace > 0 || *hedgeAfter > 0 {
+	if *breakerFlag || *staleGrace > 0 {
 		resPolicy = &resilience.Policy{
 			Breaker: resilience.BreakerConfig{
 				Threshold: breakerThreshold,
 				Cooldown:  *breakerCooldown,
 			},
 			StaleGrace: *staleGrace,
-			HedgeAfter: *hedgeAfter,
 		}
 	}
 	var resolver policy.Resolver
@@ -232,10 +229,7 @@ func main() {
 	var admission *resilience.Admission
 	if *admissionLimit > 0 {
 		admission = resilience.NewAdmission(resilience.AdmissionConfig{Initial: *admissionLimit})
-		reg.GaugeFunc("repro_admission_limit", "Current adaptive (AIMD) admission concurrency limit.", func() int64 { return int64(admission.Limit()) })
-		reg.GaugeFunc("repro_admission_inflight", "Admitted in-flight requests.", admission.Inflight)
-		reg.CounterFunc("repro_admission_rejected_total", "Requests shed at ingress by admission control.", func() int64 { return admission.Stats().Rejected })
-		reg.CounterFunc("repro_admission_throttles_total", "Multiplicative decreases applied to the admission limit.", func() int64 { return admission.Stats().Throttles })
+		admission.RegisterMetrics(reg)
 	}
 
 	mux := http.NewServeMux()
@@ -287,8 +281,8 @@ func main() {
 	log.Printf("pdpd: serving %s on %s (cache=%v shards=%d replicas=%d strategy=%s data-dir=%q trace-sample=%g)",
 		*policyPath, *addr, *cacheTTL, *shards, *replicas, *strategy, *dataDir, *traceSample)
 	if resPolicy != nil {
-		log.Printf("pdpd: resilience armed (breaker threshold=%d cooldown=%v stale-grace=%v hedge-after=%v)",
-			breakerThreshold, *breakerCooldown, *staleGrace, *hedgeAfter)
+		log.Printf("pdpd: resilience armed (breaker threshold=%d cooldown=%v stale-grace=%v)",
+			breakerThreshold, *breakerCooldown, *staleGrace)
 	}
 	var handler http.Handler = mux
 	if admission != nil {
@@ -360,7 +354,7 @@ func admissionPriority(r *http.Request) resilience.Priority {
 
 // buildDecisionPoint assembles the router pdpd serves, whose replica
 // handles /admin/chaos injects faults through. A non-nil res arms the
-// router's per-shard breakers and hedging; its StaleGrace is applied by
+// router's per-shard breakers; its StaleGrace is applied by
 // the caller, which places one resilience.StaleCache over the router.
 func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (*cluster.Router, error) {
 	var opts []pdp.Option

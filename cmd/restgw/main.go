@@ -173,9 +173,7 @@ func run(upstream, policyPath, pdpEndpoint, addr string, routes routeFlags, obs 
 		// Shed excess proxied traffic at ingress before it queues into the
 		// upstream or the PDP; observability endpoints are never shed.
 		admission := resilience.NewAdmission(resilience.AdmissionConfig{Initial: admissionLimit})
-		reg.GaugeFunc("repro_admission_limit", "Current adaptive (AIMD) admission concurrency limit.", func() int64 { return int64(admission.Limit()) })
-		reg.GaugeFunc("repro_admission_inflight", "Admitted in-flight requests.", admission.Inflight)
-		reg.CounterFunc("repro_admission_rejected_total", "Requests shed at ingress by admission control.", func() int64 { return admission.Stats().Rejected })
+		admission.RegisterMetrics(reg)
 		handler = admission.Middleware(func(r *http.Request) resilience.Priority {
 			p := r.URL.Path
 			if strings.HasPrefix(p, "/debug/") || p == "/metrics" || p == "/gw/stats" {

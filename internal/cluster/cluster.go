@@ -15,8 +15,8 @@
 //
 // Every decision takes one per-shard dispatch: the zero-copy scatter path
 // (one shared result buffer from router to engine), with the shard's
-// breaker, latency histogram, trace span and the ensemble's hedge applied
-// in one place. A single decision is a one-position scatter; a larger
+// breaker, latency histogram, trace span and the ensemble's failover walk
+// applied in one place. A single decision is a one-position scatter; a larger
 // selection is grouped by owning shard and evaluates each group in one engine
 // pass, amortising lock, cache-sweep and snapshot-load overhead, with
 // groups running concurrently across shards when the runtime has spare
@@ -73,9 +73,8 @@ type Config struct {
 	// time.Now when nil.
 	Clock func() time.Time
 	// Resilience, when non-nil, arms a circuit breaker per shard group (an
-	// open breaker fails fast with resilience.ErrOpen) and, with HedgeAfter,
-	// hedged failover in every shard group, for single and batch decisions
-	// alike. StaleGrace is not the router's concern: a
+	// open breaker fails fast with resilience.ErrOpen), for single and
+	// batch decisions alike. StaleGrace is not the router's concern: a
 	// resilience.StaleCache placed over the router serves last-known-good.
 	Resilience *resilience.Policy
 }
@@ -171,7 +170,7 @@ type Router struct {
 	// metricsOn gates per-decision latency observation: zero clock reads
 	// on the decision path until RegisterMetrics flips it.
 	metricsOn atomic.Bool
-	// res is the breaker and hedging policy armed by Config.Resilience;
+	// res is the breaker policy armed by Config.Resilience;
 	// nil when resilience is off.
 	res *resilience.Policy
 }
@@ -227,7 +226,6 @@ func (r *Router) addShardLocked() *shard {
 	s.group = ha.NewEnsemble(name, r.cfg.Strategy, s.replicas...)
 	if r.res != nil {
 		s.breaker = resilience.NewBreaker(name, r.res.Breaker)
-		s.group.SetHedge(r.res.HedgeAfter)
 	}
 	r.shards[name] = s
 	r.order = append(r.order, name)

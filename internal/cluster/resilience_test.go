@@ -14,7 +14,6 @@ import (
 	"repro/internal/pdp"
 	"repro/internal/policy"
 	"repro/internal/resilience"
-	"repro/internal/trace"
 )
 
 // dbReaders permits every request on resource "db".
@@ -291,136 +290,6 @@ func (l laggingRouter) DecideAt(ctx context.Context, req *policy.Request, at tim
 func (l laggingRouter) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
 	defer time.Sleep(50 * time.Microsecond)
 	return policy.DecideBatch(ctx, l.Router, reqs, at)
-}
-
-// TestClusterHedgedBatch: with a stalled preferred replica and HedgeAfter
-// armed, the hedge answers well before the stall elapses — for batches and
-// single decisions alike, since both take the same per-shard dispatch.
-func TestClusterHedgedBatch(t *testing.T) {
-	reqs := []*policy.Request{
-		policy.NewAccessRequest("alice", "db", "read"),
-		policy.NewAccessRequest("bob", "files", "read"),
-	}
-	want := []policy.Decision{policy.DecisionPermit, policy.DecisionDeny}
-	for _, tc := range []struct {
-		name   string
-		decide func(r *Router) []policy.Result
-	}{
-		{"single", func(r *Router) []policy.Result {
-			out := make([]policy.Result, len(reqs))
-			for i, req := range reqs {
-				out[i] = policy.Decide(context.Background(), r, req, testEpoch)
-			}
-			return out
-		}},
-		{"batch", func(r *Router) []policy.Result {
-			return policy.DecideBatch(context.Background(), r, reqs, testEpoch)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			router, err := New("c", Config{
-				Shards: 1, Replicas: 3,
-				Resilience: &resilience.Policy{HedgeAfter: 5 * time.Millisecond},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := router.SetRoot(resilienceRoot()); err != nil {
-				t.Fatal(err)
-			}
-			reps, err := router.Replicas(router.Shards()[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			const stall = 2 * time.Second
-			reps[0].SetStall(stall)
-
-			start := time.Now()
-			out := tc.decide(router)
-			if elapsed := time.Since(start); elapsed >= stall {
-				t.Fatalf("decisions took %v, the hedge should beat the %v stall", elapsed, stall)
-			}
-			for i, res := range out {
-				if res.Decision != want[i] {
-					t.Fatalf("hedged decisions = %+v, want conclusive verdicts %v", out, want)
-				}
-			}
-			gs := router.GroupStats()[router.Shards()[0]]
-			if gs.Hedges == 0 || gs.HedgeWins == 0 {
-				t.Fatalf("group stats = %+v, want hedges launched and won", gs)
-			}
-		})
-	}
-}
-
-// TestTracedHedgedDecision: a hedged decision's two walks run at once, so
-// each owns an ha.walk span and neither annotates the shared cluster.shard
-// span. The stalled primary is cached, so it answers from its own timer
-// after the router has returned and the trace was published; under -race
-// that late loser must touch no span but its own.
-func TestTracedHedgedDecision(t *testing.T) {
-	router, err := New("c", Config{
-		Shards: 1, Replicas: 2,
-		EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 64)},
-		Resilience:    &resilience.Policy{HedgeAfter: 5 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := router.SetRoot(resilienceRoot()); err != nil {
-		t.Fatal(err)
-	}
-	reps, err := router.Replicas(router.Shards()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm both caches: the primary answers the first call and, with the
-	// primary down, the failover walk brings the second to the other.
-	req := policy.NewAccessRequest("alice", "db", "read")
-	policy.Decide(context.Background(), router, req, testEpoch)
-	reps[0].SetDown(true)
-	policy.Decide(context.Background(), router, req, testEpoch)
-	reps[0].SetDown(false)
-
-	reps[0].SetStall(100 * time.Millisecond)
-	tracer := trace.NewTracer(trace.Options{Sample: 1})
-	ctx, root := tracer.StartRoot(context.Background(), "test")
-	res := policy.Decide(ctx, router, req, testEpoch)
-	root.End()
-	if res.Decision != policy.DecisionPermit {
-		t.Fatalf("hedged decision = %+v, want Permit", res)
-	}
-	// Both replicas answer from cache: the hedge before the router
-	// returned, the stalled primary once its stall elapses.
-	for deadline := time.Now().Add(5 * time.Second); router.EngineStats().CacheHits < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("engine stats = %+v, want the stalled primary's cache hit", router.EngineStats())
-		}
-	}
-
-	recs := tracer.Recent(1)
-	if len(recs) != 1 {
-		t.Fatalf("kept %d traces, want 1", len(recs))
-	}
-	var shard, hedge map[string]string
-	for _, sp := range recs[0].Spans {
-		attrs := make(map[string]string, len(sp.Attrs))
-		for _, a := range sp.Attrs {
-			attrs[a.Key] = a.Value
-		}
-		switch {
-		case sp.Name == "cluster.shard":
-			shard = attrs
-		case sp.Name == "ha.walk" && attrs["ha.walk"] == "hedge":
-			hedge = attrs
-		}
-	}
-	if shard == nil || shard["pdp.decision"] != "" {
-		t.Fatalf("cluster.shard attrs = %v, want the span with no pdp.* annotation (spans: %+v)", shard, recs[0].Spans)
-	}
-	if hedge["pdp.decision"] != "Permit" || hedge["pdp.cache"] != "hit" {
-		t.Fatalf("hedge walk attrs = %v, want pdp.decision=Permit pdp.cache=hit (spans: %+v)", hedge, recs[0].Spans)
-	}
 }
 
 // TestClusterBreakerNeutralOnCallerExpiry: a caller context that expires

@@ -126,26 +126,6 @@ func (r *Router) RegisterMetrics(reg *telemetry.Registry) {
 			}
 			return out
 		})
-	reg.Register("repro_cluster_shard_hedges_total",
-		"Decisions hedged onto a second replica per shard group (and the subset the hedge won).",
-		telemetry.KindCounter, func() []telemetry.Sample {
-			r.mu.RLock()
-			defer r.mu.RUnlock()
-			out := make([]telemetry.Sample, 0, 2*len(r.order))
-			for _, name := range r.order {
-				st := r.shards[name].group.Stats()
-				out = append(out,
-					telemetry.Sample{
-						Labels: []telemetry.Label{telemetry.L("shard", name), telemetry.L("outcome", "launched")},
-						Value:  float64(st.Hedges),
-					},
-					telemetry.Sample{
-						Labels: []telemetry.Label{telemetry.L("shard", name), telemetry.L("outcome", "won")},
-						Value:  float64(st.HedgeWins),
-					})
-			}
-			return out
-		})
 	pdp.RegisterMetrics(reg, r.engines)
 	r.metricsOn.Store(true)
 }

@@ -4,8 +4,69 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
+
+// checkFamilies asserts that the exposition out carries exactly the golden
+// families under prefix, each with its "kind help" text.
+func checkFamilies(t *testing.T, out, prefix string, golden map[string]string) {
+	t.Helper()
+	help := make(map[string]string)
+	kind := make(map[string]string)
+	for _, line := range strings.Split(out, "\n") {
+		var into map[string]string
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			into = help
+		case strings.HasPrefix(line, "# TYPE "):
+			into = kind
+		default:
+			continue
+		}
+		if name, text, _ := strings.Cut(line[len("# HELP "):], " "); strings.HasPrefix(name, prefix) {
+			into[name] = text
+		}
+	}
+	if len(help) != len(golden) {
+		t.Errorf("exposes %d %s* families, want %d", len(help), prefix, len(golden))
+	}
+	for name, want := range golden {
+		if got := kind[name] + " " + help[name]; got != want {
+			t.Errorf("%s: got %q, want %q", name, got, want)
+		}
+	}
+	for name := range help {
+		if _, ok := golden[name]; !ok {
+			t.Errorf("unexpected family %s", name)
+		}
+	}
+}
+
+// TestRouterClusterFamiliesGolden pins the repro_cluster_* families a
+// router with breakers armed exposes: exactly these thirteen, each with its
+// kind and help text. A family renamed, dropped or added fails here.
+func TestRouterClusterFamiliesGolden(t *testing.T) {
+	golden := map[string]string{
+		"repro_cluster_batch_requests_total":   "counter Requests carried by routed batches.",
+		"repro_cluster_batches_total":          "counter Batch decisions (two or more requests) routed.",
+		"repro_cluster_breaker_opens_total":    "counter Per-shard breaker trips (closed or half-open to open).",
+		"repro_cluster_breaker_state":          "gauge Per-shard circuit-breaker state: 0 closed, 1 open, 2 half-open.",
+		"repro_cluster_children_moved_total":   "counter Policy-base children whose owning shard changed across rebalances.",
+		"repro_cluster_degraded_rejects_total": "counter Requests failed fast by an open shard breaker.",
+		"repro_cluster_rebalances_total":       "counter Shard membership changes.",
+		"repro_cluster_requests_total":         "counter Single decisions routed (one-request batches included).",
+		"repro_cluster_shard_decide_seconds":   "histogram Decision latency per shard group (router-observed).",
+		"repro_cluster_shard_failovers_total":  "counter Failover reroutes per shard group.",
+		"repro_cluster_shard_queries_total":    "counter Decisions handled per shard (replica queries summed over the group).",
+		"repro_cluster_shards":                 "gauge Current shard count.",
+		"repro_cluster_updates_total":          "counter Incremental policy deltas applied.",
+	}
+	_, router, _ := fixture(t, Config{Shards: 2, Replicas: 2, Resilience: &resilience.Policy{}}, 20)
+	reg := telemetry.NewRegistry()
+	router.RegisterMetrics(reg)
+	checkFamilies(t, reg.Render(), "repro_cluster_", golden)
+}
 
 // TestRouterPDPFamiliesGolden pins the repro_pdp_* families a router
 // exposes: exactly these sixteen, each with its kind and help text, and
@@ -35,36 +96,7 @@ func TestRouterPDPFamiliesGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	router.RegisterMetrics(reg)
 	out := reg.Render()
-
-	help := make(map[string]string)
-	kind := make(map[string]string)
-	for _, line := range strings.Split(out, "\n") {
-		var into map[string]string
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			into = help
-		case strings.HasPrefix(line, "# TYPE "):
-			into = kind
-		default:
-			continue
-		}
-		if name, text, _ := strings.Cut(line[len("# HELP "):], " "); strings.HasPrefix(name, "repro_pdp_") {
-			into[name] = text
-		}
-	}
-	if len(help) != len(golden) {
-		t.Errorf("router exposes %d repro_pdp_* families, want %d", len(help), len(golden))
-	}
-	for name, want := range golden {
-		if got := kind[name] + " " + help[name]; got != want {
-			t.Errorf("%s: got %q, want %q", name, got, want)
-		}
-	}
-	for name := range help {
-		if _, ok := golden[name]; !ok {
-			t.Errorf("unexpected family %s", name)
-		}
-	}
+	checkFamilies(t, out, "repro_pdp_", golden)
 	for _, engine := range []string{"c/shard-0/r0", "c/shard-0/r1", "c/shard-1/r0", "c/shard-1/r1"} {
 		for _, series := range []string{
 			`repro_pdp_epoch{engine="` + engine + `"} 1`,

@@ -1,16 +1,15 @@
 // Package ha provides the dependability mechanisms behind the paper's
 // title: replicated Policy Decision Point ensembles that keep authorising
 // under component failure. Two strategies are offered — ordered failover
-// (try replicas until one answers, optionally hedging a slow preferred
-// replica onto the rest of the chain) and quorum voting (majority of all
-// replicas, which additionally masks a minority of corrupt or stale
-// answers) — plus a health monitor that reorders failover chains away from
-// dead replicas.
+// (try replicas until one answers, in one walk on the caller's goroutine)
+// and quorum voting (majority of all replicas, which additionally masks a
+// minority of corrupt or stale answers) — plus a health monitor that
+// reorders failover chains away from dead replicas.
 //
 // Every decision takes one path: the scatter call (policy.Decider), which
 // answers a selection of request positions into a caller-owned result
 // buffer. A single decision is a one-position scatter, so failover order,
-// the all-or-nothing replica rule, the majority rule, hedging and the
+// the all-or-nothing replica rule, the majority rule and the
 // failover/quorum trace annotations each exist once.
 //
 // Failure injection is first-class: replicas are wrapped in Failable
@@ -132,10 +131,6 @@ type Stats struct {
 	Disagreements int64
 	// ReplicaQueries counts individual replica decisions issued.
 	ReplicaQueries int64
-	// Hedges counts requests duplicated onto a second replica because the
-	// first had not answered within the hedge delay; HedgeWins counts the
-	// subset the hedge answered first.
-	Hedges, HedgeWins int64
 }
 
 // counters is the lock-free mutable form of Stats: decision paths
@@ -144,7 +139,6 @@ type Stats struct {
 // (mirrors the PDP engine's atomic stat stripes).
 type counters struct {
 	requests, failovers, unavailable, disagreements, replicaQueries atomic.Int64
-	hedges, hedgeWins                                               atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -154,8 +148,6 @@ func (c *counters) snapshot() Stats {
 		Unavailable:    c.unavailable.Load(),
 		Disagreements:  c.disagreements.Load(),
 		ReplicaQueries: c.replicaQueries.Load(),
-		Hedges:         c.hedges.Load(),
-		HedgeWins:      c.hedgeWins.Load(),
 	}
 }
 
@@ -171,8 +163,7 @@ type Ensemble struct {
 	// order is the failover preference: deciders load it without locking,
 	// Probe builds a reordered copy and swaps it in.
 	order   atomic.Pointer[[]int]
-	probeMu sync.Mutex   // serializes Probe's read-modify-write of order
-	hedge   atomic.Int64 // failover hedge delay in nanoseconds; 0 disables
+	probeMu sync.Mutex // serializes Probe's read-modify-write of order
 	stats   counters
 }
 
@@ -189,12 +180,6 @@ func NewEnsemble(name string, strategy Strategy, replicas ...*Failable) *Ensembl
 
 // Name identifies the ensemble.
 func (e *Ensemble) Name() string { return e.name }
-
-// SetHedge arms hedged failover: a preferred replica that has not answered
-// within d gets a hedge copy of its work sent down the rest of the chain,
-// and the first settled answer wins. Zero disables hedging; quorum
-// ensembles and single-replica groups never hedge.
-func (e *Ensemble) SetHedge(d time.Duration) { e.hedge.Store(int64(d)) }
 
 // Stats returns a snapshot of ensemble counters.
 func (e *Ensemble) Stats() Stats {

@@ -74,10 +74,9 @@ func (e *Ensemble) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at
 // DecideScatterAt implements policy.Decider over the ensemble. Failover
 // sends the selection to the first live replica (a replica is
 // all-or-nothing: crashed replicas fail every request, live ones answer
-// every request), hedging a slow preferred replica once SetHedge armed it;
-// quorum sends the selection to all replicas and majority-votes per
-// position. A ctx done between replicas stops the walk and fails the
-// selection closed.
+// every request); quorum sends the selection to all replicas and
+// majority-votes per position. A ctx done between replicas stops the walk
+// and fails the selection closed.
 func (e *Ensemble) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
 	n := selected(reqs, positions)
 	if n == 0 {
@@ -88,14 +87,7 @@ func (e *Ensemble) DecideScatterAt(ctx context.Context, reqs []*policy.Request, 
 		e.quorumScatter(ctx, reqs, positions, n, at, resolver, out)
 		return
 	}
-	order := *e.order.Load()
-	var w walked
-	if after := time.Duration(e.hedge.Load()); after > 0 && len(order) > 1 {
-		w = e.hedgedScatter(ctx, order, reqs, positions, n, at, resolver, out, after)
-	} else {
-		w = e.failoverScatter(ctx, order, reqs, positions, n, at, resolver, out)
-	}
-	e.settleFailover(ctx, w, reqs, positions, n, out)
+	e.failoverScatter(ctx, reqs, positions, n, at, resolver, out)
 }
 
 // ctxDone renders a caller context expiring inside the ensemble.
@@ -106,68 +98,45 @@ func (e *Ensemble) ctxDone(err error) policy.Result {
 	}
 }
 
-// walked is what one failover walk found: the replica whose answer is in
-// the walk's buffer (nil when every replica was unavailable) and how many
-// unavailable replicas were passed over first. expired marks a walk the
-// caller's ctx ended, its selection already failed closed.
-type walked struct {
-	by      *Failable
-	skipped int
-	expired bool
-}
-
-// settled reports whether the walk's buffer holds the final answer.
-func (w walked) settled() bool { return w.by != nil || w.expired }
-
-// failoverScatter walks chain, sending the selection to one replica at a
-// time until one answers it. It counts replica queries but records no
-// outcome: a hedged dispatch runs two walks, and only the one whose answer
-// is kept may count (settleFailover).
-func (e *Ensemble) failoverScatter(ctx context.Context, chain []int, reqs []*policy.Request, positions []int, n int, at time.Time, resolver policy.Resolver, out []policy.Result) walked {
-	var w walked
-	for _, idx := range chain {
+// failoverScatter walks the failover order on the caller's goroutine,
+// sending the selection to one replica at a time until one answers it. An
+// answer past dead replicas counts a failover, and an exhausted chain
+// counts the selection unavailable and fails it closed. Both annotate the
+// caller's span and force-retain its trace — a decision that survived, or
+// died of, dead replicas is worth reading whatever the sampling rate. The
+// span lookup happens only on these degraded paths: a failover-free
+// decision pays nothing here.
+func (e *Ensemble) failoverScatter(ctx context.Context, reqs []*policy.Request, positions []int, n int, at time.Time, resolver policy.Resolver, out []policy.Result) {
+	skipped := 0
+	for _, idx := range *e.order.Load() {
 		if err := ctx.Err(); err != nil {
 			fill(reqs, positions, out, e.ctxDone(err))
-			return walked{expired: true}
+			return
 		}
 		r := e.replicas[idx]
 		r.DecideScatterAt(ctx, reqs, positions, at, resolver, out)
 		e.stats.replicaQueries.Add(int64(n))
 		if !unavailable(out[probe(positions)]) {
-			w.by = r
-			return w
+			if skipped > 0 {
+				e.stats.failovers.Add(int64(n))
+				if sp := trace.FromContext(ctx); sp != nil {
+					sp.SetInt("ha.failover_skipped", int64(skipped))
+					sp.SetAttr("ha.replica", r.Name())
+					sp.Keep()
+				}
+			}
+			return
 		}
-		w.skipped++
+		skipped++
 	}
-	return w
-}
-
-// settleFailover records a failover dispatch's outcome once, whichever
-// walks it took: an answer past dead replicas counts a failover, and an
-// exhausted chain counts the selection unavailable and fails it closed.
-// Both annotate the caller's span and force-retain its trace — a decision
-// that survived, or died of, dead replicas is worth reading whatever the
-// sampling rate. The span lookup happens only on these degraded paths: a
-// failover-free decision pays nothing here.
-func (e *Ensemble) settleFailover(ctx context.Context, w walked, reqs []*policy.Request, positions []int, n int, out []policy.Result) {
-	switch {
-	case !w.settled():
-		e.stats.unavailable.Add(int64(n))
-		fill(reqs, positions, out, policy.Result{
-			Decision: policy.DecisionIndeterminate,
-			Err:      fmt.Errorf("ha: ensemble %s: %w", e.name, ErrAllReplicasDown),
-		})
-		if sp := trace.FromContext(ctx); sp != nil {
-			sp.SetAttr("ha.error", ErrAllReplicasDown.Error())
-			sp.Keep()
-		}
-	case w.by != nil && w.skipped > 0:
-		e.stats.failovers.Add(int64(n))
-		if sp := trace.FromContext(ctx); sp != nil {
-			sp.SetInt("ha.failover_skipped", int64(w.skipped))
-			sp.SetAttr("ha.replica", w.by.Name())
-			sp.Keep()
-		}
+	e.stats.unavailable.Add(int64(n))
+	fill(reqs, positions, out, policy.Result{
+		Decision: policy.DecisionIndeterminate,
+		Err:      fmt.Errorf("ha: ensemble %s: %w", e.name, ErrAllReplicasDown),
+	})
+	if sp := trace.FromContext(ctx); sp != nil {
+		sp.SetAttr("ha.error", ErrAllReplicasDown.Error())
+		sp.Keep()
 	}
 }
 

@@ -194,8 +194,8 @@ func serveOne(ctx context.Context, p policy.Decider, call *wire.Call, env *wire.
 func serveBatch(ctx context.Context, p policy.Decider, call *wire.Call, env *wire.Envelope) (*wire.Envelope, error) {
 	// The request bodies and then the reply documents live in one pooled
 	// scratch buffer: both are dead once the reply frame is built.
-	// Requests own their strings, so a hedged loser still reading them
-	// after the handler returns reads none of it.
+	// Requests own their strings, so a decider still reading them after
+	// the handler returns reads none of it.
 	scratch := wire.GetBuffer()
 	defer wire.PutBuffer(scratch)
 	bodies, err := wire.DecodeBodiesInto(scratch, env.Body)

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Priority classes admission control distinguishes. The ordering is
@@ -207,6 +209,15 @@ func (a *Admission) Stats() AdmissionStats {
 		Rejected:  a.rejected.Load(),
 		Throttles: a.throttles.Load(),
 	}
+}
+
+// RegisterMetrics exposes the controller's limit, in-flight count, sheds
+// and throttles on the registry.
+func (a *Admission) RegisterMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc("repro_admission_limit", "Current adaptive (AIMD) admission concurrency limit.", func() int64 { return int64(a.Limit()) })
+	reg.GaugeFunc("repro_admission_inflight", "Admitted in-flight requests.", a.inflight.Load)
+	reg.CounterFunc("repro_admission_rejected_total", "Requests shed at ingress by admission control.", a.rejected.Load)
+	reg.CounterFunc("repro_admission_throttles_total", "Multiplicative decreases applied to the admission limit.", a.throttles.Load)
 }
 
 // Middleware wraps an HTTP handler with admission control. classify maps

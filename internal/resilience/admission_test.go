@@ -6,10 +6,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestAdmissionLimitEnforced(t *testing.T) {
@@ -264,5 +267,51 @@ func TestAdmissionMiddleware(t *testing.T) {
 	wg.Wait()
 	if st := a.Stats(); st.Rejected != 1 {
 		t.Fatalf("rejected = %d, want exactly the one shed decision request", st.Rejected)
+	}
+}
+
+// TestAdmissionFamiliesGolden pins the repro_admission_* families an
+// Admission exposes: exactly these four, each with its kind and help text,
+// with a shed request counted under its fixed name.
+func TestAdmissionFamiliesGolden(t *testing.T) {
+	golden := map[string]string{
+		"repro_admission_inflight":        "gauge Admitted in-flight requests.",
+		"repro_admission_limit":           "gauge Current adaptive (AIMD) admission concurrency limit.",
+		"repro_admission_rejected_total":  "counter Requests shed at ingress by admission control.",
+		"repro_admission_throttles_total": "counter Multiplicative decreases applied to the admission limit.",
+	}
+	a := NewAdmission(AdmissionConfig{Initial: 1, Min: 1, Max: 1})
+	reg := telemetry.NewRegistry()
+	a.RegisterMetrics(reg)
+	rel, _ := a.Acquire(Decision)
+	if _, ok := a.Acquire(Decision); ok {
+		t.Fatal("acquire admitted beyond the limit")
+	}
+	out := reg.Render()
+	rel(OutcomeSuccess)
+
+	help := make(map[string]string)
+	kind := make(map[string]string)
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, text, _ := strings.Cut(rest, " ")
+			help[name] = text
+		} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, text, _ := strings.Cut(rest, " ")
+			kind[name] = text
+		}
+	}
+	if len(help) != len(golden) {
+		t.Errorf("exposes %d families, want %d:\n%s", len(help), len(golden), out)
+	}
+	for name, want := range golden {
+		if got := kind[name] + " " + help[name]; got != want {
+			t.Errorf("%s: got %q, want %q", name, got, want)
+		}
+	}
+	for _, series := range []string{"repro_admission_inflight 1", "repro_admission_rejected_total 1"} {
+		if !strings.Contains(out, "\n"+series+"\n") {
+			t.Errorf("exposition missing %s:\n%s", series, out)
+		}
 	}
 }

@@ -81,11 +81,6 @@ type Policy struct {
 	// an Indeterminate with a conclusive decision no older than
 	// StaleGrace, marked Degraded. Zero means no StaleCache is placed.
 	StaleGrace time.Duration
-	// HedgeAfter arms hedged failover: a replica group whose preferred
-	// replica has not answered a decision (single or batch) within
-	// HedgeAfter sends a second request down the rest of its chain, and
-	// the first conclusive answer wins. Zero disables hedging.
-	HedgeAfter time.Duration
 	// Clock overrides time.Now for the breakers and staleness checks.
 	Clock func() time.Time
 }

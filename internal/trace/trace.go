@@ -118,7 +118,8 @@ type Attr struct {
 // creation and End; concurrent spans of the same trace (batch fan-out) are
 // safe because the trace's span list is lock-protected. A span still open
 // when its trace is recorded appears without duration or annotations, so a
-// straggler (a hedge's losing walk) never races the published record.
+// straggler (a goroutine that ends its span after the root has ended)
+// never races the published record.
 //
 // All methods are no-ops on a nil receiver, so instrumentation never
 // branches on whether tracing is active.

@@ -84,15 +84,13 @@ func TestProvidersAgree(t *testing.T) {
 			}
 			return e
 		}
-		// ensemble builds n cached replicas; a positive stall slows the
-		// first, so a hedge armed below it wins.
-		ensemble := func(s ha.Strategy, n int, stall time.Duration) *ha.Ensemble {
+		// ensemble builds n cached replicas.
+		ensemble := func(s ha.Strategy, n int) *ha.Ensemble {
 			replicas := make([]*ha.Failable, n)
 			for i := range replicas {
 				name := fmt.Sprintf("r%d", i)
 				replicas[i] = ha.NewFailable(name, engine(name, root, pdp.WithDecisionCache(time.Minute, 0)))
 			}
-			replicas[0].SetStall(stall)
 			return ha.NewEnsemble("ens", s, replicas...)
 		}
 		router := func(shards int) *cluster.Router {
@@ -112,8 +110,6 @@ func TestProvidersAgree(t *testing.T) {
 			return pdp.NewClient(srv.URL, "pep", "pdpd")
 		}
 
-		hedged := ensemble(ha.Failover, 2, 2*time.Millisecond)
-		hedged.SetHedge(time.Millisecond)
 		ref := engine("ref", root)
 		want := policy.DecideBatch(ctx, ref, reqs, at)
 
@@ -124,9 +120,8 @@ func TestProvidersAgree(t *testing.T) {
 			{"engine/cached", engine("cached", root, pdp.WithDecisionCache(time.Minute, 0))},
 			{"engine/uncached", engine("uncached", root)},
 			{"engine/interpreter", engine("interp", uncompilable(root))},
-			{"ensemble/failover", ensemble(ha.Failover, 2, 0)},
-			{"ensemble/quorum", ensemble(ha.Quorum, 3, 0)},
-			{"ensemble/hedged", hedged},
+			{"ensemble/failover", ensemble(ha.Failover, 2)},
+			{"ensemble/quorum", ensemble(ha.Quorum, 3)},
 			{"router/1-shard", router(1)},
 			{"router/4-shard", router(4)},
 			{"stale/4-shard", resilience.NewStaleCache(router(4), &resilience.Policy{StaleGrace: time.Minute})},
