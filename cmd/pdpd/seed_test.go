@@ -161,8 +161,10 @@ func coldBase(n, k int) *policy.PolicySet {
 // BenchmarkColdStart times newAdmin — seed write, root install, lint
 // Install — on a fresh WAL under the cold 4096 + 32 veto base and a
 // 2-shard × 2-replica cluster, the daemon's start-up after the policy
-// file is parsed. fsyncs/op counts the WAL fsyncs the seed cost.
+// file is parsed. fsyncs/op counts the WAL fsyncs the seed cost;
+// B/op and allocs/op count the start-up's garbage.
 func BenchmarkColdStart(b *testing.B) {
+	b.ReportAllocs()
 	root := coldBase(4096, 32)
 	log.SetOutput(io.Discard) // the unsorted-root notice, once per op
 	defer log.SetOutput(os.Stderr)

@@ -6,42 +6,8 @@ import (
 
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
-
-// checkFamilies asserts that the exposition out carries exactly the golden
-// families under prefix, each with its "kind help" text.
-func checkFamilies(t *testing.T, out, prefix string, golden map[string]string) {
-	t.Helper()
-	help := make(map[string]string)
-	kind := make(map[string]string)
-	for _, line := range strings.Split(out, "\n") {
-		var into map[string]string
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			into = help
-		case strings.HasPrefix(line, "# TYPE "):
-			into = kind
-		default:
-			continue
-		}
-		if name, text, _ := strings.Cut(line[len("# HELP "):], " "); strings.HasPrefix(name, prefix) {
-			into[name] = text
-		}
-	}
-	if len(help) != len(golden) {
-		t.Errorf("exposes %d %s* families, want %d", len(help), prefix, len(golden))
-	}
-	for name, want := range golden {
-		if got := kind[name] + " " + help[name]; got != want {
-			t.Errorf("%s: got %q, want %q", name, got, want)
-		}
-	}
-	for name := range help {
-		if _, ok := golden[name]; !ok {
-			t.Errorf("unexpected family %s", name)
-		}
-	}
-}
 
 // TestRouterClusterFamiliesGolden pins the repro_cluster_* families a
 // router with breakers armed exposes: exactly these thirteen, each with its
@@ -65,7 +31,7 @@ func TestRouterClusterFamiliesGolden(t *testing.T) {
 	_, router, _ := fixture(t, Config{Shards: 2, Replicas: 2, Resilience: &resilience.Policy{}}, 20)
 	reg := telemetry.NewRegistry()
 	router.RegisterMetrics(reg)
-	checkFamilies(t, reg.Render(), "repro_cluster_", golden)
+	telemetrytest.CheckFamilies(t, reg.Render(), "repro_cluster_", golden)
 }
 
 // TestRouterPDPFamiliesGolden pins the repro_pdp_* families a router
@@ -96,7 +62,7 @@ func TestRouterPDPFamiliesGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	router.RegisterMetrics(reg)
 	out := reg.Render()
-	checkFamilies(t, out, "repro_pdp_", golden)
+	telemetrytest.CheckFamilies(t, out, "repro_pdp_", golden)
 	for _, engine := range []string{"c/shard-0/r0", "c/shard-0/r1", "c/shard-1/r0", "c/shard-1/r1"} {
 		for _, series := range []string{
 			`repro_pdp_epoch{engine="` + engine + `"} 1`,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 func TestAdmissionLimitEnforced(t *testing.T) {
@@ -290,25 +291,7 @@ func TestAdmissionFamiliesGolden(t *testing.T) {
 	out := reg.Render()
 	rel(OutcomeSuccess)
 
-	help := make(map[string]string)
-	kind := make(map[string]string)
-	for _, line := range strings.Split(out, "\n") {
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			name, text, _ := strings.Cut(rest, " ")
-			help[name] = text
-		} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			name, text, _ := strings.Cut(rest, " ")
-			kind[name] = text
-		}
-	}
-	if len(help) != len(golden) {
-		t.Errorf("exposes %d families, want %d:\n%s", len(help), len(golden), out)
-	}
-	for name, want := range golden {
-		if got := kind[name] + " " + help[name]; got != want {
-			t.Errorf("%s: got %q, want %q", name, got, want)
-		}
-	}
+	telemetrytest.CheckFamilies(t, out, "repro_admission_", golden)
 	for _, series := range []string{"repro_admission_inflight 1", "repro_admission_rejected_total 1"} {
 		if !strings.Contains(out, "\n"+series+"\n") {
 			t.Errorf("exposition missing %s:\n%s", series, out)

@@ -1,11 +1,12 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/pap"
 	"repro/internal/policy"
@@ -24,9 +25,12 @@ const (
 )
 
 // record is the WAL payload: one pap.Update with its log sequence number.
-// The policy document is the compacted xacml JSON encoding, the one
+// The policy document is the xacml compact JSON encoding, the one
 // serialisation of policy trees the system already exchanges over the
-// wire.
+// wire; it is deterministic (struct fields, no maps), which the
+// golden-file tests rely on. decodeRecord reads this struct; encodeRecord
+// writes the same fields by hand, in the same order, so the bytes are
+// those json.Marshal makes of it.
 type record struct {
 	V       int             `json:"v"`
 	Seq     uint64          `json:"seq"`
@@ -38,42 +42,79 @@ type record struct {
 
 // MarshalUpdate encodes one pap.Update as a versioned WAL payload.
 func MarshalUpdate(seq uint64, u pap.Update) ([]byte, error) {
-	payload, _, err := encodeRecord(seq, u)
-	return payload, err
+	frame, _, err := encodeRecord(nil, seq, u)
+	if err != nil {
+		return nil, err
+	}
+	return frame[frameHeader:], nil
 }
 
-// encodeRecord also returns the embedded policy document so the log can
-// reuse it for its materialised state without re-marshalling.
-func encodeRecord(seq uint64, u pap.Update) ([]byte, json.RawMessage, error) {
+// encodeRecord appends u's record to dst as one whole WAL frame. The
+// policy document comes out of one compact encoding pass and is spliced
+// in as is, never re-validated or re-compacted; encodeRecord also
+// returns it, so the log keeps it as its materialised state without
+// re-marshalling. On error dst is returned unchanged.
+func encodeRecord(dst []byte, seq uint64, u pap.Update) ([]byte, []byte, error) {
 	if u.ID == "" {
-		return nil, nil, errors.New("store: update with empty ID")
+		return dst, nil, errors.New("store: update with empty ID")
 	}
-	rec := record{V: FormatVersion, Seq: seq, ID: u.ID}
-	if u.Deleted {
-		rec.Op = opDelete
-	} else {
-		rec.Op = opPut
-		rec.Version = u.Version
+	op, doc := opDelete, []byte(nil)
+	if !u.Deleted {
+		op = opPut
 		if u.Policy == nil {
-			return nil, nil, fmt.Errorf("store: update %s has no policy", u.ID)
+			return dst, nil, fmt.Errorf("store: update %s has no policy", u.ID)
 		}
-		doc, err := marshalPolicy(u.Policy)
-		if err != nil {
-			return nil, nil, err
+		// A snapshot entry needs a version of at least 1 to decode; a
+		// put without one must never be acknowledged.
+		if u.Version < 1 {
+			return dst, nil, fmt.Errorf("store: update %s has version %d, a put needs 1 or more", u.ID, u.Version)
 		}
-		rec.Policy = doc
+		var err error
+		if doc, err = xacml.MarshalCompactJSON(u.Policy); err != nil {
+			return dst, nil, err
+		}
 	}
-	payload, err := json.Marshal(&rec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: encode record: %w", err)
+	start := len(dst)
+	out := append(openFrame(dst), `{"v":`...)
+	out = strconv.AppendInt(out, FormatVersion, 10)
+	out = append(out, `,"seq":`...)
+	out = strconv.AppendUint(out, seq, 10)
+	out = append(out, `,"op":"`...)
+	out = append(out, op...)
+	out = append(out, `","id":`...)
+	out = appendString(out, u.ID)
+	if !u.Deleted {
+		out = append(out, `,"version":`...)
+		out = strconv.AppendInt(out, int64(u.Version), 10)
+		out = append(out, `,"policy":`...)
+		out = append(out, doc...)
 	}
+	out = append(out, '}')
 	// Enforce the frame bound at write time: a payload the recovery
 	// scanner would reject as corrupt must never be acknowledged in the
 	// first place.
-	if len(payload) > maxFramePayload {
-		return nil, nil, fmt.Errorf("store: record %s is %d bytes, exceeding the %d-byte frame bound", u.ID, len(payload), maxFramePayload)
+	if err := sealFrame(out[start:]); err != nil {
+		return dst, nil, fmt.Errorf("store: record %s: %w", u.ID, err)
 	}
-	return payload, rec.Policy, nil
+	return out, doc, nil
+}
+
+// appendString appends s quoted as encoding/json quotes a string. Plain
+// printable ASCII, which every policy ID in practice is, is copied as
+// is; any string holding a byte that encoding/json escapes or replaces
+// (quote, backslash, control bytes, the HTML-sensitive <, > and &, and
+// non-ASCII, which covers U+2028, U+2029 and invalid UTF-8) goes through
+// json.Marshal itself, so the bytes never differ.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // UnmarshalUpdate decodes a WAL payload back into its sequence number and
@@ -114,21 +155,6 @@ func decodeRecord(data []byte) (record, pap.Update, error) {
 	return rec, u, nil
 }
 
-// marshalPolicy produces the stable on-disk policy document: the xacml
-// JSON encoding, compacted. The encoding is deterministic (struct fields,
-// no maps), which the golden-file tests rely on.
-func marshalPolicy(e policy.Evaluable) (json.RawMessage, error) {
-	doc, err := xacml.MarshalJSON(e)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, doc); err != nil {
-		return nil, fmt.Errorf("store: compact policy document: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 func unmarshalPolicy(doc json.RawMessage) (policy.Evaluable, error) {
 	if len(doc) == 0 {
 		return nil, errors.New("record has no policy document")
@@ -148,23 +174,53 @@ type stateEntry struct {
 
 // snapshotDoc is the snapshot payload: the full state as of sequence
 // number Seq, entries sorted by ID for deterministic bytes.
+// unmarshalSnapshot reads this struct; marshalSnapshot writes the bytes
+// json.Marshal makes of it by hand.
 type snapshotDoc struct {
 	V       int          `json:"v"`
 	Seq     uint64       `json:"seq"`
 	Entries []stateEntry `json:"entries"`
 }
 
+// marshalSnapshot encodes the state as of seq as one whole snapshot
+// frame. Each entry's policy document is spliced in as the state holds
+// it: the compact bytes a record carried, never re-compacted. A snapshot
+// beyond the frame bound is refused rather than written unreadable.
 func marshalSnapshot(seq uint64, state map[string]*stateEntry) ([]byte, error) {
-	doc := snapshotDoc{V: FormatVersion, Seq: seq, Entries: make([]stateEntry, 0, len(state))}
+	ents := make([]*stateEntry, 0, len(state))
+	size := frameHeader + 64
 	for _, ent := range state {
-		doc.Entries = append(doc.Entries, *ent)
+		ents = append(ents, ent)
+		size += 64 + len(ent.ID) + len(ent.Policy)
 	}
-	sort.Slice(doc.Entries, func(i, j int) bool { return doc.Entries[i].ID < doc.Entries[j].ID })
-	data, err := json.Marshal(&doc)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode snapshot: %w", err)
+	sort.Slice(ents, func(i, j int) bool { return ents[i].ID < ents[j].ID })
+	out := append(openFrame(make([]byte, 0, size)), `{"v":`...)
+	out = strconv.AppendInt(out, FormatVersion, 10)
+	out = append(out, `,"seq":`...)
+	out = strconv.AppendUint(out, seq, 10)
+	out = append(out, `,"entries":[`...)
+	for i, ent := range ents {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, `{"id":`...)
+		out = appendString(out, ent.ID)
+		out = append(out, `,"versions":`...)
+		out = strconv.AppendInt(out, int64(ent.Versions), 10)
+		if ent.Deleted {
+			out = append(out, `,"deleted":true`...)
+		}
+		if len(ent.Policy) > 0 {
+			out = append(out, `,"policy":`...)
+			out = append(out, ent.Policy...)
+		}
+		out = append(out, '}')
 	}
-	return data, nil
+	out = append(out, "]}"...)
+	if err := sealFrame(out); err != nil {
+		return nil, fmt.Errorf("store: snapshot: %w", err)
+	}
+	return out, nil
 }
 
 func unmarshalSnapshot(data []byte) (*snapshotDoc, error) {

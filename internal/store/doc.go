@@ -10,7 +10,13 @@
 // Every record is one pap.Update — the same self-contained delta the
 // PAP→PDP refresh pipeline propagates — serialised as versioned JSON
 // (MarshalUpdate) and framed with a magic byte, a length and a CRC-32C so
-// torn and corrupt tail records are detectable. The Log is attached to a
+// torn and corrupt tail records are detectable. A record is encoded in
+// one pass: the policy document is xacml's compact JSON, and the
+// record's fields are appended around it, in place, into the frame the
+// log writes. The log keeps that document as its materialised state and
+// splices it into snapshots unchanged, so no policy is encoded twice and
+// no encoded byte is compacted or validated again. The bytes equal
+// encoding/json's of the record and snapshot structs the decoders read. The Log is attached to a
 // pap.Store as its Backend: the store commits each write to the log
 // before the write becomes visible in memory or to any watcher, in
 // commit order.

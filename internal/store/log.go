@@ -180,12 +180,10 @@ func (l *Log) Append(us ...pap.Update) error {
 	var buf []byte
 	docs := make([][]byte, len(us))
 	for i, u := range us {
-		payload, doc, err := encodeRecord(l.seq+uint64(i)+1, u)
-		if err != nil {
+		var err error
+		if buf, docs[i], err = encodeRecord(buf, l.seq+uint64(i)+1, u); err != nil {
 			return err
 		}
-		buf = appendFrame(buf, payload)
-		docs[i] = doc
 	}
 	if err := l.writeAndSync(buf); err != nil {
 		// Fail-stop: the segment may now hold a partial frame; recovery
@@ -399,7 +397,9 @@ func (l *Log) replaySegments(segs []uint64, snapSeq uint64) error {
 }
 
 // applyState folds one durable record into the materialised state the
-// next snapshot will persist.
+// next snapshot will persist. The state keeps doc itself: the caller
+// hands over a document it owns (fresh from the encoder, or decoded from
+// disk) and never writes to it again.
 func (l *Log) applyState(u pap.Update, doc []byte) {
 	ent := l.state[u.ID]
 	if ent == nil {
@@ -413,7 +413,7 @@ func (l *Log) applyState(u pap.Update, doc []byte) {
 	}
 	ent.Deleted = false
 	ent.Versions = u.Version
-	ent.Policy = append([]byte(nil), doc...)
+	ent.Policy = doc
 }
 
 func (l *Log) writeAndSync(buf []byte) error {
@@ -444,7 +444,7 @@ func (l *Log) snapshotAndRotate() {
 }
 
 func (l *Log) trySnapshot() error {
-	payload, err := marshalSnapshot(l.seq, l.state)
+	frame, err := marshalSnapshot(l.seq, l.state)
 	if err != nil {
 		return err
 	}
@@ -454,7 +454,7 @@ func (l *Log) trySnapshot() error {
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write(appendFrame(nil, payload))
+	_, werr := f.Write(frame)
 	if serr := f.Sync(); werr == nil {
 		werr = serr
 	}

@@ -501,6 +501,69 @@ func TestOversizedRecordRejected(t *testing.T) {
 	}
 }
 
+// TestVersionlessPutRejected: a snapshot entry needs a version of at
+// least 1 to decode, so a put without one must never be acknowledged —
+// the graceful Close would write it into a snapshot no recovery can read,
+// after compacting away the WAL. The put fails alone or in a batch,
+// nothing of it becomes durable, and the directory reopens.
+func TestVersionlessPutRejected(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{})
+	if err := l.Append(putUpdate("p-ok", "res-ok", "v", 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int{0, -1} {
+		bad := pap.Update{ID: "p-bad", Version: v, Policy: testPolicy("p-bad", "res-bad", "v")}
+		if err := l.Append(bad); err == nil {
+			t.Fatalf("put at version %d acknowledged", v)
+		}
+		if err := l.Append(putUpdate("p-batch", "res-batch", "v", 1), bad); err == nil {
+			t.Fatalf("batch with a put at version %d acknowledged", v)
+		}
+	}
+	if st := l.Stats(); st.Appends != 1 || st.LastSeq != 1 {
+		t.Fatalf("stats after rejected puts: %+v, want 1 append at seq 1", st)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	snap := l2.RecoveredSnapshot()
+	if len(snap) != 1 || snap[0].ID != "p-ok" || snap[0].Versions != 1 || len(l2.RecoveredTail()) != 0 {
+		t.Fatalf("recovered snapshot %+v, tail %d; want p-ok at version 1 only", snap, len(l2.RecoveredTail()))
+	}
+}
+
+// TestOversizedSnapshotRefused: a state whose snapshot would exceed the
+// frame bound must not be snapshotted — recovery would reject the frame
+// as corrupt after the compaction deleted the WAL. The attempt counts as
+// a snapshot failure, the WAL keeps every record, and the directory
+// reopens with all of them in its tail.
+func TestOversizedSnapshotRefused(t *testing.T) {
+	const n = 20
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{})
+	for i := 0; i < n; i++ {
+		u := putUpdate(fmt.Sprintf("p-%d", i), "res", "v", 1)
+		u.Policy.(*policy.Policy).Description = string(bytes.Repeat([]byte("x"), maxFramePayload/n+1))
+		if err := l.Append(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Snapshots != 0 || st.SnapshotFailures != 1 {
+		t.Fatalf("stats %+v, want the oversized snapshot refused once", st)
+	}
+	l2 := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	if got := len(l2.RecoveredTail()); got != n {
+		t.Fatalf("recovered %d tail records, want %d", got, n)
+	}
+}
+
 // unencodable is a policy the record codec refuses (xacml serialises only
 // *policy.Policy and *policy.PolicySet): a cheap encode failure.
 type unencodable struct{ *policy.Policy }

@@ -26,14 +26,26 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame frames the payload onto dst.
-func appendFrame(dst, payload []byte) []byte {
+// openFrame appends a blank frame header to dst; the caller appends the
+// payload after it and seals the frame with sealFrame. Writers build a
+// record or snapshot in place this way, with no payload buffer to copy.
+func openFrame(dst []byte) []byte {
 	var hdr [frameHeader]byte
-	hdr[0] = frameMagic
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return append(dst, hdr[:]...)
+}
+
+// sealFrame fills in the header of frame, a buffer that holds one opened
+// frame and its whole payload. A payload beyond the frame bound is
+// refused: the recovery scanner would reject it as corruption.
+func sealFrame(frame []byte) error {
+	payload := frame[frameHeader:]
+	if len(payload) > maxFramePayload {
+		return fmt.Errorf("%d bytes exceed the %d-byte frame bound", len(payload), maxFramePayload)
+	}
+	frame[0] = frameMagic
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[5:9], crc32.Checksum(payload, castagnoli))
+	return nil
 }
 
 // scanFrames walks every whole, checksummed frame in data. It returns the

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// appendFrame frames payload onto dst the way the log's writers do.
+func appendFrame(dst, payload []byte) []byte {
+	start := len(dst)
+	dst = append(openFrame(dst), payload...)
+	if err := sealFrame(dst[start:]); err != nil {
+		panic(err)
+	}
+	return dst
+}
+
 // FuzzScanFrames drives the WAL frame reader with arbitrary bytes. The
 // oracle: it never panics; the good prefix it reports is a prefix of the
 // input, marked torn exactly when bytes follow it; re-framing the returned

@@ -450,8 +450,36 @@ type jsonDocument struct {
 	PolicySet *jsonPolicySet `json:"policySet,omitempty"`
 }
 
-// MarshalJSON encodes a policy or policy set as JSON.
+// MarshalJSON encodes a policy or policy set as indented JSON, the form
+// policy files and the admin API carry.
 func MarshalJSON(e policy.Evaluable) ([]byte, error) {
+	doc, err := toJSONDocument(e)
+	if err != nil {
+		return nil, err
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("xacml: marshal json: %w", err)
+	}
+	return data, nil
+}
+
+// MarshalCompactJSON encodes a policy or policy set as compact JSON: the
+// bytes json.Compact makes of MarshalJSON's, in one encoding pass. The
+// store persists this form.
+func MarshalCompactJSON(e policy.Evaluable) ([]byte, error) {
+	doc, err := toJSONDocument(e)
+	if err != nil {
+		return nil, err
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		return nil, fmt.Errorf("xacml: marshal json: %w", err)
+	}
+	return data, nil
+}
+
+func toJSONDocument(e policy.Evaluable) (*jsonDocument, error) {
 	var doc jsonDocument
 	switch v := e.(type) {
 	case *policy.Policy:
@@ -469,11 +497,7 @@ func MarshalJSON(e policy.Evaluable) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("xacml: cannot marshal %T", e)
 	}
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("xacml: marshal json: %w", err)
-	}
-	return data, nil
+	return &doc, nil
 }
 
 // UnmarshalJSON decodes a policy or policy set from JSON.

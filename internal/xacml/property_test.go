@@ -2,6 +2,7 @@ package xacml
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -373,6 +374,17 @@ func TestPropertyCodecRoundTripPreservesDecisions(t *testing.T) {
 		jsonData, err := MarshalJSON(orig)
 		if err != nil {
 			t.Fatalf("seed %d: MarshalJSON: %v", seed, err)
+		}
+		compact, err := MarshalCompactJSON(orig)
+		if err != nil {
+			t.Fatalf("seed %d: MarshalCompactJSON: %v", seed, err)
+		}
+		var compacted bytes.Buffer
+		if err := json.Compact(&compacted, jsonData); err != nil {
+			t.Fatalf("seed %d: compact MarshalJSON: %v", seed, err)
+		}
+		if !bytes.Equal(compacted.Bytes(), compact) {
+			t.Fatalf("seed %d: MarshalCompactJSON is not the compacted MarshalJSON:\ncompacted: %s\ncompact:   %s", seed, compacted.Bytes(), compact)
 		}
 		fromJSON, err := UnmarshalJSON(jsonData)
 		if err != nil {
