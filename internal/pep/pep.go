@@ -6,7 +6,7 @@
 // paper discusses:
 //
 //   - pull (policy-issuing, Fig. 3): Enforcer consults a decision provider
-//     for every access;
+//     for every access; package rest deploys it over HTTP;
 //   - push (capability-issuing, Fig. 2): PushEnforcer validates a
 //     capability presented with the request;
 //   - agent: Guard wraps a protected operation behind an Enforcer, the
@@ -69,6 +69,9 @@ type Outcome struct {
 	Decision policy.Decision
 	// By identifies the deciding rule or policy.
 	By string
+	// Obligations are an allowed permit's obligations, every one of them
+	// understood; a caller may discharge some after the access.
+	Obligations []policy.FulfilledObligation
 	// Err explains a refusal.
 	Err error
 }
@@ -222,7 +225,7 @@ func (e *Enforcer) finalize(req *policy.Request, res policy.Result) Outcome {
 			return out
 		}
 		e.count(true, false)
-		out.Allowed = true
+		out.Allowed, out.Obligations = true, res.Obligations
 		return out
 	case policy.DecisionDeny:
 		// Deny-side obligations (e.g. alerting) run best-effort; their

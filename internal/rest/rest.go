@@ -8,13 +8,16 @@
 //
 //   - Router maps URI templates such as /wards/{ward}/records/{id} onto
 //     policy requests, binding path variables as resource attributes;
-//   - Middleware wraps any http.Handler behind a deny-biased PEP that
-//     derives a policy request from method + path, queries a decision
-//     provider and enforces the outcome;
+//   - Middleware is the HTTP deployment of a pep.Enforcer: it derives a
+//     policy request from method + path and lets the enforcer decide,
+//     with its deny bias and obligation contract;
 //   - response transformers implement the content-based access control the
 //     paper derives from XACML obligations: a permit may carry an
-//     obligation to inspect or redact the resource body before release,
-//     and an obligation the middleware does not understand fails closed.
+//     obligation to inspect or redact the resource body before release.
+//     Such an obligation is checked at decision, where one the middleware
+//     does not understand fails closed before the upstream is called, and
+//     runs at release. Deny-side obligations are run best-effort, as the
+//     enforcer runs them, and never call the upstream or a transformer.
 package rest
 
 import (
@@ -24,8 +27,8 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
+	"repro/internal/pep"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -272,7 +275,7 @@ type Transformer func(ob policy.FulfilledObligation, body []byte) ([]byte, error
 // Middleware is the REST enforcement point.
 type Middleware struct {
 	router       *Router
-	pdp          policy.Decider
+	enforcer     *pep.Enforcer
 	subject      SubjectFunc
 	transformers map[string]Transformer
 	tracer       *trace.Tracer
@@ -310,21 +313,25 @@ func WithTracer(t *trace.Tracer) MiddlewareOption {
 	return func(m *Middleware) { m.tracer = t }
 }
 
-// NewMiddleware builds the enforcement point over the PDP it queries. The
-// incoming http.Request's context is threaded into every query, so a
-// client that disconnects — or a server write deadline about to fire —
-// cancels the decision instead of leaving it running; an out-of-time
-// decision is Indeterminate, which the middleware denies.
+// NewMiddleware builds the enforcement point: one pep.Enforcer over the
+// PDP it queries. Each transformer's obligation ID is an obligation the
+// enforcer understands: it is checked at decision and run at release, on
+// the buffered response. Deny-side obligations are best-effort, as in
+// pep. The incoming http.Request's context is threaded into every query,
+// so a client that disconnects — or a server write deadline about to
+// fire — cancels the decision instead of leaving it running; an
+// out-of-time decision is Indeterminate, which the enforcer denies.
 func NewMiddleware(router *Router, pdp policy.Decider, subject SubjectFunc, opts ...MiddlewareOption) *Middleware {
-	m := &Middleware{
-		router:       router,
-		pdp:          pdp,
-		subject:      subject,
-		transformers: make(map[string]Transformer),
-	}
+	m := &Middleware{router: router, subject: subject, transformers: make(map[string]Transformer)}
 	for _, opt := range opts {
 		opt(m)
 	}
+	var understood []pep.EnforcerOption
+	for id := range m.transformers {
+		understood = append(understood, pep.WithObligationHandler(id,
+			func(policy.FulfilledObligation, *policy.Request) error { return nil }))
+	}
+	m.enforcer = pep.NewEnforcer("rest", pdp, understood...)
 	return m
 }
 
@@ -385,9 +392,9 @@ func (b *bodyRecorder) WriteHeader(status int) { b.status = status }
 // Write implements http.ResponseWriter.
 func (b *bodyRecorder) Write(p []byte) (int, error) { return b.body.Write(p) }
 
-// Wrap guards the handler: every request must earn a Permit, and permits
-// carrying content obligations have their responses transformed (or, when
-// no transformer is registered, refused — obligations are must-understand).
+// Wrap guards the handler: every request must be allowed by the enforcer
+// before the handler runs, and an allowed permit's content obligations
+// transform the response before release.
 func (m *Middleware) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.count(func(s *Stats) { s.Requests++ })
@@ -415,31 +422,20 @@ func (m *Middleware) Wrap(next http.Handler) http.Handler {
 			return
 		}
 		root.SetAttr("rest.subject", req.SubjectID())
-		res := policy.Decide(ctx, m.pdp, req, time.Now())
-		root.SetAttr("rest.decision", res.Decision.String())
-		if res.Decision == policy.DecisionIndeterminate {
+		out := m.enforcer.Enforce(ctx, req)
+		root.SetAttr("rest.decision", out.Decision.String())
+		if out.Decision == policy.DecisionIndeterminate {
 			// The always-capture invariant at the enforcement point: a
 			// decision that failed closed is retained whatever the
 			// sampling rate says.
 			root.Keep()
 		}
-		if res.Decision != policy.DecisionPermit {
+		if !out.Allowed {
 			m.count(func(s *Stats) { s.Denied++ })
 			http.Error(w, "access denied", http.StatusForbidden)
 			return
 		}
-		// Split obligations into content transformations and the rest;
-		// anything without a transformer vetoes the permit.
-		var pending []policy.FulfilledObligation
-		for _, ob := range res.Obligations {
-			if _, ok := m.transformers[ob.ID]; !ok {
-				m.count(func(s *Stats) { s.Denied++ })
-				http.Error(w, "access denied", http.StatusForbidden)
-				return
-			}
-			pending = append(pending, ob)
-		}
-		if len(pending) == 0 {
+		if len(out.Obligations) == 0 {
 			m.count(func(s *Stats) { s.Permitted++ })
 			next.ServeHTTP(w, r)
 			return
@@ -447,9 +443,8 @@ func (m *Middleware) Wrap(next http.Handler) http.Handler {
 		rec := newBodyRecorder()
 		next.ServeHTTP(rec, r)
 		body := rec.body.Bytes()
-		for _, ob := range pending {
-			body, err = m.transformers[ob.ID](ob, body)
-			if err != nil {
+		for _, ob := range out.Obligations {
+			if body, err = m.transformers[ob.ID](ob, body); err != nil {
 				// The content check failed: the paper's content-based
 				// access control demands refusal, not partial release.
 				m.count(func(s *Stats) { s.Denied++ })
