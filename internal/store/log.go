@@ -389,8 +389,9 @@ func (l *Log) replaySegments(segs []uint64, snapSeq uint64) error {
 				return fmt.Errorf("store: segment %s: sequence gap: record %d after %d", path, rec.Seq, l.seq)
 			}
 			l.seq = rec.Seq
-			l.applyState(u, rec.Policy)
-			l.recoveredTail = append(l.recoveredTail, u)
+			if l.applyState(u, rec.Policy) {
+				l.recoveredTail = append(l.recoveredTail, u)
+			}
 		}
 	}
 	return nil
@@ -399,21 +400,27 @@ func (l *Log) replaySegments(segs []uint64, snapSeq uint64) error {
 // applyState folds one durable record into the materialised state the
 // next snapshot will persist. The state keeps doc itself: the caller
 // hands over a document it owns (fresh from the encoder, or decoded from
-// disk) and never writes to it again.
-func (l *Log) applyState(u pap.Update, doc []byte) {
+// disk) and never writes to it again. A delete of an ID with no live
+// entry changes nothing and reports false: an entry it created would
+// carry no version, and the next snapshot could not be read back.
+func (l *Log) applyState(u pap.Update, doc []byte) bool {
 	ent := l.state[u.ID]
+	if u.Deleted {
+		if ent == nil || ent.Deleted {
+			return false
+		}
+		ent.Deleted = true
+		ent.Policy = nil
+		return true
+	}
 	if ent == nil {
 		ent = &stateEntry{ID: u.ID}
 		l.state[u.ID] = ent
 	}
-	if u.Deleted {
-		ent.Deleted = true
-		ent.Policy = nil
-		return
-	}
 	ent.Deleted = false
 	ent.Versions = u.Version
 	ent.Policy = doc
+	return true
 }
 
 func (l *Log) writeAndSync(buf []byte) error {

@@ -170,6 +170,52 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	}
 }
 
+// TestDeleteOfUnknownIDKeepsLogReadable pins that a delete of an ID the
+// log never saw live changes no state: the snapshot it triggers reads
+// back after compaction, a WAL tail that still holds the record replays,
+// and either way the log reopens with the live policy recovered.
+func TestDeleteOfUnknownIDKeepsLogReadable(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		every int
+		crash bool
+	}{
+		{"compacted", 2, false},
+		{"wal-tail", -1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := mustOpen(t, dir, Options{SnapshotEvery: tc.every})
+			if err := l.Append(putUpdate("p-ok", "res-ok", "v", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(pap.Update{ID: "p-ghost", Deleted: true}); err != nil {
+				t.Fatal(err)
+			}
+			if st := l.Stats(); st.SnapshotFailures != 0 {
+				t.Fatalf("SnapshotFailures = %d, want 0", st.SnapshotFailures)
+			}
+			stop := l.Close
+			if tc.crash {
+				stop = l.Crash
+			}
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+
+			r := mustOpen(t, dir, Options{SnapshotEvery: tc.every})
+			defer r.Close()
+			s := pap.NewStore("s")
+			if err := r.Bootstrap(s); err != nil {
+				t.Fatal(err)
+			}
+			if ids := s.List(); len(ids) != 1 || ids[0] != "p-ok" {
+				t.Fatalf("recovered %v, want [p-ok]", ids)
+			}
+		})
+	}
+}
+
 func TestTornTailTruncatedNeverPartiallyApplied(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{SnapshotEvery: -1})
