@@ -54,12 +54,6 @@ func (r *routeFlags) Set(v string) error {
 	return nil
 }
 
-// obsConfig carries the gateway's observability settings from flags.
-type obsConfig struct {
-	traceSample float64
-	debugAddr   string
-}
-
 // Trace retention, as pdpd keeps it: no deployment has needed other values.
 const (
 	traceSlow   = 250 * time.Millisecond // always keep traces at least this slow
@@ -78,17 +72,13 @@ func main() {
 	flag.Var(&routes, "route", "URI route as pattern=resource-type (repeatable)")
 	flag.Parse()
 
-	obs := obsConfig{
-		traceSample: *traceSample,
-		debugAddr:   *debugAddr,
-	}
-	if err := run(*upstream, *policyPath, *pdpEndpoint, *addr, routes, obs, *admissionLimit); err != nil {
+	if err := run(*upstream, *policyPath, *pdpEndpoint, *addr, routes, *traceSample, *debugAddr, *admissionLimit); err != nil {
 		log.Println("restgw:", err)
 		os.Exit(1)
 	}
 }
 
-func run(upstream, policyPath, pdpEndpoint, addr string, routes routeFlags, obs obsConfig, admissionLimit int) error {
+func run(upstream, policyPath, pdpEndpoint, addr string, routes routeFlags, traceSample float64, debugAddr string, admissionLimit int) error {
 	if upstream == "" {
 		return fmt.Errorf("-upstream is required")
 	}
@@ -132,7 +122,7 @@ func run(upstream, policyPath, pdpEndpoint, addr string, routes routeFlags, obs 
 		}
 	}
 	tracer := trace.NewTracer(trace.Options{
-		Sample:        obs.traceSample,
+		Sample:        traceSample,
 		SlowThreshold: traceSlow,
 		Capacity:      traceBuffer,
 	})
@@ -154,20 +144,20 @@ func run(upstream, policyPath, pdpEndpoint, addr string, routes routeFlags, obs 
 		fmt.Fprintf(w, "requests=%d permitted=%d denied=%d unrouted=%d unauthenticated=%d transformed=%d\n",
 			st.Requests, st.Permitted, st.Denied, st.Unrouted, st.Unauthenticated, st.Transformed)
 	})
-	if obs.debugAddr != "" {
+	if debugAddr != "" {
 		dbg := &http.Server{
-			Addr:              obs.debugAddr,
+			Addr:              debugAddr,
 			Handler:           debughttp.Handler(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
-			log.Printf("restgw: pprof debug server on %s", obs.debugAddr)
+			log.Printf("restgw: pprof debug server on %s", debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("restgw: debug server: %v", err)
 			}
 		}()
 	}
-	log.Printf("restgw: protecting %s on %s (%d routes, trace-sample=%g)", upstream, addr, len(routes), obs.traceSample)
+	log.Printf("restgw: protecting %s on %s (%d routes, trace-sample=%g)", upstream, addr, len(routes), traceSample)
 	var handler http.Handler = mux
 	if admissionLimit > 0 {
 		// Shed excess proxied traffic at ingress before it queues into the

@@ -322,7 +322,11 @@ func WithTracer(t *trace.Tracer) MiddlewareOption {
 // fire — cancels the decision instead of leaving it running; an
 // out-of-time decision is Indeterminate, which the enforcer denies.
 func NewMiddleware(router *Router, pdp policy.Decider, subject SubjectFunc, opts ...MiddlewareOption) *Middleware {
-	m := &Middleware{router: router, subject: subject, transformers: make(map[string]Transformer)}
+	m := &Middleware{
+		router:       router,
+		subject:      subject,
+		transformers: make(map[string]Transformer),
+	}
 	for _, opt := range opts {
 		opt(m)
 	}
