@@ -113,7 +113,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional pprof listen address (profiling stays off unless set)")
 	breakerFlag := flag.Bool("breaker", false, "arm per-shard circuit breakers: a shard group observed down fails fast instead of burning per-request deadline budget")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-state cooldown before a single half-open probe is admitted")
-	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it is no older than this and no policy write came since (0 fails closed instead)")
+	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it is younger than this and no policy write came since (0 fails closed instead)")
 	admissionLimit := flag.Int("admission", 0, "adaptive (AIMD) admission control: initial concurrency limit for decision traffic, shed with 503 + Retry-After beyond it; admin/health/metrics are never shed (0 disables)")
 	flag.Parse()
 

@@ -12,14 +12,14 @@
 // compiled program and epoch live in one immutable snapshot published
 // through an atomic pointer, so a decision call loads a single pointer
 // however many requests it carries, and never blocks on policy
-// administration. The decision cache is striped across power-of-two shards
-// keyed by a hash of the request's cache key — a cache hit costs one shard
-// lock and zero allocations — and engine counters are padded atomic stripes
+// administration. The decision cache is a policy.DecisionCache striped by
+// a hash of the request's cache key — a cache hit costs one stripe lock
+// and zero allocations — and engine counters are padded atomic stripes
 // aggregated on read. Writers (SetRoot, ApplyUpdate, FlushCache)
 // serialize on a writer lock, publish the next snapshot, and then
-// invalidate; the epoch carried in each snapshot guards the cache against
-// resurrection of a decision evaluated against a superseded root (see
-// cache.go).
+// invalidate; the cache's generation, read before each evaluation, guards
+// it against resurrection of a decision evaluated against a superseded
+// root.
 //
 // A single engine is also the building block of larger deployments. Its
 // one decision body is the scatter call (policy.Decider): it answers any
@@ -198,7 +198,7 @@ func WithDecisionCache(ttl time.Duration, maxItems int) Option {
 		if maxItems <= 0 {
 			maxItems = 8192
 		}
-		e.cache = newDecisionCache(ttl, maxItems)
+		e.cache = policy.NewDecisionCache(ttl, maxItems)
 	}
 }
 
@@ -221,9 +221,7 @@ type snapshot struct {
 	// does.
 	prog *program
 	// epoch counts snapshot publications (installs, patches and flushes).
-	// Cache fills re-check it inside the shard lock and skip the write
-	// when it moved, so an evaluation that raced a policy change can never
-	// resurrect a stale decision in the freshly invalidated cache.
+	// It labels traces and repro_pdp_epoch.
 	epoch uint64
 }
 
@@ -244,13 +242,13 @@ type Engine struct {
 
 	// snap is the current root/program/epoch triple, nil until SetRoot.
 	snap atomic.Pointer[snapshot]
-	// cache is the striped TTL decision cache, nil when disabled.
-	cache *decisionCache
+	// cache is the TTL decision cache, nil when disabled.
+	cache *policy.DecisionCache
 	stats engineStats
 
 	// writerMu serializes snapshot publication (SetRoot, ApplyUpdate,
 	// FlushCache) and orders each publication before its cache
-	// invalidation — the pairing the epoch guard's correctness relies on.
+	// invalidation — the pairing the cache's generation guard relies on.
 	// Decision paths never take it.
 	writerMu sync.Mutex
 }
@@ -289,7 +287,7 @@ func (e *Engine) SetRoot(root policy.Evaluable) error {
 	}
 	e.snap.Store(&snapshot{root: root, prog: prog, epoch: epoch})
 	if e.cache != nil {
-		e.cache.flush()
+		e.cache.Flush()
 	}
 	return nil
 }
@@ -315,7 +313,7 @@ func (e *Engine) Root() policy.Evaluable {
 func (e *Engine) Stats() Stats {
 	st := e.stats.snapshot()
 	if e.cache != nil {
-		st.CacheEntries = e.cache.len()
+		st.CacheEntries = e.cache.Len()
 	}
 	st.Compiles = e.compiles.Load()
 	st.CompileNanos = e.compileNanos.Load()
@@ -330,13 +328,11 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) FlushCache() {
 	e.writerMu.Lock()
 	defer e.writerMu.Unlock()
-	// Publish the epoch move first: in-flight evaluations of the current
-	// root must not refill the cache behind the flush.
 	if old := e.snap.Load(); old != nil {
 		e.snap.Store(&snapshot{root: old.root, prog: old.prog, epoch: old.epoch + 1})
 	}
 	if e.cache != nil {
-		e.cache.flush()
+		e.cache.Flush()
 	}
 }
 
@@ -371,21 +367,6 @@ func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Reque
 // answer, and once the dependency heals the key must be evaluated afresh.
 func cacheable(res policy.Result) bool {
 	return res.Err == nil
-}
-
-// fill writes an evaluated decision back into the cache unless the policy
-// base changed since the evaluation's snapshot was loaded. The epoch
-// re-check happens inside the shard lock: a writer publishes its snapshot
-// before sweeping shards, so either this fill observes the moved epoch and
-// skips, or its entry lands before the sweep and the sweep removes it —
-// a stale decision can never outlive the update that invalidated it.
-func (e *Engine) fill(snap *snapshot, key string, hash uint64, resID string, res policy.Result, at time.Time) {
-	sh := e.cache.shard(hash)
-	sh.mu.Lock()
-	if cur := e.snap.Load(); cur != nil && cur.epoch == snap.epoch {
-		sh.insertLocked(key, &cacheEntry{res: res, expires: at.Add(e.cache.ttl), resID: resID}, at)
-	}
-	sh.mu.Unlock()
 }
 
 // DecideAt decides one request: a one-position scatter over stack
@@ -428,6 +409,14 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 	if err := ctx.Err(); err != nil {
 		fail(ctxResult(e.name, err))
 		return
+	}
+	// The cache generation is read before the snapshot: a writer publishes
+	// its snapshot before moving the generation, so a fill of a decision
+	// evaluated against a superseded snapshot carries a superseded
+	// generation and is dropped, or lands before the sweep that removes it.
+	var gen uint64
+	if e.cache != nil {
+		gen = e.cache.Generation()
 	}
 	snap := e.snap.Load()
 	if snap == nil {
@@ -481,7 +470,7 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 			req := reqs[p]
 			key := req.CacheKey()
 			hash := req.CacheKeyHash()
-			if res, ok := e.cache.get(key, hash, at); ok {
+			if res, _, ok, _ := e.cache.Get(key, hash, at); ok {
 				out[p] = res
 				st := e.stats.stripe(hash)
 				st.cacheHits.Add(1)
@@ -548,7 +537,7 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		}
 		e.stats.stripe(hash).recordEvaluation(out[p], path)
 		if cached && cacheable(out[p]) {
-			e.fill(snap, req.CacheKey(), hash, req.ResourceID(), out[p], at)
+			e.cache.Put(req.CacheKey(), hash, req.ResourceID(), out[p], at, gen)
 		}
 	}
 }

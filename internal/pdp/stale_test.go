@@ -131,8 +131,8 @@ type auditCall struct {
 }
 
 // TestStaleGraceServesLastKnownGood: a warm key serves its last conclusive
-// decision while the dependency is down, aged exactly, up to and including
-// the grace bound and never a nanosecond past it; a cold key fails closed;
+// decision while the dependency is down, aged exactly, while its age is
+// under the grace bound and never at or past it; a cold key fails closed;
 // the outage's Indeterminates are not remembered, so recovery is fresh;
 // and the audit hook sees every stale serve.
 func TestStaleGraceServesLastKnownGood(t *testing.T) {
@@ -171,15 +171,16 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 				t.Fatalf("cold-key decision = %+v, want fail-closed Indeterminate", res)
 			}
 
-			// At exactly the grace bound the entry still serves; one
-			// nanosecond past it the bound wins.
-			now = t0.Add(staleGrace)
-			if res := policy.Decide(ctx, stale, warm, now); !res.Degraded || res.StaleFor != staleGrace {
-				t.Fatalf("at-bound decision = %+v, want StaleFor=%v", res, staleGrace)
+			// One nanosecond short of the grace bound the entry still
+			// serves; at the bound the bound wins.
+			lastAge := staleGrace - time.Nanosecond
+			now = t0.Add(lastAge)
+			if res := policy.Decide(ctx, stale, warm, now); !res.Degraded || res.StaleFor != lastAge {
+				t.Fatalf("in-bound decision = %+v, want StaleFor=%v", res, lastAge)
 			}
-			now = t0.Add(staleGrace + time.Nanosecond)
+			now = t0.Add(staleGrace)
 			if res := policy.Decide(ctx, stale, warm, now); res.Decision != policy.DecisionIndeterminate || res.Degraded {
-				t.Fatalf("over-grace decision = %+v, want fail-closed Indeterminate", res)
+				t.Fatalf("at-grace decision = %+v, want fail-closed Indeterminate", res)
 			}
 			if sh.queries != nil && sh.queries() != queries {
 				t.Fatalf("open breaker let %d queries reach the dead replicas", sh.queries()-queries)
@@ -192,8 +193,8 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 				t.Fatalf("audit hook saw %d serves, want 2", len(audits))
 			}
 			last := audits[1]
-			if last.key != warm.CacheKey() || last.age != staleGrace || last.cause == nil {
-				t.Fatalf("audit hook saw %+v, want key %q, age %v and the replaced Indeterminate's error", last, warm.CacheKey(), staleGrace)
+			if last.key != warm.CacheKey() || last.age != lastAge || last.cause == nil {
+				t.Fatalf("audit hook saw %+v, want key %q, age %v and the replaced Indeterminate's error", last, warm.CacheKey(), lastAge)
 			}
 			if sh.queries != nil && !errors.Is(last.cause, resilience.ErrOpen) {
 				t.Fatalf("audit cause = %v, want the open breaker", last.cause)
@@ -201,7 +202,7 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 
 			// Recovery: the outage's Indeterminates were remembered by no
 			// layer, the engine's decision cache included, so a healed
-			// dependency answers fresh at the over-grace instant itself —
+			// dependency answers fresh at the grace instant itself —
 			// or, behind a breaker, as soon as its cooldown lets it.
 			sh.down(false)
 			now = now.Add(sh.cooldown)

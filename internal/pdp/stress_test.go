@@ -157,62 +157,3 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheShardExpiredFirstEviction pins the at-capacity behaviour of a
-// cache shard: expired entries are reclaimed before any live entry is
-// evicted, and only when nothing has expired does one live entry go.
-func TestCacheShardExpiredFirstEviction(t *testing.T) {
-	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	expires := at.Add(time.Minute)
-	sh := &cacheShard{entries: make(map[string]*cacheEntry), max: 2}
-	sh.insertLocked("a", &cacheEntry{expires: expires, resID: "res-a"}, at)
-	sh.insertLocked("b", &cacheEntry{expires: expires, resID: "res-b"}, at)
-
-	// Both residents are expired at insert time: the sweep must reclaim
-	// them rather than evict arbitrarily, leaving only the new entry.
-	later := at.Add(2 * time.Minute)
-	sh.insertLocked("c", &cacheEntry{expires: later.Add(time.Minute), resID: "res-c"}, later)
-	if len(sh.entries) != 1 {
-		t.Fatalf("shard holds %d entries after expired sweep, want 1", len(sh.entries))
-	}
-	if _, ok := sh.entries["c"]; !ok {
-		t.Fatal("new entry missing after expired sweep")
-	}
-
-	// With only live residents the bound still holds via arbitrary
-	// eviction.
-	sh.insertLocked("d", &cacheEntry{expires: later.Add(time.Minute), resID: "res-d"}, later)
-	sh.insertLocked("e", &cacheEntry{expires: later.Add(time.Minute), resID: "res-e"}, later)
-	if len(sh.entries) != 2 {
-		t.Fatalf("shard holds %d live entries, bound is 2", len(sh.entries))
-	}
-}
-
-// TestCacheExpiredLookupReclaims pins the lookup half of TTL hygiene: an
-// expired entry is deleted the moment a lookup touches it, instead of
-// pinning memory until eviction churn reaches it.
-func TestCacheExpiredLookupReclaims(t *testing.T) {
-	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("reclaim", WithDecisionCache(time.Minute, 1024))
-	if err := e.SetRoot(resourcePolicies(4)); err != nil {
-		t.Fatal(err)
-	}
-	req := policy.NewAccessRequest("u", "res-1", "read")
-	policy.Decide(context.Background(), e, req, at)
-	if n := e.Stats().CacheEntries; n != 1 {
-		t.Fatalf("cache holds %d entries, want 1", n)
-	}
-	// Past the TTL the lookup misses, deletes the dead entry, and the
-	// re-evaluation fills a fresh one: still exactly one entry.
-	later := at.Add(2 * time.Minute)
-	if res := policy.Decide(context.Background(), e, req, later); res.Decision != policy.DecisionPermit {
-		t.Fatalf("post-TTL decision = %v", res.Decision)
-	}
-	st := e.Stats()
-	if st.Evaluations != 2 || st.CacheHits != 0 {
-		t.Fatalf("stats = %+v, want 2 evaluations and no hits", st)
-	}
-	if st.CacheEntries != 1 {
-		t.Errorf("cache holds %d entries, want 1 (expired entry reclaimed on lookup)", st.CacheEntries)
-	}
-}

@@ -37,8 +37,8 @@ type Update struct {
 //
 // The update is published as a fresh snapshot: readers that loaded the
 // previous one keep evaluating a consistent root/program pair, and the
-// snapshot swap happens before the cache sweep so the epoch guard can
-// reject any stale fill that raced the change. The root must be a
+// snapshot swap happens before the cache sweep so the cache's generation
+// guard can reject any stale fill that raced the change. The root must be a
 // *policy.PolicySet; otherwise ErrNotIncremental is returned and the caller
 // should rebuild via SetRoot.
 func (e *Engine) ApplyUpdate(u Update) error {
@@ -80,8 +80,8 @@ func (e *Engine) ApplyUpdate(u Update) error {
 		e.observeCompile(time.Since(start))
 	}
 	// Publish before invalidating: in-flight evaluations of the old
-	// snapshot either observe the moved epoch and skip their cache fill,
-	// or land before the sweep below and are removed by it.
+	// snapshot either observe the moved cache generation and skip their
+	// fill, or land before the sweep below and are removed by it.
 	e.snap.Store(next)
 	e.stats.updates.Add(1)
 	e.invalidate(oldChild, u.Child)
@@ -103,7 +103,7 @@ func (e *Engine) invalidate(oldChild, newChild policy.Evaluable) {
 		}
 		keys, catchAll := policy.ResourceKeys(ch)
 		if catchAll {
-			e.cache.flush()
+			e.cache.Flush()
 			e.stats.cacheInvalidations.Add(1)
 			return
 		}
@@ -111,5 +111,5 @@ func (e *Engine) invalidate(oldChild, newChild policy.Evaluable) {
 			affected[k] = struct{}{}
 		}
 	}
-	e.stats.cacheInvalidations.Add(e.cache.invalidate(affected))
+	e.stats.cacheInvalidations.Add(e.cache.Invalidate(affected))
 }

@@ -21,7 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/assertion"
@@ -76,9 +76,32 @@ type Outcome struct {
 	Err error
 }
 
-type cacheEntry struct {
-	res     policy.Result
-	expires time.Time
+// counters are the enforcement counters behind Stats, counted with
+// atomics so an enforcement takes no lock.
+type counters struct {
+	requests, permitted, denied, queries, hits, obligationFailures atomic.Int64
+}
+
+func (c *counters) snapshot() Stats {
+	return Stats{
+		Requests:           c.requests.Load(),
+		Permitted:          c.permitted.Load(),
+		Denied:             c.denied.Load(),
+		DecisionQueries:    c.queries.Load(),
+		CacheHits:          c.hits.Load(),
+		ObligationFailures: c.obligationFailures.Load(),
+	}
+}
+
+func (c *counters) count(permitted, obligationFailure bool) {
+	if permitted {
+		c.permitted.Add(1)
+	} else {
+		c.denied.Add(1)
+	}
+	if obligationFailure {
+		c.obligationFailures.Add(1)
+	}
 }
 
 // Enforcer is a pull-model enforcement point.
@@ -87,12 +110,9 @@ type Enforcer struct {
 	pdp      policy.Decider
 	handlers map[string]ObligationHandler
 	now      func() time.Time
-	cacheTTL time.Duration
-	cacheMax int
-
-	mu    sync.Mutex
-	cache map[string]cacheEntry
-	stats Stats
+	// cache is the PEP-local decision cache, nil when disabled.
+	cache *policy.DecisionCache
+	stats counters
 }
 
 // EnforcerOption configures an Enforcer.
@@ -104,15 +124,16 @@ func WithObligationHandler(id string, h ObligationHandler) EnforcerOption {
 }
 
 // WithDecisionCache enables a PEP-local decision cache, the message-saving
-// mechanism of Section 3.2 (Woo & Lam). maxItems <= 0 defaults to 4096.
+// mechanism of Section 3.2 (Woo & Lam): a policy.DecisionCache whose
+// decisions serve while younger than ttl. maxItems <= 0 defaults to 4096.
+// A decision is cached only when no FlushCache ran while it was being
+// queried.
 func WithDecisionCache(ttl time.Duration, maxItems int) EnforcerOption {
 	return func(e *Enforcer) {
 		if maxItems <= 0 {
 			maxItems = 4096
 		}
-		e.cacheTTL = ttl
-		e.cacheMax = maxItems
-		e.cache = make(map[string]cacheEntry, 64)
+		e.cache = policy.NewDecisionCache(ttl, maxItems)
 	}
 }
 
@@ -146,18 +167,12 @@ func NewEnforcer(name string, pdp policy.Decider, opts ...EnforcerOption) *Enfor
 func (e *Enforcer) Name() string { return e.name }
 
 // Stats returns a snapshot of enforcement counters.
-func (e *Enforcer) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
+func (e *Enforcer) Stats() Stats { return e.stats.snapshot() }
 
 // FlushCache drops cached decisions, modelling a revocation push.
 func (e *Enforcer) FlushCache() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.cache != nil {
-		e.cache = make(map[string]cacheEntry, 64)
+		e.cache.Flush()
 	}
 }
 
@@ -173,36 +188,21 @@ func (e *Enforcer) Enforce(ctx context.Context, req *policy.Request) Outcome {
 // cached — the next request with time to spare must be able to earn a real
 // decision.
 func (e *Enforcer) EnforceAt(ctx context.Context, req *policy.Request, at time.Time) Outcome {
-	e.mu.Lock()
-	e.stats.Requests++
-	useCache := e.cache != nil
-	var res policy.Result
-	hit := false
-	var key string
-	if useCache {
-		key = req.CacheKey()
-		if entry, ok := e.cache[key]; ok && at.Before(entry.expires) {
-			res = entry.res
-			hit = true
-			e.stats.CacheHits++
-		}
+	e.stats.requests.Add(1)
+	if e.cache == nil {
+		e.stats.queries.Add(1)
+		return e.finalize(req, policy.Decide(ctx, e.pdp, req, at))
 	}
-	e.mu.Unlock()
-
-	if !hit {
-		res = policy.Decide(ctx, e.pdp, req, at)
-		e.mu.Lock()
-		e.stats.DecisionQueries++
-		if useCache && cacheable(res) {
-			if len(e.cache) >= e.cacheMax {
-				for k := range e.cache {
-					delete(e.cache, k)
-					break
-				}
-			}
-			e.cache[key] = cacheEntry{res: res, expires: at.Add(e.cacheTTL)}
-		}
-		e.mu.Unlock()
+	key, hash := req.CacheKey(), req.CacheKeyHash()
+	if res, _, ok, _ := e.cache.Get(key, hash, at); ok {
+		e.stats.hits.Add(1)
+		return e.finalize(req, res)
+	}
+	gen := e.cache.Generation()
+	res := policy.Decide(ctx, e.pdp, req, at)
+	e.stats.queries.Add(1)
+	if cacheable(res) {
+		e.cache.Put(key, hash, "", res, at, gen)
 	}
 	return e.finalize(req, res)
 }
@@ -220,40 +220,27 @@ func (e *Enforcer) finalize(req *policy.Request, res policy.Result) Outcome {
 	switch res.Decision {
 	case policy.DecisionPermit:
 		if err := e.fulfil(res.Obligations, req); err != nil {
-			e.count(false, true)
+			e.stats.count(false, true)
 			out.Err = err
 			return out
 		}
-		e.count(true, false)
+		e.stats.count(true, false)
 		out.Allowed, out.Obligations = true, res.Obligations
 		return out
 	case policy.DecisionDeny:
 		// Deny-side obligations (e.g. alerting) run best-effort; their
 		// failure cannot turn a deny into a permit.
 		_ = e.fulfil(res.Obligations, req)
-		e.count(false, false)
+		e.stats.count(false, false)
 		out.Err = fmt.Errorf("pep %s: denied by %s: %w", e.name, res.By, ErrDenied)
 		return out
 	default:
-		e.count(false, false)
+		e.stats.count(false, false)
 		out.Err = fmt.Errorf("pep %s: decision %s: %w", e.name, res.Decision, ErrNotPermitted)
 		if res.Err != nil {
 			out.Err = fmt.Errorf("%w (cause: %v)", out.Err, res.Err)
 		}
 		return out
-	}
-}
-
-func (e *Enforcer) count(permitted, obligationFailure bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if permitted {
-		e.stats.Permitted++
-	} else {
-		e.stats.Denied++
-	}
-	if obligationFailure {
-		e.stats.ObligationFailures++
 	}
 }
 
@@ -298,9 +285,7 @@ type PushEnforcer struct {
 	name      string
 	validator *capability.Validator
 	now       func() time.Time
-
-	mu    sync.Mutex
-	stats Stats
+	stats     counters
 }
 
 // NewPushEnforcer builds a push-model enforcement point.
@@ -315,11 +300,7 @@ func (e *PushEnforcer) WithClock(now func() time.Time) *PushEnforcer {
 }
 
 // Stats returns a snapshot of enforcement counters.
-func (e *PushEnforcer) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
+func (e *PushEnforcer) Stats() Stats { return e.stats.snapshot() }
 
 // EnforceCapability validates the presented capability for the request's
 // resource and action.
@@ -333,40 +314,28 @@ func (e *PushEnforcer) EnforceCapability(ctx context.Context, req *policy.Reques
 // keeping push- and pull-model enforcement uniformly fail-closed under
 // time pressure.
 func (e *PushEnforcer) EnforceCapabilityAt(ctx context.Context, req *policy.Request, cap *assertion.Assertion, at time.Time) Outcome {
-	e.mu.Lock()
-	e.stats.Requests++
-	e.mu.Unlock()
+	e.stats.requests.Add(1)
 	if err := ctx.Err(); err != nil {
-		e.countPush(false)
+		e.stats.count(false, false)
 		return Outcome{Decision: policy.DecisionIndeterminate,
 			Err: fmt.Errorf("pep %s: context done before enforcement: %v: %w", e.name, err, ErrNotPermitted)}
 	}
 	if cap == nil {
-		e.countPush(false)
+		e.stats.count(false, false)
 		return Outcome{Decision: policy.DecisionDeny,
 			Err: fmt.Errorf("pep %s: no capability presented: %w", e.name, ErrNotPermitted)}
 	}
 	if err := e.validator.ValidateCapability(cap, req.ResourceID(), req.ActionID(), at); err != nil {
-		e.countPush(false)
+		e.stats.count(false, false)
 		return Outcome{Decision: policy.DecisionDeny,
 			Err: fmt.Errorf("pep %s: %v: %w", e.name, err, ErrDenied)}
 	}
 	if cap.Subject != req.SubjectID() {
-		e.countPush(false)
+		e.stats.count(false, false)
 		return Outcome{Decision: policy.DecisionDeny,
 			Err: fmt.Errorf("pep %s: capability subject %s does not match requester %s: %w",
 				e.name, cap.Subject, req.SubjectID(), ErrDenied)}
 	}
-	e.countPush(true)
+	e.stats.count(true, false)
 	return Outcome{Allowed: true, Decision: policy.DecisionPermit, By: cap.Issuer}
-}
-
-func (e *PushEnforcer) countPush(permitted bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if permitted {
-		e.stats.Permitted++
-	} else {
-		e.stats.Denied++
-	}
 }

@@ -33,7 +33,10 @@
 //     PIP) can be answered for warm keys within a configurable grace
 //     window — degraded (counted, audit logged, stamped degraded=true on
 //     the trace span) but conclusive — while cold keys keep failing
-//     closed. A policy write (Invalidate) retires every entry.
+//     closed. A policy write (Invalidate) flushes every entry. The store
+//     is a policy.DecisionCache whose max age is the grace window, the
+//     same implementation as the engine's and an enforcement point's
+//     decision caches.
 //
 // Fail-closed versus serve-stale, the decision table StaleCache
 // implements:
@@ -41,10 +44,10 @@
 //	caller ctx already expired    -> fail closed (Indeterminate), always
 //	dependency up                 -> fresh decision, never stale
 //	dependency down, warm key,
-//	  entry age <= grace          -> serve stale, Degraded=true
+//	  entry age < grace           -> serve stale, Degraded=true
 //	dependency down, cold key     -> fail closed (a breaker fails fast)
-//	dependency down, entry older
-//	  than grace                  -> fail closed (staleness bound wins)
+//	dependency down, entry aged
+//	  grace or more               -> fail closed (staleness bound wins)
 //	policy write since the entry
 //	  was stored                  -> fail closed (revocation wins)
 //
@@ -52,8 +55,8 @@
 // which a decision cache below may have held for up to its own TTL.
 //
 // Everything here is allocation-free and lock-free on its hot path
-// (atomics; the stale cache uses striped shard mutexes like the PDP
-// decision cache) and takes an injectable clock, so the chaos and load
+// (atomics; the stale cache is the striped policy.DecisionCache the PDP
+// uses) and takes an injectable clock, so the chaos and load
 // tests drive it on virtual time.
 package resilience
 
@@ -78,7 +81,7 @@ type Policy struct {
 	// value uses the defaults (see BreakerConfig).
 	Breaker BreakerConfig
 	// StaleGrace bounds degraded-mode staleness: a StaleCache may answer
-	// an Indeterminate with a conclusive decision no older than
+	// an Indeterminate with a conclusive decision younger than
 	// StaleGrace, marked Degraded. Zero means no StaleCache is placed.
 	StaleGrace time.Duration
 	// Clock overrides time.Now for the breakers and staleness checks.

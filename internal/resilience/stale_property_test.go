@@ -63,7 +63,7 @@ type lastGood struct {
 // and Degraded answers from below, predicting every answer from a model of
 // the decision table and checking the invariants:
 //
-//   - every Degraded result has StaleFor <= grace;
+//   - every Degraded result has StaleFor < grace;
 //   - it equals the last fresh conclusive answer for that key within the
 //     current generation;
 //   - a Degraded input is passed through, never re-stored, so its age
@@ -103,8 +103,8 @@ func runStaleSchedule(seed int64, steps int) string {
 		reqs[s] = policy.NewAccessRequest(s, "res", "read")
 	}
 	now := time.Unix(1_700_000_000, 0)
-	// 8 entries per shard: the five keys can never evict each other.
-	c := newStaleCache(below, grace, func() time.Time { return now }, 8*staleShards)
+	// The five keys can never evict each other from 8192 entries.
+	c := NewStaleCache(below, &Policy{StaleGrace: grace, Clock: func() time.Time { return now }})
 	model := make(map[string]lastGood)
 	var gen uint64
 
@@ -121,7 +121,7 @@ func runStaleSchedule(seed int64, steps int) string {
 		if dead || !ok {
 			return got
 		}
-		if age := now.Sub(m.stored); m.gen == gen && age <= grace {
+		if age := now.Sub(m.stored); m.gen == gen && age < grace {
 			m.res.Degraded, m.res.StaleFor = true, age
 			return m.res
 		}
@@ -131,7 +131,7 @@ func runStaleSchedule(seed int64, steps int) string {
 	check := func(step int, sub string, dead bool, from, want, got policy.Result) string {
 		if got.Degraded {
 			switch {
-			case got.StaleFor > grace:
+			case got.StaleFor >= grace:
 				return fmt.Sprintf("step %d %s: Degraded answer %v stale, grace %v", step, sub, got.StaleFor, grace)
 			case dead && !from.Degraded:
 				return fmt.Sprintf("step %d %s: dead caller served stale %+v", step, sub, got)
@@ -221,7 +221,7 @@ func runStaleSchedule(seed int64, steps int) string {
 // decided that way must not be served stale to a caller without it.
 func TestStaleCacheBypassedByCallerResolver(t *testing.T) {
 	below := &scriptedProvider{verdict: map[string]policy.Decision{"alice": policy.DecisionPermit}}
-	c := newStaleCache(below, time.Minute, time.Now, 8*staleShards)
+	c := NewStaleCache(below, &Policy{StaleGrace: time.Minute})
 	req := policy.NewAccessRequest("alice", "res", "read")
 	caller := policy.ResolverFunc(func(context.Context, *policy.Request, policy.Category, string) (policy.Bag, error) {
 		return nil, nil
