@@ -100,6 +100,11 @@ func postEnvelope(t *testing.T, accesses [][2]int, action string) []byte {
 // slow and Indeterminate traces kept), which pdpd always installs. The
 // budgets are the measured values with a little headroom.
 func TestServedDecisionAllocs(t *testing.T) {
+	// The timed calls draw buffers from sync.Pools, which cache per P. A
+	// goroutine the scheduler moves to another P mid-window, as it does
+	// under CPU contention, misses the pools its warm-up filled and counts
+	// refills no steady-state decision makes. So the test runs on one P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	single, batch := servedDeployment(t)
 	tracer := trace.NewTracer(trace.Options{Sample: 0, SlowThreshold: 250 * time.Millisecond, Capacity: 256})
 	tracedSingle, tracedBatch := servedDeployment(t, wire.WithTracer(tracer))
