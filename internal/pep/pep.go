@@ -189,20 +189,18 @@ func (e *Enforcer) Enforce(ctx context.Context, req *policy.Request) Outcome {
 // decision.
 func (e *Enforcer) EnforceAt(ctx context.Context, req *policy.Request, at time.Time) Outcome {
 	e.stats.requests.Add(1)
-	if e.cache == nil {
-		e.stats.queries.Add(1)
-		return e.finalize(req, policy.Decide(ctx, e.pdp, req, at))
+	var gen uint64
+	if e.cache != nil {
+		if res, _, ok, _ := e.cache.Get(req.CacheKey(), req.CacheKeyHash(), at); ok {
+			e.stats.hits.Add(1)
+			return e.finalize(req, res)
+		}
+		gen = e.cache.Generation()
 	}
-	key, hash := req.CacheKey(), req.CacheKeyHash()
-	if res, _, ok, _ := e.cache.Get(key, hash, at); ok {
-		e.stats.hits.Add(1)
-		return e.finalize(req, res)
-	}
-	gen := e.cache.Generation()
 	res := policy.Decide(ctx, e.pdp, req, at)
 	e.stats.queries.Add(1)
-	if cacheable(res) {
-		e.cache.Put(key, hash, "", res, at, gen)
+	if e.cache != nil && cacheable(res) {
+		e.cache.Put(req.CacheKey(), req.CacheKeyHash(), "", res, at, gen)
 	}
 	return e.finalize(req, res)
 }
