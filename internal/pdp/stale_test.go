@@ -186,8 +186,8 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 				t.Fatalf("open breaker let %d queries reach the dead replicas", sh.queries()-queries)
 			}
 
-			if st := stale.Stats(); st.Served != 2 {
-				t.Fatalf("stats = %+v, want 2 stale serves", st)
+			if st := stale.Stats(); st.Served != 2 || st.TooOld != 1 {
+				t.Fatalf("stats = %+v, want 2 stale serves and 1 too-old entry", st)
 			}
 			if len(audits) != 2 {
 				t.Fatalf("audit hook saw %d serves, want 2", len(audits))
