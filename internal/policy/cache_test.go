@@ -8,8 +8,9 @@ import (
 )
 
 // cacheConfigs are the three placements of the one decision cache, each
-// with its max age and default entry bound: the engine's TTL cache, the
-// stale layer's last-known-good store (max age = grace) and an
+// with a max age a deployment runs (bench's -cache 5m and -stale-grace
+// 30s, E7's 60 s PEP TTL) and its default entry bound: the engine's TTL
+// cache, the stale layer's last-known-good store (max age = grace) and an
 // enforcement point's cache.
 var cacheConfigs = []struct {
 	name   string
