@@ -372,13 +372,19 @@ type Cache struct {
 	entries  map[cacheKey]cacheEntry
 	inflight map[cacheKey]*flight
 	stats    CacheStats
+	// order rings the keys of entries in insertion order, the oldest at
+	// orderHead once the ring is full; it holds exactly the keys entries
+	// does.
+	order     []cacheKey
+	orderHead int
 }
 
 var _ Provider = (*Cache)(nil)
 
 // NewCache wraps inner with a TTL cache. A non-positive maxItems defaults to
-// 4096 entries; eviction discards an arbitrary entry when full (the cache is
-// a bound, not an LRU, which keeps the hot path allocation-free).
+// 4096 entries; a fill at the bound evicts the oldest inserted key (the
+// cache is a bound, not an LRU: a hit does not reorder, which keeps the hot
+// path allocation-free).
 func NewCache(inner Provider, ttl time.Duration, maxItems int) *Cache {
 	if maxItems <= 0 {
 		maxItems = 4096
@@ -481,6 +487,7 @@ func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[cacheKey]cacheEntry)
+	c.order, c.orderHead = nil, 0
 }
 
 // ResolveAttribute implements policy.Resolver. See the Cache doc for the
@@ -581,21 +588,9 @@ func (c *Cache) ResolveAttribute(ctx context.Context, req *policy.Request, cat p
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if err == nil {
-			if len(c.entries) >= c.maxItems {
-				for k := range c.entries {
-					delete(c.entries, k)
-					break
-				}
-			}
-			c.entries[key] = cacheEntry{bag: bag.Clone(), expires: now.Add(c.ttl)}
+			c.storeLocked(key, cacheEntry{bag: bag.Clone(), expires: now.Add(c.ttl)})
 		} else if c.negTTL > 0 && !ctxFailure {
-			if len(c.entries) >= c.maxItems {
-				for k := range c.entries {
-					delete(c.entries, k)
-					break
-				}
-			}
-			c.entries[key] = cacheEntry{err: err, expires: now.Add(c.negTTL)}
+			c.storeLocked(key, cacheEntry{err: err, expires: now.Add(c.negTTL)})
 		}
 		c.mu.Unlock()
 		f.bag, f.err = bag, err
@@ -605,4 +600,20 @@ func (c *Cache) ResolveAttribute(ctx context.Context, req *policy.Request, cat p
 		}
 		return bag, nil
 	}
+}
+
+// storeLocked fills key's entry. A key already cached keeps its place in
+// the insertion order; a new key at the bound evicts the oldest inserted
+// one. Callers hold c.mu.
+func (c *Cache) storeLocked(key cacheKey, e cacheEntry) {
+	if _, ok := c.entries[key]; !ok {
+		if len(c.order) < c.maxItems {
+			c.order = append(c.order, key)
+		} else {
+			delete(c.entries, c.order[c.orderHead])
+			c.order[c.orderHead] = key
+			c.orderHead = (c.orderHead + 1) % c.maxItems
+		}
+	}
+	c.entries[key] = e
 }

@@ -221,17 +221,45 @@ func TestCacheBound(t *testing.T) {
 	s := NewStaticStore("s")
 	s.Set(policy.CategoryEnvironment, "k", policy.String("v"))
 	cache := NewCache(s, time.Hour, 2)
-	for _, subj := range []string{"a", "b", "c", "d"} {
+	resolve := func(subj string) {
+		t.Helper()
 		req := policy.NewAccessRequest(subj, "r", "read")
 		if _, err := cache.ResolveAttribute(context.Background(), req, policy.CategoryEnvironment, "k"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cache.mu.Lock()
-	n := len(cache.entries)
-	cache.mu.Unlock()
-	if n > 2 {
-		t.Errorf("cache grew to %d entries, bound is 2", n)
+	// cached reports which subjects hold an entry, and fails past the bound.
+	cached := func(subjects ...string) []bool {
+		t.Helper()
+		cache.mu.Lock()
+		defer cache.mu.Unlock()
+		if n := len(cache.entries); n > 2 {
+			t.Errorf("cache grew to %d entries, bound is 2", n)
+		}
+		in := make([]bool, len(subjects))
+		for i, subj := range subjects {
+			_, in[i] = cache.entries[cacheKey{subject: subj, cat: policy.CategoryEnvironment, name: "k"}]
+		}
+		return in
+	}
+	for _, subj := range []string{"a", "b", "c"} {
+		resolve(subj)
+	}
+	// The oldest inserted key is the one evicted.
+	if in := cached("a", "b", "c"); in[0] || !in[1] || !in[2] {
+		t.Errorf("after a, b, c at bound 2: a, b, c cached = %v, want a evicted", in)
+	}
+	resolve("d")
+	if in := cached("b", "c", "d"); in[0] || !in[1] || !in[2] {
+		t.Errorf("after d: b, c, d cached = %v, want b evicted", in)
+	}
+	// Invalidate resets the order: keys cached before it cannot evict
+	// keys filled after it.
+	cache.Invalidate()
+	resolve("d")
+	resolve("e")
+	if in := cached("d", "e"); !in[0] || !in[1] {
+		t.Errorf("after Invalidate, d, e: cached = %v, want both", in)
 	}
 }
 

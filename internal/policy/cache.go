@@ -16,7 +16,10 @@ import (
 // Entries are striped across a power-of-two array of stripes keyed by the
 // request's memoised cache-key hash, so a lookup or put takes exactly one
 // stripe mutex and concurrent decisions for different keys do not contend;
-// the entry bound and eviction are per stripe.
+// the entry bound and eviction are per stripe. Each stripe keeps its
+// entries in put order, and a put at the bound evicts expired entries
+// first, then the least recently put one, in O(1) and without iterating
+// the map.
 //
 // A generation guards puts against resurrecting what an Invalidate or
 // Flush retired: a put carries the generation read before its evaluation
@@ -38,44 +41,104 @@ type cacheEntry struct {
 	// resID keys the entry by the request's resource, so Invalidate can
 	// drop only the decisions a changed policy constrains.
 	resID string
+	// key is the entry's map key, so an eviction from the front of the
+	// put order can delete it.
+	key string
+	// prev and next link the stripe's put order by entry index; next
+	// also links the free list. noEntry ends either list.
+	prev, next int32
 }
 
-// cacheStripe is one stripe of the cache. The trailing pad keeps each
-// stripe's mutex on its own cache line, so stripe locks taken by different
-// cores do not false-share. Entries are held by pointer: a map stores
+// noEntry is the entry index that ends a list.
+const noEntry = -1
+
+// cacheStripe is one stripe of the cache; at 64 bytes, each stripe's
+// mutex sits on its own cache line, so stripe locks taken by different
+// cores do not false-share. The map holds entry indices, not entries: a map stores
 // values of up to 128 bytes inline, so each empty slot of a table grown
-// under eviction and invalidation churn would cost a whole entry. They are
-// allocated entryChunk at a time and recycled through free, so a put
-// allocates nothing once its stripe is warm.
+// under eviction and invalidation churn would cost a whole entry. Entries
+// live in chunks of entryChunk, allocated as the stripe grows and recycled
+// through the free list, so a put allocates nothing once its stripe is
+// warm. Indices rather than pointers link the lists, which keeps each
+// entry's links to 8 bytes.
 type cacheStripe struct {
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	free    []*cacheEntry
-	max     int
-	_       [16]byte
+	entries map[string]int32
+	chunks  []*[entryChunk]cacheEntry
+	// head is the least recently put entry and tail the most recently
+	// put; free heads the recycled entries.
+	head, tail, free int32
+	max              int
 }
 
 // entryChunk is how many entries a stripe allocates at once.
 const entryChunk = 16
 
-// takeLocked returns a zeroed entry. Callers hold s.mu.
-func (s *cacheStripe) takeLocked() *cacheEntry {
-	if len(s.free) == 0 {
-		chunk := make([]cacheEntry, entryChunk)
-		for i := range chunk {
-			s.free = append(s.free, &chunk[i])
-		}
-	}
-	en := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	return en
+func (s *cacheStripe) at(i int32) *cacheEntry {
+	return &s.chunks[i/entryChunk][i%entryChunk]
 }
 
-// dropLocked deletes the key's entry and recycles it. Callers hold s.mu.
-func (s *cacheStripe) dropLocked(key string, en *cacheEntry) {
-	delete(s.entries, key)
-	*en = cacheEntry{}
-	s.free = append(s.free, en)
+// resetLocked empties the stripe, keeping the room of its chunk list.
+// Callers hold s.mu.
+func (s *cacheStripe) resetLocked() {
+	s.entries = make(map[string]int32, 8)
+	clear(s.chunks)
+	s.chunks = s.chunks[:0]
+	s.head, s.tail, s.free = noEntry, noEntry, noEntry
+}
+
+// takeLocked returns the index of a zeroed entry, growing the stripe by a
+// chunk when none is free. Callers hold s.mu.
+func (s *cacheStripe) takeLocked() int32 {
+	if s.free == noEntry {
+		base := int32(len(s.chunks)) * entryChunk
+		chunk := new([entryChunk]cacheEntry)
+		for j := range chunk {
+			chunk[j].next = base + int32(j) + 1
+		}
+		chunk[entryChunk-1].next = noEntry
+		s.chunks = append(s.chunks, chunk)
+		s.free = base
+	}
+	i := s.free
+	s.free = s.at(i).next
+	return i
+}
+
+// pushLocked links entry i at the back of the put order. Callers hold s.mu.
+func (s *cacheStripe) pushLocked(i int32) {
+	en := s.at(i)
+	en.prev, en.next = s.tail, noEntry
+	if s.tail == noEntry {
+		s.head = i
+	} else {
+		s.at(s.tail).next = i
+	}
+	s.tail = i
+}
+
+// unlinkLocked takes entry i out of the put order. Callers hold s.mu.
+func (s *cacheStripe) unlinkLocked(i int32) {
+	en := s.at(i)
+	if en.prev == noEntry {
+		s.head = en.next
+	} else {
+		s.at(en.prev).next = en.next
+	}
+	if en.next == noEntry {
+		s.tail = en.prev
+	} else {
+		s.at(en.next).prev = en.prev
+	}
+}
+
+// dropLocked deletes entry i and recycles it. Callers hold s.mu.
+func (s *cacheStripe) dropLocked(i int32) {
+	en := s.at(i)
+	delete(s.entries, en.key)
+	s.unlinkLocked(i)
+	*en = cacheEntry{next: s.free}
+	s.free = i
 }
 
 // minStripeCapacity floors each stripe's entry bound when splitting the
@@ -84,8 +147,8 @@ func (s *cacheStripe) dropLocked(key string, en *cacheEntry) {
 // colliding in a near-empty stripe would evict each other on every put.
 const minStripeCapacity = 64
 
-// evictProbe bounds the scan of an at-capacity put, so eviction stays
-// O(1) per put instead of sweeping the whole stripe under its lock.
+// evictProbe bounds how many expired entries an at-capacity put reclaims,
+// so the work done under the stripe lock stays O(1) per put.
 const evictProbe = 8
 
 // NewDecisionCache builds a cache whose entries serve while younger than
@@ -105,8 +168,12 @@ func NewDecisionCache(maxAge time.Duration, maxEntries int) *DecisionCache {
 	perStripe := max((maxEntries+n-1)/n, 1)
 	c := &DecisionCache{maxAge: maxAge, mask: uint64(n - 1), stripes: make([]cacheStripe, n)}
 	for i := range c.stripes {
-		c.stripes[i].entries = make(map[string]*cacheEntry, 8)
-		c.stripes[i].max = perStripe
+		s := &c.stripes[i]
+		s.max = perStripe
+		// A stripe never holds more than max entries, so its chunk list
+		// is sized once.
+		s.chunks = make([]*[entryChunk]cacheEntry, 0, (perStripe+entryChunk-1)/entryChunk)
+		s.resetLocked()
 	}
 	return c
 }
@@ -126,25 +193,27 @@ func (c *DecisionCache) Generation() uint64 { return c.gen.Load() }
 func (c *DecisionCache) Get(key string, hash uint64, at time.Time) (res Result, age time.Duration, ok, expired bool) {
 	s := c.stripe(hash)
 	s.mu.Lock()
-	en, found := s.entries[key]
+	i, found := s.entries[key]
 	if !found {
 		s.mu.Unlock()
 		return Result{}, 0, false, false
 	}
+	en := s.at(i)
 	age = at.Sub(en.stored)
 	if age < c.maxAge {
 		res = en.res
 		s.mu.Unlock()
 		return res, age, true, false
 	}
-	s.dropLocked(key, en)
+	s.dropLocked(i)
 	s.mu.Unlock()
 	return Result{}, age, false, true
 }
 
 // Put stores res as the key's decision, evaluated at `at` for a request on
 // resource resID, unless the generation has moved past gen. It reports
-// whether the decision was stored.
+// whether the decision was stored. A stored key becomes the most recently
+// put, whether it is new or replaces an entry.
 func (c *DecisionCache) Put(key string, hash uint64, resID string, res Result, at time.Time, gen uint64) bool {
 	s := c.stripe(hash)
 	s.mu.Lock()
@@ -152,41 +221,38 @@ func (c *DecisionCache) Put(key string, hash uint64, resID string, res Result, a
 	if c.gen.Load() != gen {
 		return false
 	}
-	if en, exists := s.entries[key]; exists {
-		*en = cacheEntry{res: res, stored: at, resID: resID}
+	if i, exists := s.entries[key]; exists {
+		en := s.at(i)
+		en.res, en.stored, en.resID = res, at, resID
+		if i != s.tail {
+			s.unlinkLocked(i)
+			s.pushLocked(i)
+		}
 		return true
 	}
 	if len(s.entries) >= s.max {
 		c.evictLocked(s, at)
 	}
-	en := s.takeLocked()
-	*en = cacheEntry{res: res, stored: at, resID: resID}
-	s.entries[key] = en
+	i := s.takeLocked()
+	*s.at(i) = cacheEntry{res: res, stored: at, resID: resID, key: key}
+	s.pushLocked(i)
+	s.entries[key] = i
 	return true
 }
 
-// evictLocked makes room in a full stripe: it probes up to evictProbe
-// entries, reclaims every expired one among them, and drops the oldest
-// probed entry only when none had expired. Map iteration order is
-// randomized, so a stripe full of dead entries drains across successive
-// puts. Callers hold s.mu.
+// evictLocked makes room in a full stripe: it reclaims the expired
+// entries at the front of the put order, up to evictProbe of them, and
+// drops the front, the least recently put entry, only when it had not
+// expired. Callers hold s.mu.
 func (c *DecisionCache) evictLocked(s *cacheStripe, at time.Time) {
-	var victimKey string
-	var victim *cacheEntry
-	probed, reclaimed := 0, false
-	for k, en := range s.entries {
-		if at.Sub(en.stored) >= c.maxAge {
-			s.dropLocked(k, en)
-			reclaimed = true
-		} else if victim == nil || en.stored.Before(victim.stored) {
-			victimKey, victim = k, en
+	for n := 0; n < evictProbe && s.head != noEntry; n++ {
+		if at.Sub(s.at(s.head).stored) < c.maxAge {
+			if n == 0 {
+				s.dropLocked(s.head)
+			}
+			return
 		}
-		if probed++; probed >= evictProbe {
-			break
-		}
-	}
-	if !reclaimed && victim != nil {
-		s.dropLocked(victimKey, victim)
+		s.dropLocked(s.head)
 	}
 }
 
@@ -199,9 +265,9 @@ func (c *DecisionCache) Invalidate(resIDs map[string]struct{}) int64 {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
-		for key, en := range s.entries {
-			if _, hit := resIDs[en.resID]; hit {
-				s.dropLocked(key, en)
+		for _, j := range s.entries {
+			if _, hit := resIDs[s.at(j).resID]; hit {
+				s.dropLocked(j)
 				dropped++
 			}
 		}
@@ -216,8 +282,7 @@ func (c *DecisionCache) Flush() {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
-		s.entries = make(map[string]*cacheEntry, 8)
-		s.free = nil
+		s.resetLocked()
 		s.mu.Unlock()
 	}
 }
