@@ -355,10 +355,10 @@ func decodeEnvelope(data, body []byte) (*Envelope, error) {
 // WireSize reports the encoded size in bytes, the unit of experiment E8:
 // exactly len(EncodeXML()), without keeping the encoding.
 func (e *Envelope) WireSize() int {
-	buf := GetBuffer()
+	buf := encodings.get()
 	*buf = e.appendXML(*buf)
 	n := len(*buf)
-	PutBuffer(buf)
+	encodings.put(buf)
 	return n
 }
 

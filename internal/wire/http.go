@@ -80,10 +80,10 @@ func HTTPHandler(h Handler, opts ...HTTPOption) http.Handler {
 		// The body read, the envelope Body decoded from it and the reply
 		// encoding are pooled: none outlives the exchange (see Handler on
 		// env.Body), so all go back once the reply is written.
-		data, body, out := GetBuffer(), GetBuffer(), GetBuffer()
-		defer PutBuffer(data)
-		defer PutBuffer(body)
-		defer PutBuffer(out)
+		data, body, out := requestBodies.get(), envelopeBodies.get(), encodings.get()
+		defer requestBodies.put(data)
+		defer envelopeBodies.put(body)
+		defer encodings.put(out)
 		var err error
 		*data, err = readBody(*data, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 		if err != nil {

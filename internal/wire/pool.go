@@ -8,26 +8,50 @@ import "sync"
 // pinning its memory in the pool.
 const maxPooledBuffer = 256 << 10
 
-var buffers = sync.Pool{New: func() any { return new([]byte) }}
+// bufferPool pools the buffers of one role in an exchange. Each role
+// draws from its own pool, so a buffer comes back sized by that role's
+// earlier messages. From one pool shared by roles of different sizes, a
+// role would grow whichever smaller buffer came up next, and what a served
+// request allocates would depend on the order the pool returned buffers in.
+type bufferPool struct{ pool sync.Pool }
 
-// GetBuffer returns an empty buffer from the pool the serving side draws
-// its wire buffers from: request bodies, decoded envelope Bodies, batch
-// frames and reply encodings. Give it back with PutBuffer once nothing
-// reads its bytes. A handler's reply buffer comes from Call.Buffer
-// instead, which the transport gives back after writing the reply.
-func GetBuffer() *[]byte {
-	b := buffers.Get().(*[]byte)
+func (p *bufferPool) get() *[]byte {
+	b, ok := p.pool.Get().(*[]byte)
+	if !ok {
+		return new([]byte)
+	}
 	*b = (*b)[:0]
 	return b
 }
 
-// PutBuffer returns a buffer to the pool. One grown past maxPooledBuffer
-// is dropped.
-func PutBuffer(b *[]byte) {
+// put returns b to the pool. One grown past maxPooledBuffer is dropped.
+func (p *bufferPool) put(b *[]byte) {
 	if cap(*b) <= maxPooledBuffer {
-		buffers.Put(b)
+		p.pool.Put(b)
 	}
 }
+
+// The serving side's buffer roles.
+var (
+	requestBodies  bufferPool // HTTP request bodies, read whole
+	envelopeBodies bufferPool // envelope Bodies decoded from them
+	encodings      bufferPool // reply envelopes as written out, and WireSize's
+	replyBodies    bufferPool // handler reply Bodies, from Call.Buffer
+	scratch        bufferPool // handler scratch, from GetBuffer
+)
+
+// rolePools lists every role's pool.
+var rolePools = []*bufferPool{&requestBodies, &envelopeBodies, &encodings, &replyBodies, &scratch}
+
+// GetBuffer returns an empty scratch buffer for a handler, such as the
+// request documents of a batch frame. Give it back with PutBuffer once
+// nothing reads its bytes. A handler's reply buffer comes from Call.Buffer
+// instead, which the transport gives back after writing the reply.
+func GetBuffer() *[]byte { return scratch.get() }
+
+// PutBuffer returns a buffer from GetBuffer to the pool. One grown past
+// maxPooledBuffer is dropped.
+func PutBuffer(b *[]byte) { scratch.put(b) }
 
 // Buffer returns a buffer for the handler's reply Body. When the
 // transport serving the call writes replies out (the HTTP binding), the
@@ -38,7 +62,7 @@ func (c *Call) Buffer() *[]byte {
 	if c != nil && c.pooling {
 		for i, b := range c.pooled {
 			if b == nil {
-				b = GetBuffer()
+				b = replyBodies.get()
 				c.pooled[i] = b
 				return b
 			}
@@ -51,7 +75,7 @@ func (c *Call) Buffer() *[]byte {
 func (c *Call) release() {
 	for i, b := range c.pooled {
 		if b != nil {
-			PutBuffer(b)
+			replyBodies.put(b)
 			c.pooled[i] = nil
 		}
 	}
