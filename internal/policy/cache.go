@@ -54,13 +54,13 @@ const noEntry = -1
 
 // cacheStripe is one stripe of the cache; at 64 bytes, each stripe's
 // mutex sits on its own cache line, so stripe locks taken by different
-// cores do not false-share. The map holds entry indices, not entries: a map stores
-// values of up to 128 bytes inline, so each empty slot of a table grown
-// under eviction and invalidation churn would cost a whole entry. Entries
-// live in chunks of entryChunk, allocated as the stripe grows and recycled
-// through the free list, so a put allocates nothing once its stripe is
-// warm. Indices rather than pointers link the lists, which keeps each
-// entry's links to 8 bytes.
+// cores do not false-share. The map holds entry indices, not entries: a
+// map stores values of up to 128 bytes inline, so each empty slot of a
+// table grown under eviction and invalidation churn would cost a whole
+// entry. Entries live in chunks of entryChunk, allocated as the stripe
+// grows and recycled through the free list, so a put allocates nothing
+// once its stripe is warm. Indices rather than pointers link the lists,
+// which keeps each entry's links to 8 bytes.
 type cacheStripe struct {
 	mu      sync.Mutex
 	entries map[string]int32

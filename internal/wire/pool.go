@@ -40,9 +40,6 @@ var (
 	scratch        bufferPool // handler scratch, from GetBuffer
 )
 
-// rolePools lists every role's pool.
-var rolePools = []*bufferPool{&requestBodies, &envelopeBodies, &encodings, &replyBodies, &scratch}
-
 // GetBuffer returns an empty scratch buffer for a handler, such as the
 // request documents of a batch frame. Give it back with PutBuffer once
 // nothing reads its bytes. A handler's reply buffer comes from Call.Buffer

@@ -31,7 +31,7 @@ func TestOversizeEnvelopeNotPooled(t *testing.T) {
 	if err != nil || !bytes.Equal(reply.Body, big.Body) {
 		t.Fatalf("echo reply differs (%v)", err)
 	}
-	for _, pool := range rolePools {
+	for _, pool := range []*bufferPool{&requestBodies, &envelopeBodies, &encodings, &replyBodies, &scratch} {
 		for i := 0; i < 64; i++ {
 			if b := pool.get(); cap(*b) > maxPooledBuffer {
 				t.Fatalf("pool returned a %d-byte buffer, bound is %d", cap(*b), maxPooledBuffer)
