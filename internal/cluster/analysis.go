@@ -35,9 +35,8 @@ func (r *Router) AnalyzeBase(cfg analysis.Config) (analysis.Report, error) {
 	if cfg.RootCombining == 0 {
 		cfg.RootCombining = set.Combining
 	}
-	reports := make([]analysis.Report, 0, len(r.order))
-	for _, name := range r.order {
-		s := r.shards[name]
+	reports := make([]analysis.Report, 0, len(r.shards))
+	for _, s := range r.shards {
 		children := make([]policy.Evaluable, 0, len(s.children))
 		for _, idx := range s.children {
 			children = append(children, set.Children[idx])

@@ -68,10 +68,9 @@ func TestDeadlineShedsOnlySlowShard(t *testing.T) {
 	const stall = 5 * time.Second
 	single, router, _ := fixture(t, Config{Shards: 4}, 200)
 
-	// Stall the last shard in dispatch order: on hosts without spare
-	// parallelism the router evaluates groups sequentially by ordinal, so
-	// the healthy groups must come first for partial progress to be
-	// observable at all (with parallelism the order is irrelevant).
+	// Stall the last shard in dispatch order: the router dispatches groups
+	// one after another in shard creation order, so the healthy groups
+	// must come first for partial progress to be observable at all.
 	shards := router.Shards()
 	slow := shards[len(shards)-1]
 	replicas, err := router.Replicas(slow)

@@ -18,9 +18,8 @@
 // breaker, latency histogram, trace span and the ensemble's failover walk
 // applied in one place. A single decision is a one-position scatter; a larger
 // selection is grouped by owning shard and evaluates each group in one engine
-// pass, amortising lock, cache-sweep and snapshot-load overhead, with
-// groups running concurrently across shards when the runtime has spare
-// parallelism.
+// pass, amortising lock, cache-sweep and snapshot-load overhead. The groups
+// are dispatched one after another on the caller's goroutine.
 //
 // AddShard and RemoveShard rebalance live: consistent hashing moves only
 // ~1/N of the key space, and only shards whose ownership changed have
@@ -32,7 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +54,8 @@ var (
 	ErrUnknownShard = errors.New("cluster: unknown shard")
 )
 
-// Config parameterises a Router.
+// Config parameterises a Router. The ring spreads each shard over
+// DefaultVirtualNodes points.
 type Config struct {
 	// Shards is the initial shard count; at least 1.
 	Shards int
@@ -64,8 +64,6 @@ type Config struct {
 	Replicas int
 	// Strategy combines a shard group's replicas; ha.Failover when zero.
 	Strategy ha.Strategy
-	// VirtualNodes sets ring balance; DefaultVirtualNodes when zero.
-	VirtualNodes int
 	// EngineOptions configure every replica engine (resolver, decision
 	// cache, clock).
 	EngineOptions []pdp.Option
@@ -124,10 +122,7 @@ func (c *counters) snapshot() Stats {
 
 // shard is one replicated partition of the policy base.
 type shard struct {
-	name string
-	// ord is the shard's position in the router's creation order, used
-	// for map-free batch grouping.
-	ord      int
+	name     string
 	engines  []*pdp.Engine
 	replicas []*ha.Failable
 	group    *ha.Ensemble
@@ -153,19 +148,19 @@ type Router struct {
 	cfg  Config
 	now  func() time.Time
 
-	mu     sync.RWMutex
-	ring   *Ring
-	shards map[string]*shard
-	order  []string // shard names in creation order, for deterministic iteration
-	byOrd  []*shard // shards indexed by ordinal, maintained on membership change
+	mu   sync.RWMutex
+	ring *Ring
+	// shards holds the shard groups in creation order; every walk over
+	// the membership and every routed position refers to this one list.
+	shards []*shard
 	nextID int
 	root   policy.Evaluable
 	// ownerIndex maps every resource key the policy base constrains by
-	// equality to its owning shard, built during repartition: O(1) routing
-	// for the hot path, with the ring as fallback for unlisted keys. The
-	// index agrees with the ring by construction, so both routes give the
-	// same owner.
-	ownerIndex map[string]*shard
+	// equality to its owning shard's position in shards, built during
+	// repartition: O(1) routing for the hot path, with the ring as
+	// fallback for unlisted keys. The index agrees with the ring by
+	// construction, so both routes give the same owner.
+	ownerIndex map[string]int
 	stats      counters
 	// metricsOn gates per-decision latency observation: zero clock reads
 	// on the decision path until RegisterMetrics flips it.
@@ -190,11 +185,10 @@ func New(name string, cfg Config) (*Router, error) {
 		cfg.Clock = time.Now
 	}
 	r := &Router{
-		name:   name,
-		cfg:    cfg,
-		now:    cfg.Clock,
-		ring:   NewRing(cfg.VirtualNodes),
-		shards: make(map[string]*shard, cfg.Shards),
+		name: name,
+		cfg:  cfg,
+		now:  cfg.Clock,
+		ring: NewRing(DefaultVirtualNodes),
 	}
 	if cfg.Resilience != nil {
 		// Copy the policy so breaker defaults (and the clock fallback to
@@ -217,7 +211,7 @@ func New(name string, cfg Config) (*Router, error) {
 func (r *Router) addShardLocked() *shard {
 	name := fmt.Sprintf("%s/shard-%d", r.name, r.nextID)
 	r.nextID++
-	s := &shard{name: name, ord: len(r.order)}
+	s := &shard{name: name}
 	for j := 0; j < r.cfg.Replicas; j++ {
 		engine := pdp.New(fmt.Sprintf("%s/r%d", name, j), r.cfg.EngineOptions...)
 		s.engines = append(s.engines, engine)
@@ -227,9 +221,7 @@ func (r *Router) addShardLocked() *shard {
 	if r.res != nil {
 		s.breaker = resilience.NewBreaker(name, r.res.Breaker)
 	}
-	r.shards[name] = s
-	r.order = append(r.order, name)
-	r.byOrd = append(r.byOrd, s)
+	r.shards = append(r.shards, s)
 	r.ring.Add(name)
 	return s
 }
@@ -246,7 +238,11 @@ func (r *Router) Stats() Stats {
 func (r *Router) Shards() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
+	out := make([]string, len(r.shards))
+	for i, s := range r.shards {
+		out[i] = s.name
+	}
+	return out
 }
 
 // Replicas exposes a shard group's failure-injection handles, so
@@ -254,11 +250,11 @@ func (r *Router) Shards() []string {
 func (r *Router) Replicas(shardName string) ([]*ha.Failable, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s, ok := r.shards[shardName]
-	if !ok {
+	i := r.indexLocked(shardName)
+	if i < 0 {
 		return nil, fmt.Errorf("cluster %s: %q: %w", r.name, shardName, ErrUnknownShard)
 	}
-	return append([]*ha.Failable(nil), s.replicas...), nil
+	return append([]*ha.Failable(nil), r.shards[i].replicas...), nil
 }
 
 // GroupStats returns each shard group's ensemble counters, keyed by shard
@@ -267,8 +263,8 @@ func (r *Router) GroupStats() map[string]ha.Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make(map[string]ha.Stats, len(r.shards))
-	for name, s := range r.shards {
-		out[name] = s.group.Stats()
+	for _, s := range r.shards {
+		out[s.name] = s.group.Stats()
 	}
 	return out
 }
@@ -278,15 +274,20 @@ func (r *Router) GroupStats() map[string]ha.Stats {
 func (r *Router) ShardLoads() []int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]int64, 0, len(r.order))
-	for _, name := range r.order {
-		var n int64
-		for _, rep := range r.shards[name].replicas {
-			n += rep.Queries()
-		}
-		out = append(out, n)
+	out := make([]int64, len(r.shards))
+	for i, s := range r.shards {
+		out[i] = s.queries()
 	}
 	return out
+}
+
+// queries sums the shard's replica queries: its share of the load.
+func (s *shard) queries() int64 {
+	var n int64
+	for _, rep := range s.replicas {
+		n += rep.Queries()
+	}
+	return n
 }
 
 // Owner reports which shard currently owns a resource key.
@@ -329,9 +330,7 @@ func (r *Router) AddShard() (string, error) {
 	s := r.addShardLocked()
 	if err := r.repartitionLocked(false); err != nil {
 		r.ring.Remove(s.name)
-		delete(r.shards, s.name)
-		r.order = r.order[:len(r.order)-1]
-		r.byOrd = r.byOrd[:len(r.byOrd)-1]
+		r.shards = r.shards[:len(r.shards)-1]
 		// Reinstall any shard the failed repartition already shrank;
 		// shards whose recorded children still match skip the install.
 		if rerr := r.repartitionLocked(false); rerr != nil {
@@ -348,25 +347,15 @@ func (r *Router) AddShard() (string, error) {
 func (r *Router) RemoveShard(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.shards[name]; !ok {
+	i := r.indexLocked(name)
+	if i < 0 {
 		return fmt.Errorf("cluster %s: %q: %w", r.name, name, ErrUnknownShard)
 	}
 	if len(r.shards) == 1 {
 		return fmt.Errorf("cluster %s: %w", r.name, ErrLastShard)
 	}
 	r.ring.Remove(name)
-	delete(r.shards, name)
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.byOrd = make([]*shard, len(r.order))
-	for i, n := range r.order {
-		r.shards[n].ord = i
-		r.byOrd[i] = r.shards[n]
-	}
+	r.shards = slices.Delete(r.shards, i, i+1)
 	r.stats.rebalances.Add(1)
 	return r.repartitionLocked(false)
 }
@@ -375,14 +364,15 @@ func (r *Router) RemoveShard(name string) error {
 // reinstalls the bases that changed. force reinstalls everywhere (a new
 // root). Reinstalling flushes the affected engines' decision caches, so a
 // rebalance invalidates exactly the cached decisions whose ownership
-// moved. Callers hold r.mu.
+// moved. It also rebuilds the owner index, whose positions a membership
+// change shifts. Callers hold r.mu.
 func (r *Router) repartitionLocked(force bool) error {
 	if r.root == nil {
 		return nil
 	}
 	set, partitionable := r.root.(*policy.PolicySet)
-	var parts map[string][]int
-	var ownerIndex map[string]*shard
+	parts := make([][]int, len(r.shards))
+	var ownerIndex map[string]int
 	if partitionable {
 		// One pass over the root children assigns each child to the
 		// shards serving it and records every exact resource key's owner
@@ -391,49 +381,40 @@ func (r *Router) repartitionLocked(force bool) error {
 		// equality constraint) goes to every shard. Appending in child
 		// order keeps each shard's list ascending, preserving
 		// order-dependent combining semantics.
-		parts = make(map[string][]int, len(r.order))
-		ownerIndex = make(map[string]*shard, len(set.Children))
+		ownerIndex = make(map[string]int, len(set.Children))
 		for i, ch := range set.Children {
 			keys, catchAll := policy.ResourceKeys(ch)
 			if catchAll {
-				for _, name := range r.order {
-					parts[name] = append(parts[name], i)
+				for o := range parts {
+					parts[o] = append(parts[o], i)
 				}
 				continue
 			}
-			var assigned []string
 			for _, key := range keys {
-				owner, ok := r.ring.Owner(key)
-				if !ok {
+				o := r.ringOwnerLocked(key)
+				if o < 0 {
 					continue
 				}
-				ownerIndex[key] = r.shards[owner]
-				dup := false
-				for _, a := range assigned {
-					if a == owner {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					assigned = append(assigned, owner)
-					parts[owner] = append(parts[owner], i)
+				ownerIndex[key] = o
+				// Keys of one child sharing an owner add the child once;
+				// the child is the last one appended while it is current.
+				if n := len(parts[o]); n == 0 || parts[o][n-1] != i {
+					parts[o] = append(parts[o], i)
 				}
 			}
 		}
 	}
 	r.ownerIndex = ownerIndex
-	for _, name := range r.order {
-		s := r.shards[name]
+	for o, s := range r.shards {
 		var children []int
 		var base policy.Evaluable
 		if partitionable {
-			children = parts[name]
+			children = parts[o]
 			base = subsetPolicySet(set, children)
 		} else {
 			base = r.root
 		}
-		if !force && s.installed && equalInts(children, s.children) {
+		if !force && s.installed && slices.Equal(children, s.children) {
 			continue
 		}
 		if !force {
@@ -469,18 +450,6 @@ func subsetPolicySet(set *policy.PolicySet, children []int) *policy.PolicySet {
 		Children:    subset,
 		Obligations: set.Obligations,
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // movedCount counts elements of next absent from prev: the children whose
@@ -521,18 +490,14 @@ func (r *Router) DecideBatch(ctx context.Context, reqs []*policy.Request) []poli
 // rebalance can never route a request to a shard that no longer serves
 // its policies.
 //
-// ctx bounds the whole scatter: once it is done the router stops fanning
-// out — undispatched shard groups are never started, in-flight groups see
-// the same ctx and abort inside the engine (or inside a stalled replica's
-// injected latency), and every position that did not finish returns
-// Indeterminate with the cause. One slow shard therefore bounds the
-// batch's latency at the caller's deadline instead of the shard's worst
-// case.
-//
-// Groups evaluate concurrently across shards only when the runtime has
-// spare parallelism (GOMAXPROCS > 2): policy evaluation is allocation-
-// heavy, and on small or heavily virtualised hosts the scheduler and GC
-// handoff cost of fan-out goroutines exceeds the overlap they buy.
+// The groups are dispatched one after another on the caller's goroutine,
+// in shard creation order. ctx bounds the whole scatter: a group in flight
+// when it ends aborts inside the engine (or inside a stalled replica's
+// injected latency), the groups after it are never started, and every
+// position that did not finish returns Indeterminate with the cause. One
+// slow shard therefore bounds the batch's latency at the caller's deadline
+// instead of the shard's worst case, though the groups queued behind it
+// fail closed with it.
 func (r *Router) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
 	n := len(reqs)
 	if positions != nil {
@@ -557,12 +522,12 @@ func (r *Router) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 			out[p] = r.ctxDone(err)
 			return
 		}
-		s := r.shardForLocked(reqs[p])
-		if s == nil {
+		o := r.ownerLocked(reqs[p].ResourceID())
+		if o < 0 {
 			out[p] = r.noShards()
 			return
 		}
-		r.dispatchLocked(ctx, s, reqs, indexes, at, resolver, out)
+		r.dispatchLocked(ctx, r.shards[o], reqs, indexes, at, resolver, out)
 		return
 	}
 	r.scatterLocked(ctx, reqs, positions, n, at, resolver, out)
@@ -578,21 +543,20 @@ func (r *Router) scatterLocked(ctx context.Context, reqs []*policy.Request, posi
 		policy.EachPosition(len(reqs), positions, func(p int) { out[p] = res })
 		return
 	}
-	// Group request positions by shard ordinal: a slice walk, not a map,
-	// on the hot path.
-	groups := make([][]int, len(r.order))
-	byOrd := r.byOrd
+	// Group request positions by the owner's position in r.shards: a
+	// slice walk, not a map, on the hot path.
+	groups := make([][]int, len(r.shards))
 	live := 0
 	policy.EachPosition(len(reqs), positions, func(p int) {
-		s := r.shardForLocked(reqs[p])
-		if s == nil {
+		o := r.ownerLocked(reqs[p].ResourceID())
+		if o < 0 {
 			out[p] = r.noShards()
 			return
 		}
-		if groups[s.ord] == nil {
+		if groups[o] == nil {
 			live++
 		}
-		groups[s.ord] = append(groups[s.ord], p)
+		groups[o] = append(groups[o], p)
 	})
 
 	// Traced batches get a scatter span plus one span per shard group; the
@@ -606,41 +570,11 @@ func (r *Router) scatterLocked(ctx context.Context, reqs []*policy.Request, posi
 		defer scatter.End()
 	}
 
-	if live <= 1 || runtime.GOMAXPROCS(0) <= 2 {
-		for ord, indexes := range groups {
-			if indexes != nil {
-				r.dispatchLocked(ctx, byOrd[ord], reqs, indexes, at, resolver, out)
-			}
+	for o, indexes := range groups {
+		if indexes != nil {
+			r.dispatchLocked(ctx, r.shards[o], reqs, indexes, at, resolver, out)
 		}
-		return
 	}
-	// Bounded fan-out: one worker per available P, never more than one
-	// goroutine per group. Unbounded fan-out loses on small hosts, where
-	// scheduler and GC handoff for excess goroutines costs more than the
-	// overlap buys.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > live {
-		workers = live
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	gctx := ctx // the workers capture a copy, not ctx itself, so ctx stays on the stack
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ord := int(next.Add(1)) - 1
-				if ord >= len(groups) {
-					return
-				}
-				if groups[ord] != nil {
-					r.dispatchLocked(gctx, byOrd[ord], reqs, groups[ord], at, resolver, out)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // onePosition selects the only request of a single decision's scatter.
@@ -654,20 +588,31 @@ func (r *Router) ctxDone(err error) policy.Result {
 		Err: fmt.Errorf("cluster %s: context done before decision: %w", r.name, err)}
 }
 
-// shardForLocked resolves the owning shard. Keys the policy base
-// constrains resolve through the O(1) owner index; anything else falls
-// back to the ring (same owner either way). A nil shard means the cluster
-// is empty. Callers hold r.mu.
-func (r *Router) shardForLocked(req *policy.Request) *shard {
-	key := req.ResourceID()
-	if s, ok := r.ownerIndex[key]; ok {
-		return s
+// ownerLocked resolves the position in r.shards of the shard owning a
+// resource key. Keys the policy base constrains resolve through the O(1)
+// owner index; anything else falls back to the ring (same owner either
+// way). -1 means the cluster is empty. Callers hold r.mu.
+func (r *Router) ownerLocked(key string) int {
+	if o, ok := r.ownerIndex[key]; ok {
+		return o
 	}
-	owner, ok := r.ring.Owner(key)
+	return r.ringOwnerLocked(key)
+}
+
+// ringOwnerLocked resolves a key's owner through the ring alone: its
+// position in r.shards, or -1 on an empty ring. Callers hold r.mu.
+func (r *Router) ringOwnerLocked(key string) int {
+	name, ok := r.ring.Owner(key)
 	if !ok {
-		return nil
+		return -1
 	}
-	return r.shards[owner]
+	return r.indexLocked(name)
+}
+
+// indexLocked scans for a shard by name: its position in r.shards, or -1.
+// Callers hold r.mu.
+func (r *Router) indexLocked(name string) int {
+	return slices.IndexFunc(r.shards, func(s *shard) bool { return s.name == name })
 }
 
 // noShards reports an empty cluster as a fail-closed result.

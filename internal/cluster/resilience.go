@@ -24,9 +24,9 @@ func (r *Router) BreakerStats() map[string]resilience.BreakerStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make(map[string]resilience.BreakerStats, len(r.shards))
-	for name, s := range r.shards {
+	for _, s := range r.shards {
 		if s.breaker != nil {
-			out[name] = s.breaker.Stats()
+			out[s.name] = s.breaker.Stats()
 		}
 	}
 	return out

@@ -1,0 +1,200 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/pdp"
+	"repro/internal/policy"
+)
+
+// routeResources bounds the resource keys the routing property test's
+// policies constrain.
+const routeResources = 12
+
+// updPair targets two resources at once, so one child's keys may share an
+// owner or split across shards; each version moves both keys.
+func updPair(v int) *policy.Policy {
+	return policy.NewPolicy("pair").
+		Combining(policy.FirstApplicable).
+		WhenAny(policy.MatchResourceID(fmt.Sprintf("res-%d", v%routeResources)),
+			policy.MatchResourceID(fmt.Sprintf("res-%d", (v+5)%routeResources))).
+		Rule(policy.Permit("pair-allow").When(policy.MatchActionID("audit")).Build()).
+		Build()
+}
+
+// TestRouterRoutesLikeRing drives a router of 1 to 6 shards through random
+// sequences of AddShard, RemoveShard, SetRoot and ApplyUpdate (insert, a
+// replace whose keys move between shards, delete, catch-all child) and
+// checks after every step that
+//   - every resource key the base constrains, and one it does not, routes
+//     to the shard Router.Owner names, and
+//   - a batch with one request per key decides exactly as a single engine
+//     over the same root.
+func TestRouterRoutesLikeRing(t *testing.T) {
+	ctx := context.Background()
+	actions := []string{"read", "write", "purge", "audit"}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var opts []pdp.Option
+		if seed%2 == 0 {
+			opts = append(opts, pdp.WithDecisionCache(time.Hour, 0))
+		}
+		router, err := New("c", Config{Shards: 1 + rng.Intn(6), EngineOptions: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := make(map[string]policy.Evaluable)
+		version := 0
+		randomPolicy := func() policy.Evaluable {
+			version++
+			switch rng.Intn(4) {
+			case 0:
+				return updCatchAll(version)
+			case 1:
+				return updPair(version)
+			default:
+				return updPolicy(fmt.Sprintf("res-%d", rng.Intn(routeResources)), version)
+			}
+		}
+		for i := rng.Intn(8); i > 0; i-- {
+			p := randomPolicy()
+			model[p.EntityID()] = p
+		}
+		if err := router.SetRoot(updModelRoot(model)); err != nil {
+			t.Fatal(err)
+		}
+
+		for step := 0; step < 60; step++ {
+			var op string
+			switch r := rng.Intn(12); {
+			case r < 2:
+				op = "add-shard"
+				if len(router.Shards()) == 6 {
+					op = "add-shard (at 6, skipped)"
+					break
+				}
+				if _, err := router.AddShard(); err != nil {
+					t.Fatalf("seed %d step %d: AddShard: %v", seed, step, err)
+				}
+			case r < 4:
+				names := router.Shards()
+				victim := names[rng.Intn(len(names))]
+				op = "remove-shard " + victim
+				if len(names) == 1 {
+					op += " (last, skipped)"
+					break
+				}
+				if err := router.RemoveShard(victim); err != nil {
+					t.Fatalf("seed %d step %d: RemoveShard(%s): %v", seed, step, victim, err)
+				}
+			case r < 5:
+				op = "set-root"
+				model = make(map[string]policy.Evaluable)
+				for i := rng.Intn(8); i > 0; i-- {
+					p := randomPolicy()
+					model[p.EntityID()] = p
+				}
+				if err := router.SetRoot(updModelRoot(model)); err != nil {
+					t.Fatalf("seed %d step %d: SetRoot: %v", seed, step, err)
+				}
+			default:
+				var u pdp.Update
+				switch rng.Intn(5) {
+				case 0: // insert or replace of one resource's policy
+					p := updPolicy(fmt.Sprintf("res-%d", rng.Intn(routeResources)), version+1)
+					u = pdp.Update{ID: p.ID, Child: p}
+				case 1: // replace that moves keys between shards
+					p := updRoaming(version + 1)
+					u = pdp.Update{ID: p.ID, Child: p}
+				case 2: // two keys, moving together
+					p := updPair(version + 1)
+					u = pdp.Update{ID: p.ID, Child: p}
+				case 3: // catch-all child, replicated to every shard
+					p := updCatchAll(version + 1)
+					u = pdp.Update{ID: p.ID, Child: p}
+				default: // delete, possibly of an absent child
+					ids := []string{"global-guard", "roaming", "pair"}
+					for id := range model {
+						ids = append(ids, id)
+					}
+					u = pdp.Update{ID: ids[rng.Intn(len(ids))]}
+				}
+				version++
+				op = "apply-update " + u.ID
+				if u.Child == nil {
+					op = "apply-delete " + u.ID
+					delete(model, u.ID)
+				} else {
+					model[u.ID] = u.Child
+				}
+				if err := router.ApplyUpdate(u); err != nil {
+					t.Fatalf("seed %d step %d (%s): ApplyUpdate: %v", seed, step, op, err)
+				}
+			}
+			root := updModelRoot(model)
+			checkRoutesLikeRing(t, router, root, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
+			checkBatchLikeEngine(ctx, t, router, root, actions, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
+		}
+	}
+}
+
+// routeKeys lists the resource keys root constrains, then one it does not.
+func routeKeys(root *policy.PolicySet) []string {
+	var keys []string
+	for _, ch := range root.Children {
+		k, _ := policy.ResourceKeys(ch)
+		keys = append(keys, k...)
+	}
+	return append(keys, "res-unconstrained")
+}
+
+// checkRoutesLikeRing asserts the routing helper sends every key to the
+// shard the ring names.
+func checkRoutesLikeRing(t *testing.T, router *Router, root *policy.PolicySet, where string) {
+	t.Helper()
+	for _, key := range routeKeys(root) {
+		want, ok := router.Owner(key)
+		if !ok {
+			t.Fatalf("%s: ring has no owner for %s", where, key)
+		}
+		router.mu.RLock()
+		o := router.ownerLocked(key)
+		var got string
+		if o >= 0 && o < len(router.shards) {
+			got = router.shards[o].name
+		} else {
+			got = fmt.Sprintf("<position %d of %d shards>", o, len(router.shards))
+		}
+		router.mu.RUnlock()
+		if got != want {
+			t.Fatalf("%s: key %s routes to %s, ring owner is %s", where, key, got, want)
+		}
+	}
+}
+
+// checkBatchLikeEngine asserts one batch over every key decides as a single
+// engine over root.
+func checkBatchLikeEngine(ctx context.Context, t *testing.T, router *Router, root *policy.PolicySet, actions []string, where string) {
+	t.Helper()
+	single := pdp.New("single")
+	if err := single.SetRoot(root); err != nil {
+		t.Fatalf("%s: single engine: %v", where, err)
+	}
+	keys := routeKeys(root)
+	reqs := make([]*policy.Request, len(keys))
+	for i, key := range keys {
+		reqs[i] = policy.NewAccessRequest("alice", key, actions[i%len(actions)])
+	}
+	got := policy.DecideBatch(ctx, router, reqs, testEpoch)
+	for i, req := range reqs {
+		want := policy.Decide(ctx, single, req, testEpoch)
+		if got[i].Decision != want.Decision || got[i].By != want.By {
+			t.Fatalf("%s: %s on %s: router %v by %s (err %v), single engine %v by %s",
+				where, req.ActionID(), req.ResourceID(), got[i].Decision, got[i].By, got[i].Err, want.Decision, want.By)
+		}
+	}
+}

@@ -38,94 +38,59 @@ func (r *Router) RegisterMetrics(reg *telemetry.Registry) {
 		func() int64 {
 			r.mu.RLock()
 			defer r.mu.RUnlock()
-			return int64(len(r.order))
+			return int64(len(r.shards))
 		})
 	reg.Register("repro_cluster_shard_queries_total",
 		"Decisions handled per shard (replica queries summed over the group).",
-		telemetry.KindCounter, func() []telemetry.Sample {
-			r.mu.RLock()
-			defer r.mu.RUnlock()
-			out := make([]telemetry.Sample, 0, len(r.order))
-			for _, name := range r.order {
-				var n int64
-				for _, rep := range r.shards[name].replicas {
-					n += rep.Queries()
-				}
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("shard", name)},
-					Value:  float64(n),
-				})
-			}
-			return out
-		})
+		telemetry.KindCounter, r.perShard(func(s *shard) (telemetry.Sample, bool) {
+			return telemetry.Sample{Value: float64(s.queries())}, true
+		}))
 	reg.Register("repro_cluster_shard_decide_seconds",
 		"Decision latency per shard group (router-observed).",
-		telemetry.KindHistogram, func() []telemetry.Sample {
-			r.mu.RLock()
-			defer r.mu.RUnlock()
-			out := make([]telemetry.Sample, 0, len(r.order))
-			for _, name := range r.order {
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("shard", name)},
-					Hist:   r.shards[name].lat.Snapshot(),
-				})
-			}
-			return out
-		})
+		telemetry.KindHistogram, r.perShard(func(s *shard) (telemetry.Sample, bool) {
+			return telemetry.Sample{Hist: s.lat.Snapshot()}, true
+		}))
 	reg.Register("repro_cluster_shard_failovers_total",
 		"Failover reroutes per shard group.",
-		telemetry.KindCounter, func() []telemetry.Sample {
-			r.mu.RLock()
-			defer r.mu.RUnlock()
-			out := make([]telemetry.Sample, 0, len(r.order))
-			for _, name := range r.order {
-				st := r.shards[name].group.Stats()
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("shard", name)},
-					Value:  float64(st.Failovers),
-				})
-			}
-			return out
-		})
+		telemetry.KindCounter, r.perShard(func(s *shard) (telemetry.Sample, bool) {
+			return telemetry.Sample{Value: float64(s.group.Stats().Failovers)}, true
+		}))
 	reg.CounterFunc("repro_cluster_degraded_rejects_total",
 		"Requests failed fast by an open shard breaker.",
 		func() int64 { return r.Stats().DegradedRejects })
 	reg.Register("repro_cluster_breaker_state",
 		"Per-shard circuit-breaker state: 0 closed, 1 open, 2 half-open.",
-		telemetry.KindGauge, func() []telemetry.Sample {
-			r.mu.RLock()
-			defer r.mu.RUnlock()
-			out := make([]telemetry.Sample, 0, len(r.order))
-			for _, name := range r.order {
-				s := r.shards[name]
-				if s.breaker == nil {
-					continue
-				}
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("shard", name)},
-					Value:  float64(s.breaker.State()),
-				})
+		telemetry.KindGauge, r.perShard(func(s *shard) (telemetry.Sample, bool) {
+			if s.breaker == nil {
+				return telemetry.Sample{}, false
 			}
-			return out
-		})
+			return telemetry.Sample{Value: float64(s.breaker.State())}, true
+		}))
 	reg.Register("repro_cluster_breaker_opens_total",
 		"Per-shard breaker trips (closed or half-open to open).",
-		telemetry.KindCounter, func() []telemetry.Sample {
-			r.mu.RLock()
-			defer r.mu.RUnlock()
-			out := make([]telemetry.Sample, 0, len(r.order))
-			for _, name := range r.order {
-				s := r.shards[name]
-				if s.breaker == nil {
-					continue
-				}
-				out = append(out, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("shard", name)},
-					Value:  float64(s.breaker.Stats().Opens),
-				})
+		telemetry.KindCounter, r.perShard(func(s *shard) (telemetry.Sample, bool) {
+			if s.breaker == nil {
+				return telemetry.Sample{}, false
 			}
-			return out
-		})
+			return telemetry.Sample{Value: float64(s.breaker.Stats().Opens)}, true
+		}))
 	pdp.RegisterMetrics(reg, r.engines)
 	r.metricsOn.Store(true)
+}
+
+// perShard builds a collector of one sample per shard, in creation order,
+// labelled with the shard's name; sample reports false to skip a shard.
+func (r *Router) perShard(sample func(*shard) (telemetry.Sample, bool)) func() []telemetry.Sample {
+	return func() []telemetry.Sample {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		out := make([]telemetry.Sample, 0, len(r.shards))
+		for _, s := range r.shards {
+			if smp, ok := sample(s); ok {
+				smp.Labels = []telemetry.Label{telemetry.L("shard", s.name)}
+				out = append(out, smp)
+			}
+		}
+		return out
+	}
 }

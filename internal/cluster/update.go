@@ -65,12 +65,9 @@ func (r *Router) ApplyUpdate(u pdp.Update) error {
 	// disagree, so such updates take the full repartition path instead of
 	// the delta.
 	needsInsert := delta > 0
-	if !needsInsert {
-		for s := range newOwners {
-			if _, ok := oldOwners[s]; !ok {
-				needsInsert = true
-				break
-			}
+	for o := range newOwners {
+		if newOwners[o] && !oldOwners[o] {
+			needsInsert = true
 		}
 	}
 	if needsInsert && !set.ChildrenSortedByID() {
@@ -79,21 +76,19 @@ func (r *Router) ApplyUpdate(u pdp.Update) error {
 			return fmt.Errorf("cluster %s: update %s: %w", r.name, u.ID, err)
 		}
 		r.stats.updates.Add(1)
-		r.stats.updateShardsTouched.Add(int64(len(r.byOrd)))
+		r.stats.updateShardsTouched.Add(int64(len(r.shards)))
 		return nil
 	}
 	r.root = newRoot
 
 	touched := 0
-	for _, s := range r.byOrd {
-		_, isOld := oldOwners[s]
-		_, isNew := newOwners[s]
-		if !isOld && !isNew {
+	for o, s := range r.shards {
+		if !oldOwners[o] && !newOwners[o] {
 			continue
 		}
 		touched++
 		op := pdp.Update{ID: u.ID} // delete from shards losing the child
-		if isNew {
+		if newOwners[o] {
 			op = u // engine replaces or inserts by ID
 		}
 		for _, engine := range s.engines {
@@ -105,7 +100,7 @@ func (r *Router) ApplyUpdate(u pdp.Update) error {
 					return fmt.Errorf("cluster %s: update %s: %w", r.name, u.ID, errors.Join(err, ferr))
 				}
 				r.stats.updates.Add(1)
-				r.stats.updateShardsTouched.Add(int64(len(r.byOrd)))
+				r.stats.updateShardsTouched.Add(int64(len(r.shards)))
 				return nil
 			}
 		}
@@ -114,18 +109,17 @@ func (r *Router) ApplyUpdate(u pdp.Update) error {
 	// Bookkeeping: an insert or delete shifts every shard's recorded
 	// child positions, owners also gain or lose pos; no engine other than
 	// the touched shards' is reinstalled.
-	for _, s := range r.byOrd {
-		_, isNew := newOwners[s]
-		s.children = remapPositions(s.children, pos, delta, isNew)
+	for o, s := range r.shards {
+		s.children = remapPositions(s.children, pos, delta, newOwners[o])
 	}
 	if u.Child != nil {
 		if keys, catchAll := policy.ResourceKeys(u.Child); !catchAll {
 			if r.ownerIndex == nil {
-				r.ownerIndex = make(map[string]*shard, len(keys))
+				r.ownerIndex = make(map[string]int, len(keys))
 			}
 			for _, k := range keys {
-				if owner, ok := r.ring.Owner(k); ok {
-					r.ownerIndex[k] = r.shards[owner]
+				if o := r.ringOwnerLocked(k); o >= 0 {
+					r.ownerIndex[k] = o
 				}
 			}
 		}
@@ -135,25 +129,21 @@ func (r *Router) ApplyUpdate(u pdp.Update) error {
 	return nil
 }
 
-// ownersLocked resolves the set of shards serving a child: the ring owners
-// of its exact resource keys, or every shard for a catch-all. Callers hold
-// r.mu.
-func (r *Router) ownersLocked(ch policy.Evaluable) map[*shard]struct{} {
+// ownersLocked marks, by position in r.shards, the shards serving a child:
+// the ring owners of its exact resource keys, or every shard for a
+// catch-all. A nil child is served nowhere. Callers hold r.mu.
+func (r *Router) ownersLocked(ch policy.Evaluable) []bool {
+	owners := make([]bool, len(r.shards))
 	if ch == nil {
-		return nil
+		return owners
 	}
 	keys, catchAll := policy.ResourceKeys(ch)
-	if catchAll {
-		all := make(map[*shard]struct{}, len(r.byOrd))
-		for _, s := range r.byOrd {
-			all[s] = struct{}{}
-		}
-		return all
+	for o := range owners {
+		owners[o] = catchAll
 	}
-	owners := make(map[*shard]struct{}, len(keys))
 	for _, k := range keys {
-		if owner, ok := r.ring.Owner(k); ok {
-			owners[r.shards[owner]] = struct{}{}
+		if o := r.ringOwnerLocked(k); o >= 0 {
+			owners[o] = true
 		}
 	}
 	return owners
@@ -197,7 +187,7 @@ func (r *Router) engines() []*pdp.Engine {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*pdp.Engine
-	for _, s := range r.byOrd {
+	for _, s := range r.shards {
 		out = append(out, s.engines...)
 	}
 	return out

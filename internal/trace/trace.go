@@ -115,8 +115,8 @@ type Attr struct {
 // Span is one timed operation within a trace. Spans are created by
 // Tracer.StartRoot, StartSpan and JoinRemote, annotated by the layer that
 // owns them, and closed with End. A span belongs to one goroutine between
-// creation and End; concurrent spans of the same trace (batch fan-out) are
-// safe because the trace's span list is lock-protected. A span still open
+// creation and End; spans of the same trace opened on several goroutines
+// are safe because the trace's span list is lock-protected. A span still open
 // when its trace is recorded appears without duration or annotations, so a
 // straggler (a goroutine that ends its span after the root has ended)
 // never races the published record.
