@@ -148,14 +148,15 @@ func main() {
 	if lg != nil {
 		lg.RegisterMetrics(reg)
 	}
+	// -breaker alone arms the breakers (shards and PIP); -stale-grace alone
+	// places the StaleCache.
 	var resPolicy *resilience.Policy
-	if *breakerFlag || *staleGrace > 0 {
+	if *breakerFlag {
 		resPolicy = &resilience.Policy{
 			Breaker: resilience.BreakerConfig{
 				Threshold: breakerThreshold,
 				Cooldown:  *breakerCooldown,
 			},
-			StaleGrace: *staleGrace,
 		}
 	}
 	var resolver policy.Resolver
@@ -205,7 +206,7 @@ func main() {
 	// layer placed over it.
 	decide, decideBatch := pdp.Handler(router), pdp.BatchHandler(router)
 	if *staleGrace > 0 {
-		stale := resilience.NewStaleCache(router, resPolicy)
+		stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: *staleGrace})
 		stale.RegisterMetrics(reg)
 		// Every degraded serve is audited with the outage it papered over
 		// (the replaced Indeterminate's error), the cache key and the age.
@@ -281,8 +282,10 @@ func main() {
 	log.Printf("pdpd: serving %s on %s (cache=%v shards=%d replicas=%d strategy=%s data-dir=%q trace-sample=%g)",
 		*policyPath, *addr, *cacheTTL, *shards, *replicas, *strategy, *dataDir, *traceSample)
 	if resPolicy != nil {
-		log.Printf("pdpd: resilience armed (breaker threshold=%d cooldown=%v stale-grace=%v)",
-			breakerThreshold, *breakerCooldown, *staleGrace)
+		log.Printf("pdpd: breakers armed (threshold=%d cooldown=%v)", breakerThreshold, *breakerCooldown)
+	}
+	if *staleGrace > 0 {
+		log.Printf("pdpd: stale serving armed (stale-grace=%v)", *staleGrace)
 	}
 	var handler http.Handler = mux
 	if admission != nil {
@@ -354,8 +357,8 @@ func admissionPriority(r *http.Request) resilience.Priority {
 
 // buildDecisionPoint assembles the router pdpd serves, whose replica
 // handles /admin/chaos injects faults through. A non-nil res arms the
-// router's per-shard breakers; its StaleGrace is applied by
-// the caller, which places one resilience.StaleCache over the router.
+// router's per-shard breakers; -stale-grace is applied by the caller,
+// which places one resilience.StaleCache over the router.
 func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (*cluster.Router, error) {
 	var opts []pdp.Option
 	if cacheTTL > 0 {
