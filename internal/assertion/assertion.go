@@ -128,8 +128,6 @@ type VerifyOptions struct {
 	Trust *pki.TrustStore
 	// IssuerCert is the certificate presented for the issuer.
 	IssuerCert *pki.Certificate
-	// Intermediates supply any chain between IssuerCert and a root.
-	Intermediates []*pki.Certificate
 	// At is the verification time.
 	At time.Time
 	// Audience is the verifying party's identity for audience checks.
@@ -144,7 +142,7 @@ func (a *Assertion) Verify(opts VerifyOptions) error {
 	if opts.IssuerCert == nil || opts.IssuerCert.Subject != a.Issuer {
 		return fmt.Errorf("assertion %s: issuer certificate missing or mismatched: %w", a.ID, pki.ErrUntrusted)
 	}
-	if err := opts.Trust.VerifySignature(opts.IssuerCert, opts.Intermediates, opts.At, a.Canonical(), a.Signature); err != nil {
+	if err := opts.Trust.VerifySignature(opts.IssuerCert, opts.At, a.Canonical(), a.Signature); err != nil {
 		return fmt.Errorf("assertion %s: %w", a.ID, err)
 	}
 	if opts.At.Before(a.NotBefore) || !opts.At.Before(a.NotOnOrAfter) {

@@ -612,7 +612,7 @@ func (p *program) candidates(req *policy.Request, buf []int32) (cand []int32, us
 		// combining algorithms are order-sensitive) and drop the overlaps
 		// a multi-valued attribute can introduce.
 		slices.Sort(buf)
-		buf = dedupSorted(buf)
+		buf = slices.Compact(buf)
 	}
 
 	for di := range p.dims {
@@ -649,17 +649,6 @@ func bagHasAnyKey(bag policy.Bag, keys []string) bool {
 		}
 	}
 	return false
-}
-
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(s []int32) []int32 {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // combineChildren runs the root combining algorithm over the candidate

@@ -337,9 +337,9 @@ func (t *TrustStore) VerifyChain(leaf *Certificate, intermediates []*Certificate
 }
 
 // VerifySignature checks a detached message signature against a certificate
-// that must chain to the trust store.
-func (t *TrustStore) VerifySignature(cert *Certificate, intermediates []*Certificate, at time.Time, message, sig []byte) error {
-	if err := t.VerifyChain(cert, intermediates, at); err != nil {
+// issued directly by one of the trust store's roots.
+func (t *TrustStore) VerifySignature(cert *Certificate, at time.Time, message, sig []byte) error {
+	if err := t.VerifyChain(cert, nil, at); err != nil {
 		return err
 	}
 	if !ed25519.Verify(cert.PublicKey, message, sig) {

@@ -159,15 +159,15 @@ func TestVerifySignature(t *testing.T) {
 
 	msg := []byte("authorisation decision: Permit")
 	sig := key.Sign(msg)
-	if err := store.VerifySignature(leaf, nil, mid, msg, sig); err != nil {
+	if err := store.VerifySignature(leaf, mid, msg, sig); err != nil {
 		t.Errorf("valid signature rejected: %v", err)
 	}
-	if err := store.VerifySignature(leaf, nil, mid, []byte("tampered"), sig); !errors.Is(err, ErrBadSignature) {
+	if err := store.VerifySignature(leaf, mid, []byte("tampered"), sig); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("tampered message: want ErrBadSignature, got %v", err)
 	}
 	// A signature by an untrusted key must fail even if the message is intact.
 	otherKey, _ := GenerateKeyPair(newDetRand(3))
-	if err := store.VerifySignature(leaf, nil, mid, msg, otherKey.Sign(msg)); !errors.Is(err, ErrBadSignature) {
+	if err := store.VerifySignature(leaf, mid, msg, otherKey.Sign(msg)); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("wrong key: want ErrBadSignature, got %v", err)
 	}
 }

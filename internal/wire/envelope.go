@@ -480,7 +480,7 @@ func (s *Security) Verify(e *Envelope, minimum Protection, at time.Time) error {
 	if !ok {
 		return fmt.Errorf("wire: unknown signer %s: %w", e.Security.Signer, pki.ErrUntrusted)
 	}
-	if err := s.trust.VerifySignature(cert, nil, at, e.Canonical(), e.Security.Signature); err != nil {
+	if err := s.trust.VerifySignature(cert, at, e.Canonical(), e.Security.Signature); err != nil {
 		return fmt.Errorf("wire: message %s: %w", e.MessageID, err)
 	}
 	return nil
