@@ -148,8 +148,6 @@ func main() {
 	if lg != nil {
 		lg.RegisterMetrics(reg)
 	}
-	// -breaker alone arms the breakers (shards and PIP); -stale-grace alone
-	// places the StaleCache.
 	var resPolicy *resilience.Policy
 	if *breakerFlag {
 		resPolicy = &resilience.Policy{
