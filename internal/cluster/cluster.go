@@ -3,8 +3,14 @@
 // than one. A consistent-hash ring partitions the policy base across N
 // shards by the resource keys their targets constrain; a Router is a
 // policy.Decider like a single pdp.Engine, so enforcement points (pep,
-// rest, capability) work against a cluster unchanged. Each shard is a replicated group built from the ha package's
-// failover or quorum ensembles, so a shard survives replica crashes.
+// rest, capability) work against a cluster unchanged. Each shard is a
+// replicated group built from the ha package's failover or quorum
+// ensembles, so a shard survives replica crashes.
+//
+// One owner function answers every ownership question: it hashes the key
+// and binary-searches the ring points derived from the router's shard
+// list, so request routing, repartitioning, ApplyUpdate's owner sets and
+// Router.Owner cannot disagree, and no per-key routing table is kept.
 //
 // Routing preserves single-engine semantics: a shard's base holds, in
 // original order, every root child whose resource-id target maps to a key
@@ -46,16 +52,14 @@ import (
 
 // Cluster errors, matched with errors.Is.
 var (
-	// ErrNoShards reports an operation against an empty cluster.
-	ErrNoShards = errors.New("cluster: no shards")
 	// ErrLastShard reports a RemoveShard that would empty the cluster.
 	ErrLastShard = errors.New("cluster: cannot remove the last shard")
-	// ErrUnknownShard reports a shard name not in the ring.
+	// ErrUnknownShard reports a shard name not in the cluster.
 	ErrUnknownShard = errors.New("cluster: unknown shard")
 )
 
-// Config parameterises a Router. The ring spreads each shard over
-// DefaultVirtualNodes points.
+// Config parameterises a Router. The ring spreads each shard over 128
+// virtual nodes.
 type Config struct {
 	// Shards is the initial shard count; at least 1.
 	Shards int
@@ -148,20 +152,17 @@ type Router struct {
 	cfg  Config
 	now  func() time.Time
 
-	mu   sync.RWMutex
-	ring *Ring
+	mu sync.RWMutex
 	// shards holds the shard groups in creation order; every walk over
 	// the membership and every routed position refers to this one list.
 	shards []*shard
+	// points is the consistent-hash ring derived from shards, rebuilt by
+	// setShardsLocked on every membership change; ringOwner over it is
+	// the router's one owner function.
+	points []point
 	nextID int
 	root   policy.Evaluable
-	// ownerIndex maps every resource key the policy base constrains by
-	// equality to its owning shard's position in shards, built during
-	// repartition: O(1) routing for the hot path, with the ring as
-	// fallback for unlisted keys. The index agrees with the ring by
-	// construction, so both routes give the same owner.
-	ownerIndex map[string]int
-	stats      counters
+	stats  counters
 	// metricsOn gates per-decision latency observation: zero clock reads
 	// on the decision path until RegisterMetrics flips it.
 	metricsOn atomic.Bool
@@ -188,7 +189,6 @@ func New(name string, cfg Config) (*Router, error) {
 		name: name,
 		cfg:  cfg,
 		now:  cfg.Clock,
-		ring: NewRing(DefaultVirtualNodes),
 	}
 	if cfg.Resilience != nil {
 		// Copy the policy so breaker defaults (and the clock fallback to
@@ -206,7 +206,8 @@ func New(name string, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// addShardLocked creates the next shard group and joins it to the ring.
+// addShardLocked creates the next shard group and joins it to the
+// membership and the ring.
 // Callers hold r.mu (or own r exclusively during construction).
 func (r *Router) addShardLocked() *shard {
 	name := fmt.Sprintf("%s/shard-%d", r.name, r.nextID)
@@ -221,9 +222,15 @@ func (r *Router) addShardLocked() *shard {
 	if r.res != nil {
 		s.breaker = resilience.NewBreaker(name, r.res.Breaker)
 	}
-	r.shards = append(r.shards, s)
-	r.ring.Add(name)
+	r.setShardsLocked(append(r.shards, s))
 	return s
+}
+
+// setShardsLocked replaces the membership and rebuilds the ring from it,
+// so the ring always describes exactly r.shards. Callers hold r.mu.
+func (r *Router) setShardsLocked(shards []*shard) {
+	r.shards = shards
+	r.points = ringPoints(shards)
 }
 
 // Name identifies the cluster in diagnostics.
@@ -290,11 +297,13 @@ func (s *shard) queries() int64 {
 	return n
 }
 
-// Owner reports which shard currently owns a resource key.
-func (r *Router) Owner(resourceID string) (string, bool) {
+// Owner reports which shard currently owns a resource key: the shard
+// every decision on it is routed to. ok is always true, since a router
+// never has fewer than one shard.
+func (r *Router) Owner(resourceID string) (name string, ok bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.ring.Owner(resourceID)
+	return r.shards[ringOwner(r.points, resourceID)].name, true
 }
 
 // SetRoot validates the policy base, partitions it across the shards and
@@ -329,8 +338,7 @@ func (r *Router) AddShard() (string, error) {
 	defer r.mu.Unlock()
 	s := r.addShardLocked()
 	if err := r.repartitionLocked(false); err != nil {
-		r.ring.Remove(s.name)
-		r.shards = r.shards[:len(r.shards)-1]
+		r.setShardsLocked(r.shards[:len(r.shards)-1])
 		// Reinstall any shard the failed repartition already shrank;
 		// shards whose recorded children still match skip the install.
 		if rerr := r.repartitionLocked(false); rerr != nil {
@@ -354,8 +362,7 @@ func (r *Router) RemoveShard(name string) error {
 	if len(r.shards) == 1 {
 		return fmt.Errorf("cluster %s: %w", r.name, ErrLastShard)
 	}
-	r.ring.Remove(name)
-	r.shards = slices.Delete(r.shards, i, i+1)
+	r.setShardsLocked(slices.Delete(r.shards, i, i+1))
 	r.stats.rebalances.Add(1)
 	return r.repartitionLocked(false)
 }
@@ -364,24 +371,20 @@ func (r *Router) RemoveShard(name string) error {
 // reinstalls the bases that changed. force reinstalls everywhere (a new
 // root). Reinstalling flushes the affected engines' decision caches, so a
 // rebalance invalidates exactly the cached decisions whose ownership
-// moved. It also rebuilds the owner index, whose positions a membership
-// change shifts. Callers hold r.mu.
+// moved. Callers hold r.mu.
 func (r *Router) repartitionLocked(force bool) error {
 	if r.root == nil {
 		return nil
 	}
 	set, partitionable := r.root.(*policy.PolicySet)
 	parts := make([][]int, len(r.shards))
-	var ownerIndex map[string]int
 	if partitionable {
 		// One pass over the root children assigns each child to the
-		// shards serving it and records every exact resource key's owner
-		// for O(1) request routing. A child with an exact resource-id
-		// target goes to the owners of its keys; a catch-all child (no
-		// equality constraint) goes to every shard. Appending in child
-		// order keeps each shard's list ascending, preserving
-		// order-dependent combining semantics.
-		ownerIndex = make(map[string]int, len(set.Children))
+		// shards serving it. A child with an exact resource-id target
+		// goes to the owners of its keys; a catch-all child (no equality
+		// constraint) goes to every shard. Appending in child order keeps
+		// each shard's list ascending, preserving order-dependent
+		// combining semantics.
 		for i, ch := range set.Children {
 			keys, catchAll := policy.ResourceKeys(ch)
 			if catchAll {
@@ -391,11 +394,7 @@ func (r *Router) repartitionLocked(force bool) error {
 				continue
 			}
 			for _, key := range keys {
-				o := r.ringOwnerLocked(key)
-				if o < 0 {
-					continue
-				}
-				ownerIndex[key] = o
+				o := ringOwner(r.points, key)
 				// Keys of one child sharing an owner add the child once;
 				// the child is the last one appended while it is current.
 				if n := len(parts[o]); n == 0 || parts[o][n-1] != i {
@@ -404,7 +403,6 @@ func (r *Router) repartitionLocked(force bool) error {
 			}
 		}
 	}
-	r.ownerIndex = ownerIndex
 	for o, s := range r.shards {
 		var children []int
 		var base policy.Evaluable
@@ -522,11 +520,7 @@ func (r *Router) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 			out[p] = r.ctxDone(err)
 			return
 		}
-		o := r.ownerLocked(reqs[p].ResourceID())
-		if o < 0 {
-			out[p] = r.noShards()
-			return
-		}
+		o := ringOwner(r.points, reqs[p].ResourceID())
 		r.dispatchLocked(ctx, r.shards[o], reqs, indexes, at, resolver, out)
 		return
 	}
@@ -548,11 +542,7 @@ func (r *Router) scatterLocked(ctx context.Context, reqs []*policy.Request, posi
 	groups := make([][]int, len(r.shards))
 	live := 0
 	policy.EachPosition(len(reqs), positions, func(p int) {
-		o := r.ownerLocked(reqs[p].ResourceID())
-		if o < 0 {
-			out[p] = r.noShards()
-			return
-		}
+		o := ringOwner(r.points, reqs[p].ResourceID())
 		if groups[o] == nil {
 			live++
 		}
@@ -588,37 +578,10 @@ func (r *Router) ctxDone(err error) policy.Result {
 		Err: fmt.Errorf("cluster %s: context done before decision: %w", r.name, err)}
 }
 
-// ownerLocked resolves the position in r.shards of the shard owning a
-// resource key. Keys the policy base constrains resolve through the O(1)
-// owner index; anything else falls back to the ring (same owner either
-// way). -1 means the cluster is empty. Callers hold r.mu.
-func (r *Router) ownerLocked(key string) int {
-	if o, ok := r.ownerIndex[key]; ok {
-		return o
-	}
-	return r.ringOwnerLocked(key)
-}
-
-// ringOwnerLocked resolves a key's owner through the ring alone: its
-// position in r.shards, or -1 on an empty ring. Callers hold r.mu.
-func (r *Router) ringOwnerLocked(key string) int {
-	name, ok := r.ring.Owner(key)
-	if !ok {
-		return -1
-	}
-	return r.indexLocked(name)
-}
-
 // indexLocked scans for a shard by name: its position in r.shards, or -1.
 // Callers hold r.mu.
 func (r *Router) indexLocked(name string) int {
 	return slices.IndexFunc(r.shards, func(s *shard) bool { return s.name == name })
-}
-
-// noShards reports an empty cluster as a fail-closed result.
-func (r *Router) noShards() policy.Result {
-	return policy.Result{Decision: policy.DecisionIndeterminate,
-		Err: fmt.Errorf("cluster %s: %w", r.name, ErrNoShards)}
 }
 
 // dispatchLocked decides one shard group's positions of reqs into out: the

@@ -1,41 +1,39 @@
 package cluster
 
 import (
+	"cmp"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 )
 
-// Ring is a consistent-hash ring mapping resource keys to shard names.
-// Every shard is projected onto the ring at vnodes points, so ownership is
-// spread evenly and membership changes move only ~1/N of the key space
-// (Section 3 of the paper argues the decision point must scale with the
-// resource population; the ring is what lets the policy base be split
-// across engines without a central routing table).
-type Ring struct {
-	vnodes int
+// virtualNodes is the number of ring points each shard projects: enough
+// to balance ownership to within a few percent for small shard counts
+// while keeping the ring tiny.
+const virtualNodes = 128
 
-	mu     sync.RWMutex
-	points []point // ascending by hash
-	nodes  map[string]struct{}
-}
-
+// point is one virtual node of the consistent-hash ring: the hash of
+// "<shard name>#<i>" and the owning shard's position in Router.shards.
 type point struct {
-	hash uint64
-	node string
+	hash  uint64
+	shard int
 }
 
-// DefaultVirtualNodes balances ownership to within a few percent for small
-// shard counts while keeping the ring tiny.
-const DefaultVirtualNodes = 128
-
-// NewRing builds an empty ring; vnodes <= 0 selects DefaultVirtualNodes.
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
+// ringPoints projects every shard onto the ring at virtualNodes points,
+// ascending by hash. Spreading each shard over many points keeps ownership
+// even, and a membership change moves only ~1/N of the key space (Section
+// 3 of the paper argues the decision point must scale with the resource
+// population; the ring is what lets the policy base be split across
+// engines without a central routing table).
+func ringPoints(shards []*shard) []point {
+	points := make([]point, 0, len(shards)*virtualNodes)
+	for o, s := range shards {
+		for i := 0; i < virtualNodes; i++ {
+			points = append(points, point{hash: hashKey(s.name + "#" + strconv.Itoa(i)), shard: o})
+		}
 	}
-	return &Ring{vnodes: vnodes, nodes: make(map[string]struct{})}
+	slices.SortFunc(points, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
+	return points
 }
 
 // hashKey hashes a key onto the ring. FNV-1a alone distributes short,
@@ -53,57 +51,22 @@ func hashKey(key string) uint64 {
 	return x
 }
 
-// Add projects a node onto the ring. Adding an existing node is a no-op.
-func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[node]; ok {
-		return
-	}
-	r.nodes[node] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, point{hash: hashKey(node + "#" + strconv.Itoa(i)), node: node})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove takes a node off the ring; its key range folds into the
-// clockwise successors. Removing an unknown node is a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[node]; !ok {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
+// ringOwner returns the position of the shard owning key: the first ring
+// point at or after the key's hash, wrapping to the lowest. points must be
+// non-empty.
+func ringOwner(points []point, key string) int {
+	h := hashKey(key)
+	lo, hi := 0, len(points)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if points[m].hash < h {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	r.points = kept
-}
-
-// Owner returns the node owning the key: the first ring point at or after
-// the key's hash, wrapping at the top. ok is false on an empty ring.
-func (r *Ring) Owner(key string) (node string, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return "", false
+	if lo == len(points) {
+		lo = 0
 	}
-	h := hashKey(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node, true
-}
-
-// Len reports the number of member nodes.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
+	return points[lo].shard
 }

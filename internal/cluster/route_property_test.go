@@ -31,7 +31,9 @@ func updPair(v int) *policy.Policy {
 // replace whose keys move between shards, delete, catch-all child) and
 // checks after every step that
 //   - every resource key the base constrains, and one it does not, routes
-//     to the shard Router.Owner names, and
+//     through the router's one owner function to the shard that a ring
+//     rebuilt from Router.Shards picks (the ring kept across membership
+//     changes describes exactly the current membership), and
 //   - a batch with one request per key decides exactly as a single engine
 //     over the same root.
 func TestRouterRoutesLikeRing(t *testing.T) {
@@ -152,23 +154,21 @@ func routeKeys(root *policy.PolicySet) []string {
 	return append(keys, "res-unconstrained")
 }
 
-// checkRoutesLikeRing asserts the routing helper sends every key to the
-// shard the ring names.
+// checkRoutesLikeRing asserts the router's one owner function, over the
+// ring the router keeps, sends every key to the shard that a ring rebuilt
+// from the current shard names picks.
 func checkRoutesLikeRing(t *testing.T, router *Router, root *policy.PolicySet, where string) {
 	t.Helper()
+	names := router.Shards()
+	fresh := make([]*shard, len(names))
+	for i, name := range names {
+		fresh[i] = &shard{name: name}
+	}
+	points := ringPoints(fresh)
 	for _, key := range routeKeys(root) {
-		want, ok := router.Owner(key)
-		if !ok {
-			t.Fatalf("%s: ring has no owner for %s", where, key)
-		}
+		want := names[ringOwner(points, key)]
 		router.mu.RLock()
-		o := router.ownerLocked(key)
-		var got string
-		if o >= 0 && o < len(router.shards) {
-			got = router.shards[o].name
-		} else {
-			got = fmt.Sprintf("<position %d of %d shards>", o, len(router.shards))
-		}
+		got := router.shards[ringOwner(router.points, key)].name
 		router.mu.RUnlock()
 		if got != want {
 			t.Fatalf("%s: key %s routes to %s, ring owner is %s", where, key, got, want)

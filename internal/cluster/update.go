@@ -19,10 +19,8 @@ import (
 // A replace whose keys moved between shards decomposes into a delete on the
 // old owners and an insert on the new; a catch-all child (no resource-id
 // equality constraint on either side) is replicated everywhere and touches
-// every shard, exactly as repartitioning would. The routing ownerIndex
-// gains the new child's keys in place; keys only a removed child
-// constrained are left to resolve through the ring (same owner either way)
-// until the next repartition rebuilds the index.
+// every shard, exactly as repartitioning would. Owners come from the same
+// ring lookup that routes requests, so no routing state changes here.
 //
 // The router root must be a partitionable *policy.PolicySet; otherwise the
 // error wraps pdp.ErrNotIncremental and the caller should fall back to a
@@ -112,18 +110,6 @@ func (r *Router) ApplyUpdate(u pdp.Update) error {
 	for o, s := range r.shards {
 		s.children = remapPositions(s.children, pos, delta, newOwners[o])
 	}
-	if u.Child != nil {
-		if keys, catchAll := policy.ResourceKeys(u.Child); !catchAll {
-			if r.ownerIndex == nil {
-				r.ownerIndex = make(map[string]int, len(keys))
-			}
-			for _, k := range keys {
-				if o := r.ringOwnerLocked(k); o >= 0 {
-					r.ownerIndex[k] = o
-				}
-			}
-		}
-	}
 	r.stats.updates.Add(1)
 	r.stats.updateShardsTouched.Add(int64(touched))
 	return nil
@@ -142,9 +128,7 @@ func (r *Router) ownersLocked(ch policy.Evaluable) []bool {
 		owners[o] = catchAll
 	}
 	for _, k := range keys {
-		if o := r.ringOwnerLocked(k); o >= 0 {
-			owners[o] = true
-		}
+		owners[ringOwner(r.points, k)] = true
 	}
 	return owners
 }

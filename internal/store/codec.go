@@ -172,55 +172,130 @@ type stateEntry struct {
 	Policy   json.RawMessage `json:"policy,omitempty"`
 }
 
-// snapshotDoc is the snapshot payload: the full state as of sequence
-// number Seq, entries sorted by ID for deterministic bytes.
+// snapshotDoc is one snapshot frame's payload: the state as of sequence
+// number Seq, entries sorted by ID for deterministic bytes. A snapshot
+// that fits one frame omits Parts; a larger one is split into Parts frames
+// that each repeat V, Seq and Parts over the next run of entries.
 // unmarshalSnapshot reads this struct; marshalSnapshot writes the bytes
 // json.Marshal makes of it by hand.
 type snapshotDoc struct {
 	V       int          `json:"v"`
 	Seq     uint64       `json:"seq"`
+	Parts   int          `json:"parts,omitempty"`
 	Entries []stateEntry `json:"entries"`
 }
 
-// marshalSnapshot encodes the state as of seq as one whole snapshot
-// frame. Each entry's policy document is spliced in as the state holds
-// it: the compact bytes a record carried, never re-compacted. A snapshot
-// beyond the frame bound is refused rather than written unreadable.
+// snapshotFrameEntries bounds the entries of one snapshot frame: the frame
+// bound less the longest head and tail a frame can carry.
+const snapshotFrameEntries = maxFramePayload - len(`{"v":1,"seq":18446744073709551615,"parts":9223372036854775807,"entries":[]}`)
+
+// marshalSnapshot encodes the state as of seq as a snapshot: its frames,
+// back to back, as few as the frame bound allows. Each entry's policy
+// document is spliced in as the state holds it: the compact bytes a record
+// carried, never re-compacted. An entry too large for a frame of its own
+// fails the snapshot rather than writing it unreadable.
 func marshalSnapshot(seq uint64, state map[string]*stateEntry) ([]byte, error) {
 	ents := make([]*stateEntry, 0, len(state))
-	size := frameHeader + 64
+	size := 0
 	for _, ent := range state {
 		ents = append(ents, ent)
 		size += 64 + len(ent.ID) + len(ent.Policy)
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].ID < ents[j].ID })
-	out := append(openFrame(make([]byte, 0, size)), `{"v":`...)
-	out = strconv.AppendInt(out, FormatVersion, 10)
-	out = append(out, `,"seq":`...)
-	out = strconv.AppendUint(out, seq, 10)
-	out = append(out, `,"entries":[`...)
+	// Plan the frames: ends[k] is one past frame k's last entry.
+	var ends []int
+	var head []byte
+	first, used := 0, 0
 	for i, ent := range ents {
-		if i > 0 {
-			out = append(out, ',')
+		head = appendEntryHead(head[:0], ent)
+		n := len(head) + len(ent.Policy) + 1
+		if i > first && used+1+n > snapshotFrameEntries {
+			ends = append(ends, i)
+			first, used = i, 0
 		}
-		out = append(out, `{"id":`...)
-		out = appendString(out, ent.ID)
-		out = append(out, `,"versions":`...)
-		out = strconv.AppendInt(out, int64(ent.Versions), 10)
-		if ent.Deleted {
-			out = append(out, `,"deleted":true`...)
+		if i > first {
+			used++ // the separating comma
 		}
-		if len(ent.Policy) > 0 {
-			out = append(out, `,"policy":`...)
-			out = append(out, ent.Policy...)
-		}
-		out = append(out, '}')
+		used += n
 	}
-	out = append(out, "]}"...)
-	if err := sealFrame(out); err != nil {
-		return nil, fmt.Errorf("store: snapshot: %w", err)
+	ends = append(ends, len(ents))
+
+	out := make([]byte, 0, size+len(ends)*(frameHeader+64))
+	first = 0
+	for _, end := range ends {
+		frame := len(out)
+		out = append(openFrame(out), `{"v":`...)
+		out = strconv.AppendInt(out, FormatVersion, 10)
+		out = append(out, `,"seq":`...)
+		out = strconv.AppendUint(out, seq, 10)
+		if len(ends) > 1 {
+			out = append(out, `,"parts":`...)
+			out = strconv.AppendInt(out, int64(len(ends)), 10)
+		}
+		out = append(out, `,"entries":[`...)
+		for i, ent := range ents[first:end] {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = appendEntryHead(out, ent)
+			out = append(out, ent.Policy...)
+			out = append(out, '}')
+		}
+		out = append(out, "]}"...)
+		if err := sealFrame(out[frame:]); err != nil {
+			return nil, fmt.Errorf("store: snapshot: %w", err)
+		}
+		first = end
 	}
 	return out, nil
+}
+
+// appendEntryHead appends a snapshot entry's encoding up to its policy
+// document; the document and a closing brace complete it.
+func appendEntryHead(dst []byte, ent *stateEntry) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = appendString(dst, ent.ID)
+	dst = append(dst, `,"versions":`...)
+	dst = strconv.AppendInt(dst, int64(ent.Versions), 10)
+	if ent.Deleted {
+		dst = append(dst, `,"deleted":true`...)
+	}
+	if len(ent.Policy) > 0 {
+		dst = append(dst, `,"policy":`...)
+	}
+	return dst
+}
+
+// unmarshalSnapshotFile decodes a snapshot file, its frames joined into one
+// document covering seq. A torn frame, a frame missing from a multi-frame
+// snapshot, or a frame naming another seq or frame count refuses the file.
+func unmarshalSnapshotFile(data []byte, seq uint64) (*snapshotDoc, error) {
+	payloads, _, torn := scanFrames(data)
+	if torn || len(payloads) == 0 {
+		return nil, errors.New("malformed frame")
+	}
+	var whole *snapshotDoc
+	for _, payload := range payloads {
+		doc, err := unmarshalSnapshot(payload)
+		if err != nil {
+			return nil, err
+		}
+		if doc.Seq != seq {
+			return nil, fmt.Errorf("covers seq %d, name says %d", doc.Seq, seq)
+		}
+		if whole == nil {
+			whole = doc
+			continue
+		}
+		if doc.Parts != whole.Parts {
+			return nil, fmt.Errorf("frame of %d parts in a snapshot of %d", doc.Parts, whole.Parts)
+		}
+		whole.Entries = append(whole.Entries, doc.Entries...)
+	}
+	if parts := max(whole.Parts, 1); len(payloads) != parts {
+		return nil, fmt.Errorf("%d of %d frames", len(payloads), parts)
+	}
+	return whole, nil
 }
 
 func unmarshalSnapshot(data []byte) (*snapshotDoc, error) {

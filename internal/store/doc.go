@@ -39,7 +39,10 @@
 // full materialised policy state to a snapshot file — temp file, fsync,
 // atomic rename, directory fsync — then rotates to a fresh WAL segment and
 // deletes the segments the snapshot covers. Recovery cost is therefore
-// bounded by the snapshot interval, not by the log's lifetime.
+// bounded by the snapshot interval, not by the log's lifetime. A state
+// larger than one frame is written as several frames, each naming the
+// frame count, so a base of any size compacts and a snapshot missing a
+// frame is refused at recovery.
 //
 // # Crash recovery
 //

@@ -304,19 +304,9 @@ func (l *Log) loadSnapshot(snaps []uint64) (uint64, error) {
 			}
 			continue
 		}
-		payloads, _, torn := scanFrames(data)
-		if torn || len(payloads) != 1 {
+		doc, err := unmarshalSnapshotFile(data, snaps[i])
+		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("store: snapshot %s: malformed frame", path)
-			}
-			continue
-		}
-		doc, err := unmarshalSnapshot(payloads[0])
-		if err != nil || doc.Seq != snaps[i] {
-			if firstErr == nil {
-				if err == nil {
-					err = fmt.Errorf("covers seq %d, name says %d", doc.Seq, snaps[i])
-				}
 				firstErr = fmt.Errorf("store: snapshot %s: %w", path, err)
 			}
 			continue
@@ -451,7 +441,7 @@ func (l *Log) snapshotAndRotate() {
 }
 
 func (l *Log) trySnapshot() error {
-	frame, err := marshalSnapshot(l.seq, l.state)
+	snap, err := marshalSnapshot(l.seq, l.state)
 	if err != nil {
 		return err
 	}
@@ -461,7 +451,7 @@ func (l *Log) trySnapshot() error {
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write(frame)
+	_, werr := f.Write(snap)
 	if serr := f.Sync(); werr == nil {
 		werr = serr
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -581,21 +582,29 @@ func TestVersionlessPutRejected(t *testing.T) {
 	}
 }
 
-// TestOversizedSnapshotRefused: a state whose snapshot would exceed the
-// frame bound must not be snapshotted — recovery would reject the frame
-// as corrupt after the compaction deleted the WAL. The attempt counts as
-// a snapshot failure, the WAL keeps every record, and the directory
-// reopens with all of them in its tail.
+// TestOversizedSnapshotRefused: an entry too large for a snapshot frame
+// of its own must not be snapshotted — recovery would reject the frame as
+// corrupt after the compaction deleted the WAL. A record whose payload
+// fills the frame bound exactly is acknowledged, yet its snapshot entry
+// carries a few bytes more, so the attempt counts as a snapshot failure,
+// the WAL keeps the record, and the directory reopens with it in its
+// tail.
 func TestOversizedSnapshotRefused(t *testing.T) {
-	const n = 20
+	u := putUpdate("p-big", "res", "v", 1)
+	desc := &u.Policy.(*policy.Policy).Description
+	*desc = "x"
+	payload, err := MarshalUpdate(1, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	*desc = strings.Repeat("x", 1+maxFramePayload-len(payload))
+	if payload, err = MarshalUpdate(1, u); err != nil || len(payload) != maxFramePayload {
+		t.Fatalf("record payload %d bytes (%v), want exactly the %d-byte bound", len(payload), err, maxFramePayload)
+	}
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{})
-	for i := 0; i < n; i++ {
-		u := putUpdate(fmt.Sprintf("p-%d", i), "res", "v", 1)
-		u.Policy.(*policy.Policy).Description = string(bytes.Repeat([]byte("x"), maxFramePayload/n+1))
-		if err := l.Append(u); err != nil {
-			t.Fatal(err)
-		}
+	if err := l.Append(u); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -605,8 +614,111 @@ func TestOversizedSnapshotRefused(t *testing.T) {
 	}
 	l2 := mustOpen(t, dir, Options{})
 	defer l2.Close()
-	if got := len(l2.RecoveredTail()); got != n {
-		t.Fatalf("recovered %d tail records, want %d", got, n)
+	if got := len(l2.RecoveredTail()); got != 1 {
+		t.Fatalf("recovered %d tail records, want 1", got)
+	}
+}
+
+// writeLargeBase appends n policies of about size bytes each and closes
+// the log, which snapshots them.
+func writeLargeBase(t *testing.T, dir string, n, size int) {
+	t.Helper()
+	l := mustOpen(t, dir, Options{})
+	for i := 0; i < n; i++ {
+		u := putUpdate(fmt.Sprintf("p-%02d", i), fmt.Sprintf("res-%d", i), "v", 1)
+		u.Policy.(*policy.Policy).Description = strings.Repeat("x", size)
+		if err := l.Append(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Snapshots != 1 || st.SnapshotFailures != 0 {
+		t.Fatalf("stats %+v, want one snapshot and no failure", st)
+	}
+}
+
+// TestLargeBaseSnapshotsInFrames: a state larger than one frame is
+// snapshotted as several frames, so the log still compacts, and the
+// directory reopens from the snapshot alone with every policy intact.
+func TestLargeBaseSnapshotsInFrames(t *testing.T) {
+	const n, size = 40, 500 << 10
+	dir := t.TempDir()
+	writeLargeBase(t, dir, n, size)
+	_, snaps, err := scanDir(dir)
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v (%v), want 1", snaps, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapName(snaps[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payloads, _, torn := scanFrames(data); torn || len(payloads) < 2 {
+		t.Fatalf("snapshot holds %d frames (torn %v), want at least 2", len(payloads), torn)
+	}
+	l := mustOpen(t, dir, Options{})
+	defer l.Close()
+	if st := l.Stats(); st.RecoveredSnapshot != n || st.RecoveredTail != 0 {
+		t.Fatalf("recovered %d snapshot entries and %d tail records, want %d and 0",
+			st.RecoveredSnapshot, st.RecoveredTail, n)
+	}
+	for i, ent := range l.RecoveredSnapshot() {
+		p, ok := ent.Policy.(*policy.Policy)
+		if want := fmt.Sprintf("p-%02d", i); ent.ID != want || !ok || len(p.Description) != size {
+			t.Fatalf("entry %d = %s, want %s with its %d-byte description", i, ent.ID, want, size)
+		}
+	}
+}
+
+// TestSnapshotCutAtFrameBoundaryRefused: a multi-frame snapshot missing
+// its last frame scans as whole frames, so only the frame count in each
+// frame can tell; recovery must refuse it rather than hydrate a partial
+// base.
+func TestSnapshotCutAtFrameBoundaryRefused(t *testing.T) {
+	dir := t.TempDir()
+	writeLargeBase(t, dir, 40, 500<<10)
+	_, snaps, err := scanDir(dir)
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v (%v), want 1", snaps, err)
+	}
+	path := filepath.Join(dir, snapName(snaps[0]))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _, _ := scanFrames(data)
+	last := payloads[len(payloads)-1]
+	if err := os.WriteFile(path, data[:len(data)-len(last)-frameHeader], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := Open(dir, Options{}); err == nil {
+		l.Close()
+		t.Fatalf("a snapshot cut to %d of %d frames was recovered", len(payloads)-1, len(payloads))
+	} else if !strings.Contains(err.Error(), "frames") {
+		t.Fatalf("Open error %v, want the missing frame named", err)
+	}
+}
+
+// TestSingleFrameSnapshotRecovers: the one-frame snapshot form, pinned by
+// testdata/snapshot.golden, recovers as a snapshot file.
+func TestSingleFrameSnapshotRecovers(t *testing.T) {
+	payload, err := os.ReadFile(filepath.Join("testdata", "snapshot.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append(openFrame(nil), payload...)
+	if err := sealFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapName(9)), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := mustOpen(t, dir, Options{})
+	defer l.Close()
+	if st := l.Stats(); st.SnapshotSeq != 9 || st.LastSeq != 9 || st.RecoveredSnapshot != 2 {
+		t.Fatalf("stats %+v, want the snapshot at seq 9 with 2 entries", st)
 	}
 }
 
