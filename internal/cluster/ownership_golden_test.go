@@ -28,10 +28,10 @@ func ownershipDigest(t *testing.T, r *Router) string {
 
 // TestOwnershipGolden pins which shard owns each of 10 000 keys at 1, 2, 4
 // and 16 shards, and after every step of a fixed AddShard/RemoveShard
-// sequence. The digests were generated before the router's owner lookup
-// was rewritten; a drift in key hashing, virtual-node naming, the number
-// of points per shard or the "first point at or after the hash, wrapping
-// to the lowest" rule changes them.
+// sequence. Ownership is observable (Router.Owner, per-shard loads and
+// metrics), so a drift in key hashing, virtual-node naming, the number of
+// points per shard or the "first point at or after the hash, wrapping to
+// the lowest" rule must fail here rather than pass unnoticed.
 func TestOwnershipGolden(t *testing.T) {
 	check := func(where string, r *Router, want string) {
 		t.Helper()
