@@ -17,6 +17,7 @@ import (
 	"repro/internal/pep"
 	"repro/internal/pki"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -244,9 +245,8 @@ func BenchmarkPolicyChurn(b *testing.B) {
 func BenchmarkPEPEnforceCached(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	engine, reqs := scalabilityFixture(b, 100)
-	enf := pep.NewEnforcer("bench", engine,
-		pep.WithDecisionCache(time.Hour, 0),
-		pep.WithClock(func() time.Time { return at }))
+	front := resilience.NewFrontCache(engine, time.Hour, &resilience.Policy{}, 8192)
+	enf := pep.NewEnforcer("bench", front, pep.WithClock(func() time.Time { return at }))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enf.EnforceAt(context.Background(), reqs[i%len(reqs)], at)

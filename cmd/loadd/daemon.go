@@ -41,12 +41,15 @@ func spawnDaemon(ctx context.Context, bin, workDir string, resilience bool, log 
 		"-data-dir", filepath.Join(workDir, "data"),
 		"-shards", fmt.Sprint(shards),
 		"-replicas", fmt.Sprint(replicas),
-		"-cache", "30s",
 		"-chaos",
 	}
+	// The brownout run drops -cache: a fresh hit answers a warm key before
+	// the stale path can, so no partition would ever be served stale.
 	if resilience {
 		args = append(args, "-breaker", "-breaker-cooldown", breakerCooldown.String(),
 			"-stale-grace", staleGrace.String())
+	} else {
+		args = append(args, "-cache", "30s")
 	}
 	proc := &daemon{bin: bin, args: args, addr: addr, log: log}
 	if err := proc.Start(ctx); err != nil {

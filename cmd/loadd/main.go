@@ -29,10 +29,11 @@
 // disappear, expired budgets always fail closed) and finishes with strict
 // recovery checks; the load runs until those return.
 //
-// With -resilience the daemon arms its shard breakers and its
-// last-known-good layer: the harness then also requires the staleness
-// bound on every probe and, while a partition holds, at least one stale
-// serve reported by the daemon itself.
+// With -resilience the daemon arms its shard breakers and stale serving,
+// without a fresh TTL (-cache), which would answer warm keys before the
+// stale path could: the harness then also requires the staleness bound on
+// every probe and, while a partition holds, at least one stale serve
+// reported by the daemon itself.
 //
 // Usage:
 //

@@ -18,7 +18,7 @@ import (
 // /admin/chaos handler over it.
 func chaosFixture(t *testing.T) (*chaosAdmin, *cluster.Router) {
 	t.Helper()
-	router, err := buildDecisionPoint(0, 2, 2, "failover", nil, nil, nil)
+	router, err := buildDecisionPoint(2, 2, "failover", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@
 // listens for envelope-wrapped XACML request contexts on /decide (one per
 // envelope) and /decide-batch (many per envelope, wire batch framing),
 // answers with response contexts, and exposes statistics on /stats. The
-// statistics are harvested from the engines' atomic counter stripes (and
-// include CacheEntries, the live decision-cache occupancy summed across
-// cache shards), so polling /stats never stalls the decision hot path.
+// statistics are harvested from atomic counters (CacheHits and
+// CacheEntries count the front decision cache), so polling /stats never
+// stalls the decision hot path.
 //
 // The daemon always serves a cluster.Router: the policy base is
 // partitioned across -shards shard groups by a consistent-hash ring over
@@ -17,11 +17,12 @@
 // Policy Administration Point, and /admin/policy accepts writes while
 // decisions are being served. POST (or PUT) stores the XACML policy in the
 // body; DELETE ?id=... removes one. Each change propagates through the
-// incremental delta pipeline — only the affected root child is patched and
-// only its resource keys' cached decisions are invalidated, on only the
-// owning shard group(s) — so policy churn does not flush the decision
-// caches or stall the hot path. Root children are kept in policy-ID order,
-// the administration pipeline's deterministic ordering.
+// incremental delta pipeline — only the affected root child is patched, on
+// only the owning shard group(s), and only the cached decisions for the
+// resource keys of its old and new version are invalidated — so policy
+// churn does not flush the decision cache or stall the hot path. Root
+// children are kept in policy-ID order, the administration pipeline's
+// deterministic ordering.
 // Refresh failures are counted in /stats as refresh_errors.
 //
 // Admin writes pass through the static policy lint gate (-policy-lint):
@@ -35,16 +36,19 @@
 // analyzer entirely. GET /admin/policy returns the current whole-base
 // report. Gate decisions are audited and stamped with trace IDs.
 //
-// The resilience layer is opt-in per mechanism. -breaker arms per-shard
-// circuit breakers (a dead shard group fails fast instead of burning every
-// caller's deadline budget); -stale-grace places the one last-known-good
-// layer over the decision point (an Indeterminate — open breaker,
-// replicas down, dead PIP — is answered for warm keys with their last
-// conclusive decision, marked degraded and audit-logged, while cold keys
-// fail closed; every admin write retires the remembered decisions); and
-// -admission arms adaptive (AIMD) admission control at ingress,
-// shedding excess decision traffic with 503 + Retry-After while the admin
-// plane, health probes and metric scrapes are never shed.
+// Decisions are cached once, at the front: -cache or -stale-grace places
+// one resilience.FrontCache over the router (8192 decisions per shard
+// group). A key answers fresh while its decision is younger than -cache;
+// when the router answers Indeterminate — open breaker, replicas down,
+// dead PIP — a warm key answers with its last conclusive decision while
+// that is younger than -stale-grace, marked degraded and audit-logged, and
+// a cold key fails closed. Both ages count from evaluation, so stale
+// serving fires only with -stale-grace above -cache (pdpd logs at start-up
+// when it cannot). -breaker arms per-shard circuit breakers (a dead shard
+// group fails fast instead of burning every caller's deadline budget), and
+// -admission arms adaptive (AIMD) admission control at ingress, shedding
+// excess decision traffic with 503 + Retry-After while the admin plane,
+// health probes and metric scrapes are never shed.
 //
 // Usage:
 //
@@ -100,7 +104,7 @@ const (
 func main() {
 	policyPath := flag.String("policy", "", "policy file (XML or JSON)")
 	addr := flag.String("addr", ":8080", "listen address")
-	cacheTTL := flag.Duration("cache", 0, "decision cache TTL (0 disables)")
+	cacheTTL := flag.Duration("cache", 0, "decision cache TTL: a decided key answers fresh from the front cache while its decision is younger than this (0 disables)")
 	shards := flag.Int("shards", 1, "shard groups of the consistent-hash cluster")
 	replicas := flag.Int("replicas", 1, "replicas per shard group")
 	strategy := flag.String("strategy", "failover", "shard replication strategy: failover or quorum")
@@ -113,7 +117,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional pprof listen address (profiling stays off unless set)")
 	breakerFlag := flag.Bool("breaker", false, "arm per-shard circuit breakers: a shard group observed down fails fast instead of burning per-request deadline budget")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-state cooldown before a single half-open probe is admitted")
-	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it is younger than this and no policy write came since (0 fails closed instead)")
+	staleGrace := flag.Duration("stale-grace", 0, "bounded-staleness degraded mode: answer an Indeterminate with the key's last conclusive decision if it was evaluated less than this ago and no write to its policies came since; fires only above -cache (0 fails closed instead)")
 	admissionLimit := flag.Int("admission", 0, "adaptive (AIMD) admission control: initial concurrency limit for decision traffic, shed with 503 + Retry-After beyond it; admin/health/metrics are never shed (0 disables)")
 	flag.Parse()
 
@@ -178,7 +182,7 @@ func main() {
 		resolver = cache
 		log.Printf("pdpd: %d subjects loaded from %s", dir.Len(), *subjectsPath)
 	}
-	router, err := buildDecisionPoint(*cacheTTL, *shards, *replicas, *strategy, resolver, resPolicy, reg)
+	router, err := buildDecisionPoint(*shards, *replicas, *strategy, resolver, resPolicy, reg)
 	if err != nil {
 		log.Fatalf("pdpd: %v", err)
 	}
@@ -200,29 +204,14 @@ func main() {
 			log.Printf("pdpd: policy lint (%s): %s", lintMode, sum)
 		}
 	}
-	// The handlers serve the router itself, or the one last-known-good
-	// layer placed over it.
+	// The handlers serve the router itself, or the one front cache placed
+	// over it.
 	decide, decideBatch := pdp.Handler(router), pdp.BatchHandler(router)
-	if *staleGrace > 0 {
-		stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: *staleGrace})
-		stale.RegisterMetrics(reg)
-		// Every degraded serve is audited with the outage it papered over
-		// (the replaced Indeterminate's error), the cache key and the age.
-		// The ring is shared with the admin plane, so one query shows the
-		// policy writes and the brownouts they rode through.
-		stale.SetAudit(func(key string, age time.Duration, cause error) {
-			adm.auditLog.Record(audit.Event{
-				Time:      time.Now(),
-				Component: "pdpd/resilience",
-				Subject:   fmt.Sprint(cause),
-				Resource:  key,
-				Action:    "serve-stale",
-				By:        "last-known-good",
-				Latency:   age,
-			})
-		})
-		adm.stale = stale
-		decide, decideBatch = pdp.Handler(stale), pdp.BatchHandler(stale)
+	var front *resilience.FrontCache
+	if *cacheTTL > 0 || *staleGrace > 0 {
+		front = adm.placeFront(*cacheTTL, *staleGrace)
+		front.RegisterMetrics(reg)
+		decide, decideBatch = pdp.Handler(front), pdp.BatchHandler(front)
 	}
 
 	var admission *resilience.Admission
@@ -256,11 +245,13 @@ func main() {
 			RefreshErrors int64                       `json:"refresh_errors"`
 			Persistence   *store.Stats                `json:"persistence,omitempty"`
 			Admission     *resilience.AdmissionStats  `json:"admission,omitempty"`
-			Stale         *resilience.StaleCacheStats `json:"stale,omitempty"`
+			Front         *resilience.FrontCacheStats `json:"front,omitempty"`
 		}{Point: pointStats{router.Stats(), router.EngineStats(), router.Shards(), router.ShardLoads(), router.GroupStats()}, Policies: len(adm.store.List()), RefreshErrors: adm.refreshErrs.Load()}
-		if adm.stale != nil {
-			st := adm.stale.Stats()
-			out.Stale = &st
+		if front != nil {
+			// The engines cache nothing; the front cache counts for them.
+			st := front.Stats()
+			out.Front = &st
+			out.Point.Engines.CacheHits, out.Point.Engines.CacheEntries = st.Hits, int64(st.Entries)
 		}
 		if lg != nil {
 			st := lg.Stats()
@@ -282,8 +273,11 @@ func main() {
 	if resPolicy != nil {
 		log.Printf("pdpd: breakers armed (threshold=%d cooldown=%v)", breakerThreshold, *breakerCooldown)
 	}
-	if *staleGrace > 0 {
-		log.Printf("pdpd: stale serving armed (stale-grace=%v)", *staleGrace)
+	switch {
+	case *staleGrace > *cacheTTL:
+		log.Printf("pdpd: stale serving armed (stale-grace=%v from evaluation)", *staleGrace)
+	case *staleGrace > 0:
+		log.Printf("pdpd: stale serving cannot fire: -stale-grace %v is not above -cache %v, so a fresh hit always answers first", *staleGrace, *cacheTTL)
 	}
 	var handler http.Handler = mux
 	if admission != nil {
@@ -355,13 +349,10 @@ func admissionPriority(r *http.Request) resilience.Priority {
 
 // buildDecisionPoint assembles the router pdpd serves, whose replica
 // handles /admin/chaos injects faults through. A non-nil res arms the
-// router's per-shard breakers; -stale-grace is applied by the caller,
-// which places one resilience.StaleCache over the router.
-func buildDecisionPoint(cacheTTL time.Duration, shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (*cluster.Router, error) {
+// router's per-shard breakers. Its engines cache no decisions: -cache and
+// -stale-grace are applied by admin.placeFront, over the router.
+func buildDecisionPoint(shards, replicas int, strategy string, resolver policy.Resolver, res *resilience.Policy, reg *telemetry.Registry) (*cluster.Router, error) {
 	var opts []pdp.Option
-	if cacheTTL > 0 {
-		opts = append(opts, pdp.WithDecisionCache(cacheTTL, 0))
-	}
 	if resolver != nil {
 		opts = append(opts, pdp.WithResolver(resolver))
 	}
@@ -403,9 +394,6 @@ type admin struct {
 	lintMode analysis.Mode
 	tracer   *trace.Tracer
 	auditLog *audit.Log
-	// stale is the last-known-good layer over point, nil without
-	// -stale-grace; every applied write invalidates it.
-	stale *resilience.StaleCache
 	// seedTook, rootTook and lintTook time newAdmin's start-up phases: the
 	// seed PutAll, pap.Follow's root install and the lint engine's Install.
 	seedTook, rootTook, lintTook time.Duration
@@ -477,12 +465,6 @@ func newAdmin(point *cluster.Router, root policy.Evaluable, lg *store.Log, lint 
 		return nil, err
 	}
 	a.rootTook = time.Since(start)
-	// Retire the remembered decisions once each write is in the point (or
-	// failed half-way): a decision dispatched before then may have been
-	// evaluated against the old base and must never be served stale.
-	// Registered after Follow, so it runs after the write reaches the
-	// router.
-	a.store.Watch(func(pap.Update) { a.stale.Invalidate() })
 	if lint != analysis.ModeOff {
 		// Seed the analyzer atomically with watcher registration so no
 		// write can slip between the snapshot and the delta stream, then
@@ -507,6 +489,34 @@ func newAdmin(point *cluster.Router, root policy.Evaluable, lg *store.Log, lint 
 		})
 	}
 	return a, nil
+}
+
+// placeFront places the one front cache over the point: fresh within ttl,
+// stale within grace, 8192 decisions per shard group. Every degraded serve
+// is audited with the outage it papered over (the replaced
+// Indeterminate's error), the cache key and the age. The audit ring is
+// shared with the admin plane, so one query shows the policy writes and
+// the brownouts they rode through.
+func (a *admin) placeFront(ttl, grace time.Duration) *resilience.FrontCache {
+	front := resilience.NewFrontCache(a.point, ttl, &resilience.Policy{StaleGrace: grace}, 8192*len(a.point.Shards()))
+	// Retire the cached decisions each write can affect once it is in the
+	// point (or failed half-way): a decision dispatched before then may
+	// have been evaluated against the old base and must never be served,
+	// fresh or stale. Registered after newAdmin's Follow, so it runs after
+	// the write reaches the router.
+	a.store.Watch(func(u pap.Update) { front.InvalidateChange(u.Previous, u.Policy) })
+	front.SetAudit(func(key string, age time.Duration, cause error) {
+		a.auditLog.Record(audit.Event{
+			Time:      time.Now(),
+			Component: "pdpd/resilience",
+			Subject:   fmt.Sprint(cause),
+			Resource:  key,
+			Action:    "serve-stale",
+			By:        "last-known-good",
+			Latency:   age,
+		})
+	})
+	return front
 }
 
 // writeResult is the admin-plane response body: the stored version on

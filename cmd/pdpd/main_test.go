@@ -49,7 +49,7 @@ func testBase(resources int) *policy.PolicySet {
 // obligations) must keep gating applicability after the store reassembles
 // the root, and across live updates.
 func TestAdminPreservesRootTarget(t *testing.T) {
-	point, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
+	point, err := buildDecisionPoint(1, 1, "failover", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestAdminPolicyLintGate(t *testing.T) {
 	}
 
 	t.Run("strict-rejects", func(t *testing.T) {
-		point, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
+		point, err := buildDecisionPoint(1, 1, "failover", nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestAdminPolicyLintGate(t *testing.T) {
 	})
 
 	t.Run("warn-reports", func(t *testing.T) {
-		point, err := buildDecisionPoint(0, 1, 1, "failover", nil, nil, nil)
+		point, err := buildDecisionPoint(1, 1, "failover", nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,11 +222,12 @@ func TestAdminLiveUpdates(t *testing.T) {
 		{"4-shard-cluster", 4, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			point, err := buildDecisionPoint(time.Hour, tc.shards, tc.replicas, "failover", nil, nil, nil)
+			router, err := buildDecisionPoint(tc.shards, tc.replicas, "failover", nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			adm := testAdmin(t, point, testBase(4), analysis.ModeWarn)
+			adm := testAdmin(t, router, testBase(4), analysis.ModeWarn)
+			point := adm.placeFront(time.Hour, 0)
 			req := policy.NewAccessRequest("u", "res-1", "write")
 			if got := policy.Decide(context.Background(), point, req, time.Time{}); got.Decision != policy.DecisionDeny {
 				t.Fatalf("seed decision = %v, want deny", got.Decision)
@@ -281,18 +282,17 @@ func TestAdminLiveUpdates(t *testing.T) {
 }
 
 // TestAdminWriteRetiresStaleDecisions: with -stale-grace the admin plane
-// invalidates the last-known-good layer after every write it applies, so a
+// invalidates the front cache after every write it applies, so a
 // permission revoked over /admin/policy cannot be served stale through a
 // later outage — while a decision made after the write still can.
 func TestAdminWriteRetiresStaleDecisions(t *testing.T) {
-	router, err := buildDecisionPoint(0, 1, 2, "failover", nil,
+	router, err := buildDecisionPoint(1, 2, "failover", nil,
 		&resilience.Policy{Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Minute}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: time.Minute})
 	adm := testAdmin(t, router, testBase(2), analysis.ModeOff)
-	adm.stale = stale
+	stale := adm.placeFront(0, time.Minute)
 	revoked := policy.NewAccessRequest("u", "res-0", "read")
 	kept := policy.NewAccessRequest("u", "res-1", "read")
 	if got := policy.Decide(context.Background(), stale, revoked, time.Time{}); got.Decision != policy.DecisionPermit {

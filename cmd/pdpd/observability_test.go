@@ -38,13 +38,14 @@ func rolePolicy() *policy.PolicySet {
 }
 
 // TestDaemonObservabilitySurface assembles the daemon's serving surface the
-// way main() does — a 2x2 router (bench's shape) with a subjects-file PIP,
-// wire handler with a tracer, /metrics and /debug/traces on the mux — and
-// checks one decision shows up on every exposition: the decision counters
-// summed over the router's engines, the per-engine epoch, the PIP
-// counters, and a retained trace whose spans cover the wire and
-// evaluation layers. A routed single decision traces like a single one: a
-// pdp.eval span carrying the outcome, no pdp.batch.
+// way main() does — the front cache over a 2x2 router (bench's shape) with
+// a subjects-file PIP, wire handler with a tracer, /metrics and
+// /debug/traces on the mux — and checks one decision shows up on every
+// exposition: the decision counters summed over the router's engines, the
+// per-engine epoch, the PIP counters, and a retained trace
+// whose spans cover the wire and evaluation layers. The front cache notes
+// its miss on the serve span, and a routed single decision traces like a
+// single one: a pdp.eval span carrying the outcome, no pdp.batch.
 func TestDaemonObservabilitySurface(t *testing.T) {
 	subjectsPath := filepath.Join(t.TempDir(), "subjects.json")
 	err := os.WriteFile(subjectsPath,
@@ -64,18 +65,21 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	reg.RegisterGoGC()
 	cache := pip.NewCachedChain("pdpd-pip", time.Minute, dir)
 	cache.RegisterMetrics(reg)
-	point, err := buildDecisionPoint(time.Minute, 2, 2, "failover", cache, nil, reg)
+	point, err := buildDecisionPoint(2, 2, "failover", cache, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newAdmin(point, rolePolicy(), nil, analysis.ModeOff, trace.NewTracer(trace.Options{}), audit.NewLog(16)); err != nil {
+	adm, err := newAdmin(point, rolePolicy(), nil, analysis.ModeOff, trace.NewTracer(trace.Options{}), audit.NewLog(16))
+	if err != nil {
 		t.Fatal(err)
 	}
+	front := adm.placeFront(time.Minute, 0)
+	front.RegisterMetrics(reg)
 	tracer := trace.NewTracer(trace.Options{Sample: 1})
 	tracer.RegisterMetrics(reg)
 
 	mux := http.NewServeMux()
-	mux.Handle("/decide", wire.HTTPHandler(pdp.Handler(point), wire.WithTracer(tracer)))
+	mux.Handle("/decide", wire.HTTPHandler(pdp.Handler(front), wire.WithTracer(tracer)))
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/traces", tracer.Handler())
 	srv := httptest.NewServer(mux)
@@ -150,15 +154,19 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 	spanNames := make(map[string]bool, len(rec.Spans))
 	for _, sp := range rec.Spans {
 		spanNames[sp.Name] = true
-		if sp.Name != "pdp.eval" {
-			continue
-		}
 		attrs := make(map[string]string, len(sp.Attrs))
 		for _, a := range sp.Attrs {
 			attrs[a.Key] = a.Value
 		}
-		if attrs["pdp.decision"] != policy.DecisionPermit.String() || attrs["pdp.cache"] != "miss" {
-			t.Errorf("pdp.eval attrs = %v, want pdp.decision=%s pdp.cache=miss", attrs, policy.DecisionPermit)
+		switch sp.Name {
+		case rec.Root:
+			if attrs["front.cache"] != "miss" {
+				t.Errorf("%s attrs = %v, want front.cache=miss", sp.Name, attrs)
+			}
+		case "pdp.eval":
+			if attrs["pdp.decision"] != policy.DecisionPermit.String() {
+				t.Errorf("pdp.eval attrs = %v, want pdp.decision=%s", attrs, policy.DecisionPermit)
+			}
 		}
 	}
 	for _, want := range []string{"cluster.shard", "pdp.eval", "pip.fetch"} {

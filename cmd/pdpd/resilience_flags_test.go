@@ -14,8 +14,8 @@ import (
 
 // TestDaemonBreakerAndStaleFlagsArmSeparately starts the real pdpd binary
 // once per resilience flag and reads /metrics: -stale-grace alone places
-// the StaleCache and arms no shard breaker, and -breaker alone arms one
-// breaker per shard and places no StaleCache.
+// the FrontCache and arms no shard breaker, and -breaker alone arms one
+// breaker per shard and places no FrontCache.
 func TestDaemonBreakerAndStaleFlagsArmSeparately(t *testing.T) {
 	workDir := t.TempDir()
 	bin := buildDaemon(t, workDir)

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/audit"
@@ -175,7 +174,7 @@ func BenchmarkColdStart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		point, err := buildDecisionPoint(5*time.Minute, 2, 2, "failover", nil, nil, nil)
+		point, err := buildDecisionPoint(2, 2, "failover", nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

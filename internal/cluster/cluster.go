@@ -77,7 +77,7 @@ type Config struct {
 	// Resilience, when non-nil, arms a circuit breaker per shard group (an
 	// open breaker fails fast with resilience.ErrOpen), for single and
 	// batch decisions alike. StaleGrace is not the router's concern: a
-	// resilience.StaleCache placed over the router serves last-known-good.
+	// resilience.FrontCache placed over the router serves last-known-good.
 	Resilience *resilience.Policy
 }
 
@@ -146,7 +146,7 @@ type shard struct {
 
 // Router is a horizontally sharded Policy Decision Point, a
 // policy.Decider: enforcement points, pdp.Handler/BatchHandler and a
-// resilience.StaleCache all take it as they take a single engine.
+// resilience.FrontCache all take it as they take a single engine.
 type Router struct {
 	name string
 	cfg  Config
@@ -298,12 +298,11 @@ func (s *shard) queries() int64 {
 }
 
 // Owner reports which shard currently owns a resource key: the shard
-// every decision on it is routed to. ok is always true, since a router
-// never has fewer than one shard.
-func (r *Router) Owner(resourceID string) (name string, ok bool) {
+// every decision on it is routed to.
+func (r *Router) Owner(resourceID string) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.shards[ringOwner(r.points, resourceID)].name, true
+	return r.shards[ringOwner(r.points, resourceID)].name
 }
 
 // SetRoot validates the policy base, partitions it across the shards and

@@ -17,11 +17,7 @@ func ownershipDigest(t *testing.T, r *Router) string {
 	h := sha256.New()
 	for i := 0; i < goldenKeys; i++ {
 		key := fmt.Sprintf("res-%d", i)
-		owner, ok := r.Owner(key)
-		if !ok {
-			t.Fatalf("no owner for %s", key)
-		}
-		fmt.Fprintf(h, "%s %s\n", key, owner)
+		fmt.Fprintf(h, "%s %s\n", key, r.Owner(key))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -14,7 +14,7 @@ import (
 // breaker fed by the availability of its ensemble. While a breaker is open
 // the router stops dispatching to the group and fails its requests fast
 // and closed with resilience.ErrOpen; answering them last-known-good is
-// the job of a resilience.StaleCache placed over the router. An expired
+// the job of a resilience.FrontCache placed over the router. An expired
 // caller context never reaches this path: the ctx check at the top of
 // every entry point fails it closed first.
 

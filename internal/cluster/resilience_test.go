@@ -153,9 +153,9 @@ func TestClusterBatchDegradedPositions(t *testing.T) {
 }
 
 // TestRevocationFailsClosed: a permission deleted before the outage
-// must not come back as a Degraded Permit. The StaleCache over the router
-// remembers the Permit; the delete, acknowledged with Invalidate, retires
-// it, so the outage that follows fails closed.
+// must not come back as a Degraded Permit. The FrontCache over the router
+// remembers the Permit; the delete, acknowledged with InvalidateChange,
+// retires it, so the outage that follows fails closed.
 func TestRevocationFailsClosed(t *testing.T) {
 	t0 := testEpoch
 	now := t0
@@ -163,7 +163,7 @@ func TestRevocationFailsClosed(t *testing.T) {
 	router := resilienceCluster(t, clock, &resilience.Policy{
 		Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
 	})
-	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: 30 * time.Second, Clock: clock})
+	stale := resilience.NewFrontCache(router, 0, &resilience.Policy{StaleGrace: 30 * time.Second, Clock: clock}, 8192)
 	req := policy.NewAccessRequest("alice", "db", "read")
 	if res := policy.Decide(context.Background(), stale, req, time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Fatalf("before revocation = %+v, want Permit", res)
@@ -172,7 +172,7 @@ func TestRevocationFailsClosed(t *testing.T) {
 	if err := router.ApplyUpdate(pdp.Update{ID: "db-readers"}); err != nil {
 		t.Fatal(err)
 	}
-	stale.Invalidate()
+	stale.InvalidateChange(dbReaders(), nil)
 	downShard(t, router, true)
 	now = t0.Add(time.Second)
 	for i := 0; i < 2; i++ { // all replicas down, then breaker open
@@ -181,15 +181,15 @@ func TestRevocationFailsClosed(t *testing.T) {
 			t.Fatalf("decision %d after revocation and outage = %+v, want fail-closed Indeterminate", i, res)
 		}
 	}
-	if st := stale.Stats(); st.Served != 0 || st.ColdMisses != 2 {
-		t.Fatalf("stale stats = %+v, want no serve and two cold misses (the write retired the entry)", st)
+	if st := stale.Stats(); st.Served != 0 || st.Entries != 0 {
+		t.Fatalf("stale stats = %+v, want no serve and no entry (the write retired it)", st)
 	}
 }
 
 // TestRevocationFailsClosedRace is the concurrent twin (run with
 // -race): a writer flips "db-readers" between present (even versions,
 // Permit) and deleted (odd, Deny), acknowledging each write with
-// Invalidate, while readers decide through the StaleCache and the shard
+// InvalidateChange, while readers decide through the FrontCache and the shard
 // flaps down and up. With the bracketing of
 // internal/pdp's TestStressDecideAgainstAdministration — a reader
 // snapshots committed before its decision and started after it — a reader
@@ -203,7 +203,7 @@ func TestRevocationFailsClosedRace(t *testing.T) {
 	router := resilienceCluster(t, nil, &resilience.Policy{
 		Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Millisecond},
 	})
-	stale := resilience.NewStaleCache(laggingRouter{router}, &resilience.Policy{StaleGrace: time.Minute})
+	stale := resilience.NewFrontCache(laggingRouter{router}, 0, &resilience.Policy{StaleGrace: time.Minute}, 8192)
 	req := policy.NewAccessRequest("alice", "db", "read")
 
 	var started, committed atomic.Int64
@@ -263,7 +263,7 @@ func TestRevocationFailsClosedRace(t *testing.T) {
 			t.Error(err)
 			break
 		}
-		stale.Invalidate()
+		stale.InvalidateChange(nil, dbReaders()) // either version constrains only db
 		committed.Add(1)
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -276,20 +276,15 @@ func TestRevocationFailsClosedRace(t *testing.T) {
 	t.Logf("%d degraded answers served across %d writes", served.Load(), writes)
 }
 
-// laggingRouter holds each answer briefly before the StaleCache settles
+// laggingRouter holds each answer briefly before the FrontCache settles
 // it, so writes often land between a decision's evaluation and its
 // settling — the window a generation read after dispatch, instead of
 // before, would leak a pre-write verdict through.
 type laggingRouter struct{ *Router }
 
-func (l laggingRouter) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
+func (l laggingRouter) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
 	defer time.Sleep(50 * time.Microsecond)
-	return policy.Decide(ctx, l.Router, req, at)
-}
-
-func (l laggingRouter) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at time.Time) []policy.Result {
-	defer time.Sleep(50 * time.Microsecond)
-	return policy.DecideBatch(ctx, l.Router, reqs, at)
+	l.Router.DecideScatterAt(ctx, reqs, positions, at, resolver, out)
 }
 
 // TestClusterBreakerNeutralOnCallerExpiry: a caller context that expires
@@ -347,7 +342,7 @@ func TestClusterBreakerNeutralOnCallerExpiry(t *testing.T) {
 }
 
 // TestClusterBreakerFlapping hammers a resilient cluster, behind a
-// StaleCache, while a chaos goroutine flaps the shard's replicas, checking
+// FrontCache, while a chaos goroutine flaps the shard's replicas, checking
 // (under -race) that the breaker lifecycle, the stale layer and the router
 // counters stay coherent, and that the cluster answers cleanly once the
 // flapping stops.
@@ -355,7 +350,7 @@ func TestClusterBreakerFlapping(t *testing.T) {
 	router := resilienceCluster(t, nil, &resilience.Policy{
 		Breaker: resilience.BreakerConfig{Threshold: 2, Cooldown: 2 * time.Millisecond},
 	})
-	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: time.Minute})
+	stale := resilience.NewFrontCache(router, 0, &resilience.Policy{StaleGrace: time.Minute}, 8192)
 	warm := policy.NewAccessRequest("alice", "db", "read")
 	policy.Decide(context.Background(), stale, warm, time.Time{})
 

@@ -282,11 +282,11 @@ func TestRouterApplyUpdateUnsortedInsertFallsBack(t *testing.T) {
 	// child triggers an engine-subset insert there, so it must also take
 	// the full path on an unsorted root. Find a key owned by the other
 	// shard deterministically via the ring.
-	oldOwner, _ := router.Owner("res-5")
+	oldOwner := router.Owner("res-5")
 	moved := ""
 	for i := 100; i < 200; i++ {
 		cand := fmt.Sprintf("res-%d", i)
-		if owner, ok := router.Owner(cand); ok && owner != oldOwner {
+		if router.Owner(cand) != oldOwner {
 			moved = cand
 			break
 		}
@@ -371,8 +371,7 @@ func TestAddShardRollback(t *testing.T) {
 	// rollback fix, ~1/2 of the key space landed on the half-joined empty
 	// shard and failed closed.
 	for i := 0; i < 12; i++ {
-		owner, ok := router.Owner(fmt.Sprintf("res-%d", i))
-		if !ok || owner != "c/shard-0" {
+		if owner := router.Owner(fmt.Sprintf("res-%d", i)); owner != "c/shard-0" {
 			t.Fatalf("res-%d owner = %q after rollback, want c/shard-0", i, owner)
 		}
 	}

@@ -46,6 +46,9 @@ type Update struct {
 	// Policy is the stored policy this update installed, nil for
 	// deletions.
 	Policy policy.Evaluable
+	// Previous is the live version the update replaced or deleted, nil
+	// when there was none: with Policy, the two sides of the change.
+	Previous policy.Evaluable
 }
 
 // Watcher receives store change notifications. Watchers run synchronously
@@ -193,6 +196,9 @@ func (s *Store) put(es []policy.Evaluable) ([]Update, error) {
 		us[i].Version = 1
 		if ent, ok := s.entries[us[i].ID]; ok {
 			us[i].Version = len(ent.versions) + 1
+			if !ent.deleted {
+				us[i].Previous = ent.versions[len(ent.versions)-1]
+			}
 		}
 	}
 	s.mu.RUnlock()
@@ -310,7 +316,8 @@ func (s *Store) Delete(id string) error {
 	if !live {
 		return fmt.Errorf("pap %s: %q: %w", s.name, id, ErrNotFound)
 	}
-	return s.commitLocked([]Update{{ID: id, Deleted: true}})
+	// Writers hold notifyMu, so ent.versions cannot move under us.
+	return s.commitLocked([]Update{{ID: id, Deleted: true, Previous: ent.versions[len(ent.versions)-1]}})
 }
 
 // List returns the IDs of live policies, sorted.

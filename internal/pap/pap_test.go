@@ -115,10 +115,13 @@ func TestWatchNotifications(t *testing.T) {
 	if err := s.Delete("p1"); err != nil {
 		t.Fatal(err)
 	}
-	if len(updates) != 3 {
-		t.Fatalf("got %d updates, want 3: %+v", len(updates), updates)
+	if _, err := s.Put(permitPolicy("p1")); err != nil {
+		t.Fatal(err)
 	}
-	if updates[0].Version != 1 || updates[1].Version != 2 || !updates[2].Deleted {
+	if len(updates) != 4 {
+		t.Fatalf("got %d updates, want 4: %+v", len(updates), updates)
+	}
+	if updates[0].Version != 1 || updates[1].Version != 2 || !updates[2].Deleted || updates[3].Version != 3 {
 		t.Errorf("updates = %+v", updates)
 	}
 	// A Put carries the stored policy; a Delete carries none, so a
@@ -126,6 +129,13 @@ func TestWatchNotifications(t *testing.T) {
 	if updates[0].Policy == nil || updates[1].Policy == nil || updates[2].Policy != nil {
 		t.Errorf("update policies = %v, %v, %v; want non-nil, non-nil, nil",
 			updates[0].Policy, updates[1].Policy, updates[2].Policy)
+	}
+	// Previous is the live version each write replaced or deleted: none
+	// before the first put and none after the delete.
+	for i, want := range []policy.Evaluable{nil, updates[0].Policy, updates[1].Policy, nil} {
+		if updates[i].Previous != want {
+			t.Errorf("update %d: Previous = %v, want %v", i, updates[i].Previous, want)
+		}
 	}
 }
 

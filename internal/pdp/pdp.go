@@ -191,8 +191,10 @@ func WithResolver(r policy.Resolver) Option {
 	return func(e *Engine) { e.resolver = r }
 }
 
-// WithDecisionCache enables a TTL decision cache. maxItems <= 0 defaults to
-// 8192 entries.
+// WithDecisionCache enables a TTL decision cache in the engine. maxItems
+// <= 0 defaults to 8192 entries. A deployment caches once, at its front
+// (resilience.FrontCache); this per-engine placement stays only for its
+// two remaining callers, the frozen bench/ladder.go and examples/cluster.
 func WithDecisionCache(ttl time.Duration, maxItems int) Option {
 	return func(e *Engine) {
 		if maxItems <= 0 {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/resilience"
 )
 
-// Bounded-staleness degraded mode is one layer, resilience.StaleCache,
+// Bounded-staleness degraded mode is one layer, resilience.FrontCache,
 // placed over whatever provider a deployment serves. These tests run the
 // same table over the three kinds of outage below it: an engine whose
 // information point broke, a router whose only shard group went down (its
@@ -62,7 +62,7 @@ func staleRoot() policy.Evaluable {
 		Build()
 }
 
-// staleShape is one provider under the StaleCache and its outage switch.
+// staleShape is one provider under the FrontCache and its outage switch.
 type staleShape struct {
 	name string
 	next policy.Decider
@@ -79,7 +79,7 @@ type staleShape struct {
 func staleShapes(t *testing.T, clock func() time.Time) []staleShape {
 	t.Helper()
 	resolver := &toggleResolver{}
-	engine := pdp.New("engine", pdp.WithResolver(resolver), pdp.WithDecisionCache(time.Second, 0))
+	engine := pdp.New("engine", pdp.WithResolver(resolver))
 	if err := engine.SetRoot(staleRoot()); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func staleShapes(t *testing.T, clock func() time.Time) []staleShape {
 	}
 }
 
-// auditCall is one observation of the StaleCache audit hook.
+// auditCall is one observation of the FrontCache audit hook.
 type auditCall struct {
 	key   string
 	age   time.Duration
@@ -142,7 +142,7 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 	for _, sh := range staleShapes(t, clock) {
 		t.Run(sh.name, func(t *testing.T) {
 			now = t0
-			stale := resilience.NewStaleCache(sh.next, &resilience.Policy{StaleGrace: staleGrace, Clock: clock})
+			stale := resilience.NewFrontCache(sh.next, 0, &resilience.Policy{StaleGrace: staleGrace, Clock: clock}, 8192)
 			var audits []auditCall
 			stale.SetAudit(func(key string, age time.Duration, cause error) {
 				audits = append(audits, auditCall{key, age, cause})
@@ -186,8 +186,8 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 				t.Fatalf("open breaker let %d queries reach the dead replicas", sh.queries()-queries)
 			}
 
-			if st := stale.Stats(); st.Served != 2 || st.TooOld != 1 {
-				t.Fatalf("stats = %+v, want 2 stale serves and 1 too-old entry", st)
+			if st := stale.Stats(); st.Served != 2 {
+				t.Fatalf("stats = %+v, want 2 stale serves", st)
 			}
 			if len(audits) != 2 {
 				t.Fatalf("audit hook saw %d serves, want 2", len(audits))
@@ -200,10 +200,10 @@ func TestStaleGraceServesLastKnownGood(t *testing.T) {
 				t.Fatalf("audit cause = %v, want the open breaker", last.cause)
 			}
 
-			// Recovery: the outage's Indeterminates were remembered by no
-			// layer, the engine's decision cache included, so a healed
-			// dependency answers fresh at the grace instant itself —
-			// or, behind a breaker, as soon as its cooldown lets it.
+			// Recovery: the outage's Indeterminates were not remembered,
+			// so a healed dependency answers fresh at the grace instant
+			// itself — or, behind a breaker, as soon as its cooldown lets
+			// it.
 			sh.down(false)
 			now = now.Add(sh.cooldown)
 			if res := policy.Decide(ctx, stale, warm, now); res.Decision != policy.DecisionPermit || res.Degraded {
@@ -222,7 +222,7 @@ func TestStaleGraceBatchPath(t *testing.T) {
 	for _, sh := range staleShapes(t, clock) {
 		t.Run(sh.name, func(t *testing.T) {
 			now = t0
-			stale := resilience.NewStaleCache(sh.next, &resilience.Policy{StaleGrace: staleGrace, Clock: clock})
+			stale := resilience.NewFrontCache(sh.next, 0, &resilience.Policy{StaleGrace: staleGrace, Clock: clock}, 8192)
 			warm := policy.NewAccessRequest("alice", "ward", "read")
 			cold := policy.NewAccessRequest("carol", "ward", "read")
 			policy.DecideBatch(context.Background(), stale, []*policy.Request{warm}, time.Time{})
@@ -252,7 +252,7 @@ func TestStaleGraceExpiredCallerFailsClosed(t *testing.T) {
 	for _, sh := range staleShapes(t, clock) {
 		t.Run(sh.name, func(t *testing.T) {
 			now = t0
-			stale := resilience.NewStaleCache(sh.next, &resilience.Policy{StaleGrace: staleGrace, Clock: clock})
+			stale := resilience.NewFrontCache(sh.next, 0, &resilience.Policy{StaleGrace: staleGrace, Clock: clock}, 8192)
 			warm := policy.NewAccessRequest("alice", "ward", "read")
 			policy.Decide(context.Background(), stale, warm, now)
 
@@ -270,34 +270,40 @@ func TestStaleGraceExpiredCallerFailsClosed(t *testing.T) {
 	}
 }
 
-// TestStaleGraceAgeOverEngineCache pins what StaleFor measures when a
-// decision cache sits below the StaleCache: the age counts from the last
-// answer the engine gave, and a hit in the engine's own cache is such an
-// answer. The engine cache holds an entry for at most its TTL, so a
-// Degraded decision is at most grace plus that TTL old since evaluation.
-func TestStaleGraceAgeOverEngineCache(t *testing.T) {
+// TestStaleForCountsFromEvaluation pins what StaleFor measures when the
+// front cache also answers fresh: the age since the decision was
+// evaluated. A fresh hit within the TTL is not put again, so it does not
+// restart the age, and no Degraded answer is ever grace or more past its
+// evaluation.
+func TestStaleForCountsFromEvaluation(t *testing.T) {
 	t0 := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	now := t0
 	resolver := &toggleResolver{}
-	engine := pdp.New("engine", pdp.WithResolver(resolver), pdp.WithDecisionCache(time.Second, 0))
+	engine := pdp.New("engine", pdp.WithResolver(resolver))
 	if err := engine.SetRoot(staleRoot()); err != nil {
 		t.Fatal(err)
 	}
-	stale := resilience.NewStaleCache(engine, &resilience.Policy{StaleGrace: staleGrace, Clock: func() time.Time { return now }})
+	front := resilience.NewFrontCache(engine, time.Second, &resilience.Policy{StaleGrace: staleGrace}, 8192)
 	ctx := context.Background()
 	warm := policy.NewAccessRequest("alice", "ward", "read")
 
-	policy.Decide(ctx, stale, warm, t0)
-	hits := engine.Stats().CacheHits
-	// Half a second later the engine answers from its cache.
-	policy.Decide(ctx, stale, warm, t0.Add(500*time.Millisecond))
-	if engine.Stats().CacheHits != hits+1 {
-		t.Fatal("second decision was not an engine cache hit")
+	policy.Decide(ctx, front, warm, t0)
+	// Half a second later the front cache answers fresh.
+	if res := policy.Decide(ctx, front, warm, t0.Add(500*time.Millisecond)); res.Degraded || front.Stats().Hits != 1 {
+		t.Fatalf("second decision = %+v, %+v: want a fresh hit", res, front.Stats())
 	}
 
 	resolver.broken.Store(true)
-	res := policy.Decide(ctx, stale, warm, t0.Add(2*time.Second))
-	if !res.Degraded || res.StaleFor != 1500*time.Millisecond {
-		t.Fatalf("degraded decision = %+v, want StaleFor 1.5s counted from the engine's cached answer", res)
+	res := policy.Decide(ctx, front, warm, t0.Add(2*time.Second))
+	if !res.Degraded || res.StaleFor != 2*time.Second {
+		t.Fatalf("degraded decision = %+v, want StaleFor 2s counted from the evaluation", res)
+	}
+	for _, age := range []time.Duration{staleGrace - time.Nanosecond, staleGrace, staleGrace + time.Second} {
+		res := policy.Decide(ctx, front, warm, t0.Add(age))
+		if res.Degraded && res.StaleFor >= staleGrace {
+			t.Fatalf("at %v past evaluation: Degraded with StaleFor %v, grace %v", age, res.StaleFor, staleGrace)
+		}
+		if res.Degraded != (age < staleGrace) {
+			t.Fatalf("at %v past evaluation: %+v, want Degraded only under the grace", age, res)
+		}
 	}
 }

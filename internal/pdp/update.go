@@ -84,32 +84,8 @@ func (e *Engine) ApplyUpdate(u Update) error {
 	// fill, or land before the sweep below and are removed by it.
 	e.snap.Store(next)
 	e.stats.updates.Add(1)
-	e.invalidate(oldChild, u.Child)
+	if e.cache != nil {
+		e.stats.cacheInvalidations.Add(e.cache.InvalidateChange(oldChild, u.Child))
+	}
 	return nil
-}
-
-// invalidate drops exactly the cached decisions the change can affect:
-// entries whose resource key the old or new child constrains, swept shard
-// by shard under each shard's own lock. A catch-all on either side forces
-// a full flush. Callers hold e.writerMu.
-func (e *Engine) invalidate(oldChild, newChild policy.Evaluable) {
-	if e.cache == nil {
-		return
-	}
-	affected := make(map[string]struct{}, 4)
-	for _, ch := range []policy.Evaluable{oldChild, newChild} {
-		if ch == nil {
-			continue
-		}
-		keys, catchAll := policy.ResourceKeys(ch)
-		if catchAll {
-			e.cache.Flush()
-			e.stats.cacheInvalidations.Add(1)
-			return
-		}
-		for _, k := range keys {
-			affected[k] = struct{}{}
-		}
-	}
-	e.stats.cacheInvalidations.Add(e.cache.Invalidate(affected))
 }

@@ -52,11 +52,6 @@ type Stats struct {
 	// Permitted and Denied count final outcomes after obligation
 	// handling and bias.
 	Permitted, Denied int64
-	// DecisionQueries counts round-trips to the decision provider
-	// (cache misses).
-	DecisionQueries int64
-	// CacheHits counts decisions served from the PEP-local cache.
-	CacheHits int64
 	// ObligationFailures counts permits discarded over obligations.
 	ObligationFailures int64
 }
@@ -79,7 +74,7 @@ type Outcome struct {
 // counters are the enforcement counters behind Stats, counted with
 // atomics so an enforcement takes no lock.
 type counters struct {
-	requests, permitted, denied, queries, hits, obligationFailures atomic.Int64
+	requests, permitted, denied, obligationFailures atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -87,8 +82,6 @@ func (c *counters) snapshot() Stats {
 		Requests:           c.requests.Load(),
 		Permitted:          c.permitted.Load(),
 		Denied:             c.denied.Load(),
-		DecisionQueries:    c.queries.Load(),
-		CacheHits:          c.hits.Load(),
 		ObligationFailures: c.obligationFailures.Load(),
 	}
 }
@@ -110,9 +103,7 @@ type Enforcer struct {
 	pdp      policy.Decider
 	handlers map[string]ObligationHandler
 	now      func() time.Time
-	// cache is the PEP-local decision cache, nil when disabled.
-	cache *policy.DecisionCache
-	stats counters
+	stats    counters
 }
 
 // EnforcerOption configures an Enforcer.
@@ -121,20 +112,6 @@ type EnforcerOption func(*Enforcer)
 // WithObligationHandler registers the handler for an obligation ID.
 func WithObligationHandler(id string, h ObligationHandler) EnforcerOption {
 	return func(e *Enforcer) { e.handlers[id] = h }
-}
-
-// WithDecisionCache enables a PEP-local decision cache, the message-saving
-// mechanism of Section 3.2 (Woo & Lam): a policy.DecisionCache whose
-// decisions serve while younger than ttl. maxItems <= 0 defaults to 4096.
-// A decision is cached only when no FlushCache ran while it was being
-// queried.
-func WithDecisionCache(ttl time.Duration, maxItems int) EnforcerOption {
-	return func(e *Enforcer) {
-		if maxItems <= 0 {
-			maxItems = 4096
-		}
-		e.cache = policy.NewDecisionCache(ttl, maxItems)
-	}
 }
 
 // WithClock overrides the enforcement clock.
@@ -169,13 +146,6 @@ func (e *Enforcer) Name() string { return e.name }
 // Stats returns a snapshot of enforcement counters.
 func (e *Enforcer) Stats() Stats { return e.stats.snapshot() }
 
-// FlushCache drops cached decisions, modelling a revocation push.
-func (e *Enforcer) FlushCache() {
-	if e.cache != nil {
-		e.cache.Flush()
-	}
-}
-
 // Enforce intercepts one access request and produces the final outcome,
 // bounded by ctx.
 func (e *Enforcer) Enforce(ctx context.Context, req *policy.Request) Outcome {
@@ -184,32 +154,12 @@ func (e *Enforcer) Enforce(ctx context.Context, req *policy.Request) Outcome {
 
 // EnforceAt enforces at an explicit time. ctx bounds the decision query: a
 // deadline expiring mid-query surfaces as an Indeterminate decision, which
-// the deny bias refuses. Decisions poisoned by an expired context are not
-// cached — the next request with time to spare must be able to earn a real
-// decision.
+// the deny bias refuses. The enforcer keeps no decisions of its own: to
+// save PDP round-trips (Section 3.2, Woo & Lam), place a
+// resilience.FrontCache under it.
 func (e *Enforcer) EnforceAt(ctx context.Context, req *policy.Request, at time.Time) Outcome {
 	e.stats.requests.Add(1)
-	var gen uint64
-	if e.cache != nil {
-		if res, _, ok, _ := e.cache.Get(req.CacheKey(), req.CacheKeyHash(), at); ok {
-			e.stats.hits.Add(1)
-			return e.finalize(req, res)
-		}
-		gen = e.cache.Generation()
-	}
-	res := policy.Decide(ctx, e.pdp, req, at)
-	e.stats.queries.Add(1)
-	if e.cache != nil && cacheable(res) {
-		e.cache.Put(req.CacheKey(), req.CacheKeyHash(), "", res, at, gen)
-	}
-	return e.finalize(req, res)
-}
-
-// cacheable reports whether a decision may be cached: never an errored one
-// (a healed PDP must be asked afresh) nor a Degraded one (it would outlive
-// the grace bound its provider enforced).
-func cacheable(res policy.Result) bool {
-	return !res.Degraded && res.Err == nil
+	return e.finalize(req, policy.Decide(ctx, e.pdp, req, at))
 }
 
 // finalize applies obligations and the deny bias to a raw decision.

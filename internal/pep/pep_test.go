@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/pdp"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 )
 
 func clinicRoot() *policy.PolicySet {
@@ -128,54 +129,65 @@ func TestEnforceDenyBiasOnIndeterminate(t *testing.T) {
 	}
 }
 
+// TestEnforceCacheReducesDecisionQueries: an enforcer over a
+// resilience.FrontCache asks the engine once per key and TTL.
 func TestEnforceCacheReducesDecisionQueries(t *testing.T) {
 	now := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	enf := NewEnforcer("pep", newEngine(t),
+	clock := func() time.Time { return now }
+	engine := newEngine(t)
+	front := resilience.NewFrontCache(engine, time.Minute, &resilience.Policy{Clock: clock}, 4096)
+	enf := NewEnforcer("pep", front,
 		WithObligationHandler("log-access", func(policy.FulfilledObligation, *policy.Request) error { return nil }),
-		WithDecisionCache(time.Minute, 0),
-		WithClock(func() time.Time { return now }),
+		WithClock(clock),
 	)
 	for i := 0; i < 10; i++ {
 		if out := enf.Enforce(context.Background(), doctorReq("read")); !out.Allowed {
 			t.Fatalf("iteration %d: %v", i, out.Err)
 		}
 	}
-	st := enf.Stats()
-	if st.DecisionQueries != 1 || st.CacheHits != 9 {
-		t.Errorf("stats = %+v, want 1 query + 9 hits", st)
+	if evals, hits := engine.Stats().Evaluations, front.Stats().Hits; evals != 1 || hits != 9 {
+		t.Errorf("%d evaluations and %d hits, want 1 + 9", evals, hits)
 	}
 
 	// Obligations are re-fulfilled on every (cached) permit.
 	now = now.Add(2 * time.Minute)
 	enf.Enforce(context.Background(), doctorReq("read"))
-	if st := enf.Stats(); st.DecisionQueries != 2 {
-		t.Errorf("after TTL: queries = %d, want 2", st.DecisionQueries)
+	if evals := engine.Stats().Evaluations; evals != 2 {
+		t.Errorf("after TTL: %d evaluations, want 2", evals)
+	}
+	if st := enf.Stats(); st.Permitted != 11 || st.ObligationFailures != 0 {
+		t.Errorf("stats = %+v, want 11 permits", st)
 	}
 }
 
 func TestEnforceCacheStaleWindow(t *testing.T) {
-	// A revoked policy keeps permitting from the cache until flushed —
-	// exactly the staleness trade-off of Section 3.2.
+	// A revoked policy keeps permitting from the cache until the
+	// revocation reaches it — exactly the staleness trade-off of
+	// Section 3.2.
 	now := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return now }
 	engine := newEngine(t)
-	enf := NewEnforcer("pep", engine,
+	front := resilience.NewFrontCache(engine, time.Hour, &resilience.Policy{Clock: clock}, 4096)
+	enf := NewEnforcer("pep", front,
 		WithObligationHandler("log-access", func(policy.FulfilledObligation, *policy.Request) error { return nil }),
-		WithDecisionCache(time.Hour, 0),
-		WithClock(func() time.Time { return now }),
+		WithClock(clock),
 	)
 	if out := enf.Enforce(context.Background(), doctorReq("read")); !out.Allowed {
 		t.Fatal(out.Err)
 	}
 	// Revoke: replace the policy base with deny-all.
-	if err := engine.SetRoot(policy.NewPolicySet("lockdown").Combining(policy.DenyUnlessPermit).Build()); err != nil {
+	lockdown := policy.NewPolicySet("lockdown").Combining(policy.DenyUnlessPermit).Build()
+	if err := engine.SetRoot(lockdown); err != nil {
 		t.Fatal(err)
 	}
 	if out := enf.Enforce(context.Background(), doctorReq("read")); !out.Allowed {
 		t.Error("stale cached permit expected inside TTL (the modelled risk)")
 	}
-	enf.FlushCache()
+	// The lockdown pins no resource, so its invalidation retires every
+	// cached decision.
+	front.InvalidateChange(nil, lockdown)
 	if out := enf.Enforce(context.Background(), doctorReq("read")); out.Allowed {
-		t.Error("after flush the revocation must take effect")
+		t.Error("after invalidation the revocation must take effect")
 	}
 }
 
@@ -214,16 +226,16 @@ func TestStatsAccounting(t *testing.T) {
 	enf.Enforce(context.Background(), doctorReq("read"))  // permit
 	enf.Enforce(context.Background(), doctorReq("write")) // deny
 	st := enf.Stats()
-	if st.Requests != 2 || st.Permitted != 1 || st.Denied != 1 || st.DecisionQueries != 2 {
+	if st.Requests != 2 || st.Permitted != 1 || st.Denied != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
 func TestConcurrentEnforcement(t *testing.T) {
-	enf := NewEnforcer("pep", newEngine(t),
+	front := resilience.NewFrontCache(newEngine(t), time.Minute, &resilience.Policy{}, 128)
+	enf := NewEnforcer("pep", front,
 		WithObligationHandler("log-access", func(policy.FulfilledObligation, *policy.Request) error { return nil }),
 		WithObligationHandler("alert", func(policy.FulfilledObligation, *policy.Request) error { return nil }),
-		WithDecisionCache(time.Minute, 128),
 	)
 	const workers = 8
 	const perWorker = 50

@@ -30,15 +30,16 @@ func (p *outageProvider) DecideScatterAt(_ context.Context, reqs []*policy.Reque
 	}
 }
 
-// TestEnforcerServeStale: an enforcer over a resilience.StaleCache enforces
+// TestEnforcerServeStale: an enforcer over a resilience.FrontCache enforces
 // the Degraded permit the cache serves for a warm key while the PDP is
-// down, keeps cold keys and over-grace keys fail-closed, and never caches
-// a Degraded decision itself — that would let it outlive the grace bound.
+// down, keeps cold keys and over-grace keys fail-closed, and never
+// answers a Degraded decision as a fresh hit — that would let it outlive
+// the grace bound.
 func TestEnforcerServeStale(t *testing.T) {
 	provider := &outageProvider{}
 	t0 := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
-	stale := resilience.NewStaleCache(provider, &resilience.Policy{StaleGrace: 30 * time.Second})
-	e := NewEnforcer("pep", stale, WithDecisionCache(time.Second, 0))
+	stale := resilience.NewFrontCache(provider, time.Second, &resilience.Policy{StaleGrace: 30 * time.Second}, 4096)
+	e := NewEnforcer("pep", stale)
 	warm := policy.NewAccessRequest("alice", "ward", "read")
 	cold := policy.NewAccessRequest("bob", "ward", "read")
 
@@ -53,12 +54,11 @@ func TestEnforcerServeStale(t *testing.T) {
 	if out := e.EnforceAt(context.Background(), warm, at); !out.Allowed {
 		t.Fatalf("degraded enforcement = %+v, want allowed from stale permit", out)
 	}
-	queries := e.Stats().DecisionQueries
 	if out := e.EnforceAt(context.Background(), warm, at.Add(time.Millisecond)); !out.Allowed {
 		t.Fatalf("second degraded enforcement = %+v, want allowed", out)
 	}
-	if got := e.Stats().DecisionQueries; got != queries+1 {
-		t.Fatalf("a Degraded permit was answered from the enforcer cache (%d queries, want %d)", got, queries+1)
+	if st := stale.Stats(); st.Hits != 0 || st.Served != 2 {
+		t.Fatalf("stats = %+v: a Degraded permit was answered as a fresh hit (want 0 hits, 2 serves)", st)
 	}
 	if out := e.EnforceAt(context.Background(), cold, at); out.Allowed || !errors.Is(out.Err, ErrNotPermitted) {
 		t.Fatalf("cold-key enforcement = %+v, want fail-closed", out)
@@ -86,8 +86,8 @@ func TestEnforcerServeStale(t *testing.T) {
 func TestEnforcerServeStaleExpiredCaller(t *testing.T) {
 	provider := &outageProvider{}
 	t0 := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
-	stale := resilience.NewStaleCache(provider, &resilience.Policy{StaleGrace: 30 * time.Second})
-	e := NewEnforcer("pep", stale, WithDecisionCache(time.Second, 0))
+	stale := resilience.NewFrontCache(provider, time.Second, &resilience.Policy{StaleGrace: 30 * time.Second}, 4096)
+	e := NewEnforcer("pep", stale)
 	warm := policy.NewAccessRequest("alice", "ward", "read")
 	e.EnforceAt(context.Background(), warm, t0)
 

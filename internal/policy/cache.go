@@ -8,9 +8,9 @@ import (
 )
 
 // DecisionCache remembers decisions by request cache key for at most a
-// max age: the one implementation behind the engine's TTL cache, the
-// last-known-good store of degraded mode and an enforcement point's
-// message-saving cache (Section 3.2). A hit needs an entry younger than
+// max age: the one implementation behind resilience.FrontCache, the
+// decision cache a deployment places at its front (Section 3.2), and
+// pdp.WithDecisionCache's per-engine cache. A hit needs an entry younger than
 // the max age; a lookup that finds an older one deletes it.
 //
 // Entries are striped across a power-of-two array of stripes keyed by the
@@ -274,6 +274,28 @@ func (c *DecisionCache) Invalidate(resIDs map[string]struct{}) int64 {
 		s.mu.Unlock()
 	}
 	return dropped
+}
+
+// InvalidateChange drops the decisions a change of one policy from prev
+// to next (nil when absent) can affect: the entries whose resource either
+// constrains, or every entry when either is a catch-all (its target pins
+// no resource-id). It returns how many were dropped, a flush counting one.
+func (c *DecisionCache) InvalidateChange(prev, next Evaluable) int64 {
+	affected := make(map[string]struct{}, 4)
+	for _, e := range [...]Evaluable{prev, next} {
+		if e == nil {
+			continue
+		}
+		keys, catchAll := ResourceKeys(e)
+		if catchAll {
+			c.Flush()
+			return 1
+		}
+		for _, k := range keys {
+			affected[k] = struct{}{}
+		}
+	}
+	return c.Invalidate(affected)
 }
 
 // Flush drops every entry.

@@ -11,19 +11,23 @@ import (
 	"repro/internal/telemetry/telemetrytest"
 )
 
+// TestStaleCacheColdMiss: during an outage a key never decided fails
+// closed, whatever other keys the cache holds.
 func TestStaleCacheColdMiss(t *testing.T) {
-	c := NewStaleCache(nil, &Policy{StaleGrace: time.Hour})
-	key := "key-7"
-	hash := policy.HashString(key)
-	if _, _, ok := c.get(key, hash, time.Unix(0, 0)); ok {
-		t.Fatal("cold key served")
+	below := &scriptedProvider{verdict: map[string]policy.Decision{"alice": policy.DecisionPermit}}
+	c := NewFrontCache(below, 0, &Policy{StaleGrace: time.Hour}, 8192)
+	policy.Decide(context.Background(), c, policy.NewAccessRequest("alice", "res", "read"), time.Time{})
+	below.down = true
+	res := policy.Decide(context.Background(), c, policy.NewAccessRequest("bob", "res", "read"), time.Time{})
+	if res.Decision != policy.DecisionIndeterminate || res.Degraded {
+		t.Fatalf("cold key during the outage = %+v, want fail-closed Indeterminate", res)
 	}
-	if st := c.Stats(); st.ColdMisses != 1 {
-		t.Fatalf("stats = %+v, want 1 cold miss", st)
+	if st := c.Stats(); st.Served != 0 {
+		t.Fatalf("stats = %+v, want no stale serve", st)
 	}
 }
 
-// TestStaleFamiliesGolden pins the one family a StaleCache exposes,
+// TestStaleFamiliesGolden pins the one family a FrontCache exposes,
 // repro_stale_served_total, with its kind and help text, and the value
 // one stale answer gives it.
 func TestStaleFamiliesGolden(t *testing.T) {
@@ -32,7 +36,7 @@ func TestStaleFamiliesGolden(t *testing.T) {
 	}
 	below := &scriptedProvider{verdict: map[string]policy.Decision{"alice": policy.DecisionPermit}}
 	now := time.Unix(1_700_000_000, 0)
-	c := NewStaleCache(below, &Policy{StaleGrace: time.Minute, Clock: func() time.Time { return now }})
+	c := NewFrontCache(below, time.Second, &Policy{StaleGrace: time.Minute, Clock: func() time.Time { return now }}, 8192)
 	reg := telemetry.NewRegistry()
 	c.RegisterMetrics(reg)
 	warm := policy.NewAccessRequest("alice", "res", "read")

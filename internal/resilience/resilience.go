@@ -1,8 +1,8 @@
 // Package resilience provides the fault-handling building blocks that let
 // the decision fabric survive the failures the chaos harness injects,
 // instead of merely detecting them: circuit breakers around unreliable
-// dependencies, adaptive admission control at ingress, and a
-// bounded-staleness last-known-good cache backing the degraded serving
+// dependencies, adaptive admission control at ingress, and the one front
+// decision cache, whose last-known-good entries back the degraded serving
 // mode.
 //
 // The pieces compose into one overload story:
@@ -27,37 +27,35 @@
 //     burst of impatient callers cannot talk a healthy server into
 //     shedding.
 //
-//   - A StaleCache, the one last-known-good layer, decorates the decision
+//   - A FrontCache, the one decision cache, decorates the decision
 //     provider a deployment serves: it holds the last conclusive decision
-//     per cache key so an Indeterminate (open breaker, replicas down, dead
-//     PIP) can be answered for warm keys within a configurable grace
-//     window — degraded (counted, audit logged, stamped degraded=true on
-//     the trace span) but conclusive — while cold keys keep failing
-//     closed. A policy write (Invalidate) flushes every entry. The store
-//     is a policy.DecisionCache whose max age is the grace window, the
-//     same implementation as the engine's and an enforcement point's
-//     decision caches.
+//     per cache key with the time it was evaluated, answers a key fresh
+//     within a TTL, and answers an Indeterminate (open breaker, replicas
+//     down, dead PIP) for warm keys within a configurable grace window —
+//     degraded (counted, audit logged, stamped degraded=true on the trace
+//     span) but conclusive — while cold keys keep failing closed. A policy
+//     write (InvalidateChange) retires the entries for the resources it
+//     constrains. The store is one striped policy.DecisionCache.
 //
-// Fail-closed versus serve-stale, the decision table StaleCache
-// implements:
+// Fail-closed versus serve-stale, the decision table FrontCache
+// implements, every age counted from the decision's evaluation:
 //
 //	caller ctx already expired    -> fail closed (Indeterminate), always
+//	entry age < TTL               -> fresh hit, never Degraded
 //	dependency up                 -> fresh decision, never stale
 //	dependency down, warm key,
 //	  entry age < grace           -> serve stale, Degraded=true
 //	dependency down, cold key     -> fail closed (a breaker fails fast)
 //	dependency down, entry aged
 //	  grace or more               -> fail closed (staleness bound wins)
-//	policy write since the entry
-//	  was stored                  -> fail closed (revocation wins)
+//	policy write constraining the
+//	  key since the entry was put -> fail closed (revocation wins)
 //
-// StaleFor counts from the last fresh answer of the decorated provider,
-// which a decision cache below may have held for up to its own TTL.
+// A fresh hit answers first, so stale serving needs grace > TTL.
 //
 // Everything here is allocation-free and lock-free on its hot path
-// (atomics; the stale cache is the striped policy.DecisionCache the PDP
-// uses) and takes an injectable clock, so the chaos and load
-// tests drive it on virtual time.
+// (atomics, and the striped policy.DecisionCache) and takes an injectable
+// clock, so the chaos and load tests drive it on virtual time.
 package resilience
 
 import (
@@ -69,7 +67,7 @@ import (
 // the dependency was recently observed dead, and the fast local failure
 // stands in for the timeout the caller would otherwise pay. Matched with
 // errors.Is; enforcement points treat it as an unavailability (deny-biased
-// Indeterminate), and a StaleCache above may answer it last-known-good.
+// Indeterminate), and a FrontCache above may answer it last-known-good.
 var ErrOpen = errors.New("resilience: circuit open")
 
 // Policy bundles the resilience configuration a layered deployment (the
@@ -80,9 +78,9 @@ type Policy struct {
 	// Breaker configures the per-dependency circuit breakers; a zero
 	// value uses the defaults (see BreakerConfig).
 	Breaker BreakerConfig
-	// StaleGrace bounds degraded-mode staleness: a StaleCache may answer
-	// an Indeterminate with a conclusive decision younger than
-	// StaleGrace, marked Degraded. Zero means no StaleCache is placed.
+	// StaleGrace bounds degraded-mode staleness: a FrontCache may answer
+	// an Indeterminate with a conclusive decision evaluated less than
+	// StaleGrace ago, marked Degraded. Zero means it never does.
 	StaleGrace time.Duration
 	// Clock overrides time.Now for the breakers and staleness checks.
 	Clock func() time.Time

@@ -204,11 +204,9 @@ func marshalSnapshot(seq uint64, state map[string]*stateEntry) ([]byte, error) {
 	sort.Slice(ents, func(i, j int) bool { return ents[i].ID < ents[j].ID })
 	// Plan the frames: ends[k] is one past frame k's last entry.
 	var ends []int
-	var head []byte
 	first, used := 0, 0
 	for i, ent := range ents {
-		head = appendEntryHead(head[:0], ent)
-		n := len(head) + len(ent.Policy) + 1
+		n := entrySize(ent)
 		if i > first && used+1+n > snapshotFrameEntries {
 			ends = append(ends, i)
 			first, used = i, 0
@@ -248,6 +246,12 @@ func marshalSnapshot(seq uint64, state map[string]*stateEntry) ([]byte, error) {
 		first = end
 	}
 	return out, nil
+}
+
+// entrySize is the length of ent's encoding in a snapshot frame.
+func entrySize(ent *stateEntry) int {
+	var head [64]byte
+	return len(appendEntryHead(head[:0], ent)) + len(ent.Policy) + 1
 }
 
 // appendEntryHead appends a snapshot entry's encoding up to its policy

@@ -155,8 +155,9 @@ func (l *Log) Stats() Stats {
 // Append makes updates durable: it writes their records as consecutive
 // frames, in order, fsyncs once and only then returns. One call is one
 // request, however many updates it carries; concurrent calls run one
-// after another. A call whose update cannot be encoded fails whole,
-// writing none of its records. After a write error the log fail-stops:
+// after another. A call whose update cannot be encoded, or whose put
+// would make a snapshot entry larger than one frame (so the log could
+// never compact again), fails whole, writing none of its records. After a write error the log fail-stops:
 // the failed append and every later one return the fault. A call that
 // crosses the snapshot threshold snapshots once before it returns, so a
 // caller whose Append has returned sees a quiescent data directory.
@@ -183,6 +184,9 @@ func (l *Log) Append(us ...pap.Update) error {
 		var err error
 		if buf, docs[i], err = encodeRecord(buf, l.seq+uint64(i)+1, u); err != nil {
 			return err
+		}
+		if !u.Deleted && entrySize(&stateEntry{ID: u.ID, Versions: u.Version, Policy: docs[i]}) > snapshotFrameEntries {
+			return fmt.Errorf("store: record %s: its snapshot entry exceeds the %d-byte frame bound", u.ID, maxFramePayload)
 		}
 	}
 	if err := l.writeAndSync(buf); err != nil {

@@ -582,13 +582,12 @@ func TestVersionlessPutRejected(t *testing.T) {
 	}
 }
 
-// TestOversizedSnapshotRefused: an entry too large for a snapshot frame
-// of its own must not be snapshotted — recovery would reject the frame as
-// corrupt after the compaction deleted the WAL. A record whose payload
-// fills the frame bound exactly is acknowledged, yet its snapshot entry
-// carries a few bytes more, so the attempt counts as a snapshot failure,
-// the WAL keeps the record, and the directory reopens with it in its
-// tail.
+// TestOversizedSnapshotRefused: a put whose snapshot entry would not fit
+// a frame of its own is refused at Append. A record whose payload fills
+// the frame bound exactly would fit the WAL, yet its snapshot entry
+// carries a few bytes more, so acknowledging it would fail every later
+// snapshot and stop the log compacting for good. The refusal writes
+// nothing: no snapshot fails at Close, and the directory reopens empty.
 func TestOversizedSnapshotRefused(t *testing.T) {
 	u := putUpdate("p-big", "res", "v", 1)
 	desc := &u.Policy.(*policy.Policy).Description
@@ -603,19 +602,19 @@ func TestOversizedSnapshotRefused(t *testing.T) {
 	}
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{})
-	if err := l.Append(u); err != nil {
-		t.Fatal(err)
+	if err := l.Append(u); err == nil || !strings.Contains(err.Error(), "snapshot entry") {
+		t.Fatalf("append of an entry too large to snapshot: %v, want refused", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Snapshots != 0 || st.SnapshotFailures != 1 {
-		t.Fatalf("stats %+v, want the oversized snapshot refused once", st)
+	if st := l.Stats(); st.Appends != 0 || st.SnapshotFailures != 0 {
+		t.Fatalf("stats %+v, want no append and no snapshot failure", st)
 	}
 	l2 := mustOpen(t, dir, Options{})
 	defer l2.Close()
-	if got := len(l2.RecoveredTail()); got != 1 {
-		t.Fatalf("recovered %d tail records, want 1", got)
+	if got := len(l2.RecoveredTail()); got != 0 {
+		t.Fatalf("recovered %d tail records, want 0", got)
 	}
 }
 

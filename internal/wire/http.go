@@ -102,8 +102,9 @@ func HTTPHandler(h Handler, opts ...HTTPOption) http.Handler {
 		*body = env.Body // keep a grown Body's storage for the pool
 		ctx := r.Context()
 		budget := env.Deadline
-		if budget <= 0 {
-			if ms, err := strconv.ParseInt(r.Header.Get(DeadlineHeader), 10, 64); err == nil && ms > 0 {
+		// An absent header is not parsed: a failed ParseInt allocates.
+		if h := r.Header.Get(DeadlineHeader); budget <= 0 && h != "" {
+			if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
 				budget = time.Duration(ms) * time.Millisecond
 			}
 		}

@@ -124,7 +124,7 @@ func TestProvidersAgree(t *testing.T) {
 			{"ensemble/quorum", ensemble(ha.Quorum, 3)},
 			{"router/1-shard", router(1)},
 			{"router/4-shard", router(4)},
-			{"stale/4-shard", resilience.NewStaleCache(router(4), &resilience.Policy{StaleGrace: time.Minute})},
+			{"front/4-shard", resilience.NewFrontCache(router(4), time.Minute, &resilience.Policy{StaleGrace: 2 * time.Minute}, 8192)},
 			{"client/decide", client(pdp.Handler)},
 			{"client/decide-batch", client(pdp.BatchHandler)},
 		} {

@@ -25,9 +25,9 @@ import (
 )
 
 // servedDeployment is pdpd's serving stack without TCP: the two envelope
-// handlers over one StaleCache over a 2×2 failover router whose engines
-// cache decisions and resolve roles and clearance through a cached PIP
-// chain. The base is resource policies plus clearance vetoes, and
+// handlers over one FrontCache, sized and aged as pdpd places it with
+// -cache 1h -stale-grace 30s, over a 2×2 failover router whose engines
+// resolve roles and clearance through a cached PIP chain. The base is resource policies plus clearance vetoes, and
 // requests are cold (subject, resource, action), as in bench's cold
 // workloads. opts configure both handlers, as pdpd's one tracer does.
 func servedDeployment(t *testing.T, opts ...wire.HTTPOption) (single, batch http.Handler) {
@@ -51,7 +51,6 @@ func servedDeployment(t *testing.T, opts ...wire.HTTPOption) (single, batch http
 	router, err := cluster.New("served", cluster.Config{
 		Shards: 2, Replicas: 2, Strategy: ha.Failover,
 		EngineOptions: []pdp.Option{
-			pdp.WithDecisionCache(time.Hour, 0),
 			pdp.WithResolver(pip.NewCachedChain("pip", time.Hour, dir)),
 		},
 	})
@@ -61,8 +60,8 @@ func servedDeployment(t *testing.T, opts ...wire.HTTPOption) (single, batch http
 	if err := router.SetRoot(base.Build()); err != nil {
 		t.Fatal(err)
 	}
-	stale := resilience.NewStaleCache(router, &resilience.Policy{StaleGrace: 30 * time.Second})
-	return wire.HTTPHandler(pdp.Handler(stale), opts...), wire.HTTPHandler(pdp.BatchHandler(stale), opts...)
+	front := resilience.NewFrontCache(router, time.Hour, &resilience.Policy{StaleGrace: 30 * time.Second}, 2*8192)
+	return wire.HTTPHandler(pdp.Handler(front), opts...), wire.HTTPHandler(pdp.BatchHandler(front), opts...)
 }
 
 // postEnvelope encodes one posted envelope of the given accesses.
@@ -115,11 +114,11 @@ func TestServedDecisionAllocs(t *testing.T) {
 		hit           bool
 		allocs, bytes float64 // budgets per decision
 	}{
-		{"single/hit", single, batch, 1, true, 25, 2700},
+		{"single/hit", single, batch, 1, true, 24, 2700},
 		{"single/miss", single, batch, 1, false, 28, 5000},
 		{"batch/hit", batch, batch, 64, true, 7, 1150},
 		{"batch/miss", batch, batch, 64, false, 10.5, 2100},
-		{"traced/single/hit", tracedSingle, tracedBatch, 1, true, 40, 3850},
+		{"traced/single/hit", tracedSingle, tracedBatch, 1, true, 33, 3300},
 		{"traced/single/miss", tracedSingle, tracedBatch, 1, false, 49, 6200},
 		{"traced/batch/hit", tracedBatch, tracedBatch, 64, true, 7.5, 1200},
 		{"traced/batch/miss", tracedBatch, tracedBatch, 64, false, 11, 2150},

@@ -39,7 +39,7 @@ func TestDecisionSurface(t *testing.T) {
 		"internal/pdp.Engine.DecideAt",
 		"internal/pdp.Engine.DecideBatchAt",
 		"internal/pdp.Engine.DecideScatterAt",
-		"internal/resilience.StaleCache.DecideScatterAt",
+		"internal/resilience.FrontCache.DecideScatterAt",
 	}
 	wantInterfaces := []string{
 		"internal/policy.Decider",
