@@ -42,10 +42,12 @@ func rolePolicy() *policy.PolicySet {
 // a subjects-file PIP, wire handler with a tracer, /metrics and
 // /debug/traces on the mux — and checks one decision shows up on every
 // exposition: the decision counters summed over the router's engines, the
-// per-engine epoch, the PIP counters, and a retained trace
-// whose spans cover the wire and evaluation layers. The front cache notes
-// its miss on the serve span, and a routed single decision traces like a
-// single one: a pdp.eval span carrying the outcome, no pdp.batch.
+// per-engine epoch, the PIP counters, engine cache families that stay at
+// 0 (the decision is cached at the front, not in an engine), and a
+// retained trace whose spans cover the wire and evaluation layers. The
+// front cache notes its miss on the serve span, and a routed single
+// decision traces like a single one: a pdp.eval span carrying the
+// outcome, no pdp.batch.
 func TestDaemonObservabilitySurface(t *testing.T) {
 	subjectsPath := filepath.Join(t.TempDir(), "subjects.json")
 	err := os.WriteFile(subjectsPath,
@@ -110,6 +112,7 @@ func TestDaemonObservabilitySurface(t *testing.T) {
 		`repro_pdp_epoch{engine="pdpd/shard-0/r0"} 1`,
 		`repro_pdp_epoch{engine="pdpd/shard-1/r1"} 1`,
 		"repro_pip_cache_misses_total 1",
+		"repro_pdp_cache_entries 0",
 		"repro_trace_started_total 1",
 		`repro_trace_kept_total{cause="sampled"} 1`,
 	} {

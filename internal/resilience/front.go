@@ -129,7 +129,7 @@ func (c *FrontCache) sweep(reqs []*policy.Request, positions []int, at time.Time
 	if len(reqs) == 1 && positions == nil {
 		return nil, c.fresh(reqs[0], at, &out[0])
 	}
-	var misses []int
+	misses := make([]int, 0, len(reqs))
 	policy.EachPosition(len(reqs), positions, func(p int) {
 		if !c.fresh(reqs[p], at, &out[p]) {
 			misses = append(misses, p)
