@@ -25,8 +25,9 @@
 // deterministic ordering.
 // Refresh failures are counted in /stats as refresh_errors.
 //
-// Admin writes pass through the static policy lint gate (-policy-lint):
-// "warn" (the default) runs the incremental analysis on every write and
+// Admin writes pass through the static policy lint gate (-policy-lint),
+// the pre-commit gate analysis.GateStore puts on the store, as the core
+// facade puts it on every domain's store: "warn" (the default) runs the incremental analysis on every write and
 // returns the findings the write introduces in the response; "strict"
 // additionally rejects writes that introduce blocking findings (actual
 // cross-policy conflicts, cross-policy shadowing) with 409 and the
@@ -395,7 +396,8 @@ type admin struct {
 	tracer   *trace.Tracer
 	auditLog *audit.Log
 	// seedTook, rootTook and lintTook time newAdmin's start-up phases: the
-	// seed PutAll, pap.Follow's root install and the lint engine's Install.
+	// seed PutAll, pap.Follow's root install and analysis.GateStore (the
+	// lint engine's Install).
 	seedTook, rootTook, lintTook time.Duration
 }
 
@@ -465,29 +467,12 @@ func newAdmin(point *cluster.Router, root policy.Evaluable, lg *store.Log, lint 
 		return nil, err
 	}
 	a.rootTook = time.Since(start)
-	if lint != analysis.ModeOff {
-		// Seed the analyzer atomically with watcher registration so no
-		// write can slip between the snapshot and the delta stream, then
-		// veto through the store's pre-commit hook: the gate decision is
-		// serialised with every writer and runs before durability.
-		eng := analysis.NewEngine(analysis.Config{RootCombining: shape.Combining})
-		err := a.store.WatchInstall(func(s *pap.Store) error {
-			live := s.Live()
-			start := time.Now()
-			eng.Install(live...)
-			a.lintTook = time.Since(start)
-			return nil
-		}, func(u pap.Update) { eng.Apply(u.ID, u.Policy) })
-		if err != nil {
-			return nil, err
-		}
-		a.engine = eng
-		a.gate = analysis.NewGate(eng, lint)
-		a.store.PreCommit(func(u pap.Update) error {
-			_, err := a.gate.Check(u.ID, u.Policy)
-			return err
-		})
+	start = time.Now()
+	a.engine, a.gate, err = analysis.GateStore(a.store, analysis.Config{RootCombining: shape.Combining}, lint)
+	if err != nil {
+		return nil, err
 	}
+	a.lintTook = time.Since(start)
 	return a, nil
 }
 

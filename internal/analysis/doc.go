@@ -68,7 +68,10 @@
 // Gate wraps an Engine's Preview for the admin plane: off disables
 // linting, warn annotates writes with their findings, strict additionally
 // rejects a write whose own findings include a SeverityError (an actual
-// cross-policy conflict or a cross-policy shadow). The pdpd daemon wires
-// a Gate in front of the policy store as a pre-commit hook; see the
-// -policy-lint flag.
+// cross-policy conflict or a cross-policy shadow). GateStore is the one
+// way a policy store is gated: it seeds an Engine from the store under
+// the watcher that keeps it current and registers the Gate as the store's
+// pre-commit hook, so every veto is serialised with the writers. The pdpd
+// daemon gates its store so in the -policy-lint mode; the core facade
+// gates every domain's administration point so in strict mode.
 package analysis

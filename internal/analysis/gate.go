@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/pap"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -118,6 +119,33 @@ func (g *Gate) Check(id string, ev policy.Evaluable) (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// GateStore is the one way a policy store is gated. It seeds an Engine
+// under cfg from the store's live base, atomically with the watcher that
+// folds every later update into it (pap.Store.WatchInstall), so no write
+// slips between the snapshot and the delta stream. It then registers the
+// Gate's Check as a pre-commit hook: the veto is serialised with every
+// writer and runs before the write is durable or visible. ModeOff gates
+// nothing and returns a nil engine and gate.
+func GateStore(s *pap.Store, cfg Config, mode Mode) (*Engine, *Gate, error) {
+	if mode == ModeOff {
+		return nil, nil, nil
+	}
+	eng := NewEngine(cfg)
+	err := s.WatchInstall(func(s *pap.Store) error {
+		eng.Install(s.Live()...)
+		return nil
+	}, func(u pap.Update) { eng.Apply(u.ID, u.Policy) })
+	if err != nil {
+		return nil, nil, err
+	}
+	g := NewGate(eng, mode)
+	s.PreCommit(func(u pap.Update) error {
+		_, err := g.Check(u.ID, u.Policy)
+		return err
+	})
+	return eng, g, nil
 }
 
 // Stats snapshots the gate counters; zero for a nil gate.

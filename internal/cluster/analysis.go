@@ -37,11 +37,7 @@ func (r *Router) AnalyzeBase(cfg analysis.Config) (analysis.Report, error) {
 	}
 	reports := make([]analysis.Report, 0, len(r.shards))
 	for _, s := range r.shards {
-		children := make([]policy.Evaluable, 0, len(s.children))
-		for _, idx := range s.children {
-			children = append(children, set.Children[idx])
-		}
-		reports = append(reports, analysis.Analyze(cfg, children...))
+		reports = append(reports, analysis.Analyze(cfg, s.installedChildren()...))
 	}
 	return analysis.Merge(reports...), nil
 }

@@ -130,12 +130,6 @@ type shard struct {
 	engines  []*pdp.Engine
 	replicas []*ha.Failable
 	group    *ha.Ensemble
-	// children are the root-child indexes this shard currently serves
-	// (nil means the whole, unpartitionable root).
-	children []int
-	// installed reports whether a base has ever been installed, so fresh
-	// shards are always populated on their first repartition.
-	installed bool
 	// lat is the shard's decision-latency histogram, observed only while
 	// the router's metrics are registered (see Router.metricsOn).
 	lat telemetry.Histogram
@@ -339,7 +333,7 @@ func (r *Router) AddShard() (string, error) {
 	if err := r.repartitionLocked(false); err != nil {
 		r.setShardsLocked(r.shards[:len(r.shards)-1])
 		// Reinstall any shard the failed repartition already shrank;
-		// shards whose recorded children still match skip the install.
+		// shards whose installed children still match skip the install.
 		if rerr := r.repartitionLocked(false); rerr != nil {
 			return "", fmt.Errorf("cluster %s: rollback after failed add: %w", r.name, errors.Join(err, rerr))
 		}
@@ -376,19 +370,19 @@ func (r *Router) repartitionLocked(force bool) error {
 		return nil
 	}
 	set, partitionable := r.root.(*policy.PolicySet)
-	parts := make([][]int, len(r.shards))
+	parts := make([][]policy.Evaluable, len(r.shards))
 	if partitionable {
 		// One pass over the root children assigns each child to the
 		// shards serving it. A child with an exact resource-id target
 		// goes to the owners of its keys; a catch-all child (no equality
 		// constraint) goes to every shard. Appending in child order keeps
-		// each shard's list ascending, preserving order-dependent
+		// each shard's subset in root order, preserving order-dependent
 		// combining semantics.
-		for i, ch := range set.Children {
+		for _, ch := range set.Children {
 			keys, catchAll := policy.ResourceKeys(ch)
 			if catchAll {
 				for o := range parts {
-					parts[o] = append(parts[o], i)
+					parts[o] = append(parts[o], ch)
 				}
 				continue
 			}
@@ -396,36 +390,42 @@ func (r *Router) repartitionLocked(force bool) error {
 				o := ringOwner(r.points, key)
 				// Keys of one child sharing an owner add the child once;
 				// the child is the last one appended while it is current.
-				if n := len(parts[o]); n == 0 || parts[o][n-1] != i {
-					parts[o] = append(parts[o], i)
+				if n := len(parts[o]); n == 0 || parts[o][n-1] != ch {
+					parts[o] = append(parts[o], ch)
 				}
 			}
 		}
 	}
 	for o, s := range r.shards {
-		var children []int
-		var base policy.Evaluable
+		base := r.root
 		if partitionable {
-			children = parts[o]
-			base = subsetPolicySet(set, children)
-		} else {
-			base = r.root
+			base = subsetPolicySet(set, parts[o])
 		}
-		if !force && s.installed && slices.Equal(children, s.children) {
+		installed := s.engines[0].Root() != nil
+		old := s.installedChildren()
+		if !force && installed && slices.Equal(parts[o], old) {
 			continue
 		}
 		if !force {
 			// Children arriving at this shard (including a brand-new
 			// shard's first slice) moved here from elsewhere.
-			r.stats.childrenMoved.Add(int64(movedCount(s.children, children)))
+			r.stats.childrenMoved.Add(int64(arrivals(old, parts[o])))
 		}
 		for _, engine := range s.engines {
 			if err := engine.SetRoot(base); err != nil {
 				return fmt.Errorf("cluster %s: install %s: %w", r.name, s.name, err)
 			}
 		}
-		s.children = children
-		s.installed = true
+	}
+	return nil
+}
+
+// installedChildren lists the root children the shard serves, read from
+// its first engine (every replica installs the same base): nil before the
+// first install and under an unpartitionable root.
+func (s *shard) installedChildren() []policy.Evaluable {
+	if set, ok := s.engines[0].Root().(*policy.PolicySet); ok {
+		return set.Children
 	}
 	return nil
 }
@@ -433,36 +433,32 @@ func (r *Router) repartitionLocked(force bool) error {
 // subsetPolicySet rebuilds the root set over the selected children,
 // preserving identity, combining algorithm and obligations so combining
 // semantics (including order dependence) match the full base.
-func subsetPolicySet(set *policy.PolicySet, children []int) *policy.PolicySet {
-	subset := make([]policy.Evaluable, len(children))
-	for i, pos := range children {
-		subset[i] = set.Children[pos]
-	}
+func subsetPolicySet(set *policy.PolicySet, children []policy.Evaluable) *policy.PolicySet {
 	return &policy.PolicySet{
 		ID:          set.ID,
 		Version:     set.Version,
 		Issuer:      set.Issuer,
 		Target:      set.Target,
 		Combining:   set.Combining,
-		Children:    subset,
+		Children:    children,
 		Obligations: set.Obligations,
 	}
 }
 
-// movedCount counts elements of next absent from prev: the children whose
+// arrivals counts the children of next absent from prev: those whose
 // ownership arrived at this shard in a rebalance.
-func movedCount(prev, next []int) int {
-	had := make(map[int]struct{}, len(prev))
-	for _, i := range prev {
-		had[i] = struct{}{}
+func arrivals(prev, next []policy.Evaluable) int {
+	had := make(map[policy.Evaluable]struct{}, len(prev))
+	for _, ch := range prev {
+		had[ch] = struct{}{}
 	}
-	moved := 0
-	for _, i := range next {
-		if _, ok := had[i]; !ok {
-			moved++
+	n := 0
+	for _, ch := range next {
+		if _, ok := had[ch]; !ok {
+			n++
 		}
 	}
-	return moved
+	return n
 }
 
 // Decide routes the request at the router clock. bench/ladder.go calls

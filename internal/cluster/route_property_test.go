@@ -35,7 +35,10 @@ func updPair(v int) *policy.Policy {
 //     rebuilt from Router.Shards picks (the ring kept across membership
 //     changes describes exactly the current membership), and
 //   - a batch with one request per key decides exactly as a single engine
-//     over the same root.
+//     over the same root, and
+//   - Stats().ChildrenMoved equals a model that rebuilds every shard's
+//     subset by ring ownership before and after each membership change
+//     and counts the children each shard newly serves.
 func TestRouterRoutesLikeRing(t *testing.T) {
 	ctx := context.Background()
 	actions := []string{"read", "write", "purge", "audit"}
@@ -69,9 +72,12 @@ func TestRouterRoutesLikeRing(t *testing.T) {
 		if err := router.SetRoot(updModelRoot(model)); err != nil {
 			t.Fatal(err)
 		}
+		moved := router.Stats().ChildrenMoved
 
 		for step := 0; step < 60; step++ {
 			var op string
+			before := ringSubsets(router.Shards(), updModelRoot(model))
+			rebalanced := false
 			switch r := rng.Intn(12); {
 			case r < 2:
 				op = "add-shard"
@@ -82,6 +88,7 @@ func TestRouterRoutesLikeRing(t *testing.T) {
 				if _, err := router.AddShard(); err != nil {
 					t.Fatalf("seed %d step %d: AddShard: %v", seed, step, err)
 				}
+				rebalanced = true
 			case r < 4:
 				names := router.Shards()
 				victim := names[rng.Intn(len(names))]
@@ -93,6 +100,7 @@ func TestRouterRoutesLikeRing(t *testing.T) {
 				if err := router.RemoveShard(victim); err != nil {
 					t.Fatalf("seed %d step %d: RemoveShard(%s): %v", seed, step, victim, err)
 				}
+				rebalanced = true
 			case r < 5:
 				op = "set-root"
 				model = make(map[string]policy.Evaluable)
@@ -138,10 +146,48 @@ func TestRouterRoutesLikeRing(t *testing.T) {
 				}
 			}
 			root := updModelRoot(model)
-			checkRoutesLikeRing(t, router, root, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
-			checkBatchLikeEngine(ctx, t, router, root, actions, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
+			where := fmt.Sprintf("seed %d step %d (%s)", seed, step, op)
+			checkRoutesLikeRing(t, router, root, where)
+			checkBatchLikeEngine(ctx, t, router, root, actions, where)
+			if rebalanced {
+				for name, ids := range ringSubsets(router.Shards(), root) {
+					for id := range ids {
+						if !before[name][id] {
+							moved++
+						}
+					}
+				}
+			}
+			if got := router.Stats().ChildrenMoved; got != moved {
+				t.Fatalf("%s: ChildrenMoved = %d, model %d", where, got, moved)
+			}
 		}
 	}
+}
+
+// ringSubsets maps each shard name to the IDs of the root children a ring
+// rebuilt from names assigns it: the owners of a child's resource keys, or
+// every shard for a catch-all.
+func ringSubsets(names []string, root *policy.PolicySet) map[string]map[string]bool {
+	fresh := make([]*shard, len(names))
+	subsets := make(map[string]map[string]bool, len(names))
+	for i, name := range names {
+		fresh[i] = &shard{name: name}
+		subsets[name] = make(map[string]bool)
+	}
+	points := ringPoints(fresh)
+	for _, ch := range root.Children {
+		keys, catchAll := policy.ResourceKeys(ch)
+		for _, name := range names {
+			if catchAll {
+				subsets[name][ch.EntityID()] = true
+			}
+		}
+		for _, key := range keys {
+			subsets[names[ringOwner(points, key)]][ch.EntityID()] = true
+		}
+	}
+	return subsets
 }
 
 // routeKeys lists the resource keys root constrains, then one it does not.

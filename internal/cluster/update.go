@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/pdp"
 	"repro/internal/policy"
@@ -47,9 +46,9 @@ func (r *Router) ApplyUpdate(u pdp.Update) error {
 	}
 
 	// Patch the unpartitioned root copy-on-write through the same
-	// policy.PatchChild rule the engines apply, so router bookkeeping and
-	// engine subsets cannot diverge.
-	newRoot, pos, delta, oldChild := set.PatchChild(u.ID, u.Child)
+	// policy.PatchChild rule the engines apply, so the router's root and
+	// the engine subsets cannot diverge.
+	newRoot, _, delta, oldChild := set.PatchChild(u.ID, u.Child)
 	if newRoot == nil {
 		return nil // removing an absent child is a no-op
 	}
@@ -104,12 +103,6 @@ func (r *Router) ApplyUpdate(u pdp.Update) error {
 		}
 	}
 
-	// Bookkeeping: an insert or delete shifts every shard's recorded
-	// child positions, owners also gain or lose pos; no engine other than
-	// the touched shards' is reinstalled.
-	for o, s := range r.shards {
-		s.children = remapPositions(s.children, pos, delta, newOwners[o])
-	}
 	r.stats.updates.Add(1)
 	r.stats.updateShardsTouched.Add(int64(touched))
 	return nil
@@ -131,30 +124,6 @@ func (r *Router) ownersLocked(ch policy.Evaluable) []bool {
 		owners[ringOwner(r.points, k)] = true
 	}
 	return owners
-}
-
-// remapPositions rewrites one shard's ascending child positions after the
-// root child at pos was replaced (delta 0), inserted (delta +1) or removed
-// (delta -1), matching policy.PolicySet.PatchChild: positions at or above
-// pos shift by delta, pos itself is dropped on replace or delete, and pos
-// is re-added when the shard owns the new child. The result is freshly
-// allocated, never sharing the input's backing array.
-func remapPositions(positions []int, pos, delta int, owns bool) []int {
-	next := make([]int, 0, len(positions)+1)
-	for _, p := range positions {
-		switch {
-		case delta <= 0 && p == pos:
-			// replaced or removed: dropped, re-added below if owned
-		case p >= pos:
-			next = append(next, p+delta)
-		default:
-			next = append(next, p)
-		}
-	}
-	if i, found := slices.BinarySearch(next, pos); owns && !found {
-		next = slices.Insert(next, i, pos)
-	}
-	return next
 }
 
 // EngineStats sums replica engine counters across every shard group

@@ -2,20 +2,24 @@
 // paper's dependable multi-domain access control architecture from the
 // substrate packages and exposes the operations a deployment performs —
 // admitting domains into a Virtual Organisation, admitting policies
-// through a validation pipeline (structural validation, static conflict
-// analysis, delegation reduction), replicating decision points for
+// through a validation pipeline (structural validation, delegation
+// reduction, static conflict analysis), replicating decision points for
 // dependability, and issuing authorisation requests through the pull and
 // push flows.
+//
+// Every domain's administration point is gated by analysis.GateStore in
+// strict mode, the same pre-commit lint gate pdpd runs: the conflict veto
+// is serialised with every write to the domain's store, so concurrent
+// admissions cannot both land a conflicting pair, and a direct write to
+// the domain's PAP faces it too.
 //
 // The facade is what the examples and the experiment harness program
 // against; each constituent subsystem remains usable on its own.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -28,10 +32,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/wire"
 )
-
-// ErrConflict reports a policy admission refused because static analysis
-// found an actual modality conflict with the installed policy base.
-var ErrConflict = errors.New("core: policy conflicts with installed policies")
 
 // detRand is a deterministic entropy source so whole systems are
 // reproducible from one seed.
@@ -84,11 +84,6 @@ type System struct {
 
 	cfg     Config
 	entropy *detRand
-
-	// analyzers holds one incremental static analyser per domain, fed by
-	// the domain PAP's delta stream; see domainAnalyzer.
-	mu        sync.Mutex
-	analyzers map[string]*analysis.Engine
 }
 
 // NewSystem assembles a Virtual Organisation with no member domains.
@@ -101,20 +96,26 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &System{
-		Name:      cfg.Name,
-		Net:       net,
-		VO:        vo,
-		Epoch:     cfg.Epoch,
-		cfg:       cfg,
-		entropy:   entropy,
-		analyzers: make(map[string]*analysis.Engine),
+		Name:    cfg.Name,
+		Net:     net,
+		VO:      vo,
+		Epoch:   cfg.Epoch,
+		cfg:     cfg,
+		entropy: entropy,
 	}, nil
 }
 
-// AddDomain admits a new autonomous domain to the organisation.
+// AddDomain admits a new autonomous domain to the organisation. Its
+// administration point is gated in strict mode under the domain root's
+// combining algorithm: a write introducing an actual conflict between two
+// different policies is refused with analysis.ErrRejected.
 func (s *System) AddDomain(name string) (*federation.Domain, error) {
 	d, err := federation.NewDomain(name, s.entropy, s.cfg.Epoch, s.cfg.Epoch.Add(s.cfg.Lifetime))
 	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	cfg := analysis.Config{RootCombining: d.Root().Combining}
+	if _, _, err := analysis.GateStore(d.PAP, cfg, analysis.ModeStrict); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.VO.AddDomain(d)
@@ -127,10 +128,14 @@ func (s *System) AddDomain(name string) (*federation.Domain, error) {
 //  1. structural validation,
 //  2. delegation reduction when the policy names a non-local issuer
 //     (Section 3.2, Access Control Delegation), and
-//  3. static conflict analysis against the installed base; actual
-//     modality conflicts are refused (Section 3.1, Policy Conflict
-//     Resolution) — potential (conditional) conflicts are admitted, since
-//     runtime combining algorithms arbitrate them.
+//  3. static conflict analysis against the installed base, by the
+//     domain's pre-commit lint gate (see AddDomain): actual modality
+//     conflicts with another policy are refused with analysis.ErrRejected
+//     (Section 3.1, Policy Conflict Resolution) — potential (conditional)
+//     conflicts are admitted, since runtime combining algorithms arbitrate
+//     them, and so is a clash inside one policy, its author's combining
+//     choice. A replacement is not compared with its own previous
+//     revision.
 func (s *System) AdmitPolicy(d *federation.Domain, p *policy.Policy, at time.Time) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("core: admit %s: %w", p.ID, err)
@@ -140,51 +145,10 @@ func (s *System) AdmitPolicy(d *federation.Domain, p *policy.Policy, at time.Tim
 			return fmt.Errorf("core: admit %s: %w", p.ID, err)
 		}
 	}
-	eng, err := s.domainAnalyzer(d)
-	if err != nil {
-		return fmt.Errorf("core: admit %s: %w", p.ID, err)
-	}
-	// Preview analyses the candidate against only the claims that can
-	// overlap it — incremental cost per admission instead of re-running
-	// the full pairwise analysis over the installed base. Its findings
-	// all involve p, and a replacement is not compared with its own
-	// previous revision, so the refusal rule below matches the original
-	// from-scratch check. An intra-policy clash (same owner on both
-	// sides) is resolved by the policy's own combining algorithm; it is
-	// the author's explicit choice and admitted.
-	for _, f := range eng.Preview(p.ID, p).Findings {
-		if f.Kind == analysis.KindConflict && f.Actual && f.Subject.Owner != f.Other.Owner {
-			return fmt.Errorf("core: admit %s: %s: %w", p.ID, f.Detail, ErrConflict)
-		}
-	}
 	if _, err := d.PAP.Put(p); err != nil {
 		return fmt.Errorf("core: admit %s: %w", p.ID, err)
 	}
 	return nil
-}
-
-// domainAnalyzer returns the domain's incremental static analyser,
-// creating it on first use: the engine is seeded from the domain's
-// administration point and registered as a watcher atomically
-// (WatchInstall), so every later Put or Delete folds into the claim index
-// as a delta. N admissions therefore cost N incremental analyses instead
-// of N full pairwise scans of an ever-growing base.
-func (s *System) domainAnalyzer(d *federation.Domain) (*analysis.Engine, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if eng, ok := s.analyzers[d.Name]; ok {
-		return eng, nil
-	}
-	eng := analysis.NewEngine(analysis.Config{RootCombining: policy.DenyOverrides})
-	install := func(store *pap.Store) error {
-		eng.Install(store.Live()...)
-		return nil
-	}
-	if err := d.PAP.WatchInstall(install, func(u pap.Update) { eng.Apply(u.ID, u.Policy) }); err != nil {
-		return nil, err
-	}
-	s.analyzers[d.Name] = eng
-	return eng, nil
 }
 
 // AdmitDialectSource translates a local-dialect policy document (Section

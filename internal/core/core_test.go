@@ -3,11 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/delegation"
 	"repro/internal/ha"
+	"repro/internal/pap"
 	"repro/internal/pip"
 	"repro/internal/policy"
 )
@@ -105,8 +110,8 @@ func TestAdmitPolicyRejectsActualConflict(t *testing.T) {
 			When(policy.MatchResourceID("db"), policy.MatchActionID("read")).
 			Build()).
 		Build()
-	if err := s.AdmitPolicy(d, deny, s.At(0)); !errors.Is(err, ErrConflict) {
-		t.Errorf("want ErrConflict, got %v", err)
+	if err := s.AdmitPolicy(d, deny, s.At(0)); !errors.Is(err, analysis.ErrRejected) {
+		t.Errorf("want analysis.ErrRejected, got %v", err)
 	}
 	// A conditional clash is only potential: admitted.
 	conditional := policy.NewPolicy("deny-read-night").
@@ -122,6 +127,62 @@ func TestAdmitPolicyRejectsActualConflict(t *testing.T) {
 	// Replacing an existing policy does not conflict with its old self.
 	if err := s.AdmitPolicy(d, permit, s.At(0)); err != nil {
 		t.Errorf("replacement: %v", err)
+	}
+}
+
+// TestAdmitConcurrentConflictingPolicies admits a permit and a deny that
+// actually conflict at the same time. A test pre-commit hook holds the
+// first write while the second admission runs its checks and reaches the
+// store; the conflict veto is serialised with the writers, so once the
+// first write commits the second is judged against it and refused.
+// Exactly one of the two must be live.
+func TestAdmitConcurrentConflictingPolicies(t *testing.T) {
+	s := newSystem(t)
+	rule := func(id string, effect policy.Effect) *policy.Policy {
+		r := policy.Permit("p")
+		if effect == policy.EffectDeny {
+			r = policy.Deny("d")
+		}
+		return policy.NewPolicy(id).
+			Combining(policy.FirstApplicable).
+			Rule(r.When(policy.MatchResourceID("db"), policy.MatchActionID("read")).Build()).
+			Build()
+	}
+	for i := 0; i < 50; i++ {
+		d, err := s.AddDomain(fmt.Sprintf("dom-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held atomic.Bool
+		entered, release := make(chan struct{}), make(chan struct{})
+		d.PAP.PreCommit(func(pap.Update) error {
+			if held.CompareAndSwap(false, true) {
+				close(entered)
+				<-release
+			}
+			return nil
+		})
+		pols := []*policy.Policy{rule("allow-read", policy.EffectPermit), rule("deny-read", policy.EffectDeny)}
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		admit := func(k int) {
+			defer wg.Done()
+			errs[k] = s.AdmitPolicy(d, pols[k], s.At(0))
+		}
+		wg.Add(2)
+		go admit(0)
+		<-entered
+		go admit(1)
+		time.Sleep(5 * time.Millisecond) // let the second admission reach the store
+		close(release)
+		wg.Wait()
+
+		if live := d.PAP.Live(); len(live) != 1 {
+			t.Fatalf("round %d: %d policies live, want 1 (errors %v, %v)", i, len(live), errs[0], errs[1])
+		}
+		if errs[0] != nil || !errors.Is(errs[1], analysis.ErrRejected) {
+			t.Fatalf("round %d: first admission %v, second %v; want nil and analysis.ErrRejected", i, errs[0], errs[1])
+		}
 	}
 }
 

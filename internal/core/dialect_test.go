@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/pip"
 	"repro/internal/policy"
 )
@@ -82,7 +83,7 @@ policy block-reads-hard first-applicable {
   deny no-reads
 }`
 	err = s.AdmitDialectSource(d, src, s.At(0))
-	if !errors.Is(err, ErrConflict) {
+	if !errors.Is(err, analysis.ErrRejected) {
 		t.Fatalf("actual conflict admitted: %v", err)
 	}
 }

@@ -129,7 +129,8 @@ type Stats struct {
 	Unavailable int64
 	// Disagreements counts quorum votes whose replicas split.
 	Disagreements int64
-	// ReplicaQueries counts individual replica decisions issued.
+	// ReplicaQueries counts individual replica decisions issued: the sum
+	// of the replicas' Queries.
 	ReplicaQueries int64
 }
 
@@ -138,16 +139,15 @@ type Stats struct {
 // cluster hot path adds no per-decision critical section of its own
 // (mirrors the PDP engine's atomic stat stripes).
 type counters struct {
-	requests, failovers, unavailable, disagreements, replicaQueries atomic.Int64
+	requests, failovers, unavailable, disagreements atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Requests:       c.requests.Load(),
-		Failovers:      c.failovers.Load(),
-		Unavailable:    c.unavailable.Load(),
-		Disagreements:  c.disagreements.Load(),
-		ReplicaQueries: c.replicaQueries.Load(),
+		Requests:      c.requests.Load(),
+		Failovers:     c.failovers.Load(),
+		Unavailable:   c.unavailable.Load(),
+		Disagreements: c.disagreements.Load(),
 	}
 }
 
@@ -183,7 +183,11 @@ func (e *Ensemble) Name() string { return e.name }
 
 // Stats returns a snapshot of ensemble counters.
 func (e *Ensemble) Stats() Stats {
-	return e.stats.snapshot()
+	st := e.stats.snapshot()
+	for _, r := range e.replicas {
+		st.ReplicaQueries += r.Queries()
+	}
+	return st
 }
 
 // Probe health-checks every replica and moves dead ones to the back of the

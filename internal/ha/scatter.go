@@ -115,7 +115,6 @@ func (e *Ensemble) failoverScatter(ctx context.Context, reqs []*policy.Request, 
 		}
 		r := e.replicas[idx]
 		r.DecideScatterAt(ctx, reqs, positions, at, resolver, out)
-		e.stats.replicaQueries.Add(int64(n))
 		if !unavailable(out[probe(positions)]) {
 			if skipped > 0 {
 				e.stats.failovers.Add(int64(n))
@@ -208,7 +207,6 @@ func (e *Ensemble) quorumScatter(ctx context.Context, reqs []*policy.Request, po
 				e.name, answered, len(e.replicas), need, ErrNoQuorum),
 		}
 	}
-	e.stats.replicaQueries.Add(int64(n) * int64(len(e.replicas)))
 	e.stats.disagreements.Add(disagreements)
 	e.stats.unavailable.Add(unavail)
 	// A split or failed vote is always worth a trace: annotate and retain.
