@@ -105,15 +105,13 @@ func BenchmarkPDPDecide(b *testing.B) {
 }
 
 // clusterFixture builds a sharded cluster over an internal/workload
-// population, the fleet-scale counterpart of scalabilityFixture. extra
-// engine options select the configuration under test.
-func clusterFixture(b *testing.B, shards int, extra ...pdp.Option) (*cluster.Router, []*policy.Request) {
+// population, the fleet-scale counterpart of scalabilityFixture.
+func clusterFixture(b *testing.B, shards int) (*cluster.Router, []*policy.Request) {
 	b.Helper()
 	gen := workload.NewGenerator(workload.Config{Users: 100, Resources: 2000, Roles: 10, Seed: 1})
-	opts := append([]pdp.Option{pdp.WithResolver(gen.Directory("idp"))}, extra...)
 	router, err := cluster.New("bench", cluster.Config{
 		Shards:        shards,
-		EngineOptions: opts,
+		EngineOptions: []pdp.Option{pdp.WithResolver(gen.Directory("idp"))},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -124,32 +122,38 @@ func clusterFixture(b *testing.B, shards int, extra ...pdp.Option) (*cluster.Rou
 	return router, gen.Requests(1024)
 }
 
-// fullConfig is the production engine configuration cmd/pdpd serves with
-// -cache: compiled evaluation plus a TTL decision cache.
-func fullConfig() []pdp.Option {
-	return []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}
+// fullConfig is the production configuration cmd/pdpd serves with -cache:
+// one TTL decision cache at the front, over the router's uncached,
+// compiled engines (8192 decisions per shard group, as pdpd sizes it).
+func fullConfig(router *cluster.Router) *resilience.FrontCache {
+	return resilience.NewFrontCache(router, time.Hour, &resilience.Policy{}, 8192*len(router.Shards()))
 }
 
 // BenchmarkClusterDecide routes one decision at a time through clusters of
-// growing shard counts. config=scan runs uncached engines, so every op is
+// growing shard counts. config=scan decides on the router, so every op is
 // a compiled miss against the shard's slice of the policy base. config=full
-// runs the production engine configuration (compiled program + decision
-// cache), the baseline BenchmarkClusterDecideBatch compares against.
+// decides through the production configuration (a front decision cache
+// over the router), the baseline BenchmarkClusterDecideBatch compares
+// against.
 func BenchmarkClusterDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for _, cfg := range []struct {
-		name string
-		opts []pdp.Option
-	}{{"scan", nil}, {"full", fullConfig()}} {
+		name  string
+		front bool
+	}{{"scan", false}, {"full", true}} {
 		for _, shards := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("config=%s/shards=%d", cfg.name, shards), func(b *testing.B) {
-				router, reqs := clusterFixture(b, shards, cfg.opts...)
+				router, reqs := clusterFixture(b, shards)
+				var d policy.Decider = router
+				if cfg.front {
+					d = fullConfig(router)
+				}
 				for _, req := range reqs {
-					policy.Decide(context.Background(), router, req, at) // warm the decision caches
+					policy.Decide(context.Background(), d, req, at) // warm the decision cache
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					policy.Decide(context.Background(), router, reqs[i%len(reqs)], at)
+					policy.Decide(context.Background(), d, reqs[i%len(reqs)], at)
 				}
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 			})
@@ -158,21 +162,22 @@ func BenchmarkClusterDecide(b *testing.B) {
 }
 
 // BenchmarkClusterDecideBatch evaluates the same workload in 256-request
-// batches on the production configuration: requests group by owning shard
-// and each group runs in one engine pass, sweeping the decision cache
-// under one critical section instead of two per request. Per-decision
-// time should beat the config=full rows of BenchmarkClusterDecide.
+// batches on the production configuration: the front cache sweeps the
+// batch once, and what it does not hold groups by owning shard, each group
+// running in one engine pass. Per-decision time should beat the
+// config=full rows of BenchmarkClusterDecide.
 func BenchmarkClusterDecideBatch(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	const batch = 256
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("config=full/shards=%d", shards), func(b *testing.B) {
-			router, reqs := clusterFixture(b, shards, fullConfig()...)
-			policy.DecideBatch(context.Background(), router, reqs, at) // warm the decision caches
+			router, reqs := clusterFixture(b, shards)
+			front := fullConfig(router)
+			policy.DecideBatch(context.Background(), front, reqs, at) // warm the decision cache
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				off := (i * batch) % (len(reqs) - batch + 1)
-				policy.DecideBatch(context.Background(), router, reqs[off:off+batch], at)
+				policy.DecideBatch(context.Background(), front, reqs[off:off+batch], at)
 			}
 			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "decisions/s")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/decision")
@@ -183,11 +188,13 @@ func BenchmarkClusterDecideBatch(b *testing.B) {
 // BenchmarkPolicyChurn measures the hot path under sustained policy
 // writes on the production 4-shard cluster: one policy is rewritten every
 // 64 decisions. The full-rebuild pipeline reinstalls the whole root per
-// write, revalidating O(policies) and flushing every shard's decision
-// cache; the incremental pipeline (Router.ApplyUpdate) routes a delta to
-// the owning shard group and invalidates only the rewritten resource's
-// cached decisions, so the other shards keep serving hits. Compare the
-// decisions/s and cache-hit% metrics across the two sub-benchmarks.
+// write, revalidating O(policies), and retires every decision the front
+// cache holds (the change is the whole root, a catch-all); the
+// incremental pipeline (Router.ApplyUpdate) routes a delta to the owning
+// shard group and then, as pdpd's store watcher does, retires only the
+// decisions the policy's previous and new versions constrain, so the
+// rest keep serving hits. Compare the decisions/s and cache-hit% metrics
+// across the two sub-benchmarks.
 func BenchmarkPolicyChurn(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	const (
@@ -200,12 +207,17 @@ func BenchmarkPolicyChurn(b *testing.B) {
 	}
 	for _, mode := range []string{"full-rebuild", "incremental"} {
 		b.Run(mode, func(b *testing.B) {
-			router, reqs := clusterFixture(b, 4, fullConfig()...)
+			router, reqs := clusterFixture(b, 4)
+			front := fullConfig(router)
 			base := router.Root().(*policy.PolicySet)
-			for _, req := range reqs {
-				policy.Decide(context.Background(), router, req, at) // warm the decision caches
+			live := make(map[string]policy.Evaluable, len(base.Children))
+			for _, ch := range base.Children {
+				live[ch.EntityID()] = ch
 			}
-			before := router.EngineStats()
+			for _, req := range reqs {
+				policy.Decide(context.Background(), front, req, at) // warm the decision cache
+			}
+			before, beforeHits := router.EngineStats(), front.Stats().Hits
 			writes := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -213,27 +225,28 @@ func BenchmarkPolicyChurn(b *testing.B) {
 					idx := (writes * 61) % resources
 					child := churnChild(writes)
 					writes++
-					var err error
 					if mode == "incremental" {
-						err = router.ApplyUpdate(pdp.Update{ID: child.ID, Child: child})
+						if err := router.ApplyUpdate(pdp.Update{ID: child.ID, Child: child}); err != nil {
+							b.Fatal(err)
+						}
+						front.InvalidateChange(live[child.ID], child)
+						live[child.ID] = child
 					} else {
 						children := make([]policy.Evaluable, len(base.Children))
 						copy(children, base.Children)
 						children[idx] = child
-						err = router.SetRoot(&policy.PolicySet{
-							ID: base.ID, Combining: base.Combining, Children: children,
-						})
-					}
-					if err != nil {
-						b.Fatal(err)
+						root := &policy.PolicySet{ID: base.ID, Combining: base.Combining, Children: children}
+						if err := router.SetRoot(root); err != nil {
+							b.Fatal(err)
+						}
+						front.InvalidateChange(nil, root)
 					}
 				}
-				policy.Decide(context.Background(), router, reqs[i%len(reqs)], at)
+				policy.Decide(context.Background(), front, reqs[i%len(reqs)], at)
 			}
 			b.StopTimer()
-			after := router.EngineStats()
-			hits := after.CacheHits - before.CacheHits
-			misses := after.Evaluations - before.Evaluations
+			hits := front.Stats().Hits - beforeHits
+			misses := router.EngineStats().Evaluations - before.Evaluations
 			if hits+misses > 0 {
 				b.ReportMetric(100*float64(hits)/float64(hits+misses), "cache-hit%")
 			}
@@ -534,37 +547,38 @@ var parallelSeed atomic.Int64
 
 // BenchmarkParallelDecide measures the lock-free decision hot path under
 // b.RunParallel (run with -cpu 1,4,16). hit is the production
-// configuration (warmed decision cache): one snapshot load, one
-// cache-shard lock, zero allocations per op, so throughput should scale
-// with procs instead of serializing on an engine-wide mutex. miss ablates
-// the cache, so every op runs the compiled decision program — the uncached
-// evaluation path, also free of engine-wide locks.
+// configuration (a warmed front decision cache over the engine): one
+// cache-stripe lock per op, so throughput should scale with procs instead
+// of serializing on a cache-wide mutex. miss decides on the engine, so
+// every op runs the compiled decision program — the evaluation path, also
+// free of engine-wide locks.
 func BenchmarkParallelDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	fixture := func(b *testing.B, mode string) (*pdp.Engine, []*policy.Request) {
+	fixture := func(b *testing.B, mode string) (func(*policy.Request), []*policy.Request) {
 		b.Helper()
 		gen := workload.NewGenerator(workload.Config{Users: 100, Resources: 1000, Roles: 10, Seed: 7})
-		opts := []pdp.Option{pdp.WithResolver(gen.Directory("idp"))}
-		if mode == "hit" {
-			opts = append(opts, pdp.WithDecisionCache(time.Hour, 1<<16))
-		}
-		engine := pdp.New("parallel", opts...)
+		engine := pdp.New("parallel", pdp.WithResolver(gen.Directory("idp")))
 		if err := engine.SetRoot(gen.PolicyBase("base")); err != nil {
 			b.Fatal(err)
 		}
-		return engine, gen.Requests(1024)
+		decide := func(req *policy.Request) { decideOne(context.Background(), engine, req, at) }
+		if mode == "hit" {
+			front := resilience.NewFrontCache(engine, time.Hour, &resilience.Policy{}, 1<<16)
+			decide = func(req *policy.Request) { policy.Decide(context.Background(), front, req, at) }
+		}
+		return decide, gen.Requests(1024)
 	}
 	for _, mode := range []string{"hit", "miss"} {
 		b.Run(mode, func(b *testing.B) {
-			engine, reqs := fixture(b, mode)
+			decide, reqs := fixture(b, mode)
 			for _, req := range reqs {
-				decideOne(context.Background(), engine, req, at) // warm cache and key memos
+				decide(req) // warm the cache and key memos
 			}
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := int(parallelSeed.Add(7919))
 				for pb.Next() {
-					decideOne(context.Background(), engine, reqs[i%len(reqs)], at)
+					decide(reqs[i%len(reqs)])
 					i++
 				}
 			})
@@ -634,21 +648,23 @@ func BenchmarkParallelMissScale(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelClusterDecide routes the parallel workload through a
-// 4-shard production-configuration cluster router (run with -cpu 1,4,16):
-// the router's read lock is shared and every engine below it is lock-free,
-// so the fleet path should scale alongside the single engine.
+// BenchmarkParallelClusterDecide routes the parallel workload through the
+// production configuration, a front decision cache over a 4-shard cluster
+// router (run with -cpu 1,4,16): the cache is striped, the router's read
+// lock is shared and every engine below it is lock-free, so the fleet path
+// should scale alongside the single engine.
 func BenchmarkParallelClusterDecide(b *testing.B) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	router, reqs := clusterFixture(b, 4, fullConfig()...)
+	router, reqs := clusterFixture(b, 4)
+	front := fullConfig(router)
 	for _, req := range reqs {
-		policy.Decide(context.Background(), router, req, at) // warm the decision caches
+		policy.Decide(context.Background(), front, req, at) // warm the decision cache
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(parallelSeed.Add(7919))
 		for pb.Next() {
-			policy.Decide(context.Background(), router, reqs[i%len(reqs)], at)
+			policy.Decide(context.Background(), front, reqs[i%len(reqs)], at)
 			i++
 		}
 	})

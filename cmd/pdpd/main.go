@@ -233,9 +233,15 @@ func main() {
 	}
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		// The engines cache nothing; CacheHits and CacheEntries count the
+		// front cache beside their counters.
+		type engineStats struct {
+			pdp.Stats
+			CacheHits, CacheEntries int64
+		}
 		type pointStats struct {
 			Cluster cluster.Stats
-			Engines pdp.Stats
+			Engines engineStats
 			Shards  []string
 			Loads   []int64
 			Groups  map[string]ha.Stats
@@ -247,9 +253,8 @@ func main() {
 			Persistence   *store.Stats                `json:"persistence,omitempty"`
 			Admission     *resilience.AdmissionStats  `json:"admission,omitempty"`
 			Front         *resilience.FrontCacheStats `json:"front,omitempty"`
-		}{Point: pointStats{router.Stats(), router.EngineStats(), router.Shards(), router.ShardLoads(), router.GroupStats()}, Policies: len(adm.store.List()), RefreshErrors: adm.refreshErrs.Load()}
+		}{Point: pointStats{router.Stats(), engineStats{Stats: router.EngineStats()}, router.Shards(), router.ShardLoads(), router.GroupStats()}, Policies: len(adm.store.List()), RefreshErrors: adm.refreshErrs.Load()}
 		if front != nil {
-			// The engines cache nothing; the front cache counts for them.
 			st := front.Stats()
 			out.Front = &st
 			out.Point.Engines.CacheHits, out.Point.Engines.CacheEntries = st.Hits, int64(st.Entries)
@@ -579,7 +584,8 @@ func (a *admin) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		// Preview the findings this write introduces for the response
 		// body; enforcement happens in the pre-commit hook under the
 		// store's write serialisation, so a race cannot sneak a
-		// conflicting write past the gate.
+		// conflicting write past the gate, and a rejection answers with
+		// the findings the gate judged it on.
 		var findings []analysis.Finding
 		if a.engine != nil {
 			findings = a.engine.Preview(id, e).Findings
@@ -587,11 +593,12 @@ func (a *admin) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		version, err := a.store.Put(e)
 		if err != nil {
 			span.Keep()
-			if errors.Is(err, analysis.ErrRejected) {
+			var rej *analysis.RejectedError
+			if errors.As(err, &rej) {
 				a.audit("put", id, policy.DecisionDeny, traceID, start)
 				respond(http.StatusConflict, writeResult{
 					ID: id, Error: err.Error(),
-					Lint: a.lintMode.String(), Findings: findings, TraceID: traceID,
+					Lint: a.lintMode.String(), Findings: rej.Report.Findings, TraceID: traceID,
 				})
 				return
 			}

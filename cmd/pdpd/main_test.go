@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/audit"
 	"repro/internal/cluster"
+	"repro/internal/pap"
 	"repro/internal/policy"
 	"repro/internal/resilience"
 	"repro/internal/trace"
@@ -206,6 +209,87 @@ func TestAdminPolicyLintGate(t *testing.T) {
 		}
 		findConflict(t, rep.Findings)
 	})
+}
+
+// TestAdminConcurrentConflictRejectionFindings: two strict-mode writes
+// that actually conflict reach the admin plane at once. A test pre-commit
+// hook holds the first write, a permit, while the second, a deny, runs the
+// handler's own preview against the still empty base and reaches the
+// store. Once the first write commits, the gate refuses the deny with 409,
+// and the response's findings must be the ones the gate judged it on: the
+// conflict with the permit, not the preview's empty list.
+func TestAdminConcurrentConflictRejectionFindings(t *testing.T) {
+	rule := func(id string, effect policy.Effect) []byte {
+		r := policy.Permit("p")
+		if effect == policy.EffectDeny {
+			r = policy.Deny("d")
+		}
+		body, err := xacml.MarshalJSON(policy.NewPolicy(id).
+			Combining(policy.FirstApplicable).
+			Rule(r.When(policy.MatchResourceID("db"), policy.MatchActionID("read")).Build()).
+			Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	bodies := [][]byte{rule("allow-read", policy.EffectPermit), rule("deny-read", policy.EffectDeny)}
+	empty := policy.NewPolicySet("base").Combining(policy.DenyOverrides).Build()
+	for round := 0; round < 50; round++ {
+		point, err := buildDecisionPoint(1, 1, "failover", nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adm := testAdmin(t, point, empty, analysis.ModeStrict)
+		var held atomic.Bool
+		entered, release := make(chan struct{}), make(chan struct{})
+		adm.store.PreCommit(func(pap.Update) error {
+			if held.CompareAndSwap(false, true) {
+				close(entered)
+				<-release
+			}
+			return nil
+		})
+		recs := []*httptest.ResponseRecorder{httptest.NewRecorder(), httptest.NewRecorder()}
+		var wg sync.WaitGroup
+		post := func(k int) {
+			defer wg.Done()
+			adm.handlePolicy(recs[k], httptest.NewRequest(http.MethodPost, "/admin/policy", bytes.NewReader(bodies[k])))
+		}
+		wg.Add(2)
+		go post(0)
+		<-entered
+		go post(1)
+		// Let the deny pass the handler's preview before the permit
+		// commits. The outcome does not depend on it (the store serialises
+		// the two writes, so the deny is always the one refused); without
+		// it the preview could see the permit and hide a findings-less 409.
+		time.Sleep(5 * time.Millisecond)
+		close(release)
+		wg.Wait()
+
+		if recs[0].Code != http.StatusOK || recs[1].Code != http.StatusConflict {
+			t.Fatalf("round %d: permit %d, deny %d; want 200 and 409 (%s)", round, recs[0].Code, recs[1].Code, recs[1].Body)
+		}
+		var res struct {
+			Error    string `json:"error"`
+			Findings []struct {
+				Kind     string `json:"kind"`
+				Severity string `json:"severity"`
+				Actual   bool   `json:"actual"`
+			} `json:"findings"`
+		}
+		if err := json.Unmarshal(recs[1].Body.Bytes(), &res); err != nil {
+			t.Fatalf("round %d: response body: %v", round, err)
+		}
+		conflict := false
+		for _, f := range res.Findings {
+			conflict = conflict || (f.Kind == "conflict" && f.Actual && f.Severity == "error")
+		}
+		if res.Error == "" || !conflict {
+			t.Fatalf("round %d: 409 body %s, want the gate's error and its actual-conflict finding", round, recs[1].Body)
+		}
+	}
 }
 
 // TestAdminLiveUpdates drives the daemon's live-administration pipeline on

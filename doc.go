@@ -10,17 +10,19 @@
 //
 // Decision-making is layered to meet the paper's Section 3 scalability
 // challenge at three scales: internal/pdp is the single evaluation engine
-// (compiled decision program, decision cache, batch/scatter paths);
+// (compiled decision program, batch/scatter paths; it caches nothing);
 // internal/ha replicates an engine for dependability (failover and quorum
 // ensembles); internal/cluster shards the policy base across many
 // replicated engines behind one consistent-hash router, turning the
 // decision point into a horizontally scalable fleet without changing the
 // enforcement-point contract. Within one engine the decision hot path is lock-free: the
 // root/program/epoch triple is an immutable RCU snapshot behind an atomic
-// pointer, the decision cache is striped into per-mutex shards keyed by
-// the request's memoised key hash (a hit is one shard lock and zero
-// allocations), and stats are padded atomic stripes aggregated on read —
+// pointer and stats are padded atomic stripes aggregated on read —
 // ensembles and the router add no per-decision critical section on top.
+// Decisions are cached once, at the front (resilience.FrontCache over the
+// router): the cache is striped into per-mutex shards keyed by the
+// request's memoised key hash, so a hit is one shard lock and zero
+// allocations.
 // The BenchmarkParallel* suite measures the resulting multi-core scaling.
 //
 // Policy administration is live (the paper's Section 3.2 manageability
@@ -28,11 +30,11 @@
 // update carrying the changed policy as a self-contained delta, and
 // pap.Follow feeds each one to the decision point's delta pipeline
 // (pdp.Engine.ApplyUpdate, cluster.Router.ApplyUpdate), which patches the
-// one affected root child in place. Invalidation is targeted —
-// only cached decisions for the resource keys the changed child constrains
-// are dropped (catch-all children fall back to a full flush), and a
-// cluster routes each delta to just the owning shard group, so the other
-// N-1 shards' caches stay warm through policy churn. Any delta sequence
+// one affected root child in place, and a cluster routes each delta to
+// just the owning shard group. Invalidation is targeted — the front cache
+// drops only cached decisions for the resource keys the changed policy
+// constrains (catch-all policies fall back to a full flush), so the rest
+// stay warm through policy churn. Any delta sequence
 // yields decisions identical to a from-scratch rebuild;
 // BenchmarkPolicyChurn quantifies the win over the rebuild pipeline.
 //

@@ -33,16 +33,14 @@ func main() {
 	if err := single.SetRoot(base); err != nil {
 		log.Fatal(err)
 	}
-	// The production engine configuration: compiled evaluation plus a TTL
-	// decision cache on every replica (what cmd/pdpd -cache serves).
+	// The production engine configuration, what cmd/pdpd serves: compiled
+	// evaluation on every replica, no decision cache (a deployment caches
+	// once, at its front, over the router).
 	router, err := cluster.New("fleet", cluster.Config{
-		Shards:   4,
-		Replicas: 3,
-		Strategy: ha.Failover,
-		EngineOptions: []pdp.Option{
-			pdp.WithResolver(dir),
-			pdp.WithDecisionCache(time.Hour, 0),
-		},
+		Shards:        4,
+		Replicas:      3,
+		Strategy:      ha.Failover,
+		EngineOptions: []pdp.Option{pdp.WithResolver(dir)},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -67,6 +67,20 @@ func ParseMode(s string) (Mode, error) {
 // ErrRejected marks a write the strict gate refused.
 var ErrRejected = errors.New("analysis: policy rejected by lint gate")
 
+// RejectedError is the strict gate's refusal of one write. It carries the
+// report the gate judged the write on, so a caller answers with the
+// findings of the very base the write was refused against, and it matches
+// ErrRejected.
+type RejectedError struct {
+	Report Report
+}
+
+func (e *RejectedError) Error() string {
+	return fmt.Sprintf("%v: %s", ErrRejected, e.Report.Blocking()[0].Detail)
+}
+
+func (e *RejectedError) Unwrap() error { return ErrRejected }
+
 // GateStats snapshots gate counters.
 type GateStats struct {
 	// Checks counts writes analysed, Rejections those strict mode
@@ -103,9 +117,9 @@ func (g *Gate) Mode() Mode {
 
 // Check previews replacing root child id with ev (nil = delete). It
 // returns the findings the write would introduce and, in strict mode, a
-// wrapped ErrRejected when any of them blocks. The caller decides what to
-// do with a non-blocking report: pdpd returns it in the admin response
-// body.
+// *RejectedError carrying them when any of them blocks. The caller decides
+// what to do with a non-blocking report: pdpd returns it in the admin
+// response body.
 func (g *Gate) Check(id string, ev policy.Evaluable) (Report, error) {
 	if g == nil || g.mode == ModeOff || g.engine == nil {
 		return Report{}, nil
@@ -113,9 +127,9 @@ func (g *Gate) Check(id string, ev policy.Evaluable) (Report, error) {
 	g.checks.Add(1)
 	rep := g.engine.Preview(id, ev)
 	if g.mode == ModeStrict {
-		if blocking := rep.Blocking(); len(blocking) > 0 {
+		if len(rep.Blocking()) > 0 {
 			g.rejections.Add(1)
-			return rep, fmt.Errorf("%w: %s", ErrRejected, blocking[0].Detail)
+			return rep, &RejectedError{Report: rep}
 		}
 	}
 	return rep, nil

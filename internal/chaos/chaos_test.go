@@ -16,6 +16,7 @@ import (
 	"repro/internal/pap"
 	"repro/internal/pdp"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -502,20 +503,19 @@ func TestKill9WALRecoveryKeepsAckedWrites(t *testing.T) {
 	}
 }
 
-// TestClockSkewKeepsDecisionsStable jumps a cluster's clock an hour
-// forward mid-run: decision caches expire wholesale, but re-evaluation
-// must answer identically.
+// TestClockSkewKeepsDecisionsStable jumps the clock of a front decision
+// cache and the cluster below it an hour forward mid-run, then two hours
+// back: the forward step expires the cache wholesale, the backward one
+// leaves entries with a negative age, and neither re-evaluation nor a hit
+// on such an entry may change an answer.
 func TestClockSkewKeepsDecisionsStable(t *testing.T) {
 	wcfg := workload.Config{Users: 50, Resources: 32, Roles: 4, Seed: 7}
 	clk := &chaos.Clock{}
 	router, err := cluster.New("skew-test", cluster.Config{
-		Shards:   2,
-		Replicas: 1,
-		Clock:    clk.Now,
-		EngineOptions: []pdp.Option{
-			pdp.WithDecisionCache(100*time.Millisecond, 1024),
-			pdp.WithClock(clk.Now),
-		},
+		Shards:        2,
+		Replicas:      1,
+		Clock:         clk.Now,
+		EngineOptions: []pdp.Option{pdp.WithClock(clk.Now)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -524,8 +524,9 @@ func TestClockSkewKeepsDecisionsStable(t *testing.T) {
 	if err := router.SetRoot(gen.PolicyBase("root")); err != nil {
 		t.Fatal(err)
 	}
+	front := resilience.NewFrontCache(router, 100*time.Millisecond, &resilience.Policy{Clock: clk.Now}, 1024)
 
-	probe := &chaos.DecisionProbe{Target: router, Requests: []*policy.Request{
+	probe := &chaos.DecisionProbe{Target: front, Requests: []*policy.Request{
 		permitRequest(wcfg, 0), permitRequest(wcfg, 1),
 	}}
 	if err := probe.Snapshot(context.Background()); err != nil {

@@ -6,19 +6,17 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
-	"repro/internal/pdp"
 	"repro/internal/policy"
 )
 
 // TestRouteAllocsFree guards the routed path: on a warm 2-shard router a
 // single-key decision (the owner lookup, the dispatch to the owning
-// shard's group and the engine's cache hit) allocates nothing. Skipped
-// under -race, whose instrumentation perturbs allocation accounting.
+// shard's group and the engine's compiled evaluation) allocates nothing.
+// Skipped under -race, whose instrumentation perturbs allocation
+// accounting.
 func TestRouteAllocsFree(t *testing.T) {
-	router, err := New("allocs", Config{Shards: 2,
-		EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}})
+	router, err := New("allocs", Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +38,8 @@ func TestRouteAllocsFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, route); allocs != 0 {
 		t.Fatalf("routed single-key decision allocates %.1f objects/op, want 0", allocs)
 	}
-	if st := router.EngineStats(); st.CacheHits == 0 {
-		t.Fatal("guard did not exercise the cache-hit path")
+	if st := router.EngineStats(); st.CompiledEvaluations == 0 || st.CompiledEvaluations != st.Evaluations {
+		t.Fatalf("guard did not stay on the compiled path: %d/%d evaluations compiled",
+			st.CompiledEvaluations, st.Evaluations)
 	}
 }

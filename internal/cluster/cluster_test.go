@@ -10,6 +10,7 @@ import (
 	"repro/internal/ha"
 	"repro/internal/pdp"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -142,8 +143,8 @@ func TestTracedDecideRecordsShard(t *testing.T) {
 					attrs[a.Key] = a.Value
 				}
 				owner, ok := shardOf[sp.Parent]
-				if !ok || attrs["pdp.decision"] != want[owner].String() || attrs["pdp.cache"] != "off" || attrs["pdp.engine"] == "" {
-					t.Fatalf("pdp.eval span attrs = %v under shard %q, want pdp.decision=%s pdp.cache=off and the engine", attrs, owner, want[owner])
+				if !ok || attrs["pdp.decision"] != want[owner].String() || attrs["pdp.engine"] == "" {
+					t.Fatalf("pdp.eval span attrs = %v under shard %q, want pdp.decision=%s and the engine", attrs, owner, want[owner])
 				}
 			}
 			st := router.Stats()
@@ -309,31 +310,32 @@ func TestClusterShardFailover(t *testing.T) {
 	}
 }
 
-// TestClusterRebalanceFlushesMovedCaches checks the cache-invalidation
-// contract: after AddShard, shards whose ownership changed drop their
-// cached decisions (a reinstalled base flushes the engine cache), so no
-// stale verdict can outlive a rebalance.
+// TestClusterRebalanceFlushesMovedCaches checks the cache contract across
+// a rebalance: moving policy ownership between shards changes no
+// decision, so the front cache over the router needs no invalidation and
+// keeps serving, and the new owners evaluate what it does not hold
+// exactly as a single engine over the same base.
 func TestClusterRebalanceFlushesMovedCaches(t *testing.T) {
-	_, router, gen := fixture(t, Config{
-		Shards:        4,
-		EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)},
-	}, 500)
+	single, router, gen := fixture(t, Config{Shards: 4}, 500)
+	front := resilience.NewFrontCache(router, time.Hour, &resilience.Policy{}, 8192)
 
 	reqs := gen.Requests(200)
-	for _, req := range reqs {
-		policy.Decide(context.Background(), router, req, testEpoch)
-		policy.Decide(context.Background(), router, req, testEpoch) // warm the per-shard caches
+	for _, req := range reqs[:100] {
+		policy.Decide(context.Background(), front, req, testEpoch) // warm the front cache
 	}
 	if _, err := router.AddShard(); err != nil {
 		t.Fatal(err)
 	}
-	// Decisions for moved resources re-evaluate on the new owner rather
-	// than serving another shard's stale cache; verdicts stay correct.
+	hits := front.Stats().Hits
 	for _, req := range reqs {
-		res := policy.Decide(context.Background(), router, req, testEpoch)
-		if res.Decision == policy.DecisionIndeterminate {
-			t.Fatalf("post-rebalance Indeterminate for %s: %v", req, res.Err)
+		want := policy.Decide(context.Background(), single, req, testEpoch)
+		res := policy.Decide(context.Background(), front, req, testEpoch)
+		if res.Decision != want.Decision || res.By != want.By {
+			t.Fatalf("post-rebalance %s: %v by %s, want %v by %s (%v)", req, res.Decision, res.By, want.Decision, want.By, res.Err)
 		}
+	}
+	if front.Stats().Hits == hits {
+		t.Fatal("the front cache served no hit across the rebalance")
 	}
 }
 

@@ -111,18 +111,15 @@ func TestClusterConcurrentDecideAndRebalance(t *testing.T) {
 }
 
 // TestClusterConcurrentBatchSameShard hammers one shard group with
-// overlapping batches to exercise the engine's batched cache path under
+// overlapping batches to exercise the engine's batch path under
 // contention.
 func TestClusterConcurrentBatchSameShard(t *testing.T) {
 	gen := workload.NewGenerator(workload.Config{
 		Users: 20, Resources: 50, Roles: 5, Seed: 9,
 	})
 	router, err := New("c", Config{
-		Shards: 1,
-		EngineOptions: []pdp.Option{
-			pdp.WithResolver(gen.Directory("idp")),
-			pdp.WithDecisionCache(time.Hour, 128),
-		},
+		Shards:        1,
+		EngineOptions: []pdp.Option{pdp.WithResolver(gen.Directory("idp"))},
 	})
 	if err != nil {
 		t.Fatal(err)

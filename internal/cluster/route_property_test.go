@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/pdp"
 	"repro/internal/policy"
@@ -44,11 +43,7 @@ func TestRouterRoutesLikeRing(t *testing.T) {
 	actions := []string{"read", "write", "purge", "audit"}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var opts []pdp.Option
-		if seed%2 == 0 {
-			opts = append(opts, pdp.WithDecisionCache(time.Hour, 0))
-		}
-		router, err := New("c", Config{Shards: 1 + rng.Intn(6), EngineOptions: opts})
+		router, err := New("c", Config{Shards: 1 + rng.Intn(6)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,22 +35,19 @@ func TestRouterClusterFamiliesGolden(t *testing.T) {
 }
 
 // TestRouterPDPFamiliesGolden pins the repro_pdp_* families a router
-// exposes: exactly these sixteen, each with its kind and help text, and
+// exposes: exactly these thirteen, each with its kind and help text, and
 // the per-engine ones labelled by engine. pdp.RegisterMetrics defines
 // them once; a family renamed, dropped, added or redefined elsewhere
 // fails here.
 func TestRouterPDPFamiliesGolden(t *testing.T) {
 	golden := map[string]string{
-		"repro_pdp_cache_entries":                 "gauge Decisions currently cached, summed across cache shards.",
-		"repro_pdp_cache_hits_total":              "counter Decisions served from the decision cache.",
-		"repro_pdp_cache_invalidations_total":     "counter Cached decisions dropped by live policy updates.",
 		"repro_pdp_compile_ns":                    "histogram Policy-base compilation latency (full and delta compiles), per engine.",
 		"repro_pdp_compiled_children":             "gauge Direct root children lowered by the compiler in the current programs.",
 		"repro_pdp_compiled_evaluations_total":    "counter Evaluations answered by the compiled decision program.",
 		"repro_pdp_compiles_total":                "counter Policy-base compilations (full on SetRoot, delta on ApplyUpdate).",
-		"repro_pdp_decisions_total":               "counter Decisions returned, by outcome (cache hits included).",
-		"repro_pdp_epoch":                         "gauge Policy snapshot epoch (bumps on installs, patches and flushes), per engine.",
-		"repro_pdp_evaluations_total":             "counter Full policy evaluations (decision cache misses).",
+		"repro_pdp_decisions_total":               "counter Decisions the engines returned, by outcome.",
+		"repro_pdp_epoch":                         "gauge Policy snapshot epoch (bumps on installs and patches), per engine.",
+		"repro_pdp_evaluations_total":             "counter Full policy evaluations.",
 		"repro_pdp_fallback_evaluations_total":    "counter Compiled evaluations that ran at least one root child in the interpreter.",
 		"repro_pdp_indexed_candidates_total":      "counter Sum of candidate-set sizes the compiled program considered.",
 		"repro_pdp_interpreted_evaluations_total": "counter Evaluations answered by the interpreter (uncompilable root, no program).",

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ha"
 	"repro/internal/pdp"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 )
 
 // updPolicy builds version v of the policy administering one resource:
@@ -79,17 +80,18 @@ func updRequests(resources int) []*policy.Request {
 // TestRouterApplyUpdateEquivalence is the cluster half of the delta
 // property test: any sequence of Put/Delete deltas routed through
 // Router.ApplyUpdate yields decisions identical to a single fresh engine
-// evaluating the rebuilt full base — shard routing, subset patching and
-// selective invalidation included.
+// evaluating the rebuilt full base — shard routing, subset patching and,
+// through a front cache over the router, selective invalidation included.
 func TestRouterApplyUpdateEquivalence(t *testing.T) {
 	const resources = 9
 	reqs := updRequests(resources)
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		front bool
 	}{
-		{"4-shard-cached", Config{Shards: 4, EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}}},
-		{"3-shard-2-replica", Config{Shards: 3, Replicas: 2, Strategy: ha.Failover}},
+		{"4-shard-cached", Config{Shards: 4}, true},
+		{"3-shard-2-replica", Config{Shards: 3, Replicas: 2, Strategy: ha.Failover}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
@@ -101,6 +103,13 @@ func TestRouterApplyUpdateEquivalence(t *testing.T) {
 				}
 				if err := router.SetRoot(updModelRoot(model)); err != nil {
 					t.Fatal(err)
+				}
+				var d policy.Decider = router
+				apply := router.ApplyUpdate
+				if tc.front {
+					front := resilience.NewFrontCache(router, time.Hour, &resilience.Policy{}, 8192)
+					d = front
+					apply = func(u pdp.Update) error { return applyFront(router, front, u) }
 				}
 				version := 0
 				for op := 0; op < 80; op++ {
@@ -128,7 +137,7 @@ func TestRouterApplyUpdateEquivalence(t *testing.T) {
 					} else {
 						delete(model, u.ID)
 					}
-					if err := router.ApplyUpdate(u); err != nil {
+					if err := apply(u); err != nil {
 						t.Fatalf("seed %d op %d: ApplyUpdate: %v", seed, op, err)
 					}
 					if op%16 != 15 {
@@ -139,7 +148,7 @@ func TestRouterApplyUpdateEquivalence(t *testing.T) {
 						t.Fatalf("seed %d op %d: rebuild: %v", seed, op, err)
 					}
 					for _, req := range reqs {
-						got := policy.Decide(context.Background(), router, req, testEpoch)
+						got := policy.Decide(context.Background(), d, req, testEpoch)
 						want := policy.Decide(context.Background(), rebuilt, req, testEpoch)
 						if got.Decision != want.Decision || got.By != want.By {
 							t.Fatalf("seed %d op %d: %s on %s: cluster delta = %v by %s, rebuild = %v by %s",
@@ -153,16 +162,35 @@ func TestRouterApplyUpdateEquivalence(t *testing.T) {
 	}
 }
 
+// applyFront routes u through the router and then retires from front the
+// decisions it can change, in the order pdpd's store watchers run.
+func applyFront(router *Router, front *resilience.FrontCache, u pdp.Update) error {
+	var prev policy.Evaluable
+	if set, ok := router.Root().(*policy.PolicySet); ok {
+		for _, ch := range set.Children {
+			if ch.EntityID() == u.ID {
+				prev = ch
+			}
+		}
+	}
+	if err := router.ApplyUpdate(u); err != nil {
+		return err
+	}
+	front.InvalidateChange(prev, u.Child)
+	return nil
+}
+
 // TestRouterApplyUpdateKeepsOtherShardsWarm asserts the routed delta's
-// locality: one changed resource touches one shard group, every other
-// shard's decision cache keeps serving hits, and even the touched shard
-// only recomputes the changed resource.
+// locality: one changed resource touches one shard group, the front cache
+// over the router keeps serving every other resource's decision, and only
+// the changed resource is evaluated again.
 func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 	const resources = 50
-	router, err := New("c", Config{Shards: 4, EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}})
+	router, err := New("c", Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	front := resilience.NewFrontCache(router, time.Hour, &resilience.Policy{}, 8192)
 	model := make(map[string]policy.Evaluable, resources)
 	for i := 0; i < resources; i++ {
 		p := updPolicy(fmt.Sprintf("res-%d", i), 0)
@@ -176,13 +204,13 @@ func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 		warm = append(warm, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"))
 	}
 	for _, req := range warm {
-		if got := policy.Decide(context.Background(), router, req, testEpoch); got.Decision != policy.DecisionPermit {
+		if got := policy.Decide(context.Background(), front, req, testEpoch); got.Decision != policy.DecisionPermit {
 			t.Fatalf("warm-up %s: %v", req.ResourceID(), got.Decision)
 		}
 	}
-	before := router.EngineStats()
+	before, beforeFront := router.EngineStats(), front.Stats()
 
-	if err := router.ApplyUpdate(pdp.Update{ID: "pol-res-0", Child: updPolicy("res-0", 1)}); err != nil {
+	if err := applyFront(router, front, pdp.Update{ID: "pol-res-0", Child: updPolicy("res-0", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	st := router.Stats()
@@ -191,35 +219,22 @@ func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 	}
 
 	for _, req := range warm[1:] {
-		if got := policy.Decide(context.Background(), router, req, testEpoch); got.Decision != policy.DecisionPermit {
+		if got := policy.Decide(context.Background(), front, req, testEpoch); got.Decision != policy.DecisionPermit {
 			t.Fatalf("unaffected %s: %v", req.ResourceID(), got.Decision)
 		}
 	}
-	if got := policy.Decide(context.Background(), router, warm[0], testEpoch); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), front, warm[0], testEpoch); got.Decision != policy.DecisionDeny {
 		t.Fatalf("res-0 read after update = %v, want deny", got.Decision)
 	}
-	after := router.EngineStats()
-	if hits := after.CacheHits - before.CacheHits; hits != int64(resources-1) {
+	after, afterFront := router.EngineStats(), front.Stats()
+	if hits := afterFront.Hits - beforeFront.Hits; hits != int64(resources-1) {
 		t.Errorf("cache hits across update = %d, want %d (all untouched resources warm)", hits, resources-1)
 	}
 	if evals := after.Evaluations - before.Evaluations; evals != 1 {
 		t.Errorf("evaluations across update = %d, want 1", evals)
 	}
-	if after.CacheInvalidations-before.CacheInvalidations != 1 {
-		t.Errorf("cache invalidations = %d, want 1", after.CacheInvalidations-before.CacheInvalidations)
-	}
-
-	// Contrast: the full-rebuild path flushes every cache cluster-wide.
-	if err := router.SetRoot(router.Root()); err != nil {
-		t.Fatal(err)
-	}
-	mid := router.EngineStats()
-	for _, req := range warm {
-		policy.Decide(context.Background(), router, req, testEpoch)
-	}
-	cold := router.EngineStats()
-	if hits := cold.CacheHits - mid.CacheHits; hits != 0 {
-		t.Errorf("cache hits after full SetRoot = %d, want 0 (full flush)", hits)
+	if n := afterFront.Invalidations - beforeFront.Invalidations; n != 1 {
+		t.Errorf("cache invalidations = %d, want 1", n)
 	}
 }
 
@@ -230,7 +245,7 @@ func TestRouterApplyUpdateKeepsOtherShardsWarm(t *testing.T) {
 // insert could otherwise land at inconsistent positions — and the cluster
 // must keep deciding exactly like a single engine over the router's root.
 func TestRouterApplyUpdateUnsortedInsertFallsBack(t *testing.T) {
-	router, err := New("c", Config{Shards: 2, EngineOptions: []pdp.Option{pdp.WithDecisionCache(time.Hour, 0)}})
+	router, err := New("c", Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,31 +26,40 @@ func TestEngineDecideBatchMatchesDecide(t *testing.T) {
 	for _, v := range []struct {
 		name        string
 		root        func() policy.Evaluable
-		opts        []Option
+		front       bool
 		interpreted bool
 	}{
-		{"plain", compilable, nil, false},
-		{"cached", compilable, []Option{WithDecisionCache(time.Hour, 0)}, false},
-		{"uncompilable", uncompilable, nil, true},
+		{"plain", compilable, false, false},
+		{"cached", compilable, true, false},
+		{"uncompilable", uncompilable, false, true},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			reference := New("ref", WithResolver(gen.Directory("idp")))
 			if err := reference.SetRoot(v.root()); err != nil {
 				t.Fatal(err)
 			}
-			engine := New("batch", append([]Option{WithResolver(gen.Directory("idp"))}, v.opts...)...)
+			engine := New("batch", WithResolver(gen.Directory("idp")))
 			if err := engine.SetRoot(v.root()); err != nil {
 				t.Fatal(err)
 			}
-			reqs := gen.Requests(200)
-			results := policy.DecideBatch(context.Background(), engine, reqs, at)
-			if len(results) != len(reqs) {
-				t.Fatalf("got %d results for %d requests", len(results), len(reqs))
+			// The cached variant decides through a front cache twice: the
+			// first batch misses, the second is answered from the cache.
+			var d policy.Decider = engine
+			rounds := 1
+			if v.front {
+				d, rounds = frontOver(engine, time.Hour, 8192, nil), 2
 			}
-			for i, res := range results {
-				want := policy.Decide(context.Background(), reference, reqs[i], at)
-				if res.Decision != want.Decision || res.By != want.By {
-					t.Fatalf("item %d: %s by %s, want %s by %s", i, res.Decision, res.By, want.Decision, want.By)
+			reqs := gen.Requests(200)
+			for round := 0; round < rounds; round++ {
+				results := policy.DecideBatch(context.Background(), d, reqs, at)
+				if len(results) != len(reqs) {
+					t.Fatalf("got %d results for %d requests", len(results), len(reqs))
+				}
+				for i, res := range results {
+					want := policy.Decide(context.Background(), reference, reqs[i], at)
+					if res.Decision != want.Decision || res.By != want.By {
+						t.Fatalf("round %d item %d: %s by %s, want %s by %s", round, i, res.Decision, res.By, want.Decision, want.By)
+					}
 				}
 			}
 			if st := engine.Stats(); v.interpreted && (st.Evaluations == 0 || st.InterpretedEvaluations != st.Evaluations) {
@@ -60,25 +69,27 @@ func TestEngineDecideBatchMatchesDecide(t *testing.T) {
 	}
 }
 
+// TestEngineDecideBatchCacheHits: a batch repeated through a front cache
+// over an engine is answered from the cache, every position of it.
 func TestEngineDecideBatchCacheHits(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	gen := workload.NewGenerator(workload.Config{Users: 10, Resources: 20, Roles: 2, Seed: 5})
-	engine := New("e", WithResolver(gen.Directory("idp")), WithDecisionCache(time.Hour, 0))
+	engine := New("e", WithResolver(gen.Directory("idp")))
 	if err := engine.SetRoot(gen.PolicyBase("base")); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(engine, time.Hour, 8192, nil)
 	reqs := gen.Requests(50)
-	policy.DecideBatch(context.Background(), engine, reqs, at)
-	first := engine.Stats()
-	policy.DecideBatch(context.Background(), engine, reqs, at)
-	second := engine.Stats()
+	policy.DecideBatch(context.Background(), front, reqs, at)
+	first, firstHits := engine.Stats(), front.Stats().Hits
+	policy.DecideBatch(context.Background(), front, reqs, at)
+	second, secondHits := engine.Stats(), front.Stats().Hits
 	if second.Evaluations != first.Evaluations {
 		t.Fatalf("second batch evaluated %d fresh decisions, want 0",
 			second.Evaluations-first.Evaluations)
 	}
-	if second.CacheHits-first.CacheHits != int64(len(reqs)) {
-		t.Fatalf("second batch hit cache %d times, want %d",
-			second.CacheHits-first.CacheHits, len(reqs))
+	if secondHits-firstHits != int64(len(reqs)) {
+		t.Fatalf("second batch hit cache %d times, want %d", secondHits-firstHits, len(reqs))
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // TestCacheKeyKindCollisionFailsClosed: a String("9") clearance is a type
 // error for a clearance < 5 veto, so deny-overrides answers Indeterminate.
-// A cached engine that first saw Integer(9) must not answer String("9")
-// with the Permit it cached for it.
+// A front cache that first saw Integer(9) must not answer String("9") with
+// the Permit it cached for it.
 func TestCacheKeyKindCollisionFailsClosed(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	root := policy.NewPolicySet("root").Combining(policy.DenyOverrides).
@@ -26,12 +26,10 @@ func TestCacheKeyKindCollisionFailsClosed(t *testing.T) {
 		return policy.NewAccessRequest("u1", "res-1", "read").Add(policy.CategorySubject, policy.AttrClearance, clearance)
 	}
 	plain := New("plain")
-	cached := New("cached", WithDecisionCache(time.Hour, 0))
-	for _, e := range []*Engine{plain, cached} {
-		if err := e.SetRoot(root); err != nil {
-			t.Fatal(err)
-		}
+	if err := plain.SetRoot(root); err != nil {
+		t.Fatal(err)
 	}
+	cached := frontOver(plain, time.Hour, 8192, nil)
 	ctx := context.Background()
 	if res := policy.Decide(ctx, plain, req(policy.String("9")), at); res.Decision != policy.DecisionIndeterminate {
 		t.Fatalf("uncached String(9) = %v, want Indeterminate (type mismatch)", res.Decision)

@@ -329,7 +329,7 @@ func TestCompiledDeltaEquivalence(t *testing.T) {
 			guard := catchAllPolicy(0)
 			model[guard.ID] = guard
 
-			live := New("delta-compiled", WithDecisionCache(time.Hour, 0))
+			live := New("delta-compiled")
 			if err := live.SetRoot(modelRoot(model)); err != nil {
 				t.Fatal(err)
 			}

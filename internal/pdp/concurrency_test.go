@@ -9,11 +9,12 @@ import (
 	"repro/internal/policy"
 )
 
-// TestConcurrentDecideWithAdministration hammers one engine with parallel
-// decisions while an administrator swaps the policy base and flushes the
-// cache — the live-reconfiguration scenario of Section 3.2 (Management).
-// Every decision must be a valid outcome of one of the two installed
-// bases; the race detector guards the internals.
+// TestConcurrentDecideWithAdministration hammers a front cache over one
+// engine with parallel decisions while an administrator swaps the policy
+// base and retires the cached decisions — the live-reconfiguration
+// scenario of Section 3.2 (Management). Every decision must be a valid
+// outcome of one of the two installed bases; the race detector guards the
+// internals.
 func TestConcurrentDecideWithAdministration(t *testing.T) {
 	permitBase := policy.NewPolicySet("permit-base").Combining(policy.DenyUnlessPermit).
 		Add(policy.NewPolicy("open").
@@ -28,10 +29,11 @@ func TestConcurrentDecideWithAdministration(t *testing.T) {
 			Build()).
 		Build()
 
-	e := New("concurrent", WithDecisionCache(time.Second, 0))
+	e := New("concurrent")
 	if err := e.SetRoot(permitBase); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(e, time.Second, 8192, nil)
 
 	const (
 		readers   = 8
@@ -46,7 +48,7 @@ func TestConcurrentDecideWithAdministration(t *testing.T) {
 			defer wg.Done()
 			req := policy.NewAccessRequest("u", "res", "read")
 			for i := 0; i < decisions; i++ {
-				res := policy.Decide(context.Background(), e, req, at.Add(time.Duration(i)*time.Millisecond))
+				res := policy.Decide(context.Background(), front, req, at.Add(time.Duration(i)*time.Millisecond))
 				if res.Decision != policy.DecisionPermit && res.Decision != policy.DecisionDeny {
 					errs <- res.Decision.String()
 					return
@@ -58,16 +60,17 @@ func TestConcurrentDecideWithAdministration(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			base := policy.Evaluable(permitBase)
+			prev, base := policy.Evaluable(denyBase), policy.Evaluable(permitBase)
 			if i%2 == 1 {
-				base = denyBase
+				prev, base = base, prev
 			}
 			if err := e.SetRoot(base); err != nil {
 				errs <- err.Error()
 				return
 			}
-			e.FlushCache()
+			front.InvalidateChange(prev, base)
 			_ = e.Stats()
+			_ = front.Stats()
 		}
 	}()
 	wg.Wait()

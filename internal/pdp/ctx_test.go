@@ -67,8 +67,8 @@ func TestEngineCancelAbortsBlockedResolver(t *testing.T) {
 }
 
 // TestDeadlinePoisonedDecisionNotCached: the Indeterminate produced by an
-// expired context must not be served from the decision cache to the next
-// caller, who has time to earn a real decision.
+// expired context must not be served from the front decision cache to the
+// next caller, who has time to earn a real decision.
 func TestDeadlinePoisonedDecisionNotCached(t *testing.T) {
 	calls := 0
 	resolver := policy.ResolverFunc(func(ctx context.Context, _ *policy.Request, _ policy.Category, _ string) (policy.Bag, error) {
@@ -79,26 +79,30 @@ func TestDeadlinePoisonedDecisionNotCached(t *testing.T) {
 		}
 		return policy.Singleton(policy.String("doctor")), nil
 	})
-	e := New("pdp", WithResolver(resolver), WithDecisionCache(time.Hour, 0))
+	e := New("pdp", WithResolver(resolver))
 	if err := e.SetRoot(ctxTestRoot(t)); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(e, time.Hour, 8192, nil)
 	req := policy.NewAccessRequest("alice", "r", "read")
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	res := policy.Decide(ctx, e, req, at)
+	res := policy.Decide(ctx, front, req, at)
 	cancel()
 	if res.Decision != policy.DecisionIndeterminate {
 		t.Fatalf("poisoned decision = %s, want Indeterminate", res.Decision)
 	}
 
-	res = policy.Decide(context.Background(), e, req, at)
+	res = policy.Decide(context.Background(), front, req, at)
 	if res.Decision != policy.DecisionPermit {
 		t.Fatalf("fresh decision = %s (%v), want Permit — the poisoned result leaked from the cache", res.Decision, res.Err)
 	}
-	if st := e.Stats(); st.CacheHits != 0 {
-		t.Fatalf("cache hits = %d; the poisoned entry was served", st.CacheHits)
+	if st := front.Stats(); st.Hits != 0 {
+		t.Fatalf("cache hits = %d; the poisoned entry was served", st.Hits)
+	}
+	if res := policy.Decide(context.Background(), front, req, at); res.Decision != policy.DecisionPermit || front.Stats().Hits != 1 {
+		t.Fatalf("third decision = %s with %d hits, want the Permit from the cache", res.Decision, front.Stats().Hits)
 	}
 }
 

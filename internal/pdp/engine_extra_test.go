@@ -55,34 +55,36 @@ func TestDecideAtWithOverridesResolver(t *testing.T) {
 
 func TestDecideAtWithBypassesCache(t *testing.T) {
 	// Per-call resolvers see per-call state; their decisions must neither
-	// read nor populate the shared decision cache.
-	e := New("pdp", WithDecisionCache(time.Minute, 0))
+	// read nor populate the front decision cache.
+	e := New("pdp")
 	if err := e.SetRoot(rolePolicy()); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(e, time.Minute, 8192, nil)
 	at := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
 	req := policy.NewAccessRequest("alice", "rec-1", "read")
 
-	if got := decideWith(context.Background(), e, req, at, roleResolver("doctor")); got.Decision != policy.DecisionPermit {
+	if got := decideWith(context.Background(), front, req, at, roleResolver("doctor")); got.Decision != policy.DecisionPermit {
 		t.Fatalf("got %v, want Permit", got.Decision)
 	}
 	// A cached permit here would be a cross-context information leak.
-	if got := policy.Decide(context.Background(), e, req, at.Add(time.Second)); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), front, req, at.Add(time.Second)); got.Decision != policy.DecisionDeny {
 		t.Fatalf("cache leaked a per-call decision: got %v, want Deny", got.Decision)
 	}
-	if hits := e.Stats().CacheHits; hits != 0 {
+	if hits := front.Stats().Hits; hits != 0 {
 		t.Errorf("cache hits = %d, want 0", hits)
 	}
 }
 
 func TestDecideScatterAtWithResolverBypassesCache(t *testing.T) {
 	// The scatter path follows the DecideAtWith rule: a caller-supplied
-	// resolver decides every selected position, and the shared decision
+	// resolver decides every selected position, and the front decision
 	// cache is neither read nor filled.
-	e := New("pdp", WithResolver(roleResolver("visitor")), WithDecisionCache(time.Minute, 0))
+	e := New("pdp", WithResolver(roleResolver("visitor")))
 	if err := e.SetRoot(rolePolicy()); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(e, time.Minute, 8192, nil)
 	at := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
 	reqs := []*policy.Request{
 		policy.NewAccessRequest("alice", "rec-1", "read"),
@@ -90,12 +92,12 @@ func TestDecideScatterAtWithResolverBypassesCache(t *testing.T) {
 		policy.NewAccessRequest("carol", "rec-3", "read"),
 	}
 	// Warm the cache with alice's Deny under the engine's own resolver.
-	if got := policy.Decide(context.Background(), e, reqs[0], at); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), front, reqs[0], at); got.Decision != policy.DecisionDeny {
 		t.Fatalf("warm-up = %v, want Deny", got.Decision)
 	}
 
 	out := make([]policy.Result, len(reqs))
-	e.DecideScatterAt(context.Background(), reqs, []int{0, 2}, at, roleResolver("doctor"), out)
+	front.DecideScatterAt(context.Background(), reqs, []int{0, 2}, at, roleResolver("doctor"), out)
 	for _, p := range []int{0, 2} {
 		if out[p].Decision != policy.DecisionPermit {
 			t.Fatalf("position %d = %v, want Permit from the per-call resolver (a cached Deny was read)", p, out[p].Decision)
@@ -104,12 +106,11 @@ func TestDecideScatterAtWithResolverBypassesCache(t *testing.T) {
 	if out[1].Decision != 0 || out[1].Err != nil {
 		t.Fatalf("unselected position written: %+v", out[1])
 	}
-	st := e.Stats()
-	if st.CacheHits != 0 || st.CacheEntries != 1 || st.Evaluations != 3 {
-		t.Fatalf("stats = %+v, want 0 hits, the warm-up's 1 entry, 3 evaluations", st)
+	if st, fst := e.Stats(), front.Stats(); fst.Hits != 0 || fst.Entries != 1 || st.Evaluations != 3 {
+		t.Fatalf("engine %+v, front %+v: want 0 hits, the warm-up's 1 entry, 3 evaluations", st, fst)
 	}
 	// A cached permit here would be a cross-context information leak.
-	if got := policy.Decide(context.Background(), e, reqs[2], at); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), front, reqs[2], at); got.Decision != policy.DecisionDeny {
 		t.Fatalf("cache leaked a per-call decision: got %v, want Deny", got.Decision)
 	}
 }
@@ -136,27 +137,6 @@ func TestRootAndName(t *testing.T) {
 	}
 	if e.Root() != policy.Evaluable(root) {
 		t.Error("Root() does not return the installed base")
-	}
-}
-
-func TestFlushCacheForcesReevaluation(t *testing.T) {
-	e := New("pdp", WithDecisionCache(time.Hour, 0))
-	if err := e.SetRoot(rolePolicy()); err != nil {
-		t.Fatal(err)
-	}
-	at := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
-	req := policy.NewAccessRequest("alice", "rec-1", "read").
-		Add(policy.CategorySubject, policy.AttrSubjectRole, policy.String("doctor"))
-
-	policy.Decide(context.Background(), e, req, at)
-	policy.Decide(context.Background(), e, req, at.Add(time.Second))
-	if st := e.Stats(); st.CacheHits != 1 || st.Evaluations != 1 {
-		t.Fatalf("before flush: %+v", st)
-	}
-	e.FlushCache()
-	policy.Decide(context.Background(), e, req, at.Add(2*time.Second))
-	if st := e.Stats(); st.CacheHits != 1 || st.Evaluations != 2 {
-		t.Errorf("after flush: %+v, want a fresh evaluation", st)
 	}
 }
 

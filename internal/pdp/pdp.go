@@ -2,29 +2,25 @@
 // evaluates authorisation decision queries against the policy base
 // (Section 2.2 of the paper).
 //
-// The engine supports two performance mechanisms the paper's challenges
-// motivate: a compiled decision program that narrows each miss to the
-// policies whose targets can apply to the request (Section 3
-// scalability), and an optional TTL decision cache bounding PEP–PDP
-// traffic (Section 3.2 Communication Performance).
+// The engine evaluates every decision it is asked for; it caches none. A
+// deployment caches decisions once, at its front (resilience.FrontCache
+// over a policy.DecisionCache), where the PEP–PDP traffic of Section 3.2
+// is bounded. The engine's performance mechanism is a compiled decision
+// program that narrows each evaluation to the policies whose targets can
+// apply to the request (Section 3 scalability).
 //
 // The decision hot path is lock-free for readers, RCU-style: the root,
 // compiled program and epoch live in one immutable snapshot published
 // through an atomic pointer, so a decision call loads a single pointer
 // however many requests it carries, and never blocks on policy
-// administration. The decision cache is a policy.DecisionCache striped by
-// a hash of the request's cache key — a cache hit costs one stripe lock
-// and zero allocations — and engine counters are padded atomic stripes
-// aggregated on read. Writers (SetRoot, ApplyUpdate, FlushCache)
-// serialize on a writer lock, publish the next snapshot, and then
-// invalidate; the cache's generation, read before each evaluation, guards
-// it against resurrection of a decision evaluated against a superseded
-// root.
+// administration. Engine counters are padded atomic stripes aggregated on
+// read. Writers (SetRoot, ApplyUpdate) serialize on a writer lock and
+// publish the next snapshot.
 //
 // A single engine is also the building block of larger deployments. Its
 // one decision body is the scatter call (policy.Decider): it answers any
 // selection of a request batch per call, a single decision being a
-// one-position scatter, sharing one snapshot load and one miss path.
+// one-position scatter, sharing one snapshot load and one evaluation path.
 // internal/ha replicates engines into failover/quorum ensembles, and
 // internal/cluster shards the policy base across many such ensembles
 // behind a consistent-hash router — the horizontal answer to the Section 3
@@ -34,7 +30,7 @@
 // (see compile.go): per-child rule arrays with precomputed decisions,
 // decider chains and statically fulfilled obligations, indexed by
 // attribute-keyed posting lists over resource-id, action-id and
-// subject-role. A cache miss then assembles a candidate set
+// subject-role. An evaluation then assembles a candidate set
 // from the attributes the request carries and runs the combining algorithm
 // over those children only, allocation-free once warm. The program lives
 // inside the snapshot, so readers get it off the same single atomic load.
@@ -49,17 +45,13 @@
 // lists.
 //
 // The engine also supports live policy administration: ApplyUpdate
-// patches one root child in place — program patched, not rebuilt; only the
-// changed child's resource keys invalidated from the decision cache — so
-// a policy write never flushes the working set the way SetRoot must (see
-// update.go).
+// patches one root child in place — program patched, not rebuilt — so a
+// policy write costs the changed child, not the base (see update.go).
 //
 // Every decision is bounded by the caller's context.Context: a deadline
 // or cancellation — observed at entry, between batch positions, and
 // inside resolver round-trips mid-evaluation — surfaces as Indeterminate
-// carrying the cause, which deny-biased enforcement points refuse. A
-// result poisoned by an expired context is never written to the decision
-// cache.
+// carrying the cause, which deny-biased enforcement points refuse.
 package pdp
 
 import (
@@ -94,12 +86,11 @@ func ctxResult(name string, err error) policy.Result {
 // Indeterminate decisions force trace retention (trace.Span.Keep): the
 // decisions that need explaining most are always captured, whatever the
 // sampling rate. A nil span (untraced request) costs nothing.
-func (e *Engine) traceDecision(sp *trace.Span, epoch uint64, res policy.Result, cache string, candidates int) {
+func (e *Engine) traceDecision(sp *trace.Span, epoch uint64, res policy.Result, candidates int) {
 	if sp == nil {
 		return
 	}
 	sp.SetAttr("pdp.engine", e.name)
-	sp.SetAttr("pdp.cache", cache)
 	sp.SetAttr("pdp.decision", res.Decision.String())
 	sp.SetInt("pdp.epoch", int64(epoch))
 	if candidates > 0 {
@@ -112,10 +103,8 @@ func (e *Engine) traceDecision(sp *trace.Span, epoch uint64, res policy.Result, 
 
 // Stats aggregates engine activity for experiments and monitoring.
 type Stats struct {
-	// Evaluations counts decisions computed (cache misses included).
+	// Evaluations counts decisions computed.
 	Evaluations int64
-	// CacheHits counts decisions served from the decision cache.
-	CacheHits int64
 	// Permits, Denies, NotApplicables and Indeterminates count outcomes.
 	Permits, Denies, NotApplicables, Indeterminates int64
 	// IndexedCandidates sums the candidate-set sizes the compiled program
@@ -123,12 +112,6 @@ type Stats struct {
 	IndexedCandidates int64
 	// Updates counts incremental root patches applied via ApplyUpdate.
 	Updates int64
-	// CacheInvalidations counts cached decisions dropped by ApplyUpdate
-	// (a full catch-all flush counts once).
-	CacheInvalidations int64
-	// CacheEntries is the number of decisions cached at snapshot time, a
-	// gauge summed across cache shards (zero when the cache is disabled).
-	CacheEntries int64
 	// CompiledEvaluations counts evaluations answered by the compiled
 	// decision program; InterpretedEvaluations counts the rest (no program:
 	// the root was uncompilable).
@@ -161,15 +144,12 @@ func SumStats(engines []*Engine) Stats {
 	for _, e := range engines {
 		st := e.Stats()
 		sum.Evaluations += st.Evaluations
-		sum.CacheHits += st.CacheHits
 		sum.Permits += st.Permits
 		sum.Denies += st.Denies
 		sum.NotApplicables += st.NotApplicables
 		sum.Indeterminates += st.Indeterminates
 		sum.IndexedCandidates += st.IndexedCandidates
 		sum.Updates += st.Updates
-		sum.CacheInvalidations += st.CacheInvalidations
-		sum.CacheEntries += st.CacheEntries
 		sum.CompiledEvaluations += st.CompiledEvaluations
 		sum.InterpretedEvaluations += st.InterpretedEvaluations
 		sum.FallbackEvaluations += st.FallbackEvaluations
@@ -191,17 +171,11 @@ func WithResolver(r policy.Resolver) Option {
 	return func(e *Engine) { e.resolver = r }
 }
 
-// WithDecisionCache enables a TTL decision cache in the engine. maxItems
-// <= 0 defaults to 8192 entries. A deployment caches once, at its front
-// (resilience.FrontCache); this per-engine placement stays only for its
-// two remaining callers, the frozen bench/ladder.go and examples/cluster.
-func WithDecisionCache(ttl time.Duration, maxItems int) Option {
-	return func(e *Engine) {
-		if maxItems <= 0 {
-			maxItems = 8192
-		}
-		e.cache = policy.NewDecisionCache(ttl, maxItems)
-	}
+// WithDecisionCache does nothing: engines cache no decisions, a
+// deployment caches once, at its front (resilience.FrontCache). It stays
+// only because the frozen bench/ladder.go calls it.
+func WithDecisionCache(time.Duration, int) Option {
+	return func(*Engine) {}
 }
 
 // WithClock overrides the engine clock, used by deterministic tests and the
@@ -222,14 +196,14 @@ type snapshot struct {
 	// uncompilable. Non-nil, it decides every miss; nil, root.Evaluate
 	// does.
 	prog *program
-	// epoch counts snapshot publications (installs, patches and flushes).
+	// epoch counts snapshot publications (installs and patches).
 	// It labels traces and repro_pdp_epoch.
 	epoch uint64
 }
 
 // Engine is a thread-safe Policy Decision Point. Decisions never block on
 // each other or on policy administration: they share an atomically
-// published snapshot, a striped decision cache and striped atomic counters.
+// published snapshot and striped atomic counters.
 type Engine struct {
 	name     string
 	resolver policy.Resolver
@@ -243,14 +217,10 @@ type Engine struct {
 	compileHist  telemetry.Histogram
 
 	// snap is the current root/program/epoch triple, nil until SetRoot.
-	snap atomic.Pointer[snapshot]
-	// cache is the TTL decision cache, nil when disabled.
-	cache *policy.DecisionCache
+	snap  atomic.Pointer[snapshot]
 	stats engineStats
 
-	// writerMu serializes snapshot publication (SetRoot, ApplyUpdate,
-	// FlushCache) and orders each publication before its cache
-	// invalidation — the pairing the cache's generation guard relies on.
+	// writerMu serializes snapshot publication (SetRoot, ApplyUpdate).
 	// Decision paths never take it.
 	writerMu sync.Mutex
 }
@@ -267,8 +237,8 @@ func New(name string, opts ...Option) *Engine {
 // Name identifies the engine in diagnostics.
 func (e *Engine) Name() string { return e.name }
 
-// SetRoot validates and installs the policy base, compiling it and
-// flushing the decision cache so revocations take effect.
+// SetRoot validates and installs the policy base, compiling it; the next
+// decision evaluates against it.
 func (e *Engine) SetRoot(root policy.Evaluable) error {
 	if root == nil {
 		return fmt.Errorf("pdp %s: nil root", e.name)
@@ -288,9 +258,6 @@ func (e *Engine) SetRoot(root policy.Evaluable) error {
 		epoch = old.epoch + 1
 	}
 	e.snap.Store(&snapshot{root: root, prog: prog, epoch: epoch})
-	if e.cache != nil {
-		e.cache.Flush()
-	}
 	return nil
 }
 
@@ -314,9 +281,6 @@ func (e *Engine) Root() policy.Evaluable {
 // atomic stat stripes.
 func (e *Engine) Stats() Stats {
 	st := e.stats.snapshot()
-	if e.cache != nil {
-		st.CacheEntries = e.cache.Len()
-	}
 	st.Compiles = e.compiles.Load()
 	st.CompileNanos = e.compileNanos.Load()
 	if snap := e.snap.Load(); snap != nil && snap.prog != nil {
@@ -326,19 +290,7 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// FlushCache drops all cached decisions.
-func (e *Engine) FlushCache() {
-	e.writerMu.Lock()
-	defer e.writerMu.Unlock()
-	if old := e.snap.Load(); old != nil {
-		e.snap.Store(&snapshot{root: old.root, prog: old.prog, epoch: old.epoch + 1})
-	}
-	if e.cache != nil {
-		e.cache.Flush()
-	}
-}
-
-// evaluate runs one uncached evaluation against the snapshot with a pooled
+// evaluate runs one evaluation against the snapshot with a pooled
 // evaluation context carrying the request ctx: the compiled program when
 // the root compiled, the root's own interpretive Evaluate otherwise. It is
 // the one miss path every decision shares. resolver nil falls
@@ -364,15 +316,9 @@ func (e *Engine) evaluate(ctx context.Context, snap *snapshot, req *policy.Reque
 	return res, path
 }
 
-// cacheable reports whether an evaluated result may be written back:
-// never an errored one — a PIP outage or an expired caller is not an
-// answer, and once the dependency heals the key must be evaluated afresh.
-func cacheable(res policy.Result) bool {
-	return res.Err == nil
-}
-
 // DecideAt decides one request: a one-position scatter over stack
-// arrays, so a cache hit stays allocation-free. bench/ladder.go calls it.
+// arrays, so a compiled evaluation stays allocation-free. bench/ladder.go
+// calls it.
 func (e *Engine) DecideAt(ctx context.Context, req *policy.Request, at time.Time) policy.Result {
 	var out [1]policy.Result
 	e.DecideScatterAt(ctx, []*policy.Request{req}, nil, at, nil, out[:])
@@ -389,12 +335,9 @@ func (e *Engine) DecideBatchAt(ctx context.Context, reqs []*policy.Request, at t
 // body: evaluate reqs[p] for every p in positions (nil means every
 // request) and write each result to out[p]. The whole call evaluates
 // against one snapshot, so its decisions are mutually consistent; a zero
-// at evaluates at the engine clock. A cache hit takes no engine-wide lock
-// — one snapshot pointer load, one shard mutex, zero allocations for a
-// single position — and every miss takes the one evaluation path
-// (evaluate). A non-nil resolver replaces the engine's for every position
-// and bypasses the decision cache, which is neither read nor filled: the
-// resolver's view may differ per call. A ctx done before or mid-call
+// at evaluates at the engine clock. Every position takes the one
+// evaluation path (evaluate) with no engine-wide lock. A non-nil resolver
+// replaces the engine's for every position. A ctx done before or mid-call
 // stops evaluating: finished positions keep their decisions, unfinished
 // ones are Indeterminate with the cause, never a hang.
 func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, positions []int, at time.Time, resolver policy.Resolver, out []policy.Result) {
@@ -412,14 +355,6 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		fail(ctxResult(e.name, err))
 		return
 	}
-	// The cache generation is read before the snapshot: a writer publishes
-	// its snapshot before moving the generation, so a fill of a decision
-	// evaluated against a superseded snapshot carries a superseded
-	// generation and is dropped, or lands before the sweep that removes it.
-	var gen uint64
-	if e.cache != nil {
-		gen = e.cache.Generation()
-	}
 	snap := e.snap.Load()
 	if snap == nil {
 		fail(policy.Result{Decision: policy.DecisionIndeterminate, Err: ErrNoPolicy})
@@ -431,11 +366,10 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 
 	// Tracing follows how many positions the call selects. One position is
 	// a single decision, whoever sent it (a caller's Decide, a router's
-	// shard group of one, in a batch too): a hit annotates the caller's
-	// span, which must be this goroutine's alone, and a miss opens a
-	// pdp.eval span under which resolver fetches nest. More positions are
-	// a batch covered by one pdp.batch span, so a traced batch costs one
-	// span, not one per request.
+	// shard group of one, in a batch too): it opens a pdp.eval span under
+	// which resolver fetches nest. More positions are a batch covered by
+	// one pdp.batch span, so a traced batch costs one span, not one per
+	// request.
 	sp := trace.FromContext(ctx)
 	single := n == 1
 	var batchSpan *trace.Span
@@ -459,87 +393,28 @@ func (e *Engine) DecideScatterAt(ctx context.Context, reqs []*policy.Request, po
 		}()
 	}
 
-	// A single decision is a one-position scatter: its miss list lives on
-	// the stack, keeping the cache-hit path allocation-free.
-	var one [1]int
-	misses := one[:0]
-	if n > len(one) {
-		misses = make([]int, 0, n)
-	}
-	cached := e.cache != nil && resolver == nil
-	if cached {
-		sweep := func(p int) {
-			req := reqs[p]
-			key := req.CacheKey()
-			hash := req.CacheKeyHash()
-			if res, _, ok, _ := e.cache.Get(key, hash, at); ok {
-				out[p] = res
-				st := e.stats.stripe(hash)
-				st.cacheHits.Add(1)
-				st.record(res.Decision)
-				if single {
-					e.traceDecision(sp, snap.epoch, res, "hit", 0)
-				}
-				return
-			}
-			misses = append(misses, p)
-		}
-		if positions == nil {
-			for p := range reqs {
-				sweep(p)
-			}
-		} else {
-			for _, p := range positions {
-				sweep(p)
+	// A ctx done mid-batch sheds the unfinished tail: those positions fail
+	// closed immediately instead of evaluating against a dead caller.
+	var shed policy.Result
+	policy.EachPosition(len(reqs), positions, func(p int) {
+		if shed.Err == nil {
+			if err := ctx.Err(); err != nil {
+				shed = ctxResult(e.name, err)
 			}
 		}
-	} else if positions == nil {
-		for p := range reqs {
-			misses = append(misses, p)
-		}
-	} else {
-		misses = positions
-	}
-
-	batchSpan.SetInt("batch.misses", int64(len(misses)))
-	cache := "miss"
-	if e.cache == nil {
-		cache = "off"
-	} else if resolver != nil {
-		cache = "bypass"
-	}
-
-	for mi, p := range misses {
-		// A ctx done mid-batch sheds the unfinished tail: those positions
-		// fail closed immediately instead of evaluating against a dead
-		// caller.
-		if err := ctx.Err(); err != nil {
-			res := ctxResult(e.name, err)
-			for _, q := range misses[mi:] {
-				out[q] = res
-			}
+		if shed.Err != nil {
+			out[p] = shed
 			return
 		}
-		req := reqs[p]
 		ectx := ctx
 		var ev *trace.Span
 		if sp != nil && single {
 			ectx, ev = trace.StartSpan(ctx, "pdp.eval")
 		}
 		var path evalPath
-		out[p], path = e.evaluate(ectx, snap, req, at, resolver)
-		e.traceDecision(ev, snap.epoch, out[p], cache, path.candidates)
+		out[p], path = e.evaluate(ectx, snap, reqs[p], at, resolver)
+		e.traceDecision(ev, snap.epoch, out[p], path.candidates)
 		ev.End()
-
-		var hash uint64
-		if cached {
-			hash = req.CacheKeyHash()
-		} else {
-			hash = policy.HashString(req.ResourceID())
-		}
-		e.stats.stripe(hash).recordEvaluation(out[p], path)
-		if cached && cacheable(out[p]) {
-			e.cache.Put(req.CacheKey(), hash, req.ResourceID(), out[p], at, gen)
-		}
-	}
+		e.stats.stripe(policy.HashString(reqs[p].ResourceID())).recordEvaluation(out[p], path)
+	})
 }

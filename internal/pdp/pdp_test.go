@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/pip"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 )
 
 // resourcePolicies builds a policy base with one policy per resource plus a
@@ -147,44 +148,63 @@ func TestIndexPreservesFirstApplicableOrder(t *testing.T) {
 	}
 }
 
+// frontOver places the one decision cache a deployment runs, a
+// resilience.FrontCache, over d: fresh within ttl, about entries
+// decisions, ages read off now (nil: the wall clock).
+func frontOver(d policy.Decider, ttl time.Duration, entries int, now func() time.Time) *resilience.FrontCache {
+	return resilience.NewFrontCache(d, ttl, &resilience.Policy{Clock: now}, entries)
+}
+
+// TestDecisionCache: a front cache over an engine answers a repeated key
+// without evaluating it again until its TTL runs out, and the engine
+// itself evaluates every decision it is asked for.
 func TestDecisionCache(t *testing.T) {
 	now := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	e := New("cached",
-		WithDecisionCache(30*time.Second, 0),
-		WithClock(func() time.Time { return now }))
+	clock := func() time.Time { return now }
+	e := New("engine", WithClock(clock))
 	if err := e.SetRoot(resourcePolicies(4)); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(e, 30*time.Second, 8192, clock)
 	req := policy.NewAccessRequest("u", "res-1", "read")
 	for i := 0; i < 5; i++ {
-		if res := policy.Decide(context.Background(), e, req, time.Time{}); res.Decision != policy.DecisionPermit {
+		if res := policy.Decide(context.Background(), front, req, time.Time{}); res.Decision != policy.DecisionPermit {
 			t.Fatalf("decision %d = %v", i, res.Decision)
 		}
 	}
-	st := e.Stats()
-	if st.Evaluations != 1 || st.CacheHits != 4 {
-		t.Errorf("stats = %+v, want 1 evaluation + 4 hits", st)
+	if st, fst := e.Stats(), front.Stats(); st.Evaluations != 1 || fst.Hits != 4 {
+		t.Errorf("engine %+v, front %+v: want 1 evaluation + 4 hits", st, fst)
 	}
 
 	// TTL expiry forces re-evaluation.
 	now = now.Add(time.Minute)
-	policy.Decide(context.Background(), e, req, time.Time{})
+	policy.Decide(context.Background(), front, req, time.Time{})
 	if st := e.Stats(); st.Evaluations != 2 {
 		t.Errorf("after TTL: evaluations = %d, want 2", st.Evaluations)
 	}
+
+	// The engine remembers nothing: asked directly, it evaluates.
+	policy.Decide(context.Background(), e, req, time.Time{})
+	policy.Decide(context.Background(), e, req, time.Time{})
+	if st := e.Stats(); st.Evaluations != 4 {
+		t.Errorf("direct engine decisions: evaluations = %d, want 4", st.Evaluations)
+	}
 }
 
+// TestSetRootFlushesCache: a reinstalled base decides the next request,
+// and a front cache told of the change (the whole root, a catch-all)
+// retires every decision it held.
 func TestSetRootFlushesCache(t *testing.T) {
 	now := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	e := New("cached",
-		WithDecisionCache(time.Hour, 0),
-		WithClock(func() time.Time { return now }))
+	clock := func() time.Time { return now }
+	e := New("engine", WithClock(clock))
+	front := frontOver(e, time.Hour, 8192, clock)
 	permitAll := policy.NewPolicySet("v1").Combining(policy.PermitUnlessDeny).Build()
 	if err := e.SetRoot(permitAll); err != nil {
 		t.Fatal(err)
 	}
 	req := policy.NewAccessRequest("u", "r", "read")
-	if res := policy.Decide(context.Background(), e, req, time.Time{}); res.Decision != policy.DecisionPermit {
+	if res := policy.Decide(context.Background(), front, req, time.Time{}); res.Decision != policy.DecisionPermit {
 		t.Fatalf("v1 decision = %v", res.Decision)
 	}
 	denyAll := policy.NewPolicySet("v2").Combining(policy.DenyUnlessPermit).Build()
@@ -192,19 +212,29 @@ func TestSetRootFlushesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res := policy.Decide(context.Background(), e, req, time.Time{}); res.Decision != policy.DecisionDeny {
-		t.Errorf("after policy update decision = %v, want Deny (cache flushed)", res.Decision)
+		t.Errorf("engine after SetRoot = %v, want Deny", res.Decision)
+	}
+	front.InvalidateChange(permitAll, denyAll)
+	if res := policy.Decide(context.Background(), front, req, time.Time{}); res.Decision != policy.DecisionDeny {
+		t.Errorf("front after policy update = %v, want Deny (cache flushed)", res.Decision)
+	}
+	if st := front.Stats(); st.Hits != 0 || st.Invalidations != 1 {
+		t.Errorf("front stats = %+v, want no hit and one flush", st)
 	}
 }
 
+// TestCacheBoundEviction: a front cache over an engine holds no more
+// decisions than its bound.
 func TestCacheBoundEviction(t *testing.T) {
-	e := New("small-cache", WithDecisionCache(time.Hour, 2))
+	e := New("engine")
 	if err := e.SetRoot(resourcePolicies(8)); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(e, time.Hour, 2, nil)
 	for i := 0; i < 8; i++ {
-		policy.Decide(context.Background(), e, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"), time.Time{})
+		policy.Decide(context.Background(), front, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"), time.Time{})
 	}
-	if n := e.Stats().CacheEntries; n > 2 {
+	if n := front.Stats().Entries; n > 2 {
 		t.Errorf("cache holds %d entries, bound is 2", n)
 	}
 }

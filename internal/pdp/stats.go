@@ -15,7 +15,6 @@ const statsStripes = 8
 // stripes incremented by different cores never false-share.
 type decisionCounters struct {
 	evaluations       atomic.Int64
-	cacheHits         atomic.Int64
 	permits           atomic.Int64
 	denies            atomic.Int64
 	notApplicables    atomic.Int64
@@ -24,7 +23,7 @@ type decisionCounters struct {
 	compiledEvals     atomic.Int64
 	fallbackEvals     atomic.Int64
 	maxCandidates     atomic.Int64
-	_                 [48]byte
+	_                 [56]byte
 }
 
 // evalPath says how one computed decision was reached: the candidate-set
@@ -36,7 +35,7 @@ type evalPath struct {
 	fallback   bool
 }
 
-// recordEvaluation counts one computed (non-cached) decision: the
+// recordEvaluation counts one computed decision: the
 // evaluation itself, the candidates it considered (and the running
 // maximum), the path that answered it, and the outcome.
 func (c *decisionCounters) recordEvaluation(res policy.Result, path evalPath) {
@@ -73,12 +72,11 @@ func (c *decisionCounters) record(d policy.Decision) {
 }
 
 // engineStats is the lock-free mutable form of Stats: the decision hot
-// path increments a hash-selected stripe, writers bump the two
-// administration counters, and Stats() aggregates everything on read.
+// path increments a hash-selected stripe, writers bump the
+// administration counter, and Stats() aggregates everything on read.
 type engineStats struct {
-	stripes            [statsStripes]decisionCounters
-	updates            atomic.Int64
-	cacheInvalidations atomic.Int64
+	stripes [statsStripes]decisionCounters
+	updates atomic.Int64
 }
 
 func (s *engineStats) stripe(hash uint64) *decisionCounters {
@@ -90,7 +88,6 @@ func (s *engineStats) snapshot() Stats {
 	for i := range s.stripes {
 		c := &s.stripes[i]
 		out.Evaluations += c.evaluations.Load()
-		out.CacheHits += c.cacheHits.Load()
 		out.Permits += c.permits.Load()
 		out.Denies += c.denies.Load()
 		out.NotApplicables += c.notApplicables.Load()
@@ -104,6 +101,5 @@ func (s *engineStats) snapshot() Stats {
 	}
 	out.InterpretedEvaluations = out.Evaluations - out.CompiledEvaluations
 	out.Updates = s.updates.Load()
-	out.CacheInvalidations = s.cacheInvalidations.Load()
 	return out
 }

@@ -13,14 +13,16 @@ import (
 
 // TestStressDecideAgainstAdministration is the concurrency-model property
 // test of the lock-free hot path (run with -race): reader goroutines
-// hammer DecideAt and DecideBatchAt while one administrator applies
-// incremental updates, flushes the cache and reinstalls equivalent roots.
-// It extends the delta-equivalence property to the RCU engine with a
+// hammer single and batch decisions through a front cache over one engine
+// while one administrator applies incremental updates (each followed by
+// the front cache's invalidation, as pdpd's store watchers run them),
+// retires every cached decision and reinstalls equivalent roots. It
+// extends the delta-equivalence property to the RCU engine with a
 // freshness assertion: once the update that invalidates a decision has
 // committed, no reader may be served the superseded decision again.
 //
-// The administrator brackets every ApplyUpdate between a started[r] and a
-// committed[r] version bump. A reader snapshots committed[r] before its
+// The administrator brackets every ApplyUpdate and its invalidation
+// between a started[r] and a committed[r] version bump. A reader snapshots committed[r] before its
 // decision and started[r] after it: if the two agree at version v, the
 // whole decision ran in a window where v was the only committed policy for
 // the resource and no newer update had begun, so the decision must be
@@ -33,7 +35,8 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 		updates   = 400
 	)
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("stress", WithDecisionCache(time.Hour, 0))
+	e := New("stress")
+	front := frontOver(e, time.Hour, 8192, nil)
 	model := make(map[string]policy.Evaluable, resources)
 	for i := 0; i < resources; i++ {
 		p := churnPolicy(fmt.Sprintf("res-%d", i), 0)
@@ -93,7 +96,7 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 				if i%2 == 1 {
 					action = "write"
 				}
-				if !check(r, action, func(req *policy.Request) policy.Result { return policy.Decide(context.Background(), e, req, at) }) {
+				if !check(r, action, func(req *policy.Request) policy.Result { return policy.Decide(context.Background(), front, req, at) }) {
 					return
 				}
 				// Every few rounds, push the same freshness property
@@ -104,7 +107,7 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 							batch[j] = policy.NewAccessRequest("alice", fmt.Sprintf("res-%d", j), action)
 						}
 						batch[0] = req
-						return policy.DecideBatch(context.Background(), e, batch, at)[0]
+						return policy.DecideBatch(context.Background(), front, batch, at)[0]
 					}) {
 						return
 					}
@@ -119,7 +122,7 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 		version[r]++
 		p := churnPolicy(fmt.Sprintf("res-%d", r), int(version[r]))
 		started[r].Add(1)
-		if err := e.ApplyUpdate(Update{ID: p.ID, Child: p}); err != nil {
+		if err := applyFront(e, front, Update{ID: p.ID, Child: p}); err != nil {
 			t.Fatal(err)
 		}
 		committed[r].Add(1)
@@ -127,12 +130,13 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 		switch {
 		case v%97 == 0:
 			// Reinstalling an equivalent root must be invisible to the
-			// freshness property (it flushes, never rolls back).
+			// freshness property (it never rolls back).
 			if err := e.SetRoot(modelRoot(model)); err != nil {
 				t.Fatal(err)
 			}
 		case v%41 == 0:
-			e.FlushCache()
+			// A catch-all change retires every cached decision.
+			front.InvalidateChange(catchAllPolicy(0), nil)
 		}
 	}
 	close(stop)
@@ -149,7 +153,7 @@ func TestStressDecideAgainstAdministration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, req := range churnRequests(resources) {
-		got := policy.Decide(context.Background(), e, req, at)
+		got := policy.Decide(context.Background(), front, req, at)
 		want := policy.Decide(context.Background(), ref, req, at)
 		if got.Decision != want.Decision || got.By != want.By {
 			t.Fatalf("%s on %s after stress = %v by %s, want %v by %s",

@@ -18,7 +18,7 @@ import (
 func RegisterMetrics(reg *telemetry.Registry, engines func() []*Engine) {
 	stats := func() Stats { return SumStats(engines()) }
 	reg.Register("repro_pdp_decisions_total",
-		"Decisions returned, by outcome (cache hits included).",
+		"Decisions the engines returned, by outcome.",
 		telemetry.KindCounter, func() []telemetry.Sample {
 			st := stats()
 			return []telemetry.Sample{
@@ -29,17 +29,8 @@ func RegisterMetrics(reg *telemetry.Registry, engines func() []*Engine) {
 			}
 		})
 	reg.CounterFunc("repro_pdp_evaluations_total",
-		"Full policy evaluations (decision cache misses).",
+		"Full policy evaluations.",
 		func() int64 { return stats().Evaluations })
-	reg.CounterFunc("repro_pdp_cache_hits_total",
-		"Decisions served from the decision cache.",
-		func() int64 { return stats().CacheHits })
-	reg.GaugeFunc("repro_pdp_cache_entries",
-		"Decisions currently cached, summed across cache shards.",
-		func() int64 { return stats().CacheEntries })
-	reg.CounterFunc("repro_pdp_cache_invalidations_total",
-		"Cached decisions dropped by live policy updates.",
-		func() int64 { return stats().CacheInvalidations })
 	reg.CounterFunc("repro_pdp_updates_total",
 		"Incremental root patches applied.",
 		func() int64 { return stats().Updates })
@@ -76,7 +67,7 @@ func RegisterMetrics(reg *telemetry.Registry, engines func() []*Engine) {
 		"Direct root children in the current compiled programs.",
 		func() int64 { return stats().RootChildren })
 	reg.Register("repro_pdp_epoch",
-		"Policy snapshot epoch (bumps on installs, patches and flushes), per engine.",
+		"Policy snapshot epoch (bumps on installs and patches), per engine.",
 		telemetry.KindGauge, func() (out []telemetry.Sample) {
 			for _, e := range engines() {
 				var epoch uint64

@@ -27,20 +27,13 @@ type Update struct {
 
 // ApplyUpdate patches a single root child in place of a full rebuild: the
 // delta path of live policy administration. Only the new child is
-// validated (the rest of the root was validated when installed), the
-// compiled program is patched rather than rebuilt, and — the point of the
-// exercise — only cached decisions whose resource keys the old or new
-// child constrains are invalidated. When either side of the change is a
-// catch-all (its target does not pin resource-id), any cached decision
-// could be affected and the whole cache is flushed, exactly as SetRoot
-// would.
+// validated (the rest of the root was validated when installed) and the
+// compiled program is patched rather than rebuilt.
 //
 // The update is published as a fresh snapshot: readers that loaded the
-// previous one keep evaluating a consistent root/program pair, and the
-// snapshot swap happens before the cache sweep so the cache's generation
-// guard can reject any stale fill that raced the change. The root must be a
-// *policy.PolicySet; otherwise ErrNotIncremental is returned and the caller
-// should rebuild via SetRoot.
+// previous one keep evaluating a consistent root/program pair. The root
+// must be a *policy.PolicySet; otherwise ErrNotIncremental is returned and
+// the caller should rebuild via SetRoot.
 func (e *Engine) ApplyUpdate(u Update) error {
 	if u.ID == "" {
 		return fmt.Errorf("pdp %s: update with empty ID", e.name)
@@ -65,7 +58,7 @@ func (e *Engine) ApplyUpdate(u Update) error {
 		return fmt.Errorf("pdp %s: %w", e.name, ErrNotIncremental)
 	}
 
-	newSet, pos, delta, oldChild := set.PatchChild(u.ID, u.Child)
+	newSet, pos, delta, _ := set.PatchChild(u.ID, u.Child)
 	if newSet == nil {
 		return nil // removing an absent child is a no-op
 	}
@@ -79,13 +72,7 @@ func (e *Engine) ApplyUpdate(u Update) error {
 		next.prog = snap.prog.patched(newSet, pos, delta, u.Child)
 		e.observeCompile(time.Since(start))
 	}
-	// Publish before invalidating: in-flight evaluations of the old
-	// snapshot either observe the moved cache generation and skip their
-	// fill, or land before the sweep below and are removed by it.
 	e.snap.Store(next)
 	e.stats.updates.Add(1)
-	if e.cache != nil {
-		e.stats.cacheInvalidations.Add(e.cache.InvalidateChange(oldChild, u.Child))
-	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/resilience"
 )
 
 // churnPolicy builds version v of the policy administering one resource:
@@ -68,6 +69,25 @@ func modelRoot(model map[string]policy.Evaluable) *policy.PolicySet {
 	return b.Build()
 }
 
+// applyFront applies u to e and then retires from front the decisions it
+// can change, in the order pdpd's store watchers run: the write reaches
+// the engine first, the front cache's invalidation follows.
+func applyFront(e *Engine, front *resilience.FrontCache, u Update) error {
+	var prev policy.Evaluable
+	if set, ok := e.Root().(*policy.PolicySet); ok {
+		for _, ch := range set.Children {
+			if ch.EntityID() == u.ID {
+				prev = ch
+			}
+		}
+	}
+	if err := e.ApplyUpdate(u); err != nil {
+		return err
+	}
+	front.InvalidateChange(prev, u.Child)
+	return nil
+}
+
 // churnRequests spans every administered resource and action, plus an
 // unadministered resource.
 func churnRequests(resources int) []*policy.Request {
@@ -84,16 +104,16 @@ func churnRequests(resources int) []*policy.Request {
 
 // TestApplyUpdateEquivalentToRebuild is the delta-pipeline property test:
 // any sequence of Put/Delete deltas applied incrementally yields decisions
-// identical to a from-scratch rebuild of the same state — across plain and
-// cached engines (the cached variant also proves the selective
-// invalidation never serves a stale decision).
+// identical to a from-scratch rebuild of the same state — on a plain
+// engine and through a front cache over it (the cached variant also
+// proves the selective invalidation never serves a stale decision).
 func TestApplyUpdateEquivalentToRebuild(t *testing.T) {
 	variants := []struct {
-		name string
-		opts []Option
+		name  string
+		front bool
 	}{
-		{"plain", nil},
-		{"cached", []Option{WithDecisionCache(time.Hour, 0)}},
+		{"plain", false},
+		{"cached", true},
 	}
 	const resources = 7
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -104,9 +124,16 @@ func TestApplyUpdateEquivalentToRebuild(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				model := make(map[string]policy.Evaluable)
-				live := New("live", v.opts...)
+				live := New("live")
 				if err := live.SetRoot(modelRoot(model)); err != nil {
 					t.Fatal(err)
+				}
+				var d policy.Decider = live
+				apply := live.ApplyUpdate
+				if v.front {
+					front := frontOver(live, time.Hour, 8192, nil)
+					d = front
+					apply = func(u Update) error { return applyFront(live, front, u) }
 				}
 				version := 0
 				for op := 0; op < 120; op++ {
@@ -134,18 +161,18 @@ func TestApplyUpdateEquivalentToRebuild(t *testing.T) {
 					} else {
 						delete(model, u.ID)
 					}
-					if err := live.ApplyUpdate(u); err != nil {
+					if err := apply(u); err != nil {
 						t.Fatalf("seed %d op %d: ApplyUpdate: %v", seed, op, err)
 					}
 					if op%20 != 19 {
 						continue
 					}
-					rebuilt := New("rebuilt", v.opts...)
+					rebuilt := New("rebuilt")
 					if err := rebuilt.SetRoot(modelRoot(model)); err != nil {
 						t.Fatalf("seed %d op %d: rebuild: %v", seed, op, err)
 					}
 					for _, req := range reqs {
-						got := policy.Decide(context.Background(), live, req, at)
+						got := policy.Decide(context.Background(), d, req, at)
 						want := policy.Decide(context.Background(), rebuilt, req, at)
 						if got.Decision != want.Decision || got.By != want.By {
 							t.Fatalf("seed %d op %d: %s on %s: delta path = %v by %s, rebuild = %v by %s",
@@ -160,44 +187,45 @@ func TestApplyUpdateEquivalentToRebuild(t *testing.T) {
 }
 
 // TestApplyUpdatePreservesUnaffectedCache asserts the point of the delta
-// path: patching one child invalidates only that child's resource keys,
-// and every other cached decision keeps serving.
+// path: patching one child and retiring what it changes from the front
+// cache invalidates only that child's resource keys, and every other
+// cached decision keeps serving.
 func TestApplyUpdatePreservesUnaffectedCache(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("e", WithDecisionCache(time.Hour, 0))
+	e := New("e")
 	if err := e.SetRoot(resourcePolicies(5)); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(e, time.Hour, 8192, nil)
 	var warm []*policy.Request
 	for i := 0; i < 5; i++ {
 		warm = append(warm, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"))
 	}
 	for _, req := range warm {
-		if got := policy.Decide(context.Background(), e, req, at); got.Decision != policy.DecisionPermit {
+		if got := policy.Decide(context.Background(), front, req, at); got.Decision != policy.DecisionPermit {
 			t.Fatalf("warm-up %s: %v", req.ResourceID(), got.Decision)
 		}
 	}
-	before := e.Stats()
+	before, beforeHits := e.Stats(), front.Stats().Hits
 
 	// Flip res-0 to write-only: read becomes deny.
-	if err := e.ApplyUpdate(Update{ID: "pol-res-0", Child: churnPolicy("res-0", 1)}); err != nil {
+	if err := applyFront(e, front, Update{ID: "pol-res-0", Child: churnPolicy("res-0", 1)}); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
-	if st.Updates != 1 || st.CacheInvalidations != 1 {
-		t.Fatalf("stats after update = %+v, want 1 update invalidating 1 entry", st)
+	if st, fst := e.Stats(), front.Stats(); st.Updates != 1 || fst.Invalidations != 1 {
+		t.Fatalf("engine %+v, front %+v: want 1 update invalidating 1 entry", st, fst)
 	}
 
 	for _, req := range warm[1:] {
-		if got := policy.Decide(context.Background(), e, req, at); got.Decision != policy.DecisionPermit {
+		if got := policy.Decide(context.Background(), front, req, at); got.Decision != policy.DecisionPermit {
 			t.Fatalf("unaffected %s: %v", req.ResourceID(), got.Decision)
 		}
 	}
-	if got := policy.Decide(context.Background(), e, warm[0], at); got.Decision != policy.DecisionDeny {
+	if got := policy.Decide(context.Background(), front, warm[0], at); got.Decision != policy.DecisionDeny {
 		t.Fatalf("res-0 read after update = %v, want deny", got.Decision)
 	}
-	after := e.Stats()
-	if hits := after.CacheHits - before.CacheHits; hits != 4 {
+	after, afterHits := e.Stats(), front.Stats().Hits
+	if hits := afterHits - beforeHits; hits != 4 {
 		t.Errorf("cache hits across update = %d, want 4 (untouched resources stay warm)", hits)
 	}
 	if evals := after.Evaluations - before.Evaluations; evals != 1 {
@@ -207,29 +235,30 @@ func TestApplyUpdatePreservesUnaffectedCache(t *testing.T) {
 
 // TestApplyUpdateCatchAllFlushes asserts the documented fallback: a child
 // that does not pin resource-id can affect any decision, so the whole
-// cache is dropped.
+// front cache is dropped.
 func TestApplyUpdateCatchAllFlushes(t *testing.T) {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("e", WithDecisionCache(time.Hour, 0))
+	e := New("e")
 	if err := e.SetRoot(resourcePolicies(3)); err != nil {
 		t.Fatal(err)
 	}
+	front := frontOver(e, time.Hour, 8192, nil)
 	var warm []*policy.Request
 	for i := 0; i < 3; i++ {
 		warm = append(warm, policy.NewAccessRequest("u", fmt.Sprintf("res-%d", i), "read"))
 	}
 	for _, req := range warm {
-		policy.Decide(context.Background(), e, req, at)
+		policy.Decide(context.Background(), front, req, at)
 	}
-	before := e.Stats()
-	if err := e.ApplyUpdate(Update{ID: "global-guard", Child: catchAllPolicy(0)}); err != nil {
+	before, beforeHits := e.Stats(), front.Stats().Hits
+	if err := applyFront(e, front, Update{ID: "global-guard", Child: catchAllPolicy(0)}); err != nil {
 		t.Fatal(err)
 	}
 	for _, req := range warm {
-		policy.Decide(context.Background(), e, req, at)
+		policy.Decide(context.Background(), front, req, at)
 	}
-	after := e.Stats()
-	if hits := after.CacheHits - before.CacheHits; hits != 0 {
+	after, afterHits := e.Stats(), front.Stats().Hits
+	if hits := afterHits - beforeHits; hits != 0 {
 		t.Errorf("cache hits after catch-all update = %d, want 0 (full flush)", hits)
 	}
 	if evals := after.Evaluations - before.Evaluations; evals != 3 {
@@ -237,16 +266,17 @@ func TestApplyUpdateCatchAllFlushes(t *testing.T) {
 	}
 }
 
-// TestConcurrentDecideAndApplyUpdate races cached decisions against delta
-// updates (run with -race) and then verifies no stale decision survived in
-// the cache: once the writers stop, every decision must match a fresh
-// engine built from the final policy state. The epoch guard makes this
-// hold — an evaluation that crossed an update must not write its result
-// back into the freshly invalidated cache.
+// TestConcurrentDecideAndApplyUpdate races decisions through a front cache
+// against delta updates (run with -race) and then verifies no stale
+// decision survived in the cache: once the writers stop, every decision
+// must match a fresh engine built from the final policy state. The cache's
+// generation guard makes this hold — an evaluation that crossed an update
+// must not write its result back into the freshly invalidated cache.
 func TestConcurrentDecideAndApplyUpdate(t *testing.T) {
 	const resources = 8
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	e := New("e", WithDecisionCache(time.Hour, 0))
+	e := New("e")
+	front := frontOver(e, time.Hour, 8192, nil)
 	model := make(map[string]policy.Evaluable)
 	for i := 0; i < resources; i++ {
 		p := churnPolicy(fmt.Sprintf("res-%d", i), 0)
@@ -268,7 +298,7 @@ func TestConcurrentDecideAndApplyUpdate(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					policy.Decide(context.Background(), e, reqs[i%len(reqs)], at)
+					policy.Decide(context.Background(), front, reqs[i%len(reqs)], at)
 				}
 			}
 		}()
@@ -278,7 +308,7 @@ func TestConcurrentDecideAndApplyUpdate(t *testing.T) {
 		res := (v * 3) % resources
 		finalVersion[res] = v
 		p := churnPolicy(fmt.Sprintf("res-%d", res), v)
-		if err := e.ApplyUpdate(Update{ID: p.ID, Child: p}); err != nil {
+		if err := applyFront(e, front, Update{ID: p.ID, Child: p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +323,7 @@ func TestConcurrentDecideAndApplyUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, req := range reqs {
-		got := policy.Decide(context.Background(), e, req, at)
+		got := policy.Decide(context.Background(), front, req, at)
 		want := policy.Decide(context.Background(), ref, req, at)
 		if got.Decision != want.Decision {
 			t.Fatalf("%s on %s after churn = %v, want %v (stale cache entry?)",

@@ -8,10 +8,10 @@ import (
 )
 
 // DecisionCache remembers decisions by request cache key for at most a
-// max age: the one implementation behind resilience.FrontCache, the
-// decision cache a deployment places at its front (Section 3.2), and
-// pdp.WithDecisionCache's per-engine cache. A hit needs an entry younger
-// than the max age; a lookup that finds an older one deletes it.
+// max age. It has one placement: behind resilience.FrontCache, the one
+// decision cache a deployment places at its front (Section 3.2); engines
+// cache nothing. A hit needs an entry younger than the max age; a lookup
+// that finds an older one deletes it.
 //
 // Entries are striped across a power-of-two array of stripes keyed by the
 // request's memoised cache-key hash, so a lookup or put takes exactly one

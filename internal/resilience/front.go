@@ -34,7 +34,7 @@ type FrontCache struct {
 	audit      func(key string, age time.Duration, cause error)
 	store      *policy.DecisionCache
 
-	hits, served atomic.Int64
+	hits, served, invalidations atomic.Int64
 }
 
 // FrontCacheStats is a snapshot of front-cache activity.
@@ -45,6 +45,9 @@ type FrontCacheStats struct {
 	Hits int64
 	// Served counts degraded answers handed out within the grace window.
 	Served int64
+	// Invalidations counts the entries policy writes retired, a flush
+	// counting one.
+	Invalidations int64
 }
 
 // NewFrontCache decorates next with a cache of about entries decisions
@@ -66,8 +69,19 @@ func (c *FrontCache) SetAudit(hook func(key string, age time.Duration, cause err
 	c.audit = hook
 }
 
-// RegisterMetrics exposes the stale-serve count on the registry.
+// RegisterMetrics exposes the cache's hits, occupancy and invalidations
+// as the repro_pdp_cache_* families, and the stale-serve count, on the
+// registry.
 func (c *FrontCache) RegisterMetrics(reg *telemetry.Registry) {
+	reg.CounterFunc("repro_pdp_cache_hits_total",
+		"Decisions served from the decision cache.",
+		c.hits.Load)
+	reg.GaugeFunc("repro_pdp_cache_entries",
+		"Decisions currently cached, summed across cache shards.",
+		c.store.Len)
+	reg.CounterFunc("repro_pdp_cache_invalidations_total",
+		"Cached decisions dropped by live policy updates.",
+		c.invalidations.Load)
 	reg.CounterFunc("repro_stale_served_total",
 		"Indeterminates answered with a last-known-good decision (Degraded, within the stale grace).",
 		c.served.Load)
@@ -79,7 +93,7 @@ func (c *FrontCache) RegisterMetrics(reg *telemetry.Registry) {
 // absent. Call it after each write has been applied to the decorated
 // provider.
 func (c *FrontCache) InvalidateChange(prev, next policy.Evaluable) {
-	c.store.InvalidateChange(prev, next)
+	c.invalidations.Add(c.store.InvalidateChange(prev, next))
 }
 
 // DecideScatterAt implements policy.Decider: it answers each selected
@@ -184,8 +198,9 @@ func (c *FrontCache) settle(ctx context.Context, req *policy.Request, at time.Ti
 // Stats returns a snapshot of cache counters.
 func (c *FrontCache) Stats() FrontCacheStats {
 	return FrontCacheStats{
-		Entries: int(c.store.Len()),
-		Hits:    c.hits.Load(),
-		Served:  c.served.Load(),
+		Entries:       int(c.store.Len()),
+		Hits:          c.hits.Load(),
+		Served:        c.served.Load(),
+		Invalidations: c.invalidations.Load(),
 	}
 }

@@ -27,12 +27,16 @@ func TestStaleCacheColdMiss(t *testing.T) {
 	}
 }
 
-// TestStaleFamiliesGolden pins the one family a FrontCache exposes,
-// repro_stale_served_total, with its kind and help text, and the value
-// one stale answer gives it.
+// TestStaleFamiliesGolden pins the families a FrontCache exposes, the
+// repro_pdp_cache_* trio and repro_stale_served_total, with their kinds
+// and help text, and the values a hit, a write and one stale answer give
+// them.
 func TestStaleFamiliesGolden(t *testing.T) {
 	golden := map[string]string{
-		"repro_stale_served_total": "counter Indeterminates answered with a last-known-good decision (Degraded, within the stale grace).",
+		"repro_pdp_cache_entries":             "gauge Decisions currently cached, summed across cache shards.",
+		"repro_pdp_cache_hits_total":          "counter Decisions served from the decision cache.",
+		"repro_pdp_cache_invalidations_total": "counter Cached decisions dropped by live policy updates.",
+		"repro_stale_served_total":            "counter Indeterminates answered with a last-known-good decision (Degraded, within the stale grace).",
 	}
 	below := &scriptedProvider{verdict: map[string]policy.Decision{"alice": policy.DecisionPermit}}
 	now := time.Unix(1_700_000_000, 0)
@@ -41,7 +45,12 @@ func TestStaleFamiliesGolden(t *testing.T) {
 	c.RegisterMetrics(reg)
 	warm := policy.NewAccessRequest("alice", "res", "read")
 	cold := policy.NewAccessRequest("bob", "res", "read")
+	other := policy.NewAccessRequest("alice", "other", "read")
 	policy.Decide(context.Background(), c, warm, time.Time{})
+	policy.Decide(context.Background(), c, other, time.Time{})
+	policy.Decide(context.Background(), c, other, time.Time{}) // a fresh hit
+	// A write to the policy of "other" retires its one entry.
+	c.InvalidateChange(policy.NewPolicy("p").When(policy.MatchResourceID("other")).Build(), nil)
 	below.down = true
 	now = now.Add(time.Second)
 	if res := policy.Decide(context.Background(), c, warm, time.Time{}); !res.Degraded {
@@ -51,8 +60,15 @@ func TestStaleFamiliesGolden(t *testing.T) {
 		t.Fatalf("cold key during the outage = %+v, want fail-closed", res)
 	}
 	out := reg.Render()
-	telemetrytest.CheckFamilies(t, out, "repro_stale_", golden)
-	if !strings.Contains(out, "\nrepro_stale_served_total 1\n") {
-		t.Errorf("exposition missing repro_stale_served_total 1:\n%s", out)
+	telemetrytest.CheckFamilies(t, out, "repro_", golden)
+	for _, line := range []string{
+		"repro_pdp_cache_hits_total 1",
+		"repro_pdp_cache_entries 1",
+		"repro_pdp_cache_invalidations_total 1",
+		"repro_stale_served_total 1",
+	} {
+		if !strings.Contains(out, "\n"+line+"\n") {
+			t.Errorf("exposition missing %s:\n%s", line, out)
+		}
 	}
 }

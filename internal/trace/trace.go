@@ -12,7 +12,7 @@
 // middleware, pep.Enforcer, the pdpd serving layer) and by layers that
 // represent a real hop or fan-out (cluster shard dispatch, PIP backend
 // fetches, remote PDP calls); layers in between annotate the current span
-// instead of opening one (engine cache hit/miss, epoch, evaluation
+// instead of opening one (front cache hit/miss, engine epoch, evaluation
 // nanoseconds; ensemble failover attempts).
 //
 // Sampling is head-plus-exceptional: a Tracer keeps every 1/rate-th trace
@@ -106,7 +106,7 @@ func nextID() uint64 {
 
 // Attr is one span annotation.
 type Attr struct {
-	// Key names the annotation, dot-namespaced by layer ("pdp.cache").
+	// Key names the annotation, dot-namespaced by layer ("pdp.decision").
 	Key string `json:"k"`
 	// Value is the rendered annotation value.
 	Value string `json:"v"`

@@ -77,25 +77,25 @@ func TestProvidersAgree(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		root, dir, reqs := agreeBase(seed)
-		engine := func(name string, root policy.Evaluable, opts ...pdp.Option) *pdp.Engine {
-			e := pdp.New(name, append([]pdp.Option{pdp.WithResolver(dir)}, opts...)...)
+		engine := func(name string, root policy.Evaluable) *pdp.Engine {
+			e := pdp.New(name, pdp.WithResolver(dir))
 			if err := e.SetRoot(root); err != nil {
 				t.Fatal(err)
 			}
 			return e
 		}
-		// ensemble builds n cached replicas.
+		// ensemble builds n replicas.
 		ensemble := func(s ha.Strategy, n int) *ha.Ensemble {
 			replicas := make([]*ha.Failable, n)
 			for i := range replicas {
 				name := fmt.Sprintf("r%d", i)
-				replicas[i] = ha.NewFailable(name, engine(name, root, pdp.WithDecisionCache(time.Minute, 0)))
+				replicas[i] = ha.NewFailable(name, engine(name, root))
 			}
 			return ha.NewEnsemble("ens", s, replicas...)
 		}
 		router := func(shards int) *cluster.Router {
 			r, err := cluster.New("router", cluster.Config{Shards: shards, Replicas: 2,
-				EngineOptions: []pdp.Option{pdp.WithResolver(dir), pdp.WithDecisionCache(time.Minute, 0)}})
+				EngineOptions: []pdp.Option{pdp.WithResolver(dir)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestProvidersAgree(t *testing.T) {
 			name string
 			d    policy.Decider
 		}{
-			{"engine/cached", engine("cached", root, pdp.WithDecisionCache(time.Minute, 0))},
+			{"engine/cached", resilience.NewFrontCache(engine("cached", root), time.Minute, &resilience.Policy{}, 8192)},
 			{"engine/uncached", engine("uncached", root)},
 			{"engine/interpreter", engine("interp", uncompilable(root))},
 			{"ensemble/failover", ensemble(ha.Failover, 2)},
